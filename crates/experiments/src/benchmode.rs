@@ -15,7 +15,9 @@
 //! * `current` — the most recent measurement.
 //!
 //! `--check FILE` compares a fresh run against the `current` section of
-//! a committed file and fails (non-zero exit) when aggregate events/sec
+//! a committed file and fails (non-zero exit) when any scenario's
+//! `events`, `fingerprint` or `counter_fingerprint` differs from the
+//! committed one (same sweep size only), or when aggregate events/sec
 //! regressed by more than `--max-regress` (default 20 %). CI uses this
 //! as a smoke gate.
 
@@ -74,7 +76,7 @@ pub struct BenchScenario {
     /// [`crate::runner::ScenarioReport::peak_rss_bytes`]).
     pub peak_rss_bytes: u64,
     /// OS threads used for intra-scenario sharded execution (1 for the
-    /// serial scenarios).
+    /// one-shard scenarios).
     pub shards: u32,
     /// Order-sensitive hash of the scenario's full determinism
     /// fingerprint (metrics, jitter series, telemetry bytes, counter
@@ -87,21 +89,21 @@ pub struct BenchScenario {
     /// curve check.
     pub counter_fingerprint: u64,
     /// Per-shard wall-clock phase breakdown (engine plane; one entry
-    /// for serial scenarios). Rendered into the non-gated `profile`
+    /// for one-shard scenarios). Rendered into the non-gated `profile`
     /// section of the JSON.
     pub profile: Vec<iq_obs::PhaseSnapshot>,
     /// Execute-to-wall utilization: sum of execute time over sum of
-    /// total profiled time across shards (engine plane). 1.0 for a
-    /// serial scenario with no idle/ingress/flush phases.
+    /// total profiled time across shards (engine plane). Close to
+    /// 1.0 for a one-shard scenario, which never waits on a neighbor.
     pub utilization: f64,
-    /// Shard-scheduler totals (engine plane; all zero for the serial
-    /// scenarios — see [`iq_netsim::SchedTotals`]).
+    /// Shard-scheduler totals (engine plane; all zero for the
+    /// one-shard scenarios — see [`iq_netsim::SchedTotals`]).
     pub sched: iq_netsim::SchedTotals,
 }
 
 /// Execute-to-wall utilization of a (possibly per-shard) phase profile:
 /// total execute nanos over total profiled nanos. Empty or unprofiled
-/// input reports 1.0 (a serial run executes the whole time).
+/// input reports 1.0.
 pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot]) -> f64 {
     let total: u64 = profile.iter().map(|s| s.total_nanos()).sum();
     if total == 0 {
@@ -532,15 +534,69 @@ pub fn extract_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts a named number from a JSON object fragment (first match).
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
+/// The text of a named number in a JSON object fragment (first match).
+fn number_text<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = json.find(&needle)? + needle.len();
     let rest = json[at..].trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Some(&rest[..end])
+}
+
+/// Extracts a named number from a JSON object fragment (first match).
+pub fn extract_number(json: &str, key: &str) -> Option<f64> {
+    number_text(json, key)?.parse().ok()
+}
+
+/// Compares the run's deterministic outputs — `events`, `fingerprint`,
+/// `counter_fingerprint` — with those a reference `current` section
+/// records for the scenarios of the same name, and returns one message
+/// per scenario that drifted. Fingerprints are parsed as `u64`: they use
+/// all 64 bits, which an `f64` cannot hold. Workloads depend on the
+/// sweep size, so a reference measured at another size compares nothing.
+fn fingerprint_drift(run: &BenchRun, reference: &str) -> Vec<String> {
+    if extract_number(reference, "size") != Some(run.size) {
+        eprintln!(
+            "bench check: reference was measured at another size; fingerprints not compared"
+        );
+        return Vec::new();
+    }
+    let field = |line: &str, key: &str| number_text(line, key)?.parse::<u64>().ok();
+    let mut drifted = Vec::new();
+    let mut compared = 0;
+    for line in reference.lines() {
+        let Some(name) = line.split("\"name\": \"").nth(1).and_then(|r| r.split('"').next()) else {
+            continue;
+        };
+        let Some(now) = run.scenarios.iter().find(|s| s.name == name) else {
+            continue;
+        };
+        compared += 1;
+        let fields = [
+            ("events", now.events),
+            ("fingerprint", now.fingerprint),
+            ("counter_fingerprint", now.counter_fingerprint),
+        ];
+        let diffs: Vec<String> = fields
+            .iter()
+            .filter_map(|&(key, got)| {
+                let want = field(line, key)?;
+                (want != got).then(|| format!("{key} {got} (committed {want})"))
+            })
+            .collect();
+        if !diffs.is_empty() {
+            drifted.push(format!("`{name}`: {}", diffs.join(", ")));
+        }
+    }
+    if drifted.is_empty() {
+        eprintln!(
+            "bench check: {compared} scenario(s) reproduce the committed events and \
+             fingerprints — ok"
+        );
+    }
+    drifted
 }
 
 /// Runs the bench, writes the JSON (carrying an existing baseline
@@ -602,6 +658,15 @@ pub fn bench_main(opts: &BenchOptions) -> Result<BenchRun, String> {
             .map_err(|e| format!("cannot read {check_path}: {e}"))?;
         let section = extract_object(&committed, "current")
             .ok_or_else(|| format!("{check_path}: no `current` section"))?;
+        // Same bytes first: results are a hard property on any host,
+        // the speed and memory budgets below are not.
+        let drifted = fingerprint_drift(&run, section);
+        if !drifted.is_empty() {
+            return Err(format!(
+                "results drifted from {check_path}:\n  {}",
+                drifted.join("\n  ")
+            ));
+        }
         let reference = extract_number(section, "total_events_per_sec")
             .ok_or_else(|| format!("{check_path}: no total_events_per_sec"))?;
         if reference > 0.0 {
@@ -732,6 +797,46 @@ mod tests {
         assert_eq!(extract_number(cur, "utilization"), Some(0.75));
         let base = extract_object(&doc, "baseline").expect("baseline section");
         assert_eq!(extract_number(base, "peak_rss_bytes"), Some(1024.0));
+    }
+
+    #[test]
+    fn check_names_each_scenario_whose_results_drifted() {
+        let scenario = |name: &str, fingerprint: u64| BenchScenario {
+            name: name.into(),
+            events: 100,
+            wall_s: 0.25,
+            events_per_sec: 400.0,
+            peak_rss_bytes: 0,
+            shards: 1,
+            // Past 2^53: an f64 round trip would not tell these apart.
+            fingerprint,
+            counter_fingerprint: u64::MAX - 1,
+            utilization: 1.0,
+            sched: iq_netsim::SchedTotals::default(),
+            profile: Vec::new(),
+        };
+        let run = |scenarios: Vec<BenchScenario>, size: f64| BenchRun {
+            label: "t".into(),
+            size,
+            scenarios,
+            total_events: 0,
+            total_wall_s: 0.0,
+            total_events_per_sec: 0.0,
+            peak_rss_bytes: 0,
+        };
+        let committed = run(vec![scenario("a", u64::MAX), scenario("b", 7)], 1.0);
+        let reference = render_run(&committed, "  ");
+        assert!(fingerprint_drift(&committed, &reference).is_empty());
+
+        // `a` off by one in the last bit, `b` gone, `c` new: only `a` drifts.
+        let now = run(vec![scenario("a", u64::MAX - 1), scenario("c", 9)], 1.0);
+        let drifted = fingerprint_drift(&now, &reference);
+        assert_eq!(drifted.len(), 1, "{drifted:?}");
+        assert!(drifted[0].starts_with("`a`: fingerprint 18446744073709551614 (committed"));
+
+        // Another sweep size is another workload: nothing to compare.
+        let resized = run(vec![scenario("a", 1)], 0.5);
+        assert!(fingerprint_drift(&resized, &reference).is_empty());
     }
 
     #[test]

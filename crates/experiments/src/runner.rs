@@ -129,11 +129,13 @@ pub fn telemetry_enabled() -> bool {
     TELEMETRY_CAPTURE.load(Ordering::Relaxed)
 }
 
-/// Sets how many OS threads a sharded scenario (`mega_flows`) uses to
-/// execute its fixed shard partition. Typically wired to the `--shards
-/// N` CLI flag. The value never affects simulation results — the
-/// partition is fixed by the topology and outputs merge in shard-index
-/// order — only wall-clock time. 0 resolves to one per available core.
+/// Sets how many OS threads a scenario's world uses to execute its
+/// fixed shard partition (capped at the partition's size, so only
+/// `mega_flows` ever uses more than one). Typically wired to the
+/// `--shards N` CLI flag. The value never affects simulation results —
+/// the partition is fixed by the topology and outputs merge in
+/// shard-index order — only wall-clock time. 0 resolves to one per
+/// available core.
 pub fn set_shards(n: usize) {
     SHARDS.store(n, Ordering::Relaxed);
 }
@@ -235,7 +237,7 @@ pub struct ScenarioReport {
     /// estimate.
     pub peak_rss_bytes: u64,
     /// OS threads used for intra-scenario sharded execution (1 for the
-    /// serial scenarios).
+    /// single-leg scenarios).
     pub shards: u32,
 }
 

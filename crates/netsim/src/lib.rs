@@ -73,5 +73,5 @@ pub use sim::{SimCounters, Simulator};
 pub use slab::{PacketKey, TimerKey};
 pub use time::{Time, TimeDelta};
 pub use trace::{FlowStats, PacketEvent, PacketEventKind, TraceCollector};
-pub use topology::{build_dumbbell, Dumbbell, DumbbellSpec};
+pub use topology::{build_dumbbell, build_dumbbell_leg, Dumbbell, DumbbellSpec};
 

@@ -1157,10 +1157,12 @@ impl ShardedSim {
     }
 }
 
-/// Per-shard RNG/id-space salt: splitmix64-style odd-constant mix so
-/// shard streams are decorrelated but fully determined by (seed, index).
+/// Per-shard RNG salt: splitmix64-style odd-constant mix so shard
+/// streams are decorrelated but fully determined by (seed, index).
+/// Shard 0 draws the caller's seed itself, so a 1-shard world *is*
+/// `Simulator::new(seed)`.
 fn mix_seed(seed: u64, shard: usize) -> u64 {
-    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1)
+    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::link::LinkSpec;
 use crate::packet::{LinkId, NodeId};
+use crate::shard::ShardedSim;
 use crate::sim::Simulator;
 use crate::time::{millis, TimeDelta};
 
@@ -81,6 +82,37 @@ impl DumbbellSpec {
 /// non-finite bottleneck rate (the bottleneck would silently become
 /// infinitely fast, which is never what an experiment means).
 pub fn build_dumbbell(sim: &mut Simulator, spec: &DumbbellSpec) -> Dumbbell {
+    dumbbell(sim, spec, |sim, _| sim.add_node(), Simulator::add_duplex_link)
+}
+
+/// Builds the dumbbell as one leg of a sharded world: the sending hosts
+/// and their router live on shard `left`, the receiving side on shard
+/// `right`. With `left != right` the bottleneck is the shard boundary
+/// and its propagation delay the conservative lookahead; `left == right`
+/// keeps the whole leg on one shard. Same node and link order, and the
+/// same panics, as [`build_dumbbell`].
+pub fn build_dumbbell_leg(
+    sim: &mut ShardedSim,
+    left: usize,
+    right: usize,
+    spec: &DumbbellSpec,
+) -> Dumbbell {
+    dumbbell(
+        sim,
+        spec,
+        |sim, right_side| sim.add_node(if right_side { right } else { left }),
+        ShardedSim::add_duplex_link,
+    )
+}
+
+/// The one dumbbell body. `add_node` is told whether the node belongs to
+/// the receiving (right) side.
+fn dumbbell<S>(
+    sim: &mut S,
+    spec: &DumbbellSpec,
+    add_node: impl Fn(&mut S, bool) -> NodeId,
+    add_duplex_link: impl Fn(&mut S, NodeId, NodeId, LinkSpec) -> (LinkId, LinkId),
+) -> Dumbbell {
     assert!(
         spec.pairs > 0,
         "dumbbell spec has 0 host pairs; at least one sender/receiver pair is required"
@@ -90,8 +122,8 @@ pub fn build_dumbbell(sim: &mut Simulator, spec: &DumbbellSpec) -> Dumbbell {
         "dumbbell bottleneck rate must be a positive finite bit rate, got {} b/s",
         spec.bottleneck_bps
     );
-    let left_router = sim.add_node();
-    let right_router = sim.add_node();
+    let left_router = add_node(sim, false);
+    let right_router = add_node(sim, true);
 
     // Nearly all of the one-way delay lives on the bottleneck; access
     // links contribute a symbolic 10 us so serialization ordering at the
@@ -103,17 +135,17 @@ pub fn build_dumbbell(sim: &mut Simulator, spec: &DumbbellSpec) -> Dumbbell {
     if spec.red_bottleneck {
         bn_spec = bn_spec.with_red(crate::link::RedParams::for_capacity(spec.queue_bytes));
     }
-    let (bottleneck, bottleneck_back) = sim.add_duplex_link(left_router, right_router, bn_spec);
+    let (bottleneck, bottleneck_back) = add_duplex_link(sim, left_router, right_router, bn_spec);
 
     let mut left_hosts = Vec::with_capacity(spec.pairs);
     let mut right_hosts = Vec::with_capacity(spec.pairs);
     // Access queues are generous: the bottleneck is the only loss point.
     let access_spec = LinkSpec::new(spec.access_bps, access_delay, 16 * 1024 * 1024);
     for _ in 0..spec.pairs {
-        let l = sim.add_node();
-        let r = sim.add_node();
-        sim.add_duplex_link(l, left_router, access_spec.clone());
-        sim.add_duplex_link(r, right_router, access_spec.clone());
+        let l = add_node(sim, false);
+        let r = add_node(sim, true);
+        add_duplex_link(sim, l, left_router, access_spec.clone());
+        add_duplex_link(sim, r, right_router, access_spec.clone());
         left_hosts.push(l);
         right_hosts.push(r);
     }
@@ -188,6 +220,32 @@ mod tests {
         let rtt = sim.agent::<PongTimer>(p).unwrap().rtt_ms.expect("no pong");
         // 30 ms propagation plus small serialization; must be close.
         assert!((29.0..32.0).contains(&rtt), "rtt = {rtt} ms");
+    }
+
+    #[test]
+    fn a_leg_is_the_serial_dumbbell_on_one_shard_or_two() {
+        let spec = DumbbellSpec::paper_default(2);
+        let serial = format!("{:?}", build_dumbbell(&mut Simulator::new(1), &spec));
+        for split in [false, true] {
+            let mut sim = ShardedSim::new(1);
+            let left = sim.add_shard();
+            let right = if split { sim.add_shard() } else { left };
+            let db = build_dumbbell_leg(&mut sim, left, right, &spec);
+            assert_eq!(format!("{db:?}"), serial, "same node and link ids");
+            let ponger = PongTimer {
+                rtt_ms: None,
+                sent_at: 0,
+                dst: Addr::new(db.right_hosts[1], 5),
+            };
+            let p = sim.add_agent(db.left_hosts[1], 5, Box::new(ponger));
+            let responder = Ping {
+                dst: Addr::new(db.left_hosts[1], 5),
+            };
+            sim.add_agent(db.right_hosts[1], 5, Box::new(responder));
+            sim.run_until(secs(1.0));
+            let rtt = sim.agent::<PongTimer>(p).unwrap().rtt_ms.expect("no pong");
+            assert!((29.0..32.0).contains(&rtt), "split {split}: rtt = {rtt} ms");
+        }
     }
 
     #[test]

@@ -25,18 +25,19 @@
 //! `bench` runs a fixed scenario sweep and writes `BENCH_netsim.json`
 //! (events/sec, wall time per scenario, peak RSS). Options: `--out PATH`,
 //! `--label STR`, `--only NAME` (run a single scenario), `--check PATH`
-//! (fail when events/sec regresses more than `--max-regress FRAC`,
-//! default 0.20, against the committed file — and, on hosts with ≥ 4
-//! cores, when the `mega_flows` 4-shard rate is below 2× the 1-shard
-//! rate).
+//! (fail when a scenario's events or fingerprints differ from those the
+//! committed file records at the same size, when events/sec regresses
+//! more than `--max-regress FRAC`, default 0.20, against it — and, on
+//! hosts with ≥ 4 cores, when the `mega_flows` 4-shard rate is below 2×
+//! the 1-shard rate).
 //!
 //! `SIZE` scales the experiment workloads (1.0 = paper scale). Flags:
 //!
 //! * `-j N` / `--jobs N` — run scenarios on N worker threads (default:
 //!   one per core). Rendered output is byte-identical for any N.
-//! * `--shards N` — worker threads inside a sharded scenario
-//!   (`mega_flows`); results are byte-identical for any N (0 = one per
-//!   core, default 1).
+//! * `--shards N` — worker threads inside a scenario's sharded world
+//!   (only `mega_flows` has more than one shard); results are
+//!   byte-identical for any N (0 = one per core, default 1).
 //! * `--verify-determinism` — run every scenario twice with the same
 //!   seed and abort if any metric differs bit-for-bit.
 //! * `--no-timing` — suppress the per-scenario wall-clock / events-per-
