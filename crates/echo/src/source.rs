@@ -130,8 +130,6 @@ pub struct AdaptiveSourceAgent {
     min_lower_gap: iq_netsim::TimeDelta,
     last_upper_adapt: Option<Time>,
     last_lower_adapt: Option<Time>,
-    /// Per-period network-condition history.
-    pub period_log: Vec<NetCond>,
     events_scratch: Vec<ConnEvent>,
     finished: bool,
 }
@@ -159,7 +157,6 @@ impl AdaptiveSourceAgent {
             min_lower_gap: cfg.min_lower_gap,
             last_upper_adapt: None,
             last_lower_adapt: None,
-            period_log: Vec::new(),
             events_scratch: Vec::new(),
             finished: false,
         }
@@ -261,7 +258,6 @@ impl AdaptiveSourceAgent {
             match ev {
                 ConnEvent::UpperThreshold(c) => self.on_threshold(now, true, c),
                 ConnEvent::LowerThreshold(c) => self.on_threshold(now, false, c),
-                ConnEvent::PeriodEnded(c) => self.period_log.push(c),
                 _ => {}
             }
         }

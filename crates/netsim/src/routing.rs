@@ -1,9 +1,15 @@
 //! Static shortest-path routing.
 //!
-//! Routes are computed once from the link graph with a breadth-first
-//! search (hop-count metric), which is sufficient for the dumbbell and
-//! chain topologies used by the experiments. The table maps
+//! Routes are computed from the link graph with one breadth-first search
+//! per source node (hop-count metric), which is sufficient for the
+//! dumbbell and chain topologies used by the experiments. The table maps
 //! `(from_node, dst_node)` to the outgoing [`LinkId`] of the first hop.
+//!
+//! The table is dense: `nodes²` entries of 8 bytes, 2.2 MB for the
+//! 528-node mega world, and `O(nodes · (nodes + links))` to fill. It is
+//! a pure function of the topology, so a sharded world — whose shards
+//! all mirror the same topology — computes it once and shares it (see
+//! `ShardedSim::run_slices`).
 
 use std::collections::VecDeque;
 
@@ -39,30 +45,22 @@ impl RoutingTable {
             adj[from.0 as usize].push((LinkId(i as u32), to));
         }
 
-        let mut next_hop = vec![None; num_nodes * num_nodes];
-        // BFS from every destination is O(N * (N + E)); topologies here
-        // have a handful of nodes so simplicity wins.
-        for src in 0..num_nodes {
-            let mut dist = vec![u32::MAX; num_nodes];
-            let mut first_link = vec![None; num_nodes];
-            dist[src] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(NodeId(src as u32));
+        let mut next_hop: Vec<Option<LinkId>> = vec![None; num_nodes * num_nodes];
+        // One BFS per source, straight into that source's row: a node
+        // other than `src` has been reached exactly when its entry is
+        // set, so the row doubles as the visited set and the only scratch
+        // is the queue, reused across sources.
+        let mut q = VecDeque::new();
+        for (src, row) in next_hop.chunks_exact_mut(num_nodes.max(1)).enumerate() {
+            q.push_back(src);
             while let Some(u) = q.pop_front() {
-                for &(link, v) in &adj[u.0 as usize] {
-                    if dist[v.0 as usize] == u32::MAX {
-                        dist[v.0 as usize] = dist[u.0 as usize] + 1;
-                        first_link[v.0 as usize] = if u.0 as usize == src {
-                            Some(link)
-                        } else {
-                            first_link[u.0 as usize]
-                        };
+                for &(link, v) in &adj[u] {
+                    let v = v.0 as usize;
+                    if v != src && row[v].is_none() {
+                        row[v] = if u == src { Some(link) } else { row[u] };
                         q.push_back(v);
                     }
                 }
-            }
-            for dst in 0..num_nodes {
-                next_hop[src * num_nodes + dst] = first_link[dst];
             }
         }
         Self { num_nodes, next_hop }

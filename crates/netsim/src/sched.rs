@@ -13,12 +13,13 @@
 //!   `near_end`. This is the only structure events are
 //!   popped from, so pop order is exactly the sort order: `(time, seq)`.
 //! * **wheel** — [`LEVELS`] rings of [`SLOTS`] buckets each. Level 0
-//!   buckets span 2^16 ns (≈ 65 µs), each higher level is [`SLOTS`] times
-//!   coarser (≈ 16.8 ms, ≈ 4.3 s). A bucket is a plain `Vec<Event>`
-//!   whose capacity is retained across drains, so steady-state
-//!   scheduling never allocates.
+//!   buckets span 2^20 ns (≈ 1.05 ms), each higher level is [`SLOTS`]
+//!   times coarser (≈ 268 ms, ≈ 68.7 s). A bucket is a plain
+//!   `Vec<Event>`; a drained level-0 bucket trades buffers with `near`,
+//!   so the buffers circulate and steady-state scheduling never
+//!   allocates.
 //! * **far** — a binary heap for events beyond the top level's horizon
-//!   (≈ 18 min ahead). Rare in practice; migrated into the wheel as the
+//!   (≈ 4.9 h ahead). Rare in practice; migrated into the wheel as the
 //!   horizon advances.
 //!
 //! ## Determinism
@@ -30,8 +31,8 @@
 //! advances to the start of the earliest non-empty bucket (or the far
 //! heap's minimum), so no event still sitting in a bucket can precede
 //! anything already poppable. Wheel buckets are unordered, but a bucket
-//! is drained *whole* into `near` before any of its events pop, where
-//! the sort restores `(time, seq)` order. `tests/scheduler_diff.rs`
+//! *becomes* `near` whole before any of its events pop, and is sorted
+//! into `(time, seq)` order on the way. `tests/scheduler_diff.rs`
 //! pins this equivalence against a model `BinaryHeap` under vendored
 //! proptest op streams.
 
@@ -224,8 +225,10 @@ pub trait EventSource {
 /// in ascending `(time, seq)` order.
 pub struct EventQueue {
     /// Events below `near_end`, sorted descending by `(time, seq)` so the
-    /// next event pops from the end. A drained bucket holds a handful of
-    /// events, so one `sort_unstable` beats per-event heap sifts.
+    /// next event pops from the end. A drained level-0 bucket *becomes*
+    /// `near` (a buffer swap, then one in-place `sort_unstable`, which
+    /// beats per-event heap sifts for the handful of events a bucket
+    /// holds); the bucket's slot keeps `near`'s emptied buffer.
     /// `Event`'s `Ord` is reversed (min-queue through a max-heap), so an
     /// ascending sort by that `Ord` *is* descending `(time, seq)`.
     near: Vec<Event>,
@@ -436,16 +439,17 @@ impl EventQueue {
             return;
         }
         counter_inc!(self.stats.cascades);
-        let mut events = std::mem::take(&mut self.levels[level].buckets[i]);
+        // The buffer is dropped, not handed back: this slot comes round
+        // again one ring turn (≈ 68.7 s at level 1) later, and until then
+        // its capacity would hold one burst's worth of memory for nothing.
+        let events = std::mem::take(&mut self.levels[level].buckets[i]);
         self.levels[level].clear_bit(i);
         self.levels[level].events -= events.len();
-        for ev in events.drain(..) {
+        for ev in events {
             debug_assert_eq!(bucket_of(ev.at, level), abs, "bucket collision");
             self.len -= 1; // push re-counts
             self.push(ev);
         }
-        // Put the emptied Vec back so its capacity is reused.
-        self.levels[level].buckets[i] = events;
     }
 
     /// Moves far-heap events that now fall inside the wheel horizon.
@@ -462,6 +466,27 @@ impl EventQueue {
         }
     }
 
+    /// Makes level-0 bucket `b` the new `near` and advances the cursor
+    /// past it. Only sound when `near` is empty and nothing above level 0
+    /// can hold an event before the bucket's end (the callers' invariant).
+    fn drain_level0(&mut self, b: u64) {
+        counter_inc!(self.stats.bucket_drains);
+        debug_assert!(self.near.is_empty(), "drained over pending near events");
+        let i = (b as usize) & (SLOTS - 1);
+        // A swap, not a copy: the bucket's buffer becomes `near` and the
+        // slot keeps `near`'s emptied one, so no capacity is held twice.
+        std::mem::swap(&mut self.near, &mut self.levels[0].buckets[i]);
+        self.levels[0].clear_bit(i);
+        self.levels[0].events -= self.near.len();
+        debug_assert!(
+            self.near.iter().all(|ev| bucket_of(ev.at, 0) == b),
+            "bucket collision"
+        );
+        self.near.sort_unstable();
+        let end = bucket_end(b, 0).max(self.near_end);
+        self.advance_to(end); // may cross a coarser boundary
+    }
+
     /// Ensures `near` holds the earliest pending event (if any exist).
     ///
     /// Each iteration finds the bucket with the minimum start time
@@ -472,31 +497,11 @@ impl EventQueue {
     /// sharing a start with a level-0 bucket may hold events *inside*
     /// that level-0 bucket's span, so it must cascade before the
     /// level-0 bucket is drained.
-    /// Migrates level-0 bucket `b` wholly into `near` and advances the
-    /// cursor past it. Only sound when nothing above level 0 can hold an
-    /// event before the bucket's end (the callers' invariant).
-    fn drain_level0(&mut self, b: u64) {
-        counter_inc!(self.stats.bucket_drains);
-        let i = (b as usize) & (SLOTS - 1);
-        let mut events = std::mem::take(&mut self.levels[0].buckets[i]);
-        self.levels[0].clear_bit(i);
-        self.levels[0].events -= events.len();
-        debug_assert!(
-            events.iter().all(|ev| bucket_of(ev.at, 0) == b),
-            "bucket collision"
-        );
-        self.near.append(&mut events);
-        self.near.sort_unstable(); // `near` was empty: sorts the bucket
-        self.levels[0].buckets[i] = events; // keep capacity
-        let end = bucket_end(b, 0).max(self.near_end);
-        self.advance_to(end); // may cross a coarser boundary
-    }
-
     fn refill(&mut self) {
         // An overlay event (always below `near_end`) precedes everything
         // still in the wheels or far heap, so no migration is needed to
-        // pop it — and skipping refill keeps `drain_level0`'s "`near` was
-        // empty" sorting invariant intact.
+        // pop it — and skipping refill keeps `drain_level0`'s "`near` is
+        // empty" swap invariant intact.
         while self.near.is_empty() && self.near_over.is_empty() && self.len > 0 {
             // Fast path: a level-0 bucket ending at or before the coarse
             // floor drains without touching the coarser levels at all.

@@ -47,8 +47,9 @@
 //! progress parks (leaves the queue entirely) until the next upstream
 //! signal re-queues it, and workers with nothing to claim spin briefly
 //! and then block on a condvar — no busy-wait, no `yield_now` loop.
-//! Boundary output is staged per egress link during the window and
-//! handed off with one mailbox lock per boundary, not one per message.
+//! Boundary output collects in the simulator's per-egress-link outboxes
+//! during the window and is handed off with one mailbox lock per
+//! boundary, not one per message.
 //! The pool is capped at the host's available parallelism (surplus
 //! workers would only time-slice the same cores and evict each other's
 //! shard working sets), except under [`ShardedSim::set_perturbation`],
@@ -278,9 +279,6 @@ struct ShardSlot {
     /// Worker that ran this shard last (`usize::MAX` = never) — steal
     /// accounting only.
     last_worker: usize,
-    /// Per-egress-boundary staging for lock-amortized flush (parallel to
-    /// the shard's egress list).
-    staging: Vec<Vec<WireMsg>>,
     /// Swap target for mailbox drains, so a drain is one `Vec` swap
     /// under the channel lock instead of an allocation.
     ingress_buf: Vec<WireMsg>,
@@ -305,7 +303,7 @@ const SPIN_LIMIT: u32 = 64;
 /// Retained-capacity cap (in messages) for the boundary mailbox
 /// buffers. A synchronized burst — 102,400 flows opening at once — can
 /// spike one window's boundary traffic to megabytes, and a message
-/// passes through three reused buffers (staging batch, channel,
+/// passes through three reused buffers (the link's outbox, channel,
 /// ingress swap buffer) per link; without a cap every one of them
 /// would keep that burst's high-water capacity for the rest of the
 /// process. Steady-state windows stay well under the cap, so the
@@ -365,10 +363,8 @@ struct Engine<'a> {
     clocks: &'a [AtomicU64],
     signal_version: &'a [AtomicU64],
     boundaries: &'a [Boundary],
-    boundary_of_link: &'a [u32],
     ingress: &'a [Vec<usize>],
     egress: &'a [Vec<usize>],
-    staging_pos: &'a [u32],
     successors: &'a [Vec<usize>],
     channels: &'a [Mutex<Vec<WireMsg>>],
     worker_parks: &'a AtomicU64,
@@ -640,14 +636,11 @@ impl Engine<'_> {
     }
 
     /// One lookahead window: drain ingress mailboxes (everything below
-    /// `limit` is present by flush-before-publish), execute, stage and
-    /// flush boundary output, publish the clock.
+    /// `limit` is present by flush-before-publish), execute, flush
+    /// boundary output, publish the clock.
     fn window(&self, s: usize, slot: &mut ShardSlot, limit: Time) {
         let ShardSlot {
-            sim,
-            staging,
-            ingress_buf,
-            ..
+            sim, ingress_buf, ..
         } = slot;
         sim.profiler().enter(Phase::Ingress);
         for &b in &self.ingress[s] {
@@ -669,17 +662,24 @@ impl Engine<'_> {
         sim.run_window(limit);
         // Flush boundary output *before* publishing the clock, so a
         // neighbor that observes the new clock also observes every
-        // message it implies. Staged per boundary: one mailbox lock per
-        // boundary per window, not one per message.
+        // message it implies. The simulator keeps one outbox per egress
+        // link (in this shard's egress-list order), so a window costs one
+        // mailbox lock per boundary, not one per message.
         sim.profiler().enter(Phase::Flush);
-        sim.flush_outbox(|m| {
-            let b = self.boundary_of_link[m.link.0 as usize] as usize;
-            staging[self.staging_pos[b] as usize].push(m);
-        });
         for (pos, &b) in self.egress[s].iter().enumerate() {
-            let batch = &mut staging[pos];
+            let batch = sim.outbox_mut(pos);
             if !batch.is_empty() {
-                self.channels[b].lock().unwrap().append(batch);
+                {
+                    let mut ch = self.channels[b].lock().unwrap();
+                    if ch.is_empty() {
+                        // Hand the batch's buffer over whole; appending
+                        // would grow the mailbox to the same capacity
+                        // beside it.
+                        std::mem::swap(&mut *ch, batch);
+                    } else {
+                        ch.append(batch);
+                    }
+                }
                 if batch.capacity() > MAILBOX_KEEP {
                     batch.shrink_to(MAILBOX_KEEP);
                 }
@@ -768,14 +768,11 @@ pub struct ShardedSim {
     /// Owning shard of each node, indexed by `NodeId`.
     owner: Vec<usize>,
     boundaries: Vec<Boundary>,
-    /// Boundary index per link id (`u32::MAX` = intra-shard link).
-    boundary_of_link: Vec<u32>,
     /// Inbound boundary indices per shard.
     ingress: Vec<Vec<usize>>,
-    /// Outbound boundary indices per shard (staging order).
+    /// Outbound boundary indices per shard, in the order the shard's
+    /// simulator numbers its outboxes ([`Simulator::outbox_mut`]).
     egress: Vec<Vec<usize>>,
-    /// Position of each boundary in its source shard's egress list.
-    staging_pos: Vec<u32>,
     /// Distinct downstream shards per shard (wake targets).
     successors: Vec<Vec<usize>>,
     /// Exclusive per-shard clocks (see module docs); persist across
@@ -805,10 +802,8 @@ impl ShardedSim {
             shards: Vec::new(),
             owner: Vec::new(),
             boundaries: Vec::new(),
-            boundary_of_link: Vec::new(),
             ingress: Vec::new(),
             egress: Vec::new(),
-            staging_pos: Vec::new(),
             successors: Vec::new(),
             clocks: Vec::new(),
             signal_version: Vec::new(),
@@ -837,7 +832,6 @@ impl ShardedSim {
             cached_bound: 0,
             seen_version: u64::MAX,
             last_worker: usize::MAX,
-            staging: Vec::new(),
             ingress_buf: Vec::new(),
         });
         self.ingress.push(Vec::new());
@@ -910,13 +904,11 @@ impl ShardedSim {
             id = Some(lid);
         }
         let id = id.expect("add_shard must be called before add_link");
-        debug_assert_eq!(self.boundary_of_link.len(), id.0 as usize);
         if src != dst {
-            self.shards[src].sim.mark_egress(id);
+            let outbox = self.shards[src].sim.mark_egress(id);
+            debug_assert_eq!(outbox, self.egress[src].len());
             let b = self.boundaries.len();
-            self.boundary_of_link.push(b as u32);
             self.ingress[dst].push(b);
-            self.staging_pos.push(self.egress[src].len() as u32);
             self.egress[src].push(b);
             if !self.successors[src].contains(&dst) {
                 self.successors[src].push(dst);
@@ -926,8 +918,6 @@ impl ShardedSim {
                 lookahead: spec.delay,
             });
             self.channels.push(Mutex::new(Vec::new()));
-        } else {
-            self.boundary_of_link.push(u32::MAX);
         }
         id
     }
@@ -1068,7 +1058,18 @@ impl ShardedSim {
         slice: TimeDelta,
         mut stop: impl FnMut(&ShardView<'_>) -> bool,
     ) -> Time {
-        assert!(!self.shards.is_empty(), "no shards declared");
+        // Every shard mirrors the whole topology, so their route tables
+        // are equal: shard 0 computes it (only if the topology changed
+        // since its last run) and the rest adopt the same allocation.
+        // Re-installed on every call so no shard can run on a table older
+        // than shard 0's.
+        let [first, rest @ ..] = &mut self.shards[..] else {
+            panic!("no shards declared");
+        };
+        let routes = first.sim.current_routes();
+        for slot in rest {
+            slot.sim.share_routes(routes);
+        }
         deadline
             .checked_add(1)
             .expect("deadline too close to Time::MAX");
@@ -1087,8 +1088,7 @@ impl ShardedSim {
             threads.min(cores)
         };
         let slice = slice.max(1);
-        for (i, slot) in self.shards.iter_mut().enumerate() {
-            slot.staging.resize_with(self.egress[i].len(), Vec::new);
+        for slot in &mut self.shards {
             // Start every shard's wall clock in the idle phase so
             // lookahead-limited time before the first window is
             // attributed, not lost.
@@ -1103,10 +1103,8 @@ impl ShardedSim {
             clocks: &self.clocks,
             signal_version: &self.signal_version,
             boundaries: &self.boundaries,
-            boundary_of_link: &self.boundary_of_link,
             ingress: &self.ingress,
             egress: &self.egress,
-            staging_pos: &self.staging_pos,
             successors: &self.successors,
             channels: &self.channels,
             worker_parks: &self.worker_parks,
@@ -1294,6 +1292,48 @@ mod tests {
         assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 10);
         assert_eq!(sim.flow_stats(FlowId(1)).delivered_packets, 10);
         assert_eq!(sim.flow_stats(FlowId(2)).delivered_packets, 10);
+    }
+
+    /// The shards of a world share one route table, and a topology
+    /// change between runs replaces it in all of them: a shard can never
+    /// route on a table older than the topology it mirrors.
+    #[test]
+    fn shards_share_one_route_table_and_never_a_stale_one() {
+        use std::sync::Arc;
+
+        let mut sim = ShardedSim::new(5);
+        let (s0, s1) = (sim.add_shard(), sim.add_shard());
+        sim.set_threads(2);
+        let a = sim.add_node(s0);
+        let b = sim.add_node(s1);
+        sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
+        let pinger = |dst| Pinger {
+            dst,
+            count: 5,
+            sent: 0,
+            echoes: Vec::new(),
+        };
+        sim.add_agent(a, 1, Box::new(pinger(Addr::new(b, 2))));
+        sim.add_agent(b, 2, Box::new(Echoer::default()));
+        sim.run_until(millis(100));
+        let before = Arc::clone(sim.shard(0).routes());
+        assert!(
+            Arc::ptr_eq(&before, sim.shard(1).routes()),
+            "each shard computed a route table of its own"
+        );
+
+        // A new host behind `b`: reaching it from `a` needs a fresh table
+        // on shard 0 (first hop) and on shard 1 (second hop).
+        let c = sim.add_node(s1);
+        sim.add_duplex_link(b, c, LinkSpec::new(10e6, millis(1), 64_000));
+        let ping = sim.add_agent(a, 3, Box::new(pinger(Addr::new(c, 2))));
+        let echo = sim.add_agent(c, 2, Box::new(Echoer::default()));
+        sim.run_until(millis(200));
+        assert!(!Arc::ptr_eq(&before, sim.shard(0).routes()), "stale table kept");
+        assert!(Arc::ptr_eq(sim.shard(0).routes(), sim.shard(1).routes()));
+        assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 5);
+        assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 5);
+        assert_eq!(sim.counters().packets_unroutable, 0);
     }
 
     #[test]

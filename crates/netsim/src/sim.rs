@@ -17,6 +17,8 @@
 //!   at send time and carried with the packet, instead of a
 //!   `HashMap<Addr, AgentId>` probe on every hop.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,7 +66,10 @@ pub struct SimCore {
     packets: PacketSlab,
     pub(crate) links: Vec<LinkState>,
     num_nodes: u32,
-    routes: RoutingTable,
+    /// Next-hop table for the whole topology. Behind an `Arc` because the
+    /// shards of a [`ShardedSim`](crate::shard::ShardedSim) all mirror
+    /// one topology and share one table.
+    routes: Arc<RoutingTable>,
     routes_dirty: bool,
     /// Per-node port tables, sorted by port for binary search. Indexed by
     /// `NodeId`; replaces the old global `HashMap<Addr, AgentId>`.
@@ -75,15 +80,18 @@ pub struct SimCore {
     /// Per-flow accounting and optional packet log.
     pub trace: TraceCollector,
     pub(crate) stopped: bool,
-    /// Per-link flag: `true` when the link's far end lives on another
-    /// shard, so arrivals must cross via the outbox instead of the local
-    /// event queue. All-false in a serial simulation.
-    egress: Vec<bool>,
+    /// Per link: `Some(i)` when the link's far end lives on another
+    /// shard, so arrivals must cross via `outboxes[i]` instead of the
+    /// local event queue. All-`None` in a serial simulation.
+    egress: Vec<Option<u32>>,
     /// Per-link counter of messages sent across an egress link; feeds
     /// the content-derived boundary sequence numbers.
     egress_seq: Vec<u64>,
-    /// Boundary arrivals produced since the last flush.
-    outbox: Vec<WireMsg>,
+    /// One outbox per egress link, in [`Simulator::mark_egress`] order:
+    /// the boundary arrivals produced since the shard engine last took
+    /// them. Per link so a window's output is handed to each boundary
+    /// mailbox as it stands, without re-sorting by destination.
+    outboxes: Vec<Vec<WireMsg>>,
     /// Sim-plane delivery-latency histogram (send to agent hand-off,
     /// in sim nanoseconds). Deterministic: recorded per executed
     /// Deliver event from sim timestamps only.
@@ -255,14 +263,14 @@ impl SimCore {
                 size: pkt.size,
                 kind: PacketEventKind::LostRandom(link_id),
             });
-        } else if self.egress[link_id.0 as usize] {
+        } else if let Some(outbox) = self.egress[link_id.0 as usize] {
             // The far end lives on another shard: the arrival leaves via
-            // the outbox with a content-derived sequence number instead
-            // of the local queue (see `crate::shard`).
+            // the link's outbox with a content-derived sequence number
+            // instead of the local queue (see `crate::shard`).
             let counter = self.egress_seq[link_id.0 as usize];
             self.egress_seq[link_id.0 as usize] = counter + 1;
             let pkt = self.packets.take(q.key);
-            self.outbox.push(WireMsg {
+            self.outboxes[outbox as usize].push(WireMsg {
                 link: link_id,
                 at: arrival,
                 seq: boundary_seq(link_id, counter),
@@ -303,7 +311,7 @@ impl Simulator {
                 packets: PacketSlab::default(),
                 links: Vec::new(),
                 num_nodes: 0,
-                routes: RoutingTable::default(),
+                routes: Arc::default(),
                 routes_dirty: false,
                 ports: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
@@ -312,7 +320,7 @@ impl Simulator {
                 stopped: false,
                 egress: Vec::new(),
                 egress_seq: Vec::new(),
-                outbox: Vec::new(),
+                outboxes: Vec::new(),
                 delivery_latency: iq_obs::Hist::new(),
                 profiler: iq_obs::PhaseProfiler::new(),
                 shard_stats: crate::shard::ShardStats::default(),
@@ -349,7 +357,7 @@ impl Simulator {
             );
         }
         self.core.links.push(LinkState::new(spec, from, to));
-        self.core.egress.push(false);
+        self.core.egress.push(None);
         self.core.egress_seq.push(0);
         self.core.routes_dirty = true;
         id
@@ -604,7 +612,8 @@ impl Simulator {
     fn ensure_routes(&mut self) {
         if self.core.routes_dirty {
             let endpoints: Vec<_> = self.core.links.iter().map(|l| (l.from, l.to)).collect();
-            self.core.routes = RoutingTable::compute(self.core.num_nodes as usize, &endpoints);
+            self.core.routes =
+                Arc::new(RoutingTable::compute(self.core.num_nodes as usize, &endpoints));
             self.core.routes_dirty = false;
         }
     }
@@ -707,10 +716,34 @@ impl Simulator {
 
     // ---- shard-engine hooks (see `crate::shard`) -----------------------
 
-    /// Marks `link` as crossing out of this shard: its arrivals go to
-    /// the outbox instead of the local event queue.
-    pub(crate) fn mark_egress(&mut self, link: LinkId) {
-        self.core.egress[link.0 as usize] = true;
+    /// Marks `link` as crossing out of this shard: its arrivals go to an
+    /// outbox of its own instead of the local event queue. Returns the
+    /// outbox's index for [`Self::outbox_mut`] (0, 1, … in call order).
+    pub(crate) fn mark_egress(&mut self, link: LinkId) -> usize {
+        let outbox = self.core.outboxes.len();
+        self.core.egress[link.0 as usize] = Some(outbox as u32);
+        self.core.outboxes.push(Vec::new());
+        outbox
+    }
+
+    /// This simulator's route table, recomputed first if the topology
+    /// changed since the last computation.
+    pub(crate) fn current_routes(&mut self) -> &Arc<RoutingTable> {
+        self.ensure_routes();
+        &self.core.routes
+    }
+
+    /// Adopts `routes`, computed by a simulator holding the same
+    /// topology, as current (see `ShardedSim::run_slices`).
+    pub(crate) fn share_routes(&mut self, routes: &Arc<RoutingTable>) {
+        self.core.routes = Arc::clone(routes);
+        self.core.routes_dirty = false;
+    }
+
+    /// The route table as last computed or adopted.
+    #[cfg(test)]
+    pub(crate) fn routes(&self) -> &Arc<RoutingTable> {
+        &self.core.routes
     }
 
     /// Offsets this shard's packet-id space so ids stay globally unique
@@ -764,11 +797,11 @@ impl Simulator {
         self.core.queue.set_horizon(Time::MAX);
     }
 
-    /// Drains the boundary arrivals produced since the last flush.
-    pub(crate) fn flush_outbox(&mut self, mut f: impl FnMut(WireMsg)) {
-        for m in self.core.outbox.drain(..) {
-            f(m);
-        }
+    /// The boundary arrivals egress link `outbox` (a
+    /// [`Self::mark_egress`] index) produced since the caller last
+    /// emptied this buffer.
+    pub(crate) fn outbox_mut(&mut self, outbox: usize) -> &mut Vec<WireMsg> {
+        &mut self.core.outboxes[outbox]
     }
 }
 

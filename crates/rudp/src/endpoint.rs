@@ -11,7 +11,7 @@ use iq_telemetry::TelemetrySink;
 use crate::receiver::ReceiverConn;
 use crate::segment::{wire_size, RudpPacket};
 use crate::sender::SenderConn;
-use crate::types::{ConnEvent, DeliveredMsg, RudpConfig};
+use crate::types::{DeliveredMsg, RudpConfig};
 
 /// Timer token reserved for RUDP protocol ticks; embedding agents must
 /// route `on_timer` calls with this token to the driver (or simply call
@@ -267,9 +267,6 @@ pub struct BulkSenderAgent {
     /// incast workload uses this to exercise abandonment paths.
     unmark_every: u64,
     offered: u64,
-    /// Network-condition history, one entry per measuring period.
-    pub period_log: Vec<crate::meter::NetCond>,
-    events_scratch: Vec<ConnEvent>,
 }
 
 impl BulkSenderAgent {
@@ -288,8 +285,6 @@ impl BulkSenderAgent {
             backlog_target: 128,
             unmark_every: 0,
             offered: 0,
-            period_log: Vec::new(),
-            events_scratch: Vec::new(),
         }
     }
 
@@ -325,12 +320,7 @@ impl BulkSenderAgent {
     }
 
     fn after_io(&mut self, ctx: &mut Ctx<'_>) {
-        self.driver.conn.take_events_into(&mut self.events_scratch);
-        for ev in self.events_scratch.drain(..) {
-            if let ConnEvent::PeriodEnded(c) = ev {
-                self.period_log.push(c);
-            }
-        }
+        self.driver.conn.clear_events();
         self.refill(ctx.now());
         self.driver.pump(ctx);
     }

@@ -200,7 +200,19 @@ impl ReceiverConn {
             loss_tolerance: self.tolerance,
             echo_tx_at,
         };
-        self.outbox.push_back(Segment::Ack(ack));
+        self.queue(Segment::Ack(ack));
+    }
+
+    /// Queues a control segment for [`Self::poll_transmit`]. The driver
+    /// pumps the outbox dry after every incoming segment, so it almost
+    /// never holds more than one: the first allocation is a single slot
+    /// (184 B) instead of `VecDeque`'s default first growth of four, and
+    /// a burst still grows it by the usual doubling.
+    fn queue(&mut self, seg: Segment) {
+        if self.outbox.capacity() == 0 {
+            self.outbox.reserve_exact(1);
+        }
+        self.outbox.push_back(seg);
     }
 
     /// Processes an incoming segment.
@@ -213,7 +225,7 @@ impl ReceiverConn {
                     self.events.push(ConnEvent::Connected);
                 }
                 // (Re)send the SYN-ACK; duplicates are harmless.
-                self.outbox.push_back(Segment::SynAck {
+                self.queue(Segment::SynAck {
                     loss_tolerance: self.tolerance,
                     recv_window: self.recv_window(),
                 });
@@ -227,7 +239,7 @@ impl ReceiverConn {
             Segment::Fin { final_seq } => {
                 if self.finished {
                     // Retransmitted FIN: our FIN-ACK was lost.
-                    self.outbox.push_back(Segment::FinAck);
+                    self.queue(Segment::FinAck);
                 } else {
                     self.fin_seq = Some(*final_seq);
                     // The sender only emits FIN once every sequence below
@@ -379,7 +391,7 @@ impl ReceiverConn {
             if self.next_required >= fin {
                 self.finished = true;
                 self.events.push(ConnEvent::Finished);
-                self.outbox.push_back(Segment::FinAck);
+                self.queue(Segment::FinAck);
             }
         }
     }
@@ -487,6 +499,38 @@ mod tests {
             r.take_events().as_slice(),
             [ConnEvent::Connected]
         ));
+    }
+
+    #[test]
+    fn outbox_starts_at_one_slot_and_still_holds_a_burst() {
+        let mut r = recv(0.0);
+        assert_eq!(r.outbox.capacity(), 0);
+        // The pumped pattern: every segment's reply is sent before the
+        // next segment arrives.
+        r.on_segment(0, &Segment::Syn { init_seq: 0 });
+        assert!(matches!(r.poll_transmit(0), Some(Segment::SynAck { .. })));
+        r.on_segment(1, &data(0, 0, 0, 1, true));
+        assert!(matches!(r.poll_transmit(1), Some(Segment::Ack(_))));
+        assert_eq!(r.outbox.capacity(), 1);
+        // Unpumped: a duplicate SYN, three data segments and the FIN
+        // queue five replies, which come out in the order they went in.
+        r.on_segment(2, &Segment::Syn { init_seq: 0 });
+        for seq in 1..4 {
+            r.on_segment(2 + seq, &data(seq, seq, 0, 1, true));
+        }
+        r.on_segment(6, &Segment::Fin { final_seq: 4 });
+        let out: Vec<Segment> = std::iter::from_fn(|| r.poll_transmit(6)).collect();
+        let cum_acks: Vec<u64> = out
+            .iter()
+            .filter_map(|s| match s {
+                Segment::Ack(a) => Some(a.cum_ack),
+                _ => None,
+            })
+            .collect();
+        assert!(matches!(out[0], Segment::SynAck { .. }));
+        assert_eq!(cum_acks, [2, 3, 4]);
+        assert!(matches!(out[4], Segment::FinAck));
+        assert_eq!(out.len(), 5);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! patterns the protocol uses; `tests/ring_diff.rs` pins that
 //! equivalence with differential property tests.
 
+/// Slots in a ring's first slab. Most flows of a large fleet never have
+/// more than a few segments outstanding, and a flow that does doubles
+/// its slab on demand, so the first allocation is sized for the small
+/// case. A power of two: slots are addressed by mask.
+const FIRST_SLOTS: usize = 4;
+
 /// A sparse window of `T` values keyed by contiguous-ish `u64` sequence
 /// numbers, backed by a ring of `Option<T>` slots.
 #[derive(Debug, Clone)]
@@ -115,7 +121,7 @@ impl<T> SeqRing<T> {
     /// Relocates the window into a slab of at least `min_cap` slots,
     /// with the head at physical index 0.
     fn grow(&mut self, min_cap: usize) {
-        let new_cap = min_cap.next_power_of_two().max(8);
+        let new_cap = min_cap.next_power_of_two();
         let mut new_slots: Vec<Option<T>> = Vec::with_capacity(new_cap);
         new_slots.resize_with(new_cap, || None);
         if !self.slots.is_empty() {
@@ -135,7 +141,7 @@ impl<T> SeqRing<T> {
     pub fn insert(&mut self, seq: u64, value: T) -> Option<T> {
         if self.len == 0 {
             if self.slots.is_empty() {
-                self.grow(8);
+                self.grow(FIRST_SLOTS);
             }
             self.head = 0;
             self.head_seq = seq;
@@ -321,6 +327,24 @@ mod tests {
         let got = occupied(&r);
         assert_eq!(got.len(), 200);
         assert!(got.iter().enumerate().all(|(i, &(s, v))| s == i as u64 && v == i as u32));
+    }
+
+    #[test]
+    fn first_slab_is_small_and_doubles_to_hold_a_window() {
+        let mut r = SeqRing::new();
+        assert_eq!(r.capacity(), 0, "nothing allocated before the first insert");
+        r.insert(100, 100u32);
+        assert_eq!(r.capacity(), 4);
+        let mut caps = vec![r.capacity()];
+        for seq in 101..164u64 {
+            r.insert(seq, seq as u32);
+            if r.capacity() != *caps.last().unwrap() {
+                caps.push(r.capacity());
+            }
+        }
+        assert_eq!(caps, [4, 8, 16, 32, 64], "grows by doubling, on demand");
+        assert_eq!(r.len(), 64);
+        assert!(occupied(&r).into_iter().eq((100..164u64).map(|s| (s, s as u32))));
     }
 
     #[test]
