@@ -24,9 +24,8 @@
 //!
 //! * [`world`] — the checker's state: per-flow connection triples plus
 //!   explicit in-flight segment sets, advanced by [`world::Choice`]
-//!   transitions. The netsim seam this mirrors is
-//!   [`iq_netsim::EventSource`]: the checker *is* an event source that
-//!   enumerates orders instead of popping the earliest.
+//!   transitions. Where the simulator pops the earliest pending event,
+//!   the checker enumerates every enabled choice.
 //! * [`invariant`] — the three contract predicates, checked against
 //!   pre/post [`invariant::Snapshot`]s of a transition.
 //! * [`checker`] — iterative-deepening DFS with a visited table keyed

@@ -3,8 +3,8 @@
 //!
 //! A [`World`] holds one or two flows, each a sender/receiver/
 //! coordinator triple plus two explicit in-flight segment sets (the
-//! "network"). Where the simulator's [`iq_netsim::EventSource`] always
-//! yields the earliest pending event, the checker enumerates *every*
+//! "network"). Where the simulator always pops the earliest pending
+//! event from its queue, the checker enumerates *every*
 //! enabled [`Choice`] — deliver any in-flight segment (in any order),
 //! drop one (while the budget lasts), fire the sender's timer, or run
 //! the next scripted application step — and recurses on each.

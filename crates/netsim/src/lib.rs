@@ -67,8 +67,8 @@ pub use agent::{Agent, Ctx, TimerId};
 pub use link::{LinkSpec, LinkStats, QueueDiscipline, RedParams};
 pub use packet::{payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats};
 pub use routing::RoutingTable;
-pub use sched::{EventQueue, EventSource, SchedStats};
-pub use shard::{SchedTotals, ShardAgentId, ShardEventSource, ShardStats, ShardView, ShardedSim};
+pub use sched::{EventQueue, SchedStats};
+pub use shard::{SchedTotals, ShardAgentId, ShardStats, ShardView, ShardedSim};
 pub use sim::{SimCounters, Simulator};
 pub use slab::{PacketKey, TimerKey};
 pub use time::{Time, TimeDelta};

@@ -291,7 +291,7 @@ impl LinkState {
     /// Arrival time at the far end for a transmission finishing at
     /// `tx_done`, before jitter.
     pub fn arrival_time(&self, tx_done: Time) -> Time {
-        tx_done + self.spec.delay
+        tx_done.saturating_add(self.spec.delay)
     }
 
     /// Average utilization given total bytes pushed over `elapsed`.

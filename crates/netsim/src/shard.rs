@@ -77,10 +77,8 @@ use std::sync::{Condvar, Mutex};
 use iq_obs::{counter_add, counter_inc, Phase};
 
 use crate::agent::Agent;
-use crate::event::Event;
 use crate::link::{LinkSpec, LinkStats};
 use crate::packet::{AgentId, FlowId, LinkId, NodeId, Packet};
-use crate::sched::{EventQueue, EventSource};
 use crate::sim::{SimCounters, Simulator};
 use crate::time::{Time, TimeDelta};
 use crate::trace::FlowStats;
@@ -140,94 +138,6 @@ pub(crate) struct WireMsg {
     pub(crate) seq: u64,
     /// The packet itself (moved out of the sender's slab).
     pub(crate) pkt: Packet,
-}
-
-/// The per-shard event source: the serial [`EventQueue`] plus an
-/// exclusive execution *horizon*.
-///
-/// Inside a [`ShardedSim`], a shard may only execute events strictly
-/// below its current lookahead limit; the horizon enforces that bound at
-/// the source itself, so no call path can accidentally pop an event the
-/// conservative protocol has not yet cleared. With the horizon at its
-/// default (`Time::MAX`, meaning "unbounded") the source behaves
-/// bit-for-bit like the bare [`EventQueue`] — which is how the serial
-/// [`Simulator`] runs it.
-pub struct ShardEventSource {
-    queue: EventQueue,
-    /// Exclusive bound: events at or beyond this time are withheld.
-    horizon: Time,
-}
-
-impl ShardEventSource {
-    /// An empty source with an unbounded horizon.
-    pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            horizon: Time::MAX,
-        }
-    }
-
-    /// Sets the exclusive execution horizon (`Time::MAX` = unbounded).
-    pub fn set_horizon(&mut self, horizon: Time) {
-        self.horizon = horizon;
-    }
-
-    /// The current exclusive horizon.
-    pub fn horizon(&self) -> Time {
-        self.horizon
-    }
-
-    /// Engine-plane placement/drain counters of the wrapped queue.
-    pub fn stats(&self) -> crate::sched::SchedStats {
-        self.queue.stats()
-    }
-
-    /// Occupancy of the wrapped queue's structures (wheel levels, far
-    /// heap, near vector).
-    pub fn occupancy(&self) -> ([usize; crate::sched::LEVELS], usize, usize) {
-        self.queue.occupancy()
-    }
-
-    /// Deadline actually usable given `deadline` and the horizon; `None`
-    /// when the horizon alone already forbids any pop.
-    fn effective_deadline(&self, deadline: Time) -> Option<Time> {
-        if self.horizon == Time::MAX {
-            Some(deadline)
-        } else if self.horizon == 0 {
-            None
-        } else {
-            Some(deadline.min(self.horizon - 1))
-        }
-    }
-}
-
-impl EventSource for ShardEventSource {
-    fn push_event(&mut self, ev: Event) {
-        self.queue.push(ev);
-    }
-
-    fn next_time(&mut self) -> Option<Time> {
-        let t = self.queue.peek_time()?;
-        // `Time::MAX` means "unbounded", so an event sitting exactly at
-        // `Time::MAX` is still visible there.
-        (self.horizon == Time::MAX || t < self.horizon).then_some(t)
-    }
-
-    fn next_event(&mut self) -> Option<Event> {
-        match self.effective_deadline(Time::MAX) {
-            Some(Time::MAX) => self.queue.pop(),
-            Some(d) => self.queue.pop_before(d),
-            None => None,
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_event_before(&mut self, deadline: Time) -> Option<Event> {
-        self.queue.pop_before(self.effective_deadline(deadline)?)
-    }
 }
 
 /// Handle to an agent registered on a [`ShardedSim`]: the shard index

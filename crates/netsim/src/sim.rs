@@ -5,9 +5,8 @@
 //! The event loop is built around three structures chosen for per-event
 //! cost (see `DESIGN.md` § "Scheduler internals"):
 //!
-//! * a two-tier [`EventQueue`](crate::sched::EventQueue) (timer wheel +
-//!   overflow heap) instead of one big binary heap, wrapped in a
-//!   [`ShardEventSource`] whose horizon stays unbounded in serial runs;
+//! * an [`EventQueue`] (bucket ring + overflow heap) instead of one big
+//!   binary heap;
 //! * a `PacketSlab` that owns every in-flight packet, so events and
 //!   link queues move 4-byte keys, not ~100-byte packets;
 //! * a `TimerSlab` with generation-checked slots, so cancellation is
@@ -27,8 +26,8 @@ use crate::event::{Event, EventKind};
 use crate::link::{Enqueue, LinkSpec, LinkState, LinkStats};
 use crate::packet::{Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload};
 use crate::routing::RoutingTable;
-use crate::sched::EventSource;
-use crate::shard::{boundary_seq, ShardEventSource, WireMsg};
+use crate::sched::EventQueue;
+use crate::shard::{boundary_seq, WireMsg};
 use crate::slab::{PacketKey, PacketSlab, TimerKey, TimerSlab};
 use crate::time::{Time, TimeDelta};
 use crate::trace::{PacketEvent, PacketEventKind, TraceCollector};
@@ -59,7 +58,7 @@ pub struct SimCounters {
 /// [`Ctx`] can borrow the world mutably while one agent is being invoked.
 pub struct SimCore {
     pub(crate) now: Time,
-    queue: ShardEventSource,
+    queue: EventQueue,
     next_seq: u64,
     next_packet_id: u64,
     timers: TimerSlab,
@@ -109,7 +108,7 @@ impl SimCore {
     fn schedule(&mut self, at: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        EventSource::push_event(&mut self.queue, Event { at, seq, kind });
+        self.queue.push(Event { at, seq, kind });
     }
 
     /// Agent registered at `addr`, via the dense per-node port table.
@@ -247,11 +246,11 @@ impl SimCore {
         let Some(q) = link.begin_tx() else {
             return; // transmitter went idle
         };
-        let tx_done = self.now + link.tx_time_cached(q.size);
+        let tx_done = self.now.saturating_add(link.tx_time_cached(q.size));
         let mut arrival = link.arrival_time(tx_done);
         let lost = link.spec.random_loss > 0.0 && self.rng.gen::<f64>() < link.spec.random_loss;
         if link.spec.jitter > 0 {
-            arrival += self.rng.gen_range(0..=link.spec.jitter);
+            arrival = arrival.saturating_add(self.rng.gen_range(0..=link.spec.jitter));
         }
         if lost {
             self.links[link_id.0 as usize].stats.random_losses += 1;
@@ -304,7 +303,7 @@ impl Simulator {
         Self {
             core: SimCore {
                 now: 0,
-                queue: ShardEventSource::new(),
+                queue: EventQueue::new(),
                 next_seq: 0,
                 next_packet_id: 0,
                 timers: TimerSlab::default(),
@@ -479,15 +478,12 @@ impl Simulator {
             &l,
             s.near_inserts,
         );
-        for (level, &n) in s.wheel_pushes.iter().enumerate() {
-            let lvl = level.to_string();
-            reg.counter(
-                Plane::Engine,
-                "iq_sched_wheel_pushes_total",
-                &[("shard", shard), ("level", &lvl)],
-                n,
-            );
-        }
+        reg.counter(
+            Plane::Engine,
+            "iq_sched_wheel_pushes_total",
+            &l,
+            s.wheel_pushes,
+        );
         reg.counter(Plane::Engine, "iq_sched_far_spills_total", &l, s.far_spills);
         reg.counter(
             Plane::Engine,
@@ -495,24 +491,8 @@ impl Simulator {
             &l,
             s.bucket_drains,
         );
-        reg.counter(Plane::Engine, "iq_sched_fast_drains_total", &l, s.fast_drains);
-        reg.counter(Plane::Engine, "iq_sched_cascades_total", &l, s.cascades);
-        reg.counter(
-            Plane::Engine,
-            "iq_sched_far_adoptions_total",
-            &l,
-            s.far_adoptions,
-        );
-        let (levels, far, near) = self.core.queue.occupancy();
-        for (level, &n) in levels.iter().enumerate() {
-            let lvl = level.to_string();
-            reg.gauge(
-                Plane::Engine,
-                "iq_sched_wheel_events",
-                &[("shard", shard), ("level", &lvl)],
-                n as f64,
-            );
-        }
+        let (ring, far, near) = self.core.queue.occupancy();
+        reg.gauge(Plane::Engine, "iq_sched_wheel_events", &l, ring as f64);
         reg.gauge(Plane::Engine, "iq_sched_far_events", &l, far as f64);
         reg.gauge(Plane::Engine, "iq_sched_near_events", &l, near as f64);
 
@@ -636,7 +616,7 @@ impl Simulator {
 
     /// Executes a single event. Returns `false` when the queue is empty.
     fn step(&mut self) -> bool {
-        match EventSource::next_event(&mut self.core.queue) {
+        match self.core.queue.pop() {
             Some(ev) => {
                 self.exec_event(ev);
                 true
@@ -686,7 +666,7 @@ impl Simulator {
         self.ensure_routes();
         self.core.stopped = false;
         while !self.core.stopped {
-            match EventSource::next_event_before(&mut self.core.queue, deadline) {
+            match self.core.queue.pop_before(deadline) {
                 Some(ev) => self.exec_event(ev),
                 None => break,
             }
@@ -767,34 +747,30 @@ impl Simulator {
     pub(crate) fn inject_arrival(&mut self, msg: WireMsg) {
         let dst_agent = self.core.resolve_port(msg.pkt.dst);
         let key = self.core.packets.insert(msg.pkt, dst_agent);
-        EventSource::push_event(
-            &mut self.core.queue,
-            Event {
-                at: msg.at,
-                seq: msg.seq,
-                kind: EventKind::LinkArrival {
-                    link: msg.link,
-                    packet: key,
-                },
+        self.core.queue.push(Event {
+            at: msg.at,
+            seq: msg.seq,
+            kind: EventKind::LinkArrival {
+                link: msg.link,
+                packet: key,
             },
-        );
+        });
     }
 
     /// Executes every pending event with timestamp strictly below
-    /// `limit_excl` (one conservative-lookahead window). The horizon is
-    /// enforced at the event source itself.
+    /// `limit_excl` (one conservative-lookahead window).
     pub(crate) fn run_window(&mut self, limit_excl: Time) {
         self.ensure_routes();
-        self.core.queue.set_horizon(limit_excl);
-        while let Some(ev) = EventSource::next_event(&mut self.core.queue) {
-            self.exec_event(ev);
+        if let Some(last) = limit_excl.checked_sub(1) {
+            while let Some(ev) = self.core.queue.pop_before(last) {
+                self.exec_event(ev);
+            }
         }
         assert!(
             !self.core.stopped,
             "stop_simulation() is not supported under sharded execution \
              (a shard stopping early would break the lookahead contract)"
         );
-        self.core.queue.set_horizon(Time::MAX);
     }
 
     /// The boundary arrivals egress link `outbox` (a
@@ -1152,6 +1128,72 @@ mod tests {
         sim.add_node();
         sim.run_for(millis(50));
         assert_eq!(sim.now(), millis(50));
+    }
+
+    #[test]
+    fn link_too_slow_for_the_clock_saturates_instead_of_wrapping() {
+        // At 1e-9 bit/s, serializing 1,400 B takes longer than `Time`
+        // can hold: the packet must never arrive, not wrap into the past.
+        struct LateSender {
+            dst: Addr,
+        }
+        impl Agent for LateSender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.set_timer(MILLISECOND, 0);
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                ctx.send(self.dst, 1400, FlowId(1), payload(0u32));
+            }
+        }
+        let mut sim = Simulator::new(0);
+        let a = sim.add_node();
+        let b = sim.add_node();
+        let spec = LinkSpec::new(1e-9, millis(5), 100_000).with_jitter(MILLISECOND);
+        sim.add_duplex_link(a, b, spec);
+        sim.add_agent(a, 1, Box::new(LateSender { dst: Addr::new(b, 2) }));
+        let rx = sim.add_agent(b, 2, Box::new(Recorder::default()));
+        let deadline = crate::time::secs(1.0);
+        assert_eq!(sim.run_until(deadline), deadline);
+        assert_eq!(sim.counters().packets_sent, 1);
+        assert!(sim.agent::<Recorder>(rx).unwrap().arrivals.is_empty());
+    }
+
+    #[test]
+    fn run_window_runs_only_events_strictly_below_its_limit() {
+        #[derive(Default)]
+        struct Timers {
+            fired: Vec<(Time, u64)>,
+        }
+        impl Agent for Timers {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for (token, delay) in (0..).zip([millis(10), millis(30) - 1, millis(30), Time::MAX]) {
+                    ctx.set_timer(delay, token);
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                self.fired.push((ctx.now(), token));
+            }
+        }
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node();
+        let a = sim.add_agent(n, 1, Box::new(Timers::default()));
+        let fired = |sim: &Simulator| sim.agent::<Timers>(a).unwrap().fired.clone();
+
+        sim.run_window(0);
+        assert_eq!(sim.counters().events_processed, 0, "not even the Start at 0");
+        sim.run_window(millis(30));
+        assert_eq!(fired(&sim), [(millis(10), 0), (millis(30) - 1, 1)]);
+        // The event exactly at the limit stayed pending; a later window
+        // runs it.
+        sim.run_window(millis(30) + 1);
+        assert_eq!(fired(&sim).last(), Some(&(millis(30), 2)));
+        // `Time::MAX` is below no limit.
+        sim.run_window(Time::MAX);
+        assert_eq!(fired(&sim).len(), 3);
+        sim.run_to_completion();
+        assert_eq!(fired(&sim).last(), Some(&(Time::MAX, 3)));
     }
 
     #[test]
