@@ -134,7 +134,7 @@ impl Coordinator {
     }
 
     /// Folds the coordination state into a model-checker digest.
-    pub fn state_digest(&self, h: &mut iq_telemetry::Fnv64) {
+    pub fn state_digest(&self, h: &mut iq_telemetry::StateHasher) {
         h.write_u8(match self.mode {
             CoordinationMode::Uncoordinated => 0,
             CoordinationMode::Coordinated => 1,

@@ -13,7 +13,8 @@
 //! hash-map iteration anywhere — so explored-state counts are stable
 //! run to run and pinned in CI.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::invariant::Violation;
@@ -65,8 +66,40 @@ pub struct CheckReport {
     pub counterexample: Option<Counterexample>,
 }
 
+/// The visited table's hasher: [`World::state_hash`] is already
+/// avalanched, so the key is used as its own hash instead of being
+/// SipHash'd again.
+#[derive(Default)]
+struct KeyIsHash(u64);
+
+impl Hasher for KeyIsHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the visited table is keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One exploration's working storage, reused across the deepening
+/// iterations: after the first few transitions of a run nothing here
+/// allocates except the visited table's growth.
+#[derive(Default)]
 struct Dfs {
-    visited: HashMap<u64, u32>,
+    /// State hash → largest remaining depth it was expanded with.
+    visited: HashMap<u64, u32, BuildHasherDefault<KeyIsHash>>,
+    /// The enabled choices of every state on the current path, one
+    /// segment per recursion level, stacked.
+    choices: Vec<Choice>,
+    /// Scratch successor worlds, one per recursion level not currently
+    /// on the path; refilled with `clone_from`, so their queues and
+    /// rings are allocated once.
+    pool: Vec<World>,
     explored: u64,
     cutoff: bool,
 }
@@ -78,24 +111,31 @@ impl Dfs {
         remaining: u32,
         trace: &mut Vec<Choice>,
     ) -> Option<Counterexample> {
-        let h = world.state_hash();
-        match self.visited.get(&h) {
-            Some(&r) if r >= remaining => return None,
-            _ => {
-                self.visited.insert(h, remaining);
+        match self.visited.entry(world.state_hash()) {
+            Entry::Occupied(e) if *e.get() >= remaining => return None,
+            Entry::Occupied(mut e) => {
+                e.insert(remaining);
+            }
+            Entry::Vacant(e) => {
+                e.insert(remaining);
             }
         }
         self.explored += 1;
-        let choices = world.choices();
-        if choices.is_empty() {
+        let start = self.choices.len();
+        world.push_choices(&mut self.choices);
+        let end = self.choices.len();
+        if start == end {
             return None;
         }
         if remaining == 0 {
             self.cutoff = true;
+            self.choices.truncate(start);
             return None;
         }
-        for choice in choices {
-            let mut next = world.clone();
+        let mut next = self.pool.pop().unwrap_or_else(|| world.clone());
+        for i in start..end {
+            let choice = self.choices[i];
+            next.clone_from(world);
             trace.push(choice);
             if let Some(violation) = next.apply(choice) {
                 return Some(Counterexample {
@@ -108,6 +148,8 @@ impl Dfs {
             }
             trace.pop();
         }
+        self.pool.push(next);
+        self.choices.truncate(start);
         None
     }
 }
@@ -124,14 +166,15 @@ pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) 
         complete: false,
         counterexample: None,
     };
+    let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
+    let mut dfs = Dfs::default();
+    let mut trace = Vec::new();
     for depth in 1..=cfg.max_depth {
-        let mut dfs = Dfs {
-            visited: HashMap::new(),
-            explored: 0,
-            cutoff: false,
-        };
-        let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
-        let mut trace = Vec::new();
+        // One table, cleared: never two alive, and no larger than the
+        // deepest iteration grows it.
+        dfs.visited.clear();
+        dfs.explored = 0;
+        dfs.cutoff = false;
         let found = dfs.run(&root, depth, &mut trace);
         report.explored = dfs.explored;
         report.depth_reached = depth;

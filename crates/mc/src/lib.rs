@@ -29,9 +29,11 @@
 //! * [`invariant`] — the three contract predicates, checked against
 //!   pre/post [`invariant::Snapshot`]s of a transition.
 //! * [`checker`] — iterative-deepening DFS with a visited table keyed
-//!   on [`world::World::state_hash`] (FNV-1a over the full control
-//!   state, timestamps taken relative to the clock so equivalent
-//!   states reached at different times collide).
+//!   on [`world::World::state_hash`] (one `iq_telemetry::StateHasher`
+//!   pass over the full control state, timestamps taken relative to
+//!   the clock so equivalent states reached at different times
+//!   collide). Successor worlds come from a pool and are refilled with
+//!   `clone_from`, so a transition allocates nothing in steady state.
 //! * [`trace`] — human-readable counterexample traces and deterministic
 //!   replay.
 //!

@@ -15,6 +15,7 @@
 //! so behaviorally equivalent states reached at different absolute
 //! times collide in the visited table.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use iq_attrs::{names, AttrList};
@@ -22,7 +23,7 @@ use iq_core::{AdaptReport, CoordinationMode, Coordinator};
 use iq_echo::{DeferredResolution, ResolutionAdapter};
 use iq_netsim::{Time, TimeDelta};
 use iq_rudp::{NetCond, ReceiverConn, RudpConfig, Segment, SenderConn};
-use iq_telemetry::Fnv64;
+use iq_telemetry::StateHasher;
 
 use crate::invariant::{check_invariants, Snapshot, Violation};
 
@@ -196,13 +197,17 @@ impl Mutation {
         }
     }
 
-    /// The attribute list the coordinator actually receives.
-    fn mutate(self, attrs: &AttrList) -> AttrList {
-        let mut out = attrs.clone();
-        if let Some(name) = self.stripped_attr() {
-            out.remove(name);
+    /// The attribute list the coordinator actually receives: the
+    /// script's own list, copied only when an attribute is stripped.
+    fn mutate(self, attrs: &AttrList) -> Cow<'_, AttrList> {
+        match self.stripped_attr() {
+            None => Cow::Borrowed(attrs),
+            Some(name) => {
+                let mut out = attrs.clone();
+                out.remove(name);
+                Cow::Owned(out)
+            }
         }
-        out
     }
 }
 
@@ -252,7 +257,6 @@ pub enum Choice {
 }
 
 /// One flow's endpoints plus its in-flight segments.
-#[derive(Clone)]
 pub struct FlowState {
     /// The sending endpoint.
     pub sender: SenderConn,
@@ -268,8 +272,50 @@ pub struct FlowState {
     pub script_pos: usize,
 }
 
+// `FlowState` and `World` clone by hand for the sake of `clone_from`:
+// the checker refills one pooled `World` per transition, and every
+// buffer below must be reused, not dropped and rebuilt. The
+// destructurings are exhaustive: a new field does not compile until it
+// is copied in both methods.
+impl Clone for FlowState {
+    fn clone(&self) -> Self {
+        let Self {
+            sender,
+            receiver,
+            coord,
+            to_recv,
+            to_send,
+            script_pos,
+        } = self;
+        Self {
+            sender: sender.clone(),
+            receiver: receiver.clone(),
+            coord: coord.clone(),
+            to_recv: to_recv.clone(),
+            to_send: to_send.clone(),
+            script_pos: *script_pos,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            sender,
+            receiver,
+            coord,
+            to_recv,
+            to_send,
+            script_pos,
+        } = src;
+        self.sender.clone_from(sender);
+        self.receiver.clone_from(receiver);
+        self.coord.clone_from(coord);
+        self.to_recv.clone_from(to_recv);
+        self.to_send.clone_from(to_send);
+        self.script_pos = *script_pos;
+    }
+}
+
 /// One state in the explored space.
-#[derive(Clone)]
 pub struct World {
     /// Simulated clock, nanoseconds.
     pub now: Time,
@@ -287,6 +333,46 @@ pub struct World {
     pub ticks_left: u32,
     spec: Arc<ScenarioSpec>,
     mutation: Mutation,
+}
+
+impl Clone for World {
+    fn clone(&self) -> Self {
+        let Self {
+            now,
+            flows,
+            drops_left,
+            ticks_left,
+            spec,
+            mutation,
+        } = self;
+        Self {
+            now: *now,
+            flows: flows.clone(),
+            drops_left: *drops_left,
+            ticks_left: *ticks_left,
+            spec: Arc::clone(spec),
+            mutation: *mutation,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            now,
+            flows,
+            drops_left,
+            ticks_left,
+            spec,
+            mutation,
+        } = src;
+        self.now = *now;
+        self.flows.clone_from(flows);
+        self.drops_left = *drops_left;
+        self.ticks_left = *ticks_left;
+        if !Arc::ptr_eq(&self.spec, spec) {
+            self.spec = Arc::clone(spec);
+        }
+        self.mutation = *mutation;
+    }
 }
 
 impl World {
@@ -347,6 +433,14 @@ impl World {
     /// timers, flow by flow).
     pub fn choices(&self) -> Vec<Choice> {
         let mut out = Vec::new();
+        self.push_choices(&mut out);
+        out
+    }
+
+    /// Appends the enabled transitions to `out`, in [`World::choices`]'
+    /// order (the checker's form: it keeps one buffer for a whole
+    /// exploration).
+    pub(crate) fn push_choices(&self, out: &mut Vec<Choice>) {
         for (i, f) in self.flows.iter().enumerate() {
             if f.script_pos < self.spec.flows[i].len() {
                 out.push(Choice::App { flow: i });
@@ -384,7 +478,6 @@ impl World {
                 }
             }
         }
-        out
     }
 
     /// Applies one transition, returning a violation if the transition
@@ -442,20 +535,21 @@ impl World {
     /// coordinator (mutated view) and judges the transition against the
     /// unmutated script.
     fn app_step(&mut self, flow: usize) -> Option<Violation> {
-        let step = &self.spec.flows[flow][self.flows[flow].script_pos];
+        // A handle of its own on the spec, so the script step and the
+        // controller bounds stay borrowed across `&mut self.flows`.
+        let spec = Arc::clone(&self.spec);
+        let step = &spec.flows[flow][self.flows[flow].script_pos];
         let report = AdaptReport::from_attrs(&step.attrs);
         let fed = self.mutation.mutate(&step.attrs);
-        let size = step.size;
-        let marked = step.marked;
         let now = self.now;
-        let mode = self.spec.mode;
-        let cc = self.spec.cfg.cc.clone();
         let f = &mut self.flows[flow];
         f.script_pos += 1;
         let pre = Snapshot::capture(&f.sender, &f.coord);
-        let _ = f.coord.send_with_attrs(&mut f.sender, now, size, marked, &fed);
+        let _ = f
+            .coord
+            .send_with_attrs(&mut f.sender, now, step.size, step.marked, &fed);
         let post = Snapshot::capture(&f.sender, &f.coord);
-        check_invariants(mode, &cc, size, &report, &pre, &post)
+        check_invariants(spec.mode, &spec.cfg.cc, step.size, &report, &pre, &post)
             .map(|v| v.at(flow, f.script_pos - 1))
     }
 
@@ -473,20 +567,21 @@ impl World {
         }
         f.sender.clear_events();
         f.receiver.clear_events();
-        let _ = f.receiver.take_messages();
+        f.receiver.clear_messages();
     }
 
-    /// FNV-1a digest of the full control state.
+    /// Digest of the full control state (one [`StateHasher`] pass).
     ///
     /// Timestamps inside connections and segments are hashed relative
     /// to `now`, and `now` itself is excluded, so states differing only
     /// by when they were reached collide. The in-flight sets are hashed
-    /// as order-independent multisets (per-segment digests, sorted):
-    /// delivery choices address segments by index anyway, so two
-    /// worlds holding the same segments in different vector orders
+    /// as order-independent multisets (the count, then the wrapping sum
+    /// of the avalanched per-segment digests, which needs no buffer to
+    /// sort in): delivery choices address segments by index anyway, so
+    /// two worlds holding the same segments in different vector orders
     /// have identical futures.
     pub fn state_hash(&self) -> u64 {
-        let mut h = Fnv64::new();
+        let mut h = StateHasher::new();
         h.write_u64(u64::from(self.drops_left));
         h.write_u64(u64::from(self.ticks_left));
         for f in &self.flows {
@@ -495,19 +590,13 @@ impl World {
             f.coord.state_digest(&mut h);
             h.write_u64(f.script_pos as u64);
             for set in [&f.to_recv, &f.to_send] {
-                let mut digests: Vec<u64> = set
-                    .iter()
-                    .map(|seg| {
-                        let mut sh = Fnv64::new();
-                        seg.state_digest(self.now, &mut sh);
-                        sh.finish()
-                    })
-                    .collect();
-                digests.sort_unstable();
-                h.write_u64(digests.len() as u64);
-                for d in digests {
-                    h.write_u64(d);
-                }
+                let sum = set.iter().fold(0u64, |sum, seg| {
+                    let mut sh = StateHasher::new();
+                    seg.state_digest(self.now, &mut sh);
+                    sum.wrapping_add(sh.finish())
+                });
+                h.write_u64(set.len() as u64);
+                h.write_u64(sum);
             }
         }
         h.finish()

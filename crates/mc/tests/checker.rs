@@ -4,7 +4,7 @@
 //! replayable minimal counterexample, and on the real code all three
 //! invariants hold across every explored interleaving.
 
-use iq_mc::{check, replay, scenario, scenario_with_cc, CheckerConfig, Invariant, Mutation};
+use iq_mc::{check, replay, scenario, scenario_with_cc, CheckerConfig, Invariant, Mutation, World};
 use iq_rudp::CcAlgorithm;
 
 fn cfg(max_depth: u32, drop_budget: u32) -> CheckerConfig {
@@ -52,6 +52,21 @@ fn basic_scenario_is_clean_and_complete_under_bbr() {
 }
 
 #[test]
+fn basic_scenario_is_clean_and_complete_under_rrr_and_fixed() {
+    // The two controllers ROADMAP 4(d) asks about first. Both digest
+    // one f64, like LDA; on this script the counts come out equal to
+    // LDA's and BBR's respectively.
+    for (cc, states) in [("rrr", 5289), ("fixed", 5268)] {
+        let spec = scenario_with_cc("basic", CcAlgorithm::from_name(cc).unwrap()).unwrap();
+        let report = check(&spec, Mutation::None, &cfg(30, 1));
+        assert!(report.counterexample.is_none(), "violation under {cc}: {report:?}");
+        assert!(report.complete, "basic space should close under {cc}");
+        assert_eq!(report.depth_reached, 11, "{cc}");
+        assert_eq!(report.explored, states, "{cc}");
+    }
+}
+
+#[test]
 fn lda_pin_is_unchanged_by_cc_selection_plumbing() {
     // `scenario(name)` and `scenario_with_cc(name, lda)` must be the
     // same state space bit-for-bit: the trait refactor may not move
@@ -68,6 +83,24 @@ fn deferred_scenario_is_clean_at_bounded_depth() {
     let report = check(&spec, Mutation::None, &cfg(10, 0));
     assert!(report.counterexample.is_none(), "violation on main: {report:?}");
     assert_eq!(report.explored, 144_704);
+}
+
+#[test]
+fn deferred_scenario_with_a_drop_matches_the_benchmark_count() {
+    // The repo benchmark's `mc_explore` input, which its harness holds
+    // to this exact count. Depth 7 of the same input is the hasher's
+    // collision check: both counts were first measured under byte-wise
+    // FNV-1a, and a count is the same under any hash that does not
+    // collide on the space — a collision would merge two states and
+    // lower it.
+    let spec = scenario("deferred").unwrap();
+    let shallow = check(&spec, Mutation::None, &cfg(7, 1));
+    assert_eq!(shallow.explored, 7_165);
+    let report = check(&spec, Mutation::None, &cfg(10, 1));
+    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert_eq!(report.depth_reached, 10);
+    assert!(!report.complete);
+    assert_eq!(report.explored, 381_099);
 }
 
 #[test]
@@ -102,6 +135,40 @@ fn exploration_is_deterministic() {
     let b = check(&spec, Mutation::None, &cfg(30, 1));
     assert_eq!(a.explored, b.explored);
     assert_eq!(a.depth_reached, b.depth_reached);
+}
+
+#[test]
+fn clone_from_into_a_pooled_world_equals_clone() {
+    // The checker refills pooled worlds with `clone_from`; along a walk
+    // that mixes application steps, deliveries, drops and ticks, a
+    // refilled world must be indistinguishable from a fresh clone — by
+    // hash, by enabled choices, and by where every choice leads. The
+    // pooled world is left one transition *ahead* each time, so the
+    // next refill overwrites queues and rings that are out of step.
+    for name in ["deferred", "two-flow"] {
+        let spec = scenario(name).unwrap();
+        let mut world = World::new(spec.clone(), Mutation::None, 1, 2);
+        let mut pooled = world.clone();
+        for step in 0.. {
+            pooled.clone_from(&world);
+            let fresh = world.clone();
+            assert_eq!(pooled.state_hash(), fresh.state_hash(), "{name} step {step}");
+            assert_eq!(pooled.state_hash(), world.state_hash(), "{name} step {step}");
+            let choices = world.choices();
+            assert_eq!(pooled.choices(), choices, "{name} step {step}");
+            assert_eq!(pooled.now, world.now);
+            for &choice in &choices {
+                let (mut a, mut b) = (fresh.clone(), fresh.clone());
+                b.clone_from(&pooled);
+                assert!(a.apply(choice).is_none() && b.apply(choice).is_none());
+                assert_eq!(a.state_hash(), b.state_hash(), "{name} step {step} {choice}");
+            }
+            let Some(&last) = choices.last() else { break };
+            let _ = pooled.apply(last);
+            let _ = world.apply(choices[(3 + 7 * step) % choices.len()]);
+        }
+        assert!(world.quiescent(), "{name}: the walk runs the scenario out");
+    }
 }
 
 /// Runs a seeded mutation, asserts the checker catches it with the

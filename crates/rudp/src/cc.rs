@@ -287,7 +287,7 @@ pub trait CongestionControl {
 
     /// Folds the controller state into a model-checker digest; times
     /// must be hashed relative to `now` (DESIGN.md §13).
-    fn digest(&self, now: Time, h: &mut iq_telemetry::Fnv64);
+    fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher);
 }
 
 /// Shared window bounds, extracted from [`CcConfig`].
@@ -369,7 +369,7 @@ impl CongestionControl for LdaWindow {
         scale_cwnd(&mut self.cwnd, factor, self.b)
     }
 
-    fn digest(&self, _now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
         // Exactly the pre-trait digest (one f64): the pinned
         // explored-state counts in `mc-smoke` depend on it.
         h.write_f64(self.cwnd);
@@ -482,7 +482,7 @@ impl CongestionControl for CubicWindow {
         scale_cwnd(&mut self.cwnd, factor, self.b)
     }
 
-    fn digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_f64(self.cwnd);
         h.write_f64(self.w_max);
         h.write_f64(self.ssthresh);
@@ -587,7 +587,7 @@ impl CongestionControl for BbrWindow {
         scale_cwnd(&mut self.cwnd, factor, self.b)
     }
 
-    fn digest(&self, _now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_f64(self.cwnd);
         for (&r, &t) in self.rates.iter().zip(self.rtts.iter()) {
             h.write_f64(r);
@@ -652,7 +652,7 @@ impl CongestionControl for RrrWindow {
         scale_cwnd(&mut self.cwnd, factor, self.b)
     }
 
-    fn digest(&self, _now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_f64(self.cwnd);
     }
 }
@@ -689,7 +689,7 @@ impl CongestionControl for FixedWindow {
         scale_cwnd(&mut self.cwnd, factor, self.b)
     }
 
-    fn digest(&self, _now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_f64(self.cwnd);
     }
 }
@@ -783,7 +783,7 @@ impl CongestionControl for CcController {
         dispatch!(self, w => w.scale(factor))
     }
 
-    fn digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         dispatch!(self, w => w.digest(now, h))
     }
 }
@@ -1129,7 +1129,7 @@ mod tests {
         b.on_loss(0);
         b.on_ack(5_000_000, 1, None);
         let digest_at = |w: &CcController, now: Time| {
-            let mut h = iq_telemetry::Fnv64::new();
+            let mut h = iq_telemetry::StateHasher::new();
             w.digest(now, &mut h);
             h.finish()
         };

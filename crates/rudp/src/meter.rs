@@ -118,7 +118,7 @@ impl PeriodMeter {
     /// Folds the meter state into a model-checker digest. Times are
     /// hashed relative to `now` so equivalent states reached at
     /// different absolute clocks still collide.
-    pub(crate) fn digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    pub(crate) fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_u64(self.deadline().saturating_sub(now));
         h.write_u64(self.sent);
         h.write_u64(self.lost);

@@ -24,7 +24,7 @@ struct Assembly {
 }
 
 /// The receiving endpoint state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ReceiverConn {
     cfg: Arc<RudpConfig>,
     conn_id: u32,
@@ -55,6 +55,98 @@ pub struct ReceiverConn {
     stats: ReceiverStats,
     telemetry: TelemetrySink,
     telemetry_flow: u64,
+}
+
+// Hand-written for `clone_from`, like [`crate::SenderConn`]'s: the
+// model checker's scratch connections keep their buffers, and the
+// exhaustive destructuring makes a new field a compile error until it
+// is copied here.
+impl Clone for ReceiverConn {
+    fn clone(&self) -> Self {
+        let Self {
+            cfg,
+            conn_id,
+            tolerance,
+            established,
+            next_required,
+            highest_seen,
+            buffer,
+            assembly,
+            poisoned,
+            delivered,
+            outbox,
+            events,
+            fin_seq,
+            finished,
+            unacked_in_order,
+            stats,
+            telemetry,
+            telemetry_flow,
+        } = self;
+        Self {
+            cfg: cfg.clone(),
+            conn_id: *conn_id,
+            tolerance: *tolerance,
+            established: *established,
+            next_required: *next_required,
+            highest_seen: *highest_seen,
+            buffer: buffer.clone(),
+            assembly: assembly.clone(),
+            poisoned: *poisoned,
+            delivered: delivered.clone(),
+            outbox: outbox.clone(),
+            events: events.clone(),
+            fin_seq: *fin_seq,
+            finished: *finished,
+            unacked_in_order: *unacked_in_order,
+            stats: *stats,
+            telemetry: telemetry.clone(),
+            telemetry_flow: *telemetry_flow,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            cfg,
+            conn_id,
+            tolerance,
+            established,
+            next_required,
+            highest_seen,
+            buffer,
+            assembly,
+            poisoned,
+            delivered,
+            outbox,
+            events,
+            fin_seq,
+            finished,
+            unacked_in_order,
+            stats,
+            telemetry,
+            telemetry_flow,
+        } = src;
+        if !Arc::ptr_eq(&self.cfg, cfg) {
+            self.cfg = Arc::clone(cfg);
+        }
+        self.conn_id = *conn_id;
+        self.tolerance = *tolerance;
+        self.established = *established;
+        self.next_required = *next_required;
+        self.highest_seen = *highest_seen;
+        self.buffer.clone_from(buffer);
+        self.assembly.clone_from(assembly);
+        self.poisoned = *poisoned;
+        self.delivered.clone_from(delivered);
+        self.outbox.clone_from(outbox);
+        self.events.clone_from(events);
+        self.fin_seq = *fin_seq;
+        self.finished = *finished;
+        self.unacked_in_order = *unacked_in_order;
+        self.stats = *stats;
+        self.telemetry.clone_from(telemetry);
+        self.telemetry_flow = *telemetry_flow;
+    }
 }
 
 impl ReceiverConn {
@@ -138,6 +230,12 @@ impl ReceiverConn {
     /// Discards pending events (sinks that never inspect them).
     pub fn clear_events(&mut self) {
         self.events.clear();
+    }
+
+    /// Discards messages completed since the last call, keeping the
+    /// buffer (the model checker has no application to hand them to).
+    pub fn clear_messages(&mut self) {
+        self.delivered.clear();
     }
 
     /// Drains messages completed since the last call.
@@ -410,7 +508,7 @@ impl ReceiverConn {
 
     /// Folds the full control state into a model-checker digest (the
     /// receiving-side counterpart of [`crate::SenderConn::state_digest`]).
-    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_bool(self.established);
         h.write_f64(self.tolerance);
         h.write_u64(self.next_required);

@@ -24,7 +24,7 @@ const FIRST_SLOTS: usize = 4;
 
 /// A sparse window of `T` values keyed by contiguous-ish `u64` sequence
 /// numbers, backed by a ring of `Option<T>` slots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SeqRing<T> {
     /// Sequence number of the slot at physical index `head`; meaningful
     /// only while `span > 0`. Invariant: when `len > 0` the head slot is
@@ -38,6 +38,49 @@ pub struct SeqRing<T> {
     len: usize,
     /// Power-of-two slot storage (empty until the first insert).
     slots: Box<[Option<T>]>,
+}
+
+// Hand-written for `clone_from`: the model checker refills one scratch
+// connection per transition, and the derive's `clone_from` would drop
+// the slab and allocate a new one each time. The destructuring is
+// exhaustive so that a new field cannot be added without deciding how
+// it is copied.
+impl<T: Clone> Clone for SeqRing<T> {
+    fn clone(&self) -> Self {
+        let Self {
+            head_seq,
+            head,
+            span,
+            len,
+            slots,
+        } = self;
+        Self {
+            head_seq: *head_seq,
+            head: *head,
+            span: *span,
+            len: *len,
+            slots: slots.clone(),
+        }
+    }
+
+    /// Same result as `*self = src.clone()`, physical layout included;
+    /// the slab is reused when both have the same capacity.
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            head_seq,
+            head,
+            span,
+            len,
+            slots,
+        } = src;
+        self.head_seq = *head_seq;
+        self.head = *head;
+        self.span = *span;
+        self.len = *len;
+        // `Box<[T]>::clone_from` clones element-wise into the existing
+        // allocation when the lengths match and reallocates otherwise.
+        self.slots.clone_from(slots);
+    }
 }
 
 impl<T> Default for SeqRing<T> {
@@ -478,6 +521,49 @@ mod tests {
         assert_eq!(r.len(), 9);
         assert_eq!(r.first_seq(), Some(99));
         assert_eq!(r.get(107), Some(&107));
+    }
+
+    /// A ring whose window wraps the slab boundary and has a hole:
+    /// `count` entries from `base`, the first two popped, one taken.
+    fn worn(base: u64, count: u64) -> SeqRing<u32> {
+        let mut r = SeqRing::new();
+        for seq in base..base + count {
+            r.insert(seq, seq as u32);
+        }
+        r.pop_first();
+        r.pop_first();
+        r.take(base + 3);
+        r.insert(base + count, 0);
+        r
+    }
+
+    #[test]
+    fn clone_from_matches_clone_at_any_capacity() {
+        let src = worn(100, 8);
+        assert_eq!(src.capacity(), 8);
+        // Equal capacity (the slab is reused), smaller into larger,
+        // larger into smaller, and into a never-allocated ring.
+        for mut dst in [worn(7, 8), worn(0, 4), worn(500, 40), SeqRing::new()] {
+            dst.clone_from(&src);
+            assert_eq!(occupied(&dst), occupied(&src));
+            assert_eq!(dst.first_seq(), Some(102));
+            assert_eq!(dst.end_seq(), src.end_seq());
+            assert_eq!(dst.len(), src.len());
+            assert_eq!(dst.capacity(), src.capacity());
+            assert_eq!(format!("{dst:?}"), format!("{:?}", src.clone()));
+            // And it is a working ring, independent of its source.
+            dst.insert(109, 9);
+            assert_eq!(dst.pop_first(), Some((102, 102)));
+            assert_eq!(dst.first_seq(), Some(104));
+            assert_eq!(src.first_seq(), Some(102));
+            assert_eq!(src.get(109), None);
+        }
+        // An empty source empties the target, slab and all.
+        let mut dst = worn(0, 8);
+        dst.clone_from(&SeqRing::new());
+        assert!(dst.is_empty());
+        assert_eq!(dst.capacity(), 0);
+        assert_eq!(dst.first_seq(), None);
     }
 
     #[test]

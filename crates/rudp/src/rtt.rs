@@ -95,7 +95,7 @@ impl RttEstimator {
     }
 
     /// Folds the estimator state into a model-checker digest.
-    pub(crate) fn digest(&self, h: &mut iq_telemetry::Fnv64) {
+    pub(crate) fn digest(&self, h: &mut iq_telemetry::StateHasher) {
         h.write_bool(self.srtt.is_some());
         h.write_f64(self.srtt.unwrap_or(0.0));
         h.write_f64(self.rttvar);

@@ -215,7 +215,7 @@ impl Segment {
     /// Folds the segment into a model-checker state digest. Timestamps
     /// are hashed relative to `now` so equivalent in-flight sets reached
     /// at different absolute clocks still collide in the visited table.
-    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         match self {
             Segment::Syn { init_seq } => {
                 h.write_u8(0);
@@ -246,6 +246,7 @@ impl Segment {
                 h.write_u8(3);
                 h.write_u64(a.cum_ack);
                 h.write_u64(a.highest_seen);
+                h.write_u64(a.sack.len() as u64);
                 for &(s, e) in &a.sack {
                     h.write_u64(s);
                     h.write_u64(e);

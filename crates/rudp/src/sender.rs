@@ -67,7 +67,7 @@ struct InFlight {
 }
 
 /// The sending endpoint state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SenderConn {
     cfg: Arc<RudpConfig>,
     conn_id: u32,
@@ -107,6 +107,127 @@ pub struct SenderConn {
     /// (cumulative, selective, loss detection), so the per-ACK hot path
     /// does not allocate in steady state.
     scratch_seqs: Vec<u64>,
+}
+
+// Hand-written for `clone_from`: the model checker refills one scratch
+// connection per transition (DESIGN.md §13), which must reuse the queue
+// and ring allocations instead of dropping and rebuilding them. Both
+// methods destructure exhaustively, so adding a field without deciding
+// how it is copied does not compile.
+impl Clone for SenderConn {
+    fn clone(&self) -> Self {
+        let Self {
+            cfg,
+            conn_id,
+            state,
+            next_seq,
+            queue,
+            retx_queue,
+            inflight,
+            peer_window,
+            peer_tolerance,
+            fwd_dirty,
+            handshake_dirty,
+            handshake_deadline,
+            cc,
+            rtt,
+            meter,
+            events,
+            next_msg_id,
+            finish_requested,
+            discard_unmarked,
+            abandoned_total,
+            thresh_zone,
+            stats,
+            telemetry,
+            telemetry_flow,
+            scratch_seqs,
+        } = self;
+        Self {
+            cfg: cfg.clone(),
+            conn_id: *conn_id,
+            state: *state,
+            next_seq: *next_seq,
+            queue: queue.clone(),
+            retx_queue: retx_queue.clone(),
+            inflight: inflight.clone(),
+            peer_window: *peer_window,
+            peer_tolerance: *peer_tolerance,
+            fwd_dirty: *fwd_dirty,
+            handshake_dirty: *handshake_dirty,
+            handshake_deadline: *handshake_deadline,
+            cc: cc.clone(),
+            rtt: rtt.clone(),
+            meter: meter.clone(),
+            events: events.clone(),
+            next_msg_id: *next_msg_id,
+            finish_requested: *finish_requested,
+            discard_unmarked: *discard_unmarked,
+            abandoned_total: *abandoned_total,
+            thresh_zone: *thresh_zone,
+            stats: *stats,
+            telemetry: telemetry.clone(),
+            telemetry_flow: *telemetry_flow,
+            scratch_seqs: scratch_seqs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            cfg,
+            conn_id,
+            state,
+            next_seq,
+            queue,
+            retx_queue,
+            inflight,
+            peer_window,
+            peer_tolerance,
+            fwd_dirty,
+            handshake_dirty,
+            handshake_deadline,
+            cc,
+            rtt,
+            meter,
+            events,
+            next_msg_id,
+            finish_requested,
+            discard_unmarked,
+            abandoned_total,
+            thresh_zone,
+            stats,
+            telemetry,
+            telemetry_flow,
+            scratch_seqs,
+        } = src;
+        if !Arc::ptr_eq(&self.cfg, cfg) {
+            self.cfg = Arc::clone(cfg);
+        }
+        self.conn_id = *conn_id;
+        self.state = *state;
+        self.next_seq = *next_seq;
+        self.queue.clone_from(queue);
+        self.retx_queue.clone_from(retx_queue);
+        self.inflight.clone_from(inflight);
+        self.peer_window = *peer_window;
+        self.peer_tolerance = *peer_tolerance;
+        self.fwd_dirty = *fwd_dirty;
+        self.handshake_dirty = *handshake_dirty;
+        self.handshake_deadline = *handshake_deadline;
+        self.cc.clone_from(cc);
+        self.rtt.clone_from(rtt);
+        self.meter.clone_from(meter);
+        self.events.clone_from(events);
+        self.next_msg_id = *next_msg_id;
+        self.finish_requested = *finish_requested;
+        self.discard_unmarked = *discard_unmarked;
+        self.abandoned_total = *abandoned_total;
+        self.thresh_zone = *thresh_zone;
+        self.stats = *stats;
+        self.telemetry.clone_from(telemetry);
+        self.telemetry_flow = *telemetry_flow;
+        self.scratch_seqs.clone_from(scratch_seqs);
+    }
 }
 
 impl SenderConn {
@@ -758,7 +879,7 @@ impl SenderConn {
     /// table. `msg_sent_at` is deliberately time-relative too (it only
     /// feeds delivery-latency accounting, but keeping it makes the hash
     /// an over- rather than under-approximation of state identity).
-    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::Fnv64) {
+    pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_u8(match self.state {
             SenderState::Idle => 0,
             SenderState::SynSent => 1,

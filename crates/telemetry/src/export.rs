@@ -8,10 +8,12 @@ use crate::event::TelemetryRecord;
 
 /// The 64-bit FNV-1a hasher behind the determinism fingerprints.
 ///
-/// Both the parallel runner's bit-exact scenario fingerprint and the
-/// model checker's visited-state table fold their observations through
-/// this hasher, so "two states hash equal" and "two runs fingerprint
-/// equal" mean the same thing: byte-identical serialized observations.
+/// The parallel runner's bit-exact scenario fingerprint and the
+/// `iq-obs` metric fingerprints fold their observations through this
+/// hasher, so "two runs fingerprint equal" means byte-identical
+/// serialized observations. Its output is committed to files
+/// (`BENCH_netsim.json`), so it stays byte-exact FNV-1a; the model
+/// checker's state digests use [`StateHasher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64 {
     state: u64,
@@ -63,6 +65,81 @@ impl Fnv64 {
 }
 
 impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The word-at-a-time hasher behind every model-checker state digest
+/// (`state_digest` / `digest` in `iq-rudp` and `iq-core`,
+/// `World::state_hash` in `iq-mc`).
+///
+/// A state digest is a stream of ≈ 100 fixed-width words, hashed once
+/// per explored state, and all the checker needs of the result is that
+/// distinct streams get distinct values (explored-state counts do not
+/// depend on *which* values, DESIGN.md §13). So each `write_*` absorbs
+/// its argument as one 64-bit word with one rotate-xor-multiply instead
+/// of [`Fnv64`]'s eight dependent byte steps, and [`finish`] avalanches
+/// the state so that both the low bits (a hash table's bucket index)
+/// and the top seven (its tag) depend on every word. `write_u8(5)` and
+/// `write_u64(5)` absorb the same word: digest streams are
+/// self-delimiting by construction (tags and length prefixes), not by
+/// operand width. Byte and text fingerprints, whose values are
+/// committed to files, stay on [`Fnv64`].
+///
+/// [`finish`]: StateHasher::finish
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateHasher {
+    state: u64,
+}
+
+impl StateHasher {
+    /// Non-zero so that a stream of leading zero words still moves the
+    /// state (the golden-ratio constant, also the finisher's multiplier).
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    const MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+    /// A hasher that has absorbed nothing.
+    pub fn new() -> Self {
+        Self { state: Self::SEED }
+    }
+
+    /// Absorbs one 64-bit word.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(Self::MUL);
+    }
+
+    /// Absorbs one `u8` as a word.
+    #[inline]
+    pub fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    /// Absorbs a `bool` as a word.
+    #[inline]
+    pub fn write_bool(&mut self, v: bool) {
+        self.write_u64(u64::from(v));
+    }
+
+    /// Absorbs an `f64` by exact bit pattern (any difference, however
+    /// small, is a distinct state).
+    #[inline]
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// The avalanched hash of everything absorbed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        let mut x = self.state;
+        x ^= x >> 32;
+        x = x.wrapping_mul(Self::SEED);
+        x ^ (x >> 29)
+    }
+}
+
+impl Default for StateHasher {
     fn default() -> Self {
         Self::new()
     }
@@ -123,6 +200,50 @@ fn detail_from_json(json: &str) -> String {
 mod tests {
     use super::*;
     use crate::event::{CwndReason, TelemetryEvent};
+
+    fn state_hash(words: &[u64]) -> u64 {
+        let mut h = StateHasher::new();
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn state_hasher_known_answers() {
+        // Nothing is committed under these values (explored-state counts
+        // do not depend on them), but a constant changed by accident
+        // should be loud.
+        assert_eq!(state_hash(&[]), 0xab16_9ebd_5d0c_32dc);
+        assert_eq!(state_hash(&[0]), 0x9b32_2c3e_aedb_e4b9);
+        assert_eq!(state_hash(&[1, 2, 3]), 0x4643_1ee8_0252_3ad9);
+        let mut h = StateHasher::new();
+        h.write_u8(7);
+        h.write_bool(true);
+        h.write_f64(0.25);
+        h.write_u64(u64::MAX);
+        assert_eq!(h.finish(), 0xdd16_adc8_494b_b849);
+    }
+
+    #[test]
+    fn state_hasher_separates_order_length_and_width_aliases() {
+        assert_ne!(state_hash(&[1, 2]), state_hash(&[2, 1]));
+        // A zero word is not a no-op, at the start or later.
+        assert_ne!(state_hash(&[0]), state_hash(&[]));
+        assert_ne!(state_hash(&[5, 0]), state_hash(&[5]));
+        let mut narrow = StateHasher::new();
+        narrow.write_u8(0);
+        assert_ne!(narrow.finish(), StateHasher::new().finish());
+        // Every write absorbs one word, whatever the operand's width.
+        let mut wide = StateHasher::new();
+        wide.write_u64(0);
+        assert_eq!(narrow, wide);
+        // Neighbouring inputs differ in the bits a hash table uses: the
+        // low ones (bucket) and the top seven (tag).
+        let (a, b) = (state_hash(&[1]), state_hash(&[2]));
+        assert_ne!(a & 0xffff, b & 0xffff);
+        assert_ne!(a >> 57, b >> 57);
+    }
 
     #[test]
     fn csv_has_header_and_detail_pairs() {

@@ -36,6 +36,6 @@ pub mod report;
 
 pub use bus::{TelemetryBus, TelemetrySink, DEFAULT_RING_CAPACITY};
 pub use event::{CwndReason, PacketKind, TelemetryEvent, TelemetryRecord};
-pub use export::{to_csv, Fnv64};
+pub use export::{to_csv, Fnv64, StateHasher};
 pub use json::{parse_jsonl, to_jsonl, ParseError};
 pub use report::{jitter_series_ms, TelemetryReport};

@@ -21,6 +21,8 @@
 //! counterexample). `--seed-break reinflate|cond|deferral` flips the
 //! polarity: it seeds that coordination bug and exits 1 unless the
 //! checker catches it — the self-test that the invariants have teeth.
+//! The exploration's wall time and states/s go to stderr; stdout keeps
+//! the exact lines CI greps.
 //!
 //! `bench` runs a fixed scenario sweep and writes `BENCH_netsim.json`
 //! (events/sec, wall time per scenario, peak RSS). Options: `--out PATH`,
@@ -324,7 +326,16 @@ fn cmd_mc(args: &[String]) {
         ))
     });
 
+    let started = std::time::Instant::now();
     let report = check(&spec, mutation, &cfg);
+    let wall = started.elapsed().as_secs_f64();
+    // stderr: stdout is what CI greps and tests compare.
+    eprintln!(
+        "mc: {} states in {:.3} s ({:.0} states/s)",
+        report.explored,
+        wall,
+        report.explored as f64 / wall.max(1e-9),
+    );
     println!(
         "mc: scenario {} cc {} depth {} (reached {}) drops {} ticks {}: \
          {} states explored, space {}",
