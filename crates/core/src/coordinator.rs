@@ -275,27 +275,23 @@ impl Coordinator {
         }
     }
 
-    /// Drains transport events, exporting metrics along the way. The
-    /// embedding agent forwards threshold events to the application's
-    /// registered callbacks.
-    pub fn take_events(&mut self, conn: &mut SenderConn) -> Vec<ConnEvent> {
-        let mut events = Vec::new();
-        self.take_events_into(conn, &mut events);
-        events
+    /// Removes and returns the oldest pending transport event,
+    /// exporting metrics along the way. The embedding agent forwards
+    /// threshold events to the application's registered callbacks;
+    /// looping on this drains the connection in place, with no buffer
+    /// on either side.
+    pub fn next_event(&mut self, conn: &mut SenderConn) -> Option<ConnEvent> {
+        let ev = conn.pop_event()?;
+        if let (Some(service), ConnEvent::PeriodEnded(cond)) = (&self.attrs, &ev) {
+            export_net_cond(service, cond);
+        }
+        Some(ev)
     }
 
-    /// Allocation-free variant of [`Coordinator::take_events`]: swaps the
-    /// drained events into `out` (clearing it first) so a caller-owned
-    /// scratch buffer can be reused across polls.
-    pub fn take_events_into(&mut self, conn: &mut SenderConn, out: &mut Vec<ConnEvent>) {
-        conn.take_events_into(out);
-        if let Some(service) = &self.attrs {
-            for ev in out.iter() {
-                if let ConnEvent::PeriodEnded(cond) = ev {
-                    export_net_cond(service, cond);
-                }
-            }
-        }
+    /// Drains every pending transport event ([`Self::next_event`] until
+    /// it runs dry) into a fresh `Vec`.
+    pub fn take_events(&mut self, conn: &mut SenderConn) -> Vec<ConnEvent> {
+        std::iter::from_fn(|| self.next_event(conn)).collect()
     }
 }
 

@@ -93,7 +93,6 @@ pub struct ChannelSourceAgent {
     next_frame: usize,
     rng: SmallRng,
     datagram_idx: u64,
-    events_scratch: Vec<ConnEvent>,
     finished: bool,
 }
 
@@ -125,7 +124,6 @@ impl ChannelSourceAgent {
             next_frame: 0,
             rng: SmallRng::seed_from_u64(0xec40),
             datagram_idx: 0,
-            events_scratch: Vec::new(),
             finished: false,
         }
     }
@@ -156,11 +154,8 @@ impl ChannelSourceAgent {
     }
 
     fn process_events(&mut self, now: Time) {
-        // One scratch buffer shared by every subscriber drain.
-        let mut events = std::mem::take(&mut self.events_scratch);
         for s in &mut self.subs {
-            s.coordinator.take_events_into(&mut s.driver.conn, &mut events);
-            for ev in events.drain(..) {
+            while let Some(ev) = s.coordinator.next_event(&mut s.driver.conn) {
                 let (upper, cond) = match ev {
                     ConnEvent::UpperThreshold(c) => (true, c),
                     ConnEvent::LowerThreshold(c) => (false, c),
@@ -205,7 +200,6 @@ impl ChannelSourceAgent {
                 s.coordinator.report_adaptation(&mut s.driver.conn, now, &attrs);
             }
         }
-        self.events_scratch = events;
     }
 
     fn emit_frame(&mut self, now: Time) -> bool {

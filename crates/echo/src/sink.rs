@@ -50,7 +50,6 @@ pub struct AdaptiveToleranceSink {
     window: (f64, u64),
     /// Tolerance adjustments made (ups, downs).
     pub adjustments: (u64, u64),
-    msgs_scratch: Vec<iq_rudp::DeliveredMsg>,
 }
 
 impl AdaptiveToleranceSink {
@@ -62,7 +61,6 @@ impl AdaptiveToleranceSink {
             metrics: FlowMetrics::new(),
             window: (0.0, 0),
             adjustments: (0, 0),
-            msgs_scratch: Vec::new(),
         }
     }
 
@@ -121,9 +119,7 @@ impl Agent for AdaptiveToleranceSink {
         if !self.driver.handle_packet(ctx, &pkt) {
             return;
         }
-        let mut msgs = std::mem::take(&mut self.msgs_scratch);
-        self.driver.conn.take_messages_into(&mut msgs);
-        for msg in msgs.drain(..) {
+        while let Some(msg) = self.driver.conn.pop_message() {
             let latency = (msg.delivered_at.saturating_sub(msg.sent_at)) as f64 / 1e9;
             self.window.0 += latency;
             self.window.1 += 1;
@@ -134,7 +130,6 @@ impl Agent for AdaptiveToleranceSink {
                 msg.marked,
             );
         }
-        self.msgs_scratch = msgs;
         self.decide(ctx.now());
         self.driver.conn.clear_events();
         self.driver.pump(ctx);

@@ -130,7 +130,6 @@ pub struct AdaptiveSourceAgent {
     min_lower_gap: iq_netsim::TimeDelta,
     last_upper_adapt: Option<Time>,
     last_lower_adapt: Option<Time>,
-    events_scratch: Vec<ConnEvent>,
     finished: bool,
 }
 
@@ -157,7 +156,6 @@ impl AdaptiveSourceAgent {
             min_lower_gap: cfg.min_lower_gap,
             last_upper_adapt: None,
             last_lower_adapt: None,
-            events_scratch: Vec::new(),
             finished: false,
         }
     }
@@ -249,19 +247,13 @@ impl AdaptiveSourceAgent {
     }
 
     fn process_events(&mut self, now: Time) {
-        // Reuse one scratch buffer across polls; take it out of `self`
-        // so the loop body may call `&mut self` handlers.
-        let mut events = std::mem::take(&mut self.events_scratch);
-        self.coordinator
-            .take_events_into(&mut self.driver.conn, &mut events);
-        for ev in events.drain(..) {
+        while let Some(ev) = self.coordinator.next_event(&mut self.driver.conn) {
             match ev {
                 ConnEvent::UpperThreshold(c) => self.on_threshold(now, true, c),
                 ConnEvent::LowerThreshold(c) => self.on_threshold(now, false, c),
                 _ => {}
             }
         }
-        self.events_scratch = events;
     }
 
     /// Emits one frame; returns `false` when the schedule is exhausted.

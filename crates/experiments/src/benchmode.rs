@@ -92,28 +92,47 @@ pub struct BenchScenario {
     /// for one-shard scenarios). Rendered into the non-gated `profile`
     /// section of the JSON.
     pub profile: Vec<iq_obs::PhaseSnapshot>,
-    /// Execute-to-wall utilization: sum of execute time over sum of
-    /// total profiled time across shards (engine plane). Close to
-    /// 1.0 for a one-shard scenario, which never waits on a neighbor.
+    /// Worker utilization (engine plane): the share of `run wall ×
+    /// workers` spent executing events, the run wall being the longest
+    /// shard profile and the workers the pool's size. Close to 1.0 for a
+    /// one-shard scenario, which never waits on a neighbor.
     pub utilization: f64,
     /// Shard-scheduler totals (engine plane; all zero for the
     /// one-shard scenarios — see [`iq_netsim::SchedTotals`]).
     pub sched: iq_netsim::SchedTotals,
 }
 
-/// Execute-to-wall utilization of a (possibly per-shard) phase profile:
-/// total execute nanos over total profiled nanos. Empty or unprofiled
-/// input reports 1.0.
-pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot]) -> f64 {
-    let total: u64 = profile.iter().map(|s| s.total_nanos()).sum();
-    if total == 0 {
+/// Worker utilization of a run from its per-shard phase profile: total
+/// execute nanos over `run wall × workers`. Every shard's profile spans
+/// the whole run phase (a shard nobody is running counts as idle), so
+/// the run wall is the longest of them, and what the pool could have
+/// executed is that much on each of its `workers` threads — not on each
+/// shard, of which there may be many more. Empty or unprofiled input
+/// reports 1.0.
+pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
+    let capacity = run_wall_nanos(profile) * workers.max(1);
+    if capacity == 0 {
         return 1.0;
     }
     let execute: u64 = profile
         .iter()
         .map(|s| s.nanos[iq_obs::Phase::Execute as usize])
         .sum();
-    execute as f64 / total as f64
+    execute as f64 / capacity as f64
+}
+
+/// Seconds each of `workers` threads spent on no shard at all — neither
+/// executing, draining ingress nor flushing — averaged over the pool:
+/// the run wall minus a worker's share of the busy phases.
+pub(crate) fn idle_s_per_worker(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
+    let idle = iq_obs::Phase::Idle as usize;
+    let busy: u64 = profile.iter().map(|s| s.total_nanos() - s.nanos[idle]).sum();
+    let per_worker = busy as f64 / workers.max(1) as f64;
+    (run_wall_nanos(profile) as f64 - per_worker).max(0.0) / 1e9
+}
+
+fn run_wall_nanos(profile: &[iq_obs::PhaseSnapshot]) -> u64 {
+    profile.iter().map(|s| s.total_nanos()).max().unwrap_or(0)
 }
 
 /// One full sweep measurement.
@@ -256,7 +275,7 @@ fn to_bench_scenario(name: String, r: &crate::runner::ScenarioReport) -> BenchSc
         shards: r.shards,
         fingerprint: crate::runner::result_fingerprint(&r.result),
         counter_fingerprint: r.result.obs.sim_fingerprint(),
-        utilization: utilization(&r.result.phase_profile),
+        utilization: utilization(&r.result.phase_profile, r.result.sched.workers),
         sched: r.result.sched,
         profile: r.result.phase_profile.clone(),
     }
@@ -840,16 +859,37 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_execute_over_total() {
-        assert_eq!(utilization(&[]), 1.0);
-        assert_eq!(utilization(&[iq_obs::PhaseSnapshot::default()]), 1.0);
-        let mut a = iq_obs::PhaseSnapshot::default();
-        a.nanos[iq_obs::Phase::Execute as usize] = 300;
-        a.nanos[iq_obs::Phase::Idle as usize] = 100;
-        let mut b = iq_obs::PhaseSnapshot::default();
-        b.nanos[iq_obs::Phase::Flush as usize] = 100;
-        b.nanos[iq_obs::Phase::Execute as usize] = 100;
-        assert!((utilization(&[a, b]) - 400.0 / 600.0).abs() < 1e-12);
+    fn utilization_is_execute_over_wall_times_workers() {
+        assert_eq!(utilization(&[], 2), 1.0);
+        assert_eq!(utilization(&[iq_obs::PhaseSnapshot::default()], 1), 1.0);
+        let shard = |execute: u64, flush: u64, idle: u64| {
+            let mut s = iq_obs::PhaseSnapshot::default();
+            s.nanos[iq_obs::Phase::Execute as usize] = execute;
+            s.nanos[iq_obs::Phase::Flush as usize] = flush;
+            s.nanos[iq_obs::Phase::Idle as usize] = idle;
+            s
+        };
+        // One shard on one worker: execute over its own wall.
+        assert!((utilization(&[shard(300, 0, 100)], 1) - 0.75).abs() < 1e-12);
+        // Four shards profiled over the same 1,000 ns of wall, run by
+        // two workers that were never without a shard: each shard is
+        // idle half the time or more, the workers never. Dividing by
+        // the shards' summed profiles would have said 45 %.
+        let four = [
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+        ];
+        assert!((utilization(&four, 2) - 0.9).abs() < 1e-12);
+        assert!(idle_s_per_worker(&four, 2).abs() < 1e-12);
+        // The same shards on four workers: half of every worker is idle.
+        assert!((utilization(&four, 4) - 0.45).abs() < 1e-12);
+        assert!((idle_s_per_worker(&four, 4) - 500e-9).abs() < 1e-15);
+        // The run wall is the longest profile, not their sum.
+        let uneven = [shard(600, 0, 400), shard(100, 0, 800)];
+        assert!((utilization(&uneven, 2) - 700.0 / 2000.0).abs() < 1e-12);
+        assert!((idle_s_per_worker(&uneven, 2) - 650e-9).abs() < 1e-15);
     }
 
     #[test]

@@ -58,6 +58,14 @@ static METRICS_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// threads to the main (brk) arena and keeping the heap top instead of
 /// trimming it makes page reuse deterministic: RSS plateaus at the
 /// largest single scenario. No-op on non-glibc targets.
+///
+/// The price: with one arena, any allocator call on a shard-pool worker
+/// that glibc's per-thread cache cannot serve — a block that is kept,
+/// not freed at once — takes a lock every other worker wants too. The
+/// simulation plane is therefore written so that a flow's life makes
+/// none (DESIGN.md §12, "the first-touch rule"; §17 has what ignoring
+/// it cost). Lifting the cap instead was measured and put back: it buys
+/// the same speed for 2.1× the sweep's peak RSS and 3.1× its sys time.
 pub fn tune_allocator() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -386,10 +394,13 @@ impl Executor {
                             }
                         }
                         let sched = report.result.sched;
+                        let profile = &report.result.phase_profile;
                         eprintln!(
-                            "        sched: {:.0}% utilization, {} steals, {} parks, \
-                             {} wakes, {} worker parks",
-                            100.0 * crate::benchmode::utilization(&report.result.phase_profile),
+                            "        sched: {} workers {:.0}% utilized, {:.3}s idle each; \
+                             {} steals, {} parks, {} wakes, {} worker parks",
+                            sched.workers,
+                            100.0 * crate::benchmode::utilization(profile, sched.workers),
+                            crate::benchmode::idle_s_per_worker(profile, sched.workers),
                             sched.steals,
                             sched.parks,
                             sched.wakes,

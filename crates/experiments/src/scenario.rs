@@ -673,7 +673,11 @@ impl World {
             &mut obs,
             sender_stats.as_ref(),
             receiver_stats.as_ref(),
-            iq_netsim::pool_stats().since(pool_before),
+            // This thread's traffic (all of it when the epochs ran
+            // inline) plus what the pool's workers handed back.
+            iq_netsim::pool_stats()
+                .since(pool_before)
+                .plus(sim.worker_pool_stats()),
             telemetry_evicted,
         );
         let first = first.expect("a world has at least one flow");
@@ -700,7 +704,7 @@ impl World {
             } else {
                 0.0
             },
-            jitter_series: first.jitter_series().clone(),
+            jitter_series: first.jitter_series(),
             finished,
             coordination,
             callbacks,
@@ -770,7 +774,8 @@ fn sum_receiver_stats(acc: &mut iq_rudp::ReceiverStats, s: &iq_rudp::ReceiverSta
 /// Reports run-level metrics into `reg`: aggregated RUDP endpoint
 /// counters and telemetry evictions on the sim plane (deterministic,
 /// fingerprinted), payload-pool deltas on the engine plane (the pool is
-/// thread-local, so the delta depends on which worker executed what).
+/// thread-local, so the caller sums the run's threads, and the split
+/// depends on which worker executed what).
 /// Sorts the registry into canonical order.
 fn collect_run_obs(
     reg: &mut Registry,

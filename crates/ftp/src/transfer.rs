@@ -93,7 +93,6 @@ pub struct FtpSenderAgent {
     cutoff_raises: u64,
     /// msg_id → block, for receiver-side accounting.
     sent_map: Vec<Block>,
-    events_scratch: Vec<ConnEvent>,
     finished: bool,
 }
 
@@ -113,7 +112,6 @@ impl FtpSenderAgent {
             last_raise: None,
             cutoff_raises: 0,
             sent_map: Vec::new(),
-            events_scratch: Vec::new(),
             finished: false,
         }
     }
@@ -146,10 +144,7 @@ impl FtpSenderAgent {
     }
 
     fn process_events(&mut self, now: Time) {
-        let mut events = std::mem::take(&mut self.events_scratch);
-        self.coordinator
-            .take_events_into(&mut self.driver.conn, &mut events);
-        for ev in events.drain(..) {
+        while let Some(ev) = self.coordinator.next_event(&mut self.driver.conn) {
             match ev {
                 ConnEvent::UpperThreshold(_) => {
                     if let Some(last) = self.last_raise {
@@ -188,7 +183,6 @@ impl FtpSenderAgent {
                 _ => {}
             }
         }
-        self.events_scratch = events;
     }
 
     fn refill(&mut self, now: Time) {

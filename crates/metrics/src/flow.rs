@@ -7,6 +7,12 @@
 use crate::series::TimeSeries;
 use crate::stats::Welford;
 
+/// Jitter samples a [`FlowMetrics`] stores in itself before the series
+/// goes to the heap. A short flow of a large fleet delivers a handful
+/// of messages and never gets there, so recording its series costs no
+/// allocator call; 4 × 16 B is what a `Vec`'s first block would take.
+const JITTER_INLINE: usize = 4;
+
 /// Accumulates arrivals at a receiving application.
 #[derive(Debug, Clone, Default)]
 pub struct FlowMetrics {
@@ -19,8 +25,11 @@ pub struct FlowMetrics {
     tagged_messages: u64,
     inter_arrival: Welford,
     tagged_inter_arrival: Welford,
-    /// Per-message |inter-arrival - mean so far| series for Figures 2/3.
-    jitter_series: TimeSeries,
+    /// Per-message |inter-arrival - mean so far| series for Figures 2/3,
+    /// one sample per gap `inter_arrival` has seen: the first
+    /// [`JITTER_INLINE`] here, the rest in `jitter_tail`.
+    jitter_head: [(u64, f64); JITTER_INLINE],
+    jitter_tail: Vec<(u64, f64)>,
     /// Summed one-way latency (send → deliver) in nanoseconds. An
     /// integer add keeps this off the floating-point hot path; the mean
     /// is derived on read.
@@ -73,7 +82,10 @@ impl FlowMetrics {
         // gap so far (including this gap), in milliseconds; mirrors the
         // per-packet jitter plots of Figures 2 and 3.
         let dev_ms = (gap_s - self.inter_arrival.mean()).abs() * 1e3;
-        self.jitter_series.record(now_ns, dev_ms);
+        match self.jitter_head.get_mut(self.inter_arrival.count() as usize - 1) {
+            Some(slot) => *slot = (now_ns, dev_ms),
+            None => self.jitter_tail.push((now_ns, dev_ms)),
+        }
     }
 
     /// Seconds from first to last arrival.
@@ -138,9 +150,14 @@ impl FlowMetrics {
         self.latency_sum_ns as f64 / self.messages as f64 * 1e-9
     }
 
-    /// The per-message jitter series (Figures 2/3).
-    pub fn jitter_series(&self) -> &TimeSeries {
-        &self.jitter_series
+    /// The per-message jitter series (Figures 2/3), assembled from the
+    /// inline samples and the heap tail.
+    pub fn jitter_series(&self) -> TimeSeries {
+        let inline = (self.inter_arrival.count() as usize).min(JITTER_INLINE);
+        let mut points = Vec::with_capacity(inline + self.jitter_tail.len());
+        points.extend_from_slice(&self.jitter_head[..inline]);
+        points.extend_from_slice(&self.jitter_tail);
+        TimeSeries { points }
     }
 
     /// Percentage of `offered` messages that were delivered.
@@ -221,11 +238,31 @@ mod tests {
         assert!((m.inter_arrival_s() - 0.005).abs() < 1e-12);
         // The second jitter sample deviates from the updated mean:
         // |10 ms − 5 ms| = 5 ms.
-        let last = m.jitter_series().points.last().unwrap();
+        let series = m.jitter_series();
+        let last = series.points.last().unwrap();
         assert_eq!(last.0, 20 * MS);
         assert!((last.1 - 5.0).abs() < 1e-9);
         // First sample: |0 − 0| = 0.
-        assert_eq!(m.jitter_series().points[0], (10 * MS, 0.0));
+        assert_eq!(series.points[0], (10 * MS, 0.0));
+    }
+
+    #[test]
+    fn jitter_series_is_whole_across_the_inline_boundary() {
+        // One sample per gap, in order, whether the series still fits
+        // in the accumulator or has gone to the heap.
+        for messages in [1, 2, JITTER_INLINE, JITTER_INLINE + 1, JITTER_INLINE + 2, 40] {
+            let mut m = FlowMetrics::new();
+            for i in 0..messages as u64 {
+                m.on_message(i * i * MS, 0, 100, false);
+            }
+            let series = m.jitter_series();
+            assert_eq!(series.len(), messages - 1);
+            assert_eq!(m.jitter_tail.len(), (messages - 1).saturating_sub(JITTER_INLINE));
+            let times: Vec<u64> = series.points.iter().map(|&(t, _)| t).collect();
+            let want: Vec<u64> = (1..messages as u64).map(|i| i * i * MS).collect();
+            assert_eq!(times, want);
+            assert_eq!(m.clone().jitter_series().points, series.points);
+        }
     }
 
     #[test]

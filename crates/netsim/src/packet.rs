@@ -77,8 +77,12 @@ const INLINE_BYTES: usize = 16;
 const POOL_WORDS: usize = 24;
 
 /// Pooled buffers retained per thread; beyond this, freed buffers go
-/// back to the allocator. Sized well above the peak in-flight packet
-/// count of the experiment topologies.
+/// back to the allocator. Well above the peak in-flight packet count of
+/// the paper's single-flow topologies, which therefore recycle without
+/// loss. A fleet does not fit: the 25,600-flow mega world's start-up
+/// burst has several times this many payloads in flight, so the surplus
+/// is dropped on return and allocated again when the next burst needs
+/// it (`iq_pool_drops_total` / `iq_pool_misses_total` count both).
 const POOL_MAX: usize = 8192;
 
 std::thread_local! {
@@ -128,6 +132,17 @@ impl PoolStats {
             misses: self.misses - earlier.misses,
             returns: self.returns - earlier.returns,
             drops: self.drops - earlier.drops,
+        }
+    }
+
+    /// The sum of two threads' counters (the pool is per thread; a run
+    /// on a worker pool is the sum over its workers).
+    pub fn plus(self, other: PoolStats) -> PoolStats {
+        PoolStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            returns: self.returns + other.returns,
+            drops: self.drops + other.drops,
         }
     }
 }

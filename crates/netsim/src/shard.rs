@@ -78,7 +78,7 @@ use iq_obs::{counter_add, counter_inc, Phase};
 
 use crate::agent::Agent;
 use crate::link::{LinkSpec, LinkStats};
-use crate::packet::{AgentId, FlowId, LinkId, NodeId, Packet};
+use crate::packet::{pool_stats, AgentId, FlowId, LinkId, NodeId, Packet, PoolStats};
 use crate::sim::{SimCounters, Simulator};
 use crate::time::{Time, TimeDelta};
 use crate::trace::FlowStats;
@@ -171,6 +171,10 @@ pub struct SchedTotals {
     pub wakes: u64,
     /// Workers blocking on the pool condvar for lack of runnable shards.
     pub worker_parks: u64,
+    /// Threads that ran the shards in the last run: the pool's size
+    /// after the shard-count and core-count caps, 1 when the epochs ran
+    /// inline on the calling thread, 0 before any run.
+    pub workers: u64,
 }
 
 /// One shard as the scheduler sees it: the serial simulator plus the
@@ -278,6 +282,7 @@ struct Engine<'a> {
     successors: &'a [Vec<usize>],
     channels: &'a [Mutex<Vec<WireMsg>>],
     worker_parks: &'a AtomicU64,
+    worker_pool: &'a Mutex<PoolStats>,
     perturb: Option<u64>,
     /// No worker pool: the thread calling `run_epoch` executes every
     /// shard itself. Chosen when only one worker would exist anyway
@@ -331,10 +336,15 @@ impl Engine<'_> {
     /// Worker main loop: claim, run, repeat until shutdown.
     fn worker(&self, w: usize) {
         let _guard = PanicGuard(self);
+        let pool_before = pool_stats();
         let mut rng = self.perturb.map(|seed| Xorshift::new(mix_seed(seed, w + 1)));
         while let Some(s) = self.next_job(&mut rng) {
             self.run_shard(s, w, &mut rng);
         }
+        // The payload pool and its counters are this thread's, and the
+        // thread ends here: hand over what it counted.
+        let mut total = self.worker_pool.lock().unwrap_or_else(|e| e.into_inner());
+        *total = total.plus(pool_stats().since(pool_before));
     }
 
     /// Blocks until a shard is claimable (bounded spin, then condvar) or
@@ -696,9 +706,15 @@ pub struct ShardedSim {
     channels: Vec<Mutex<Vec<WireMsg>>>,
     /// Pool-level condvar blocks (see [`SchedTotals::worker_parks`]).
     worker_parks: AtomicU64,
+    /// Payload-pool counters of every pool worker that has exited (see
+    /// [`Self::worker_pool_stats`]).
+    worker_pool: Mutex<PoolStats>,
     /// Scheduling-perturbation seed for determinism tests.
     perturb: Option<u64>,
     threads: usize,
+    /// Effective pool size of the last `run_slices` call (see
+    /// [`SchedTotals::workers`]).
+    workers_used: usize,
     now: Time,
     seed: u64,
 }
@@ -719,8 +735,10 @@ impl ShardedSim {
             signal_version: Vec::new(),
             channels: Vec::new(),
             worker_parks: AtomicU64::new(0),
+            worker_pool: Mutex::new(PoolStats::default()),
             perturb: None,
             threads: 1,
+            workers_used: 0,
             now: 0,
             seed,
         }
@@ -922,7 +940,18 @@ impl ShardedSim {
             t.wakes += st.wakes;
         }
         t.worker_parks = self.worker_parks.load(Ordering::Relaxed);
+        t.workers = self.workers_used as u64;
         t
+    }
+
+    /// Payload-pool counters summed over the worker threads of every
+    /// `run_slices` call so far. The pool is thread-local
+    /// ([`crate::pool_stats`] reads the calling thread's), so this is
+    /// the part of a run's pool traffic the caller's own delta cannot
+    /// see; all zero when the epochs ran inline on the calling thread.
+    /// Engine-plane: which worker ran what depends on the schedule.
+    pub fn worker_pool_stats(&self) -> PoolStats {
+        *self.worker_pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Ground-truth counters for one flow, summed over shards (a flow's
@@ -997,6 +1026,7 @@ impl ShardedSim {
         } else {
             threads.min(cores)
         };
+        self.workers_used = threads;
         let slice = slice.max(1);
         for slot in &mut self.shards {
             // Start every shard's wall clock in the idle phase so
@@ -1018,6 +1048,7 @@ impl ShardedSim {
             successors: &self.successors,
             channels: &self.channels,
             worker_parks: &self.worker_parks,
+            worker_pool: &self.worker_pool,
             perturb: self.perturb,
             // One effective worker means the pool would only trade futex
             // round trips with this thread; run the epochs inline instead.

@@ -355,7 +355,6 @@ pub struct RudpSinkAgent {
     /// Raw messages, retained when `keep_messages` is set.
     pub messages: Vec<DeliveredMsg>,
     keep_messages: bool,
-    msgs_scratch: Vec<DeliveredMsg>,
 }
 
 impl RudpSinkAgent {
@@ -372,7 +371,6 @@ impl RudpSinkAgent {
             metrics: FlowMetrics::new(),
             messages: Vec::new(),
             keep_messages: false,
-            msgs_scratch: Vec::new(),
         }
     }
 
@@ -398,8 +396,7 @@ impl Agent for RudpSinkAgent {
         if !self.driver.handle_packet(ctx, &pkt) {
             return;
         }
-        self.driver.conn.take_messages_into(&mut self.msgs_scratch);
-        for msg in self.msgs_scratch.drain(..) {
+        while let Some(msg) = self.driver.conn.pop_message() {
             self.metrics.on_message(
                 msg.delivered_at,
                 msg.sent_at,

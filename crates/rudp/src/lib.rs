@@ -23,6 +23,7 @@
 
 pub mod cc;
 pub mod endpoint;
+pub mod inline;
 pub mod meter;
 pub mod receiver;
 pub mod ring;
@@ -38,6 +39,7 @@ pub use cc::{
 pub use endpoint::{
     BulkSenderAgent, ConnBuilder, ReceiverDriver, RudpSinkAgent, SenderDriver, RUDP_TIMER_TOKEN,
 };
+pub use inline::InlineQueue;
 pub use meter::{NetCond, PeriodMeter};
 pub use receiver::ReceiverConn;
 pub use ring::SeqRing;

@@ -2,15 +2,29 @@
 //! reorder buffer, message reassembly, selective acknowledgements, and
 //! adaptive-reliability skipping (the sender's `fwd_seq` floor).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use iq_netsim::Time;
 use iq_telemetry::{TelemetryEvent, TelemetrySink};
 
+use crate::inline::InlineQueue;
 use crate::ring::SeqRing;
 use crate::segment::{AckSeg, DataSeg, SackRanges, Segment};
 use crate::types::{ConnEvent, DeliveredMsg, ReceiverStats, RudpConfig};
+
+/// What the reorder buffer keeps of a data segment until it is
+/// delivered in order: the fields reassembly reads. The sequence number
+/// is the buffer's key; `fwd_seq`, `tx_at` and `retransmit` are acted on
+/// at arrival. 32 bytes against `DataSeg`'s 56, in every slot.
+#[derive(Debug, Clone, Copy)]
+struct BufferedFrag {
+    msg_id: u64,
+    frag_idx: u16,
+    frag_count: u16,
+    len: u32,
+    marked: bool,
+    msg_sent_at: Time,
+}
 
 /// In-progress reassembly of one application message.
 #[derive(Debug, Clone)]
@@ -36,18 +50,24 @@ pub struct ReceiverConn {
     next_required: u64,
     /// Highest sequence number observed.
     highest_seen: u64,
-    /// Out-of-order segments above `next_required`.
-    buffer: SeqRing<DataSeg>,
+    /// Out-of-order segments above `next_required`, two slots inline
+    /// (DESIGN.md §12): a flow at its first windows buffers at most one
+    /// or two segments behind a hole.
+    buffer: SeqRing<BufferedFrag, 2>,
     /// Current message being assembled from in-order fragments.
     assembly: Option<Assembly>,
     /// Set when a skipped hole may have cut a message in half; cleared
     /// at the next fragment with index 0.
     poisoned: bool,
-    /// Completed messages awaiting pickup by the application.
-    delivered: Vec<DeliveredMsg>,
+    /// Completed messages awaiting pickup by the application. Inline
+    /// first, like the sender's queues (DESIGN.md §12): a segment
+    /// filling a hole releases the message buffered behind it too.
+    delivered: InlineQueue<DeliveredMsg, 2>,
     /// Segments waiting to be put on the wire (SYN-ACK, ACKs, FIN-ACK).
-    outbox: VecDeque<Segment>,
-    events: Vec<ConnEvent>,
+    /// The driver pumps the outbox dry after every incoming segment, so
+    /// it almost never holds more than one.
+    outbox: InlineQueue<Segment, 1>,
+    events: InlineQueue<ConnEvent, 1>,
     fin_seq: Option<u64>,
     finished: bool,
     /// In-order segments since the last ACK (decimation counter).
@@ -170,9 +190,9 @@ impl ReceiverConn {
             buffer: SeqRing::new(),
             assembly: None,
             poisoned: false,
-            delivered: Vec::new(),
-            outbox: VecDeque::new(),
-            events: Vec::new(),
+            delivered: InlineQueue::new(),
+            outbox: InlineQueue::new(),
+            events: InlineQueue::new(),
             fin_seq: None,
             finished: false,
             unacked_in_order: 0,
@@ -216,15 +236,7 @@ impl ReceiverConn {
 
     /// Drains pending events.
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drains pending events into a caller-owned scratch buffer: `out`
-    /// is cleared and swapped with the internal queue, so a caller that
-    /// reuses one buffer pays no allocation per poll in steady state.
-    pub fn take_events_into(&mut self, out: &mut Vec<ConnEvent>) {
-        out.clear();
-        std::mem::swap(&mut self.events, out);
+        std::iter::from_fn(|| self.events.pop_front()).collect()
     }
 
     /// Discards pending events (sinks that never inspect them).
@@ -240,14 +252,21 @@ impl ReceiverConn {
 
     /// Drains messages completed since the last call.
     pub fn take_messages(&mut self) -> Vec<DeliveredMsg> {
-        std::mem::take(&mut self.delivered)
+        std::iter::from_fn(|| self.delivered.pop_front()).collect()
     }
 
-    /// Drains completed messages into a caller-owned scratch buffer (the
-    /// swap-style counterpart of [`Self::take_messages`]).
+    /// Drains completed messages into a caller-owned scratch buffer,
+    /// replacing its contents: a caller that reuses one buffer pays no
+    /// allocation per poll once it has grown to the largest batch.
     pub fn take_messages_into(&mut self, out: &mut Vec<DeliveredMsg>) {
         out.clear();
-        std::mem::swap(&mut self.delivered, out);
+        out.extend(std::iter::from_fn(|| self.delivered.pop_front()));
+    }
+
+    /// Removes and returns the oldest completed message: the in-place
+    /// drain, with no buffer on either side.
+    pub fn pop_message(&mut self) -> Option<DeliveredMsg> {
+        self.delivered.pop_front()
     }
 
     /// Current loss tolerance.
@@ -298,19 +317,7 @@ impl ReceiverConn {
             loss_tolerance: self.tolerance,
             echo_tx_at,
         };
-        self.queue(Segment::Ack(ack));
-    }
-
-    /// Queues a control segment for [`Self::poll_transmit`]. The driver
-    /// pumps the outbox dry after every incoming segment, so it almost
-    /// never holds more than one: the first allocation is a single slot
-    /// (184 B) instead of `VecDeque`'s default first growth of four, and
-    /// a burst still grows it by the usual doubling.
-    fn queue(&mut self, seg: Segment) {
-        if self.outbox.capacity() == 0 {
-            self.outbox.reserve_exact(1);
-        }
-        self.outbox.push_back(seg);
+        self.outbox.push_back(Segment::Ack(ack));
     }
 
     /// Processes an incoming segment.
@@ -320,10 +327,10 @@ impl ReceiverConn {
                 if !self.established {
                     self.established = true;
                     self.next_required = *init_seq;
-                    self.events.push(ConnEvent::Connected);
+                    self.events.push_back(ConnEvent::Connected);
                 }
                 // (Re)send the SYN-ACK; duplicates are harmless.
-                self.queue(Segment::SynAck {
+                self.outbox.push_back(Segment::SynAck {
                     loss_tolerance: self.tolerance,
                     recv_window: self.recv_window(),
                 });
@@ -337,7 +344,7 @@ impl ReceiverConn {
             Segment::Fin { final_seq } => {
                 if self.finished {
                     // Retransmitted FIN: our FIN-ACK was lost.
-                    self.queue(Segment::FinAck);
+                    self.outbox.push_back(Segment::FinAck);
                 } else {
                     self.fin_seq = Some(*final_seq);
                     // The sender only emits FIN once every sequence below
@@ -361,7 +368,17 @@ impl ReceiverConn {
         if duplicate {
             self.stats.duplicates += 1;
         } else {
-            self.buffer.insert(d.seq, d.clone());
+            self.buffer.insert(
+                d.seq,
+                BufferedFrag {
+                    msg_id: d.msg_id,
+                    frag_idx: d.frag_idx,
+                    frag_count: d.frag_count,
+                    len: d.len,
+                    marked: d.marked,
+                    msg_sent_at: d.msg_sent_at,
+                },
+            );
         }
         self.apply_fwd(now, d.fwd_seq);
         let before = self.next_required;
@@ -471,7 +488,7 @@ impl ReceiverConn {
                     latency_ns: now.saturating_sub(asm.msg_sent_at),
                 }
             });
-            self.delivered.push(DeliveredMsg {
+            self.delivered.push_back(DeliveredMsg {
                 msg_id: asm.msg_id,
                 size: asm.bytes,
                 marked: asm.marked,
@@ -488,8 +505,8 @@ impl ReceiverConn {
         if let Some(fin) = self.fin_seq {
             if self.next_required >= fin {
                 self.finished = true;
-                self.events.push(ConnEvent::Finished);
-                self.queue(Segment::FinAck);
+                self.events.push_back(ConnEvent::Finished);
+                self.outbox.push_back(Segment::FinAck);
             }
         }
     }
@@ -533,7 +550,7 @@ impl ReceiverConn {
         h.write_bool(self.poisoned);
         h.write_u64(self.delivered.len() as u64);
         h.write_u64(self.outbox.len() as u64);
-        for seg in &self.outbox {
+        for seg in self.outbox.iter() {
             seg.state_digest(now, h);
         }
         h.write_bool(self.fin_seq.is_some());
@@ -602,19 +619,22 @@ mod tests {
     #[test]
     fn outbox_starts_at_one_slot_and_still_holds_a_burst() {
         let mut r = recv(0.0);
-        assert_eq!(r.outbox.capacity(), 0);
         // The pumped pattern: every segment's reply is sent before the
-        // next segment arrives.
+        // next segment arrives, and the one inline slot carries it.
         r.on_segment(0, &Segment::Syn { init_seq: 0 });
+        assert!(!r.outbox.spilled());
         assert!(matches!(r.poll_transmit(0), Some(Segment::SynAck { .. })));
         r.on_segment(1, &data(0, 0, 0, 1, true));
+        assert!(!r.outbox.spilled());
         assert!(matches!(r.poll_transmit(1), Some(Segment::Ack(_))));
-        assert_eq!(r.outbox.capacity(), 1);
         // Unpumped: a duplicate SYN, three data segments and the FIN
-        // queue five replies, which come out in the order they went in.
+        // queue five replies; the second one spills, and they come out
+        // in the order they went in.
         r.on_segment(2, &Segment::Syn { init_seq: 0 });
+        assert!(!r.outbox.spilled());
         for seq in 1..4 {
             r.on_segment(2 + seq, &data(seq, seq, 0, 1, true));
+            assert!(r.outbox.spilled());
         }
         r.on_segment(6, &Segment::Fin { final_seq: 4 });
         let out: Vec<Segment> = std::iter::from_fn(|| r.poll_transmit(6)).collect();
@@ -629,6 +649,7 @@ mod tests {
         assert_eq!(cum_acks, [2, 3, 4]);
         assert!(matches!(out[4], Segment::FinAck));
         assert_eq!(out.len(), 5);
+        assert!(!r.outbox.spilled());
     }
 
     #[test]

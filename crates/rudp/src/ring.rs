@@ -10,22 +10,52 @@
 //! in a power-of-two slab of `Option<T>` slots indexed by
 //! `(seq - head_seq) & mask`, so lookups are O(1), iteration is a linear
 //! scan, and steady-state operation allocates nothing (the slab only
-//! grows, and the window is bounded by the receive buffer).
+//! grows, and the window is bounded by the receive buffer). The first
+//! `FIRST` slots (a type parameter, [`FIRST_SLOTS`] unless the holder
+//! says otherwise) are part of the ring itself, so a flow whose window
+//! never outgrows them never calls the allocator for it.
 //!
 //! Semantics match a `BTreeMap<u64, T>` restricted to the access
 //! patterns the protocol uses; `tests/ring_diff.rs` pins that
 //! equivalence with differential property tests.
 
-/// Slots in a ring's first slab. Most flows of a large fleet never have
-/// more than a few segments outstanding, and a flow that does doubles
-/// its slab on demand, so the first allocation is sized for the small
-/// case. A power of two: slots are addressed by mask.
-const FIRST_SLOTS: usize = 4;
+/// Default number of slots in a ring's first slab, which is stored
+/// inline. Most flows of a large fleet never have more than a few
+/// segments outstanding; a flow that does moves to a heap slab of at
+/// least twice the size and doubles from there.
+pub const FIRST_SLOTS: usize = 4;
+
+/// Where a ring's slots live.
+#[derive(Debug, Clone)]
+enum Slab<T, const FIRST: usize> {
+    /// The first slab, inside the ring (and so inside whatever holds
+    /// the ring): no allocation until the window outgrows it.
+    Inline([Option<T>; FIRST]),
+    /// A power-of-two heap slab of more than `FIRST` slots.
+    Heap(Box<[Option<T>]>),
+}
+
+impl<T, const FIRST: usize> Slab<T, FIRST> {
+    fn slots(&self) -> &[Option<T>] {
+        match self {
+            Slab::Inline(slots) => slots,
+            Slab::Heap(slots) => slots,
+        }
+    }
+
+    fn slots_mut(&mut self) -> &mut [Option<T>] {
+        match self {
+            Slab::Inline(slots) => slots,
+            Slab::Heap(slots) => slots,
+        }
+    }
+}
 
 /// A sparse window of `T` values keyed by contiguous-ish `u64` sequence
-/// numbers, backed by a ring of `Option<T>` slots.
+/// numbers, backed by a ring of `Option<T>` slots, the first `FIRST` of
+/// them (a power of two: slots are addressed by mask) inline.
 #[derive(Debug)]
-pub struct SeqRing<T> {
+pub struct SeqRing<T, const FIRST: usize = FIRST_SLOTS> {
     /// Sequence number of the slot at physical index `head`; meaningful
     /// only while `span > 0`. Invariant: when `len > 0` the head slot is
     /// occupied (leading empties are trimmed after every removal).
@@ -36,8 +66,8 @@ pub struct SeqRing<T> {
     span: usize,
     /// Occupied slots within the window.
     len: usize,
-    /// Power-of-two slot storage (empty until the first insert).
-    slots: Box<[Option<T>]>,
+    /// Power-of-two slot storage.
+    slab: Slab<T, FIRST>,
 }
 
 // Hand-written for `clone_from`: the model checker refills one scratch
@@ -45,59 +75,65 @@ pub struct SeqRing<T> {
 // the slab and allocate a new one each time. The destructuring is
 // exhaustive so that a new field cannot be added without deciding how
 // it is copied.
-impl<T: Clone> Clone for SeqRing<T> {
+impl<T: Clone, const FIRST: usize> Clone for SeqRing<T, FIRST> {
     fn clone(&self) -> Self {
         let Self {
             head_seq,
             head,
             span,
             len,
-            slots,
+            slab,
         } = self;
         Self {
             head_seq: *head_seq,
             head: *head,
             span: *span,
             len: *len,
-            slots: slots.clone(),
+            slab: slab.clone(),
         }
     }
 
     /// Same result as `*self = src.clone()`, physical layout included;
-    /// the slab is reused when both have the same capacity.
+    /// a heap slab is reused when both have the same capacity.
     fn clone_from(&mut self, src: &Self) {
         let Self {
             head_seq,
             head,
             span,
             len,
-            slots,
+            slab,
         } = src;
         self.head_seq = *head_seq;
         self.head = *head;
         self.span = *span;
         self.len = *len;
-        // `Box<[T]>::clone_from` clones element-wise into the existing
-        // allocation when the lengths match and reallocates otherwise.
-        self.slots.clone_from(slots);
+        match (&mut self.slab, slab) {
+            (Slab::Inline(dst), Slab::Inline(src)) => dst.clone_from(src),
+            // `Box<[T]>::clone_from` clones element-wise into the
+            // existing allocation when the lengths match and
+            // reallocates otherwise.
+            (Slab::Heap(dst), Slab::Heap(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
     }
 }
 
-impl<T> Default for SeqRing<T> {
+impl<T, const FIRST: usize> Default for SeqRing<T, FIRST> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> SeqRing<T> {
-    /// An empty ring; the slab is allocated lazily on the first insert.
+impl<T, const FIRST: usize> SeqRing<T, FIRST> {
+    /// An empty ring on its inline slab; allocates nothing.
     pub fn new() -> Self {
+        const { assert!(FIRST.is_power_of_two()) };
         Self {
             head_seq: 0,
             head: 0,
             span: 0,
             len: 0,
-            slots: Box::default(),
+            slab: Slab::Inline([const { None }; FIRST]),
         }
     }
 
@@ -111,10 +147,13 @@ impl<T> SeqRing<T> {
         self.len == 0
     }
 
-    /// Current slot capacity (for tests and sizing diagnostics).
+    /// Current slot capacity (for tests and sizing diagnostics): `FIRST`
+    /// while the ring is on its inline slab, more once it has moved to
+    /// the heap (it never moves back).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slab.slots().len()
     }
+
 
     /// Lowest occupied sequence number.
     pub fn first_seq(&self) -> Option<u64> {
@@ -142,7 +181,7 @@ impl<T> SeqRing<T> {
         if offset >= self.span as u64 {
             return None;
         }
-        Some((self.head + offset as usize) & (self.slots.len() - 1))
+        Some((self.head + offset as usize) & (self.capacity() - 1))
     }
 
     /// Whether `seq` is occupied.
@@ -152,28 +191,28 @@ impl<T> SeqRing<T> {
 
     /// Borrows the entry at `seq`.
     pub fn get(&self, seq: u64) -> Option<&T> {
-        self.slot_index(seq).and_then(|i| self.slots[i].as_ref())
+        self.slot_index(seq)
+            .and_then(|i| self.slab.slots()[i].as_ref())
     }
 
     /// Mutably borrows the entry at `seq`.
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         self.slot_index(seq)
-            .and_then(move |i| self.slots[i].as_mut())
+            .and_then(move |i| self.slab.slots_mut()[i].as_mut())
     }
 
-    /// Relocates the window into a slab of at least `min_cap` slots,
-    /// with the head at physical index 0.
+    /// Relocates the window into a heap slab of at least `min_cap`
+    /// slots, with the head at physical index 0.
     fn grow(&mut self, min_cap: usize) {
         let new_cap = min_cap.next_power_of_two();
         let mut new_slots: Vec<Option<T>> = Vec::with_capacity(new_cap);
         new_slots.resize_with(new_cap, || None);
-        if !self.slots.is_empty() {
-            let mask = self.slots.len() - 1;
-            for (off, slot) in new_slots.iter_mut().enumerate().take(self.span) {
-                *slot = self.slots[(self.head + off) & mask].take();
-            }
+        let old = self.slab.slots_mut();
+        let mask = old.len() - 1;
+        for (off, slot) in new_slots.iter_mut().enumerate().take(self.span) {
+            *slot = old[(self.head + off) & mask].take();
         }
-        self.slots = new_slots.into_boxed_slice();
+        self.slab = Slab::Heap(new_slots.into_boxed_slice());
         self.head = 0;
     }
 
@@ -183,16 +222,13 @@ impl<T> SeqRing<T> {
     /// below the current head).
     pub fn insert(&mut self, seq: u64, value: T) -> Option<T> {
         if self.len == 0 {
-            if self.slots.is_empty() {
-                self.grow(FIRST_SLOTS);
-            }
             self.head = 0;
             self.head_seq = seq;
             self.span = 1;
         } else if seq >= self.head_seq {
             let offset = seq - self.head_seq;
             let offset = usize::try_from(offset).expect("seq window exceeds usize");
-            if offset >= self.slots.len() {
+            if offset >= self.capacity() {
                 self.grow(offset + 1);
             }
             if offset >= self.span {
@@ -204,17 +240,17 @@ impl<T> SeqRing<T> {
                 .checked_add(back)
                 .and_then(|n| usize::try_from(n).ok())
                 .expect("seq window exceeds usize");
-            if needed > self.slots.len() {
+            if needed > self.capacity() {
                 self.grow(needed);
             }
             let back = back as usize;
-            let cap = self.slots.len();
+            let cap = self.capacity();
             self.head = (self.head + cap - back) & (cap - 1);
             self.head_seq = seq;
             self.span += back;
         }
-        let i = (self.head + (seq - self.head_seq) as usize) & (self.slots.len() - 1);
-        let old = self.slots[i].replace(value);
+        let i = (self.head + (seq - self.head_seq) as usize) & (self.capacity() - 1);
+        let old = self.slab.slots_mut()[i].replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -228,8 +264,9 @@ impl<T> SeqRing<T> {
             self.span = 0;
             return;
         }
-        let mask = self.slots.len() - 1;
-        while self.slots[self.head].is_none() {
+        let slots = self.slab.slots();
+        let mask = slots.len() - 1;
+        while slots[self.head].is_none() {
             self.head = (self.head + 1) & mask;
             self.head_seq += 1;
             self.span -= 1;
@@ -239,7 +276,7 @@ impl<T> SeqRing<T> {
     /// Removes and returns the entry at `seq`.
     pub fn take(&mut self, seq: u64) -> Option<T> {
         let i = self.slot_index(seq)?;
-        let v = self.slots[i].take()?;
+        let v = self.slab.slots_mut()[i].take()?;
         self.len -= 1;
         self.trim_front();
         Some(v)
@@ -251,12 +288,14 @@ impl<T> SeqRing<T> {
             return None;
         }
         let seq = self.head_seq;
-        let v = self.slots[self.head].take().expect("head slot occupied");
+        let v = self.slab.slots_mut()[self.head]
+            .take()
+            .expect("head slot occupied");
         self.len -= 1;
         if self.len == 0 {
             self.span = 0;
         } else {
-            let mask = self.slots.len() - 1;
+            let mask = self.capacity() - 1;
             self.head = (self.head + 1) & mask;
             self.head_seq += 1;
             self.span -= 1;
@@ -276,10 +315,11 @@ impl<T> SeqRing<T> {
 
     /// Iterates occupied entries in ascending sequence order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let mask = self.slots.len().wrapping_sub(1);
+        let slots = self.slab.slots();
+        let mask = slots.len() - 1;
         (0..self.span).filter_map(move |off| {
             let i = (self.head + off) & mask;
-            self.slots[i]
+            slots[i]
                 .as_ref()
                 .map(|v| (self.head_seq + off as u64, v))
         })
@@ -288,16 +328,14 @@ impl<T> SeqRing<T> {
     /// Calls `f` on every occupied entry with seq below `bound`, in
     /// ascending order (the dup-hint loss-detection sweep).
     pub fn for_each_mut_below(&mut self, bound: u64, mut f: impl FnMut(u64, &mut T)) {
-        if self.span == 0 {
-            return;
-        }
-        let mask = self.slots.len() - 1;
+        let slots = self.slab.slots_mut();
+        let mask = slots.len() - 1;
         for off in 0..self.span {
             let seq = self.head_seq + off as u64;
             if seq >= bound {
                 break;
             }
-            if let Some(v) = self.slots[(self.head + off) & mask].as_mut() {
+            if let Some(v) = slots[(self.head + off) & mask].as_mut() {
                 f(seq, v);
             }
         }
@@ -308,13 +346,17 @@ impl<T> SeqRing<T> {
 mod tests {
     use super::*;
 
-    fn occupied(r: &SeqRing<u32>) -> Vec<(u64, u32)> {
+    /// The default-shaped ring the tests run on (a bare `SeqRing::new()`
+    /// leaves `FIRST` to inference, which defaults do not feed).
+    type Ring = SeqRing<u32>;
+
+    fn occupied(r: &Ring) -> Vec<(u64, u32)> {
         r.iter().map(|(s, &v)| (s, v)).collect()
     }
 
     #[test]
     fn insert_get_take_roundtrip() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         assert!(r.is_empty());
         assert_eq!(r.insert(10, 1), None);
         assert_eq!(r.insert(12, 3), None);
@@ -333,7 +375,7 @@ mod tests {
 
     #[test]
     fn head_trims_past_holes() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..6 {
             r.insert(seq, seq as u32);
         }
@@ -347,7 +389,7 @@ mod tests {
 
     #[test]
     fn pop_first_below_is_a_cumulative_drain() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 5..10 {
             r.insert(seq, seq as u32);
         }
@@ -361,7 +403,7 @@ mod tests {
 
     #[test]
     fn growth_preserves_contents_and_order() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..200u64 {
             r.insert(seq, seq as u32);
         }
@@ -374,10 +416,17 @@ mod tests {
 
     #[test]
     fn first_slab_is_small_and_doubles_to_hold_a_window() {
-        let mut r = SeqRing::new();
-        assert_eq!(r.capacity(), 0, "nothing allocated before the first insert");
-        r.insert(100, 100u32);
-        assert_eq!(r.capacity(), 4);
+        let mut r = Ring::new();
+        assert_eq!(r.capacity(), FIRST_SLOTS, "a new ring is on its inline slab");
+        // The spill boundary: `FIRST_SLOTS` entries fit inline, one
+        // more moves the window to a heap slab of twice the size.
+        for seq in 100..100 + FIRST_SLOTS as u64 {
+            r.insert(seq, seq as u32);
+        }
+        assert!(matches!(r.slab, Slab::Inline(_)));
+        r.insert(100 + FIRST_SLOTS as u64, 0);
+        assert!(matches!(r.slab, Slab::Heap(_)));
+        assert_eq!(r.capacity(), 2 * FIRST_SLOTS);
         let mut caps = vec![r.capacity()];
         for seq in 101..164u64 {
             r.insert(seq, seq as u32);
@@ -385,14 +434,42 @@ mod tests {
                 caps.push(r.capacity());
             }
         }
-        assert_eq!(caps, [4, 8, 16, 32, 64], "grows by doubling, on demand");
+        assert_eq!(caps, [8, 16, 32, 64], "grows by doubling, on demand");
         assert_eq!(r.len(), 64);
         assert!(occupied(&r).into_iter().eq((100..164u64).map(|s| (s, s as u32))));
+        // A window that slides without widening never leaves the
+        // inline slab, and a drained heap ring does not move back.
+        let mut small = Ring::new();
+        for seq in 0..1_000u64 {
+            small.insert(seq, 0u32);
+            if seq >= 3 {
+                small.pop_first();
+            }
+        }
+        assert!(matches!(small.slab, Slab::Inline(_)));
+        while r.pop_first().is_some() {}
+        assert_eq!(r.capacity(), 64);
+    }
+
+    #[test]
+    fn backward_reanchor_crosses_the_spill_boundary() {
+        // The receiver's path onto the heap: out-of-order arrivals
+        // below the head widen the window past the inline slab.
+        let mut r = Ring::new();
+        r.insert(10, 10u32);
+        r.insert(11, 11);
+        r.insert(8, 8);
+        assert!(matches!(r.slab, Slab::Inline(_)), "a 4-wide window fits");
+        r.insert(7, 7);
+        assert!(matches!(r.slab, Slab::Heap(_)));
+        assert_eq!(occupied(&r), vec![(7, 7), (8, 8), (10, 10), (11, 11)]);
+        assert_eq!(r.first_seq(), Some(7));
+        assert_eq!(r.get(9), None);
     }
 
     #[test]
     fn window_slides_without_growing() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..8u64 {
             r.insert(seq, 0);
         }
@@ -410,7 +487,7 @@ mod tests {
 
     #[test]
     fn insert_below_head_reanchors() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         r.insert(20, 20);
         r.insert(22, 22);
         // An out-of-order arrival below the current head.
@@ -423,7 +500,7 @@ mod tests {
 
     #[test]
     fn insert_far_below_head_grows() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         r.insert(100, 1);
         for seq in (0..100).rev() {
             r.insert(seq, 2);
@@ -439,7 +516,7 @@ mod tests {
         // window arithmetic must not overflow (`end_seq` saturates
         // instead of panicking when an entry sits at u64::MAX).
         let top = u64::MAX;
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         r.insert(top - 3, 3u32);
         r.insert(top - 1, 1);
         r.insert(top, 0);
@@ -471,7 +548,7 @@ mod tests {
         // Build a window that physically wraps the slab boundary with a
         // reassembly hole in the middle, then force a grow: the relocated
         // window must preserve contents, order, and the hole.
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..8u64 {
             r.insert(seq, seq as u32);
         }
@@ -503,7 +580,7 @@ mod tests {
     fn insert_at_capacity_grows_instead_of_evicting() {
         // Exactly filling the slab and then inserting one past it must
         // grow, never silently overwrite the oldest entry.
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..8u64 {
             r.insert(seq, seq as u32);
         }
@@ -513,7 +590,7 @@ mod tests {
         assert_eq!(r.get(0), Some(&0), "oldest entry survived the grow");
         assert_eq!(r.get(8), Some(&8));
         // Same at the re-anchor path: a backward insert past capacity.
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 100..108u64 {
             r.insert(seq, seq as u32);
         }
@@ -525,8 +602,8 @@ mod tests {
 
     /// A ring whose window wraps the slab boundary and has a hole:
     /// `count` entries from `base`, the first two popped, one taken.
-    fn worn(base: u64, count: u64) -> SeqRing<u32> {
-        let mut r = SeqRing::new();
+    fn worn(base: u64, count: u64) -> Ring {
+        let mut r = Ring::new();
         for seq in base..base + count {
             r.insert(seq, seq as u32);
         }
@@ -541,9 +618,9 @@ mod tests {
     fn clone_from_matches_clone_at_any_capacity() {
         let src = worn(100, 8);
         assert_eq!(src.capacity(), 8);
-        // Equal capacity (the slab is reused), smaller into larger,
-        // larger into smaller, and into a never-allocated ring.
-        for mut dst in [worn(7, 8), worn(0, 4), worn(500, 40), SeqRing::new()] {
+        // Equal capacity (the slab is reused), larger into smaller, and
+        // into rings still on their inline slab, worn and new.
+        for mut dst in [worn(7, 8), worn(500, 40), worn(0, 3), Ring::new()] {
             dst.clone_from(&src);
             assert_eq!(occupied(&dst), occupied(&src));
             assert_eq!(dst.first_seq(), Some(102));
@@ -558,17 +635,26 @@ mod tests {
             assert_eq!(src.first_seq(), Some(102));
             assert_eq!(src.get(109), None);
         }
-        // An empty source empties the target, slab and all.
+        // An inline source, worn or new, puts a heap target back on
+        // an inline slab.
+        let src = worn(20, 3);
+        assert_eq!(src.capacity(), FIRST_SLOTS);
+        for mut dst in [worn(0, 8), worn(0, 3), Ring::new()] {
+            dst.clone_from(&src);
+            assert_eq!(format!("{dst:?}"), format!("{:?}", src.clone()));
+            assert_eq!(dst.pop_first(), Some((22, 22)));
+        }
         let mut dst = worn(0, 8);
-        dst.clone_from(&SeqRing::new());
+        dst.clone_from(&Ring::new());
         assert!(dst.is_empty());
-        assert_eq!(dst.capacity(), 0);
+        assert_eq!(dst.capacity(), FIRST_SLOTS);
         assert_eq!(dst.first_seq(), None);
+        assert_eq!(format!("{dst:?}"), format!("{:?}", Ring::new()));
     }
 
     #[test]
     fn for_each_mut_below_respects_bound() {
-        let mut r = SeqRing::new();
+        let mut r = Ring::new();
         for seq in 0..10u64 {
             r.insert(seq, 0u32);
         }

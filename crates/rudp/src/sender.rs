@@ -3,13 +3,13 @@
 //! segments, clock ticks, and application messages; outputs are segments
 //! to transmit (via [`SenderConn::poll_transmit`]) and [`ConnEvent`]s.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use iq_netsim::Time;
 use iq_telemetry::{CwndReason, TelemetryEvent, TelemetrySink};
 
 use crate::cc::{CcController, CongestionControl};
+use crate::inline::InlineQueue;
 use crate::meter::{NetCond, PeriodMeter};
 use crate::ring::SeqRing;
 use crate::rtt::RttEstimator;
@@ -40,21 +40,19 @@ pub enum SenderState {
     Closed,
 }
 
-/// A fragment waiting for its first transmission.
-#[derive(Debug, Clone)]
-struct PendingFrag {
+/// A fragment of a submitted message, from submission until it is
+/// acknowledged or abandoned: what goes on the wire with it, and its
+/// transmit state (all zero until the first transmission). 40 bytes: a
+/// slot of the fragment ring is paid for by every connection. `Copy`,
+/// so that cloning a ring's inline slab is a block copy.
+#[derive(Debug, Clone, Copy)]
+struct Frag {
     msg_id: u64,
     frag_idx: u16,
     frag_count: u16,
     len: u32,
     marked: bool,
     msg_sent_at: Time,
-}
-
-/// An unacknowledged transmitted fragment.
-#[derive(Debug, Clone)]
-struct InFlight {
-    frag: PendingFrag,
     /// Last transmission time.
     tx_at: Time,
     /// Whether it has ever been retransmitted (Karn).
@@ -74,12 +72,20 @@ pub struct SenderConn {
     state: SenderState,
     /// Next sequence number to assign at first transmission.
     next_seq: u64,
-    /// Fragments not yet transmitted for the first time.
-    queue: VecDeque<PendingFrag>,
+    /// Every fragment submitted and not yet acked or abandoned, keyed
+    /// by the sequence number it has or will get — fragments go out in
+    /// submission order, so the `i`-th unsent one is `next_seq + i`.
+    /// Seqs below `next_seq` are in flight; `[next_seq, next_seq +
+    /// unsent)` wait for their first transmission, which flips a slot
+    /// in place instead of moving the fragment between two containers.
+    /// Like every container of a connection the ring starts on inline
+    /// storage (a flow's first messages cost no allocator call) and
+    /// moves to the heap past that; DESIGN.md §12 gives each size.
+    frags: SeqRing<Frag>,
+    /// Fragments in `frags` not yet transmitted for the first time.
+    unsent: usize,
     /// Sequence numbers awaiting retransmission.
-    retx_queue: VecDeque<u64>,
-    /// Transmitted but not yet acked/abandoned, keyed by seq.
-    inflight: SeqRing<InFlight>,
+    retx_queue: InlineQueue<u64, 1>,
     /// Peer's advertised window, segments.
     peer_window: u32,
     /// Peer's loss tolerance, learned from the SYN-ACK.
@@ -94,7 +100,7 @@ pub struct SenderConn {
     cc: CcController,
     rtt: RttEstimator,
     meter: PeriodMeter,
-    events: Vec<ConnEvent>,
+    events: InlineQueue<ConnEvent, 2>,
     next_msg_id: u64,
     finish_requested: bool,
     discard_unmarked: bool,
@@ -103,10 +109,9 @@ pub struct SenderConn {
     stats: SenderStats,
     telemetry: TelemetrySink,
     telemetry_flow: u64,
-    /// Reused sequence-number buffer for the ACK-processing phases
-    /// (cumulative, selective, loss detection), so the per-ACK hot path
-    /// does not allocate in steady state.
-    scratch_seqs: Vec<u64>,
+    /// Sequence numbers one ACK's loss-detection sweep declared lost,
+    /// between the sweep and their handling; empty outside `on_ack`.
+    scratch_seqs: InlineQueue<u64, 1>,
 }
 
 // Hand-written for `clone_from`: the model checker refills one scratch
@@ -121,9 +126,9 @@ impl Clone for SenderConn {
             conn_id,
             state,
             next_seq,
-            queue,
+            frags,
+            unsent,
             retx_queue,
-            inflight,
             peer_window,
             peer_tolerance,
             fwd_dirty,
@@ -148,9 +153,9 @@ impl Clone for SenderConn {
             conn_id: *conn_id,
             state: *state,
             next_seq: *next_seq,
-            queue: queue.clone(),
+            frags: frags.clone(),
+            unsent: *unsent,
             retx_queue: retx_queue.clone(),
-            inflight: inflight.clone(),
             peer_window: *peer_window,
             peer_tolerance: *peer_tolerance,
             fwd_dirty: *fwd_dirty,
@@ -178,9 +183,9 @@ impl Clone for SenderConn {
             conn_id,
             state,
             next_seq,
-            queue,
+            frags,
+            unsent,
             retx_queue,
-            inflight,
             peer_window,
             peer_tolerance,
             fwd_dirty,
@@ -206,9 +211,9 @@ impl Clone for SenderConn {
         self.conn_id = *conn_id;
         self.state = *state;
         self.next_seq = *next_seq;
-        self.queue.clone_from(queue);
+        self.frags.clone_from(frags);
+        self.unsent = *unsent;
         self.retx_queue.clone_from(retx_queue);
-        self.inflight.clone_from(inflight);
         self.peer_window = *peer_window;
         self.peer_tolerance = *peer_tolerance;
         self.fwd_dirty = *fwd_dirty;
@@ -249,9 +254,9 @@ impl SenderConn {
             conn_id,
             state: SenderState::Idle,
             next_seq: 0,
-            queue: VecDeque::new(),
-            retx_queue: VecDeque::new(),
-            inflight: SeqRing::new(),
+            frags: SeqRing::new(),
+            unsent: 0,
+            retx_queue: InlineQueue::new(),
             peer_window: 1,
             peer_tolerance: 0.0,
             fwd_dirty: false,
@@ -260,7 +265,7 @@ impl SenderConn {
             cc,
             rtt,
             meter,
-            events: Vec::new(),
+            events: InlineQueue::new(),
             next_msg_id: 0,
             finish_requested: false,
             discard_unmarked,
@@ -269,7 +274,7 @@ impl SenderConn {
             stats: SenderStats::default(),
             telemetry: TelemetrySink::disabled(),
             telemetry_flow: 0,
-            scratch_seqs: Vec::new(),
+            scratch_seqs: InlineQueue::new(),
         }
     }
 
@@ -349,7 +354,26 @@ impl SenderConn {
     /// Untransmitted + unacknowledged segments (application back-pressure
     /// signal).
     pub fn backlog_segments(&self) -> usize {
-        self.queue.len() + self.inflight.len()
+        self.frags.len()
+    }
+
+    /// Transmitted segments not yet acked or abandoned.
+    fn inflight_len(&self) -> usize {
+        self.frags.len() - self.unsent
+    }
+
+    /// The in-flight fragments (seqs below `next_seq`), ascending.
+    fn inflight(&self) -> impl Iterator<Item = (u64, &Frag)> {
+        let next_seq = self.next_seq;
+        self.frags.iter().take_while(move |&(seq, _)| seq < next_seq)
+    }
+
+    /// The earliest in-flight segment not already declared lost, and
+    /// when it was last transmitted: the one the RTO runs on.
+    fn earliest_outstanding(&self) -> Option<(u64, Time)> {
+        self.inflight()
+            .find(|(_, e)| !e.lost_pending)
+            .map(|(seq, e)| (seq, e.tx_at))
     }
 
     /// Whether everything submitted has been delivered or abandoned and
@@ -360,15 +384,13 @@ impl SenderConn {
 
     /// Drains pending events.
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
+        std::iter::from_fn(|| self.events.pop_front()).collect()
     }
 
-    /// Drains pending events into a caller-owned scratch buffer: `out`
-    /// is cleared and swapped with the internal queue, so a caller that
-    /// reuses one buffer pays no allocation per poll in steady state.
-    pub fn take_events_into(&mut self, out: &mut Vec<ConnEvent>) {
-        out.clear();
-        std::mem::swap(&mut self.events, out);
+    /// Removes and returns the oldest pending event: the in-place drain,
+    /// with no buffer on either side.
+    pub fn pop_event(&mut self) -> Option<ConnEvent> {
+        self.events.pop_front()
     }
 
     /// Discards pending events (sinks that never inspect them).
@@ -397,14 +419,22 @@ impl SenderConn {
         for idx in 0..frag_count {
             let len = remaining.min(self.cfg.mss);
             remaining -= len;
-            self.queue.push_back(PendingFrag {
-                msg_id,
-                frag_idx: idx,
-                frag_count,
-                len,
-                marked,
-                msg_sent_at: now,
-            });
+            self.frags.insert(
+                self.next_seq + self.unsent as u64,
+                Frag {
+                    msg_id,
+                    frag_idx: idx,
+                    frag_count,
+                    len,
+                    marked,
+                    msg_sent_at: now,
+                    tx_at: 0,
+                    retransmitted: false,
+                    dup_hint: 0,
+                    lost_pending: false,
+                },
+            );
+            self.unsent += 1;
         }
         SendOutcome::Queued {
             msg_id,
@@ -420,7 +450,9 @@ impl SenderConn {
 
     /// All sequence numbers below this are acknowledged or abandoned.
     fn done_floor(&self) -> u64 {
-        self.inflight.first_seq().unwrap_or(self.next_seq)
+        self.frags
+            .first_seq()
+            .map_or(self.next_seq, |seq| seq.min(self.next_seq))
     }
 
     /// Whether the loss tolerance admits abandoning one more segment.
@@ -435,22 +467,23 @@ impl SenderConn {
         ((self.abandoned_total + 1) as f64 / (completed + 1) as f64) < self.peer_tolerance
     }
 
-    /// Handles a segment declared lost: retransmit or abandon.
+    /// Handles an in-flight segment declared lost: retransmit or
+    /// abandon.
     fn on_segment_lost(&mut self, now: Time, seq: u64) {
-        let Some(entry) = self.inflight.get(seq) else {
+        let Some(entry) = self.frags.get(seq) else {
             return;
         };
         if entry.lost_pending {
             return;
         }
-        let marked = entry.frag.marked;
+        let marked = entry.marked;
         self.meter.on_loss();
         if marked || !self.may_abandon() {
-            let entry = self.inflight.get_mut(seq).expect("checked above");
+            let entry = self.frags.get_mut(seq).expect("checked above");
             entry.lost_pending = true;
             self.retx_queue.push_back(seq);
         } else {
-            self.inflight.take(seq);
+            self.frags.take(seq);
             self.abandoned_total += 1;
             self.stats.segments_abandoned += 1;
             self.fwd_dirty = true;
@@ -472,12 +505,12 @@ impl SenderConn {
                 self.state = SenderState::Established;
                 self.peer_tolerance = *loss_tolerance;
                 self.peer_window = (*recv_window).max(1);
-                self.events.push(ConnEvent::Connected);
+                self.events.push_back(ConnEvent::Connected);
             }
             Segment::Ack(ack) => self.on_ack(now, ack),
             Segment::FinAck if self.state == SenderState::FinSent => {
                 self.state = SenderState::Closed;
-                self.events.push(ConnEvent::Finished);
+                self.events.push_back(ConnEvent::Finished);
             }
             // Data/Syn/Fwd/Fin are receiver-bound; ignore.
             _ => {}
@@ -503,22 +536,26 @@ impl SenderConn {
         // The receiver may have re-adapted its reliability requirement.
         self.peer_tolerance = ack.loss_tolerance;
 
+        // Only what was transmitted can be acknowledged: every bound
+        // below is clamped to `next_seq`, past which the ring holds the
+        // unsent backlog.
+        let sent_end = self.next_seq;
         // Cumulative: everything below cum_ack is done at the receiver.
         // Popping from the ring head is exactly this drain.
         let mut newly_acked: u32 = 0;
-        while let Some((_, e)) = self.inflight.pop_first_below(ack.cum_ack) {
+        while let Some((_, e)) = self.frags.pop_first_below(ack.cum_ack.min(sent_end)) {
             self.note_acked(&e);
             newly_acked += 1;
         }
         // Selective: ranges above cum_ack. Ranges are receiver-observed
         // sequence runs, so they are bounded by the in-flight window;
-        // clamp to the ring's live span and probe each slot directly.
+        // clamp to it and probe each slot directly.
         for &(start, end) in &ack.sack {
-            let lo = start.max(self.inflight.first_seq().unwrap_or(u64::MAX));
-            let hi = end.min(self.inflight.end_seq());
+            let lo = start.max(self.frags.first_seq().unwrap_or(u64::MAX));
+            let hi = end.min(sent_end);
             let mut seq = lo;
             while seq < hi {
-                if let Some(e) = self.inflight.take(seq) {
+                if let Some(e) = self.frags.take(seq) {
                     self.note_acked(&e);
                     newly_acked += 1;
                 }
@@ -544,10 +581,8 @@ impl SenderConn {
         }
         // Loss detection: anything still in flight below the highest
         // sequence the receiver has seen gathers a dup hint per ACK.
-        // The scratch buffer collects the seqs crossing the threshold
-        // (abandonment below re-borrows `inflight`), and returning it to
-        // `self` preserves its capacity so this never allocates in
-        // steady state.
+        // `scratch_seqs` collects the seqs crossing the threshold
+        // (abandonment below re-borrows the ring).
         //
         // When the SACK block is full the receiver may have had more
         // reassembly holes than the wire format carries, and everything
@@ -566,26 +601,25 @@ impl SenderConn {
         } else {
             ack.highest_seen
         };
-        let mut seqs = std::mem::take(&mut self.scratch_seqs);
-        seqs.clear();
         let dupack_threshold = self.cfg.dupack_threshold;
-        self.inflight
-            .for_each_mut_below(dup_horizon, |seq, entry| {
+        self.frags
+            .for_each_mut_below(dup_horizon.min(sent_end), |seq, entry| {
                 if entry.lost_pending {
                     return;
                 }
                 entry.dup_hint += 1;
                 if entry.dup_hint >= dupack_threshold {
-                    seqs.push(seq);
+                    self.scratch_seqs.push_back(seq);
                 }
             });
-        for &seq in &seqs {
+        let any_lost = !self.scratch_seqs.is_empty();
+        while let Some(seq) = self.scratch_seqs.pop_front() {
             self.on_segment_lost(now, seq);
         }
         // One *loss event* per ACK, no matter how many segments crossed
         // the threshold together — the classic one-reduction-per-window
         // approximation. (RTO losses react in `on_tick` instead.)
-        if !seqs.is_empty() {
+        if any_lost {
             let before = self.cc.cwnd();
             let cwnd = self.cc.on_loss(now);
             if cwnd != before {
@@ -599,14 +633,12 @@ impl SenderConn {
                 );
             }
         }
-
-        self.scratch_seqs = seqs;
     }
 
-    fn note_acked(&mut self, e: &InFlight) {
+    fn note_acked(&mut self, e: &Frag) {
         self.stats.segments_acked += 1;
-        self.stats.bytes_acked += u64::from(e.frag.len);
-        self.meter.on_acked(u64::from(e.frag.len));
+        self.stats.bytes_acked += u64::from(e.len);
+        self.meter.on_acked(u64::from(e.len));
     }
 
     /// Clock tick: retransmission timeouts, handshake retries, and
@@ -629,13 +661,7 @@ impl SenderConn {
                 // removing it from the earliest-outstanding search, and
                 // the per-iteration Karn backoff pushes the RTO out for
                 // whatever remains.
-                loop {
-                    let earliest = self
-                        .inflight
-                        .iter()
-                        .find(|(_, e)| !e.lost_pending)
-                        .map(|(seq, e)| (seq, e.tx_at));
-                    let Some((seq, tx_at)) = earliest else { break };
+                while let Some((seq, tx_at)) = self.earliest_outstanding() {
                     if now < tx_at + self.rtt.rto() {
                         break;
                     }
@@ -667,7 +693,7 @@ impl SenderConn {
                     let new_cwnd = self.cc.on_period(now, &cond);
                     let mut cond = cond;
                     cond.cwnd = new_cwnd;
-                    self.events.push(ConnEvent::PeriodEnded(cond));
+                    self.events.push_back(ConnEvent::PeriodEnded(cond));
                     self.telemetry.emit_with(now, self.telemetry_flow, || {
                         TelemetryEvent::PeriodSample {
                             eratio: cond.eratio,
@@ -700,7 +726,7 @@ impl SenderConn {
                         ThreshZone::Mid
                     };
                     if zone == ThreshZone::High {
-                        self.events.push(ConnEvent::UpperThreshold(cond));
+                        self.events.push_back(ConnEvent::UpperThreshold(cond));
                         self.telemetry.emit(
                             now,
                             self.telemetry_flow,
@@ -711,7 +737,7 @@ impl SenderConn {
                         );
                     }
                     if zone == ThreshZone::Low && self.cfg.lower_threshold.is_some() {
-                        self.events.push(ConnEvent::LowerThreshold(cond));
+                        self.events.push_back(ConnEvent::LowerThreshold(cond));
                         self.telemetry.emit(
                             now,
                             self.telemetry_flow,
@@ -745,8 +771,8 @@ impl SenderConn {
             SenderState::SynSent | SenderState::FinSent => self.handshake_deadline,
             SenderState::Established => {
                 let mut t = self.meter.deadline();
-                if let Some((_, entry)) = self.inflight.iter().find(|(_, e)| !e.lost_pending) {
-                    t = t.min(entry.tx_at + self.rtt.rto());
+                if let Some((_, tx_at)) = self.earliest_outstanding() {
+                    t = t.min(tx_at + self.rtt.rto());
                 }
                 t
             }
@@ -757,7 +783,7 @@ impl SenderConn {
     /// Whether a new (never-transmitted) segment fits in the windows.
     fn can_send_new(&self) -> bool {
         let window = self.cc.cwnd_segments().min(self.peer_window).max(1) as usize;
-        self.inflight.len() < window
+        self.inflight_len() < window
     }
 
     /// Produces the next segment to put on the wire, if any.
@@ -803,7 +829,7 @@ impl SenderConn {
         }
         // 2. Retransmissions (window-exempt: they do not grow in-flight).
         while let Some(seq) = self.retx_queue.pop_front() {
-            let Some(entry) = self.inflight.get_mut(seq) else {
+            let Some(entry) = self.frags.get_mut(seq) else {
                 continue; // acked or abandoned meanwhile
             };
             entry.tx_at = now;
@@ -813,54 +839,47 @@ impl SenderConn {
             self.stats.segments_sent += 1;
             self.stats.retransmits += 1;
             self.meter.on_send();
-            let f = &entry.frag;
             return Some(Segment::Data(DataSeg {
                 seq,
-                msg_id: f.msg_id,
-                frag_idx: f.frag_idx,
-                frag_count: f.frag_count,
-                len: f.len,
-                marked: f.marked,
+                msg_id: entry.msg_id,
+                frag_idx: entry.frag_idx,
+                frag_count: entry.frag_count,
+                len: entry.len,
+                marked: entry.marked,
                 fwd_seq,
-                msg_sent_at: f.msg_sent_at,
+                msg_sent_at: entry.msg_sent_at,
                 tx_at: now,
                 retransmit: true,
             }));
         }
-        // 3. Fresh data within the congestion/flow windows.
-        if self.can_send_new() {
-            if let Some(frag) = self.queue.pop_front() {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.stats.segments_sent += 1;
-                self.meter.on_send();
-                let seg = DataSeg {
-                    seq,
-                    msg_id: frag.msg_id,
-                    frag_idx: frag.frag_idx,
-                    frag_count: frag.frag_count,
-                    len: frag.len,
-                    marked: frag.marked,
-                    fwd_seq,
-                    msg_sent_at: frag.msg_sent_at,
-                    tx_at: now,
-                    retransmit: false,
-                };
-                self.inflight.insert(
-                    seq,
-                    InFlight {
-                        frag,
-                        tx_at: now,
-                        retransmitted: false,
-                        dup_hint: 0,
-                        lost_pending: false,
-                    },
-                );
-                return Some(Segment::Data(seg));
-            }
+        // 3. Fresh data within the congestion/flow windows: the oldest
+        // unsent fragment becomes in flight where it sits.
+        if self.unsent > 0 && self.can_send_new() {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.unsent -= 1;
+            self.stats.segments_sent += 1;
+            self.meter.on_send();
+            let frag = self
+                .frags
+                .get_mut(seq)
+                .expect("unsent fragments sit from next_seq onwards");
+            frag.tx_at = now;
+            return Some(Segment::Data(DataSeg {
+                seq,
+                msg_id: frag.msg_id,
+                frag_idx: frag.frag_idx,
+                frag_count: frag.frag_count,
+                len: frag.len,
+                marked: frag.marked,
+                fwd_seq,
+                msg_sent_at: frag.msg_sent_at,
+                tx_at: now,
+                retransmit: false,
+            }));
         }
         // 4. Graceful close once everything is finished.
-        if self.finish_requested && self.queue.is_empty() && self.inflight.is_empty() {
+        if self.finish_requested && self.frags.is_empty() {
             self.state = SenderState::FinSent;
             self.handshake_deadline = now + self.rtt.rto();
             self.handshake_dirty = false;
@@ -894,26 +913,26 @@ impl SenderConn {
         h.write_bool(self.fwd_dirty);
         h.write_bool(self.handshake_dirty);
         h.write_u64(self.handshake_deadline.saturating_sub(now));
-        h.write_u64(self.queue.len() as u64);
-        for f in &self.queue {
+        h.write_u64(self.unsent as u64);
+        for (_, f) in self.frags.iter().skip(self.inflight_len()) {
             h.write_u64(f.msg_id);
             h.write_u64(u64::from(f.frag_idx));
             h.write_u64(u64::from(f.len));
             h.write_bool(f.marked);
         }
         h.write_u64(self.retx_queue.len() as u64);
-        for &seq in &self.retx_queue {
+        for &seq in self.retx_queue.iter() {
             h.write_u64(seq);
         }
-        h.write_u64(self.inflight.len() as u64);
-        for (seq, e) in self.inflight.iter() {
+        h.write_u64(self.inflight_len() as u64);
+        for (seq, e) in self.inflight() {
             h.write_u64(seq);
             h.write_u64(now.saturating_sub(e.tx_at));
             h.write_bool(e.retransmitted);
             h.write_u64(u64::from(e.dup_hint));
             h.write_bool(e.lost_pending);
-            h.write_bool(e.frag.marked);
-            h.write_u64(u64::from(e.frag.len));
+            h.write_bool(e.marked);
+            h.write_u64(u64::from(e.len));
         }
         self.cc.digest(now, h);
         self.rtt.digest(h);

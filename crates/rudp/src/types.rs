@@ -63,7 +63,7 @@ impl Default for RudpConfig {
 
 /// Asynchronous notifications surfaced by a connection; drained by the
 /// embedding agent after every input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum ConnEvent {
     /// Handshake completed.
     Connected,

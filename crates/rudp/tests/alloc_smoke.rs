@@ -1,21 +1,30 @@
-//! Zero-allocation smoke test for the steady-state ACK path.
+//! Zero-allocation smoke tests for the transport state machines.
 //!
-//! A counting global allocator wraps `System`; after a warm-up phase
-//! that sizes every ring, queue, and scratch buffer, a sustained
+//! A counting global allocator wraps `System`. *Warm*: after a warm-up
+//! phase that sizes every ring, queue, and scratch buffer, a sustained
 //! data → ACK → drain cycle between a [`SenderConn`] and a
-//! [`ReceiverConn`] must perform **zero** heap allocations. This pins
-//! the PR's zero-alloc claims: inline SACK storage in `AckSeg`,
-//! ring-buffer transport state, and the swap-style `take_*_into` /
-//! `clear_events` drain APIs.
+//! [`ReceiverConn`] must perform **zero** heap allocations (inline SACK
+//! storage in `AckSeg`, ring-buffer transport state, the `take_*_into`
+//! / `clear_events` drain APIs). *Cold*: so must the whole short life
+//! of a freshly built pair — handshake, four messages, a loss and its
+//! retransmission, close — because every container of a connection
+//! starts on inline storage (DESIGN.md §12); in a fleet of such flows
+//! the first touch of each used to be an allocator call, and under one
+//! malloc arena an allocator call on a pool worker is a global lock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use iq_rudp::{CcAlgorithm, ReceiverConn, RudpConfig, Segment, SenderConn};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// The counter is process-global and libtest runs tests on parallel
+/// threads: each test holds this while it measures.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -105,8 +114,89 @@ fn measure(algorithm: CcAlgorithm) -> u64 {
     delta
 }
 
+/// The whole life of a short flow on a freshly built pair, in-place
+/// drains included; returns the allocator calls it made once both
+/// halves existed.
+fn cold_flow(algorithm: CcAlgorithm) -> u64 {
+    const MS: u64 = 1_000_000;
+    let mut cfg = RudpConfig::default();
+    cfg.cc.algorithm = algorithm;
+    let mut s = SenderConn::new(7, cfg.clone());
+    let mut r = ReceiverConn::new(7, cfg);
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    // Handshake.
+    let syn = s.poll_transmit(0).expect("syn");
+    r.on_segment(0, &syn);
+    let synack = r.poll_transmit(0).expect("synack");
+    s.on_segment(MS, &synack);
+    assert!(matches!(s.pop_event(), Some(iq_rudp::ConnEvent::Connected)));
+    r.clear_events();
+    // Four one-segment messages; the initial window carries two.
+    for _ in 0..4 {
+        let _ = s.send_message(MS, 1000, true);
+    }
+    let _lost = s.poll_transmit(MS).expect("seq 0");
+    let second = s.poll_transmit(MS).expect("seq 1");
+    assert!(s.poll_transmit(MS).is_none(), "the initial window is two segments");
+    // Seq 0 never arrives; seq 1 is buffered out of order and SACKed.
+    r.on_segment(2 * MS, &second);
+    let sack = r.poll_transmit(2 * MS).expect("an out-of-order arrival is ACKed at once");
+    s.on_segment(3 * MS, &sack);
+    // The retransmission timer recovers it.
+    let mut now = 1_200 * MS;
+    s.on_tick(now);
+    let resent = s.poll_transmit(now).expect("the RTO resends seq 0");
+    assert!(matches!(&resent, Segment::Data(d) if d.seq == 0 && d.retransmit));
+    // From here on, ship whatever either side has until both close,
+    // the way the agents do: after every segment the sink drains
+    // its messages and events and its replies leave.
+    let mut delivered = 0;
+    let mut arrive = |s: &mut SenderConn, r: &mut ReceiverConn, now: u64, seg: &Segment| {
+        r.on_segment(now, seg);
+        while r.pop_message().is_some() {
+            delivered += 1;
+        }
+        r.clear_events();
+        while let Some(reply) = r.poll_transmit(now) {
+            s.on_segment(now, &reply);
+        }
+    };
+    arrive(&mut s, &mut r, now, &resent);
+    s.finish();
+    for _ in 0..20 {
+        now += 5 * MS;
+        s.on_tick(now);
+        while let Some(seg) = s.poll_transmit(now) {
+            arrive(&mut s, &mut r, now, &seg);
+        }
+        while s.pop_event().is_some() {}
+    }
+    assert_eq!(delivered, 4);
+    assert!(s.is_closed() && r.is_finished());
+    assert_eq!(s.stats().retransmits, 1);
+    ALLOC_CALLS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn a_short_flow_on_a_fresh_pair_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The adaptive controllers, which all open with a two-segment
+    // window (a pinned 64-segment one would put three segments behind
+    // the hole, one more than the reorder ring holds inline).
+    for alg in CcAlgorithm::all_adaptive() {
+        let name = alg.name();
+        // Best of three, for the reason given in `measure`.
+        let calls = (0..3).map(|_| cold_flow(alg.clone())).min().unwrap();
+        assert_eq!(
+            calls, 0,
+            "a four-message flow with one loss made {calls} allocator calls under {name}"
+        );
+    }
+}
+
 #[test]
 fn steady_state_ack_path_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Every controller must hold the zero-alloc line: the trait seam is
     // enum dispatch stored inline in the sender (no `Box<dyn>`), and
     // the controllers themselves keep their state in fixed arrays.

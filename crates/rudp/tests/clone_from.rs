@@ -2,10 +2,11 @@
 //! can refill a scratch connection without reallocating (the model
 //! checker does it once per transition). A hand-written `clone_from`
 //! can forget a field, so this holds it to `clone()`: refilling a fresh
-//! connection, or a dirtier one with longer queues and a larger ring
-//! slab, must give a value whose `Debug` rendering — every field, the
-//! ring's physical layout included — equals the clone's, and which
-//! behaves identically from there on.
+//! connection (every container on its inline storage), or a dirtier
+//! one with spilled queues and rings on large heap slabs, must give a
+//! value whose `Debug` rendering — every field, the rings' physical
+//! layout included — equals the clone's, and which behaves identically
+//! from there on.
 
 use iq_rudp::{AckSeg, ReceiverConn, RudpConfig, Segment, SenderConn};
 
@@ -63,8 +64,9 @@ fn worn_pair() -> (SenderConn, ReceiverConn, Segment) {
 }
 
 /// A pair under a different configuration with far more outstanding:
-/// 48 segments in flight (a 64-slot ring), as many again queued, and a
-/// 64-slot reorder buffer behind a hole at sequence 0.
+/// 48 segments in flight and as many again unsent (a 128-slot fragment
+/// ring on the heap), and a 64-slot reorder buffer behind a hole at
+/// sequence 0, its 47 ACKs spilled from the outbox.
 fn dirtier_pair() -> (SenderConn, ReceiverConn) {
     let mut cfg = RudpConfig::default();
     cfg.cc.initial_cwnd = 48.0;

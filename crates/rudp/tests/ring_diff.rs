@@ -6,15 +6,23 @@
 //! (forward, duplicate, and below the current head), point removals,
 //! in-order pops, cumulative drains that cross holes (the `cum_ack` /
 //! `fwd_seq` abandonment paths), and bounded mutation sweeps — over
-//! randomized op streams with loss, reordering, and skips.
+//! randomized op streams with loss, reordering, and skips. Every ring
+//! starts on its inline slab, so the streams also carry it across the
+//! move to the heap, stretched forwards and re-anchored backwards.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use iq_rudp::SeqRing;
 use proptest::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
+/// Inline→heap moves the random-op streams made, by the insert that
+/// caused them: past the window's end, and below its head.
+static MOVED_FORWARD: AtomicUsize = AtomicUsize::new(0);
+static MOVED_BACKWARD: AtomicUsize = AtomicUsize::new(0);
+
 /// Asserts the ring and map agree on everything a caller can observe.
-fn assert_same(ring: &SeqRing<u32>, model: &BTreeMap<u64, u32>) {
+fn assert_same<const FIRST: usize>(ring: &SeqRing<u32, FIRST>, model: &BTreeMap<u64, u32>) {
     prop_assert_eq!(ring.len(), model.len());
     prop_assert_eq!(ring.is_empty(), model.is_empty());
     prop_assert_eq!(ring.first_seq(), model.first_key_value().map(|(&k, _)| k));
@@ -26,88 +34,103 @@ fn assert_same(ring: &SeqRing<u32>, model: &BTreeMap<u64, u32>) {
     }
 }
 
+/// Runs one random op stream against a ring with `FIRST` inline slots
+/// and the map, comparing after every op.
+fn random_ops_match<const FIRST: usize>(ops: &[(u32, u64)]) {
+    let mut ring: SeqRing<u32, FIRST> = SeqRing::new();
+    let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut cursor = 16u64; // headroom for below-head inserts
+    let mut tick = 0u32;
+
+    for &(op, raw) in ops {
+        tick += 1;
+        let inline = ring.capacity() == FIRST;
+        match op {
+            // Forward insert at (or slightly past) the cursor,
+            // leaving reorder holes behind.
+            0 => {
+                let seq = cursor + raw % 4;
+                cursor = seq + 1;
+                prop_assert_eq!(ring.insert(seq, tick), model.insert(seq, tick));
+            }
+            // Insert at or below the current head: the ring must
+            // re-anchor (and possibly grow) without losing entries.
+            1 => {
+                let head = ring.first_seq().unwrap_or(cursor);
+                let seq = head.saturating_sub(raw % 8);
+                prop_assert_eq!(ring.insert(seq, tick), model.insert(seq, tick));
+            }
+            // Point removal of an existing key (SACK-style).
+            2 => {
+                let seq = model
+                    .keys()
+                    .nth(raw as usize % model.len().max(1))
+                    .copied()
+                    .unwrap_or(raw);
+                prop_assert_eq!(ring.take(seq), model.remove(&seq));
+            }
+            // Point removal of an arbitrary (likely absent) key.
+            3 => {
+                prop_assert_eq!(ring.take(raw), model.remove(&raw));
+            }
+            // In-order pop.
+            4 => {
+                prop_assert_eq!(ring.pop_first(), model.pop_first());
+            }
+            // Cumulative drain below a bound, crossing holes — the
+            // `cum_ack` / `fwd_seq` abandonment path. The bound can
+            // land far past the head.
+            5 => {
+                let bound = ring.first_seq().unwrap_or(0) + raw;
+                loop {
+                    let want = model
+                        .first_key_value()
+                        .filter(|&(&k, _)| k < bound)
+                        .map(|(&k, &v)| (k, v));
+                    let got = ring.pop_first_below(bound);
+                    prop_assert_eq!(got, want);
+                    if want.is_none() {
+                        break;
+                    }
+                    model.pop_first();
+                }
+            }
+            // Bounded mutation sweep (the dup-ack hint scan).
+            _ => {
+                let bound = ring.first_seq().unwrap_or(0) + raw;
+                let mut visited = Vec::new();
+                ring.for_each_mut_below(bound, |seq, v| {
+                    *v = v.wrapping_add(1);
+                    visited.push(seq);
+                });
+                let mut expected = Vec::new();
+                for (&k, v) in model.range_mut(..bound) {
+                    *v = v.wrapping_add(1);
+                    expected.push(k);
+                }
+                prop_assert_eq!(visited, expected, "sweep order/coverage");
+            }
+        }
+        assert_same(&ring, &model);
+        if inline && ring.capacity() > FIRST {
+            // Only an insert widens the window.
+            let moved = if op == 0 { &MOVED_FORWARD } else { &MOVED_BACKWARD };
+            moved.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    #[test]
-    fn ring_matches_btreemap_under_random_ops(
+    /// The cases behind [`ring_matches_btreemap_under_random_ops`], on
+    /// the receiver's two inline slots, the default four, and eight.
+    fn random_op_cases(
         ops in prop::collection::vec((0u32..7, 0u64..48), 1..400),
     ) {
-        let mut ring: SeqRing<u32> = SeqRing::new();
-        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut cursor = 16u64; // headroom for below-head inserts
-        let mut tick = 0u32;
-
-        for &(op, raw) in &ops {
-            tick += 1;
-            match op {
-                // Forward insert at (or slightly past) the cursor,
-                // leaving reorder holes behind.
-                0 => {
-                    let seq = cursor + raw % 4;
-                    cursor = seq + 1;
-                    prop_assert_eq!(ring.insert(seq, tick), model.insert(seq, tick));
-                }
-                // Insert at or below the current head: the ring must
-                // re-anchor (and possibly grow) without losing entries.
-                1 => {
-                    let head = ring.first_seq().unwrap_or(cursor);
-                    let seq = head.saturating_sub(raw % 8);
-                    prop_assert_eq!(ring.insert(seq, tick), model.insert(seq, tick));
-                }
-                // Point removal of an existing key (SACK-style).
-                2 => {
-                    let seq = model
-                        .keys()
-                        .nth(raw as usize % model.len().max(1))
-                        .copied()
-                        .unwrap_or(raw);
-                    prop_assert_eq!(ring.take(seq), model.remove(&seq));
-                }
-                // Point removal of an arbitrary (likely absent) key.
-                3 => {
-                    prop_assert_eq!(ring.take(raw), model.remove(&raw));
-                }
-                // In-order pop.
-                4 => {
-                    prop_assert_eq!(ring.pop_first(), model.pop_first());
-                }
-                // Cumulative drain below a bound, crossing holes — the
-                // `cum_ack` / `fwd_seq` abandonment path. The bound can
-                // land far past the head.
-                5 => {
-                    let bound = ring.first_seq().unwrap_or(0) + raw;
-                    loop {
-                        let want = model
-                            .first_key_value()
-                            .filter(|&(&k, _)| k < bound)
-                            .map(|(&k, &v)| (k, v));
-                        let got = ring.pop_first_below(bound);
-                        prop_assert_eq!(got, want);
-                        if want.is_none() {
-                            break;
-                        }
-                        model.pop_first();
-                    }
-                }
-                // Bounded mutation sweep (the dup-ack hint scan).
-                _ => {
-                    let bound = ring.first_seq().unwrap_or(0) + raw;
-                    let mut visited = Vec::new();
-                    ring.for_each_mut_below(bound, |seq, v| {
-                        *v = v.wrapping_add(1);
-                        visited.push(seq);
-                    });
-                    let mut expected = Vec::new();
-                    for (&k, v) in model.range_mut(..bound) {
-                        *v = v.wrapping_add(1);
-                        expected.push(k);
-                    }
-                    prop_assert_eq!(visited, expected, "sweep order/coverage");
-                }
-            }
-            assert_same(&ring, &model);
-        }
+        random_ops_match::<2>(&ops);
+        random_ops_match::<4>(&ops);
+        random_ops_match::<8>(&ops);
     }
 
     /// A receiver-shaped stream: segments from a sliding window arrive
@@ -119,7 +142,7 @@ proptest! {
         arrivals in prop::collection::vec((0u64..24, prop::bool::weighted(0.8)), 1..300),
         fwd_step in 1u64..40,
     ) {
-        let mut ring: SeqRing<u32> = SeqRing::new();
+        let mut ring: SeqRing<u32, 2> = SeqRing::new();
         let mut model: BTreeMap<u64, u32> = BTreeMap::new();
         let mut base = 0u64;
         let mut floor = 0u64;
@@ -152,4 +175,19 @@ proptest! {
         }
         assert_same(&ring, &model);
     }
+}
+
+#[test]
+fn ring_matches_btreemap_under_random_ops() {
+    random_op_cases();
+    // The streams are seeded, so this is a fact about them, not luck:
+    // they move rings to the heap in both directions, many times over.
+    let (forward, backward) = (
+        MOVED_FORWARD.load(Ordering::Relaxed),
+        MOVED_BACKWARD.load(Ordering::Relaxed),
+    );
+    assert!(
+        forward >= 32 && backward >= 32,
+        "inline→heap moves: {forward} forward, {backward} on a backward re-anchor"
+    );
 }
