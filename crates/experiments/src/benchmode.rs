@@ -1,32 +1,25 @@
-//! The end-to-end simulator benchmark behind `iqrudp bench`.
+//! The reproduction gate behind `iqrudp bench`.
 //!
-//! Runs a fixed, deterministic scenario sweep chosen to exercise every
-//! hot path of `iq-netsim` (event scheduling, timer churn, per-hop
-//! routing, queueing, loss recovery) and writes the measurements to
-//! `BENCH_netsim.json` so the performance trajectory of the simulator is
-//! tracked in-repo from PR to PR.
+//! Runs a fixed, deterministic scenario sweep — the paper's coordinated,
+//! marking and conflict workloads, the extra congestion controllers, and
+//! the 100k-flow fleet with its 1/2/4/8-worker shard curve — and reduces
+//! each scenario to the three numbers no PR may move by accident:
+//! `events`, `fingerprint` and `counter_fingerprint`. `BENCH_netsim.json`
+//! commits them, one scenario per line, so `git diff` of that file is
+//! the drift report; `--check FILE` fails (non-zero exit) when the run
+//! and the file disagree on the sweep size, the scenario names or their
+//! order, or any of the three numbers, and `--out FILE` writes the run.
 //!
-//! The JSON file holds two sections:
-//!
-//! * `baseline` — the floor laid down the first time the bench ran (the
-//!   pre-overhaul `BinaryHeap`-scheduler simulator). It is carried
-//!   forward verbatim on every subsequent run so before/after evidence
-//!   never disappears.
-//! * `current` — the most recent measurement.
-//!
-//! `--check FILE` compares a fresh run against the `current` section of
-//! a committed file and fails (non-zero exit) when any scenario's
-//! `events`, `fingerprint` or `counter_fingerprint` differs from the
-//! committed one (same sweep size only), or when aggregate events/sec
-//! regressed by more than `--max-regress` (default 20 %). CI uses this
-//! as a smoke gate.
+//! Nothing here measures time or memory: speed claims are made and
+//! judged in `benchmark/`, and `--timing`'s stderr lines are for a human.
 
-use std::time::Instant;
-
-use crate::runner::{run_specs, ScenarioSpec};
+use crate::runner::{run_specs, ScenarioReport, ScenarioSpec};
 use crate::scenario::{app_frame_sizes, PolicySpec, Scenario, Scheme, VbrSpec};
 use crate::tables::{conflict_scenario, Size};
 use iq_rudp::CcAlgorithm;
+
+/// The schema string a reference file must carry.
+const SCHEMA: &str = "iq-bench-netsim/v4";
 
 /// Options for one bench invocation (a parsed `iqrudp bench` command
 /// line).
@@ -34,50 +27,22 @@ use iq_rudp::CcAlgorithm;
 pub struct BenchOptions {
     /// Workload scale (1.0 = the committed reference scale).
     pub size: Size,
-    /// Where the measurement JSON is written.
-    pub out_path: String,
-    /// When set, compare against the `current` section of this file.
+    /// When set, the run is written to this file.
+    pub out_path: Option<String>,
+    /// When set, the run must reproduce this file.
     pub check_path: Option<String>,
-    /// Allowed fractional events/sec regression before `--check` fails.
-    pub max_regress: f64,
-    /// Free-form label recorded with the measurement (e.g. which
-    /// scheduler implementation produced it).
-    pub label: String,
     /// When set, run only the scenario with this name (plus, for
     /// `mega_flows`, its shard scaling curve).
     pub only: Option<String>,
 }
 
-impl Default for BenchOptions {
-    fn default() -> Self {
-        Self {
-            size: Size::FULL,
-            out_path: "BENCH_netsim.json".to_string(),
-            check_path: None,
-            max_regress: 0.20,
-            label: "netsim".to_string(),
-            only: None,
-        }
-    }
-}
-
-/// One scenario's measurement.
-#[derive(Debug, Clone)]
+/// One scenario's deterministic outputs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchScenario {
     /// Scenario name (stable across runs).
     pub name: String,
     /// Simulator events processed.
     pub events: u64,
-    /// Host wall-clock seconds.
-    pub wall_s: f64,
-    /// Events per second of host time.
-    pub events_per_sec: f64,
-    /// Resident-set growth across this scenario's run, bytes (see
-    /// [`crate::runner::ScenarioReport::peak_rss_bytes`]).
-    pub peak_rss_bytes: u64,
-    /// OS threads used for intra-scenario sharded execution (1 for the
-    /// one-shard scenarios).
-    pub shards: u32,
     /// Order-sensitive hash of the scenario's full determinism
     /// fingerprint (metrics, jitter series, telemetry bytes, counter
     /// fingerprint). Two runs of the same workload — at any `--shards`
@@ -88,72 +53,15 @@ pub struct BenchScenario {
     /// Byte-identical across `-j` and `--shards`, gated by the shard
     /// curve check.
     pub counter_fingerprint: u64,
-    /// Per-shard wall-clock phase breakdown (engine plane; one entry
-    /// for one-shard scenarios). Rendered into the non-gated `profile`
-    /// section of the JSON.
-    pub profile: Vec<iq_obs::PhaseSnapshot>,
-    /// Worker utilization (engine plane): the share of `run wall ×
-    /// workers` spent executing events, the run wall being the longest
-    /// shard profile and the workers the pool's size. Close to 1.0 for a
-    /// one-shard scenario, which never waits on a neighbor.
-    pub utilization: f64,
-    /// Shard-scheduler totals (engine plane; all zero for the
-    /// one-shard scenarios — see [`iq_netsim::SchedTotals`]).
-    pub sched: iq_netsim::SchedTotals,
 }
 
-/// Worker utilization of a run from its per-shard phase profile: total
-/// execute nanos over `run wall × workers`. Every shard's profile spans
-/// the whole run phase (a shard nobody is running counts as idle), so
-/// the run wall is the longest of them, and what the pool could have
-/// executed is that much on each of its `workers` threads — not on each
-/// shard, of which there may be many more. Empty or unprofiled input
-/// reports 1.0.
-pub(crate) fn utilization(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
-    let capacity = run_wall_nanos(profile) * workers.max(1);
-    if capacity == 0 {
-        return 1.0;
-    }
-    let execute: u64 = profile
-        .iter()
-        .map(|s| s.nanos[iq_obs::Phase::Execute as usize])
-        .sum();
-    execute as f64 / capacity as f64
-}
-
-/// Seconds each of `workers` threads spent on no shard at all — neither
-/// executing, draining ingress nor flushing — averaged over the pool:
-/// the run wall minus a worker's share of the busy phases.
-pub(crate) fn idle_s_per_worker(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
-    let idle = iq_obs::Phase::Idle as usize;
-    let busy: u64 = profile.iter().map(|s| s.total_nanos() - s.nanos[idle]).sum();
-    let per_worker = busy as f64 / workers.max(1) as f64;
-    (run_wall_nanos(profile) as f64 - per_worker).max(0.0) / 1e9
-}
-
-fn run_wall_nanos(profile: &[iq_obs::PhaseSnapshot]) -> u64 {
-    profile.iter().map(|s| s.total_nanos()).max().unwrap_or(0)
-}
-
-/// One full sweep measurement.
-#[derive(Debug, Clone)]
+/// One sweep: what ran, or what a reference file records.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchRun {
-    /// Label describing what was measured.
-    pub label: String,
     /// Workload scale the sweep ran at.
     pub size: f64,
-    /// Per-scenario measurements, in declaration order.
+    /// Per-scenario outputs, in declaration order.
     pub scenarios: Vec<BenchScenario>,
-    /// Total events across the sweep.
-    pub total_events: u64,
-    /// Total wall-clock seconds across the sweep (sum of per-scenario
-    /// simulation time; excludes process startup).
-    pub total_wall_s: f64,
-    /// Aggregate events/sec (total events / total wall).
-    pub total_events_per_sec: f64,
-    /// Peak resident set size of the process, bytes (0 when the
-    /// platform does not expose it).
-    pub peak_rss_bytes: u64,
 }
 
 /// The fixed sweep: one scenario per hot-path profile.
@@ -265,518 +173,177 @@ fn scaled(size: Size, full: usize) -> usize {
     ((full as f64 * size.0) as usize).max(40)
 }
 
-fn to_bench_scenario(name: String, r: &crate::runner::ScenarioReport) -> BenchScenario {
+fn to_bench_scenario(name: String, r: &ScenarioReport) -> BenchScenario {
     BenchScenario {
         name,
         events: r.result.events_processed,
-        wall_s: r.wall_s,
-        events_per_sec: r.events_per_sec,
-        peak_rss_bytes: r.peak_rss_bytes,
-        shards: r.shards,
         fingerprint: crate::runner::result_fingerprint(&r.result),
         counter_fingerprint: r.result.obs.sim_fingerprint(),
-        utilization: utilization(&r.result.phase_profile, r.result.sched.workers),
-        sched: r.result.sched,
-        profile: r.result.phase_profile.clone(),
     }
 }
 
-/// Runs the sweep and aggregates the measurement.
+/// Renders a `BENCH_netsim.json` document: one scenario per line, every
+/// count and fingerprint a decimal integer.
+pub fn render_json(run: &BenchRun) -> String {
+    let rows: Vec<String> = run
+        .scenarios
+        .iter()
+        .map(|sc| {
+            format!(
+                "    {{\"name\": \"{}\", \"events\": {}, \"fingerprint\": {}, \
+                 \"counter_fingerprint\": {}}}",
+                sc.name, sc.events, sc.fingerprint, sc.counter_fingerprint
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"size\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        run.size,
+        rows.join(",\n")
+    )
+}
+
+/// The number after `"key":` in a JSON fragment (first match), read as
+/// `u64` for a fingerprint: all 64 bits are used, which no `f64` holds.
+fn number<T: std::str::FromStr>(json: &str, key: &str) -> Option<T> {
+    let needle = format!("\"{key}\":");
+    let rest = json[json.find(&needle)? + needle.len()..].trim_start();
+    let digits = rest.split(|c: char| !(c.is_ascii_digit() || c == '.')).next()?;
+    digits.parse().ok()
+}
+
+/// Parses a document [`render_json`] wrote. Anything but the v4 schema
+/// — the older ones carried wall-clock sections — is refused with the
+/// command that regenerates the file.
+fn parse_json(json: &str) -> Result<BenchRun, String> {
+    if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+        return Err(format!(
+            "not an {SCHEMA} file; regenerate it with \
+             `iqrudp --no-timing bench 1.0 --out BENCH_netsim.json`"
+        ));
+    }
+    let size = number(json, "size").ok_or("no `size`")?;
+    let mut scenarios = Vec::new();
+    for line in json.lines() {
+        let Some(name) = line.split("\"name\": \"").nth(1).and_then(|r| r.split('"').next()) else {
+            continue;
+        };
+        let field = |key| number(line, key).ok_or_else(|| format!("`{name}`: no `{key}`"));
+        scenarios.push(BenchScenario {
+            name: name.to_string(),
+            events: field("events")?,
+            fingerprint: field("fingerprint")?,
+            counter_fingerprint: field("counter_fingerprint")?,
+        });
+    }
+    Ok(BenchRun { size, scenarios })
+}
+
+/// Names `got` and each output on which it differs from `want`, the row
+/// it must reproduce (`whose` says where that one came from); `None`
+/// when the two agree.
+fn disagreement(got: &BenchScenario, want: &BenchScenario, whose: &str) -> Option<String> {
+    let diffs: Vec<String> = [
+        ("events", got.events, want.events),
+        ("fingerprint", got.fingerprint, want.fingerprint),
+        ("counter_fingerprint", got.counter_fingerprint, want.counter_fingerprint),
+    ]
+    .iter()
+    .filter(|(_, got, want)| got != want)
+    .map(|(field, got, want)| format!("{field} {got} ({whose} {want})"))
+    .collect();
+    (!diffs.is_empty()).then(|| format!("`{}`: {}", got.name, diffs.join(", ")))
+}
+
+/// One message per disagreement between the run and a reference. The
+/// workloads depend on the sweep size, so another size is itself one.
+/// Every scenario that ran must be in the reference; unless the run was
+/// a `subset` (`--only`), the reference must also hold nothing else, in
+/// the same order — a renamed or dropped scenario compares, and fails.
+fn drift(run: &BenchRun, reference: &BenchRun, subset: bool) -> Vec<String> {
+    if run.size != reference.size {
+        return vec![format!(
+            "size {} (committed {}): another size is another workload",
+            run.size, reference.size
+        )];
+    }
+    let mut drifted = Vec::new();
+    for now in &run.scenarios {
+        match reference.scenarios.iter().find(|r| r.name == now.name) {
+            Some(want) => drifted.extend(disagreement(now, want, "committed")),
+            None => drifted.push(format!("`{}`: not in the reference", now.name)),
+        }
+    }
+    if !subset {
+        let ran = |name: &String| run.scenarios.iter().any(|s| &s.name == name);
+        for want in reference.scenarios.iter().filter(|w| !ran(&w.name)) {
+            drifted.push(format!("`{}`: in the reference, not in this run", want.name));
+        }
+        let names = |r: &BenchRun| r.scenarios.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+        if drifted.is_empty() && names(run) != names(reference) {
+            drifted.push("scenarios are not in the reference's order".to_string());
+        }
+    }
+    drifted
+}
+
+/// Runs the sweep, compares it with `check_path` when that is set and
+/// writes it to `out_path` when that is (a run that failed a check is
+/// not written). After the sweep `mega_flows` is re-run serially at 1,
+/// 2, 4 and 8 shard threads and recorded as `mega_flows_shardsN`:
+/// determinism across thread counts is a hard property, not a perf
+/// budget, so every curve entry must reproduce the 1-thread one exactly.
 ///
-/// When the sweep includes `mega_flows`, the same workload is re-run
-/// serially at 1, 2, 4 and 8 shard threads afterwards and recorded as
-/// `mega_flows_shardsN` — the scaling curve of the parallel engine. The
-/// curve entries carry the same determinism fingerprint as each other
-/// (enforced by [`bench_main`]).
-pub fn run_bench(opts: &BenchOptions) -> BenchRun {
+/// Returns `Err` with a human-readable message when a check fails or a
+/// file cannot be read or written.
+pub fn bench_main(opts: &BenchOptions) -> Result<BenchRun, String> {
     let mut specs = bench_specs(opts.size);
     if let Some(only) = &opts.only {
         specs.retain(|s| &s.name == only);
         assert!(!specs.is_empty(), "bench: no scenario named `{only}`");
     }
-    let mega = specs.iter().find(|s| s.name == "mega_flows").cloned();
-    let start = Instant::now();
-    let reports = run_specs(&specs);
-    let mut scenarios: Vec<BenchScenario> = reports
+    let mut scenarios: Vec<BenchScenario> = run_specs(&specs)
         .iter()
         .map(|r| to_bench_scenario(r.name.clone(), r))
         .collect();
-    // The shard scaling curve: one worker thread per run so the curve
-    // entries never contend with each other for cores.
-    if let Some(mega) = mega {
+    if let Some(mega) = specs.iter().find(|s| s.name == "mega_flows") {
+        // One worker thread per run so the curve entries never contend
+        // with each other for cores.
         let before = crate::runner::shards();
+        let curve = scenarios.len();
         for n in [1usize, 2, 4, 8] {
             crate::runner::set_shards(n);
-            let reports = crate::runner::Executor::new(1).run(std::slice::from_ref(&mega));
+            let reports = crate::runner::Executor::new(1).run(std::slice::from_ref(mega));
             scenarios.push(to_bench_scenario(format!("mega_flows_shards{n}"), &reports[0]));
         }
         crate::runner::set_shards(before);
-    }
-    let total_wall_s = start.elapsed().as_secs_f64();
-    let total_events: u64 = scenarios.iter().map(|s| s.events).sum();
-    let total_events_per_sec = if total_wall_s > 0.0 {
-        total_events as f64 / total_wall_s
-    } else {
-        0.0
-    };
-    BenchRun {
-        label: opts.label.clone(),
-        size: opts.size.0,
-        scenarios,
-        total_events,
-        total_wall_s,
-        total_events_per_sec,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// Reads a kB-denominated field from `/proc/self/status` as bytes; 0
-/// where unavailable.
-#[allow(unused_variables)]
-fn proc_status_bytes(key: &str) -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix(key) {
-                    let kb: u64 = rest
-                        .trim_start_matches(':')
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
+        let first = &scenarios[curve];
+        for s in &scenarios[curve + 1..] {
+            if let Some(d) = disagreement(s, first, &first.name) {
+                return Err(format!("shard determinism violation: {d}"));
             }
         }
+        eprintln!("bench check: 2, 4 and 8 shard threads reproduce `{}` — ok", first.name);
     }
-    0
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); 0 where unavailable.
-pub fn peak_rss_bytes() -> u64 {
-    proc_status_bytes("VmHWM")
-}
-
-/// Current resident set size of this process in bytes (`VmRSS`); 0
-/// where unavailable. The executor samples this before and after each
-/// scenario to charge memory growth to the scenario that caused it.
-pub(crate) fn current_rss_bytes() -> u64 {
-    proc_status_bytes("VmRSS")
-}
-
-/// Whether this platform exposes process memory statistics
-/// (`/proc/self/status` on Linux). When it does not, the bench records
-/// `"mem_unavailable": true` and skips the RSS regression gate rather
-/// than silently comparing zeros.
-pub fn mem_stats_available() -> bool {
-    current_rss_bytes() > 0
-}
-
-/// Background `VmRSS` sampler: records the process-wide peak resident
-/// set between [`Self::start`] and [`Self::finish`], so a scenario is
-/// charged for its *transient* peak. The plain after-minus-before delta
-/// this replaces reported 0 for every scenario whose working set was
-/// freed before the final sample (`tcp_fairness`, `many_flows`, and
-/// `bbr_many_flows` all did).
-pub(crate) struct RssSampler {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<u64>>,
-    before: u64,
-}
-
-impl RssSampler {
-    /// Starts the sampling thread and records the baseline.
-    pub(crate) fn start() -> Self {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let before = current_rss_bytes();
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut peak = 0u64;
-            while !flag.load(Ordering::Acquire) {
-                peak = peak.max(current_rss_bytes());
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            peak
-        });
-        Self {
-            stop,
-            handle: Some(handle),
-            before,
-        }
-    }
-
-    /// Stops sampling and returns the peak-over-baseline delta in bytes.
-    /// The current RSS is folded in as a final sample, so the result is
-    /// never smaller than the old after-minus-before delta.
-    pub(crate) fn finish(mut self) -> u64 {
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        let peak = self
-            .handle
-            .take()
-            .and_then(|h| h.join().ok())
-            .unwrap_or(0);
-        peak.max(current_rss_bytes()).saturating_sub(self.before)
-    }
-}
-
-fn render_run(run: &BenchRun, indent: &str) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("{indent}  \"label\": \"{}\",\n", run.label));
-    s.push_str(&format!("{indent}  \"size\": {},\n", fmt_f64(run.size)));
-    s.push_str(&format!("{indent}  \"total_events\": {},\n", run.total_events));
-    s.push_str(&format!(
-        "{indent}  \"total_wall_s\": {},\n",
-        fmt_f64(run.total_wall_s)
-    ));
-    s.push_str(&format!(
-        "{indent}  \"total_events_per_sec\": {},\n",
-        fmt_f64(run.total_events_per_sec)
-    ));
-    s.push_str(&format!(
-        "{indent}  \"peak_rss_bytes\": {},\n",
-        run.peak_rss_bytes
-    ));
-    s.push_str(&format!(
-        "{indent}  \"mem_unavailable\": {},\n",
-        !mem_stats_available()
-    ));
-    s.push_str(&format!("{indent}  \"scenarios\": [\n"));
-    for (i, sc) in run.scenarios.iter().enumerate() {
-        let comma = if i + 1 < run.scenarios.len() { "," } else { "" };
-        s.push_str(&format!(
-            "{indent}    {{\"name\": \"{}\", \"events\": {}, \"wall_s\": {}, \"events_per_sec\": {}, \"peak_rss_bytes\": {}, \"shards\": {}, \"utilization\": {}, \"fingerprint\": {}, \"counter_fingerprint\": {}}}{comma}\n",
-            sc.name,
-            sc.events,
-            fmt_f64(sc.wall_s),
-            fmt_f64(sc.events_per_sec),
-            sc.peak_rss_bytes,
-            sc.shards,
-            fmt_f64(sc.utilization),
-            sc.fingerprint,
-            sc.counter_fingerprint
-        ));
-    }
-    s.push_str(&format!("{indent}  ]\n"));
-    s.push_str(&format!("{indent}}}"));
-    s
-}
-
-fn fmt_f64(v: f64) -> String {
-    // Enough digits to round-trip the magnitudes we store, without the
-    // noise of full f64 precision in a committed file.
-    if v == 0.0 {
-        "0".to_string()
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
-/// Renders the wall-clock phase breakdown of the sweep: one entry per
-/// scenario, one object per shard. Engine-plane data — informational
-/// only, never gated by `--check` (the timings vary run to run).
-fn render_profile(run: &BenchRun, indent: &str) -> String {
-    use iq_obs::Phase;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let with_profile: Vec<&BenchScenario> = run
-        .scenarios
-        .iter()
-        .filter(|sc| sc.profile.iter().any(|p| p.total_nanos() > 0))
-        .collect();
-    for (i, sc) in with_profile.iter().enumerate() {
-        let comma = if i + 1 < with_profile.len() { "," } else { "" };
-        s.push_str(&format!(
-            "{indent}  \"{}\": {{\"utilization\": {}, \"steals\": {}, \"parks\": {}, \"wakes\": {}, \"worker_parks\": {}, \"shards\": [",
-            sc.name,
-            fmt_f64(sc.utilization),
-            sc.sched.steals,
-            sc.sched.parks,
-            sc.sched.wakes,
-            sc.sched.worker_parks,
-        ));
-        for (shard, p) in sc.profile.iter().enumerate() {
-            if shard > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"shard\": {shard}, \"idle_s\": {}, \"ingress_s\": {}, \"execute_s\": {}, \"flush_s\": {}}}",
-                fmt_f64(p.seconds(Phase::Idle)),
-                fmt_f64(p.seconds(Phase::Ingress)),
-                fmt_f64(p.seconds(Phase::Execute)),
-                fmt_f64(p.seconds(Phase::Flush)),
-            ));
-        }
-        s.push_str(&format!("]}}{comma}\n"));
-    }
-    s.push_str(&format!("{indent}}}"));
-    s
-}
-
-/// Renders the full `BENCH_netsim.json` document.
-pub fn render_json(baseline: &str, current: &BenchRun) -> String {
-    format!(
-        "{{\n  \"schema\": \"iq-bench-netsim/v3\",\n  \"baseline\": {},\n  \"current\": {},\n  \"profile\": {}\n}}\n",
-        baseline,
-        render_run(current, "  "),
-        render_profile(current, "  ")
-    )
-}
-
-/// Extracts the raw JSON object following `"key":` (brace-matched), so
-/// a previously committed `baseline` section can be carried forward
-/// without a full JSON parser.
-pub fn extract_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let open = rest.find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in rest[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open..open + i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The text of a named number in a JSON object fragment (first match).
-fn number_text<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-/// Extracts a named number from a JSON object fragment (first match).
-pub fn extract_number(json: &str, key: &str) -> Option<f64> {
-    number_text(json, key)?.parse().ok()
-}
-
-/// Compares the run's deterministic outputs — `events`, `fingerprint`,
-/// `counter_fingerprint` — with those a reference `current` section
-/// records for the scenarios of the same name, and returns one message
-/// per scenario that drifted. Fingerprints are parsed as `u64`: they use
-/// all 64 bits, which an `f64` cannot hold. Workloads depend on the
-/// sweep size, so a reference measured at another size compares nothing.
-fn fingerprint_drift(run: &BenchRun, reference: &str) -> Vec<String> {
-    if extract_number(reference, "size") != Some(run.size) {
-        eprintln!(
-            "bench check: reference was measured at another size; fingerprints not compared"
-        );
-        return Vec::new();
-    }
-    let field = |line: &str, key: &str| number_text(line, key)?.parse::<u64>().ok();
-    let mut drifted = Vec::new();
-    let mut compared = 0;
-    for line in reference.lines() {
-        let Some(name) = line.split("\"name\": \"").nth(1).and_then(|r| r.split('"').next()) else {
-            continue;
-        };
-        let Some(now) = run.scenarios.iter().find(|s| s.name == name) else {
-            continue;
-        };
-        compared += 1;
-        let fields = [
-            ("events", now.events),
-            ("fingerprint", now.fingerprint),
-            ("counter_fingerprint", now.counter_fingerprint),
-        ];
-        let diffs: Vec<String> = fields
-            .iter()
-            .filter_map(|&(key, got)| {
-                let want = field(line, key)?;
-                (want != got).then(|| format!("{key} {got} (committed {want})"))
-            })
-            .collect();
-        if !diffs.is_empty() {
-            drifted.push(format!("`{name}`: {}", diffs.join(", ")));
-        }
-    }
-    if drifted.is_empty() {
-        eprintln!(
-            "bench check: {compared} scenario(s) reproduce the committed events and \
-             fingerprints — ok"
-        );
-    }
-    drifted
-}
-
-/// Runs the bench, writes the JSON (carrying an existing baseline
-/// forward), and applies the optional regression check.
-///
-/// Returns `Err` with a human-readable message when the check fails or
-/// the output cannot be written.
-pub fn bench_main(opts: &BenchOptions) -> Result<BenchRun, String> {
-    let run = run_bench(opts);
-
-    // Determinism across thread counts is a hard property, not a
-    // perf budget: every shard-curve entry must reproduce the exact
-    // fingerprint of the 1-thread run.
-    let curve: Vec<&BenchScenario> = run
-        .scenarios
-        .iter()
-        .filter(|s| s.name.starts_with("mega_flows_shards"))
-        .collect();
-    if let Some((first, rest)) = curve.split_first() {
-        for s in rest {
-            if s.fingerprint != first.fingerprint {
-                return Err(format!(
-                    "shard determinism violation: `{}` fingerprint {:#x} != `{}` \
-                     fingerprint {:#x}",
-                    s.name, s.fingerprint, first.name, first.fingerprint,
-                ));
-            }
-            if s.counter_fingerprint != first.counter_fingerprint {
-                return Err(format!(
-                    "counter fingerprint violation: `{}` sim-plane metrics hash {:#x} \
-                     != `{}` hash {:#x} — a sim-plane counter is thread-count-dependent",
-                    s.name, s.counter_fingerprint, first.name, first.counter_fingerprint,
-                ));
-            }
-        }
-        eprintln!(
-            "bench check: {} shard-curve entries share fingerprint {:#x} \
-             (counter fingerprint {:#x}) — ok",
-            curve.len(),
-            first.fingerprint,
-            first.counter_fingerprint,
-        );
-    }
-
-    // Carry an existing baseline forward; the first run lays the floor.
-    let existing = std::fs::read_to_string(&opts.out_path).ok();
-    let baseline = existing
-        .as_deref()
-        .and_then(|j| extract_object(j, "baseline"))
-        .map(str::to_string)
-        .unwrap_or_else(|| render_run(&run, "  "));
-
-    let doc = render_json(&baseline, &run);
-    std::fs::write(&opts.out_path, &doc)
-        .map_err(|e| format!("cannot write {}: {e}", opts.out_path))?;
-
-    if let Some(check_path) = &opts.check_path {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| format!("cannot read {check_path}: {e}"))?;
-        let section = extract_object(&committed, "current")
-            .ok_or_else(|| format!("{check_path}: no `current` section"))?;
-        // Same bytes first: results are a hard property on any host,
-        // the speed and memory budgets below are not.
-        let drifted = fingerprint_drift(&run, section);
+    let run = BenchRun { size: opts.size.0, scenarios };
+    if let Some(path) = &opts.check_path {
+        let committed =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let reference = parse_json(&committed).map_err(|e| format!("{path}: {e}"))?;
+        let drifted = drift(&run, &reference, opts.only.is_some());
         if !drifted.is_empty() {
             return Err(format!(
-                "results drifted from {check_path}:\n  {}",
+                "results drifted from {path}:\n  {}",
                 drifted.join("\n  ")
             ));
         }
-        let reference = extract_number(section, "total_events_per_sec")
-            .ok_or_else(|| format!("{check_path}: no total_events_per_sec"))?;
-        if reference > 0.0 {
-            let ratio = run.total_events_per_sec / reference;
-            if ratio < 1.0 - opts.max_regress {
-                return Err(format!(
-                    "events/sec regression: {:.0} now vs {:.0} committed ({:.1}% of \
-                     reference, allowed floor {:.0}%)",
-                    run.total_events_per_sec,
-                    reference,
-                    100.0 * ratio,
-                    100.0 * (1.0 - opts.max_regress),
-                ));
-            }
-            eprintln!(
-                "bench check: {:.0} events/s vs committed {:.0} ({:+.1}%) — ok",
-                run.total_events_per_sec,
-                reference,
-                100.0 * (ratio - 1.0),
-            );
-        }
-        // Memory gate: peak RSS must not grow past the same tolerance.
-        let reference_rss = extract_number(section, "peak_rss_bytes").unwrap_or(0.0);
-        if !mem_stats_available() {
-            eprintln!(
-                "bench check: RSS gate skipped (mem_unavailable — this platform does \
-                 not expose process memory statistics)"
-            );
-        }
-        if reference_rss > 0.0 && run.peak_rss_bytes > 0 {
-            let ratio = run.peak_rss_bytes as f64 / reference_rss;
-            if ratio > 1.0 + opts.max_regress {
-                return Err(format!(
-                    "peak RSS regression: {} bytes now vs {:.0} committed ({:.1}% of \
-                     reference, allowed ceiling {:.0}%)",
-                    run.peak_rss_bytes,
-                    reference_rss,
-                    100.0 * ratio,
-                    100.0 * (1.0 + opts.max_regress),
-                ));
-            }
-            eprintln!(
-                "bench check: {} peak RSS vs committed {:.0} ({:+.1}%) — ok",
-                run.peak_rss_bytes,
-                reference_rss,
-                100.0 * (ratio - 1.0),
-            );
-        }
-        // Shard scaling gate: with 4 cores to spend, 4 shard threads
-        // must at least double the 1-thread event rate on the sharded
-        // scenario. Meaningless on smaller hosts, where the threads
-        // would just time-slice one core — skip there.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let find = |name: &str| run.scenarios.iter().find(|s| s.name == name);
-        if let (Some(s1), Some(s4)) = (find("mega_flows_shards1"), find("mega_flows_shards4")) {
-            if cores >= 4 && s1.events_per_sec > 0.0 {
-                let speedup = s4.events_per_sec / s1.events_per_sec;
-                if speedup < 2.0 {
-                    return Err(format!(
-                        "shard scaling regression: mega_flows at 4 shards is only \
-                         {speedup:.2}x the 1-shard rate (expected >= 2x on {cores} cores)",
-                    ));
-                }
-                eprintln!("bench check: mega_flows 4-shard speedup {speedup:.2}x — ok");
-            } else {
-                eprintln!(
-                    "bench check: shard scaling gate skipped ({cores} core(s) available)"
-                );
-            }
-        }
-        // Scheduler overhead gate, valid on *any* host: two shard
-        // threads must finish within 1.1x of one. Before the
-        // park/wake scheduler, spin-yielding workers starved the only
-        // runnable shard on a 1-core host and shards2 took 1.7x the
-        // shards1 wall time.
-        if let (Some(s1), Some(s2)) = (find("mega_flows_shards1"), find("mega_flows_shards2")) {
-            if s1.wall_s > 0.0 {
-                let ratio = s2.wall_s / s1.wall_s;
-                if ratio > 1.1 {
-                    return Err(format!(
-                        "shard overhead regression: mega_flows_shards2 wall {:.2}s is \
-                         {ratio:.2}x mega_flows_shards1 ({:.2}s); 2 shard threads must \
-                         stay within 1.1x of 1 on any host",
-                        s2.wall_s, s1.wall_s,
-                    ));
-                }
-                eprintln!(
-                    "bench check: mega_flows shards2/shards1 wall ratio {ratio:.2}x — ok"
-                );
-            }
-        }
+        eprintln!(
+            "bench check: {} scenario(s) reproduce the committed events and fingerprints — ok",
+            run.scenarios.len()
+        );
+    }
+    if let Some(path) = &opts.out_path {
+        std::fs::write(path, render_json(&run)).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(run)
 }
@@ -785,118 +352,82 @@ pub fn bench_main(opts: &BenchOptions) -> Result<BenchRun, String> {
 mod tests {
     use super::*;
 
+    fn scenario(name: &str, fingerprint: u64) -> BenchScenario {
+        BenchScenario {
+            name: name.into(),
+            events: 100,
+            // Past 2^53: an f64 round trip would not tell these apart.
+            fingerprint,
+            counter_fingerprint: u64::MAX - 1,
+        }
+    }
+
+    fn run(scenarios: Vec<BenchScenario>, size: f64) -> BenchRun {
+        BenchRun { size, scenarios }
+    }
+
     #[test]
-    fn json_sections_round_trip() {
-        let run = BenchRun {
-            label: "test".into(),
-            size: 0.5,
-            scenarios: vec![BenchScenario {
-                name: "a".into(),
-                events: 100,
-                wall_s: 0.25,
-                events_per_sec: 400.0,
-                peak_rss_bytes: 512,
-                shards: 1,
-                fingerprint: 0xfeed,
-                counter_fingerprint: 0xbeef,
-                utilization: 0.75,
-                sched: iq_netsim::SchedTotals::default(),
-                profile: vec![iq_obs::PhaseSnapshot::default()],
-            }],
-            total_events: 100,
-            total_wall_s: 0.25,
-            total_events_per_sec: 400.0,
-            peak_rss_bytes: 1024,
-        };
-        let doc = render_json(&render_run(&run, "  "), &run);
-        assert!(doc.contains("\"schema\": \"iq-bench-netsim/v3\""));
-        let cur = extract_object(&doc, "current").expect("current section");
-        assert_eq!(extract_number(cur, "total_events_per_sec"), Some(400.0));
-        assert_eq!(extract_number(cur, "total_events"), Some(100.0));
-        assert_eq!(extract_number(cur, "utilization"), Some(0.75));
-        let base = extract_object(&doc, "baseline").expect("baseline section");
-        assert_eq!(extract_number(base, "peak_rss_bytes"), Some(1024.0));
+    fn v4_render_parse_round_trip() {
+        let written = run(vec![scenario("a", u64::MAX), scenario("b", (1 << 53) + 1)], 0.25);
+        let doc = render_json(&written);
+        assert!(doc.contains("\"schema\": \"iq-bench-netsim/v4\""));
+        assert_eq!(doc.lines().count(), written.scenarios.len() + 6);
+        assert_eq!(parse_json(&doc), Ok(written));
+
+        // The older schemas carried wall-clock sections; no reader is kept.
+        let v3 = doc.replace("netsim/v4", "netsim/v3");
+        let err = parse_json(&v3).unwrap_err();
+        assert!(err.contains("bench 1.0 --out BENCH_netsim.json"), "{err}");
+        // A row that lost a field names the scenario and the field.
+        let err = parse_json(&doc.replace("\"events\": 100, \"fingerprint\": 9", "\"fingerprint\": 9"));
+        assert_eq!(err, Err("`b`: no `events`".to_string()));
+    }
+
+    #[test]
+    fn committed_reference_is_the_full_sweep() {
+        let committed = parse_json(include_str!("../../../BENCH_netsim.json")).expect("v4 file");
+        assert_eq!(committed.size, 1.0);
+        let mut names: Vec<String> = bench_specs(Size::FULL).into_iter().map(|s| s.name).collect();
+        names.extend([1, 2, 4, 8].map(|n| format!("mega_flows_shards{n}")));
+        let got: Vec<&str> = committed.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(got, names);
+        let curve = &committed.scenarios[committed.scenarios.len() - 4..];
+        for s in &curve[1..] {
+            assert_eq!(disagreement(s, &curve[0], "1 thread"), None);
+        }
     }
 
     #[test]
     fn check_names_each_scenario_whose_results_drifted() {
-        let scenario = |name: &str, fingerprint: u64| BenchScenario {
-            name: name.into(),
-            events: 100,
-            wall_s: 0.25,
-            events_per_sec: 400.0,
-            peak_rss_bytes: 0,
-            shards: 1,
-            // Past 2^53: an f64 round trip would not tell these apart.
-            fingerprint,
-            counter_fingerprint: u64::MAX - 1,
-            utilization: 1.0,
-            sched: iq_netsim::SchedTotals::default(),
-            profile: Vec::new(),
-        };
-        let run = |scenarios: Vec<BenchScenario>, size: f64| BenchRun {
-            label: "t".into(),
-            size,
-            scenarios,
-            total_events: 0,
-            total_wall_s: 0.0,
-            total_events_per_sec: 0.0,
-            peak_rss_bytes: 0,
-        };
         let committed = run(vec![scenario("a", u64::MAX), scenario("b", 7)], 1.0);
-        let reference = render_run(&committed, "  ");
-        assert!(fingerprint_drift(&committed, &reference).is_empty());
+        assert!(drift(&committed, &committed, false).is_empty());
 
-        // `a` off by one in the last bit, `b` gone, `c` new: only `a` drifts.
+        // `a` off by one in the last bit, `b` gone, `c` new: each is named.
         let now = run(vec![scenario("a", u64::MAX - 1), scenario("c", 9)], 1.0);
-        let drifted = fingerprint_drift(&now, &reference);
-        assert_eq!(drifted.len(), 1, "{drifted:?}");
+        let drifted = drift(&now, &committed, false);
+        assert_eq!(drifted.len(), 3, "{drifted:?}");
         assert!(drifted[0].starts_with("`a`: fingerprint 18446744073709551614 (committed"));
+        assert_eq!(drifted[1], "`c`: not in the reference");
+        assert_eq!(drifted[2], "`b`: in the reference, not in this run");
 
-        // Another sweep size is another workload: nothing to compare.
-        let resized = run(vec![scenario("a", 1)], 0.5);
-        assert!(fingerprint_drift(&resized, &reference).is_empty());
-    }
+        // The same scenarios in another order are not the same sweep.
+        let swapped = run(vec![scenario("b", 7), scenario("a", u64::MAX)], 1.0);
+        let drifted = drift(&swapped, &committed, false);
+        assert_eq!(drifted, ["scenarios are not in the reference's order"]);
 
-    #[test]
-    fn utilization_is_execute_over_wall_times_workers() {
-        assert_eq!(utilization(&[], 2), 1.0);
-        assert_eq!(utilization(&[iq_obs::PhaseSnapshot::default()], 1), 1.0);
-        let shard = |execute: u64, flush: u64, idle: u64| {
-            let mut s = iq_obs::PhaseSnapshot::default();
-            s.nanos[iq_obs::Phase::Execute as usize] = execute;
-            s.nanos[iq_obs::Phase::Flush as usize] = flush;
-            s.nanos[iq_obs::Phase::Idle as usize] = idle;
-            s
-        };
-        // One shard on one worker: execute over its own wall.
-        assert!((utilization(&[shard(300, 0, 100)], 1) - 0.75).abs() < 1e-12);
-        // Four shards profiled over the same 1,000 ns of wall, run by
-        // two workers that were never without a shard: each shard is
-        // idle half the time or more, the workers never. Dividing by
-        // the shards' summed profiles would have said 45 %.
-        let four = [
-            shard(450, 50, 500),
-            shard(450, 50, 500),
-            shard(450, 50, 500),
-            shard(450, 50, 500),
-        ];
-        assert!((utilization(&four, 2) - 0.9).abs() < 1e-12);
-        assert!(idle_s_per_worker(&four, 2).abs() < 1e-12);
-        // The same shards on four workers: half of every worker is idle.
-        assert!((utilization(&four, 4) - 0.45).abs() < 1e-12);
-        assert!((idle_s_per_worker(&four, 4) - 500e-9).abs() < 1e-15);
-        // The run wall is the longest profile, not their sum.
-        let uneven = [shard(600, 0, 400), shard(100, 0, 800)];
-        assert!((utilization(&uneven, 2) - 700.0 / 2000.0).abs() < 1e-12);
-        assert!((idle_s_per_worker(&uneven, 2) - 650e-9).abs() < 1e-15);
-    }
+        // Another sweep size is another workload: an error, not a pass.
+        let resized = run(vec![scenario("a", u64::MAX), scenario("b", 7)], 0.5);
+        let drifted = drift(&resized, &committed, false);
+        assert_eq!(drifted.len(), 1, "{drifted:?}");
+        assert!(drifted[0].starts_with("size 0.5 (committed 1)"), "{drifted:?}");
 
-    #[test]
-    fn extract_number_handles_scientific_and_negative() {
-        assert_eq!(extract_number("{\"x\": -2.5}", "x"), Some(-2.5));
-        assert_eq!(extract_number("{\"x\": 1e3}", "x"), Some(1000.0));
-        assert_eq!(extract_number("{\"y\": 1}", "x"), None);
+        // `--only b`: the rest of the reference may go unrun, but `b`
+        // must be there.
+        let only_b = run(vec![scenario("b", 7)], 1.0);
+        assert!(drift(&only_b, &committed, true).is_empty());
+        assert_eq!(drift(&only_b, &committed, false).len(), 1);
+        let drifted = drift(&run(vec![scenario("c", 9)], 1.0), &committed, true);
+        assert_eq!(drifted, ["`c`: not in the reference"]);
     }
 
     #[test]

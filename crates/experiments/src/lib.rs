@@ -7,7 +7,7 @@
 //! * [`tables`] — Tables 1–8 (`run_table1` … `run_table8`).
 //! * [`figures`] — Figures 1–4.
 //! * [`runner`] — parallel execution and row rendering.
-//! * [`benchmode`] — the `iqrudp bench` simulator-throughput sweep.
+//! * [`benchmode`] — the `iqrudp bench` reproduction gate.
 
 #![warn(missing_docs)]
 
@@ -18,7 +18,7 @@ pub mod runner;
 pub mod scenario;
 pub mod tables;
 
-pub use benchmode::{bench_main, BenchOptions, BenchRun};
+pub use benchmode::{bench_main, BenchOptions};
 pub use runner::{
     jobs, run_parallel, run_specs, set_jobs, set_metrics_dir, set_shards, tune_allocator,
     set_telemetry_capture, set_telemetry_dir, set_telemetry_ring, set_timing_report,

@@ -234,19 +234,6 @@ pub struct ScenarioReport {
     pub wall_s: f64,
     /// Simulator event throughput (events processed / wall_s).
     pub events_per_sec: f64,
-    /// Peak resident-set growth across this scenario's run, bytes:
-    /// maximum `VmRSS` sampled during the run minus the value at its
-    /// start (see `benchmode::RssSampler`). Sampling catches the
-    /// *transient* peak — a plain after-minus-before delta reported 0
-    /// for any scenario whose working set was freed before the final
-    /// sample. Memory retained in the allocator's pools still counts
-    /// toward the first scenario that grew the heap, and concurrent
-    /// scenarios can bleed into each other's deltas, so treat it as an
-    /// estimate.
-    pub peak_rss_bytes: u64,
-    /// OS threads used for intra-scenario sharded execution (1 for the
-    /// single-leg scenarios).
-    pub shards: u32,
 }
 
 /// Bit-exact fingerprint of everything a scenario reports, for the
@@ -341,11 +328,9 @@ impl Executor {
                 scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
-                    let rss = crate::benchmode::RssSampler::start();
                     let start = Instant::now();
                     let result = run_scenario(&spec.scenario);
                     let wall_s = start.elapsed().as_secs_f64();
-                    let peak_rss_bytes = rss.finish();
                     if verify {
                         let again = run_scenario(&spec.scenario);
                         assert!(
@@ -361,14 +346,11 @@ impl Executor {
                     } else {
                         0.0
                     };
-                    let shards = result.shards_used;
                     let report = ScenarioReport {
                         name: spec.name.clone(),
                         result,
                         wall_s,
                         events_per_sec,
-                        peak_rss_bytes,
-                        shards,
                     };
                     if tx.send((i, report)).is_err() {
                         break;
@@ -380,14 +362,15 @@ impl Executor {
             let mut slots: Vec<Option<ScenarioReport>> = (0..specs.len()).map(|_| None).collect();
             for (i, report) in rx {
                 if timing {
+                    let shards = report.result.shards_used;
                     eprintln!(
                         "  [{}] {:<44} {:>8.3}s  {:>12.0} events/s  [shards {}]",
-                        i, report.name, report.wall_s, report.events_per_sec, report.shards
+                        i, report.name, report.wall_s, report.events_per_sec, shards
                     );
                     // Per-shard wall-clock phase breakdown for the
                     // sharded scenarios (engine plane — informational,
                     // never part of any fingerprint).
-                    if report.shards > 1 {
+                    if shards > 1 {
                         for (s, snap) in report.result.phase_profile.iter().enumerate() {
                             if snap.total_nanos() > 0 {
                                 eprintln!("        shard {s}: {}", snap.brief());
@@ -399,8 +382,8 @@ impl Executor {
                             "        sched: {} workers {:.0}% utilized, {:.3}s idle each; \
                              {} steals, {} parks, {} wakes, {} worker parks",
                             sched.workers,
-                            100.0 * crate::benchmode::utilization(profile, sched.workers),
-                            crate::benchmode::idle_s_per_worker(profile, sched.workers),
+                            100.0 * utilization(profile, sched.workers),
+                            idle_s_per_worker(profile, sched.workers),
                             sched.steals,
                             sched.parks,
                             sched.wakes,
@@ -434,6 +417,39 @@ impl Executor {
             reports
         })
     }
+}
+
+/// Worker utilization of a run from its per-shard phase profile: total
+/// execute nanos over `run wall × workers`. Every shard's profile spans
+/// the whole run phase (a shard nobody is running counts as idle), so
+/// the run wall is the longest of them, and what the pool could have
+/// executed is that much on each of its `workers` threads — not on each
+/// shard, of which there may be many more. Empty or unprofiled input
+/// reports 1.0.
+fn utilization(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
+    let capacity = run_wall_nanos(profile) * workers.max(1);
+    if capacity == 0 {
+        return 1.0;
+    }
+    let execute: u64 = profile
+        .iter()
+        .map(|s| s.nanos[iq_obs::Phase::Execute as usize])
+        .sum();
+    execute as f64 / capacity as f64
+}
+
+/// Seconds each of `workers` threads spent on no shard at all — neither
+/// executing, draining ingress nor flushing — averaged over the pool:
+/// the run wall minus a worker's share of the busy phases.
+fn idle_s_per_worker(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
+    let idle = iq_obs::Phase::Idle as usize;
+    let busy: u64 = profile.iter().map(|s| s.total_nanos() - s.nanos[idle]).sum();
+    let per_worker = busy as f64 / workers.max(1) as f64;
+    (run_wall_nanos(profile) as f64 - per_worker).max(0.0) / 1e9
+}
+
+fn run_wall_nanos(profile: &[iq_obs::PhaseSnapshot]) -> u64 {
+    profile.iter().map(|s| s.total_nanos()).max().unwrap_or(0)
 }
 
 /// Writes one JSONL file per telemetry-carrying report, in declaration
@@ -766,6 +782,40 @@ mod tests {
         let reports = Executor::new(2).run(&specs);
         set_verify_determinism(false);
         assert_eq!(reports.len(), 1);
+    }
+
+    #[test]
+    fn utilization_is_execute_over_wall_times_workers() {
+        assert_eq!(utilization(&[], 2), 1.0);
+        assert_eq!(utilization(&[iq_obs::PhaseSnapshot::default()], 1), 1.0);
+        let shard = |execute: u64, flush: u64, idle: u64| {
+            let mut s = iq_obs::PhaseSnapshot::default();
+            s.nanos[iq_obs::Phase::Execute as usize] = execute;
+            s.nanos[iq_obs::Phase::Flush as usize] = flush;
+            s.nanos[iq_obs::Phase::Idle as usize] = idle;
+            s
+        };
+        // One shard on one worker: execute over its own wall.
+        assert!((utilization(&[shard(300, 0, 100)], 1) - 0.75).abs() < 1e-12);
+        // Four shards profiled over the same 1,000 ns of wall, run by
+        // two workers that were never without a shard: each shard is
+        // idle half the time or more, the workers never. Dividing by
+        // the shards' summed profiles would have said 45 %.
+        let four = [
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+            shard(450, 50, 500),
+        ];
+        assert!((utilization(&four, 2) - 0.9).abs() < 1e-12);
+        assert!(idle_s_per_worker(&four, 2).abs() < 1e-12);
+        // The same shards on four workers: half of every worker is idle.
+        assert!((utilization(&four, 4) - 0.45).abs() < 1e-12);
+        assert!((idle_s_per_worker(&four, 4) - 500e-9).abs() < 1e-15);
+        // The run wall is the longest profile, not their sum.
+        let uneven = [shard(600, 0, 400), shard(100, 0, 800)];
+        assert!((utilization(&uneven, 2) - 700.0 / 2000.0).abs() < 1e-12);
+        assert!((idle_s_per_worker(&uneven, 2) - 650e-9).abs() < 1e-15);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!                                           (t9: CC × scheme matrix)
 //! iqrudp [FLAGS] figures [SIZE]             regenerate the figures (+ SVGs)
 //! iqrudp [FLAGS] ablations [SIZE]           run the design-choice ablations
-//! iqrudp [FLAGS] bench [SIZE] [OPTS]        measure simulator throughput
+//! iqrudp [FLAGS] bench [SIZE] [OPTS]        reproduce the committed fingerprints
 //! iqrudp trace [FRAMES] [SEED]              dump a membership trace as TSV
 //! iqrudp demo                               one coordinated flow, annotated
 //! iqrudp mc [OPTS]                          model-check the coordination protocol
@@ -24,14 +24,13 @@
 //! The exploration's wall time and states/s go to stderr; stdout keeps
 //! the exact lines CI greps.
 //!
-//! `bench` runs a fixed scenario sweep and writes `BENCH_netsim.json`
-//! (events/sec, wall time per scenario, peak RSS). Options: `--out PATH`,
-//! `--label STR`, `--only NAME` (run a single scenario), `--check PATH`
-//! (fail when a scenario's events or fingerprints differ from those the
-//! committed file records at the same size, when events/sec regresses
-//! more than `--max-regress FRAC`, default 0.20, against it — and, on
-//! hosts with ≥ 4 cores, when the `mega_flows` 4-shard rate is below 2×
-//! the 1-shard rate).
+//! `bench` is the reproduction gate: it runs a fixed scenario sweep and
+//! prints each scenario's events and two fingerprints. Options: `--only
+//! NAME` (run a single scenario), `--check PATH` (fail unless the run
+//! has the size, the scenario names and every events count and
+//! fingerprint that the committed `BENCH_netsim.json` records), `--out
+//! PATH` (write the run in that format; nothing is written without it).
+//! It measures no time or memory — `benchmark/run.sh` does.
 //!
 //! `SIZE` scales the experiment workloads (1.0 = paper scale). Flags:
 //!
@@ -139,26 +138,22 @@ fn cmd_figures(args: &[String]) {
 }
 
 fn cmd_bench(args: &[String]) {
-    use iq_experiments::BenchOptions;
-    let mut opts = BenchOptions::default();
+    let mut opts = iq_experiments::BenchOptions {
+        size: Size::FULL,
+        out_path: None,
+        check_path: None,
+        only: None,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => match it.next() {
-                Some(p) => opts.out_path = p.clone(),
+                Some(p) => opts.out_path = Some(p.clone()),
                 None => die("--out requires a path"),
-            },
-            "--label" => match it.next() {
-                Some(l) => opts.label = l.clone(),
-                None => die("--label requires a string"),
             },
             "--check" => match it.next() {
                 Some(p) => opts.check_path = Some(p.clone()),
                 None => die("--check requires a path"),
-            },
-            "--max-regress" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => opts.max_regress = f,
-                None => die("--max-regress requires a fraction (e.g. 0.2)"),
             },
             "--only" => match it.next() {
                 Some(n) => opts.only = Some(n.clone()),
@@ -172,22 +167,10 @@ fn cmd_bench(args: &[String]) {
     }
     match iq_experiments::bench_main(&opts) {
         Ok(run) => {
-            println!(
-                "bench: {} events in {:.2}s = {:.0} events/s (peak RSS {:.1} MiB); wrote {}",
-                run.total_events,
-                run.total_wall_s,
-                run.total_events_per_sec,
-                run.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                opts.out_path,
-            );
             for sc in &run.scenarios {
                 println!(
-                    "  {:<16} {:>10} events  {:>8.3}s  {:>12.0} events/s  rss {:>7.1} MiB",
-                    sc.name,
-                    sc.events,
-                    sc.wall_s,
-                    sc.events_per_sec,
-                    sc.peak_rss_bytes as f64 / (1024.0 * 1024.0)
+                    "{:<18} {:>10} events  fingerprint {:#018x}  counters {:#018x}",
+                    sc.name, sc.events, sc.fingerprint, sc.counter_fingerprint
                 );
             }
         }
@@ -453,9 +436,9 @@ fn cmd_demo() {
 }
 
 /// Strips the runner flags (`-j`/`--jobs`, `--shards`,
-/// `--verify-determinism`, `--no-timing`, `--telemetry DIR`) out of the
-/// argument list, applying them globally, and returns the remaining
-/// positional arguments.
+/// `--verify-determinism`, `--no-timing`, `--telemetry DIR`, `--metrics
+/// DIR`) out of the argument list, applying them globally, and returns
+/// the remaining positional arguments.
 fn apply_runner_flags(args: Vec<String>) -> Vec<String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut timing = true;
@@ -559,8 +542,8 @@ fn main() {
                 "usage: iqrudp [-j N] [--shards N] [--verify-determinism] [--no-timing] \
                  [--telemetry DIR] [--metrics DIR] \
                  <tables [SIZE] [tN] | figures [SIZE] | ablations [SIZE] | \
-                 bench [SIZE] [--out PATH] [--label STR] [--check PATH] \
-                 [--max-regress FRAC] [--only NAME] | trace [FRAMES] [SEED] | demo | \
+                 bench [SIZE] [--only NAME] [--check PATH] [--out PATH] | \
+                 trace [FRAMES] [SEED] | demo | \
                  mc [--scenario NAME] [--cc lda|cubic|bbr|rrr] [--depth N] \
                  [--drops K] [--ticks K] \
                  [--seed-break reinflate|cond|deferral] | \
