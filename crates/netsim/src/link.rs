@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::packet::NodeId;
 use crate::slab::PacketKey;
 use crate::time::{Time, TimeDelta};
 
@@ -149,15 +148,20 @@ pub struct QueuedPacket {
     pub size: u32,
 }
 
-/// Mutable state of a link inside the simulator.
+/// Mutable state of a link inside the simulator that transmits on it.
+/// The link's endpoints are not here: they are facts of the topology,
+/// kept once per world in the simulator's endpoints table.
 #[derive(Debug)]
 pub struct LinkState {
     /// Immutable configuration.
     pub spec: LinkSpec,
-    /// Transmitting end.
-    pub from: NodeId,
-    /// Receiving end.
-    pub to: NodeId,
+    /// `Some(i)` when the far end lives on another shard, so arrivals
+    /// leave via the simulator's `i`-th outbox instead of its event
+    /// queue. `None` on every link of a serial simulation.
+    pub(crate) egress: Option<u32>,
+    /// Messages sent across this egress link so far; feeds the
+    /// content-derived boundary sequence numbers.
+    pub(crate) egress_seq: u64,
     queue: VecDeque<QueuedPacket>,
     queued_bytes: u32,
     /// RED's exponentially averaged queue size, bytes.
@@ -185,11 +189,11 @@ pub enum Enqueue {
 
 impl LinkState {
     /// Creates an idle link with empty queue.
-    pub fn new(spec: LinkSpec, from: NodeId, to: NodeId) -> Self {
+    pub fn new(spec: LinkSpec) -> Self {
         Self {
             spec,
-            from,
-            to,
+            egress: None,
+            egress_seq: 0,
             queue: VecDeque::new(),
             queued_bytes: 0,
             avg_queue: 0.0,
@@ -314,11 +318,7 @@ mod tests {
     }
 
     fn link(queue_bytes: u32) -> LinkState {
-        LinkState::new(
-            LinkSpec::new(8e6, crate::time::millis(1), queue_bytes),
-            NodeId(0),
-            NodeId(1),
-        )
+        LinkState::new(LinkSpec::new(8e6, crate::time::millis(1), queue_bytes))
     }
 
     #[test]
@@ -380,8 +380,6 @@ mod tests {
                 weight: 0.5, // fast-moving average for the test
                 ..params
             }),
-            NodeId(0),
-            NodeId(1),
         );
         let mut r = rng();
         // Fill the queue to drive the average well above max_th.
@@ -402,8 +400,6 @@ mod tests {
         let mut l = LinkState::new(
             LinkSpec::new(8e6, crate::time::millis(1), 100_000)
                 .with_red(RedParams::for_capacity(100_000)),
-            NodeId(0),
-            NodeId(1),
         );
         let mut r = rng();
         for i in 0..10 {

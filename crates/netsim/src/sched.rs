@@ -14,10 +14,22 @@
 //!   popped from, so pop order is exactly `(time, seq)`.
 //! * **ring** — [`SLOTS`] buckets of 2^20 ns (≈ 1.05 ms) each, covering
 //!   the ≈ 268 ms after `near_end`. A bucket is a plain `Vec<Event>`; a
-//!   drained bucket trades buffers with `near`, so the buffers circulate
-//!   and steady-state scheduling never allocates.
+//!   drained bucket trades buffers with `near`, so a slot's next bucket
+//!   starts on a buffer an earlier one grew, and a steady load stops
+//!   allocating once every slot has been round.
 //! * **far** — a binary heap for events beyond the ring's horizon. An
 //!   event stays there until its bucket is the next to drain.
+//!
+//! ## Retention
+//!
+//! A fleet's flows all open at time zero, and that burst grows whatever
+//! it passes through. None of these buffers keeps that: `near` and
+//! `near_over` when they are found empty, `far` when a drain has left
+//! it mostly empty, shrink to a small multiple of what they hold or of
+//! a private floor (`retained`). A load within four floors never
+//! meets the allocator; what a burst grew goes back as soon as the
+//! burst has drained. Capacity is not content, so none of this can
+//! touch the pop order.
 //!
 //! ## Determinism
 //!
@@ -69,6 +81,36 @@ pub const SLOTS: usize = 256;
 const WORDS: usize = SLOTS / 64;
 /// log2 of a bucket's width in nanoseconds (2^20 ns ≈ 1.05 ms).
 const BUCKET_BITS: u32 = 20;
+
+/// A bucket's usual load, for [`retained`]: an empty `near` — and so
+/// the ring slot it is swapped into — keeps room for two to four times
+/// this. Steady-state buckets hold a few dozen events.
+const BUCKET_FLOOR: usize = 32;
+/// Likewise for `near_over`, which takes every push a resident bucket's
+/// handlers make into its own span.
+const OVER_FLOOR: usize = 128;
+/// Likewise for `far`: a shard's retransmission timers.
+const FAR_FLOOR: usize = 128;
+
+/// The retention rule for a reused buffer: the capacity it should
+/// shrink to, if it should shrink at all. Asked when the buffer has just
+/// been emptied to be handed back (`holds` = 0), or has just lost
+/// content and stays where it is (`far`).
+///
+/// A buffer keeps room for twice what it `holds`, or twice `floor` — the
+/// owner's private guess at a usual load — if that is more, and gives
+/// the rest back once its capacity is more than double that. What a
+/// burst grew therefore returns to the allocator as soon as the burst
+/// has passed through, and a buffer whose load stays at or under
+/// `4 * floor` is never touched. What the buffer last carried is
+/// deliberately no input: while a burst lasts every buffer has just
+/// carried it, and all three mailbox buffers of a boundary would stay
+/// burst-sized exactly when a mega world's live bytes peak (DESIGN.md
+/// §11 has the measurement).
+pub(crate) fn retained(capacity: usize, holds: usize, floor: usize) -> Option<usize> {
+    let keep = 2 * holds.max(floor);
+    (capacity > 2 * keep).then_some(keep)
+}
 
 /// Absolute bucket number of `t`.
 #[inline]
@@ -153,6 +195,13 @@ impl EventQueue {
     /// time).
     pub fn occupancy(&self) -> (usize, usize, usize) {
         (self.in_ring, self.far.len(), self.near.len() + self.near_over.len())
+    }
+
+    /// Events every buffer of the queue has room for, full or not.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        let ring: usize = self.buckets.iter().map(Vec::capacity).sum();
+        self.near.capacity() + self.near_over.capacity() + ring + self.far.capacity()
     }
 
     /// Number of pending events.
@@ -289,10 +338,17 @@ impl EventQueue {
             (None, None) => return,
         };
         counter_inc!(self.stats.bucket_drains);
+        // Both are empty here, and `near`'s buffer is about to wait a
+        // ring turn in a slot: what a burst grew goes back first.
+        if let Some(keep) = retained(self.near.capacity(), 0, BUCKET_FLOOR) {
+            self.near.shrink_to(keep);
+        }
+        if let Some(keep) = retained(self.near_over.capacity(), 0, OVER_FLOOR) {
+            self.near_over.shrink_to(keep);
+        }
         if ring == Some(b) {
             // A swap, not a copy: the bucket's buffer becomes `near` and
-            // the slot keeps `near`'s emptied one, so no capacity is held
-            // twice.
+            // the slot keeps `near`'s emptied one.
             let i = (b as usize) & (SLOTS - 1);
             std::mem::swap(&mut self.near, &mut self.buckets[i]);
             self.occupied[i / 64] &= !(1u64 << (i % 64));
@@ -306,6 +362,9 @@ impl EventQueue {
                 break;
             }
             self.near.push(PeekMut::pop(ev));
+        }
+        if let Some(keep) = retained(self.far.capacity(), self.far.len(), FAR_FLOOR) {
+            self.far.shrink_to(keep);
         }
         debug_assert!(self.near.iter().all(|ev| bucket_of(ev.at) == b));
         self.near.sort_unstable();
@@ -445,6 +504,88 @@ mod tests {
         }
         assert_eq!(n, 600);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn rule_keeps_steady_buffers_and_trims_burst_grown_ones() {
+        assert_eq!(retained(64, 0, 32), None, "a steady bucket's buffer");
+        assert_eq!(retained(128, 0, 32), None, "four floors: still kept");
+        assert_eq!(retained(256, 0, 32), Some(64), "burst-grown, now empty");
+        assert_eq!(retained(4000, 1000, 128), None, "a quarter full");
+        assert_eq!(retained(4001, 1000, 128), Some(2000), "less than a quarter");
+        assert_eq!(retained(0, 0, 32), None);
+    }
+
+    /// What a start-up burst grew goes back once the burst has drained:
+    /// 20,000 events into one bucket (and 5,000 more into its span while
+    /// it is resident, which take `near_over`), then a small steady
+    /// load. Capacity is not content, so the pop sequence must be a
+    /// `BinaryHeap`'s throughout.
+    #[test]
+    fn burst_capacity_is_given_back_and_order_is_untouched() {
+        const MS: Time = 1_000_000;
+        /// Room the steady phase may end with: far below the burst's
+        /// 25,000 events, far above the 64 it holds.
+        const STEADY_BOUND: usize = 2048;
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Event> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue, model: &mut BinaryHeap<Event>, at: Time| {
+            q.push(ev(at, seq));
+            model.push(ev(at, seq));
+            seq += 1;
+        };
+        let pop = |q: &mut EventQueue, model: &mut BinaryHeap<Event>| {
+            let (got, want) = (q.pop().unwrap(), model.pop().unwrap());
+            assert_eq!((got.at, got.seq), (want.at, want.seq));
+            want.at
+        };
+
+        for i in 0..20_000 {
+            push(&mut q, &mut model, 5 * MS + i % 1000);
+        }
+        let first = pop(&mut q, &mut model); // the bucket is resident now
+        for i in 0..5_000 {
+            push(&mut q, &mut model, first + 1000 + i % 700);
+        }
+        // One event a bucket later so the drain ends in a refill.
+        push(&mut q, &mut model, 7 * MS);
+        while model.len() > 1 {
+            pop(&mut q, &mut model);
+        }
+        assert!(q.capacity() >= 25_000, "the burst never grew the buffers");
+        let mut now = pop(&mut q, &mut model);
+
+        // The hold model at 64 pending: near, ring and far offsets.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut delta = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 20 {
+                0..=12 => 1_000 + x % 49_000,
+                13..=18 => 15 * MS,
+                _ => 300 * MS + x % (200 * MS),
+            }
+        };
+        for _ in 0..64 {
+            let at = now + delta();
+            push(&mut q, &mut model, at);
+        }
+        for _ in 0..1_000 {
+            now = pop(&mut q, &mut model);
+            let at = now + delta();
+            push(&mut q, &mut model, at);
+        }
+        assert!(
+            q.capacity() <= STEADY_BOUND,
+            "64 pending events sit in room for {}",
+            q.capacity()
+        );
+        while !model.is_empty() {
+            pop(&mut q, &mut model);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! assigned to a *shard* (a topology domain — e.g. one side of a
 //! dumbbell leg). Each shard owns a complete serial [`Simulator`]: its
 //! own event queue, timer and packet slabs, RNG, trace collector, and
-//! telemetry sink. Links whose endpoints live on different shards are
-//! *boundary links*; everything else runs exactly as in the serial
-//! engine.
+//! telemetry sink, and the state of the links it transmits on. What the
+//! shards have in common — the endpoints of every link and the route
+//! table — exists once per world and is shared. Links whose endpoints
+//! live on different shards are *boundary links*; everything else runs
+//! exactly as in the serial engine.
 //!
 //! ## Lookahead rule (null-message-free conservative PDES)
 //!
@@ -72,13 +74,14 @@
 //! run is byte-identical for any worker count or schedule.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use iq_obs::{counter_add, counter_inc, Phase};
 
 use crate::agent::Agent;
 use crate::link::{LinkSpec, LinkStats};
 use crate::packet::{pool_stats, AgentId, FlowId, LinkId, NodeId, Packet, PoolStats};
+use crate::sched::retained;
 use crate::sim::{SimCounters, Simulator};
 use crate::time::{Time, TimeDelta};
 use crate::trace::FlowStats;
@@ -159,8 +162,7 @@ struct Boundary {
 }
 
 /// Scheduler totals summed over every shard (plus the pool-level park
-/// count), for `--timing` reports and the bench `profile` section.
-/// Engine-plane: schedule-dependent, never fingerprinted.
+/// count), for `--timing` reports. Engine-plane: schedule-dependent, never fingerprinted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Shard claims by a different worker than the previous claim.
@@ -214,15 +216,24 @@ const S_QUEUED_SIGNALED: u8 = 4;
 /// blocking on the pool condvar.
 const SPIN_LIMIT: u32 = 64;
 
-/// Retained-capacity cap (in messages) for the boundary mailbox
-/// buffers. A synchronized burst — 102,400 flows opening at once — can
-/// spike one window's boundary traffic to megabytes, and a message
-/// passes through three reused buffers (the link's outbox, channel,
-/// ingress swap buffer) per link; without a cap every one of them
-/// would keep that burst's high-water capacity for the rest of the
-/// process. Steady-state windows stay well under the cap, so the
-/// shrink almost never reallocates in the hot path.
-const MAILBOX_KEEP: usize = 16 * 1024;
+/// Messages an empty boundary mailbox buffer keeps room for (see
+/// [`retained`]). A synchronized burst — 102,400 flows opening at once —
+/// spikes a window's boundary traffic to thousands of messages, and a
+/// message passes through three reused buffers (the link's outbox, the
+/// channel, the ingress swap buffer) per link; each gives the burst's
+/// capacity back when it is handed on empty, so only the buffer that
+/// holds the burst is burst-sized. Steady-state windows carry about a
+/// hundred messages (four times that at 102,400 flows, which costs
+/// ≈ 1 % more allocator calls than never shrinking).
+const MAILBOX_FLOOR: usize = 64;
+
+/// Applies the retention rule to a mailbox buffer that has just been
+/// emptied.
+fn give_back(buf: &mut Vec<WireMsg>) {
+    if let Some(keep) = retained(buf.capacity(), buf.len(), MAILBOX_FLOOR) {
+        buf.shrink_to(keep);
+    }
+}
 
 /// Ready-queue and epoch bookkeeping behind the scheduler mutex.
 struct SchedInner {
@@ -573,10 +584,8 @@ impl Engine<'_> {
                 sim.inject_arrival(m);
             }
             // The swap hands this (now empty) buffer to the next
-            // channel, so bounding it here bounds the channels too.
-            if ingress_buf.capacity() > MAILBOX_KEEP {
-                ingress_buf.shrink_to(MAILBOX_KEEP);
-            }
+            // channel, so trimming it here trims the channels too.
+            give_back(ingress_buf);
         }
         sim.profiler().enter(Phase::Execute);
         sim.run_window(limit);
@@ -600,9 +609,9 @@ impl Engine<'_> {
                         ch.append(batch);
                     }
                 }
-                if batch.capacity() > MAILBOX_KEEP {
-                    batch.shrink_to(MAILBOX_KEEP);
-                }
+                // Whichever buffer the outbox is left with: its own,
+                // emptied, or the channel's spare.
+                give_back(batch);
             }
         }
         self.clocks[s].store(limit, Ordering::Release);
@@ -687,6 +696,9 @@ pub struct ShardedSim {
     shards: Vec<ShardSlot>,
     /// Owning shard of each node, indexed by `NodeId`.
     owner: Vec<usize>,
+    /// `(from, to)` of every link, indexed by `LinkId`: the one copy of
+    /// the topology's edges, installed in every shard by `run_slices`.
+    endpoints: Arc<Vec<(NodeId, NodeId)>>,
     boundaries: Vec<Boundary>,
     /// Inbound boundary indices per shard.
     ingress: Vec<Vec<usize>>,
@@ -727,6 +739,7 @@ impl ShardedSim {
         Self {
             shards: Vec::new(),
             owner: Vec::new(),
+            endpoints: Arc::default(),
             boundaries: Vec::new(),
             ingress: Vec::new(),
             egress: Vec::new(),
@@ -797,9 +810,9 @@ impl ShardedSim {
         self.perturb = seed;
     }
 
-    /// Adds a node owned by `shard`. The node id is global: it is
-    /// mirrored into every shard so routing tables cover the full
-    /// topology, but only the owning shard hosts its agents and events.
+    /// Adds a node owned by `shard`. The node id is global: every shard
+    /// counts it (and keeps an empty port table for it), but only the
+    /// owning shard hosts its agents and events.
     pub fn add_node(&mut self, shard: usize) -> NodeId {
         assert!(shard < self.shards.len(), "no such shard {shard}");
         let mut id = None;
@@ -825,13 +838,16 @@ impl ShardedSim {
                  lookahead, and zero would deadlock the shard protocol"
             );
         }
-        let mut id = None;
-        for slot in &mut self.shards {
-            let lid = slot.sim.add_link(from, to, spec.clone());
-            debug_assert!(id.is_none() || id == Some(lid));
-            id = Some(lid);
+        // Every shard numbers the link; only `src`, which transmits on
+        // it, holds state for it.
+        let id = LinkId(self.endpoints.len() as u32);
+        Arc::make_mut(&mut self.endpoints).push((from, to));
+        let lookahead = spec.delay;
+        let mut spec = Some(spec);
+        for (i, slot) in self.shards.iter_mut().enumerate() {
+            let lid = slot.sim.mirror_link(if i == src { spec.take() } else { None });
+            debug_assert_eq!(lid, id);
         }
-        let id = id.expect("add_shard must be called before add_link");
         if src != dst {
             let outbox = self.shards[src].sim.mark_egress(id);
             debug_assert_eq!(outbox, self.egress[src].len());
@@ -843,7 +859,7 @@ impl ShardedSim {
             }
             self.boundaries.push(Boundary {
                 src_shard: src,
-                lookahead: spec.delay,
+                lookahead,
             });
             self.channels.push(Mutex::new(Vec::new()));
         }
@@ -974,7 +990,13 @@ impl ShardedSim {
     /// Stats for one link, read from the shard that owns its sending
     /// side (queueing, serialization, and loss all happen there).
     pub fn link_stats(&self, id: LinkId) -> LinkStats {
-        let from = self.shards[0].sim.link_from(id);
+        let &(from, _) = self.endpoints.get(id.0 as usize).unwrap_or_else(|| {
+            panic!(
+                "no such link L{} (only {} links exist)",
+                id.0,
+                self.endpoints.len()
+            )
+        });
         self.shards[self.owner[from.0 as usize]].sim.link_stats(id)
     }
 
@@ -997,11 +1019,14 @@ impl ShardedSim {
         slice: TimeDelta,
         mut stop: impl FnMut(&ShardView<'_>) -> bool,
     ) -> Time {
-        // Every shard mirrors the whole topology, so their route tables
-        // are equal: shard 0 computes it (only if the topology changed
-        // since its last run) and the rest adopt the same allocation.
-        // Re-installed on every call so no shard can run on a table older
-        // than shard 0's.
+        // Every shard sees the whole topology, so the endpoints and
+        // route tables are the world's: shard 0 computes the routes (only
+        // if the topology changed since its last run) and the rest adopt
+        // the same allocation. Re-installed on every call so no shard can
+        // run on a table older than the topology.
+        for slot in &mut self.shards {
+            slot.sim.share_endpoints(&self.endpoints);
+        }
         let [first, rest @ ..] = &mut self.shards[..] else {
             panic!("no shards declared");
         };
@@ -1275,6 +1300,183 @@ mod tests {
         assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 5);
         assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 5);
         assert_eq!(sim.counters().packets_unroutable, 0);
+    }
+
+    /// Link state lives on the shard that transmits and nowhere else;
+    /// the endpoints of the whole topology exist once, and every shard
+    /// routes boundary arrivals by that one table — also for a link
+    /// added between two runs.
+    #[test]
+    fn shards_hold_state_only_for_the_links_they_transmit_on() {
+        // Three shards in a line: a -> r -> b.
+        let mut sim = ShardedSim::new(3);
+        let (s0, s1, s2) = (sim.add_shard(), sim.add_shard(), sim.add_shard());
+        sim.set_threads(3);
+        let a = sim.add_node(s0);
+        let r = sim.add_node(s1);
+        let b = sim.add_node(s2);
+        let spec = LinkSpec::new(10e6, millis(2), 64_000);
+        let (ar, ra) = sim.add_duplex_link(a, r, spec.clone());
+        let (rb, br) = sim.add_duplex_link(r, b, spec.clone());
+        let pinger = |dst| Pinger {
+            dst,
+            count: 10,
+            sent: 0,
+            echoes: Vec::new(),
+        };
+        let ping = sim.add_agent(a, 1, Box::new(pinger(Addr::new(b, 2))));
+        sim.add_agent(b, 2, Box::new(Echoer::default()));
+        sim.run_until(millis(500));
+
+        let owned = |sim: &ShardedSim| -> Vec<Vec<LinkId>> {
+            (0..3).map(|i| sim.shard(i).owned_links()).collect()
+        };
+        assert_eq!(owned(&sim), [vec![ar], vec![ra, rb], vec![br]]);
+        for i in 1..3 {
+            assert!(
+                Arc::ptr_eq(sim.shard(0).endpoints(), sim.shard(i).endpoints()),
+                "shard {i} keeps an endpoints table of its own"
+            );
+        }
+        assert_eq!(**sim.shard(1).endpoints(), [(a, r), (r, a), (r, b), (b, r)]);
+        // The middle shard owns neither `ar` nor `br`, whose arrivals it
+        // routed onward all the same.
+        assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 10);
+        for link in [ar, ra, rb, br] {
+            assert_eq!(sim.link_stats(link).transmitted_packets, 10, "{link:?}");
+        }
+        // A shard asked about a link it does not transmit on answers
+        // with zeroes, not a panic.
+        assert_eq!(sim.shard(1).link_stats(ar).enqueued_packets, 0);
+        assert_eq!(sim.shard(0).link_stats(ar).enqueued_packets, 10);
+
+        // A host behind `b`, on the middle shard: two more boundary
+        // links, one transmitted on by each of s1 and s2, seen by all.
+        let c = sim.add_node(s1);
+        let (bc, cb) = sim.add_duplex_link(b, c, spec);
+        let ping_c = sim.add_agent(a, 3, Box::new(pinger(Addr::new(c, 2))));
+        sim.add_agent(c, 2, Box::new(Echoer::default()));
+        sim.run_until(millis(1000));
+        assert_eq!(owned(&sim), [vec![ar], vec![ra, rb, cb], vec![br, bc]]);
+        for i in 0..3 {
+            assert!(Arc::ptr_eq(sim.shard(0).endpoints(), sim.shard(i).endpoints()));
+            assert_eq!(sim.shard(i).endpoints().len(), 6, "shard {i} runs on a stale table");
+        }
+        assert_eq!(sim.agent::<Pinger>(ping_c).unwrap().echoes.len(), 10);
+        assert_eq!(sim.link_stats(bc).transmitted_packets, 10);
+        assert_eq!(sim.link_stats(cb).transmitted_packets, 10);
+        assert_eq!(sim.link_stats(ar).transmitted_packets, 20);
+        assert_eq!(sim.counters().packets_unroutable, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such link L2 (only 2 links exist)")]
+    fn link_stats_for_a_link_no_shard_knows_names_the_offender() {
+        let mut sim = ShardedSim::new(1);
+        let (s0, s1) = (sim.add_shard(), sim.add_shard());
+        let a = sim.add_node(s0);
+        let b = sim.add_node(s1);
+        sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
+        sim.link_stats(LinkId(2));
+    }
+
+    /// Sends `burst` packets at time zero, then `trickle` more every
+    /// 20 ms, `rounds` times over.
+    struct Burster {
+        dst: Addr,
+        burst: u32,
+        trickle: u32,
+        rounds: u32,
+        sent: u32,
+    }
+    impl Agent for Burster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.send(ctx, self.burst);
+            ctx.set_timer(millis(20), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            if self.rounds > 0 {
+                self.rounds -= 1;
+                self.send(ctx, self.trickle);
+                ctx.set_timer(millis(20), 0);
+            }
+        }
+    }
+    impl Burster {
+        fn send(&mut self, ctx: &mut Ctx<'_>, n: u32) {
+            for _ in 0..n {
+                ctx.send(self.dst, 100, FlowId(1), payload(self.sent));
+                self.sent += 1;
+            }
+        }
+    }
+
+    /// Records the payload of every packet, in arrival order.
+    #[derive(Default)]
+    struct Sequence(Vec<u32>);
+    impl Agent for Sequence {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, pkt: Packet) {
+            self.0.push(*pkt.payload_as::<u32>().unwrap());
+        }
+    }
+
+    /// One window carries 5,000 boundary messages, ten later ones carry
+    /// 10 each. Returns what arrived, and the messages the boundary's
+    /// three buffers (outbox, channel, ingress swap buffer) end up with
+    /// room for.
+    fn burst_then_trickle(threads: usize, perturb: Option<u64>) -> (Vec<u32>, [usize; 3]) {
+        let mut sim = ShardedSim::new(11);
+        let (s0, s1) = (sim.add_shard(), sim.add_shard());
+        sim.set_threads(threads);
+        sim.set_perturbation(perturb);
+        let a = sim.add_node(s0);
+        let b = sim.add_node(s1);
+        // Infinitely fast, so the whole burst serializes at time zero.
+        let (ab, _) = sim.add_duplex_link(a, b, LinkSpec::new(0.0, millis(10), 1 << 24));
+        sim.add_agent(a, 1, Box::new(Burster {
+            dst: Addr::new(b, 2),
+            burst: 5_000,
+            trickle: 10,
+            rounds: 10,
+            sent: 0,
+        }));
+        let rx = sim.add_agent(b, 2, Box::new(Sequence::default()));
+
+        // Epochs half a lookahead long: one window per shard each.
+        sim.run_until(millis(5));
+        let drained = sim.shards[s1].sim.shard_stats().ingress_msgs as usize;
+        let waiting = sim.channels[0].lock().unwrap().len();
+        assert_eq!(drained + waiting, 5_000, "the burst left in the first window");
+        for epoch in 2..=50 {
+            sim.run_until(millis(5) * epoch);
+        }
+        assert_eq!(sim.link_stats(ab).transmitted_packets, 5_100);
+        assert_eq!(sim.shards[s1].sim.shard_stats().ingress_msgs, 5_100);
+        let room = [
+            sim.shards[s0].sim.outbox_mut(0).capacity(),
+            sim.channels[0].lock().unwrap().capacity(),
+            sim.shards[s1].ingress_buf.capacity(),
+        ];
+        (sim.agent::<Sequence>(rx).unwrap().0.clone(), room)
+    }
+
+    #[test]
+    fn mailboxes_give_a_burst_back_and_deliver_it_once_in_order() {
+        let (arrived, room) = burst_then_trickle(1, None);
+        // One link, so `boundary_seq` order is send order.
+        assert_eq!(arrived, (0..5_100).collect::<Vec<u32>>());
+        for (buf, room) in ["outbox", "channel", "ingress buffer"].iter().zip(room) {
+            assert!(
+                room <= 4 * MAILBOX_FLOOR,
+                "the {buf} still has room for {room} messages after ten windows of 10"
+            );
+        }
+        for (threads, seed) in [(2, None), (2, Some(17))] {
+            let (got, room) = burst_then_trickle(threads, seed);
+            assert_eq!(got, arrived, "{threads} workers, perturbation {seed:?}");
+            assert!(room.iter().all(|&r| r <= 4 * MAILBOX_FLOOR), "{room:?}");
+        }
     }
 
     #[test]

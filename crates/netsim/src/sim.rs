@@ -63,11 +63,23 @@ pub struct SimCore {
     next_packet_id: u64,
     timers: TimerSlab,
     packets: PacketSlab,
-    pub(crate) links: Vec<LinkState>,
+    /// State of the links this simulator transmits on, in the order they
+    /// were added. A serial simulation owns every link; a shard of a
+    /// [`ShardedSim`](crate::shard::ShardedSim) owns those whose sending
+    /// node it hosts and holds one `link_slot` entry for each of the
+    /// rest, nothing more.
+    links: Vec<LinkState>,
+    /// Link id → index into `links`; [`NOT_OWNED`] for a link another
+    /// shard transmits on.
+    link_slot: Vec<u32>,
+    /// `(from, to)` of every link of the topology, by link id: what
+    /// route computation reads, and where an arrival learns which node
+    /// it reached. Behind an `Arc` because the shards of a `ShardedSim`
+    /// all see one topology and share one table.
+    endpoints: Arc<Vec<(NodeId, NodeId)>>,
     num_nodes: u32,
-    /// Next-hop table for the whole topology. Behind an `Arc` because the
-    /// shards of a [`ShardedSim`](crate::shard::ShardedSim) all mirror
-    /// one topology and share one table.
+    /// Next-hop table for the whole topology, shared between the shards
+    /// of a world like `endpoints`.
     routes: Arc<RoutingTable>,
     routes_dirty: bool,
     /// Per-node port tables, sorted by port for binary search. Indexed by
@@ -79,13 +91,6 @@ pub struct SimCore {
     /// Per-flow accounting and optional packet log.
     pub trace: TraceCollector,
     pub(crate) stopped: bool,
-    /// Per link: `Some(i)` when the link's far end lives on another
-    /// shard, so arrivals must cross via `outboxes[i]` instead of the
-    /// local event queue. All-`None` in a serial simulation.
-    egress: Vec<Option<u32>>,
-    /// Per-link counter of messages sent across an egress link; feeds
-    /// the content-derived boundary sequence numbers.
-    egress_seq: Vec<u64>,
     /// One outbox per egress link, in [`Simulator::mark_egress`] order:
     /// the boundary arrivals produced since the shard engine last took
     /// them. Per link so a window's output is handed to each boundary
@@ -103,6 +108,9 @@ pub struct SimCore {
     /// zero in serial runs).
     pub(crate) shard_stats: crate::shard::ShardStats,
 }
+
+/// `link_slot` entry of a link this simulator does not transmit on.
+const NOT_OWNED: u32 = u32::MAX;
 
 impl SimCore {
     fn schedule(&mut self, at: Time, kind: EventKind) {
@@ -201,12 +209,13 @@ impl SimCore {
         }
         match self.routes.next_hop(node, dst.node) {
             Some(link_id) => {
-                let link = &mut self.links[link_id.0 as usize];
+                // The next hop out of a node this simulator hosts is a
+                // link it transmits on, so the slot is never `NOT_OWNED`.
+                let link = &mut self.links[self.link_slot[link_id.0 as usize] as usize];
                 let outcome = link.enqueue(key, size, &mut self.rng);
                 if self.trace.telemetry.is_enabled() {
                     // Fast exit: with the bus detached this block (and its
                     // queue-depth math) costs one branch.
-                    let link = &self.links[link_id.0 as usize];
                     let (queued_bytes, queue_len) = (link.queued_bytes(), link.queue_len());
                     self.trace.telemetry.emit_with(self.now, u64::from(flow.0), || {
                         iq_telemetry::TelemetryEvent::QueueDepth {
@@ -242,7 +251,7 @@ impl SimCore {
     /// Pops the head of `link`'s queue and schedules its serialization
     /// and far-end arrival, applying the link's loss/jitter model.
     fn start_next_tx(&mut self, link_id: LinkId) {
-        let link = &mut self.links[link_id.0 as usize];
+        let link = &mut self.links[self.link_slot[link_id.0 as usize] as usize];
         let Some(q) = link.begin_tx() else {
             return; // transmitter went idle
         };
@@ -253,7 +262,7 @@ impl SimCore {
             arrival = arrival.saturating_add(self.rng.gen_range(0..=link.spec.jitter));
         }
         if lost {
-            self.links[link_id.0 as usize].stats.random_losses += 1;
+            link.stats.random_losses += 1;
             let pkt = self.packets.take(q.key);
             self.trace.record(PacketEvent {
                 at: self.now,
@@ -262,12 +271,12 @@ impl SimCore {
                 size: pkt.size,
                 kind: PacketEventKind::LostRandom(link_id),
             });
-        } else if let Some(outbox) = self.egress[link_id.0 as usize] {
+        } else if let Some(outbox) = link.egress {
             // The far end lives on another shard: the arrival leaves via
             // the link's outbox with a content-derived sequence number
             // instead of the local queue (see `crate::shard`).
-            let counter = self.egress_seq[link_id.0 as usize];
-            self.egress_seq[link_id.0 as usize] = counter + 1;
+            let counter = link.egress_seq;
+            link.egress_seq = counter + 1;
             let pkt = self.packets.take(q.key);
             self.outboxes[outbox as usize].push(WireMsg {
                 link: link_id,
@@ -309,6 +318,8 @@ impl Simulator {
                 timers: TimerSlab::default(),
                 packets: PacketSlab::default(),
                 links: Vec::new(),
+                link_slot: Vec::new(),
+                endpoints: Arc::default(),
                 num_nodes: 0,
                 routes: Arc::default(),
                 routes_dirty: false,
@@ -317,8 +328,6 @@ impl Simulator {
                 counters: SimCounters::default(),
                 trace: TraceCollector::default(),
                 stopped: false,
-                egress: Vec::new(),
-                egress_seq: Vec::new(),
                 outboxes: Vec::new(),
                 delivery_latency: iq_obs::Hist::new(),
                 profiler: iq_obs::PhaseProfiler::new(),
@@ -345,7 +354,7 @@ impl Simulator {
     /// a dangling endpoint would otherwise surface later as an opaque
     /// index error inside route computation.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
-        let id = LinkId(self.core.links.len() as u32);
+        let id = LinkId(self.core.link_slot.len() as u32);
         for end in [from, to] {
             assert!(
                 end.0 < self.core.num_nodes,
@@ -355,11 +364,8 @@ impl Simulator {
                 self.core.num_nodes
             );
         }
-        self.core.links.push(LinkState::new(spec, from, to));
-        self.core.egress.push(None);
-        self.core.egress_seq.push(0);
-        self.core.routes_dirty = true;
-        id
+        Arc::make_mut(&mut self.core.endpoints).push((from, to));
+        self.mirror_link(Some(spec))
     }
 
     /// Adds a pair of unidirectional links with identical characteristics.
@@ -519,23 +525,24 @@ impl Simulator {
         }
     }
 
-    /// Stats for one link.
+    /// Stats for one link. A shard of a
+    /// [`ShardedSim`](crate::shard::ShardedSim) answers with all zeroes
+    /// for a link another shard transmits on: queueing, serialization
+    /// and loss all happen on the sending side.
     ///
     /// # Panics
     /// Panics (naming the link) if `id` was not returned by
     /// [`Self::add_link`] on this simulator.
     pub fn link_stats(&self, id: LinkId) -> LinkStats {
-        self.core
-            .links
-            .get(id.0 as usize)
-            .unwrap_or_else(|| {
-                panic!(
-                    "no such link L{} (only {} links exist)",
-                    id.0,
-                    self.core.links.len()
-                )
-            })
-            .stats
+        match self.core.link_slot.get(id.0 as usize) {
+            Some(&NOT_OWNED) => LinkStats::default(),
+            Some(&slot) => self.core.links[slot as usize].stats,
+            None => panic!(
+                "no such link L{} (only {} links exist)",
+                id.0,
+                self.core.link_slot.len()
+            ),
+        }
     }
 
     /// Ground-truth counters for one flow.
@@ -591,9 +598,10 @@ impl Simulator {
 
     fn ensure_routes(&mut self) {
         if self.core.routes_dirty {
-            let endpoints: Vec<_> = self.core.links.iter().map(|l| (l.from, l.to)).collect();
-            self.core.routes =
-                Arc::new(RoutingTable::compute(self.core.num_nodes as usize, &endpoints));
+            self.core.routes = Arc::new(RoutingTable::compute(
+                self.core.num_nodes as usize,
+                &self.core.endpoints,
+            ));
             self.core.routes_dirty = false;
         }
     }
@@ -654,7 +662,7 @@ impl Simulator {
                 self.core.start_next_tx(link);
             }
             EventKind::LinkArrival { link, packet } => {
-                let node = self.core.links[link.0 as usize].to;
+                let (_, node) = self.core.endpoints[link.0 as usize];
                 self.core.route_packet(node, packet);
             }
         }
@@ -696,12 +704,44 @@ impl Simulator {
 
     // ---- shard-engine hooks (see `crate::shard`) -----------------------
 
-    /// Marks `link` as crossing out of this shard: its arrivals go to an
-    /// outbox of its own instead of the local event queue. Returns the
-    /// outbox's index for [`Self::outbox_mut`] (0, 1, … in call order).
+    /// [`Self::add_link`] as the shard engine calls it, on every shard
+    /// for every link of the world: the link takes the next id here too,
+    /// and this simulator holds state for it only when given its `spec`,
+    /// which makes it the one that transmits on it. The endpoints are
+    /// the caller's to keep (see [`Self::share_endpoints`]).
+    pub(crate) fn mirror_link(&mut self, spec: Option<LinkSpec>) -> LinkId {
+        let id = LinkId(self.core.link_slot.len() as u32);
+        self.core.link_slot.push(match spec {
+            Some(spec) => {
+                self.core.links.push(LinkState::new(spec));
+                (self.core.links.len() - 1) as u32
+            }
+            None => NOT_OWNED,
+        });
+        self.core.routes_dirty = true;
+        id
+    }
+
+    /// Adopts `endpoints`, the `(from, to)` of every link mirrored into
+    /// this simulator so far, as current (see `ShardedSim::run_slices`).
+    /// The topology is complete for the run about to start, so the slack
+    /// that growing by doubling left in this shard's own link tables goes
+    /// back too (nothing to do on later calls).
+    pub(crate) fn share_endpoints(&mut self, endpoints: &Arc<Vec<(NodeId, NodeId)>>) {
+        debug_assert_eq!(endpoints.len(), self.core.link_slot.len());
+        self.core.endpoints = Arc::clone(endpoints);
+        self.core.links.shrink_to_fit();
+        self.core.link_slot.shrink_to_fit();
+    }
+
+    /// Marks `link`, which this simulator transmits on, as crossing out
+    /// of this shard: its arrivals go to an outbox of its own instead of
+    /// the local event queue. Returns the outbox's index for
+    /// [`Self::outbox_mut`] (0, 1, … in call order).
     pub(crate) fn mark_egress(&mut self, link: LinkId) -> usize {
         let outbox = self.core.outboxes.len();
-        self.core.egress[link.0 as usize] = Some(outbox as u32);
+        let slot = self.core.link_slot[link.0 as usize];
+        self.core.links[slot as usize].egress = Some(outbox as u32);
         self.core.outboxes.push(Vec::new());
         outbox
     }
@@ -726,17 +766,26 @@ impl Simulator {
         &self.core.routes
     }
 
+    /// The endpoints table as last built or adopted.
+    #[cfg(test)]
+    pub(crate) fn endpoints(&self) -> &Arc<Vec<(NodeId, NodeId)>> {
+        &self.core.endpoints
+    }
+
+    /// Ids of the links this simulator holds state for, ascending.
+    #[cfg(test)]
+    pub(crate) fn owned_links(&self) -> Vec<LinkId> {
+        let ids = (0u32..).zip(&self.core.link_slot);
+        let owned: Vec<LinkId> = ids.filter(|&(_, &slot)| slot != NOT_OWNED).map(|(id, _)| LinkId(id)).collect();
+        assert_eq!(owned.len(), self.core.links.len(), "a slot without a state or the reverse");
+        owned
+    }
+
     /// Offsets this shard's packet-id space so ids stay globally unique
     /// across shards (ids surface in traces and telemetry).
     pub(crate) fn set_packet_id_base(&mut self, base: u64) {
         debug_assert_eq!(self.core.next_packet_id, 0);
         self.core.next_packet_id = base;
-    }
-
-    /// The sending endpoint of `link` (shards mirror the full topology,
-    /// so any shard can answer this).
-    pub(crate) fn link_from(&self, link: LinkId) -> NodeId {
-        self.core.links[link.0 as usize].from
     }
 
     /// Accepts a boundary arrival from another shard: the packet enters
@@ -765,6 +814,11 @@ impl Simulator {
             while let Some(ev) = self.core.queue.pop_before(last) {
                 self.exec_event(ev);
             }
+            // As after a serial `run_until`: the clock stands at the end
+            // of what has run, not at this shard's last event, so an
+            // agent added between two runs starts when the world has got
+            // to and not in some shard's past.
+            self.core.now = self.core.now.max(last);
         }
         assert!(
             !self.core.stopped,
@@ -1305,6 +1359,36 @@ mod tests {
         let mut sim = Simulator::new(0);
         sim.add_node();
         sim.add_agent(crate::packet::NodeId(3), 1, Box::new(SinkOnly));
+    }
+
+    #[test]
+    fn a_serial_simulator_owns_every_link_and_a_mirror_only_its_own() {
+        let (mut sim, _tx, _rx) = two_node_sim(LinkSpec::new(8e6, millis(5), 100_000));
+        assert_eq!(sim.owned_links(), [LinkId(0), LinkId(1)]);
+        assert_eq!(**sim.endpoints(), [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]);
+        sim.run_until(millis(100));
+        assert_eq!(sim.link_stats(LinkId(0)).transmitted_packets, 10);
+
+        // The shard engine's form: every link takes an id, only those
+        // given a spec take state; the others answer with zeroes.
+        let mut shard = Simulator::new(1);
+        assert_eq!(shard.mirror_link(None), LinkId(0));
+        assert_eq!(shard.mirror_link(Some(LinkSpec::new(8e6, millis(5), 1000))), LinkId(1));
+        assert_eq!(shard.mirror_link(None), LinkId(2));
+        assert_eq!(shard.owned_links(), [LinkId(1)]);
+        for id in 0..3 {
+            assert_eq!(shard.link_stats(LinkId(id)).enqueued_packets, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no such link L3 (only 3 links exist)")]
+    fn link_stats_of_a_mirror_still_rejects_ids_nobody_knows() {
+        let mut shard = Simulator::new(1);
+        for spec in [None, Some(LinkSpec::new(8e6, millis(5), 1000)), None] {
+            shard.mirror_link(spec);
+        }
+        shard.link_stats(LinkId(3));
     }
 
     #[test]

@@ -167,13 +167,18 @@ impl TraceCollector {
         });
     }
 
-    /// Counters for one flow (zeroes if never seen).
+    /// Counters for one flow (zeroes if never seen). O(1) for ids below
+    /// `DENSE_IDS`, like the recording side; a scan for the rest.
     pub fn flow(&self, flow: FlowId) -> FlowStats {
-        self.flows
-            .iter()
-            .find(|&&(f, _)| f == flow)
-            .map(|&(_, s)| s)
-            .unwrap_or_default()
+        let idx = if flow.0 < DENSE_IDS {
+            match self.dense.get(flow.0 as usize) {
+                Some(&slot) if slot != 0 => Some((slot - 1) as usize),
+                _ => None,
+            }
+        } else {
+            self.flows.iter().position(|&(f, _)| f == flow)
+        };
+        idx.map(|i| self.flows[i].1).unwrap_or_default()
     }
 
     /// All flows seen so far, in first-seen (deterministic) order.
@@ -216,6 +221,31 @@ mod tests {
         assert!((f.loss_ratio() - 0.5).abs() < 1e-12);
         // Unknown flow: zeroes.
         assert_eq!(t.flow(FlowId(9)).sent_packets, 0);
+    }
+
+    #[test]
+    fn flow_lookup_covers_dense_scanned_and_unseen_ids() {
+        let mut t = TraceCollector::default();
+        let sent = |flow| PacketEvent {
+            flow,
+            ..ev(PacketEventKind::Sent)
+        };
+        // Interleaved, so slots and ids do not line up; `ANON` is past
+        // `DENSE_IDS` and takes the scan.
+        for flow in [FlowId(7), FlowId::ANON, FlowId(3), FlowId(7), FlowId::ANON, FlowId::ANON] {
+            t.record(sent(flow));
+        }
+        assert_eq!(t.flow(FlowId(7)).sent_packets, 2);
+        assert_eq!(t.flow(FlowId(3)).sent_packets, 1);
+        assert_eq!(t.flow(FlowId::ANON).sent_packets, 3);
+        // Unseen: inside the dense table, past its end, and past DENSE_IDS.
+        for unseen in [FlowId(5), FlowId(8), FlowId(DENSE_IDS - 1), FlowId(DENSE_IDS)] {
+            assert_eq!(t.flow(unseen), FlowStats::default(), "{unseen:?}");
+        }
+        // What the lookup finds is what iteration reports.
+        for (id, stats) in t.flows() {
+            assert_eq!(t.flow(id), *stats);
+        }
     }
 
     #[test]

@@ -6,12 +6,41 @@
 //! produces. This drives both structures with identical randomized op
 //! streams and requires bit-identical behavior, including the final
 //! drain.
+//!
+//! The streams carry bursts — hundreds of events into one bucket — so
+//! that they keep crossing the queue's retention rule (a buffer a burst
+//! grew is shrunk when it is next found empty): capacity is not content,
+//! and the order must not know the difference.
 
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use iq_netsim::event::{Event, EventKind};
 use iq_netsim::{AgentId, EventQueue};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig};
+
+/// Events a burst op pushes into one bucket: four times the 128 an
+/// empty `near` may keep room for (`sched.rs`, `BUCKET_FLOOR`).
+const BURST: u64 = 512;
+/// log2 of a bucket's width in nanoseconds (`sched.rs`, `BUCKET_BITS`).
+const BUCKET_BITS: u32 = 20;
+
+/// Bursts the streams have drained with more still pending behind them.
+/// `EventQueue` shows no capacity to an outside test, so this is
+/// counted from the op stream: a burst's bucket becomes `near` whole,
+/// and the first pop from a later bucket is a refill that found `near`
+/// empty at burst size — the shrink path. (`sched.rs`'s own tests look
+/// at the capacity.)
+static SHRINKS_CROSSED: AtomicUsize = AtomicUsize::new(0);
+
+/// Notes a pop at time `at`: every burst in an earlier bucket has been
+/// drained and refilled past. Returns `at`.
+fn popped(burst_buckets: &mut Vec<u64>, at: u64) -> u64 {
+    let before = burst_buckets.len();
+    burst_buckets.retain(|&b| b >= at >> BUCKET_BITS);
+    SHRINKS_CROSSED.fetch_add(before - burst_buckets.len(), Ordering::Relaxed);
+    at
+}
 
 fn ev(at: u64, seq: u64) -> Event {
     Event {
@@ -24,24 +53,27 @@ fn ev(at: u64, seq: u64) -> Event {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    #[test]
-    fn event_queue_conforms_to_the_source_contract(
-        ops in prop::collection::vec((0u32..6, proptest::any::<u64>()), 1..400),
+    /// The cases behind [`event_queue_conforms_to_the_source_contract`].
+    fn source_contract_cases(
+        ops in prop::collection::vec((0u32..32, proptest::any::<u64>()), 1..400),
     ) {
         let mut queue = EventQueue::new();
         let mut model: BinaryHeap<Event> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64; // last popped time: pushes never go to the past
+        // Buckets holding a burst that has not been popped past yet.
+        let mut burst_buckets: Vec<u64> = Vec::new();
 
         for &(kind, raw) in &ops {
-            match kind {
+            // One op in 32 is a burst; the rest are the six plain kinds.
+            match if kind == 31 { 6 } else { kind % 6 } {
                 // Pop from both, compare, and advance the clock.
                 4 => {
                     let got = queue.pop().map(|e| (e.at, e.seq));
                     let want = model.pop().map(|e| (e.at, e.seq));
                     prop_assert_eq!(got, want);
                     if let Some((at, _)) = want {
-                        now = at;
+                        now = popped(&mut burst_buckets, at);
                     }
                 }
                 // Deadline-bounded pop at a random horizon past the clock.
@@ -54,7 +86,25 @@ proptest! {
                     };
                     prop_assert_eq!(got, want);
                     if let Some((at, _)) = want {
-                        now = at;
+                        now = popped(&mut burst_buckets, at);
+                    }
+                }
+                // A burst into one bucket, up to 400 ms ahead (either
+                // side of the ring's horizon), on a handful of
+                // timestamps so that `seq` breaks most ties.
+                6 => {
+                    let bucket = now.saturating_add(raw % 400_000_000) >> BUCKET_BITS;
+                    for i in 0..BURST {
+                        let at = ((bucket << BUCKET_BITS) + i.wrapping_mul(raw | 1) % 7 * 1000).max(now);
+                        queue.push(ev(at, seq));
+                        model.push(ev(at, seq));
+                        seq += 1;
+                    }
+                    // A burst into the clock's own bucket may find it
+                    // resident and be split between `near` and
+                    // `near_over`: pushed, not counted.
+                    if bucket > now >> BUCKET_BITS {
+                        burst_buckets.push(bucket);
                     }
                 }
                 // Push at a near / mid / far offset from the clock.
@@ -79,9 +129,10 @@ proptest! {
             let got = queue.pop().map(|e| (e.at, e.seq));
             let want = model.pop().map(|e| (e.at, e.seq));
             prop_assert_eq!(got, want);
-            if want.is_none() {
-                break;
-            }
+            match want {
+                Some((at, _)) => popped(&mut burst_buckets, at),
+                None => break,
+            };
         }
         prop_assert_eq!(queue.len(), 0);
     }
@@ -105,4 +156,12 @@ proptest! {
         }
         prop_assert_eq!(queue.pop().map(|e| e.at), None);
     }
+}
+
+#[test]
+fn event_queue_conforms_to_the_source_contract() {
+    source_contract_cases();
+    // The streams are seeded, so this is a fact about them, not luck.
+    let crossed = SHRINKS_CROSSED.load(Ordering::Relaxed);
+    assert!(crossed >= 32, "only {crossed} bursts were drained and shrunk behind");
 }
