@@ -16,10 +16,12 @@ const JITTER_INLINE: usize = 4;
 /// Accumulates arrivals at a receiving application.
 #[derive(Debug, Clone, Default)]
 pub struct FlowMetrics {
-    first_arrival_ns: Option<u64>,
+    /// Meaningful once `messages > 0`.
+    first_arrival_ns: u64,
     last_arrival_ns: u64,
-    prev_arrival_ns: Option<u64>,
-    prev_tagged_ns: Option<u64>,
+    /// Arrival of the latest tagged message; meaningful once
+    /// `tagged_messages > 0`.
+    prev_tagged_ns: u64,
     bytes: u64,
     messages: u64,
     tagged_messages: u64,
@@ -47,25 +49,23 @@ impl FlowMetrics {
     /// `sent_at_ns` is when the sender emitted it (for one-way latency);
     /// `tagged` marks must-deliver messages (§3.3 "tagged packets").
     pub fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
-        if self.first_arrival_ns.is_none() {
-            self.first_arrival_ns = Some(now_ns);
+        if self.messages == 0 {
+            self.first_arrival_ns = now_ns;
+        } else {
+            self.record_gap(now_ns, self.last_arrival_ns);
         }
         self.last_arrival_ns = now_ns;
         self.bytes += bytes;
         self.messages += 1;
         self.latency_sum_ns += now_ns.saturating_sub(sent_at_ns);
 
-        if let Some(prev) = self.prev_arrival_ns {
-            self.record_gap(now_ns, prev);
-        }
-        self.prev_arrival_ns = Some(now_ns);
-
         if tagged {
-            self.tagged_messages += 1;
-            if let Some(prev) = self.prev_tagged_ns {
-                self.tagged_inter_arrival.push((now_ns - prev) as f64 * 1e-9);
+            if self.tagged_messages > 0 {
+                let gap_ns = now_ns.saturating_sub(self.prev_tagged_ns);
+                self.tagged_inter_arrival.push(gap_ns as f64 * 1e-9);
             }
-            self.prev_tagged_ns = Some(now_ns);
+            self.tagged_messages += 1;
+            self.prev_tagged_ns = now_ns;
         }
     }
 
@@ -90,10 +90,10 @@ impl FlowMetrics {
 
     /// Seconds from first to last arrival.
     pub fn duration_s(&self) -> f64 {
-        match self.first_arrival_ns {
-            Some(first) => (self.last_arrival_ns - first) as f64 / 1e9,
-            None => 0.0,
+        if self.messages == 0 {
+            return 0.0;
         }
+        (self.last_arrival_ns - self.first_arrival_ns) as f64 / 1e9
     }
 
     /// Average goodput in KB/s over the active period.
@@ -281,5 +281,26 @@ mod tests {
         m.on_message(60 * MS, 20 * MS, 1, false);
         // Latencies 30 ms and 40 ms → mean 35 ms.
         assert!((m.latency_s() - 0.035).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tagged_gap_saturates_like_the_untagged_one() {
+        // A clock that steps back must not underflow either gap.
+        let mut m = FlowMetrics::new();
+        m.on_message(20 * MS, 0, 1, true);
+        m.on_message(10 * MS, 0, 1, true);
+        assert_eq!(m.tagged_inter_arrival_s(), 0.0);
+        assert_eq!(m.inter_arrival_s(), 0.0);
+    }
+
+    #[test]
+    fn accumulator_is_compact() {
+        // Two per sink in every flow of a fleet; a new field should show
+        // up here.
+        assert!(
+            std::mem::size_of::<FlowMetrics>() <= 192,
+            "FlowMetrics grew to {} bytes",
+            std::mem::size_of::<FlowMetrics>()
+        );
     }
 }

@@ -7,20 +7,12 @@ pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
     /// An empty accumulator.
     pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Adds one observation.
@@ -29,8 +21,6 @@ impl Welford {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -61,24 +51,6 @@ impl Welford {
         self.variance().sqrt()
     }
 
-    /// Smallest observation; 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation; 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
     /// Merges another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {
@@ -95,8 +67,6 @@ impl Welford {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -153,8 +123,6 @@ mod tests {
         assert!((w.mean() - 5.0).abs() < 1e-12);
         assert!((w.variance() - 4.0).abs() < 1e-12);
         assert!((w.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(w.min(), 2.0);
-        assert_eq!(w.max(), 9.0);
     }
 
     #[test]
@@ -162,8 +130,7 @@ mod tests {
         let w = Welford::new();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
-        assert_eq!(w.min(), 0.0);
-        assert_eq!(w.max(), 0.0);
+        assert_eq!(w.count(), 0);
     }
 
     #[test]

@@ -72,9 +72,11 @@ impl FlowId {
 const INLINE_BYTES: usize = 16;
 
 /// Size in `u64` words of a pooled payload buffer: fits the largest
-/// protocol segment wrapper (`RudpPacket` with a full inline SACK block
-/// is 192 bytes).
-const POOL_WORDS: usize = 24;
+/// protocol segment wrapper (`RudpPacket`, 104 bytes whatever its SACK
+/// block holds; `TcpPacket` is 56). `iq-rudp` guards the fit with a
+/// test against [`Payload::POOLED_BYTES`], since a wrapper that
+/// outgrows the slot silently falls to the `Arc` tier.
+const POOL_WORDS: usize = 13;
 
 /// Pooled buffers retained per thread; beyond this, freed buffers go
 /// back to the allocator. Well above the peak in-flight packet count of
@@ -200,7 +202,7 @@ fn pool_put(buf: Box<[u64; POOL_WORDS]>) {
 /// * **inline** — plain-data values of at most `INLINE_BYTES` bytes
 ///   (e.g. a datagram sequence number) live in the `Payload` itself;
 /// * **pooled** — larger destructor-free plain data up to
-///   `8 * POOL_WORDS` bytes (transport segments: `RudpPacket`,
+///   [`Payload::POOLED_BYTES`] (transport segments: `RudpPacket`,
 ///   `TcpPacket`) lives in a fixed-size buffer drawn from a per-thread
 ///   free list and returned to it on drop, so steady-state segment
 ///   traffic never touches the allocator;
@@ -257,6 +259,9 @@ impl Clone for Payload {
 }
 
 impl Payload {
+    /// Largest plain value, in bytes, the pooled tier holds.
+    pub const POOLED_BYTES: usize = 8 * POOL_WORDS;
+
     /// Wraps an existing shared value without re-boxing it.
     pub fn from_arc(value: Arc<dyn Any + Send + Sync>) -> Self {
         Payload(Repr::Shared(value))
@@ -329,7 +334,7 @@ pub fn payload<T: Any + Send + Sync>(value: T) -> Payload {
             type_id: TypeId::of::<T>(),
             data,
         })
-    } else if plain && std::mem::size_of::<T>() <= 8 * POOL_WORDS {
+    } else if plain && std::mem::size_of::<T>() <= Payload::POOLED_BYTES {
         let mut buf = pool_get();
         // SAFETY: same argument as the inline arm, against the pooled
         // buffer (whose size and `u64` alignment were just checked).

@@ -5,8 +5,9 @@
 //! dumbbell and chain topologies used by the experiments. The table maps
 //! `(from_node, dst_node)` to the outgoing [`LinkId`] of the first hop.
 //!
-//! The table is dense: `nodes²` entries of 8 bytes, 2.2 MB for the
-//! 528-node mega world, and `O(nodes · (nodes + links))` to fill. It is
+//! The table is dense: `nodes²` entries of 4 bytes — a link id, with
+//! `u32::MAX` standing for "no route" — 1.1 MB for the 528-node mega
+//! world, and `O(nodes · (nodes + links))` to fill. It is
 //! a pure function of the topology, so a sharded world — whose shards
 //! all mirror the same topology — computes it once and shares it (see
 //! `ShardedSim::run_slices`).
@@ -15,12 +16,24 @@ use std::collections::VecDeque;
 
 use crate::packet::{LinkId, NodeId};
 
+/// Table entry of a pair with no route; no link may have this id.
+const NO_ROUTE: u32 = u32::MAX;
+
 /// Next-hop table: `table[from][dst]` is the outgoing link, if reachable.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     num_nodes: usize,
-    /// Flattened `num_nodes x num_nodes` matrix.
-    next_hop: Vec<Option<LinkId>>,
+    /// Flattened `num_nodes x num_nodes` matrix of link ids, or
+    /// [`NO_ROUTE`].
+    next_hop: Vec<u32>,
+}
+
+/// The table entry for the link at index `link`.
+fn entry(link: usize) -> u32 {
+    match u32::try_from(link) {
+        Ok(id) if id != NO_ROUTE => id,
+        _ => panic!("link L{link} has an id the routing table reserves for \"no route\""),
+    }
 }
 
 impl RoutingTable {
@@ -30,10 +43,11 @@ impl RoutingTable {
     /// Panics (naming the link and node) if a link endpoint lies outside
     /// `0..num_nodes`; such a topology cannot have been built through
     /// `Simulator::add_node`/`add_link` and routing over it would index
-    /// out of bounds deep inside the search.
+    /// out of bounds deep inside the search. Panics (naming the link) if
+    /// a link's id would be `u32::MAX`, the table's "no route".
     pub fn compute(num_nodes: usize, links: &[(NodeId, NodeId)]) -> Self {
         // Adjacency: per node, outgoing (link, neighbour).
-        let mut adj: Vec<Vec<(LinkId, NodeId)>> = vec![Vec::new(); num_nodes];
+        let mut adj: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); num_nodes];
         for (i, &(from, to)) in links.iter().enumerate() {
             for end in [from, to] {
                 assert!(
@@ -42,10 +56,10 @@ impl RoutingTable {
                      (topology has {num_nodes} nodes)"
                 );
             }
-            adj[from.0 as usize].push((LinkId(i as u32), to));
+            adj[from.0 as usize].push((entry(i), to));
         }
 
-        let mut next_hop: Vec<Option<LinkId>> = vec![None; num_nodes * num_nodes];
+        let mut next_hop = vec![NO_ROUTE; num_nodes * num_nodes];
         // One BFS per source, straight into that source's row: a node
         // other than `src` has been reached exactly when its entry is
         // set, so the row doubles as the visited set and the only scratch
@@ -56,8 +70,8 @@ impl RoutingTable {
             while let Some(u) = q.pop_front() {
                 for &(link, v) in &adj[u] {
                     let v = v.0 as usize;
-                    if v != src && row[v].is_none() {
-                        row[v] = if u == src { Some(link) } else { row[u] };
+                    if v != src && row[v] == NO_ROUTE {
+                        row[v] = if u == src { link } else { row[u] };
                         q.push_back(v);
                     }
                 }
@@ -74,8 +88,8 @@ impl RoutingTable {
         }
         self.next_hop
             .get(from.0 as usize * self.num_nodes + dst.0 as usize)
-            .copied()
-            .flatten()
+            .filter(|&&id| id != NO_ROUTE)
+            .map(|&id| LinkId(id))
     }
 }
 
@@ -110,6 +124,15 @@ mod tests {
         let t = RoutingTable::compute(3, &[(NodeId(0), NodeId(1))]);
         assert_eq!(t.next_hop(NodeId(1), NodeId(0)), None);
         assert_eq!(t.next_hop(NodeId(0), NodeId(2)), None);
+        // Nor is anything reachable from or at a node the table lacks.
+        assert_eq!(t.next_hop(NodeId(3), NodeId(0)), None);
+        assert_eq!(t.next_hop(NodeId(2), NodeId(7)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "link L4294967295 has an id the routing table reserves")]
+    fn the_no_route_id_is_refused_by_name() {
+        entry(u32::MAX as usize);
     }
 
     #[test]

@@ -37,6 +37,12 @@
 //! `[min_cwnd, max_cwnd]` bounds — that uniform contract is what the
 //! model checker's re-inflation invariant (DESIGN.md §13) checks for
 //! all of them.
+//!
+//! A window holds *state* only. Its tunables and the bounds are the same
+//! for every connection of a class, so they stay in the [`CcConfig`] the
+//! connection already shares by `Arc`, and every hook that needs them
+//! takes that config: a fleet pays for them once per class, not once per
+//! flow.
 
 use iq_netsim::{Time, TimeDelta};
 
@@ -236,7 +242,10 @@ impl Default for RrrParams {
 ///   checker's re-inflation invariant holds for any controller.
 ///
 /// Every mutating hook returns the resulting window so callers can
-/// report changes without re-querying.
+/// report changes without re-querying, and takes the [`CcConfig`] the
+/// controller was built from — tunables and bounds are read from it,
+/// not copied into each window. Driving a window with another
+/// algorithm's config is a caller bug and panics.
 pub trait CongestionControl {
     /// Current window in (fractional) segments.
     fn cwnd(&self) -> f64;
@@ -252,71 +261,86 @@ pub trait CongestionControl {
 
     /// An ACK segment newly acknowledged `acked_segments` segments;
     /// `srtt` is the current smoothed RTT if one exists.
-    fn on_ack(&mut self, now: Time, acked_segments: u32, srtt: Option<TimeDelta>) -> f64 {
-        let _ = (now, acked_segments, srtt);
+    fn on_ack(
+        &mut self,
+        cfg: &CcConfig,
+        now: Time,
+        acked_segments: u32,
+        srtt: Option<TimeDelta>,
+    ) -> f64 {
+        let _ = (cfg, now, acked_segments, srtt);
         self.cwnd()
     }
 
     /// A loss event: at least one segment crossed the duplicate-ACK
     /// threshold in one incoming ACK.
-    fn on_loss(&mut self, now: Time) -> f64 {
-        let _ = now;
+    fn on_loss(&mut self, cfg: &CcConfig, now: Time) -> f64 {
+        let _ = (cfg, now);
         self.cwnd()
     }
 
     /// A measuring period closed with snapshot `cond`.
-    fn on_period(&mut self, now: Time, cond: &NetCond) -> f64 {
-        let _ = (now, cond);
+    fn on_period(&mut self, cfg: &CcConfig, now: Time, cond: &NetCond) -> f64 {
+        let _ = (cfg, now, cond);
         self.cwnd()
     }
 
     /// A retransmission timeout fired.
-    fn on_timeout(&mut self, now: Time) -> f64;
+    fn on_timeout(&mut self, cfg: &CcConfig, now: Time) -> f64;
 
     /// An ECN congestion mark arrived (no transport path emits this
     /// yet; the hook keeps the seam ECN-ready).
-    fn on_ecn(&mut self, now: Time) -> f64 {
-        self.on_loss(now)
+    fn on_ecn(&mut self, cfg: &CcConfig, now: Time) -> f64 {
+        self.on_loss(cfg, now)
     }
 
     /// Coordination re-adjustment: multiplies the window by `factor`,
     /// clamped to the configured bounds. Degenerate factors (non-finite
     /// or ≤ 0) are ignored. Used by IQ-RUDP when the application
     /// reports an adaptation that changes its traffic pattern (§3.4).
-    fn scale(&mut self, factor: f64) -> f64;
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64;
 
     /// Folds the controller state into a model-checker digest; times
     /// must be hashed relative to `now` (DESIGN.md §13).
     fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher);
 }
 
-/// Shared window bounds, extracted from [`CcConfig`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Bounds {
-    min: f64,
-    max: f64,
-}
-
-impl Bounds {
-    fn of(cfg: &CcConfig) -> Self {
-        Self {
-            min: cfg.min_cwnd,
-            max: cfg.max_cwnd,
-        }
-    }
-
-    fn clamp(self, w: f64) -> f64 {
-        w.clamp(self.min, self.max)
+impl CcConfig {
+    /// `w` held to the `[min_cwnd, max_cwnd]` bounds every controller
+    /// shares.
+    fn clamp(&self, w: f64) -> f64 {
+        w.clamp(self.min_cwnd, self.max_cwnd)
     }
 }
 
 /// Multiply-then-clamp shared by every controller's `scale`: the §3.4
 /// re-inflation contract the model checker pins.
-fn scale_cwnd(cwnd: &mut f64, factor: f64, b: Bounds) -> f64 {
+fn scale_cwnd(cwnd: &mut f64, factor: f64, cfg: &CcConfig) -> f64 {
     if factor.is_finite() && factor > 0.0 {
-        *cwnd = b.clamp(*cwnd * factor);
+        *cwnd = cfg.clamp(*cwnd * factor);
     }
     *cwnd
+}
+
+/// The `$variant` tunables out of a connection's config. A window only
+/// ever meets the config it was built from — `SenderConn` holds both —
+/// so another algorithm's is a bug in the caller.
+macro_rules! params {
+    ($cfg:expr, $variant:ident) => {
+        match &$cfg.algorithm {
+            CcAlgorithm::$variant(p) => p,
+            other => wrong_config(stringify!($variant), other),
+        }
+    };
+}
+
+#[cold]
+#[inline(never)]
+fn wrong_config(window: &str, got: &CcAlgorithm) -> ! {
+    panic!(
+        "a {window} window was driven with the `{}` algorithm's config",
+        got.name()
+    )
 }
 
 // ---------------------------------------------------------------- LDA
@@ -324,17 +348,13 @@ fn scale_cwnd(cwnd: &mut f64, factor: f64, b: Bounds) -> f64 {
 /// The paper's loss-proportional congestion window (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LdaWindow {
-    p: LdaParams,
-    b: Bounds,
     cwnd: f64,
 }
 
 impl LdaWindow {
-    /// Creates a window from the shared config and its tunables.
-    pub fn new(cfg: &CcConfig, p: LdaParams) -> Self {
+    /// Creates a window at the config's initial size.
+    pub fn new(cfg: &CcConfig) -> Self {
         Self {
-            p,
-            b: Bounds::of(cfg),
             cwnd: cfg.initial_cwnd,
         }
     }
@@ -347,26 +367,27 @@ impl CongestionControl for LdaWindow {
 
     /// Additive increase on a clean period; multiplicative,
     /// loss-proportional decrease (`max(0.5, 1 − β·√loss)`) otherwise.
-    fn on_period(&mut self, _now: Time, cond: &NetCond) -> f64 {
+    fn on_period(&mut self, cfg: &CcConfig, _now: Time, cond: &NetCond) -> f64 {
+        let p = params!(cfg, Lda);
         let loss_ratio = cond.eratio;
         if loss_ratio <= 0.0 {
-            self.cwnd += self.p.incr_per_period;
+            self.cwnd += p.incr_per_period;
         } else {
-            let factor = (1.0 - self.p.beta * loss_ratio.sqrt()).max(0.5);
+            let factor = (1.0 - p.beta * loss_ratio.sqrt()).max(0.5);
             self.cwnd *= factor;
         }
-        self.cwnd = self.b.clamp(self.cwnd);
+        self.cwnd = cfg.clamp(self.cwnd);
         self.cwnd
     }
 
-    fn on_timeout(&mut self, _now: Time) -> f64 {
+    fn on_timeout(&mut self, cfg: &CcConfig, _now: Time) -> f64 {
         self.cwnd *= 0.5;
-        self.cwnd = self.b.clamp(self.cwnd);
+        self.cwnd = cfg.clamp(self.cwnd);
         self.cwnd
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
-        scale_cwnd(&mut self.cwnd, factor, self.b)
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
+        scale_cwnd(&mut self.cwnd, factor, cfg)
     }
 
     fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -381,8 +402,6 @@ impl CongestionControl for LdaWindow {
 /// RFC 8312-style CUBIC window (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubicWindow {
-    p: CubicParams,
-    b: Bounds,
     cwnd: f64,
     /// Window at the last congestion event — the saturation point the
     /// cubic curve converges back to.
@@ -397,11 +416,9 @@ pub struct CubicWindow {
 }
 
 impl CubicWindow {
-    /// Creates a window from the shared config and its tunables.
-    pub fn new(cfg: &CcConfig, p: CubicParams) -> Self {
+    /// Creates a window at the config's initial size.
+    pub fn new(cfg: &CcConfig) -> Self {
         Self {
-            p,
-            b: Bounds::of(cfg),
             cwnd: cfg.initial_cwnd,
             w_max: cfg.initial_cwnd,
             ssthresh: f64::INFINITY,
@@ -412,20 +429,20 @@ impl CubicWindow {
 
     /// The cubic window function `W(t) = C·(t − K)³ + W_max`, with `t`
     /// in seconds since the epoch start.
-    pub fn w_cubic(&self, t: f64) -> f64 {
+    pub fn w_cubic(&self, p: &CubicParams, t: f64) -> f64 {
         let d = t - self.k;
-        self.p.c * d * d * d + self.w_max
+        p.c * d * d * d + self.w_max
     }
 
     /// Registers a congestion event with multiplicative decrease
     /// `factor`, recomputing `K` and closing the epoch.
-    fn congestion_event(&mut self, factor: f64) -> f64 {
+    fn congestion_event(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
         self.w_max = self.cwnd;
-        self.cwnd = self.b.clamp(self.cwnd * factor);
+        self.cwnd = cfg.clamp(self.cwnd * factor);
         self.ssthresh = self.cwnd;
         // K = cbrt(W_max·(1 − factor)/C): time for the curve to climb
         // from the reduced window back to W_max.
-        self.k = (self.w_max * (1.0 - factor) / self.p.c).cbrt();
+        self.k = (self.w_max * (1.0 - factor) / params!(cfg, Cubic).c).cbrt();
         self.epoch_start = None;
         self.cwnd
     }
@@ -436,39 +453,44 @@ impl CongestionControl for CubicWindow {
         self.cwnd
     }
 
-    fn on_ack(&mut self, now: Time, acked_segments: u32, _srtt: Option<TimeDelta>) -> f64 {
+    fn on_ack(
+        &mut self,
+        cfg: &CcConfig,
+        now: Time,
+        acked_segments: u32,
+        _srtt: Option<TimeDelta>,
+    ) -> f64 {
         if acked_segments == 0 {
             return self.cwnd;
         }
         if self.cwnd < self.ssthresh {
             // Slow start: one segment per acked segment.
-            self.cwnd = self.b.clamp(self.cwnd + f64::from(acked_segments));
+            self.cwnd = cfg.clamp(self.cwnd + f64::from(acked_segments));
             return self.cwnd;
         }
         let start = *self.epoch_start.get_or_insert(now);
         let t = (now - start) as f64 / 1e9;
-        let target = self.w_cubic(t);
+        let target = self.w_cubic(params!(cfg, Cubic), t);
         if target > self.cwnd {
             // Converge toward the curve at most one segment per cwnd of
             // ACKs (the RFC's cwnd += (target − cwnd)/cwnd per ACK).
             let step = (target - self.cwnd) / self.cwnd.max(1.0);
-            self.cwnd = self.b.clamp(self.cwnd + step * f64::from(acked_segments));
+            self.cwnd = cfg.clamp(self.cwnd + step * f64::from(acked_segments));
         }
         // At or above the curve (e.g. just re-inflated by the
         // coordinator): hold and let the curve catch up.
         self.cwnd
     }
 
-    fn on_loss(&mut self, _now: Time) -> f64 {
-        let beta = self.p.beta;
-        self.congestion_event(beta)
+    fn on_loss(&mut self, cfg: &CcConfig, _now: Time) -> f64 {
+        self.congestion_event(cfg, params!(cfg, Cubic).beta)
     }
 
-    fn on_timeout(&mut self, _now: Time) -> f64 {
-        self.congestion_event(0.5)
+    fn on_timeout(&mut self, cfg: &CcConfig, _now: Time) -> f64 {
+        self.congestion_event(cfg, 0.5)
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
         if factor.is_finite() && factor > 0.0 {
             // Scale the saturation point with the window so the §3.4
             // re-inflation survives the next epoch instead of being
@@ -479,7 +501,7 @@ impl CongestionControl for CubicWindow {
             }
             self.epoch_start = None;
         }
-        scale_cwnd(&mut self.cwnd, factor, self.b)
+        scale_cwnd(&mut self.cwnd, factor, cfg)
     }
 
     fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -502,8 +524,6 @@ const BBR_WINDOW: usize = 8;
 /// Simplified BBR-like model window (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BbrWindow {
-    p: BbrParams,
-    b: Bounds,
     cwnd: f64,
     /// Delivery-rate samples (KB/s), ring-buffered; 0 = empty slot.
     rates: [f64; BBR_WINDOW],
@@ -513,11 +533,9 @@ pub struct BbrWindow {
 }
 
 impl BbrWindow {
-    /// Creates a window from the shared config and its tunables.
-    pub fn new(cfg: &CcConfig, p: BbrParams) -> Self {
+    /// Creates a window at the config's initial size.
+    pub fn new(cfg: &CcConfig) -> Self {
         Self {
-            p,
-            b: Bounds::of(cfg),
             cwnd: cfg.initial_cwnd,
             rates: [0.0; BBR_WINDOW],
             rtts: [0.0; BBR_WINDOW],
@@ -525,10 +543,10 @@ impl BbrWindow {
         }
     }
 
-    /// The current BDP estimate in segments: windowed-max delivery rate
-    /// × windowed-min RTT over MSS. `None` until both filters have a
-    /// sample.
-    pub fn bdp_segments(&self) -> Option<f64> {
+    /// The current BDP estimate in segments of `mss` bytes: windowed-max
+    /// delivery rate × windowed-min RTT over MSS. `None` until both
+    /// filters have a sample.
+    pub fn bdp_segments(&self, mss: u32) -> Option<f64> {
         let max_rate = self.rates.iter().copied().fold(0.0_f64, f64::max);
         let min_rtt = self
             .rtts
@@ -540,7 +558,7 @@ impl BbrWindow {
             return None;
         }
         // rate is KB/s and RTT is ms, so rate·rtt is bytes in flight.
-        Some(max_rate * min_rtt / f64::from(self.p.mss))
+        Some(max_rate * min_rtt / f64::from(mss))
     }
 }
 
@@ -551,40 +569,41 @@ impl CongestionControl for BbrWindow {
 
     /// Feeds the period's delivery rate and RTT into the filters and
     /// re-derives the window from the model.
-    fn on_period(&mut self, _now: Time, cond: &NetCond) -> f64 {
+    fn on_period(&mut self, cfg: &CcConfig, _now: Time, cond: &NetCond) -> f64 {
+        let p = params!(cfg, BbrLike);
         if cond.rate_kbps > 0.0 || cond.srtt_ms > 0.0 {
             self.rates[usize::from(self.pos)] = cond.rate_kbps;
             self.rtts[usize::from(self.pos)] = cond.srtt_ms;
             self.pos = (self.pos + 1) % BBR_WINDOW as u8;
         }
-        match self.bdp_segments() {
-            Some(bdp) => self.cwnd = self.b.clamp(self.p.gain * bdp),
+        match self.bdp_segments(p.mss) {
+            Some(bdp) => self.cwnd = cfg.clamp(p.gain * bdp),
             // Startup: grow multiplicatively until the model has data.
-            None => self.cwnd = self.b.clamp(self.cwnd * self.p.startup_gain),
+            None => self.cwnd = cfg.clamp(self.cwnd * p.startup_gain),
         }
         self.cwnd
     }
 
     /// Individual losses do not move a model-based window; the rate
     /// filter already reflects what was actually delivered.
-    fn on_loss(&mut self, _now: Time) -> f64 {
+    fn on_loss(&mut self, _cfg: &CcConfig, _now: Time) -> f64 {
         self.cwnd
     }
 
-    fn on_timeout(&mut self, _now: Time) -> f64 {
+    fn on_timeout(&mut self, cfg: &CcConfig, _now: Time) -> f64 {
         // An RTO means the model badly overestimated; back off like a
         // loss-based controller and let fresh samples rebuild it.
-        self.cwnd = self.b.clamp(self.cwnd * 0.5);
+        self.cwnd = cfg.clamp(self.cwnd * 0.5);
         self.cwnd
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
         // Model-based: the next period re-derives cwnd from the
         // filters, so a coordination re-inflation is transient by
         // design (the model sees the post-adaptation rate within a
         // period anyway). The immediate multiply still matters — it
         // bridges the gap until that next snapshot.
-        scale_cwnd(&mut self.cwnd, factor, self.b)
+        scale_cwnd(&mut self.cwnd, factor, cfg)
     }
 
     fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -602,28 +621,26 @@ impl CongestionControl for BbrWindow {
 /// Relative-rate-reduction window (see module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RrrWindow {
-    p: RrrParams,
-    b: Bounds,
     cwnd: f64,
 }
 
 impl RrrWindow {
-    /// Creates a window from the shared config and its tunables.
-    pub fn new(cfg: &CcConfig, p: RrrParams) -> Self {
+    /// Creates a window at the config's initial size.
+    pub fn new(cfg: &CcConfig) -> Self {
         Self {
-            p,
-            b: Bounds::of(cfg),
             cwnd: cfg.initial_cwnd,
         }
     }
+}
 
+impl RrrParams {
     /// The reduction factor applied for a period with `loss_ratio`
     /// above the target: `1 − γ·(loss − target)/(1 − target)`, floored
     /// at one half. At the target the factor is 1 (no reduction); at
     /// total loss it is `1 − γ` (or the 0.5 floor).
     pub fn reduction_factor(&self, loss_ratio: f64) -> f64 {
-        let excess = (loss_ratio - self.p.target_loss) / (1.0 - self.p.target_loss);
-        (1.0 - self.p.gamma * excess).max(0.5)
+        let excess = (loss_ratio - self.target_loss) / (1.0 - self.target_loss);
+        (1.0 - self.gamma * excess).max(0.5)
     }
 }
 
@@ -632,24 +649,25 @@ impl CongestionControl for RrrWindow {
         self.cwnd
     }
 
-    fn on_period(&mut self, _now: Time, cond: &NetCond) -> f64 {
-        if cond.eratio <= self.p.target_loss {
+    fn on_period(&mut self, cfg: &CcConfig, _now: Time, cond: &NetCond) -> f64 {
+        let p = params!(cfg, Rrr);
+        if cond.eratio <= p.target_loss {
             // At or below the acceptable congestion level: probe.
-            self.cwnd += self.p.incr_per_period;
+            self.cwnd += p.incr_per_period;
         } else {
-            self.cwnd *= self.reduction_factor(cond.eratio);
+            self.cwnd *= p.reduction_factor(cond.eratio);
         }
-        self.cwnd = self.b.clamp(self.cwnd);
+        self.cwnd = cfg.clamp(self.cwnd);
         self.cwnd
     }
 
-    fn on_timeout(&mut self, _now: Time) -> f64 {
-        self.cwnd = self.b.clamp(self.cwnd * 0.5);
+    fn on_timeout(&mut self, cfg: &CcConfig, _now: Time) -> f64 {
+        self.cwnd = cfg.clamp(self.cwnd * 0.5);
         self.cwnd
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
-        scale_cwnd(&mut self.cwnd, factor, self.b)
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
+        scale_cwnd(&mut self.cwnd, factor, cfg)
     }
 
     fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -662,17 +680,13 @@ impl CongestionControl for RrrWindow {
 /// Pinned window: no adaptation, coordination `scale` still applies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedWindow {
-    b: Bounds,
     cwnd: f64,
 }
 
 impl FixedWindow {
     /// Creates a window pinned at `cwnd`.
-    pub fn new(cfg: &CcConfig, cwnd: f64) -> Self {
-        Self {
-            b: Bounds::of(cfg),
-            cwnd,
-        }
+    pub fn new(cwnd: f64) -> Self {
+        Self { cwnd }
     }
 }
 
@@ -681,12 +695,12 @@ impl CongestionControl for FixedWindow {
         self.cwnd
     }
 
-    fn on_timeout(&mut self, _now: Time) -> f64 {
+    fn on_timeout(&mut self, _cfg: &CcConfig, _now: Time) -> f64 {
         self.cwnd
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
-        scale_cwnd(&mut self.cwnd, factor, self.b)
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
+        scale_cwnd(&mut self.cwnd, factor, cfg)
     }
 
     fn digest(&self, _now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -716,12 +730,12 @@ pub enum CcController {
 impl CcController {
     /// Instantiates the controller selected by `cfg.algorithm`.
     pub fn new(cfg: &CcConfig) -> Self {
-        match cfg.algorithm.clone() {
-            CcAlgorithm::Lda(p) => CcController::Lda(LdaWindow::new(cfg, p)),
-            CcAlgorithm::Cubic(p) => CcController::Cubic(CubicWindow::new(cfg, p)),
-            CcAlgorithm::BbrLike(p) => CcController::BbrLike(BbrWindow::new(cfg, p)),
-            CcAlgorithm::Rrr(p) => CcController::Rrr(RrrWindow::new(cfg, p)),
-            CcAlgorithm::Fixed { cwnd } => CcController::Fixed(FixedWindow::new(cfg, cwnd)),
+        match cfg.algorithm {
+            CcAlgorithm::Lda(_) => CcController::Lda(LdaWindow::new(cfg)),
+            CcAlgorithm::Cubic(_) => CcController::Cubic(CubicWindow::new(cfg)),
+            CcAlgorithm::BbrLike(_) => CcController::BbrLike(BbrWindow::new(cfg)),
+            CcAlgorithm::Rrr(_) => CcController::Rrr(RrrWindow::new(cfg)),
+            CcAlgorithm::Fixed { cwnd } => CcController::Fixed(FixedWindow::new(cwnd)),
         }
     }
 
@@ -759,28 +773,34 @@ impl CongestionControl for CcController {
         dispatch!(self, w => w.cwnd_segments())
     }
 
-    fn on_ack(&mut self, now: Time, acked_segments: u32, srtt: Option<TimeDelta>) -> f64 {
-        dispatch!(self, w => w.on_ack(now, acked_segments, srtt))
+    fn on_ack(
+        &mut self,
+        cfg: &CcConfig,
+        now: Time,
+        acked_segments: u32,
+        srtt: Option<TimeDelta>,
+    ) -> f64 {
+        dispatch!(self, w => w.on_ack(cfg, now, acked_segments, srtt))
     }
 
-    fn on_loss(&mut self, now: Time) -> f64 {
-        dispatch!(self, w => w.on_loss(now))
+    fn on_loss(&mut self, cfg: &CcConfig, now: Time) -> f64 {
+        dispatch!(self, w => w.on_loss(cfg, now))
     }
 
-    fn on_period(&mut self, now: Time, cond: &NetCond) -> f64 {
-        dispatch!(self, w => w.on_period(now, cond))
+    fn on_period(&mut self, cfg: &CcConfig, now: Time, cond: &NetCond) -> f64 {
+        dispatch!(self, w => w.on_period(cfg, now, cond))
     }
 
-    fn on_timeout(&mut self, now: Time) -> f64 {
-        dispatch!(self, w => w.on_timeout(now))
+    fn on_timeout(&mut self, cfg: &CcConfig, now: Time) -> f64 {
+        dispatch!(self, w => w.on_timeout(cfg, now))
     }
 
-    fn on_ecn(&mut self, now: Time) -> f64 {
-        dispatch!(self, w => w.on_ecn(now))
+    fn on_ecn(&mut self, cfg: &CcConfig, now: Time) -> f64 {
+        dispatch!(self, w => w.on_ecn(cfg, now))
     }
 
-    fn scale(&mut self, factor: f64) -> f64 {
-        dispatch!(self, w => w.scale(factor))
+    fn scale(&mut self, cfg: &CcConfig, factor: f64) -> f64 {
+        dispatch!(self, w => w.scale(cfg, factor))
     }
 
     fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
@@ -791,6 +811,7 @@ impl CongestionControl for CcController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::DEFAULT_MSS;
 
     fn loss(eratio: f64) -> NetCond {
         NetCond {
@@ -799,43 +820,53 @@ mod tests {
         }
     }
 
+    /// The default config: LDA with default tunables.
+    fn lda() -> CcConfig {
+        CcConfig::default()
+    }
+
+    fn with(algorithm: CcAlgorithm) -> CcConfig {
+        CcConfig {
+            algorithm,
+            ..CcConfig::default()
+        }
+    }
+
     fn win() -> LdaWindow {
-        LdaWindow::new(&CcConfig::default(), LdaParams::default())
+        LdaWindow::new(&lda())
     }
 
     #[test]
     fn additive_increase_when_clean() {
         let mut w = win();
         let start = w.cwnd();
-        w.on_period(0, &loss(0.0));
-        w.on_period(0, &loss(0.0));
+        w.on_period(&lda(), 0, &loss(0.0));
+        w.on_period(&lda(), 0, &loss(0.0));
         assert_eq!(w.cwnd(), start + 2.0 * LdaParams::default().incr_per_period);
     }
 
     #[test]
     fn loss_proportional_decrease() {
-        let mut w = LdaWindow::new(
-            &CcConfig::default(),
-            LdaParams {
-                beta: 1.0,
-                ..LdaParams::default()
-            },
-        );
-        w.scale(50.0); // get to 100
+        let cfg = with(CcAlgorithm::Lda(LdaParams {
+            beta: 1.0,
+            ..LdaParams::default()
+        }));
+        let mut w = LdaWindow::new(&cfg);
+        w.scale(&cfg, 50.0); // get to 100
         let before = w.cwnd();
-        w.on_period(0, &loss(0.09)); // sqrt(0.09) = 0.3
+        w.on_period(&cfg, 0, &loss(0.09)); // sqrt(0.09) = 0.3
         assert!((w.cwnd() - before * 0.7).abs() < 1e-9);
         // Heavy loss floors at one half.
         let before = w.cwnd();
-        w.on_period(0, &loss(0.9));
+        w.on_period(&cfg, 0, &loss(0.9));
         assert!((w.cwnd() - before * 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn timeout_halves() {
         let mut w = win();
-        w.scale(8.0); // 16
-        w.on_timeout(0);
+        w.scale(&lda(), 8.0); // 16
+        w.on_timeout(&lda(), 0);
         assert_eq!(w.cwnd(), 8.0);
     }
 
@@ -843,11 +874,11 @@ mod tests {
     fn clamped_to_bounds() {
         let mut w = win();
         for _ in 0..2000 {
-            w.on_period(0, &loss(0.0));
+            w.on_period(&lda(), 0, &loss(0.0));
         }
         assert_eq!(w.cwnd(), 1024.0);
         for _ in 0..100 {
-            w.on_timeout(0);
+            w.on_timeout(&lda(), 0);
         }
         assert_eq!(w.cwnd(), 1.0);
         assert_eq!(w.cwnd_segments(), 1);
@@ -855,45 +886,41 @@ mod tests {
 
     #[test]
     fn fixed_window_is_pinned() {
-        let mut w = CcController::new(&CcConfig {
-            algorithm: CcAlgorithm::Fixed { cwnd: 40.0 },
-            ..CcConfig::default()
-        });
-        w.on_period(0, &loss(0.5));
-        w.on_timeout(0);
-        w.on_ack(0, 3, None);
-        w.on_loss(0);
+        let cfg = with(CcAlgorithm::Fixed { cwnd: 40.0 });
+        let mut w = CcController::new(&cfg);
+        w.on_period(&cfg, 0, &loss(0.5));
+        w.on_timeout(&cfg, 0);
+        w.on_ack(&cfg, 0, 3, None);
+        w.on_loss(&cfg, 0);
         assert_eq!(w.cwnd(), 40.0);
         // Coordination scaling still applies to a pinned window.
-        w.scale(0.5);
+        w.scale(&cfg, 0.5);
         assert_eq!(w.cwnd(), 20.0);
     }
 
     #[test]
     fn cwnd_segments_rounds_to_nearest() {
         let mut w = win();
-        w.scale(1.999 / w.cwnd());
+        w.scale(&lda(), 1.999 / w.cwnd());
         assert!((w.cwnd() - 1.999).abs() < 1e-12);
         // 1.999 must behave as 2 segments, not truncate to 1.
         assert_eq!(w.cwnd_segments(), 2);
-        w.scale(1.4 / w.cwnd());
+        w.scale(&lda(), 1.4 / w.cwnd());
         assert_eq!(w.cwnd_segments(), 1);
-        w.scale(2.5 / w.cwnd());
+        w.scale(&lda(), 2.5 / w.cwnd());
         assert_eq!(w.cwnd_segments(), 3); // round half away from zero
     }
 
     #[test]
     fn scale_ignores_degenerate_factors() {
         for alg in CcAlgorithm::all_adaptive() {
-            let mut w = CcController::new(&CcConfig {
-                algorithm: alg,
-                ..CcConfig::default()
-            });
+            let cfg = with(alg);
+            let mut w = CcController::new(&cfg);
             let before = w.cwnd();
-            w.scale(0.0);
-            w.scale(-1.0);
-            w.scale(f64::NAN);
-            w.scale(f64::INFINITY);
+            w.scale(&cfg, 0.0);
+            w.scale(&cfg, -1.0);
+            w.scale(&cfg, f64::NAN);
+            w.scale(&cfg, f64::INFINITY);
             assert_eq!(w.cwnd(), before, "{}", w.name());
         }
     }
@@ -901,7 +928,6 @@ mod tests {
     #[test]
     fn every_controller_scale_is_multiply_then_clamp() {
         // The §3.4 contract the model checker relies on, for all five.
-        let cfg = CcConfig::default();
         let algs = [
             CcAlgorithm::Lda(LdaParams::default()),
             CcAlgorithm::Cubic(CubicParams::default()),
@@ -910,12 +936,10 @@ mod tests {
             CcAlgorithm::Fixed { cwnd: 64.0 },
         ];
         for alg in algs {
-            let mut w = CcController::new(&CcConfig {
-                algorithm: alg,
-                ..cfg.clone()
-            });
+            let cfg = with(alg);
+            let mut w = CcController::new(&cfg);
             let before = w.cwnd();
-            let after = w.scale(3.0);
+            let after = w.scale(&cfg, 3.0);
             assert_eq!(
                 after,
                 (before * 3.0).clamp(cfg.min_cwnd, cfg.max_cwnd),
@@ -923,7 +947,7 @@ mod tests {
                 w.name()
             );
             let before = w.cwnd();
-            let after = w.scale(1e9);
+            let after = w.scale(&cfg, 1e9);
             assert_eq!(after, (before * 1e9).clamp(cfg.min_cwnd, cfg.max_cwnd));
         }
     }
@@ -945,35 +969,38 @@ mod tests {
 
     #[test]
     fn cubic_window_function_matches_rfc_form() {
-        let mut w = CubicWindow::new(
-            &CcConfig {
-                initial_cwnd: 100.0,
-                ..CcConfig::default()
-            },
-            CubicParams::default(),
-        );
+        let p = CubicParams::default();
+        let cfg = CcConfig {
+            initial_cwnd: 100.0,
+            ..with(CcAlgorithm::Cubic(p.clone()))
+        };
+        let mut w = CubicWindow::new(&cfg);
         w.ssthresh = 0.0; // force congestion avoidance
-        w.on_loss(0);
+        w.on_loss(&cfg, 0);
         // After a loss at w = 100: w_max = 100, cwnd = 70,
         // K = cbrt(100·0.3/0.4) = cbrt(75).
         assert!((w.cwnd() - 70.0).abs() < 1e-9);
         let k = (100.0 * 0.3 / 0.4_f64).cbrt();
         assert!((w.k - k).abs() < 1e-12);
         // W(K) = w_max exactly; W(0) = cwnd after the decrease.
-        assert!((w.w_cubic(k) - 100.0).abs() < 1e-9);
-        assert!((w.w_cubic(0.0) - 70.0).abs() < 1e-6);
+        assert!((w.w_cubic(&p, k) - 100.0).abs() < 1e-9);
+        assert!((w.w_cubic(&p, 0.0) - 70.0).abs() < 1e-6);
         // Convex growth past K.
-        assert!(w.w_cubic(k + 1.0) > 100.0);
-        assert!(w.w_cubic(k + 2.0) - w.w_cubic(k + 1.0) > w.w_cubic(k + 1.0) - w.w_cubic(k));
+        assert!(w.w_cubic(&p, k + 1.0) > 100.0);
+        assert!(
+            w.w_cubic(&p, k + 2.0) - w.w_cubic(&p, k + 1.0)
+                > w.w_cubic(&p, k + 1.0) - w.w_cubic(&p, k)
+        );
     }
 
     #[test]
     fn cubic_slow_starts_then_converges_to_w_max() {
-        let mut w = CubicWindow::new(&CcConfig::default(), CubicParams::default());
+        let cfg = with(CcAlgorithm::Cubic(CubicParams::default()));
+        let mut w = CubicWindow::new(&cfg);
         // Slow start: each acked segment adds one.
-        w.on_ack(0, 2, None);
+        w.on_ack(&cfg, 0, 2, None);
         assert_eq!(w.cwnd(), 4.0);
-        w.on_loss(0);
+        w.on_loss(&cfg, 0);
         let reduced = w.cwnd();
         assert!((reduced - 4.0 * 0.7).abs() < 1e-9);
         // ACKs over the following seconds climb back toward w_max = 4
@@ -981,22 +1008,23 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..200 {
             now += 100_000_000; // 100 ms
-            w.on_ack(now, 1, None);
+            w.on_ack(&cfg, now, 1, None);
         }
         assert!(w.cwnd() > 4.0, "cwnd {} should pass w_max", w.cwnd());
     }
 
     #[test]
     fn cubic_holds_above_curve_after_reinflation() {
-        let mut w = CubicWindow::new(&CcConfig::default(), CubicParams::default());
-        w.on_ack(0, 8, None); // slow start to 10
-        w.on_loss(0); // w_max = 10, cwnd = 7
+        let cfg = with(CcAlgorithm::Cubic(CubicParams::default()));
+        let mut w = CubicWindow::new(&cfg);
+        w.on_ack(&cfg, 0, 8, None); // slow start to 10
+        w.on_loss(&cfg, 0); // w_max = 10, cwnd = 7
         let before = w.cwnd();
-        w.scale(4.0); // coordinator re-inflates to 28
+        w.scale(&cfg, 4.0); // coordinator re-inflates to 28
         assert_eq!(w.cwnd(), before * 4.0);
         // The very next ACK must not crash the window back to the old
         // curve: w_max scaled with it.
-        w.on_ack(1_000_000, 1, None);
+        w.on_ack(&cfg, 1_000_000, 1, None);
         assert!(w.cwnd() >= before * 4.0 - 1e-9);
     }
 
@@ -1004,7 +1032,8 @@ mod tests {
 
     #[test]
     fn bbr_pins_window_to_gain_times_bdp() {
-        let mut w = BbrWindow::new(&CcConfig::default(), BbrParams::default());
+        let cfg = with(CcAlgorithm::BbrLike(BbrParams::default()));
+        let mut w = BbrWindow::new(&cfg);
         // 1400 KB/s × 20 ms = 28 000 bytes in flight = 20 segments of
         // 1400 B; gain 2 → cwnd 40.
         let cond = NetCond {
@@ -1012,8 +1041,8 @@ mod tests {
             srtt_ms: 20.0,
             ..NetCond::default()
         };
-        w.on_period(0, &cond);
-        assert_eq!(w.bdp_segments(), Some(20.0));
+        w.on_period(&cfg, 0, &cond);
+        assert_eq!(w.bdp_segments(DEFAULT_MSS), Some(20.0));
         assert_eq!(w.cwnd(), 40.0);
         // Max-rate filter: a slower period does not shrink the estimate
         // while the fast sample is in the window.
@@ -1022,39 +1051,41 @@ mod tests {
             srtt_ms: 20.0,
             ..NetCond::default()
         };
-        w.on_period(0, &slow);
+        w.on_period(&cfg, 0, &slow);
         assert_eq!(w.cwnd(), 40.0);
     }
 
     #[test]
     fn bbr_startup_grows_until_model_has_data() {
-        let mut w = BbrWindow::new(&CcConfig::default(), BbrParams::default());
+        let cfg = with(CcAlgorithm::BbrLike(BbrParams::default()));
+        let mut w = BbrWindow::new(&cfg);
         let idle = NetCond::default(); // no rate, no rtt yet
-        w.on_period(0, &idle);
+        w.on_period(&cfg, 0, &idle);
         assert_eq!(w.cwnd(), 4.0); // 2 × startup_gain
-        w.on_period(0, &idle);
+        w.on_period(&cfg, 0, &idle);
         assert_eq!(w.cwnd(), 8.0);
     }
 
     #[test]
     fn bbr_max_rate_sample_eventually_ages_out() {
-        let mut w = BbrWindow::new(&CcConfig::default(), BbrParams::default());
+        let cfg = with(CcAlgorithm::BbrLike(BbrParams::default()));
+        let mut w = BbrWindow::new(&cfg);
         let fast = NetCond {
             rate_kbps: 1400.0,
             srtt_ms: 20.0,
             ..NetCond::default()
         };
-        w.on_period(0, &fast);
+        w.on_period(&cfg, 0, &fast);
         let slow = NetCond {
             rate_kbps: 700.0,
             srtt_ms: 20.0,
             ..NetCond::default()
         };
         for _ in 0..BBR_WINDOW {
-            w.on_period(0, &slow);
+            w.on_period(&cfg, 0, &slow);
         }
         // The fast sample fell out of the 8-period window.
-        assert_eq!(w.bdp_segments(), Some(10.0));
+        assert_eq!(w.bdp_segments(DEFAULT_MSS), Some(10.0));
         assert_eq!(w.cwnd(), 20.0);
     }
 
@@ -1062,10 +1093,11 @@ mod tests {
 
     #[test]
     fn rrr_probes_at_or_below_target() {
-        let mut w = RrrWindow::new(&CcConfig::default(), RrrParams::default());
+        let cfg = with(CcAlgorithm::Rrr(RrrParams::default()));
+        let mut w = RrrWindow::new(&cfg);
         let start = w.cwnd();
-        w.on_period(0, &loss(0.0));
-        w.on_period(0, &loss(0.05)); // exactly at the target level
+        w.on_period(&cfg, 0, &loss(0.0));
+        w.on_period(&cfg, 0, &loss(0.05)); // exactly at the target level
         assert_eq!(w.cwnd(), start + 2.0);
     }
 
@@ -1076,41 +1108,34 @@ mod tests {
             gamma: 1.0,
             incr_per_period: 1.0,
         };
-        let mut w = RrrWindow::new(
-            &CcConfig {
-                initial_cwnd: 100.0,
-                ..CcConfig::default()
-            },
-            p,
-        );
         // loss 0.24: excess = (0.24 − 0.05)/0.95 = 0.2 → factor 0.8.
-        let f = w.reduction_factor(0.24);
+        let f = p.reduction_factor(0.24);
         assert!((f - 0.8).abs() < 1e-9);
-        w.on_period(0, &loss(0.24));
-        assert!((w.cwnd() - 80.0).abs() < 1e-6);
         // Total loss floors at one half regardless of gamma.
-        assert_eq!(w.reduction_factor(1.0), 0.5);
+        assert_eq!(p.reduction_factor(1.0), 0.5);
+        let cfg = CcConfig {
+            initial_cwnd: 100.0,
+            ..with(CcAlgorithm::Rrr(p))
+        };
+        let mut w = RrrWindow::new(&cfg);
+        w.on_period(&cfg, 0, &loss(0.24));
+        assert!((w.cwnd() - 80.0).abs() < 1e-6);
         // A higher congestion level tolerates the same loss untouched.
-        let tolerant = RrrWindow::new(
-            &CcConfig::default(),
-            RrrParams {
-                target_loss: 0.30,
-                ..RrrParams::default()
-            },
-        );
+        let tolerant = RrrParams {
+            target_loss: 0.30,
+            ..RrrParams::default()
+        };
         assert!(tolerant.reduction_factor(0.24) >= 1.0);
     }
 
     #[test]
     fn rrr_timeout_halves() {
-        let mut w = RrrWindow::new(
-            &CcConfig {
-                initial_cwnd: 16.0,
-                ..CcConfig::default()
-            },
-            RrrParams::default(),
-        );
-        w.on_timeout(0);
+        let cfg = CcConfig {
+            initial_cwnd: 16.0,
+            ..with(CcAlgorithm::Rrr(RrrParams::default()))
+        };
+        let mut w = RrrWindow::new(&cfg);
+        w.on_timeout(&cfg, 0);
         assert_eq!(w.cwnd(), 8.0);
     }
 
@@ -1118,16 +1143,13 @@ mod tests {
     fn controller_digests_differ_by_state_not_clock() {
         // CUBIC's epoch is hashed relative to `now`: the same state
         // reached at different absolute times digests identically.
-        let cfg = CcConfig {
-            algorithm: CcAlgorithm::Cubic(CubicParams::default()),
-            ..CcConfig::default()
-        };
+        let cfg = with(CcAlgorithm::Cubic(CubicParams::default()));
         let mut a = CcController::new(&cfg);
         let mut b = CcController::new(&cfg);
-        a.on_loss(0);
-        a.on_ack(1_000_000, 1, None);
-        b.on_loss(0);
-        b.on_ack(5_000_000, 1, None);
+        a.on_loss(&cfg, 0);
+        a.on_ack(&cfg, 1_000_000, 1, None);
+        b.on_loss(&cfg, 0);
+        b.on_ack(&cfg, 5_000_000, 1, None);
         let digest_at = |w: &CcController, now: Time| {
             let mut h = iq_telemetry::StateHasher::new();
             w.digest(now, &mut h);
@@ -1137,5 +1159,16 @@ mod tests {
         assert_eq!(digest_at(&a, 2_000_000), digest_at(&b, 6_000_000));
         // Different epoch age → different digest.
         assert_ne!(digest_at(&a, 2_000_000), digest_at(&a, 9_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "a Lda window was driven with the `cubic` algorithm's config")]
+    fn a_window_refuses_another_algorithms_config() {
+        let mut w = win();
+        w.on_period(
+            &with(CcAlgorithm::Cubic(CubicParams::default())),
+            0,
+            &loss(0.0),
+        );
     }
 }

@@ -25,10 +25,10 @@ pub struct NetCond {
     pub rate_kbps: f64,
 }
 
-/// Counts per-period sender activity.
+/// Counts per-period sender activity. The period length is a per-class
+/// constant (`RudpConfig::measure_period`) the connection passes in.
 #[derive(Debug, Clone)]
 pub struct PeriodMeter {
-    period: TimeDelta,
     period_start: Time,
     sent: u64,
     lost: u64,
@@ -37,11 +37,16 @@ pub struct PeriodMeter {
     last: NetCond,
 }
 
+impl Default for PeriodMeter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PeriodMeter {
-    /// Creates a meter with the given period length.
-    pub fn new(period: TimeDelta) -> Self {
+    /// Creates a meter whose first period starts at time 0.
+    pub fn new() -> Self {
         Self {
-            period,
             period_start: 0,
             sent: 0,
             lost: 0,
@@ -49,11 +54,6 @@ impl PeriodMeter {
             eratio_smoothed: Ewma::new(0.3),
             last: NetCond::default(),
         }
-    }
-
-    /// Period length.
-    pub fn period(&self) -> TimeDelta {
-        self.period
     }
 
     /// Records a (re)transmitted data segment.
@@ -72,16 +72,22 @@ impl PeriodMeter {
         self.acked_bytes += bytes;
     }
 
-    /// Time at which the current period ends.
-    pub fn deadline(&self) -> Time {
-        self.period_start + self.period
+    /// Time at which the current period, `period` long, ends.
+    pub fn deadline(&self, period: TimeDelta) -> Time {
+        self.period_start + period
     }
 
     /// Closes the period if `now` passed its deadline; returns the fresh
     /// snapshot when one was produced. `srtt_ms` and `cwnd` are provided
     /// by the connection for inclusion in the snapshot.
-    pub fn maybe_roll(&mut self, now: Time, srtt_ms: f64, cwnd: f64) -> Option<NetCond> {
-        if now < self.deadline() {
+    pub fn maybe_roll(
+        &mut self,
+        now: Time,
+        period: TimeDelta,
+        srtt_ms: f64,
+        cwnd: f64,
+    ) -> Option<NetCond> {
+        if now < self.deadline(period) {
             return None;
         }
         let eratio = if self.sent == 0 {
@@ -115,11 +121,18 @@ impl PeriodMeter {
         self.last
     }
 
+    /// Replaces the snapshot's window with the one the controller chose
+    /// in reaction to it, which is what the sender's period events
+    /// report.
+    pub(crate) fn set_last_cwnd(&mut self, cwnd: f64) {
+        self.last.cwnd = cwnd;
+    }
+
     /// Folds the meter state into a model-checker digest. Times are
     /// hashed relative to `now` so equivalent states reached at
     /// different absolute clocks still collide.
-    pub(crate) fn digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
-        h.write_u64(self.deadline().saturating_sub(now));
+    pub(crate) fn digest(&self, now: Time, period: TimeDelta, h: &mut iq_telemetry::StateHasher) {
+        h.write_u64(self.deadline(period).saturating_sub(now));
         h.write_u64(self.sent);
         h.write_u64(self.lost);
         h.write_u64(self.acked_bytes);
@@ -134,22 +147,24 @@ mod tests {
     use super::*;
     use iq_netsim::time::millis;
 
+    const PERIOD: TimeDelta = millis(100);
+
     #[test]
     fn no_roll_before_deadline() {
-        let mut m = PeriodMeter::new(millis(100));
+        let mut m = PeriodMeter::new();
         m.on_send();
-        assert!(m.maybe_roll(millis(50), 30.0, 10.0).is_none());
+        assert!(m.maybe_roll(millis(50), PERIOD, 30.0, 10.0).is_none());
     }
 
     #[test]
     fn eratio_is_lost_over_sent() {
-        let mut m = PeriodMeter::new(millis(100));
+        let mut m = PeriodMeter::new();
         for _ in 0..10 {
             m.on_send();
         }
         m.on_loss();
         m.on_loss();
-        let c = m.maybe_roll(millis(100), 30.0, 10.0).unwrap();
+        let c = m.maybe_roll(millis(100), PERIOD, 30.0, 10.0).unwrap();
         assert!((c.eratio - 0.2).abs() < 1e-9);
         assert_eq!(c.srtt_ms, 30.0);
         assert_eq!(c.cwnd, 10.0);
@@ -157,35 +172,35 @@ mod tests {
 
     #[test]
     fn counters_reset_each_period() {
-        let mut m = PeriodMeter::new(millis(100));
+        let mut m = PeriodMeter::new();
         m.on_send();
         m.on_loss();
-        m.maybe_roll(millis(100), 0.0, 0.0).unwrap();
+        m.maybe_roll(millis(100), PERIOD, 0.0, 0.0).unwrap();
         m.on_send();
-        let c = m.maybe_roll(millis(200), 0.0, 0.0).unwrap();
+        let c = m.maybe_roll(millis(200), PERIOD, 0.0, 0.0).unwrap();
         assert_eq!(c.eratio, 0.0);
     }
 
     #[test]
     fn idle_period_has_zero_eratio() {
-        let mut m = PeriodMeter::new(millis(100));
-        let c = m.maybe_roll(millis(150), 0.0, 0.0).unwrap();
+        let mut m = PeriodMeter::new();
+        let c = m.maybe_roll(millis(150), PERIOD, 0.0, 0.0).unwrap();
         assert_eq!(c.eratio, 0.0);
         assert_eq!(c.rate_kbps, 0.0);
     }
 
     #[test]
     fn rate_counts_acked_bytes() {
-        let mut m = PeriodMeter::new(millis(100));
+        let mut m = PeriodMeter::new();
         m.on_acked(50_000);
-        let c = m.maybe_roll(millis(100), 0.0, 0.0).unwrap();
+        let c = m.maybe_roll(millis(100), PERIOD, 0.0, 0.0).unwrap();
         // 50 KB over 0.1 s = 500 KB/s.
         assert!((c.rate_kbps - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn smoothed_eratio_lags_instantaneous() {
-        let mut m = PeriodMeter::new(millis(100));
+        let mut m = PeriodMeter::new();
         let mut t = millis(100);
         // First period: heavy loss.
         for _ in 0..10 {
@@ -194,14 +209,14 @@ mod tests {
         for _ in 0..5 {
             m.on_loss();
         }
-        m.maybe_roll(t, 0.0, 0.0);
+        m.maybe_roll(t, PERIOD, 0.0, 0.0);
         // Next periods: clean.
         for _ in 0..5 {
             t += millis(100);
             for _ in 0..10 {
                 m.on_send();
             }
-            m.maybe_roll(t, 0.0, 0.0);
+            m.maybe_roll(t, PERIOD, 0.0, 0.0);
         }
         let c = m.last();
         assert_eq!(c.eratio, 0.0);

@@ -37,6 +37,14 @@ struct Assembly {
     msg_sent_at: Time,
 }
 
+/// What a receiver ever reports, in a byte: [`ReceiverConn::take_events`]
+/// maps back to [`ConnEvent`].
+#[derive(Debug, Clone, Copy)]
+enum RecvEvent {
+    Connected,
+    Finished,
+}
+
 /// The receiving endpoint state machine.
 #[derive(Debug)]
 pub struct ReceiverConn {
@@ -67,7 +75,7 @@ pub struct ReceiverConn {
     /// The driver pumps the outbox dry after every incoming segment, so
     /// it almost never holds more than one.
     outbox: InlineQueue<Segment, 1>,
-    events: InlineQueue<ConnEvent, 1>,
+    events: InlineQueue<RecvEvent, 2>,
     fin_seq: Option<u64>,
     finished: bool,
     /// In-order segments since the last ACK (decimation counter).
@@ -178,7 +186,17 @@ impl ReceiverConn {
     /// Creates a receiver sharing an already-wrapped configuration (the
     /// [`crate::ConnBuilder`] path: many-flow setups build hundreds of
     /// connections from one config without cloning it each time).
+    ///
+    /// # Panics
+    /// Panics if `cfg.recv_buffer_segments` exceeds 65,535: a SACK block
+    /// stores its ranges as 16-bit offsets, which covers every sequence
+    /// number a receiver can hold only up to that window.
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
+        assert!(
+            cfg.recv_buffer_segments <= u32::from(u16::MAX),
+            "recv_buffer_segments is {}, above the 65,535 a SACK block can span",
+            cfg.recv_buffer_segments
+        );
         let tolerance = cfg.loss_tolerance;
         Self {
             cfg,
@@ -236,7 +254,12 @@ impl ReceiverConn {
 
     /// Drains pending events.
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::iter::from_fn(|| self.events.pop_front()).collect()
+        std::iter::from_fn(|| self.events.pop_front())
+            .map(|ev| match ev {
+                RecvEvent::Connected => ConnEvent::Connected,
+                RecvEvent::Finished => ConnEvent::Finished,
+            })
+            .collect()
     }
 
     /// Discards pending events (sinks that never inspect them).
@@ -295,14 +318,9 @@ impl ReceiverConn {
     fn sack_ranges(&mut self) -> SackRanges {
         let mut ranges = SackRanges::new();
         for (seq, _) in self.buffer.iter() {
-            match ranges.last_mut() {
-                Some((_, end)) if *end == seq => *end = seq + 1,
-                _ => {
-                    if !ranges.push((seq, seq + 1)) {
-                        iq_obs::counter_inc!(self.stats.sack_truncations);
-                        break;
-                    }
-                }
+            if !ranges.extend_last(seq) && !ranges.push((seq, seq + 1)) {
+                iq_obs::counter_inc!(self.stats.sack_truncations);
+                break;
             }
         }
         ranges
@@ -327,7 +345,7 @@ impl ReceiverConn {
                 if !self.established {
                     self.established = true;
                     self.next_required = *init_seq;
-                    self.events.push_back(ConnEvent::Connected);
+                    self.events.push_back(RecvEvent::Connected);
                 }
                 // (Re)send the SYN-ACK; duplicates are harmless.
                 self.outbox.push_back(Segment::SynAck {
@@ -363,6 +381,17 @@ impl ReceiverConn {
 
     fn on_data(&mut self, now: Time, d: &DataSeg) {
         self.stats.segments_received += 1;
+        // Past anything `recv_window` ever advertised: a conforming
+        // sender cannot have sent it, and buffering it would grow the
+        // reorder ring to span the distance. Dropped before it can move
+        // `highest_seen`, the buffer or an ACK.
+        let window_end = self
+            .next_required
+            .saturating_add(u64::from(self.cfg.recv_buffer_segments));
+        if d.seq >= window_end {
+            self.stats.out_of_window += 1;
+            return;
+        }
         self.highest_seen = self.highest_seen.max(d.seq + 1);
         let duplicate = d.seq < self.next_required || self.buffer.contains(d.seq);
         if duplicate {
@@ -505,7 +534,7 @@ impl ReceiverConn {
         if let Some(fin) = self.fin_seq {
             if self.next_required >= fin {
                 self.finished = true;
-                self.events.push_back(ConnEvent::Finished);
+                self.events.push_back(RecvEvent::Finished);
                 self.outbox.push_back(Segment::FinAck);
             }
         }
@@ -860,5 +889,79 @@ mod tests {
         r.on_segment(2, &data(2, 2, 0, 1, true));
         let a = last_ack(&mut r);
         assert_eq!(a.recv_window, 2);
+    }
+
+    #[test]
+    fn data_past_the_advertised_window_is_dropped_and_counted() {
+        let mut r = ReceiverConn::new(
+            1,
+            RudpConfig {
+                recv_buffer_segments: 8,
+                ..RudpConfig::default()
+            },
+        );
+        r.on_segment(0, &Segment::Syn { init_seq: 0 });
+        while r.poll_transmit(0).is_some() {}
+        // A hole at 0 keeps `next_required` at 0: the window is [0, 8).
+        r.on_segment(1, &data(1, 1, 0, 1, true));
+        // Its last sequence number is buffered and SACKed …
+        r.on_segment(2, &data(7, 7, 0, 1, true));
+        let a = last_ack(&mut r);
+        assert_eq!(a.highest_seen, 8);
+        assert_eq!(a.sack, vec![(1, 2), (7, 8)]);
+        assert_eq!(r.stats().out_of_window, 0);
+        // … the one after it is not: no ACK, nothing moved.
+        r.on_segment(3, &data(8, 8, 0, 1, true));
+        assert!(r.poll_transmit(3).is_none());
+        assert!(!r.has_segment(8));
+        assert_eq!(r.highest_seen, 8);
+        assert_eq!(r.stats().out_of_window, 1);
+        assert_eq!(r.stats().segments_received, 3);
+        // Neither is one that would have grown the ring to 2⁴⁰ slots.
+        r.on_segment(4, &data(1 << 40, 9, 0, 1, true));
+        assert!(r.poll_transmit(4).is_none());
+        assert_eq!(r.stats().out_of_window, 2);
+        // The window moves with `next_required`: once the hole fills,
+        // seq 8 is inside it.
+        r.on_segment(5, &data(0, 0, 0, 1, true));
+        r.on_segment(6, &data(8, 8, 0, 1, true));
+        assert!(r.has_segment(8));
+        assert_eq!(last_ack(&mut r).sack, vec![(7, 9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "recv_buffer_segments is 65536")]
+    fn a_window_a_sack_block_cannot_span_is_refused() {
+        ReceiverConn::new(
+            1,
+            RudpConfig {
+                recv_buffer_segments: 65_536,
+                ..RudpConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn connection_state_is_compact() {
+        // Paid by every flow of a fleet when the world is built
+        // (DESIGN.md §12); a new field should show up here.
+        for (name, size, ceiling) in [
+            ("ReceiverConn", std::mem::size_of::<ReceiverConn>(), 472),
+            ("Segment", std::mem::size_of::<Segment>(), 96),
+            ("RecvEvent", std::mem::size_of::<RecvEvent>(), 1),
+        ] {
+            // `cargo test … connection_state_is_compact -- --nocapture`
+            // is the struct-size probe.
+            println!("{name}: {size} bytes (ceiling {ceiling})");
+            assert!(size <= ceiling, "{name} grew to {size} bytes");
+        }
+        // A wrapper past the pooled payload slot would silently ride the
+        // `Arc` tier, one allocator call a packet.
+        assert!(
+            std::mem::size_of::<crate::RudpPacket>() <= iq_netsim::Payload::POOLED_BYTES,
+            "RudpPacket is {} bytes, the pooled payload slot {}",
+            std::mem::size_of::<crate::RudpPacket>(),
+            iq_netsim::Payload::POOLED_BYTES
+        );
     }
 }

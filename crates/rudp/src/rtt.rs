@@ -3,27 +3,23 @@
 
 use iq_netsim::{time, Time, TimeDelta};
 
-/// SRTT/RTTVAR estimator with exponential RTO backoff.
-#[derive(Debug, Clone)]
+use crate::types::RudpConfig;
+
+/// SRTT/RTTVAR estimator with exponential RTO backoff. State only: the
+/// RTO clamps are per-class constants, read from the connection's
+/// shared [`RudpConfig`] where the RTO is computed.
+#[derive(Debug, Clone, Default)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
-    min_rto: TimeDelta,
-    max_rto: TimeDelta,
     /// Current backoff multiplier (doubles on timeout, resets on sample).
     backoff: u32,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO clamps.
-    pub fn new(min_rto: TimeDelta, max_rto: TimeDelta) -> Self {
-        Self {
-            srtt: None,
-            rttvar: 0.0,
-            min_rto,
-            max_rto,
-            backoff: 0,
-        }
+    /// Creates an estimator with no sample.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one RTT sample (seconds since the echoed transmission).
@@ -73,15 +69,16 @@ impl RttEstimator {
         self.srtt.map(|s| (s * 1e9) as TimeDelta)
     }
 
-    /// Current retransmission timeout including backoff.
-    pub fn rto(&self) -> TimeDelta {
+    /// Current retransmission timeout including backoff, clamped to
+    /// `cfg`'s `[min_rto, max_rto]`.
+    pub fn rto(&self, cfg: &RudpConfig) -> TimeDelta {
         let base = match self.srtt {
             None => time::millis(1000),
             Some(srtt) => time::secs(srtt + 4.0 * self.rttvar),
         };
-        base.clamp(self.min_rto, self.max_rto)
+        base.clamp(cfg.min_rto, cfg.max_rto)
             .saturating_mul(1u64 << self.backoff.min(6))
-            .min(self.max_rto)
+            .min(cfg.max_rto)
     }
 
     /// Doubles the RTO after a retransmission timeout (Karn backoff).
@@ -109,12 +106,21 @@ mod tests {
     use iq_netsim::time::millis;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(millis(100), time::secs(4.0))
+        RttEstimator::new()
+    }
+
+    /// RTO clamps of 100 ms and 4 s.
+    fn cfg() -> RudpConfig {
+        RudpConfig {
+            min_rto: millis(100),
+            max_rto: time::secs(4.0),
+            ..RudpConfig::default()
+        }
     }
 
     #[test]
     fn initial_rto_is_one_second() {
-        assert_eq!(est().rto(), millis(1000));
+        assert_eq!(est().rto(&cfg()), millis(1000));
     }
 
     #[test]
@@ -126,7 +132,7 @@ mod tests {
         assert!((e.srtt_or(0.0) - 0.030).abs() < 1e-6);
         assert!((e.srtt_ms() - 30.0).abs() < 1e-3);
         // Variance decays toward zero, so RTO clamps to the floor.
-        assert_eq!(e.rto(), millis(100));
+        assert_eq!(e.rto(&cfg()), millis(100));
     }
 
     #[test]
@@ -134,20 +140,20 @@ mod tests {
         let mut e = est();
         e.sample(0.1);
         // First sample: srtt=0.1, rttvar=0.05 => rto = 0.3 s.
-        assert_eq!(e.rto(), millis(300));
+        assert_eq!(e.rto(&cfg()), millis(300));
     }
 
     #[test]
     fn backoff_doubles_and_resets() {
         let mut e = est();
         e.sample(0.1);
-        let base = e.rto();
+        let base = e.rto(&cfg());
         e.on_timeout();
-        assert_eq!(e.rto(), (base * 2).min(time::secs(4.0)));
+        assert_eq!(e.rto(&cfg()), (base * 2).min(time::secs(4.0)));
         e.on_timeout();
-        assert_eq!(e.rto(), (base * 4).min(time::secs(4.0)));
+        assert_eq!(e.rto(&cfg()), (base * 4).min(time::secs(4.0)));
         e.sample(0.1);
-        assert!(e.rto() <= base + millis(1));
+        assert!(e.rto(&cfg()) <= base + millis(1));
     }
 
     #[test]
@@ -157,7 +163,7 @@ mod tests {
         for _ in 0..10 {
             e.on_timeout();
         }
-        assert_eq!(e.rto(), time::secs(4.0));
+        assert_eq!(e.rto(&cfg()), time::secs(4.0));
     }
 
     #[test]
@@ -176,6 +182,6 @@ mod tests {
         assert!(e.srtt_ms() > 0.0, "estimator still unseeded");
         // Seeded with the 1 µs floor, so the RTO leaves its 1 s initial
         // value and clamps to the configured minimum.
-        assert_eq!(e.rto(), millis(100));
+        assert_eq!(e.rto(&cfg()), millis(100));
     }
 }

@@ -18,7 +18,10 @@ pub const HEADER_BYTES: u32 = 44;
 /// [`SACK_RANGE_BYTES`].
 pub const ACK_BYTES: u32 = HEADER_BYTES + 16;
 
-/// Wire bytes per SACK range carried in an ACK (two 32-bit offsets).
+/// Wire bytes per SACK range carried in an ACK. This is the *wire
+/// model* — two 32-bit offsets a range, what [`wire_size`] charges —
+/// and is independent of how [`SackRanges`] stores a range in memory
+/// (two 16-bit fields against one 64-bit base).
 pub const SACK_RANGE_BYTES: u32 = 8;
 
 /// Default maximum RUDP segment payload (paper §3.1: 1400 bytes).
@@ -29,13 +32,26 @@ pub const MAX_SACK_RANGES: usize = 8;
 
 /// Inline storage for the SACK ranges of one ACK.
 ///
-/// Ranges are `[start, end)` pairs, at most [`MAX_SACK_RANGES`] of them,
-/// kept inline so building and copying an [`AckSeg`] never touches the
-/// heap — an ACK is created for (nearly) every received data segment, so
-/// this sits directly on the steady-state hot path.
+/// Ranges are `[start, end)` pairs in ascending order, at most
+/// [`MAX_SACK_RANGES`] of them, kept inline so building and copying an
+/// [`AckSeg`] never touches the heap — an ACK is created for (nearly)
+/// every received data segment, so this sits directly on the
+/// steady-state hot path.
+///
+/// The *storage* is wire-sized: the first range's start in full, and
+/// each range as a 16-bit offset from it plus a 16-bit length — 48
+/// bytes where eight `(u64, u64)` pairs took 136, in every segment,
+/// packet payload and receiver outbox slot. A block therefore spans at
+/// most 65,535 sequence numbers past its first start, which a receiver
+/// never exceeds: it holds nothing at or past `next_required +
+/// recv_buffer_segments`, and that field is capped at 65,535. A range
+/// that does not fit is refused like one past the capacity.
 #[derive(Debug, Clone, Copy)]
 pub struct SackRanges {
-    ranges: [(u64, u64); MAX_SACK_RANGES],
+    /// Start of the first range; meaningful while `len > 0`.
+    base: u64,
+    /// `(start - base, end - start)` per range.
+    ranges: [(u16, u16); MAX_SACK_RANGES],
     len: u8,
 }
 
@@ -43,42 +59,65 @@ impl SackRanges {
     /// An empty range list.
     pub const fn new() -> Self {
         Self {
+            base: 0,
             ranges: [(0, 0); MAX_SACK_RANGES],
             len: 0,
         }
     }
 
-    /// Builds a list from a slice (panics above [`MAX_SACK_RANGES`]).
+    /// Builds a list from a slice (panics above [`MAX_SACK_RANGES`], or
+    /// on a range the block cannot represent).
     pub fn from_slice(ranges: &[(u64, u64)]) -> Self {
         let mut s = Self::new();
         for &r in ranges {
-            assert!(s.push(r), "more than MAX_SACK_RANGES ranges");
+            assert!(
+                s.push(r),
+                "more than MAX_SACK_RANGES ranges, or {r:?} does not fit the block"
+            );
         }
         s
     }
 
-    /// Appends a range; returns `false` (dropping it) when full.
-    pub fn push(&mut self, range: (u64, u64)) -> bool {
+    /// Appends a range; returns `false` (dropping it, the block
+    /// unchanged) when full or when the range does not fit 16 bits: it
+    /// starts before the first range or more than 65,535 past it, or is
+    /// inverted or longer than 65,535.
+    pub fn push(&mut self, (start, end): (u64, u64)) -> bool {
         if self.is_full() {
             return false;
         }
-        self.ranges[self.len as usize] = range;
+        let base = if self.len == 0 { start } else { self.base };
+        let (Some(offset), Some(length)) = (start.checked_sub(base), end.checked_sub(start)) else {
+            return false;
+        };
+        let (Ok(offset), Ok(length)) = (u16::try_from(offset), u16::try_from(length)) else {
+            return false;
+        };
+        self.base = base;
+        self.ranges[self.len as usize] = (offset, length);
         self.len += 1;
         true
     }
 
-    /// Mutable access to the most recently pushed range (for merging a
-    /// contiguous extension in place).
-    pub fn last_mut(&mut self) -> Option<&mut (u64, u64)> {
-        match self.len {
-            0 => None,
-            n => Some(&mut self.ranges[n as usize - 1]),
+    /// Grows the most recently pushed range by one when `seq` is the
+    /// sequence number right after it (merging a contiguous extension in
+    /// place); `false`, the block unchanged, when there is no such range
+    /// or it is already 65,535 long.
+    pub fn extend_last(&mut self, seq: u64) -> bool {
+        let Some((_, end)) = self.last() else {
+            return false;
+        };
+        let length = &mut self.ranges[self.len as usize - 1].1;
+        if end != seq || seq == u64::MAX || *length == u16::MAX {
+            return false;
         }
+        *length += 1;
+        true
     }
 
-    /// The ranges as a slice.
-    pub fn as_slice(&self) -> &[(u64, u64)] {
-        &self.ranges[..self.len as usize]
+    /// The most recently pushed range.
+    pub fn last(&self) -> Option<(u64, u64)> {
+        self.iter().next_back()
     }
 
     /// Number of ranges.
@@ -96,9 +135,15 @@ impl SackRanges {
         self.len as usize == MAX_SACK_RANGES
     }
 
-    /// Iterates the ranges.
-    pub fn iter(&self) -> std::slice::Iter<'_, (u64, u64)> {
-        self.as_slice().iter()
+    /// Iterates the ranges as absolute `[start, end)` pairs.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + '_ {
+        let base = self.base;
+        self.ranges[..self.len as usize]
+            .iter()
+            .map(move |&(offset, length)| {
+                let start = base + u64::from(offset);
+                (start, start + u64::from(length))
+            })
     }
 }
 
@@ -108,24 +153,17 @@ impl Default for SackRanges {
     }
 }
 
-// Compare only the live prefix; slots past `len` are scratch.
+// Compare the ranges, not the bytes: slots past `len` are scratch, and
+// so is the base of an empty block.
 impl PartialEq for SackRanges {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.iter().eq(other.iter())
     }
 }
 
 impl PartialEq<Vec<(u64, u64)>> for SackRanges {
     fn eq(&self, other: &Vec<(u64, u64)>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a SackRanges {
-    type Item = &'a (u64, u64);
-    type IntoIter = std::slice::Iter<'a, (u64, u64)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+        self.iter().eq(other.iter().copied())
     }
 }
 
@@ -247,7 +285,7 @@ impl Segment {
                 h.write_u64(a.cum_ack);
                 h.write_u64(a.highest_seen);
                 h.write_u64(a.sack.len() as u64);
-                for &(s, e) in &a.sack {
+                for (s, e) in a.sack.iter() {
                     h.write_u64(s);
                     h.write_u64(e);
                 }
@@ -343,9 +381,11 @@ mod tests {
     fn sack_ranges_inline_semantics() {
         let mut s = SackRanges::new();
         assert!(s.is_empty());
+        assert!(!s.extend_last(0), "nothing to extend yet");
         assert!(s.push((1, 3)));
-        s.last_mut().unwrap().1 = 4;
-        assert_eq!(s.as_slice(), &[(1, 4)]);
+        assert!(s.extend_last(3));
+        assert!(!s.extend_last(3), "3 is inside the range now, not after it");
+        assert_eq!(s.last(), Some((1, 4)));
         assert_eq!(s, vec![(1, 4)]);
         for i in 0..7u64 {
             assert!(s.push((10 * (i + 1), 10 * (i + 1) + 1)));
@@ -354,7 +394,7 @@ mod tests {
         assert!(!s.push((99, 100)), "push past capacity must be dropped");
         assert_eq!(s.len(), MAX_SACK_RANGES);
         // Equality ignores scratch beyond `len`.
-        let t = SackRanges::from_slice(s.as_slice());
+        let t = SackRanges::from_slice(&s.iter().collect::<Vec<_>>());
         assert_eq!(s, t);
     }
 }

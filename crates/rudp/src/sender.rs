@@ -25,6 +25,18 @@ enum ThreshZone {
     High,
 }
 
+/// A pending [`ConnEvent`], in a byte. The three period events carry no
+/// snapshot of their own: [`SenderConn::pop_event`] reads it from the
+/// meter, which holds the latest closed period's.
+#[derive(Debug, Clone, Copy)]
+enum SendEvent {
+    Connected,
+    PeriodEnded,
+    UpperThreshold,
+    LowerThreshold,
+    Finished,
+}
+
 /// Connection lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SenderState {
@@ -100,7 +112,9 @@ pub struct SenderConn {
     cc: CcController,
     rtt: RttEstimator,
     meter: PeriodMeter,
-    events: InlineQueue<ConnEvent, 2>,
+    /// A period end and its threshold callback arrive together, after a
+    /// `Connected` an agent may not have drained yet.
+    events: InlineQueue<SendEvent, 4>,
     next_msg_id: u64,
     finish_requested: bool,
     discard_unmarked: bool,
@@ -246,8 +260,6 @@ impl SenderConn {
     /// connections from one config without cloning it each time).
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
         let cc = CcController::new(&cfg.cc);
-        let meter = PeriodMeter::new(cfg.measure_period);
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
         let discard_unmarked = cfg.discard_unmarked;
         Self {
             cfg,
@@ -263,8 +275,8 @@ impl SenderConn {
             handshake_dirty: true,
             handshake_deadline: 0,
             cc,
-            rtt,
-            meter,
+            rtt: RttEstimator::new(),
+            meter: PeriodMeter::new(),
             events: InlineQueue::new(),
             next_msg_id: 0,
             finish_requested: false,
@@ -333,7 +345,7 @@ impl SenderConn {
     /// reaction to a reported application adaptation). Returns the
     /// resulting window.
     pub fn scale_cwnd(&mut self, factor: f64) -> f64 {
-        self.cc.scale(factor)
+        self.cc.scale(&self.cfg.cc, factor)
     }
 
     /// Toggles discard-unmarked coordination.
@@ -382,15 +394,29 @@ impl SenderConn {
         self.state == SenderState::Closed
     }
 
-    /// Drains pending events.
+    /// Drains pending events ([`Self::pop_event`] until empty).
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::iter::from_fn(|| self.events.pop_front()).collect()
+        std::iter::from_fn(|| self.pop_event()).collect()
     }
 
     /// Removes and returns the oldest pending event: the in-place drain,
     /// with no buffer on either side.
+    ///
+    /// A period event is queued as a one-byte tag and gets its
+    /// [`NetCond`] here, from the *latest closed period*. Drained after
+    /// every input — as every agent does — that is the period the event
+    /// announced; a caller that lets a further period close first sees
+    /// the newer snapshot on the older event.
     pub fn pop_event(&mut self) -> Option<ConnEvent> {
-        self.events.pop_front()
+        let event = self.events.pop_front()?;
+        let cond = self.meter.last();
+        Some(match event {
+            SendEvent::Connected => ConnEvent::Connected,
+            SendEvent::PeriodEnded => ConnEvent::PeriodEnded(cond),
+            SendEvent::UpperThreshold => ConnEvent::UpperThreshold(cond),
+            SendEvent::LowerThreshold => ConnEvent::LowerThreshold(cond),
+            SendEvent::Finished => ConnEvent::Finished,
+        })
     }
 
     /// Discards pending events (sinks that never inspect them).
@@ -505,12 +531,12 @@ impl SenderConn {
                 self.state = SenderState::Established;
                 self.peer_tolerance = *loss_tolerance;
                 self.peer_window = (*recv_window).max(1);
-                self.events.push_back(ConnEvent::Connected);
+                self.events.push_back(SendEvent::Connected);
             }
             Segment::Ack(ack) => self.on_ack(now, ack),
             Segment::FinAck if self.state == SenderState::FinSent => {
                 self.state = SenderState::Closed;
-                self.events.push_back(ConnEvent::Finished);
+                self.events.push_back(SendEvent::Finished);
             }
             // Data/Syn/Fwd/Fin are receiver-bound; ignore.
             _ => {}
@@ -550,7 +576,7 @@ impl SenderConn {
         // Selective: ranges above cum_ack. Ranges are receiver-observed
         // sequence runs, so they are bounded by the in-flight window;
         // clamp to it and probe each slot directly.
-        for &(start, end) in &ack.sack {
+        for (start, end) in ack.sack.iter() {
             let lo = start.max(self.frags.first_seq().unwrap_or(u64::MAX));
             let hi = end.min(sent_end);
             let mut seq = lo;
@@ -567,7 +593,9 @@ impl SenderConn {
         // no-op, so its telemetry stream is untouched by the redesign.
         if newly_acked > 0 {
             let before = self.cc.cwnd();
-            let cwnd = self.cc.on_ack(now, newly_acked, self.rtt.srtt());
+            let cwnd = self
+                .cc
+                .on_ack(&self.cfg.cc, now, newly_acked, self.rtt.srtt());
             if cwnd != before {
                 self.telemetry.emit(
                     now,
@@ -594,10 +622,7 @@ impl SenderConn {
         // out and the SACK window slides over them, and the RTO still
         // backstops everything.
         let dup_horizon = if ack.sack.is_full() {
-            ack.sack
-                .as_slice()
-                .last()
-                .map_or(ack.cum_ack, |&(_, end)| end)
+            ack.sack.last().map_or(ack.cum_ack, |(_, end)| end)
         } else {
             ack.highest_seen
         };
@@ -621,7 +646,7 @@ impl SenderConn {
         // approximation. (RTO losses react in `on_tick` instead.)
         if any_lost {
             let before = self.cc.cwnd();
-            let cwnd = self.cc.on_loss(now);
+            let cwnd = self.cc.on_loss(&self.cfg.cc, now);
             if cwnd != before {
                 self.telemetry.emit(
                     now,
@@ -662,13 +687,13 @@ impl SenderConn {
                 // the per-iteration Karn backoff pushes the RTO out for
                 // whatever remains.
                 while let Some((seq, tx_at)) = self.earliest_outstanding() {
-                    if now < tx_at + self.rtt.rto() {
+                    if now < tx_at + self.rtt.rto(&self.cfg) {
                         break;
                     }
                     self.stats.timeouts += 1;
-                    let rto_ns = self.rtt.rto();
+                    let rto_ns = self.rtt.rto(&self.cfg);
                     self.rtt.on_timeout();
-                    let cwnd = self.cc.on_timeout(now);
+                    let cwnd = self.cc.on_timeout(&self.cfg.cc, now);
                     self.telemetry.emit_with(now, self.telemetry_flow, || {
                         TelemetryEvent::RtoFired {
                             seq,
@@ -689,11 +714,16 @@ impl SenderConn {
                 // Measuring period.
                 let srtt_ms = self.rtt.srtt_ms();
                 let cwnd = self.cc.cwnd();
-                if let Some(cond) = self.meter.maybe_roll(now, srtt_ms, cwnd) {
-                    let new_cwnd = self.cc.on_period(now, &cond);
-                    let mut cond = cond;
-                    cond.cwnd = new_cwnd;
-                    self.events.push_back(ConnEvent::PeriodEnded(cond));
+                if let Some(cond) =
+                    self.meter
+                        .maybe_roll(now, self.cfg.measure_period, srtt_ms, cwnd)
+                {
+                    let new_cwnd = self.cc.on_period(&self.cfg.cc, now, &cond);
+                    // The snapshot the period events will report (and
+                    // `net_cond` overwrites on read anyway) carries the
+                    // window the controller just chose.
+                    self.meter.set_last_cwnd(new_cwnd);
+                    self.events.push_back(SendEvent::PeriodEnded);
                     self.telemetry.emit_with(now, self.telemetry_flow, || {
                         TelemetryEvent::PeriodSample {
                             eratio: cond.eratio,
@@ -726,7 +756,7 @@ impl SenderConn {
                         ThreshZone::Mid
                     };
                     if zone == ThreshZone::High {
-                        self.events.push_back(ConnEvent::UpperThreshold(cond));
+                        self.events.push_back(SendEvent::UpperThreshold);
                         self.telemetry.emit(
                             now,
                             self.telemetry_flow,
@@ -737,7 +767,7 @@ impl SenderConn {
                         );
                     }
                     if zone == ThreshZone::Low && self.cfg.lower_threshold.is_some() {
-                        self.events.push_back(ConnEvent::LowerThreshold(cond));
+                        self.events.push_back(SendEvent::LowerThreshold);
                         self.telemetry.emit(
                             now,
                             self.telemetry_flow,
@@ -770,9 +800,9 @@ impl SenderConn {
             SenderState::Idle => 0,
             SenderState::SynSent | SenderState::FinSent => self.handshake_deadline,
             SenderState::Established => {
-                let mut t = self.meter.deadline();
+                let mut t = self.meter.deadline(self.cfg.measure_period);
                 if let Some((_, tx_at)) = self.earliest_outstanding() {
-                    t = t.min(tx_at + self.rtt.rto());
+                    t = t.min(tx_at + self.rtt.rto(&self.cfg));
                 }
                 t
             }
@@ -791,14 +821,14 @@ impl SenderConn {
         match self.state {
             SenderState::Idle => {
                 self.state = SenderState::SynSent;
-                self.handshake_deadline = now + self.rtt.rto();
+                self.handshake_deadline = now + self.rtt.rto(&self.cfg);
                 self.handshake_dirty = false;
                 Some(Segment::Syn { init_seq: 0 })
             }
             SenderState::SynSent => {
                 if self.handshake_dirty {
                     self.handshake_dirty = false;
-                    self.handshake_deadline = now + self.rtt.rto();
+                    self.handshake_deadline = now + self.rtt.rto(&self.cfg);
                     Some(Segment::Syn { init_seq: 0 })
                 } else {
                     None
@@ -808,7 +838,7 @@ impl SenderConn {
             SenderState::FinSent => {
                 if self.handshake_dirty {
                     self.handshake_dirty = false;
-                    self.handshake_deadline = now + self.rtt.rto();
+                    self.handshake_deadline = now + self.rtt.rto(&self.cfg);
                     Some(Segment::Fin {
                         final_seq: self.next_seq,
                     })
@@ -881,7 +911,7 @@ impl SenderConn {
         // 4. Graceful close once everything is finished.
         if self.finish_requested && self.frags.is_empty() {
             self.state = SenderState::FinSent;
-            self.handshake_deadline = now + self.rtt.rto();
+            self.handshake_deadline = now + self.rtt.rto(&self.cfg);
             self.handshake_dirty = false;
             return Some(Segment::Fin {
                 final_seq: self.next_seq,
@@ -936,7 +966,7 @@ impl SenderConn {
         }
         self.cc.digest(now, h);
         self.rtt.digest(h);
-        self.meter.digest(now, h);
+        self.meter.digest(now, self.cfg.measure_period, h);
         h.write_bool(self.finish_requested);
         h.write_bool(self.discard_unmarked);
         h.write_u64(self.abandoned_total);
@@ -1227,5 +1257,171 @@ mod tests {
             c.poll_transmit(millis(1001)),
             Some(S::Syn { .. })
         ));
+    }
+
+    /// `(variant, [eratio, eratio_smoothed, srtt_ms, cwnd, rate_kbps])`.
+    type Reported = (&'static str, Option<[f64; 5]>);
+
+    fn reported(ev: ConnEvent) -> Reported {
+        let fields =
+            |c: NetCond| Some([c.eratio, c.eratio_smoothed, c.srtt_ms, c.cwnd, c.rate_kbps]);
+        match ev {
+            ConnEvent::Connected => ("connected", None),
+            ConnEvent::PeriodEnded(c) => ("period", fields(c)),
+            ConnEvent::UpperThreshold(c) => ("upper", fields(c)),
+            ConnEvent::LowerThreshold(c) => ("lower", fields(c)),
+            ConnEvent::Finished => ("finished", None),
+        }
+    }
+
+    /// One measuring period of the script: ten one-segment messages go
+    /// out at `start`; at `start + 40 ms` three ACKs (the first echoing
+    /// the transmit time) report all ten received but the first `holes`
+    /// even-numbered ones, which so cross the dup threshold and are
+    /// retransmitted; everything is acknowledged at `start + 80 ms` and
+    /// the period closes at `start + 100 ms`. Events are drained after
+    /// every input, as the agents do.
+    fn scripted_period(c: &mut SenderConn, start: Time, holes: u64, log: &mut Vec<Reported>) {
+        let mut drain =
+            |c: &mut SenderConn| log.extend(std::iter::from_fn(|| c.pop_event()).map(reported));
+        let first = c.next_seq;
+        for _ in 0..10 {
+            c.send_message(start, 1400, true);
+            drain(c);
+        }
+        while c.poll_transmit(start).is_some() {}
+        let mut received: Vec<(u64, u64)> = Vec::new();
+        for seq in first..first + 10 {
+            let lost = (seq - first).is_multiple_of(2) && (seq - first) / 2 < holes;
+            match received.last_mut() {
+                _ if lost => {}
+                Some((_, end)) if *end == seq => *end += 1,
+                _ => received.push((seq, seq + 1)),
+            }
+        }
+        for round in 0..3 {
+            c.on_segment(
+                start + millis(40),
+                &S::Ack(AckSeg {
+                    cum_ack: first,
+                    highest_seen: first + 10,
+                    sack: crate::segment::SackRanges::from_slice(&received),
+                    recv_window: 1024,
+                    loss_tolerance: 0.0,
+                    echo_tx_at: (round == 0).then_some(start),
+                }),
+            );
+            drain(c);
+        }
+        while c.poll_transmit(start + millis(41)).is_some() {}
+        c.on_segment(start + millis(80), &ack_tol(first + 10, first + 10, 0.0));
+        drain(c);
+        c.on_tick(start + millis(100));
+        drain(c);
+    }
+
+    #[test]
+    fn scripted_connection_reports_the_parents_events() {
+        let cfg = RudpConfig {
+            upper_threshold: Some(0.3),
+            lower_threshold: Some(0.05),
+            ..RudpConfig::default()
+        };
+        let mut c = SenderConn::new(1, cfg);
+        let mut log = Vec::new();
+        assert!(matches!(c.poll_transmit(0), Some(S::Syn { .. })));
+        c.on_segment(
+            0,
+            &S::SynAck {
+                loss_tolerance: 0.0,
+                recv_window: 1024,
+            },
+        );
+        log.extend(std::iter::from_fn(|| c.pop_event()).map(reported));
+        c.scale_cwnd(64.0);
+        // A high, a mid and a low error ratio: 5, 1 and 0 of ten lost.
+        scripted_period(&mut c, 0, 5, &mut log);
+        scripted_period(&mut c, millis(100), 1, &mut log);
+        scripted_period(&mut c, millis(200), 0, &mut log);
+        c.finish();
+        assert!(matches!(c.poll_transmit(millis(300)), Some(S::Fin { .. })));
+        c.on_segment(millis(340), &S::FinAck);
+        log.extend(std::iter::from_fn(|| c.pop_event()).map(reported));
+        // Captured from the tree before period events became one-byte
+        // tags (commit b2b022a), where each event carried its own copy.
+        let want: [Reported; 7] = [
+            ("connected", None),
+            (
+                "period",
+                Some([0.3333333333333333, 0.3333333333333333, 40.0, 64.0, 140.0]),
+            ),
+            (
+                "upper",
+                Some([0.3333333333333333, 0.3333333333333333, 40.0, 64.0, 140.0]),
+            ),
+            (
+                "period",
+                Some([0.09090909090909091, 0.2606060606060606, 40.0, 32.0, 140.0]),
+            ),
+            (
+                "period",
+                Some([0.0, 0.18242424242424243, 40.0, 33.0, 140.0]),
+            ),
+            ("lower", Some([0.0, 0.18242424242424243, 40.0, 33.0, 140.0])),
+            ("finished", None),
+        ];
+        assert_eq!(log, want);
+    }
+
+    #[test]
+    fn an_undrained_period_event_reports_the_latest_closed_period() {
+        // The one place the one-byte events differ from carrying a copy:
+        // two periods close with nothing drained in between, and both
+        // `PeriodEnded` events report the second period's snapshot.
+        let mut c = SenderConn::new(1, RudpConfig::default());
+        establish(&mut c, 0);
+        c.take_events();
+        c.send_message(0, 1400, true);
+        let _ = c.poll_transmit(0);
+        c.on_segment(millis(50), &ack(1, 1));
+        c.on_tick(millis(100)); // 1.4 kB acked in 0.1 s: 14 kB/s
+        c.on_tick(millis(200)); // idle: 0 kB/s
+        let rates: Vec<f64> = c
+            .take_events()
+            .iter()
+            .map(|e| match e {
+                ConnEvent::PeriodEnded(cond) => cond.rate_kbps,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(rates, [0.0, 0.0]);
+        // Drained in between, each event is its own period's.
+        let mut c = SenderConn::new(1, RudpConfig::default());
+        establish(&mut c, 0);
+        c.send_message(0, 1400, true);
+        let _ = c.poll_transmit(0);
+        c.on_segment(millis(50), &ack(1, 1));
+        c.take_events();
+        c.on_tick(millis(100));
+        assert!(matches!(
+            c.take_events().as_slice(),
+            [ConnEvent::PeriodEnded(cond)] if (cond.rate_kbps - 14.0).abs() < 1e-9
+        ));
+    }
+
+    #[test]
+    fn connection_state_is_compact() {
+        // Every connection of a fleet pays these bytes when the world is
+        // built (DESIGN.md §12); a new field should show up here.
+        for (name, size, ceiling) in [
+            ("SenderConn", std::mem::size_of::<SenderConn>(), 704),
+            ("CcController", std::mem::size_of::<CcController>(), 152),
+            ("SendEvent", std::mem::size_of::<SendEvent>(), 1),
+        ] {
+            // `cargo test … connection_state_is_compact -- --nocapture`
+            // is the struct-size probe.
+            println!("{name}: {size} bytes (ceiling {ceiling})");
+            assert!(size <= ceiling, "{name} grew to {size} bytes");
+        }
     }
 }

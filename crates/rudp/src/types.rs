@@ -63,6 +63,11 @@ impl Default for RudpConfig {
 
 /// Asynchronous notifications surfaced by a connection; drained by the
 /// embedding agent after every input.
+///
+/// The snapshot in a period event is that of the *latest closed period*
+/// at the moment the event is taken from the connection, which is the
+/// period the event announced as long as events are drained before the
+/// next period closes (see [`crate::SenderConn::pop_event`]).
 #[derive(Debug, Clone, Copy)]
 pub enum ConnEvent {
     /// Handshake completed.
@@ -147,4 +152,8 @@ pub struct ReceiverStats {
     /// sweep stops at the last reported range, so chronic truncation
     /// delays hole repair.
     pub sack_truncations: u64,
+    /// Data segments at or past `next_required + recv_buffer_segments`
+    /// — beyond any window the receiver advertised — dropped unbuffered
+    /// and unacknowledged.
+    pub out_of_window: u64,
 }

@@ -195,6 +195,44 @@ fn a_short_flow_on_a_fresh_pair_does_not_allocate() {
 }
 
 #[test]
+fn a_segment_far_past_the_window_does_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The hostile pair: a buffered segment, then one 2⁴⁰ sequence
+    // numbers on. Buffering it would grow the reorder ring to span the
+    // distance (a 32-TB slab: the process aborts); it is outside any
+    // window the receiver advertised and must be dropped untouched.
+    let run = || {
+        let mut r = ReceiverConn::new(7, RudpConfig::default());
+        r.on_segment(0, &Segment::Syn { init_seq: 0 });
+        while r.poll_transmit(0).is_some() {}
+        let data = |seq: u64| {
+            Segment::Data(iq_rudp::DataSeg {
+                seq,
+                msg_id: seq,
+                frag_idx: 0,
+                frag_count: 1,
+                len: 1000,
+                marked: true,
+                fwd_seq: 0,
+                msg_sent_at: 0,
+                tx_at: 0,
+                retransmit: false,
+            })
+        };
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        r.on_segment(1, &data(5)); // behind a hole: buffered inline
+        r.on_segment(2, &data(1 << 40));
+        let calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        assert_eq!(r.stats().out_of_window, 1);
+        assert!(r.has_segment(5) && !r.has_segment(1 << 40));
+        calls
+    };
+    // Best of three, for the reason given in `measure`.
+    let calls = (0..3).map(|_| run()).min().unwrap();
+    assert_eq!(calls, 0, "the far segment made {calls} allocator calls");
+}
+
+#[test]
 fn steady_state_ack_path_does_not_allocate() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Every controller must hold the zero-alloc line: the trait seam is

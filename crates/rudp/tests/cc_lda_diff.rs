@@ -128,14 +128,15 @@ proptest! {
             beta,
             ..RefConfig::default()
         });
-        let mut cc = CcController::new(&CcConfig {
+        let cfg = CcConfig {
             algorithm: CcAlgorithm::Lda(LdaParams {
                 incr_per_period: incr,
                 beta,
             }),
             initial_cwnd: initial,
             ..CcConfig::default()
-        });
+        };
+        let mut cc = CcController::new(&cfg);
         prop_assert_eq!(model.cwnd().to_bits(), cc.cwnd().to_bits());
 
         let mut now = 0u64;
@@ -144,9 +145,9 @@ proptest! {
             let (want, got) = match op {
                 // Period boundary: x doubles as the loss ratio (values
                 // slightly above 1 exercise the decrease floor).
-                0 => (model.on_period(x), cc.on_period(now, &cond_with_loss(x))),
+                0 => (model.on_period(x), cc.on_period(&cfg, now, &cond_with_loss(x))),
                 // Retransmission timeout.
-                1 => (model.on_timeout(), cc.on_timeout(now)),
+                1 => (model.on_timeout(), cc.on_timeout(&cfg, now)),
                 // Coordination rescale, spanning shrink, grow, and the
                 // degenerate factors `scale` must ignore.
                 _ => {
@@ -155,7 +156,7 @@ proptest! {
                     } else {
                         x * 2.0 - 0.2 // ~[0, 2.2], includes <= 0
                     };
-                    (model.scale(factor), cc.scale(factor))
+                    (model.scale(factor), cc.scale(&cfg, factor))
                 }
             };
             prop_assert_eq!(want.to_bits(), got.to_bits());
@@ -176,17 +177,18 @@ proptest! {
             fixed_cwnd: pinned,
             ..RefConfig::default()
         });
-        let mut cc = CcController::new(&CcConfig {
+        let cfg = CcConfig {
             algorithm: CcAlgorithm::Fixed { cwnd: pinned },
             ..CcConfig::default()
-        });
+        };
+        let mut cc = CcController::new(&cfg);
         let mut now = 0u64;
         for &(op, x) in &ops {
             now += 1_000_000;
             let (want, got) = match op {
-                0 => (model.on_period(x), cc.on_period(now, &cond_with_loss(x))),
-                1 => (model.on_timeout(), cc.on_timeout(now)),
-                _ => (model.scale(x * 2.0), cc.scale(x * 2.0)),
+                0 => (model.on_period(x), cc.on_period(&cfg, now, &cond_with_loss(x))),
+                1 => (model.on_timeout(), cc.on_timeout(&cfg, now)),
+                _ => (model.scale(x * 2.0), cc.scale(&cfg, x * 2.0)),
             };
             prop_assert_eq!(want.to_bits(), got.to_bits());
         }
