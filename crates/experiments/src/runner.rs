@@ -63,9 +63,10 @@ static METRICS_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// that glibc's per-thread cache cannot serve — a block that is kept,
 /// not freed at once — takes a lock every other worker wants too. The
 /// simulation plane is therefore written so that a flow's life makes
-/// none (DESIGN.md §12, "the first-touch rule"; §17 has what ignoring
-/// it cost). Lifting the cap instead was measured and put back: it buys
-/// the same speed for 2.1× the sweep's peak RSS and 3.1× its sys time.
+/// none (DESIGN.md §12, "the first-touch rule"; CHANGES.md, PR 16, has
+/// what ignoring it cost). Lifting the cap instead was measured and put
+/// back: it buys the same speed for 2.1× the sweep's peak RSS and 3.1×
+/// its sys time.
 pub fn tune_allocator() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -362,21 +363,28 @@ impl Executor {
             let mut slots: Vec<Option<ScenarioReport>> = (0..specs.len()).map(|_| None).collect();
             for (i, report) in rx {
                 if timing {
-                    let shards = report.result.shards_used;
+                    // The pool that ran, not the one requested: the engine
+                    // caps it at the shard count and the host's cores.
+                    let sched = report.result.sched;
                     eprintln!(
-                        "  [{}] {:<44} {:>8.3}s  {:>12.0} events/s  [shards {}]",
-                        i, report.name, report.wall_s, report.events_per_sec, shards
+                        "  [{}] {:<44} {:>8.3}s  {:>12.0} events/s  [{} worker{} of --shards {}]",
+                        i,
+                        report.name,
+                        report.wall_s,
+                        report.events_per_sec,
+                        sched.workers,
+                        if sched.workers == 1 { "" } else { "s" },
+                        shards(),
                     );
                     // Per-shard wall-clock phase breakdown for the
                     // sharded scenarios (engine plane — informational,
                     // never part of any fingerprint).
-                    if shards > 1 {
+                    if report.result.shards_used > 1 {
                         for (s, snap) in report.result.phase_profile.iter().enumerate() {
                             if snap.total_nanos() > 0 {
                                 eprintln!("        shard {s}: {}", snap.brief());
                             }
                         }
-                        let sched = report.result.sched;
                         let profile = &report.result.phase_profile;
                         eprintln!(
                             "        sched: {} workers {:.0}% utilized, {:.3}s idle each; \

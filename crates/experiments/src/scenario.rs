@@ -322,8 +322,11 @@ pub struct RunResult {
     /// enabled via [`crate::runner::set_telemetry_capture`] or
     /// [`crate::runner::set_telemetry_dir`].
     pub telemetry: String,
-    /// OS threads used for intra-scenario sharded execution (1 for the
-    /// one-shard scenarios). Informational: never part of the determinism
+    /// Worker-pool size requested for intra-scenario sharded execution:
+    /// `--shards N` capped at the shard count of the world (1 for the
+    /// one-shard scenarios), so the same on every host. The threads that
+    /// ran — the engine also caps the pool at the host's cores — are
+    /// `sched.workers`. Informational: never part of the determinism
     /// fingerprint, because results are identical for any value.
     pub shards_used: u32,
     /// The run's metric registry. Sim-plane entries (simulator counters,

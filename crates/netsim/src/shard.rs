@@ -37,25 +37,28 @@
 //!
 //! Shards are *work items*, not thread-owned property. A persistent pool
 //! of workers (spawned once per [`ShardedSim::run_slices`] call, spanning
-//! every slice) pulls runnable shards from a shared ready queue ordered
-//! by shard clock, so the globally furthest-behind shard — the one
-//! gating everyone else's lookahead — runs first and any worker can
-//! execute any shard. Runnability is tracked with a tiny per-shard state
-//! machine (`IDLE`/`QUEUED`/`RUNNING` plus "signal arrived while
-//! queued/running" variants): when a shard publishes a new clock it
-//! bumps a per-shard *version counter* and signals exactly its
-//! downstream shards, so lookahead bounds are recomputed only when a
-//! predecessor clock actually advanced. A shard whose bound forbids
-//! progress parks (leaves the queue entirely) until the next upstream
-//! signal re-queues it, and workers with nothing to claim spin briefly
-//! and then block on a condvar — no busy-wait, no `yield_now` loop.
-//! Boundary output collects in the simulator's per-egress-link outboxes
-//! during the window and is handed off with one mailbox lock per
-//! boundary, not one per message.
+//! every slice) claims runnable shards from one ready queue, min clock
+//! first, so the furthest-behind shard — the one gating everyone else's
+//! lookahead — runs next and any worker can execute any shard. Every
+//! scheduling decision is taken under one mutex. A shard is `Parked`,
+//! `Ready` (in the queue, exactly once) or `Running`; a worker loops
+//! *lock → claim → unlock → run windows → lock → release*, and blocks on
+//! a condvar when there is nothing to claim. After each window the
+//! runner stores its clock and then takes the lock once to queue every
+//! parked successor; the release section re-reads the shard's lookahead
+//! bound under the lock and re-queues it, parks it until an upstream
+//! publish queues it again, or reports that it crossed the epoch target.
+//! No wakeup can be lost: a publisher stores its clock before its lock
+//! section, a releaser reads predecessor clocks inside its own, and
+//! whichever section comes second sees the other's effect — the releaser
+//! a clock that makes it runnable, or the publisher a `Parked` shard to
+//! queue (the `pool_model` tests walk every interleaving).
 //! The pool is capped at the host's available parallelism (surplus
 //! workers would only time-slice the same cores and evict each other's
-//! shard working sets), except under [`ShardedSim::set_perturbation`],
-//! which deliberately oversubscribes to widen determinism-test coverage.
+//! shard working sets) — when one worker remains, the calling thread
+//! claims and runs the shards itself — except under
+//! [`ShardedSim::set_perturbation`], which deliberately oversubscribes
+//! to widen determinism-test coverage.
 //!
 //! ## Determinism
 //!
@@ -73,8 +76,8 @@
 //! flow stats, telemetry) are combined in shard-index order, so every
 //! run is byte-identical for any worker count or schedule.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use iq_obs::{counter_add, counter_inc, Phase};
 
@@ -123,7 +126,7 @@ pub struct ShardStats {
     /// Times this shard was claimed by a different worker than last time.
     pub steals: u64,
     /// Times this shard left the ready queue to wait for an upstream
-    /// clock (it re-enters only when a predecessor signals it).
+    /// clock (it re-enters only when a predecessor publishes one).
     pub parks: u64,
     /// Downstream shards this shard re-queued by publishing its clock.
     pub wakes: u64,
@@ -181,17 +184,11 @@ pub struct SchedTotals {
 
 /// One shard as the scheduler sees it: the serial simulator plus the
 /// claiming worker's private scratch state. Guarded by a `Mutex` during
-/// `run_slices` — uncontended in steady state, since the state machine
-/// guarantees at most one claimer; the lock's job is to carry memory
+/// `run_slices` — uncontended in steady state, since a shard is
+/// `Running` on at most one worker; the lock's job is to carry memory
 /// visibility between *successive* claims from different workers.
 struct ShardSlot {
     sim: Simulator,
-    /// Cached `min over ingress of (C[src] + lookahead)` — recomputed
-    /// only when `seen_version` trails the shard's signal version.
-    cached_bound: Time,
-    /// Signal version the cached bound was computed at (`u64::MAX`
-    /// forces the first recompute).
-    seen_version: u64,
     /// Worker that ran this shard last (`usize::MAX` = never) — steal
     /// accounting only.
     last_worker: usize,
@@ -199,22 +196,6 @@ struct ShardSlot {
     /// under the channel lock instead of an allocation.
     ingress_buf: Vec<WireMsg>,
 }
-
-// Per-shard scheduling states. The *_SIGNALED variants record "a
-// predecessor published a clock while this shard was queued/running";
-// claiming or exiting a signaled shard recomputes its bound from fresh
-// clock loads (the CAS that observed the signal gives the happens-before
-// edge to the publisher's store), which is what makes the park/wake
-// protocol lose no wakeups.
-const S_IDLE: u8 = 0;
-const S_QUEUED: u8 = 1;
-const S_RUNNING: u8 = 2;
-const S_RUNNING_SIGNALED: u8 = 3;
-const S_QUEUED_SIGNALED: u8 = 4;
-
-/// Spin iterations a worker burns on an empty ready queue before
-/// blocking on the pool condvar.
-const SPIN_LIMIT: u32 = 64;
 
 /// Messages an empty boundary mailbox buffer keeps room for (see
 /// [`retained`]). A synchronized burst — 102,400 flows opening at once —
@@ -235,49 +216,99 @@ fn give_back(buf: &mut Vec<WireMsg>) {
     }
 }
 
-/// Ready-queue and epoch bookkeeping behind the scheduler mutex.
+/// Where a shard stands with the scheduler.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Claim {
+    /// Out of the ready queue: waiting for an upstream clock, or crossed.
+    Parked,
+    /// In the ready queue, exactly once.
+    Ready,
+    /// Claimed by one worker.
+    Running,
+}
+
+/// Every scheduling decision, behind the scheduler mutex. The three
+/// methods are the bodies of the engine's lock sections; they take
+/// clocks as values so the `pool_model` test can drive them over an
+/// abstract world.
+#[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
 struct SchedInner {
-    /// Runnable shards as `(clock at enqueue, shard)`; claimed min-clock
-    /// first so the shard gating everyone's lookahead runs next.
+    claim: Vec<Claim>,
+    /// The `Ready` shards as `(clock at enqueue, shard)`; claimed
+    /// min-clock first so the shard gating everyone's lookahead runs next.
     ready: Vec<(Time, usize)>,
+    /// Exclusive epoch target (shards run events strictly below it).
+    target: Time,
     /// Shards that have not yet crossed the current epoch target.
     remaining: usize,
-    /// Workers exit once set (and the queue has drained).
+    /// Workers exit once set.
     shutdown: bool,
 }
 
-/// The shared scheduler: ready queue, per-shard claim states, and the
-/// epoch rendezvous between the pool and the main thread.
-struct Sched {
-    m: Mutex<SchedInner>,
-    /// Workers wait here when no shard is claimable.
-    worker_cv: Condvar,
-    /// The main thread waits here for `remaining == 0`.
-    main_cv: Condvar,
-    state: Vec<AtomicU8>,
-    /// Mirror of `ready.len()` so workers can spin without the lock.
-    ready_len: AtomicUsize,
-    /// Exclusive epoch target (shards run events strictly below it).
-    target: AtomicU64,
-    /// A worker panicked; unblock everyone and surface it.
-    panicked: AtomicBool,
-}
-
-impl Sched {
+impl SchedInner {
     fn new(shards: usize) -> Self {
         Self {
-            m: Mutex::new(SchedInner {
-                ready: Vec::with_capacity(shards),
-                remaining: 0,
-                shutdown: false,
-            }),
-            worker_cv: Condvar::new(),
-            main_cv: Condvar::new(),
-            state: (0..shards).map(|_| AtomicU8::new(S_IDLE)).collect(),
-            ready_len: AtomicUsize::new(0),
-            target: AtomicU64::new(0),
-            panicked: AtomicBool::new(false),
+            claim: vec![Claim::Parked; shards],
+            ready: Vec::with_capacity(shards),
+            target: 0,
+            remaining: 0,
+            shutdown: false,
         }
+    }
+
+    /// Pops and claims the min-clock ready shard (the max-clock one if
+    /// `pick_max`: perturbation, to prove order doesn't matter).
+    fn claim(&mut self, pick_max: bool) -> Option<usize> {
+        let ready = self.ready.iter().enumerate();
+        let (best, _) = if pick_max {
+            ready.max_by_key(|&(_, &(clock, _))| clock)
+        } else {
+            ready.min_by_key(|&(_, &(clock, _))| clock)
+        }?;
+        let (_, s) = self.ready.swap_remove(best);
+        self.claim[s] = Claim::Running;
+        Some(s)
+    }
+
+    /// Queues every `Parked` shard of `shards` whose clock is below the
+    /// epoch target, returning how many. A publisher calls it on its
+    /// successors after storing its clock; an epoch starts by calling it
+    /// on every shard.
+    fn wake(
+        &mut self,
+        shards: impl IntoIterator<Item = usize>,
+        clock: impl Fn(usize) -> Time,
+    ) -> usize {
+        let before = self.ready.len();
+        for d in shards {
+            let at = clock(d);
+            if self.claim[d] == Claim::Parked && at < self.target {
+                self.claim[d] = Claim::Ready;
+                self.ready.push((at, d));
+            }
+        }
+        self.ready.len() - before
+    }
+
+    /// Gives up the claim on shard `s`, whose clock is `clock` and whose
+    /// lookahead bound is `bound` — read inside this lock section: a
+    /// predecessor that published since the runner last looked found `s`
+    /// `Running` and queued nothing. Returns whether the shard parked
+    /// short of the target, where only a predecessor's publish queues it.
+    fn release(&mut self, s: usize, clock: Time, bound: Time) -> bool {
+        debug_assert_eq!(self.claim[s], Claim::Running);
+        let crossed = clock >= self.target;
+        let runnable = !crossed && bound > clock;
+        if crossed {
+            // Saturating: a panicking sibling zeroes the count to let the
+            // main thread go.
+            self.remaining = self.remaining.saturating_sub(1);
+        }
+        if runnable {
+            self.ready.push((clock, s));
+        }
+        self.claim[s] = if runnable { Claim::Ready } else { Claim::Parked };
+        !crossed && !runnable
     }
 }
 
@@ -286,7 +317,6 @@ impl Sched {
 struct Engine<'a> {
     slots: &'a [Mutex<ShardSlot>],
     clocks: &'a [AtomicU64],
-    signal_version: &'a [AtomicU64],
     boundaries: &'a [Boundary],
     ingress: &'a [Vec<usize>],
     egress: &'a [Vec<usize>],
@@ -295,13 +325,11 @@ struct Engine<'a> {
     worker_parks: &'a AtomicU64,
     worker_pool: &'a Mutex<PoolStats>,
     perturb: Option<u64>,
-    /// No worker pool: the thread calling `run_epoch` executes every
-    /// shard itself. Chosen when only one worker would exist anyway
-    /// (single shard, `--shards N` on a 1-core host), where a pool
-    /// thread adds condvar/futex round trips per epoch but no
-    /// parallelism.
-    inline: bool,
-    sched: Sched,
+    sched: Mutex<SchedInner>,
+    /// Workers wait here when no shard is claimable.
+    worker_cv: Condvar,
+    /// The main thread waits here for `remaining == 0`.
+    main_cv: Condvar,
 }
 
 /// Unblocks the scheduler if a worker unwinds (e.g. an agent panic
@@ -313,14 +341,12 @@ struct PanicGuard<'e, 'a>(&'e Engine<'a>);
 impl Drop for PanicGuard<'_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let sched = &self.0.sched;
-            sched.panicked.store(true, Ordering::Release);
-            let mut g = sched.m.lock().unwrap_or_else(|e| e.into_inner());
+            let mut g = self.0.sched.lock().unwrap_or_else(|e| e.into_inner());
             g.shutdown = true;
             g.remaining = 0;
             drop(g);
-            sched.worker_cv.notify_all();
-            sched.main_cv.notify_all();
+            self.0.worker_cv.notify_all();
+            self.0.main_cv.notify_all();
         }
     }
 }
@@ -344,13 +370,17 @@ impl Xorshift {
 }
 
 impl Engine<'_> {
+    fn lock(&self) -> MutexGuard<'_, SchedInner> {
+        self.sched.lock().expect("a thread panicked inside a scheduler lock section")
+    }
+
     /// Worker main loop: claim, run, repeat until shutdown.
     fn worker(&self, w: usize) {
         let _guard = PanicGuard(self);
         let pool_before = pool_stats();
         let mut rng = self.perturb.map(|seed| Xorshift::new(mix_seed(seed, w + 1)));
-        while let Some(s) = self.next_job(&mut rng) {
-            self.run_shard(s, w, &mut rng);
+        while let Some((s, target)) = self.next_job(&mut rng) {
+            self.run_shard(s, target, w, &mut rng);
         }
         // The payload pool and its counters are this thread's, and the
         // thread ends here: hand over what it counted.
@@ -358,132 +388,42 @@ impl Engine<'_> {
         *total = total.plus(pool_stats().since(pool_before));
     }
 
-    /// Blocks until a shard is claimable (bounded spin, then condvar) or
-    /// shutdown is flagged.
-    fn next_job(&self, rng: &mut Option<Xorshift>) -> Option<usize> {
-        let mut spins = 0;
-        while self.sched.ready_len.load(Ordering::Acquire) == 0 && spins < SPIN_LIMIT {
-            std::hint::spin_loop();
-            spins += 1;
-        }
-        let mut g = self.sched.m.lock().unwrap();
+    /// Blocks on the pool condvar until a shard is claimable (returned
+    /// with the epoch target it runs towards) or shutdown is flagged.
+    fn next_job(&self, rng: &mut Option<Xorshift>) -> Option<(usize, Time)> {
+        let mut g = self.lock();
         loop {
             if g.shutdown {
                 return None;
             }
-            if let Some(s) = self.take_ready(&mut g, rng) {
-                return Some(s);
+            let pick_max = rng.as_mut().is_some_and(|r| r.next() % 4 == 0);
+            if let Some(s) = g.claim(pick_max) {
+                return Some((s, g.target));
             }
             self.worker_parks.fetch_add(1, Ordering::Relaxed);
-            g = self.sched.worker_cv.wait(g).unwrap();
+            g = self.worker_cv.wait(g).expect("scheduler mutex poisoned");
         }
     }
 
-    /// Pops and claims the min-clock ready shard (under perturbation,
-    /// occasionally the max-clock one, to prove order doesn't matter).
-    /// Stale entries — shards whose state moved on since enqueue — are
-    /// discarded.
-    fn take_ready(&self, g: &mut SchedInner, rng: &mut Option<Xorshift>) -> Option<usize> {
-        loop {
-            if g.ready.is_empty() {
-                self.sched.ready_len.store(0, Ordering::Release);
-                return None;
-            }
-            let pick_max = rng.as_mut().is_some_and(|r| r.next() % 4 == 0);
-            let mut best = 0;
-            for i in 1..g.ready.len() {
-                let better = if pick_max {
-                    g.ready[i].0 > g.ready[best].0
-                } else {
-                    g.ready[i].0 < g.ready[best].0
-                };
-                if better {
-                    best = i;
-                }
-            }
-            let (_, s) = g.ready.swap_remove(best);
-            self.sched.ready_len.store(g.ready.len(), Ordering::Release);
-            let st = &self.sched.state[s];
-            match st.compare_exchange(S_QUEUED, S_RUNNING, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return Some(s),
-                Err(S_QUEUED_SIGNALED) => {
-                    if st
-                        .compare_exchange(
-                            S_QUEUED_SIGNALED,
-                            S_RUNNING_SIGNALED,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
-                        return Some(s);
-                    }
-                }
-                Err(_) => {}
-            }
-        }
+    /// Shard `s`'s clock: Acquire, paired with `window`'s Release store.
+    fn clock(&self, s: usize) -> Time {
+        self.clocks[s].load(Ordering::Acquire)
     }
 
-    /// Fresh lookahead bound for shard `s` from current predecessor
-    /// clocks (Acquire-paired with their Release publishes).
+    /// Lookahead bound for shard `s` from current predecessor clocks.
     fn bound(&self, s: usize) -> Time {
         let mut limit = Time::MAX;
         for &b in &self.ingress[s] {
-            let src = self.clocks[self.boundaries[b].src_shard].load(Ordering::Acquire);
+            let src = self.clock(self.boundaries[b].src_shard);
             limit = limit.min(src.saturating_add(self.boundaries[b].lookahead));
         }
         limit
     }
 
-    /// Marks shard `d` runnable, returning `true` if this enqueued it
-    /// (vs. only flagging an already-queued/running shard as signaled).
-    fn signal(&self, d: usize) -> bool {
-        let st = &self.sched.state[d];
-        let mut cur = st.load(Ordering::Relaxed);
-        loop {
-            let next = match cur {
-                S_IDLE => S_QUEUED,
-                S_QUEUED => S_QUEUED_SIGNALED,
-                S_RUNNING => S_RUNNING_SIGNALED,
-                _ => return false,
-            };
-            match st.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => {
-                    if cur == S_IDLE {
-                        let clock = self.clocks[d].load(Ordering::Relaxed);
-                        let mut g = self.sched.m.lock().unwrap();
-                        g.ready.push((clock, d));
-                        self.sched.ready_len.store(g.ready.len(), Ordering::Release);
-                        drop(g);
-                        self.sched.worker_cv.notify_one();
-                        return true;
-                    }
-                    return false;
-                }
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Bumps `s`'s downstream version counters and re-queues any
-    /// downstream shard that is parked below the epoch target. The
-    /// version bump is ordered *before* the state CAS inside
-    /// [`Self::signal`], so whoever observes the signaled state also
-    /// observes a version that forces a fresh bound.
-    fn wake_successors(&self, s: usize, slot: &mut ShardSlot, target: Time) {
-        for &d in &self.successors[s] {
-            self.signal_version[d].fetch_add(1, Ordering::Release);
-            if self.clocks[d].load(Ordering::Relaxed) < target && self.signal(d) {
-                counter_inc!(slot.sim.shard_stats_mut().wakes);
-            }
-        }
-    }
-
     /// Runs claimed shard `s` for as many windows as its lookahead
     /// allows, then releases the claim: re-queue if still runnable, park
     /// if lookahead-limited, report epoch completion if it crossed.
-    fn run_shard(&self, s: usize, worker: usize, rng: &mut Option<Xorshift>) {
-        let target = self.sched.target.load(Ordering::Acquire);
+    fn run_shard(&self, s: usize, target: Time, worker: usize, rng: &mut Option<Xorshift>) {
         let mut slot = self.slots[s].lock().unwrap();
         let slot = &mut *slot;
         if slot.last_worker != worker {
@@ -492,26 +432,9 @@ impl Engine<'_> {
             }
             slot.last_worker = worker;
         }
-        // If we claimed the shard already-signaled, the claim CAS is our
-        // happens-before edge to the publisher — recompute regardless of
-        // the version we read.
-        let mut force = self.sched.state[s].load(Ordering::Relaxed) == S_RUNNING_SIGNALED;
-        let mut crossed = false;
         loop {
-            let clock = self.clocks[s].load(Ordering::Relaxed);
-            if clock >= target {
-                // Stale entry for a shard that already crossed; it was
-                // counted out of `remaining` when it crossed.
-                break;
-            }
-            let v = self.signal_version[s].load(Ordering::Acquire);
-            if force || v != slot.seen_version {
-                slot.cached_bound = self.bound(s);
-                slot.seen_version = v;
-                force = false;
-            }
-            let limit = target.min(slot.cached_bound);
-            if limit <= clock {
+            let limit = target.min(self.bound(s));
+            if limit <= self.clock(s) {
                 counter_inc!(slot.sim.shard_stats_mut().stalls);
                 break;
             }
@@ -522,47 +445,31 @@ impl Engine<'_> {
                 }
             }
             self.window(s, slot, limit);
-            self.wake_successors(s, slot, target);
-            if limit >= target {
-                crossed = true;
-                break;
+            // The clock is stored; queue whoever it unblocks.
+            let mut g = self.lock();
+            let woken = g.wake(self.successors[s].iter().copied(), |d| self.clock(d));
+            let contended = !g.ready.is_empty();
+            drop(g);
+            for _ in 0..woken {
+                self.worker_cv.notify_one();
             }
+            counter_add!(slot.sim.shard_stats_mut().wakes, woken as u64);
             // Fairness: if other shards are waiting to run, release this
             // one (it re-queues below) so claims keep following the
             // min-clock order instead of one worker tunnelling ahead.
-            if self.sched.ready_len.load(Ordering::Relaxed) > 0 {
+            if limit >= target || contended {
                 break;
             }
         }
-        // Release the claim. The swap is AcqRel: if a publisher flagged
-        // us signaled while we ran, we observe its clock store here.
-        let prev = self.sched.state[s].swap(S_IDLE, Ordering::AcqRel);
-        let clock = self.clocks[s].load(Ordering::Relaxed);
-        if clock < target {
-            if prev == S_RUNNING_SIGNALED {
-                slot.seen_version = self.signal_version[s].load(Ordering::Acquire);
-                slot.cached_bound = self.bound(s);
-            }
-            if target.min(slot.cached_bound) > clock {
-                // Still runnable: put it back (the CAS in `signal`
-                // dedupes against concurrent publishers).
-                self.signal(s);
-            } else {
-                // Parked: only an upstream signal re-queues it. Safe
-                // because any publisher that advances our bound runs
-                // `signal` *after* its version bump, and will find
-                // S_IDLE (or a later state) — never a lost wakeup.
-                counter_inc!(slot.sim.shard_stats_mut().parks);
-            }
+        let mut g = self.lock();
+        let parked = g.release(s, self.clock(s), self.bound(s));
+        let epoch_done = g.remaining == 0;
+        drop(g);
+        if parked {
+            counter_inc!(slot.sim.shard_stats_mut().parks);
         }
-        if crossed {
-            let mut g = self.sched.m.lock().unwrap();
-            g.remaining -= 1;
-            let done = g.remaining == 0;
-            drop(g);
-            if done {
-                self.sched.main_cv.notify_all();
-            }
+        if epoch_done {
+            self.main_cv.notify_all();
         }
     }
 
@@ -620,52 +527,29 @@ impl Engine<'_> {
     }
 
     /// Runs one epoch: every shard advances to the exclusive `target`.
-    /// Returns once all shards have crossed (or a worker panicked).
-    fn run_epoch(&self, target: Time) {
-        self.sched.target.store(target, Ordering::Release);
-        let pending: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.clocks[i].load(Ordering::Relaxed) < target)
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        self.sched.m.lock().unwrap().remaining = pending.len();
-        // Epoch-start enqueues go through the same `signal` path as
-        // wakes, so leftover queue entries from the previous epoch (a
-        // late cross-epoch signal can leave one) are never duplicated.
-        for &s in &pending {
-            self.signal(s);
-        }
-        if self.inline {
-            // Sole executor: drain the ready queue here. The queue cannot
-            // go empty while shards remain — the min-clock uncrossed
-            // shard's bound always exceeds its clock (positive lookahead,
-            // no predecessor behind it), so `run_shard` re-queues it
-            // rather than parking it.
-            let mut rng = None;
-            loop {
-                let job = {
-                    let mut g = self.sched.m.lock().unwrap();
-                    if g.remaining == 0 {
-                        return;
-                    }
-                    self.take_ready(&mut g, &mut rng)
-                };
-                let s = job.expect("ready queue empty with shards remaining");
-                self.run_shard(s, 0, &mut rng);
+    /// Returns `true` once all shards have crossed, `false` if a worker
+    /// panicked. `inline`: there is no pool, and this thread claims and
+    /// runs the shards itself instead of waiting for one.
+    fn run_epoch(&self, target: Time, inline: bool) -> bool {
+        let mut g = self.lock();
+        g.target = target;
+        g.remaining = g.wake(0..self.slots.len(), |s| self.clock(s));
+        self.worker_cv.notify_all();
+        while g.remaining > 0 {
+            if inline {
+                // The queue cannot be empty while shards remain: the
+                // min-clock uncrossed shard's bound always exceeds its
+                // clock (positive lookahead, no predecessor behind it),
+                // so `release` re-queues it rather than parking it.
+                let s = g.claim(false).expect("ready queue empty with shards remaining");
+                drop(g);
+                self.run_shard(s, target, 0, &mut None);
+                g = self.lock();
+            } else {
+                g = self.main_cv.wait(g).expect("scheduler mutex poisoned");
             }
         }
-        self.sched.worker_cv.notify_all();
-        let mut g = self.sched.m.lock().unwrap();
-        while g.remaining > 0 && !self.sched.panicked.load(Ordering::Relaxed) {
-            g = self.sched.main_cv.wait(g).unwrap();
-        }
-    }
-
-    /// Tells the pool to exit once the queue drains.
-    fn shutdown(&self) {
-        self.sched.m.lock().unwrap().shutdown = true;
-        self.sched.worker_cv.notify_all();
+        !g.shutdown
     }
 }
 
@@ -710,9 +594,6 @@ pub struct ShardedSim {
     /// Exclusive per-shard clocks (see module docs); persist across
     /// successive `run_until` calls.
     clocks: Vec<AtomicU64>,
-    /// Bumped whenever a predecessor of the shard publishes a clock;
-    /// lets claimers skip bound recomputation when nothing advanced.
-    signal_version: Vec<AtomicU64>,
     /// One mailbox per boundary link (single producer, single consumer;
     /// the mutex only arbitrates flush vs. drain).
     channels: Vec<Mutex<Vec<WireMsg>>>,
@@ -745,7 +626,6 @@ impl ShardedSim {
             egress: Vec::new(),
             successors: Vec::new(),
             clocks: Vec::new(),
-            signal_version: Vec::new(),
             channels: Vec::new(),
             worker_parks: AtomicU64::new(0),
             worker_pool: Mutex::new(PoolStats::default()),
@@ -770,8 +650,6 @@ impl ShardedSim {
         sim.set_packet_id_base((idx as u64) << 48);
         self.shards.push(ShardSlot {
             sim,
-            cached_bound: 0,
-            seen_version: u64::MAX,
             last_worker: usize::MAX,
             ingress_buf: Vec::new(),
         });
@@ -779,7 +657,6 @@ impl ShardedSim {
         self.egress.push(Vec::new());
         self.successors.push(Vec::new());
         self.clocks.push(AtomicU64::new(0));
-        self.signal_version.push(AtomicU64::new(0));
         idx
     }
 
@@ -789,11 +666,11 @@ impl ShardedSim {
     }
 
     /// Sets the requested worker-pool size (default 1). The pool that
-    /// actually runs is capped at the shard count and — because extra
-    /// workers on a saturated host only time-slice the same cores and
-    /// thrash the shards' working sets against each other — at the
-    /// host's available parallelism. The value never affects results,
-    /// only wall-clock time.
+    /// runs is capped at the shard count and at the host's available
+    /// parallelism (surplus workers would only time-slice the same cores
+    /// and evict each other's shard working sets); when one worker
+    /// remains, the calling thread claims and runs the shards itself.
+    /// The value never affects results, only wall-clock time.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -1039,18 +916,12 @@ impl ShardedSim {
             .expect("deadline too close to Time::MAX");
         // Pool sizing: never more workers than shards, and — unless a
         // perturbation seed asks for adversarial oversubscription —
-        // never more workers than the host has cores. `--shards 8` on a
-        // 1-core box must cost nothing over `--shards 1`: the surplus
-        // workers would only time-slice the same core and evict each
-        // other's shard working sets. The schedule never affects
-        // results, so the cap is invisible outside wall-clock time.
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let threads = self.threads.clamp(1, self.shards.len());
-        let threads = if self.perturb.is_some() {
-            threads
-        } else {
-            threads.min(cores)
-        };
+        // never more workers than the host has cores: `--shards 8` on a
+        // 1-core box must cost nothing over `--shards 1`.
+        let mut threads = self.threads.clamp(1, self.shards.len());
+        if self.perturb.is_none() {
+            threads = threads.min(std::thread::available_parallelism().map_or(1, usize::from));
+        }
         self.workers_used = threads;
         let slice = slice.max(1);
         for slot in &mut self.shards {
@@ -1066,7 +937,6 @@ impl ShardedSim {
         let engine = Engine {
             slots: &slots,
             clocks: &self.clocks,
-            signal_version: &self.signal_version,
             boundaries: &self.boundaries,
             ingress: &self.ingress,
             egress: &self.egress,
@@ -1075,16 +945,18 @@ impl ShardedSim {
             worker_parks: &self.worker_parks,
             worker_pool: &self.worker_pool,
             perturb: self.perturb,
-            // One effective worker means the pool would only trade futex
-            // round trips with this thread; run the epochs inline instead.
-            // (Perturbation keeps the pool so cross-thread schedules stay
-            // exercised.)
-            inline: threads == 1 && self.perturb.is_none(),
-            sched: Sched::new(slots.len()),
+            sched: Mutex::new(SchedInner::new(slots.len())),
+            worker_cv: Condvar::new(),
+            main_cv: Condvar::new(),
         };
+        // One effective worker means a pool would only trade futex round
+        // trips with this thread, so this thread runs the shards itself.
+        // (Perturbation keeps the pool so cross-thread schedules stay
+        // exercised.)
+        let inline = threads == 1 && self.perturb.is_none();
         let mut now = self.now;
         std::thread::scope(|scope| {
-            if !engine.inline {
+            if !inline {
                 for w in 0..threads {
                     let engine = &engine;
                     scope.spawn(move || engine.worker(w));
@@ -1092,16 +964,14 @@ impl ShardedSim {
             }
             loop {
                 let slice_end = now.saturating_add(slice).min(deadline);
-                engine.run_epoch(slice_end + 1);
+                let crossed = engine.run_epoch(slice_end + 1, inline);
                 now = slice_end;
-                if engine.sched.panicked.load(Ordering::Relaxed) || now >= deadline {
-                    break;
-                }
-                if stop(&ShardView { slots: &slots }) {
+                if !crossed || now >= deadline || stop(&ShardView { slots: &slots }) {
                     break;
                 }
             }
-            engine.shutdown();
+            engine.lock().shutdown = true;
+            engine.worker_cv.notify_all();
         });
         for slot in slots {
             let mut slot = slot.into_inner().expect("shard slot poisoned");
@@ -1573,5 +1443,133 @@ mod tests {
             sim.agent::<Pinger>(ping).unwrap().echoes.clone()
         };
         assert_eq!(sliced, whole);
+    }
+
+    /// The claim protocol, exhaustively: an abstract pool drives the
+    /// production [`SchedInner`] through every interleaving of the engine's
+    /// atomic steps (a lock section; a bound read outside the lock; a clock
+    /// store), for two epochs of length 2 on boundaries of lookahead 1.
+    mod pool_model {
+        use super::super::{Claim, SchedInner, Time};
+        use std::collections::HashSet;
+
+        /// A worker's next step: `next_job`'s lock section, then
+        /// `run_shard`'s bound read, window (the clock store), wake section
+        /// and release section.
+        #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+        enum Pc {
+            Claim,
+            Look,
+            Store,
+            Wake,
+            Release,
+        }
+
+        /// `workers` holds each one's next step, its shard (unless at
+        /// `Claim`), its window's limit and the bound it last read.
+        #[derive(Clone, PartialEq, Eq, Hash)]
+        struct World {
+            sched: SchedInner,
+            clocks: Vec<Time>,
+            workers: Vec<(Pc, usize, Time, Time)>,
+            epochs_left: u32,
+        }
+
+        /// Predecessors per shard: 2-shard duplex, 3-shard chain, 3-shard ring.
+        type Preds = &'static [&'static [usize]];
+        const GRAPHS: [Preds; 3] = [&[&[1], &[0]], &[&[1], &[0, 2], &[1]], &[&[2], &[0], &[1]]];
+
+        /// The world after worker `w`'s next step, if it has one. `stale`
+        /// is the mutation: release on the bound read before the section.
+        fn step(preds: Preds, stale: bool, mut x: World, w: usize, max: bool) -> Option<World> {
+            let bound =
+                |x: &World, s: usize| preds[s].iter().map(|&p| x.clocks[p] + 1).min().unwrap();
+            let (pc, s, limit, seen) = x.workers[w];
+            let target = x.sched.target;
+            x.workers[w] = match pc {
+                Pc::Claim => (Pc::Look, x.sched.claim(max)?, 0, 0),
+                Pc::Look => {
+                    let seen = bound(&x, s);
+                    let limit = target.min(seen);
+                    let stalled = limit <= x.clocks[s];
+                    (if stalled { Pc::Release } else { Pc::Store }, s, limit, seen)
+                }
+                Pc::Store => {
+                    x.clocks[s] = limit;
+                    (Pc::Wake, s, limit, seen)
+                }
+                Pc::Wake => {
+                    let successors = (0..x.clocks.len()).filter(|&d| preds[d].contains(&s));
+                    x.sched.wake(successors, |d| x.clocks[d]);
+                    let done = limit >= target || !x.sched.ready.is_empty();
+                    (if done { Pc::Release } else { Pc::Look }, s, limit, seen)
+                }
+                Pc::Release => {
+                    let bound = if stale { seen } else { bound(&x, s) };
+                    x.sched.release(s, x.clocks[s], bound);
+                    (Pc::Claim, 0, 0, 0)
+                }
+            };
+            Some(x)
+        }
+
+        /// Panics on a broken invariant; `true` if `x` is stuck (shards
+        /// short of the target, none `Ready` or `Running`: a lost wakeup).
+        fn check(x: &World) -> bool {
+            for (s, &claim) in x.sched.claim.iter().enumerate() {
+                let holders = x.workers.iter().filter(|w| w.0 != Pc::Claim && w.1 == s);
+                let queued = x.sched.ready.iter().filter(|r| r.1 == s);
+                assert_eq!(holders.count(), usize::from(claim == Claim::Running), "shard {s}");
+                assert_eq!(queued.count(), usize::from(claim == Claim::Ready), "shard {s}");
+            }
+            // A crossing is counted when the shard is released.
+            let claims = x.sched.claim.iter().zip(&x.clocks);
+            let uncrossed = claims.filter(|&(&c, &at)| at < x.sched.target || c == Claim::Running);
+            assert_eq!(x.sched.remaining, uncrossed.count());
+            x.sched.remaining > 0 && x.sched.claim.iter().all(|&c| c == Claim::Parked)
+        }
+
+        /// Every interleaving and claim order: states visited, any stuck.
+        fn explore(preds: Preds, workers: usize, stale: bool) -> (usize, bool) {
+            let start = World {
+                sched: SchedInner::new(preds.len()),
+                clocks: vec![0; preds.len()],
+                workers: vec![(Pc::Claim, 0, 0, 0); workers],
+                epochs_left: 2,
+            };
+            let (mut visited, mut stack, mut stuck) = (HashSet::new(), vec![start], false);
+            while let Some(mut x) = stack.pop() {
+                if x.sched.remaining == 0 && x.epochs_left > 0 {
+                    // `run_epoch`: every shard has crossed, on to the next.
+                    x.epochs_left -= 1;
+                    x.sched.target += 2;
+                    x.sched.remaining = x.sched.wake(0..preds.len(), |s| x.clocks[s]);
+                }
+                if visited.insert(x.clone()) {
+                    stuck |= check(&x);
+                    for (w, max) in (0..workers).flat_map(|w| [(w, false), (w, true)]) {
+                        stack.extend(step(preds, stale, x.clone(), w, max));
+                    }
+                }
+            }
+            (visited.len(), stuck)
+        }
+
+        #[test]
+        fn no_interleaving_loses_a_wakeup_or_claims_a_shard_twice() {
+            for (preds, workers) in GRAPHS.into_iter().flat_map(|g| (1..=3).map(move |w| (g, w))) {
+                let (states, stuck) = explore(preds, workers, false);
+                assert!(!stuck, "{preds:?}, {workers} workers: stuck within {states} states");
+            }
+        }
+
+        /// Teeth: a predecessor that crossed the target while the shard was
+        /// `Running` queued nothing, so a releaser that trusts the bound it
+        /// read before its lock section parks the shard for good.
+        #[test]
+        fn a_bound_read_outside_the_release_section_loses_a_wakeup() {
+            let (states, stuck) = explore(GRAPHS[0], 2, true);
+            assert!(stuck, "the mutation went unnoticed in all {states} states");
+        }
     }
 }
