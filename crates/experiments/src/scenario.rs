@@ -13,7 +13,8 @@ use iq_echo::{
 };
 use iq_metrics::{FlowMetrics, TimeSeries};
 use iq_netsim::{
-    build_dumbbell_leg, time, Addr, Agent, DumbbellSpec, FlowId, ShardAgentId, ShardedSim,
+    build_dumbbell_leg, time, Addr, Agent, AgentId, DumbbellSpec, FlowId, ShardAgentId,
+    ShardedSim,
 };
 use iq_obs::{Plane, Registry};
 use iq_rudp::{
@@ -445,8 +446,28 @@ fn rudp_config(sc: &Scenario) -> RudpConfig {
 
 /// The two endpoints of one flow, kept for the stop test and harvest.
 struct Flow {
-    tx: ShardAgentId,
-    rx: ShardAgentId,
+    tx: Handle,
+    rx: Handle,
+}
+
+/// A [`ShardAgentId`] with the shard as a `u32`: 8 B for 16, which
+/// halves the one table a world keeps per flow.
+#[derive(Clone, Copy)]
+struct Handle {
+    shard: u32,
+    agent: AgentId,
+}
+
+impl From<ShardAgentId> for Handle {
+    fn from(id: ShardAgentId) -> Self {
+        Self { shard: id.shard as u32, agent: id.agent }
+    }
+}
+
+impl Handle {
+    fn id(self) -> ShardAgentId {
+        ShardAgentId { shard: self.shard as usize, agent: self.agent }
+    }
 }
 
 /// A built scenario: the sharded world plus the handles harvest needs.
@@ -552,7 +573,12 @@ impl World {
                 let src =
                     TcpBulkSenderAgent::new(conn, Addr::new(rh[2], 12), FlowId(102), msgs, 1400);
                 sim.add_agent(lh[2], 12, Box::new(src));
-                let sink = TcpSinkAgent::new(900, tcp_cfg.clone(), FlowId(102));
+                let sink = TcpSinkAgent::with_metrics(
+                    900,
+                    tcp_cfg.clone(),
+                    FlowId(102),
+                    FlowMetrics::volume_only(),
+                );
                 sim.add_agent(rh[2], 12, Box::new(sink));
             }
 
@@ -594,16 +620,22 @@ impl World {
                     }
                 };
                 let tx = sim.add_agent(lh[pair], port, sender);
+                // A recorder exists where a reader exists: `harvest`
+                // reports the arrival shape of flow 0 and sums volume
+                // over the rest.
+                let metrics = if g == 0 { FlowMetrics::new() } else { FlowMetrics::volume_only() };
                 let receiver: Box<dyn Agent> = match class {
                     FlowClass::Adaptive(builder) | FlowClass::Bulk { builder, .. } => {
                         let builder =
                             builder.for_conn(id, flow).telemetry(flow_sinks[right].clone());
-                        Box::new(EchoSinkAgent::from_driver(builder.build_receiver()))
+                        Box::new(EchoSinkAgent::with_metrics(builder.build_receiver(), metrics))
                     }
-                    FlowClass::TcpBulk => Box::new(TcpSinkAgent::new(id, tcp_cfg.clone(), flow)),
+                    FlowClass::TcpBulk => {
+                        Box::new(TcpSinkAgent::with_metrics(id, tcp_cfg.clone(), flow, metrics))
+                    }
                 };
                 let rx = sim.add_agent(rh[pair], port, receiver);
-                flows.push(Flow { tx, rx });
+                flows.push(Flow { tx: tx.into(), rx: rx.into() });
             }
         }
         Self { sim, buses, classes, flows }
@@ -638,7 +670,7 @@ impl World {
         for (g, flow) in flows.iter().enumerate() {
             match &classes[g % classes.len()] {
                 FlowClass::Adaptive(_) => {
-                    let a = sim.agent::<AdaptiveSourceAgent>(flow.tx).expect("adaptive source");
+                    let a = sim.agent::<AdaptiveSourceAgent>(flow.tx.id()).expect("adaptive source");
                     offered += a.offered_msgs;
                     callbacks.0 += a.callbacks.0;
                     callbacks.1 += a.callbacks.1;
@@ -657,13 +689,13 @@ impl World {
                     }
                 }
                 FlowClass::Bulk { .. } => {
-                    let a = sim.agent::<BulkSenderAgent>(flow.tx).expect("bulk sender");
+                    let a = sim.agent::<BulkSenderAgent>(flow.tx.id()).expect("bulk sender");
                     offered += a.offered_msgs();
                     sum_sender_stats(sender_stats.get_or_insert_default(), &a.conn().stats());
                 }
                 FlowClass::TcpBulk => offered += tcp_schedule(sc).0,
             }
-            let (m, done) = sink_state(&sim, flow.rx, &mut receiver_stats);
+            let (m, done) = sink_state(&sim, flow.rx.id(), &mut receiver_stats);
             first.get_or_insert(m);
             delivered += m.messages();
             throughput += m.throughput_kbps();
@@ -756,8 +788,9 @@ pub fn run_scenario(sc: &Scenario) -> RunResult {
         let flows = &world.flows;
         world.sim.run_slices(deadline, time::secs(1.0), |view| {
             flows.iter().all(|f| {
-                view.with_agent::<EchoSinkAgent, _>(f.rx, |s| s.is_finished())
-                    .or_else(|| view.with_agent::<TcpSinkAgent, _>(f.rx, |s| s.is_finished()))
+                let rx = f.rx.id();
+                view.with_agent::<EchoSinkAgent, _>(rx, |s| s.is_finished())
+                    .or_else(|| view.with_agent::<TcpSinkAgent, _>(rx, |s| s.is_finished()))
                     .unwrap_or(false)
             })
         });
@@ -904,6 +937,28 @@ mod tests {
         assert_eq!(a.duration_s, b.duration_s);
         assert_eq!(a.msgs_delivered, b.msgs_delivered);
         assert_eq!(a.jitter_s, b.jitter_s);
+    }
+
+    /// `harvest` reads the arrival shape of flow 0 and of nothing else,
+    /// so that is the one recorder of a world that keeps one.
+    #[test]
+    fn only_the_reported_flow_records_arrival_shape() {
+        let mut sc = Scenario::incast(6, 5, 1400);
+        sc.cross.tcp_bulk = true;
+        let world = World::build(&sc);
+        for (g, flow) in world.flows.iter().enumerate() {
+            let sink = world.sim.agent::<EchoSinkAgent>(flow.rx.id()).expect("fleet sink");
+            assert_eq!(sink.metrics.records_shape(), g == 0, "flow {g}");
+        }
+        // The cross traffic is added first: its source, then its sink.
+        let cross = ShardAgentId { shard: 0, agent: AgentId(1) };
+        let sink = world.sim.agent::<TcpSinkAgent>(cross).expect("cross.tcp_bulk sink");
+        assert!(!sink.metrics.records_shape());
+
+        // A TCP row's one flow is the reported one too.
+        let world = World::build(&small_scenario(Scheme::Tcp));
+        let sink = world.sim.agent::<TcpSinkAgent>(world.flows[0].rx.id()).expect("TCP sink");
+        assert!(sink.metrics.records_shape());
     }
 
     #[test]

@@ -2,28 +2,47 @@
 //! duration, throughput, message inter-arrival ("delay"), and the
 //! deviation of inter-arrival ("jitter") — overall and for tagged
 //! (must-deliver) messages only.
-
+//!
+//! A recorder has two parts. The *volume* (first and last arrival,
+//! bytes, messages, summed latency) is what a harvest sums over every
+//! flow of a world, and every recorder keeps it. The arrival *shape*
+//! (inter-arrival statistics, their tagged twins, the per-message jitter
+//! series) is what a run reports for the one flow it looks at; it lives
+//! out of line, and a recorder built with [`FlowMetrics::volume_only`]
+//! has none.
 
 use crate::series::TimeSeries;
 use crate::stats::Welford;
 
-/// Jitter samples a [`FlowMetrics`] stores in itself before the series
-/// goes to the heap. A short flow of a large fleet delivers a handful
-/// of messages and never gets there, so recording its series costs no
-/// allocator call; 4 × 16 B is what a `Vec`'s first block would take.
+/// Jitter samples an arrival shape stores in itself before the series
+/// goes to the heap, so a short flow's series costs no allocator call
+/// beyond the shape's own; 4 × 16 B is what a `Vec`'s first block would
+/// take.
 const JITTER_INLINE: usize = 4;
 
 /// Accumulates arrivals at a receiving application.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlowMetrics {
     /// Meaningful once `messages > 0`.
     first_arrival_ns: u64,
     last_arrival_ns: u64,
+    bytes: u64,
+    messages: u64,
+    /// Summed one-way latency (send → deliver) in nanoseconds. An
+    /// integer add keeps this off the floating-point hot path; the mean
+    /// is derived on read.
+    latency_sum_ns: u64,
+    /// `None` in a volume-only recorder.
+    shape: Option<Box<ArrivalShape>>,
+}
+
+/// How a flow's arrivals were spaced: what the delay / jitter columns
+/// and Figures 2/3 are computed from.
+#[derive(Debug, Clone, Default)]
+struct ArrivalShape {
     /// Arrival of the latest tagged message; meaningful once
     /// `tagged_messages > 0`.
     prev_tagged_ns: u64,
-    bytes: u64,
-    messages: u64,
     tagged_messages: u64,
     inter_arrival: Welford,
     tagged_inter_arrival: Welford,
@@ -32,43 +51,9 @@ pub struct FlowMetrics {
     /// [`JITTER_INLINE`] here, the rest in `jitter_tail`.
     jitter_head: [(u64, f64); JITTER_INLINE],
     jitter_tail: Vec<(u64, f64)>,
-    /// Summed one-way latency (send → deliver) in nanoseconds. An
-    /// integer add keeps this off the floating-point hot path; the mean
-    /// is derived on read.
-    latency_sum_ns: u64,
 }
 
-impl FlowMetrics {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a delivered message.
-    ///
-    /// `sent_at_ns` is when the sender emitted it (for one-way latency);
-    /// `tagged` marks must-deliver messages (§3.3 "tagged packets").
-    pub fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
-        if self.messages == 0 {
-            self.first_arrival_ns = now_ns;
-        } else {
-            self.record_gap(now_ns, self.last_arrival_ns);
-        }
-        self.last_arrival_ns = now_ns;
-        self.bytes += bytes;
-        self.messages += 1;
-        self.latency_sum_ns += now_ns.saturating_sub(sent_at_ns);
-
-        if tagged {
-            if self.tagged_messages > 0 {
-                let gap_ns = now_ns.saturating_sub(self.prev_tagged_ns);
-                self.tagged_inter_arrival.push(gap_ns as f64 * 1e-9);
-            }
-            self.tagged_messages += 1;
-            self.prev_tagged_ns = now_ns;
-        }
-    }
-
+impl ArrivalShape {
     /// Feeds one inter-arrival gap to both consumers from a single
     /// computation: the Welford accumulator behind the tables'
     /// delay/jitter columns and the per-message series behind
@@ -88,12 +73,96 @@ impl FlowMetrics {
         }
     }
 
+    fn record_tagged(&mut self, now_ns: u64) {
+        if self.tagged_messages > 0 {
+            let gap_ns = now_ns.saturating_sub(self.prev_tagged_ns);
+            self.tagged_inter_arrival.push(gap_ns as f64 * 1e-9);
+        }
+        self.tagged_messages += 1;
+        self.prev_tagged_ns = now_ns;
+    }
+}
+
+impl Default for FlowMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FlowMetrics {
+    /// An empty accumulator recording volume and arrival shape.
+    pub fn new() -> Self {
+        Self {
+            shape: Some(Box::default()),
+            ..Self::volume_only()
+        }
+    }
+
+    /// An empty accumulator recording volume only: messages, bytes,
+    /// duration, throughput and latency. It makes no allocator call, now
+    /// or per message, and its shape getters (inter-arrival, jitter,
+    /// the tagged statistics, the jitter series) panic — for the sinks of
+    /// a world whose shape nobody reads.
+    pub fn volume_only() -> Self {
+        Self {
+            first_arrival_ns: 0,
+            last_arrival_ns: 0,
+            bytes: 0,
+            messages: 0,
+            latency_sum_ns: 0,
+            shape: None,
+        }
+    }
+
+    /// Whether this recorder keeps the arrival shape, i.e. was built by
+    /// [`Self::new`] and not by [`Self::volume_only`].
+    pub fn records_shape(&self) -> bool {
+        self.shape.is_some()
+    }
+
+    /// The arrival shape.
+    ///
+    /// # Panics
+    /// Panics on a volume-only recorder: a zero here would read as a
+    /// flow with no jitter.
+    fn shape(&self) -> &ArrivalShape {
+        self.shape.as_deref().expect(
+            "this FlowMetrics was built with FlowMetrics::volume_only() and records no arrival \
+             shape (inter-arrival, jitter, tagged statistics, jitter series); build the recorder \
+             of a flow whose shape is read with FlowMetrics::new()",
+        )
+    }
+
+    /// Records a delivered message.
+    ///
+    /// `sent_at_ns` is when the sender emitted it (for one-way latency);
+    /// `tagged` marks must-deliver messages (§3.3 "tagged packets").
+    pub fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
+        if let Some(shape) = &mut self.shape {
+            if self.messages > 0 {
+                shape.record_gap(now_ns, self.last_arrival_ns);
+            }
+            if tagged {
+                shape.record_tagged(now_ns);
+            }
+        }
+        if self.messages == 0 {
+            self.first_arrival_ns = now_ns;
+        }
+        self.last_arrival_ns = now_ns;
+        self.bytes += bytes;
+        self.messages += 1;
+        self.latency_sum_ns += now_ns.saturating_sub(sent_at_ns);
+    }
+
     /// Seconds from first to last arrival.
     pub fn duration_s(&self) -> f64 {
         if self.messages == 0 {
             return 0.0;
         }
-        (self.last_arrival_ns - self.first_arrival_ns) as f64 / 1e9
+        // Saturating like both gap computations: a clock that stepped
+        // back reads as no time passed.
+        self.last_arrival_ns.saturating_sub(self.first_arrival_ns) as f64 / 1e9
     }
 
     /// Average goodput in KB/s over the active period.
@@ -112,7 +181,7 @@ impl FlowMetrics {
 
     /// Delivered messages that were tagged.
     pub fn tagged_messages(&self) -> u64 {
-        self.tagged_messages
+        self.shape().tagged_messages
     }
 
     /// Total delivered bytes.
@@ -123,23 +192,23 @@ impl FlowMetrics {
     /// Mean message inter-arrival in seconds (the tables' "Inter-arrival"
     /// / "Delay" column).
     pub fn inter_arrival_s(&self) -> f64 {
-        self.inter_arrival.mean()
+        self.shape().inter_arrival.mean()
     }
 
     /// Standard deviation of inter-arrival in seconds (the "Jitter"
     /// column).
     pub fn jitter_s(&self) -> f64 {
-        self.inter_arrival.stddev()
+        self.shape().inter_arrival.stddev()
     }
 
     /// Mean inter-arrival of tagged messages, seconds.
     pub fn tagged_inter_arrival_s(&self) -> f64 {
-        self.tagged_inter_arrival.mean()
+        self.shape().tagged_inter_arrival.mean()
     }
 
     /// Standard deviation of tagged inter-arrival, seconds.
     pub fn tagged_jitter_s(&self) -> f64 {
-        self.tagged_inter_arrival.stddev()
+        self.shape().tagged_inter_arrival.stddev()
     }
 
     /// Mean one-way message latency, seconds.
@@ -153,10 +222,11 @@ impl FlowMetrics {
     /// The per-message jitter series (Figures 2/3), assembled from the
     /// inline samples and the heap tail.
     pub fn jitter_series(&self) -> TimeSeries {
-        let inline = (self.inter_arrival.count() as usize).min(JITTER_INLINE);
-        let mut points = Vec::with_capacity(inline + self.jitter_tail.len());
-        points.extend_from_slice(&self.jitter_head[..inline]);
-        points.extend_from_slice(&self.jitter_tail);
+        let shape = self.shape();
+        let inline = (shape.inter_arrival.count() as usize).min(JITTER_INLINE);
+        let mut points = Vec::with_capacity(inline + shape.jitter_tail.len());
+        points.extend_from_slice(&shape.jitter_head[..inline]);
+        points.extend_from_slice(&shape.jitter_tail);
         TimeSeries { points }
     }
 
@@ -172,6 +242,7 @@ impl FlowMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const MS: u64 = 1_000_000;
 
@@ -257,7 +328,10 @@ mod tests {
             }
             let series = m.jitter_series();
             assert_eq!(series.len(), messages - 1);
-            assert_eq!(m.jitter_tail.len(), (messages - 1).saturating_sub(JITTER_INLINE));
+            assert_eq!(
+                m.shape().jitter_tail.len(),
+                (messages - 1).saturating_sub(JITTER_INLINE)
+            );
             let times: Vec<u64> = series.points.iter().map(|&(t, _)| t).collect();
             let want: Vec<u64> = (1..messages as u64).map(|i| i * i * MS).collect();
             assert_eq!(times, want);
@@ -291,16 +365,133 @@ mod tests {
         m.on_message(10 * MS, 0, 1, true);
         assert_eq!(m.tagged_inter_arrival_s(), 0.0);
         assert_eq!(m.inter_arrival_s(), 0.0);
+        // Nor the span between first and last arrival, which used to
+        // panic in debug and read ≈ 1.8e10 s in release.
+        assert_eq!(m.duration_s(), 0.0);
+        assert_eq!(m.throughput_kbps(), 0.0);
     }
 
     #[test]
     fn accumulator_is_compact() {
-        // Two per sink in every flow of a fleet; a new field should show
-        // up here.
+        // One per sink in every flow of a fleet, and a fleet reads the
+        // shape of one flow: what every flow carries inline is the volume
+        // and a pointer. A new field should show up here.
         assert!(
-            std::mem::size_of::<FlowMetrics>() <= 192,
+            std::mem::size_of::<FlowMetrics>() <= 48,
             "FlowMetrics grew to {} bytes",
             std::mem::size_of::<FlowMetrics>()
         );
+    }
+
+    /// `FlowMetrics` as it was before the volume / shape split, kept as
+    /// the reference the split recorder is compared against.
+    #[derive(Default)]
+    struct Unsplit {
+        first_arrival_ns: u64,
+        last_arrival_ns: u64,
+        prev_tagged_ns: u64,
+        bytes: u64,
+        messages: u64,
+        tagged_messages: u64,
+        inter_arrival: Welford,
+        tagged_inter_arrival: Welford,
+        jitter: Vec<(u64, f64)>,
+        latency_sum_ns: u64,
+    }
+
+    impl Unsplit {
+        fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
+            if self.messages == 0 {
+                self.first_arrival_ns = now_ns;
+            } else {
+                let gap_s = (now_ns.saturating_sub(self.last_arrival_ns)) as f64 * 1e-9;
+                self.inter_arrival.push(gap_s);
+                let dev_ms = (gap_s - self.inter_arrival.mean()).abs() * 1e3;
+                self.jitter.push((now_ns, dev_ms));
+            }
+            self.last_arrival_ns = now_ns;
+            self.bytes += bytes;
+            self.messages += 1;
+            self.latency_sum_ns += now_ns.saturating_sub(sent_at_ns);
+            if tagged {
+                if self.tagged_messages > 0 {
+                    let gap_ns = now_ns.saturating_sub(self.prev_tagged_ns);
+                    self.tagged_inter_arrival.push(gap_ns as f64 * 1e-9);
+                }
+                self.tagged_messages += 1;
+                self.prev_tagged_ns = now_ns;
+            }
+        }
+    }
+
+    proptest! {
+        /// Over arrival streams with a tagged mix, equal timestamps and
+        /// steps back: a volume-only recorder and a full one agree on the
+        /// volume, and the full one's shape is the unsplit recorder's,
+        /// bit for bit.
+        #[test]
+        fn split_recorders_agree_with_each_other_and_the_unsplit_one(
+            arrivals in prop::collection::vec(
+                (0u8..8, 0u64..50_000_000, 0u64..100_000, any::<bool>()),
+                0..60,
+            ),
+            offered in 0u64..100,
+        ) {
+            let (mut full, mut volume) = (FlowMetrics::new(), FlowMetrics::volume_only());
+            let mut unsplit = Unsplit::default();
+            let mut now = 1_000 * MS;
+            for &(kind, delta, bytes, tagged) in &arrivals {
+                now = match kind {
+                    0 => now,                         // same nanosecond
+                    1 => now.saturating_sub(delta),   // the clock steps back
+                    _ => now + delta,
+                };
+                let sent = now.saturating_sub(delta / 2);
+                full.on_message(now, sent, bytes, tagged);
+                volume.on_message(now, sent, bytes, tagged);
+                unsplit.on_message(now, sent, bytes, tagged);
+            }
+
+            prop_assert!(full.records_shape() && !volume.records_shape());
+            prop_assert_eq!(volume.messages(), full.messages());
+            prop_assert_eq!(volume.bytes(), full.bytes());
+            for read in [
+                FlowMetrics::duration_s,
+                FlowMetrics::throughput_kbps,
+                FlowMetrics::latency_s,
+            ] {
+                prop_assert_eq!(read(&volume).to_bits(), read(&full).to_bits());
+            }
+            prop_assert_eq!(
+                volume.delivered_pct(offered).to_bits(),
+                full.delivered_pct(offered).to_bits()
+            );
+
+            prop_assert_eq!(full.messages(), unsplit.messages);
+            prop_assert_eq!(full.bytes(), unsplit.bytes);
+            prop_assert_eq!(full.tagged_messages(), unsplit.tagged_messages);
+            for (split, reference) in [
+                (full.inter_arrival_s(), unsplit.inter_arrival.mean()),
+                (full.jitter_s(), unsplit.inter_arrival.stddev()),
+                (full.tagged_inter_arrival_s(), unsplit.tagged_inter_arrival.mean()),
+                (full.tagged_jitter_s(), unsplit.tagged_inter_arrival.stddev()),
+            ] {
+                prop_assert_eq!(split.to_bits(), reference.to_bits());
+            }
+            let bits = |points: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&full.jitter_series().points), bits(&unsplit.jitter));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FlowMetrics::volume_only()")]
+    fn shape_of_a_volume_only_recorder_is_a_panic_not_a_zero() {
+        let mut m = FlowMetrics::volume_only();
+        m.on_message(0, 0, 100, true);
+        m.on_message(10 * MS, 0, 100, true);
+        assert_eq!(m.messages(), 2);
+        let _ = m.jitter_s();
     }
 }

@@ -688,8 +688,8 @@ impl ShardedSim {
     }
 
     /// Adds a node owned by `shard`. The node id is global: every shard
-    /// counts it (and keeps an empty port table for it), but only the
-    /// owning shard hosts its agents and events.
+    /// counts it, but only the owning shard hosts its agents and events
+    /// (and, from the node's first agent on, a port table for it).
     pub fn add_node(&mut self, shard: usize) -> NodeId {
         assert!(shard < self.shards.len(), "no such shard {shard}");
         let mut id = None;
@@ -847,9 +847,28 @@ impl ShardedSim {
         *self.worker_pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Starts the per-flow ground-truth counters on every shard (see
+    /// [`Simulator::enable_flow_stats`]): after the shards are declared,
+    /// before the first run.
+    ///
+    /// # Panics
+    /// Panics with no shard declared, or once an event has run.
+    pub fn enable_flow_stats(&mut self) {
+        assert!(
+            !self.shards.is_empty(),
+            "enable_flow_stats() before add_shard(): a shard declared later would keep no counters"
+        );
+        for s in &mut self.shards {
+            s.sim.enable_flow_stats();
+        }
+    }
+
     /// Ground-truth counters for one flow, summed over shards (a flow's
     /// sends are accounted where its source lives, deliveries where its
     /// sink lives).
+    ///
+    /// # Panics
+    /// Panics unless [`Self::enable_flow_stats`] was called.
     pub fn flow_stats(&self, flow: FlowId) -> FlowStats {
         let mut total = FlowStats::default();
         for s in &self.shards {
@@ -1111,6 +1130,7 @@ mod tests {
         let mut sim = ShardedSim::new(3);
         let (s0, s1, s2) = (sim.add_shard(), sim.add_shard(), sim.add_shard());
         sim.set_threads(3);
+        sim.enable_flow_stats();
         let a = sim.add_node(s0);
         let r = sim.add_node(s1);
         let b = sim.add_node(s2);
@@ -1126,8 +1146,30 @@ mod tests {
         sim.run_until(secs(1.0));
         assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 10);
         assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 10);
+        // Sent on shard 0, delivered on shard 2: the sum over shards.
+        assert_eq!(sim.flow_stats(FlowId(1)).sent_packets, 10);
         assert_eq!(sim.flow_stats(FlowId(1)).delivered_packets, 10);
         assert_eq!(sim.flow_stats(FlowId(2)).delivered_packets, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_flow_stats() before the run starts")]
+    fn flow_stats_of_a_sharded_world_that_kept_none_is_a_panic_not_zeroes() {
+        let mut sim = ShardedSim::new(3);
+        let (s0, s1) = (sim.add_shard(), sim.add_shard());
+        let a = sim.add_node(s0);
+        let b = sim.add_node(s1);
+        sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(2), 64_000));
+        sim.add_agent(a, 1, Box::new(Pinger {
+            dst: Addr::new(b, 2),
+            count: 3,
+            sent: 0,
+            echoes: Vec::new(),
+        }));
+        let echo = sim.add_agent(b, 2, Box::new(Echoer::default()));
+        sim.run_until(secs(1.0));
+        assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 3);
+        sim.flow_stats(FlowId(1));
     }
 
     /// The shards of a world share one route table, and a topology

@@ -12,7 +12,7 @@
 //! * a `TimerSlab` with generation-checked slots, so cancellation is
 //!   O(1) and leaves no residue (the old `cancelled_timers: HashSet`
 //!   grew forever);
-//! * per-node dense port tables: the destination agent is resolved once
+//! * per-node port tables: the destination agent is resolved once
 //!   at send time and carried with the packet, instead of a
 //!   `HashMap<Addr, AgentId>` probe on every hop.
 
@@ -82,13 +82,19 @@ pub struct SimCore {
     /// of a world like `endpoints`.
     routes: Arc<RoutingTable>,
     routes_dirty: bool,
-    /// Per-node port tables, sorted by port for binary search. Indexed by
-    /// `NodeId`; replaces the old global `HashMap<Addr, AgentId>`.
+    /// Port tables of the nodes that host an agent here, each sorted by
+    /// port for binary search, in the order the nodes got their first
+    /// agent.
     ports: Vec<Vec<(u16, AgentId)>>,
+    /// Node id → index into `ports`, [`NO_PORTS`] for a node with no
+    /// agent on this simulator — in a shard of a
+    /// [`ShardedSim`](crate::shard::ShardedSim), most nodes of the world.
+    /// Grown to the highest node that has an agent.
+    port_slot: Vec<u32>,
     pub(crate) rng: SmallRng,
     /// Running counters.
     pub counters: SimCounters,
-    /// Per-flow accounting and optional packet log.
+    /// Per-flow accounting and packet log, each when enabled.
     pub trace: TraceCollector,
     pub(crate) stopped: bool,
     /// One outbox per egress link, in [`Simulator::mark_egress`] order:
@@ -112,6 +118,9 @@ pub struct SimCore {
 /// `link_slot` entry of a link this simulator does not transmit on.
 const NOT_OWNED: u32 = u32::MAX;
 
+/// `port_slot` entry of a node with no agent on this simulator.
+const NO_PORTS: u32 = u32::MAX;
+
 impl SimCore {
     fn schedule(&mut self, at: Time, kind: EventKind) {
         let seq = self.next_seq;
@@ -119,9 +128,11 @@ impl SimCore {
         self.queue.push(Event { at, seq, kind });
     }
 
-    /// Agent registered at `addr`, via the dense per-node port table.
+    /// Agent registered at `addr`, via its node's port table.
     fn resolve_port(&self, addr: Addr) -> Option<AgentId> {
-        let table = self.ports.get(addr.node.0 as usize)?;
+        let &slot = self.port_slot.get(addr.node.0 as usize)?;
+        // `NO_PORTS` is past the end of any table of tables.
+        let table = self.ports.get(slot as usize)?;
         table
             .binary_search_by_key(&addr.port, |&(p, _)| p)
             .ok()
@@ -324,6 +335,7 @@ impl Simulator {
                 routes: Arc::default(),
                 routes_dirty: false,
                 ports: Vec::new(),
+                port_slot: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 counters: SimCounters::default(),
                 trace: TraceCollector::default(),
@@ -342,7 +354,6 @@ impl Simulator {
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.core.num_nodes);
         self.core.num_nodes += 1;
-        self.core.ports.push(Vec::new());
         self.core.routes_dirty = true;
         id
     }
@@ -388,7 +399,16 @@ impl Simulator {
             self.core.num_nodes
         );
         let id = AgentId(self.agents.len() as u32);
-        let table = &mut self.core.ports[node.0 as usize];
+        let slots = &mut self.core.port_slot;
+        if slots.len() <= node.0 as usize {
+            slots.resize(node.0 as usize + 1, NO_PORTS);
+        }
+        let slot = &mut slots[node.0 as usize];
+        if *slot == NO_PORTS {
+            *slot = self.core.ports.len() as u32;
+            self.core.ports.push(Vec::new());
+        }
+        let table = &mut self.core.ports[*slot as usize];
         match table.binary_search_by_key(&port, |&(p, _)| p) {
             Ok(_) => panic!("address {addr} already has an agent"),
             Err(pos) => table.insert(pos, (port, id)),
@@ -545,7 +565,27 @@ impl Simulator {
         }
     }
 
-    /// Ground-truth counters for one flow.
+    /// Starts the per-flow ground-truth counters [`Self::flow_stats`]
+    /// reads. Opt-in like the packet log beside it: a row and an index
+    /// entry per flow is what a world of many flows should pay only when
+    /// something reads them.
+    ///
+    /// # Panics
+    /// Panics once an event has run: counters that missed the first
+    /// packets are not ground truth.
+    pub fn enable_flow_stats(&mut self) {
+        assert_eq!(
+            self.core.counters.events_processed, 0,
+            "enable_flow_stats() after the run started: the packets sent so far went uncounted"
+        );
+        self.core.trace.enable_flow_stats();
+    }
+
+    /// Ground-truth counters for one flow (zeroes if it sent nothing).
+    ///
+    /// # Panics
+    /// Panics unless [`Self::enable_flow_stats`] was called: zeroes from
+    /// a world that kept no counters would read as a silent network.
     pub fn flow_stats(&self, flow: FlowId) -> crate::trace::FlowStats {
         self.core.trace.flow(flow)
     }
@@ -1292,6 +1332,7 @@ mod tests {
     #[test]
     fn flow_stats_and_packet_log_track_ground_truth() {
         let mut sim = Simulator::new(8);
+        sim.enable_flow_stats();
         sim.enable_packet_log(10_000);
         let a = sim.add_node();
         let b = sim.add_node();
@@ -1324,6 +1365,39 @@ mod tests {
         // Sent events equal the counter.
         let sent = log.iter().filter(|e| matches!(e.kind, K::Sent)).count() as u64;
         assert_eq!(sent, 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_flow_stats() before the run starts")]
+    fn flow_stats_of_a_world_that_kept_none_is_a_panic_not_zeroes() {
+        let mut sim = Simulator::new(8);
+        let a = sim.add_node();
+        let b = sim.add_node();
+        sim.add_duplex_link(a, b, LinkSpec::new(1e6, millis(2), 25_000));
+        sim.add_agent(
+            a,
+            1,
+            Box::new(Blaster {
+                dst: Addr::new(b, 2),
+                count: 5,
+                size: 1000,
+                sent: 0,
+            }),
+        );
+        let rx = sim.add_agent(b, 2, Box::new(Recorder::default()));
+        sim.run_until(crate::time::secs(1.0));
+        assert_eq!(sim.agent::<Recorder>(rx).unwrap().arrivals.len(), 5);
+        sim.flow_stats(FlowId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "after the run started")]
+    fn flow_stats_cannot_start_mid_run() {
+        let mut sim = Simulator::new(8);
+        let n = sim.add_node();
+        sim.add_agent(n, 1, Box::new(Recorder::default()));
+        sim.run_until(millis(1));
+        sim.enable_flow_stats();
     }
 
     #[test]

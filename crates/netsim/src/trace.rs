@@ -1,10 +1,14 @@
 //! Simulation observability: per-flow accounting and a bounded packet
 //! event log.
 //!
-//! Per-flow counters are always on (they are how experiments compute
-//! ground-truth loss ratios per traffic class); the packet log is
-//! opt-in via [`crate::Simulator::enable_packet_log`] because a long run
-//! can produce millions of events.
+//! Both are opt-in, before the run starts: the per-flow counters via
+//! [`crate::Simulator::enable_flow_stats`] because a world of many flows
+//! pays a table row and an index entry per flow on every shard, the
+//! packet log via [`crate::Simulator::enable_packet_log`] because a long
+//! run can produce millions of events. The tests and the demo that
+//! compare against ground truth turn them on; experiments read their
+//! results from the endpoints and run with neither, and asking a world
+//! for counters it never kept is a panic, not a row of zeroes.
 
 use iq_telemetry::{PacketKind, TelemetryEvent, TelemetrySink};
 
@@ -73,9 +77,9 @@ pub struct PacketEvent {
 /// would cost O(flows) on every packet event.
 const DENSE_IDS: u32 = 1 << 17;
 
-/// Collects flow counters and (optionally) packet events.
+/// The per-flow counters of a collector that keeps them.
 #[derive(Debug, Default)]
-pub struct TraceCollector {
+struct FlowTable {
     /// Per-flow counters in first-seen order. Iteration (and therefore
     /// table output) follows this vector, so insertion order is part of
     /// the deterministic surface.
@@ -87,6 +91,13 @@ pub struct TraceCollector {
     /// scenarios use. Ids ≥ [`DENSE_IDS`] (notably [`FlowId::ANON`])
     /// fall back to a scan.
     dense: Vec<u32>,
+}
+
+/// Collects flow counters and packet events, each when enabled, and
+/// mirrors packet events onto the telemetry bus.
+#[derive(Debug, Default)]
+pub struct TraceCollector {
+    flows: Option<FlowTable>,
     log: Vec<PacketEvent>,
     log_capacity: usize,
     /// Events that arrived after the log filled.
@@ -96,13 +107,7 @@ pub struct TraceCollector {
     pub(crate) telemetry: TelemetrySink,
 }
 
-impl TraceCollector {
-    /// Enables the packet log with the given capacity.
-    pub fn enable_log(&mut self, capacity: usize) {
-        self.log_capacity = capacity;
-        self.log.reserve(capacity.min(1 << 20));
-    }
-
+impl FlowTable {
     /// Counters slot for `flow`, creating it on first sight.
     #[inline]
     fn flow_mut(&mut self, flow: FlowId) -> &mut FlowStats {
@@ -129,27 +134,39 @@ impl TraceCollector {
         &mut self.flows[idx].1
     }
 
+    /// Counters for one flow (zeroes if never seen). O(1) for ids below
+    /// `DENSE_IDS`, like the recording side; a scan for the rest.
+    fn flow(&self, flow: FlowId) -> FlowStats {
+        let idx = if flow.0 < DENSE_IDS {
+            match self.dense.get(flow.0 as usize) {
+                Some(&slot) if slot != 0 => Some((slot - 1) as usize),
+                _ => None,
+            }
+        } else {
+            self.flows.iter().position(|&(f, _)| f == flow)
+        };
+        idx.map(|i| self.flows[i].1).unwrap_or_default()
+    }
+}
+
+impl TraceCollector {
+    /// Starts the per-flow counters (see [`crate::Simulator::enable_flow_stats`]).
+    pub fn enable_flow_stats(&mut self) {
+        self.flows.get_or_insert_default();
+    }
+
+    /// Enables the packet log with the given capacity.
+    pub fn enable_log(&mut self, capacity: usize) {
+        self.log_capacity = capacity;
+        self.log.reserve(capacity.min(1 << 20));
+    }
+
     #[inline]
     pub(crate) fn record(&mut self, ev: PacketEvent) {
-        let f = self.flow_mut(ev.flow);
-        match ev.kind {
-            PacketEventKind::Sent => {
-                f.sent_packets += 1;
-                f.sent_bytes += u64::from(ev.size);
-            }
-            PacketEventKind::Delivered => {
-                f.delivered_packets += 1;
-                f.delivered_bytes += u64::from(ev.size);
-            }
-            PacketEventKind::DroppedAtQueue(_) => f.dropped_packets += 1,
-            PacketEventKind::LostRandom(_) => f.random_losses += 1,
-        }
-        if self.log_capacity > 0 {
-            if self.log.len() < self.log_capacity {
-                self.log.push(ev);
-            } else {
-                self.log_overflow += 1;
-            }
+        // One test for both tables (`|`, not `||`): a world that enabled
+        // neither pays this branch and the telemetry sink's.
+        if self.flows.is_some() | (self.log_capacity > 0) {
+            self.record_tables(ev);
         }
         self.telemetry.emit_with(ev.at, u64::from(ev.flow.0), || {
             let (kind, link) = match ev.kind {
@@ -167,23 +184,58 @@ impl TraceCollector {
         });
     }
 
-    /// Counters for one flow (zeroes if never seen). O(1) for ids below
-    /// `DENSE_IDS`, like the recording side; a scan for the rest.
-    pub fn flow(&self, flow: FlowId) -> FlowStats {
-        let idx = if flow.0 < DENSE_IDS {
-            match self.dense.get(flow.0 as usize) {
-                Some(&slot) if slot != 0 => Some((slot - 1) as usize),
-                _ => None,
+    /// The part of [`Self::record`] only an enabled table pays.
+    fn record_tables(&mut self, ev: PacketEvent) {
+        if let Some(table) = &mut self.flows {
+            let f = table.flow_mut(ev.flow);
+            match ev.kind {
+                PacketEventKind::Sent => {
+                    f.sent_packets += 1;
+                    f.sent_bytes += u64::from(ev.size);
+                }
+                PacketEventKind::Delivered => {
+                    f.delivered_packets += 1;
+                    f.delivered_bytes += u64::from(ev.size);
+                }
+                PacketEventKind::DroppedAtQueue(_) => f.dropped_packets += 1,
+                PacketEventKind::LostRandom(_) => f.random_losses += 1,
             }
-        } else {
-            self.flows.iter().position(|&(f, _)| f == flow)
-        };
-        idx.map(|i| self.flows[i].1).unwrap_or_default()
+        }
+        if self.log_capacity > 0 {
+            if self.log.len() < self.log_capacity {
+                self.log.push(ev);
+            } else {
+                self.log_overflow += 1;
+            }
+        }
+    }
+
+    /// The flow table.
+    ///
+    /// # Panics
+    /// Panics when the counters were never enabled: zeroes would read as
+    /// a silent network, and two such worlds would compare equal.
+    fn table(&self) -> &FlowTable {
+        self.flows.as_ref().expect(
+            "flow_stats() on a simulator that keeps no per-flow counters: call \
+             enable_flow_stats() before the run starts",
+        )
+    }
+
+    /// Counters for one flow (zeroes if it sent nothing).
+    ///
+    /// # Panics
+    /// Panics unless [`Self::enable_flow_stats`] was called.
+    pub fn flow(&self, flow: FlowId) -> FlowStats {
+        self.table().flow(flow)
     }
 
     /// All flows seen so far, in first-seen (deterministic) order.
+    ///
+    /// # Panics
+    /// Panics unless [`Self::enable_flow_stats`] was called.
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &FlowStats)> {
-        self.flows.iter().map(|(k, v)| (*k, v))
+        self.table().flows.iter().map(|(k, v)| (*k, v))
     }
 
     /// The recorded events (empty unless enabled).
@@ -195,6 +247,13 @@ impl TraceCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A collector that keeps per-flow counters.
+    fn counting() -> TraceCollector {
+        let mut t = TraceCollector::default();
+        t.enable_flow_stats();
+        t
+    }
 
     fn ev(kind: PacketEventKind) -> PacketEvent {
         PacketEvent {
@@ -208,7 +267,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_flow() {
-        let mut t = TraceCollector::default();
+        let mut t = counting();
         t.record(ev(PacketEventKind::Sent));
         t.record(ev(PacketEventKind::Sent));
         t.record(ev(PacketEventKind::Delivered));
@@ -225,7 +284,7 @@ mod tests {
 
     #[test]
     fn flow_lookup_covers_dense_scanned_and_unseen_ids() {
-        let mut t = TraceCollector::default();
+        let mut t = counting();
         let sent = |flow| PacketEvent {
             flow,
             ..ev(PacketEventKind::Sent)
@@ -253,6 +312,7 @@ mod tests {
         let mut t = TraceCollector::default();
         t.record(ev(PacketEventKind::Sent));
         assert!(t.log().is_empty());
+        assert!(t.flows.is_none(), "nothing enabled, nothing kept");
 
         t.enable_log(2);
         t.record(ev(PacketEventKind::Sent));
@@ -260,11 +320,11 @@ mod tests {
         t.record(ev(PacketEventKind::Sent));
         assert_eq!(t.log().len(), 2);
         assert_eq!(t.log_overflow, 1);
+        assert!(t.flows.is_none(), "the log does not bring the flow table with it");
     }
 
     #[test]
     fn zero_sent_flow_has_zero_loss() {
-        let t = TraceCollector::default();
-        assert_eq!(t.flow(FlowId(1)).loss_ratio(), 0.0);
+        assert_eq!(counting().flow(FlowId(1)).loss_ratio(), 0.0);
     }
 }

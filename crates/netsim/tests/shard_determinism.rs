@@ -207,6 +207,8 @@ fn observe(
             fs.random_losses,
         ]);
     }
+    // Two runs that counted nothing would compare equal.
+    assert!(scalars[6] > 0, "flow 0 has no sent packets: the flow tables are empty");
     let mut jsonl = String::new();
     for bus in telemetry {
         jsonl.push_str(&to_jsonl(&bus.lock().unwrap().records()));
@@ -225,6 +227,7 @@ fn run(p: &Params, threads: usize, perturb: Option<u64>) -> Observed {
         .collect();
     sim.set_threads(threads);
     sim.set_perturbation(perturb);
+    sim.enable_flow_stats();
 
     let mut telemetry = Vec::new();
     for shard in 0..sim.num_shards() {
@@ -246,6 +249,7 @@ fn run_one_shard(p: &Params, serial: bool) -> Observed {
     let legs = vec![(0, 0); p.legs];
     if serial {
         let mut sim = Simulator::new(p.seed);
+        sim.enable_flow_stats();
         sim.attach_telemetry(sink);
         let (pingers, flows) = build(&mut sim, p, &legs);
         for _ in 0..3 {
@@ -255,6 +259,7 @@ fn run_one_shard(p: &Params, serial: bool) -> Observed {
     } else {
         let mut sim = ShardedSim::new(p.seed);
         sim.add_shard();
+        sim.enable_flow_stats();
         sim.attach_telemetry(0, sink);
         let (pingers, flows) = build(&mut sim, p, &legs);
         sim.run_slices(3000 * MS, 1000 * MS, |_| false);

@@ -366,9 +366,15 @@ impl RudpSinkAgent {
     /// Wraps an already-built driver (see
     /// [`ConnBuilder::build_receiver`]).
     pub fn from_driver(driver: ReceiverDriver) -> Self {
+        Self::with_metrics(driver, FlowMetrics::new())
+    }
+
+    /// [`Self::from_driver`] recording into `metrics`: a sink whose
+    /// arrival shape nobody reads takes [`FlowMetrics::volume_only`].
+    pub fn with_metrics(driver: ReceiverDriver, metrics: FlowMetrics) -> Self {
         Self {
             driver,
-            metrics: FlowMetrics::new(),
+            metrics,
             messages: Vec::new(),
             keep_messages: false,
         }
@@ -416,6 +422,16 @@ impl Agent for RudpSinkAgent {
 mod tests {
     use super::*;
     use iq_netsim::{time, LinkSpec, Simulator};
+
+    #[test]
+    fn sink_box_is_compact() {
+        // One box per flow of a fleet: the receiving connection, the
+        // recorder's volume and a pointer to the arrival shape only the
+        // reported flow has. A new inline field should show up here.
+        let size = std::mem::size_of::<RudpSinkAgent>();
+        println!("RudpSinkAgent: {size} bytes (ceiling 576)");
+        assert!(size <= 576, "RudpSinkAgent grew to {size} bytes");
+    }
 
     /// End-to-end bulk transfer over a clean 10 Mb/s, 10 ms-RTT link.
     #[test]

@@ -217,9 +217,15 @@ pub struct TcpSinkAgent {
 impl TcpSinkAgent {
     /// Creates a sink for connection `conn_id`.
     pub fn new(conn_id: u32, cfg: TcpConfig, flow: FlowId) -> Self {
+        Self::with_metrics(conn_id, cfg, flow, FlowMetrics::new())
+    }
+
+    /// [`Self::new`] recording into `metrics`: a sink whose arrival shape
+    /// nobody reads takes [`FlowMetrics::volume_only`].
+    pub fn with_metrics(conn_id: u32, cfg: TcpConfig, flow: FlowId, metrics: FlowMetrics) -> Self {
         Self {
             driver: TcpReceiverDriver::new(TcpReceiverConn::new(conn_id, cfg), flow),
-            metrics: FlowMetrics::new(),
+            metrics,
             messages: Vec::new(),
             keep_messages: false,
         }

@@ -195,9 +195,11 @@ impl Agent for VbrSource {
 }
 
 /// Counts UDP arrivals.
-#[derive(Default)]
 pub struct UdpSink {
-    /// Arrival metrics (bytes, rates, inter-arrival).
+    /// Arrival volume (messages, bytes, duration, rate). Background
+    /// traffic runs as long as the world does and nobody plots its
+    /// jitter, so the recorder is [`FlowMetrics::volume_only`]: what the
+    /// sink holds does not grow with the run.
     pub metrics: FlowMetrics,
     /// Datagrams received.
     pub received: u64,
@@ -206,7 +208,16 @@ pub struct UdpSink {
 impl UdpSink {
     /// An empty sink.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            metrics: FlowMetrics::volume_only(),
+            received: 0,
+        }
+    }
+}
+
+impl Default for UdpSink {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

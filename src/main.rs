@@ -383,6 +383,8 @@ fn cmd_demo() {
     use iq_workload::CbrSource;
 
     let mut sim = Simulator::new(1);
+    // For the ground-truth line at the end.
+    sim.enable_flow_stats();
     let db = build_dumbbell(&mut sim, &DumbbellSpec::paper_default(2));
     sim.add_agent(
         db.left_hosts[1],

@@ -274,6 +274,7 @@ fn extensions_compose_in_one_simulation() {
     use iq_ftp::{FileSpec, FtpConfig, FtpReceiverAgent, FtpSenderAgent};
 
     let mut sim = Simulator::new(41);
+    sim.enable_flow_stats();
     let hub = sim.add_node();
     let sub1 = sim.add_node();
     let sub2 = sim.add_node();
