@@ -12,7 +12,7 @@
 use iq_metrics::{fmt, Table};
 use iq_netsim::time;
 
-use crate::runner::run_parallel;
+use crate::runner::Executor;
 use crate::scenario::{PolicySpec, RunResult, Scenario, Scheme};
 use crate::tables::Size;
 
@@ -22,7 +22,7 @@ fn frames(size: Size, full: usize) -> usize {
 
 /// Ablation 1: sweep the transport's measuring period on the §3.4
 /// over-reaction workload. Returns `(period_ms, iq, rudp)` triples.
-pub fn ablation_measure_period(size: Size) -> Vec<(u64, RunResult, RunResult)> {
+pub fn ablation_measure_period(exec: &Executor, size: Size) -> Vec<(u64, RunResult, RunResult)> {
     let periods_ms = [50u64, 100, 200, 400];
     let mut scenarios = Vec::new();
     for &p in &periods_ms {
@@ -41,7 +41,7 @@ pub fn ablation_measure_period(size: Size) -> Vec<(u64, RunResult, RunResult)> {
             scenarios.push(sc);
         }
     }
-    let rows = run_parallel(&scenarios);
+    let rows = exec.run_scenarios(&scenarios);
     periods_ms
         .iter()
         .zip(rows.chunks(2))
@@ -76,7 +76,7 @@ pub fn render_measure_period(rows: &[(u64, RunResult, RunResult)]) -> String {
 /// Ablation 2: the three application adaptation dimensions of §2.3.2 on
 /// one congested rate-based workload, all coordinated. Returns
 /// `(label, result)` pairs (plus a no-adaptation control).
-pub fn ablation_policies(size: Size) -> Vec<(&'static str, RunResult)> {
+pub fn ablation_policies(exec: &Executor, size: Size) -> Vec<(&'static str, RunResult)> {
     let specs: [(&'static str, PolicySpec); 4] = [
         ("none", PolicySpec::None),
         ("frequency", PolicySpec::Frequency),
@@ -100,7 +100,7 @@ pub fn ablation_policies(size: Size) -> Vec<(&'static str, RunResult)> {
             sc
         })
         .collect();
-    let rows = run_parallel(&scenarios);
+    let rows = exec.run_scenarios(&scenarios);
     specs
         .iter()
         .zip(rows)
@@ -134,7 +134,7 @@ pub fn render_policies(rows: &[(&'static str, RunResult)]) -> String {
 
 /// Ablation 3: sweep the receiver's loss tolerance on the §3.3
 /// reliability workload. Returns `(tolerance, result)` pairs.
-pub fn ablation_tolerance(size: Size) -> Vec<(f64, RunResult)> {
+pub fn ablation_tolerance(exec: &Executor, size: Size) -> Vec<(f64, RunResult)> {
     let tolerances = [0.0, 0.2, 0.4, 0.6];
     let scenarios: Vec<Scenario> = tolerances
         .iter()
@@ -154,7 +154,7 @@ pub fn ablation_tolerance(size: Size) -> Vec<(f64, RunResult)> {
             sc
         })
         .collect();
-    let rows = run_parallel(&scenarios);
+    let rows = exec.run_scenarios(&scenarios);
     tolerances.iter().copied().zip(rows).collect()
 }
 
@@ -186,7 +186,10 @@ pub fn render_tolerance(rows: &[(f64, RunResult)]) -> String {
 /// over-reaction workload, for both schemes. RED's early signalling
 /// spreads losses out, which interacts with the error-ratio thresholds
 /// the whole coordination machinery keys off.
-pub fn ablation_queue_discipline(size: Size) -> Vec<(&'static str, RunResult, RunResult)> {
+pub fn ablation_queue_discipline(
+    exec: &Executor,
+    size: Size,
+) -> Vec<(&'static str, RunResult, RunResult)> {
     let mut out = Vec::new();
     for (label, red) in [("drop-tail", false), ("RED", true)] {
         let mut scenarios = Vec::new();
@@ -204,7 +207,7 @@ pub fn ablation_queue_discipline(size: Size) -> Vec<(&'static str, RunResult, Ru
             sc.deadline_s = 600.0;
             scenarios.push(sc);
         }
-        let rows = run_parallel(&scenarios);
+        let rows = exec.run_scenarios(&scenarios);
         out.push((label, rows[0].clone(), rows[1].clone()));
     }
     out
@@ -235,15 +238,15 @@ pub fn render_queue_discipline(rows: &[(&'static str, RunResult, RunResult)]) ->
 }
 
 /// Runs all ablations and returns the rendered report.
-pub fn run_all_ablations(size: Size) -> String {
+pub fn run_all_ablations(exec: &Executor, size: Size) -> String {
     let mut out = String::new();
-    out.push_str(&render_measure_period(&ablation_measure_period(size)));
+    out.push_str(&render_measure_period(&ablation_measure_period(exec, size)));
     out.push('\n');
-    out.push_str(&render_policies(&ablation_policies(size)));
+    out.push_str(&render_policies(&ablation_policies(exec, size)));
     out.push('\n');
-    out.push_str(&render_tolerance(&ablation_tolerance(size)));
+    out.push_str(&render_tolerance(&ablation_tolerance(exec, size)));
     out.push('\n');
-    out.push_str(&render_queue_discipline(&ablation_queue_discipline(size)));
+    out.push_str(&render_queue_discipline(&ablation_queue_discipline(exec, size)));
     out
 }
 
@@ -253,7 +256,7 @@ mod tests {
 
     #[test]
     fn measure_period_sweep_shapes() {
-        let rows = ablation_measure_period(Size(0.05));
+        let rows = ablation_measure_period(&Executor::new(0), Size(0.05));
         assert_eq!(rows.len(), 4);
         for (_, iq, rudp) in &rows {
             assert!(iq.finished && rudp.finished);
@@ -264,7 +267,7 @@ mod tests {
 
     #[test]
     fn policy_ablation_covers_all_dimensions() {
-        let rows = ablation_policies(Size(0.05));
+        let rows = ablation_policies(&Executor::new(0), Size(0.05));
         assert_eq!(rows.len(), 4);
         // Reliability is the only policy allowed to drop messages.
         for (label, r) in &rows {
@@ -281,7 +284,7 @@ mod tests {
 
     #[test]
     fn queue_discipline_ablation_runs_both_disciplines() {
-        let rows = ablation_queue_discipline(Size(0.05));
+        let rows = ablation_queue_discipline(&Executor::new(0), Size(0.05));
         assert_eq!(rows.len(), 2);
         for (label, iq, rudp) in &rows {
             assert!(iq.finished && rudp.finished, "{label} did not finish");
@@ -290,7 +293,7 @@ mod tests {
 
     #[test]
     fn tolerance_zero_delivers_everything() {
-        let rows = ablation_tolerance(Size(0.05));
+        let rows = ablation_tolerance(&Executor::new(0), Size(0.05));
         assert_eq!(rows.len(), 4);
         let (tol0, r0) = &rows[0];
         assert_eq!(*tol0, 0.0);

@@ -13,7 +13,7 @@
 //! Nothing here measures time or memory: speed claims are made and
 //! judged in `benchmark/`, and `--timing`'s stderr lines are for a human.
 
-use crate::runner::{run_specs, ScenarioReport, ScenarioSpec};
+use crate::runner::{Executor, ScenarioReport, ScenarioSpec};
 use crate::scenario::{app_frame_sizes, PolicySpec, Scenario, Scheme, VbrSpec};
 use crate::tables::{conflict_scenario, Size};
 use iq_rudp::CcAlgorithm;
@@ -287,36 +287,37 @@ fn drift(run: &BenchRun, reference: &BenchRun, subset: bool) -> Vec<String> {
     drifted
 }
 
-/// Runs the sweep, compares it with `check_path` when that is set and
-/// writes it to `out_path` when that is (a run that failed a check is
-/// not written). After the sweep `mega_flows` is re-run serially at 1,
-/// 2, 4 and 8 shard threads and recorded as `mega_flows_shardsN`:
+/// Runs the sweep on `exec`, compares it with `check_path` when that is
+/// set and writes it to `out_path` when that is (a run that failed a
+/// check is not written). After the sweep `mega_flows` is re-run alone
+/// at 1, 2, 4 and 8 shard threads — four executors that differ from
+/// `exec` in that — and recorded as `mega_flows_shardsN`:
 /// determinism across thread counts is a hard property, not a perf
 /// budget, so every curve entry must reproduce the 1-thread one exactly.
 ///
 /// Returns `Err` with a human-readable message when a check fails or a
 /// file cannot be read or written.
-pub fn bench_main(opts: &BenchOptions) -> Result<BenchRun, String> {
+pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, String> {
     let mut specs = bench_specs(opts.size);
     if let Some(only) = &opts.only {
         specs.retain(|s| &s.name == only);
         assert!(!specs.is_empty(), "bench: no scenario named `{only}`");
     }
-    let mut scenarios: Vec<BenchScenario> = run_specs(&specs)
+    let mut scenarios: Vec<BenchScenario> = exec
+        .run(&specs)
         .iter()
         .map(|r| to_bench_scenario(r.name.clone(), r))
         .collect();
     if let Some(mega) = specs.iter().find(|s| s.name == "mega_flows") {
-        // One worker thread per run so the curve entries never contend
-        // with each other for cores.
-        let before = crate::runner::shards();
+        // One run at a time, so the curve entries never contend with
+        // each other for cores.
         let curve = scenarios.len();
         for n in [1usize, 2, 4, 8] {
-            crate::runner::set_shards(n);
-            let reports = crate::runner::Executor::new(1).run(std::slice::from_ref(mega));
+            let mut at_n = exec.clone();
+            at_n.config.threads = n;
+            let reports = at_n.run(std::slice::from_ref(mega));
             scenarios.push(to_bench_scenario(format!("mega_flows_shards{n}"), &reports[0]));
         }
-        crate::runner::set_shards(before);
         let first = &scenarios[curve];
         for s in &scenarios[curve + 1..] {
             if let Some(d) = disagreement(s, first, &first.name) {

@@ -8,29 +8,19 @@
 //! diag -j 4 t5 0.3         # same, on 4 worker threads
 //! ```
 //!
-//! `--verify-determinism` re-runs every scenario and aborts on any
-//! bit-level metric difference.
+//! The runner flags are `iqrudp`'s (`Executor::from_args`): `-j N`,
+//! `--shards N`, `--verify-determinism`, `--no-timing`, `--telemetry
+//! DIR`, `--metrics DIR`.
 
-use iq_experiments::runner::run_averaged;
 use iq_experiments::tables::*;
+use iq_experiments::Executor;
 
 fn main() {
-    let mut args = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-j" | "--jobs" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: {a} requires a positive integer argument");
-                    std::process::exit(2);
-                });
-                iq_experiments::set_jobs(n);
-            }
-            "--verify-determinism" => iq_experiments::set_verify_determinism(true),
-            "--timing" => iq_experiments::set_timing_report(true),
-            _ => args.push(a),
-        }
-    }
+    let (exec, args) = Executor::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let exec = &exec;
     let which = args.first().cloned().unwrap_or_else(|| "t5".into());
     let size = Size(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.3));
     let rows = if let Some(n) = which.strip_prefix("avg") {
@@ -42,17 +32,17 @@ fn main() {
             "8" => table8_scenarios(size),
             _ => panic!("unknown avg table"),
         };
-        run_averaged(&scens, seeds)
+        exec.run_averaged(&scens, seeds)
     } else {
         match which.as_str() {
-            "t1" => run_table1(size),
-            "t2" => run_table2(size),
-            "t3" => run_table3(size),
-            "t4" => run_table4(size),
-            "t5" => run_table5(size),
-            "t6" => run_table6(size),
-            "t7" => run_table7(size),
-            "t8" => run_table8(size),
+            "t1" => run_table1(exec, size),
+            "t2" => run_table2(exec, size),
+            "t3" => run_table3(exec, size),
+            "t4" => run_table4(exec, size),
+            "t5" => run_table5(exec, size),
+            "t6" => run_table6(exec, size),
+            "t7" => run_table7(exec, size),
+            "t8" => run_table8(exec, size),
             _ => panic!("unknown table"),
         }
     };

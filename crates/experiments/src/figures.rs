@@ -3,6 +3,7 @@
 use iq_metrics::TimeSeries;
 use iq_trace::MembershipTrace;
 
+use crate::runner::Executor;
 use crate::scenario::RunResult;
 use crate::tables::{run_table3, run_table6, Size, TABLE6_IPERF_BPS};
 
@@ -19,34 +20,11 @@ pub fn figure1() -> TimeSeries {
 
 /// Figures 2 and 3: per-packet delay jitter at the receiver for the
 /// conflict experiment, coordinated (Figure 2) vs uncoordinated
-/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`.
-///
-/// When telemetry capture is on, each series is rebuilt from the run's
-/// `msg_delivered` bus records; [`jitter_series_from_telemetry`] makes
-/// this bit-identical to the receiver-side accumulator, so the figure
-/// does not depend on how it was derived.
-pub fn figures_2_3(size: Size) -> (TimeSeries, TimeSeries) {
-    let rows = run_table3(size);
-    (jitter_series_for(&rows[0]), jitter_series_for(&rows[1]))
-}
-
-fn jitter_series_for(r: &RunResult) -> TimeSeries {
-    jitter_series_from_telemetry(r, 1).unwrap_or_else(|| r.jitter_series.clone())
-}
-
-/// Rebuilds the Figures 2/3 jitter series for `flow` from a run's
-/// captured telemetry (the `msg_delivered` records). Returns `None`
-/// when the run carried no telemetry or the stream fails to parse.
-pub fn jitter_series_from_telemetry(r: &RunResult, flow: u64) -> Option<TimeSeries> {
-    if r.telemetry.is_empty() {
-        return None;
-    }
-    let records = iq_telemetry::parse_jsonl(&r.telemetry).ok()?;
-    let mut s = TimeSeries::new();
-    for (at, dev_ms) in iq_telemetry::jitter_series_ms(&records, flow) {
-        s.record(at, dev_ms);
-    }
-    Some(s)
+/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each the
+/// receiver-side series of its row, whatever the run's configuration.
+pub fn figures_2_3(exec: &Executor, size: Size) -> (TimeSeries, TimeSeries) {
+    let rows = run_table3(exec, size);
+    (rows[0].jitter_series.clone(), rows[1].jitter_series.clone())
 }
 
 /// One bar group of Figure 4.
@@ -64,8 +42,8 @@ pub struct Figure4Point {
 /// over-reaction, as a function of congestion level (derived from the
 /// Table 6 sweep; the paper reports +6→25 % throughput and −20→76 %
 /// jitter as congestion grows).
-pub fn figure4(size: Size) -> Vec<Figure4Point> {
-    figure4_from_rows(&run_table6(size))
+pub fn figure4(exec: &Executor, size: Size) -> Vec<Figure4Point> {
+    figure4_from_rows(&run_table6(exec, size))
 }
 
 /// Computes Figure 4 from already-run Table 6 rows (pairs of
@@ -118,18 +96,24 @@ pub fn render_figure4(points: &[Figure4Point]) -> String {
 mod tests {
     use super::*;
 
+    /// The bus carries what the receiver-side accumulator folds: the
+    /// `msg_delivered` records of a captured run, refolded by
+    /// `iq_telemetry::jitter_series_ms`, are the run's `jitter_series`
+    /// bit for bit. The reference only — no product path derives a
+    /// figure from the JSONL.
     #[test]
     fn bus_derived_jitter_series_matches_receiver_accumulator() {
-        use crate::runner::{capture_lock_for_tests, set_telemetry_capture};
-        use crate::scenario::{run_scenario, PolicySpec, Scenario, Scheme};
-        let _g = capture_lock_for_tests();
-        set_telemetry_capture(true);
+        use crate::scenario::{run_scenario_with, PolicySpec, RunConfig, Scenario, Scheme};
         let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 80]);
         sc.cross.cbr_bps = Some(8e6);
         sc.deadline_s = 60.0;
-        let r = run_scenario(&sc);
-        set_telemetry_capture(false);
-        let rebuilt = jitter_series_from_telemetry(&r, 1).expect("telemetry captured");
+        let capture = RunConfig { telemetry: true, ..RunConfig::default() };
+        let r = run_scenario_with(&sc, capture);
+        let records = iq_telemetry::parse_jsonl(&r.telemetry).expect("captured telemetry parses");
+        let mut rebuilt = TimeSeries::new();
+        for (at, dev_ms) in iq_telemetry::jitter_series_ms(&records, 1) {
+            rebuilt.record(at, dev_ms);
+        }
         assert_eq!(rebuilt.len(), r.jitter_series.len());
         for (a, b) in rebuilt.points.iter().zip(&r.jitter_series.points) {
             assert_eq!(a.0, b.0, "jitter sample timestamps diverge");

@@ -6,7 +6,8 @@
 //!
 //! * [`tables`] — Tables 1–8 (`run_table1` … `run_table8`).
 //! * [`figures`] — Figures 1–4.
-//! * [`runner`] — parallel execution and row rendering.
+//! * [`runner`] — parallel execution ([`Executor`], which carries a run's
+//!   whole configuration) and row rendering.
 //! * [`benchmode`] — the `iqrudp bench` reproduction gate.
 
 #![warn(missing_docs)]
@@ -19,13 +20,9 @@ pub mod scenario;
 pub mod tables;
 
 pub use benchmode::{bench_main, BenchOptions};
-pub use runner::{
-    jobs, run_parallel, run_specs, set_jobs, set_metrics_dir, set_shards, tune_allocator,
-    set_telemetry_capture, set_telemetry_dir, set_telemetry_ring, set_timing_report,
-    set_verify_determinism, shards, Executor, ScenarioReport, ScenarioSpec,
-};
+pub use runner::{tune_allocator, Executor, ScenarioReport, ScenarioSpec};
 pub use scenario::{
-    app_frame_sizes, run_scenario, CrossTraffic, PolicySpec, RunResult, Scenario, Scheme,
-    VbrSpec,
+    app_frame_sizes, run_scenario, run_scenario_with, set_shards, set_telemetry_capture,
+    CrossTraffic, PolicySpec, RunConfig, RunResult, Scenario, Scheme, VbrSpec,
 };
 pub use tables::Size;

@@ -10,38 +10,13 @@
 //! and events/sec go to stderr so stdout (and `results_full.txt`)
 //! never depend on `--jobs`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use iq_metrics::{fmt, Table};
 
-use crate::scenario::{run_scenario, RunResult, Scenario};
-
-/// Requested worker count: 0 means "one per available core".
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-/// When set, every scenario runs twice and the runs are diffed.
-static VERIFY_DETERMINISM: AtomicBool = AtomicBool::new(false);
-/// When set, per-scenario wall-clock and events/sec go to stderr.
-static TIMING: AtomicBool = AtomicBool::new(false);
-/// When set, scenarios capture structured telemetry in memory
-/// ([`RunResult::telemetry`](crate::scenario::RunResult)).
-static TELEMETRY_CAPTURE: AtomicBool = AtomicBool::new(false);
-/// Destination directory for per-scenario telemetry JSONL dumps.
-static TELEMETRY_DIR: Mutex<Option<String>> = Mutex::new(None);
-/// Process-wide dump counter so files keep declaration order across
-/// successive executor invocations (tables run one after another).
-static TELEMETRY_SEQ: AtomicUsize = AtomicUsize::new(0);
-/// Worker threads for intra-scenario sharded simulation (`--shards N`).
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
-/// Per-flow telemetry ring capacity override (0 = the bus default).
-static TELEMETRY_RING: AtomicUsize = AtomicUsize::new(0);
-/// Destination directory for per-scenario metric exposition dumps
-/// (`--metrics DIR`).
-static METRICS_DIR: Mutex<Option<String>> = Mutex::new(None);
-/// Process-wide dump counter for metric files, mirroring
-/// [`TELEMETRY_SEQ`].
-static METRICS_SEQ: AtomicUsize = AtomicUsize::new(0);
+use crate::scenario::{or_one_per_core, run_scenario_with, RunConfig, RunResult, Scenario};
 
 /// One-time allocator tuning for multi-scenario sweeps. Call at the
 /// top of `main`, before any worker thread exists.
@@ -85,115 +60,6 @@ pub fn tune_allocator() {
             mallopt(-3, 1 << 30); // mmap only chunks >= 1 GiB
         }
     }
-}
-
-/// Sets the worker count used by [`run_parallel`] (0 = auto: one worker
-/// per available core). Typically wired to a `--jobs N` CLI flag.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The effective worker count after resolving 0 to the core count.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// Enables `--verify-determinism`: every scenario runs twice with the
-/// same seed and the executor panics if any metric differs bit-for-bit.
-pub fn set_verify_determinism(on: bool) {
-    VERIFY_DETERMINISM.store(on, Ordering::Relaxed);
-}
-
-/// Enables per-scenario wall-clock / events-per-second reporting on
-/// stderr (stdout stays clean so rendered tables are unaffected).
-pub fn set_timing_report(on: bool) {
-    TIMING.store(on, Ordering::Relaxed);
-}
-
-/// Enables in-memory telemetry capture: each scenario attaches a bus to
-/// its simulator and transport stack and serializes the records into
-/// [`RunResult::telemetry`](crate::scenario::RunResult). Off by default
-/// (the disabled sink costs one branch per would-be event and the
-/// rendered tables are byte-identical either way).
-pub fn set_telemetry_capture(on: bool) {
-    TELEMETRY_CAPTURE.store(on, Ordering::Relaxed);
-}
-
-/// Routes telemetry to disk: enables capture and makes the executor
-/// write one `NNN_<scenario>.jsonl` file per scenario under `dir`.
-/// Typically wired to a `--telemetry <dir>` CLI flag. `None` turns the
-/// file dumps off again (capture stays as last set).
-pub fn set_telemetry_dir(dir: Option<String>) {
-    if dir.is_some() {
-        set_telemetry_capture(true);
-    }
-    *TELEMETRY_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
-}
-
-/// Whether scenarios should capture telemetry.
-pub fn telemetry_enabled() -> bool {
-    TELEMETRY_CAPTURE.load(Ordering::Relaxed)
-}
-
-/// Sets how many OS threads a scenario's world uses to execute its
-/// fixed shard partition (capped at the partition's size, so only
-/// `mega_flows` ever uses more than one). Typically wired to the
-/// `--shards N` CLI flag. The value never affects simulation results —
-/// the partition is fixed by the topology and outputs merge in
-/// shard-index order — only wall-clock time. 0 resolves to one per
-/// available core.
-pub fn set_shards(n: usize) {
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The effective shard worker count (default 1; 0 resolved like
-/// [`jobs`]).
-pub fn shards() -> usize {
-    match SHARDS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// Overrides the per-flow telemetry ring capacity (0 = the bus default,
-/// [`iq_telemetry::bus::DEFAULT_RING_CAPACITY`]). Small values force
-/// eviction, which the runner surfaces as a stderr warning and the
-/// `iq_telemetry_evicted_total` counter.
-pub fn set_telemetry_ring(n: usize) {
-    TELEMETRY_RING.store(n, Ordering::Relaxed);
-}
-
-/// The configured per-flow telemetry ring capacity (0 = default).
-pub fn telemetry_ring() -> usize {
-    TELEMETRY_RING.load(Ordering::Relaxed)
-}
-
-/// Routes metric exposition to disk: the executor writes one
-/// `NNN_<scenario>.prom` (Prometheus text, both planes) and one
-/// `NNN_<scenario>.jsonl` snapshot per scenario under `dir`. Typically
-/// wired to a `--metrics <dir>` CLI flag; `None` turns it off.
-pub fn set_metrics_dir(dir: Option<String>) {
-    *METRICS_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
-}
-
-fn metrics_dir() -> Option<String> {
-    METRICS_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-fn telemetry_dir() -> Option<String> {
-    TELEMETRY_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Serializes tests that toggle or observe the global telemetry-capture
-/// state (fingerprints hash the telemetry bytes, so a mid-test toggle
-/// from a sibling test would read as a false determinism diff).
-#[cfg(test)]
-pub(crate) fn capture_lock_for_tests() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A named, self-contained unit of work for the executor: everything a
@@ -288,25 +154,101 @@ pub(crate) fn result_fingerprint(r: &RunResult) -> u64 {
     h.finish()
 }
 
-/// A fixed-size worker pool executing scenarios in parallel while
-/// preserving declaration order in its output.
+/// A worker pool executing scenarios in parallel while preserving
+/// declaration order in its output — and the one holder of how a sweep
+/// is run: built once (from the command line by [`Self::from_args`], or
+/// by [`Self::new`] and assignment) and passed by reference to whatever
+/// runs scenarios.
+///
+/// A clone continues the original's dump numbering: executors that
+/// differ only in, say, [`RunConfig::threads`] write one sequence of
+/// files into the directories they share.
+#[derive(Debug, Clone)]
 pub struct Executor {
-    workers: usize,
+    /// Worker threads scenarios fan out over (`-j N`; 0 = one per
+    /// available core).
+    pub workers: usize,
+    /// `--verify-determinism`: run every scenario twice with the same
+    /// seed and panic if any metric differs bit-for-bit.
+    pub verify: bool,
+    /// Report per-scenario wall-clock and events/s on stderr (stdout
+    /// stays clean, so rendered tables are unaffected).
+    pub timing: bool,
+    /// `--telemetry DIR`: capture telemetry (whatever
+    /// [`RunConfig::telemetry`] says) and write one `NNN_<scenario>.jsonl`
+    /// per scenario under the directory.
+    pub telemetry_dir: Option<String>,
+    /// `--metrics DIR`: write one `NNN_<scenario>.prom` (Prometheus text,
+    /// both planes) and one `NNN_<scenario>.jsonl` snapshot per scenario
+    /// under the directory.
+    pub metrics_dir: Option<String>,
+    /// How each scenario's world is executed.
+    pub config: RunConfig,
+    /// Files dumped so far, so successive [`Self::run`]s (tables run one
+    /// after another) keep declaration order in one directory.
+    telemetry_seq: Arc<AtomicUsize>,
+    metrics_seq: Arc<AtomicUsize>,
 }
 
 impl Executor {
-    /// Pool with `workers` threads (0 = one per available core).
+    /// Pool with `workers` threads (0 = one per available core) and the
+    /// library defaults: no self-check, no timing report, no dumps,
+    /// [`RunConfig::default`].
     pub fn new(workers: usize) -> Self {
-        let workers = match workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        Self { workers }
+        Self {
+            workers,
+            verify: false,
+            timing: false,
+            telemetry_dir: None,
+            metrics_dir: None,
+            config: RunConfig::default(),
+            telemetry_seq: Arc::default(),
+            metrics_seq: Arc::default(),
+        }
     }
 
-    /// Pool sized by the process-wide [`set_jobs`] setting.
-    pub fn from_global() -> Self {
-        Self::new(jobs())
+    /// Builds the executor a command line asks for, and returns it with
+    /// the arguments that were not its own, in order. The one flag set
+    /// of every front end: `-j N` / `--jobs N`, `--shards N`,
+    /// `--verify-determinism`, `--no-timing` (the timing report is on by
+    /// default here), `--telemetry DIR`, `--metrics DIR`; a valued flag
+    /// also reads `--flag=VALUE`. `Err` is a one-line message naming the
+    /// flag whose value is missing or malformed.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Self, Vec<String>), String> {
+        let mut exec = Self::new(0);
+        exec.timing = true;
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let mut value = |what: &str| {
+                inline
+                    .map(str::to_string)
+                    .or_else(|| args.next())
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{flag} requires {what}"))
+            };
+            let mut count = || {
+                let v = value("a count (0 = one per core)")?;
+                v.parse::<usize>()
+                    .map_err(|_| format!("{flag}: expected a non-negative integer, got `{v}`"))
+            };
+            match flag {
+                "-j" | "--jobs" => exec.workers = count()?,
+                "--shards" => exec.config.threads = count()?,
+                "--telemetry" => exec.telemetry_dir = Some(value("a directory")?),
+                "--metrics" => exec.metrics_dir = Some(value("a directory")?),
+                "--verify-determinism" if inline.is_none() => exec.verify = true,
+                "--no-timing" if inline.is_none() => exec.timing = false,
+                _ => rest.push(arg),
+            }
+        }
+        Ok((exec, rest))
     }
 
     /// Runs every spec and returns reports in declaration order.
@@ -316,9 +258,12 @@ impl Executor {
     /// tagged with their index and are reassembled in order, making the
     /// output independent of worker count and completion order.
     pub fn run(&self, specs: &[ScenarioSpec]) -> Vec<ScenarioReport> {
-        let verify = VERIFY_DETERMINISM.load(Ordering::Relaxed);
-        let timing = TIMING.load(Ordering::Relaxed);
-        let workers = self.workers.min(specs.len()).max(1);
+        let (verify, timing) = (self.verify, self.timing);
+        let config = RunConfig {
+            telemetry: self.config.telemetry || self.telemetry_dir.is_some(),
+            ..self.config
+        };
+        let workers = or_one_per_core(self.workers).min(specs.len()).max(1);
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, ScenarioReport)>();
 
@@ -330,10 +275,10 @@ impl Executor {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
                     let start = Instant::now();
-                    let result = run_scenario(&spec.scenario);
+                    let result = run_scenario_with(&spec.scenario, config);
                     let wall_s = start.elapsed().as_secs_f64();
                     if verify {
-                        let again = run_scenario(&spec.scenario);
+                        let again = run_scenario_with(&spec.scenario, config);
                         assert!(
                             fingerprint(&result) == fingerprint(&again),
                             "determinism violation: scenario `{}` (seed {}) \
@@ -374,7 +319,7 @@ impl Executor {
                         report.events_per_sec,
                         sched.workers,
                         if sched.workers == 1 { "" } else { "s" },
-                        shards(),
+                        or_one_per_core(config.threads),
                     );
                     // Per-shard wall-clock phase breakdown for the
                     // sharded scenarios (engine plane — informational,
@@ -416,16 +361,58 @@ impl Executor {
                     );
                 }
             }
-            if let Some(dir) = telemetry_dir() {
-                dump_telemetry(&dir, &reports);
+            if let Some(dir) = &self.telemetry_dir {
+                dump_telemetry(dir, &self.telemetry_seq, &reports);
             }
-            if let Some(dir) = metrics_dir() {
-                dump_metrics(&dir, &reports);
+            if let Some(dir) = &self.metrics_dir {
+                dump_metrics(dir, &self.metrics_seq, &reports);
             }
             reports
         })
     }
+
+    /// Runs independent scenarios under their default names, returning
+    /// the results in declaration order (simulations are deterministic,
+    /// so output is identical to a serial run).
+    pub fn run_scenarios(&self, scenarios: &[Scenario]) -> Vec<RunResult> {
+        let specs: Vec<ScenarioSpec> = scenarios.iter().cloned().map(ScenarioSpec::from).collect();
+        self.run(&specs).into_iter().map(|r| r.result).collect()
+    }
+
+    /// Runs each scenario `n_seeds` times with distinct seeds and averages
+    /// the scalar metrics, stabilizing single-run variance. The jitter
+    /// series and counters of the first seed are kept.
+    pub fn run_averaged(&self, scenarios: &[Scenario], n_seeds: u32) -> Vec<RunResult> {
+        let n = n_seeds.max(1);
+        let mut expanded = Vec::with_capacity(scenarios.len() * n as usize);
+        for sc in scenarios {
+            for i in 0..n {
+                let mut s = sc.clone();
+                s.seed = sc.seed.wrapping_add(u64::from(i) * 7919);
+                expanded.push(s);
+            }
+        }
+        let all = self.run_scenarios(&expanded);
+        all.chunks(n as usize)
+            .map(|chunk| {
+                let mut avg = chunk[0].clone();
+                let k = chunk.len() as f64;
+                avg.duration_s = chunk.iter().map(|r| r.duration_s).sum::<f64>() / k;
+                avg.throughput_kbps = chunk.iter().map(|r| r.throughput_kbps).sum::<f64>() / k;
+                avg.inter_arrival_s = chunk.iter().map(|r| r.inter_arrival_s).sum::<f64>() / k;
+                avg.jitter_s = chunk.iter().map(|r| r.jitter_s).sum::<f64>() / k;
+                avg.tagged_delay_ms = chunk.iter().map(|r| r.tagged_delay_ms).sum::<f64>() / k;
+                avg.tagged_jitter_ms = chunk.iter().map(|r| r.tagged_jitter_ms).sum::<f64>() / k;
+                avg.delivered_pct = chunk.iter().map(|r| r.delivered_pct).sum::<f64>() / k;
+                avg.msgs_delivered =
+                    (chunk.iter().map(|r| r.msgs_delivered).sum::<u64>() as f64 / k) as u64;
+                avg.finished = chunk.iter().all(|r| r.finished);
+                avg
+            })
+            .collect()
+    }
 }
+
 
 /// Worker utilization of a run from its per-shard phase profile: total
 /// execute nanos over `run wall × workers`. Every shard's profile spans
@@ -461,9 +448,9 @@ fn run_wall_nanos(profile: &[iq_obs::PhaseSnapshot]) -> u64 {
 }
 
 /// Writes one JSONL file per telemetry-carrying report, in declaration
-/// order (the sequence numbers come from a process-wide counter, so a
+/// order (the sequence numbers come from the executor's counter, so a
 /// multi-table sweep keeps a stable global ordering too).
-fn dump_telemetry(dir: &str, reports: &[ScenarioReport]) {
+fn dump_telemetry(dir: &str, seq: &AtomicUsize, reports: &[ScenarioReport]) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("telemetry: cannot create {dir}: {e}");
         return;
@@ -472,7 +459,7 @@ fn dump_telemetry(dir: &str, reports: &[ScenarioReport]) {
         if rep.result.telemetry.is_empty() {
             continue;
         }
-        let n = TELEMETRY_SEQ.fetch_add(1, Ordering::Relaxed);
+        let n = seq.fetch_add(1, Ordering::Relaxed);
         let safe = safe_file_stem(&rep.name);
         let path = std::path::Path::new(dir).join(format!("{n:03}_{safe}.jsonl"));
         if let Err(e) = std::fs::write(&path, &rep.result.telemetry) {
@@ -494,9 +481,9 @@ fn safe_file_stem(name: &str) -> String {
 }
 
 /// Writes one Prometheus text exposition (`.prom`, both planes) and one
-/// JSONL snapshot per scenario, in declaration order with a process-wide
+/// JSONL snapshot per scenario, in declaration order with the executor's
 /// sequence prefix (same scheme as [`dump_telemetry`]).
-fn dump_metrics(dir: &str, reports: &[ScenarioReport]) {
+fn dump_metrics(dir: &str, seq: &AtomicUsize, reports: &[ScenarioReport]) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("metrics: cannot create {dir}: {e}");
         return;
@@ -505,7 +492,7 @@ fn dump_metrics(dir: &str, reports: &[ScenarioReport]) {
         if rep.result.obs.is_empty() {
             continue;
         }
-        let n = METRICS_SEQ.fetch_add(1, Ordering::Relaxed);
+        let n = seq.fetch_add(1, Ordering::Relaxed);
         let safe = safe_file_stem(&rep.name);
         let mut sorted = rep.result.obs.clone();
         sorted.sort();
@@ -519,57 +506,6 @@ fn dump_metrics(dir: &str, reports: &[ScenarioReport]) {
             eprintln!("metrics: cannot write {}.jsonl: {e}", base.display());
         }
     }
-}
-
-/// Runs independent scenarios on the global worker pool, returning
-/// results in declaration order (simulations are single-threaded and
-/// deterministic, so output is identical to a serial run).
-pub fn run_parallel(scenarios: &[Scenario]) -> Vec<RunResult> {
-    let specs: Vec<ScenarioSpec> = scenarios.iter().cloned().map(ScenarioSpec::from).collect();
-    Executor::from_global()
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.result)
-        .collect()
-}
-
-/// Runs named specs on the global worker pool, keeping the full
-/// per-scenario reports (wall-clock, events/sec).
-pub fn run_specs(specs: &[ScenarioSpec]) -> Vec<ScenarioReport> {
-    Executor::from_global().run(specs)
-}
-
-/// Runs each scenario `n_seeds` times with distinct seeds and averages
-/// the scalar metrics, stabilizing single-run variance. The jitter
-/// series and counters of the first seed are kept.
-pub fn run_averaged(scenarios: &[Scenario], n_seeds: u32) -> Vec<RunResult> {
-    let n = n_seeds.max(1);
-    let mut expanded = Vec::with_capacity(scenarios.len() * n as usize);
-    for sc in scenarios {
-        for i in 0..n {
-            let mut s = sc.clone();
-            s.seed = sc.seed.wrapping_add(u64::from(i) * 7919);
-            expanded.push(s);
-        }
-    }
-    let all = run_parallel(&expanded);
-    all.chunks(n as usize)
-        .map(|chunk| {
-            let mut avg = chunk[0].clone();
-            let k = chunk.len() as f64;
-            avg.duration_s = chunk.iter().map(|r| r.duration_s).sum::<f64>() / k;
-            avg.throughput_kbps = chunk.iter().map(|r| r.throughput_kbps).sum::<f64>() / k;
-            avg.inter_arrival_s = chunk.iter().map(|r| r.inter_arrival_s).sum::<f64>() / k;
-            avg.jitter_s = chunk.iter().map(|r| r.jitter_s).sum::<f64>() / k;
-            avg.tagged_delay_ms = chunk.iter().map(|r| r.tagged_delay_ms).sum::<f64>() / k;
-            avg.tagged_jitter_ms = chunk.iter().map(|r| r.tagged_jitter_ms).sum::<f64>() / k;
-            avg.delivered_pct = chunk.iter().map(|r| r.delivered_pct).sum::<f64>() / k;
-            avg.msgs_delivered =
-                (chunk.iter().map(|r| r.msgs_delivered).sum::<u64>() as f64 / k) as u64;
-            avg.finished = chunk.iter().all(|r| r.finished);
-            avg
-        })
-        .collect()
 }
 
 /// Renders the four-column layout shared by Tables 1, 2, 5 and 7.
@@ -661,14 +597,30 @@ mod tests {
         sc
     }
 
-    use super::capture_lock_for_tests as capture_lock;
+    fn small_mega() -> Scenario {
+        let mut sc = Scenario::mega(2, 12, 2, 1400);
+        sc.deadline_s = 60.0;
+        sc
+    }
+
+    /// A directory of this test process's own, removed by the caller.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("iq_{name}_{}", std::process::id()))
+    }
+
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .map(|d| d.map(|e| e.unwrap().file_name().into_string().unwrap()).collect())
+            .unwrap_or_default();
+        names.sort();
+        names
+    }
 
     #[test]
     fn parallel_matches_sequential() {
-        let _g = capture_lock();
         let sc = small_scenario(1);
-        let seq = run_scenario(&sc);
-        let par = run_parallel(&[sc.clone(), sc.clone()]);
+        let seq = run_scenario_with(&sc, RunConfig::default());
+        let par = Executor::new(0).run_scenarios(&[sc.clone(), sc.clone()]);
         assert_eq!(par.len(), 2);
         assert_eq!(par[0].duration_s, seq.duration_s);
         assert_eq!(par[1].msgs_delivered, seq.msgs_delivered);
@@ -676,7 +628,6 @@ mod tests {
 
     #[test]
     fn executor_preserves_declaration_order() {
-        let _g = capture_lock();
         let specs: Vec<ScenarioSpec> = (0..6)
             .map(|i| ScenarioSpec::new(format!("s{i}"), small_scenario(i)))
             .collect();
@@ -701,16 +652,17 @@ mod tests {
 
     #[test]
     fn telemetry_is_byte_identical_across_worker_counts_and_dumped() {
-        let _g = capture_lock();
-        let dir = std::env::temp_dir().join(format!("iq_telemetry_test_{}", std::process::id()));
-        set_telemetry_dir(Some(dir.display().to_string()));
+        let dir = scratch_dir("telemetry_test");
+        let mut serial_exec = Executor::new(1);
+        serial_exec.telemetry_dir = Some(dir.display().to_string());
+        // A clone goes on numbering where the original stopped.
+        let mut parallel_exec = serial_exec.clone();
+        parallel_exec.workers = 4;
         let specs: Vec<ScenarioSpec> = (0..4)
             .map(|i| ScenarioSpec::new(format!("t{i}"), small_scenario(i)))
             .collect();
-        let serial = Executor::new(1).run(&specs);
-        let parallel = Executor::new(4).run(&specs);
-        set_telemetry_dir(None);
-        set_telemetry_capture(false);
+        let serial = serial_exec.run(&specs);
+        let parallel = parallel_exec.run(&specs);
         for (a, b) in serial.iter().zip(&parallel) {
             assert!(
                 !a.result.telemetry.is_empty(),
@@ -722,19 +674,18 @@ mod tests {
                 a.name
             );
         }
-        let dumped = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-        assert_eq!(dumped, 2 * specs.len(), "one JSONL file per executed scenario");
+        let dumped = file_names(&dir);
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(dumped.len(), 2 * specs.len(), "one JSONL file per executed scenario");
+        assert_eq!(dumped[0], "000_t0.jsonl");
+        assert_eq!(dumped[7], "007_t3.jsonl");
     }
 
     #[test]
     fn telemetry_evictions_are_counted_and_reported() {
-        let _g = capture_lock();
-        set_telemetry_capture(true);
-        set_telemetry_ring(4);
-        let r = run_scenario(&small_scenario(2));
-        set_telemetry_ring(0);
-        set_telemetry_capture(false);
+        let capture = RunConfig { telemetry: true, ..RunConfig::default() };
+        let tiny_ring = RunConfig { telemetry_ring: 4, ..capture };
+        let r = run_scenario_with(&small_scenario(2), tiny_ring);
         assert!(
             r.telemetry_evicted > 0,
             "a 4-record ring must overflow on a full scenario"
@@ -745,30 +696,25 @@ mod tests {
             "registry counter must match the bus's eviction count"
         );
         // With the default ring nothing is evicted.
-        set_telemetry_capture(true);
-        let r = run_scenario(&small_scenario(2));
-        set_telemetry_capture(false);
+        let r = run_scenario_with(&small_scenario(2), capture);
         assert_eq!(r.telemetry_evicted, 0);
     }
 
     #[test]
     fn mega_sim_metrics_identical_across_jobs_and_shards() {
-        let _g = capture_lock();
-        let mut sc = crate::scenario::Scenario::mega(2, 12, 2, 1400);
-        sc.deadline_s = 60.0;
         let specs = [
-            ScenarioSpec::new("mega_a", sc.clone()),
-            ScenarioSpec::new("mega_b", sc),
+            ScenarioSpec::new("mega_a", small_mega()),
+            ScenarioSpec::new("mega_b", small_mega()),
         ];
         let mut texts: Vec<String> = Vec::new();
         for jobs in [1usize, 4] {
-            for shard_threads in [1usize, 2, 4] {
-                set_shards(shard_threads);
-                let reports = Executor::new(jobs).run(&specs);
+            for threads in [1usize, 2, 4] {
+                let mut exec = Executor::new(jobs);
+                exec.config.threads = threads;
+                let reports = exec.run(&specs);
                 texts.push(reports[0].result.obs.sim_text());
             }
         }
-        set_shards(1);
         assert!(
             texts[0].contains("iq_sim_events_total"),
             "sim plane must carry simulator counters:\n{}",
@@ -784,12 +730,96 @@ mod tests {
 
     #[test]
     fn verify_determinism_passes_on_deterministic_scenarios() {
-        let _g = capture_lock();
-        set_verify_determinism(true);
-        let specs = [ScenarioSpec::new("det", small_scenario(3))];
-        let reports = Executor::new(2).run(&specs);
-        set_verify_determinism(false);
+        let mut exec = Executor::new(2);
+        exec.verify = true;
+        let reports = exec.run(&[ScenarioSpec::new("det", small_scenario(3))]);
         assert_eq!(reports.len(), 1);
+    }
+
+    /// Two executors with different configurations run the same spec on
+    /// two OS threads at once: each gets the result of its own
+    /// configuration run alone, and its own dump numbering. With run
+    /// configuration in process-wide statics this could not be written.
+    #[test]
+    fn two_configurations_run_at_once() {
+        let specs = [ScenarioSpec::new("mega", small_mega())];
+        let configs = [
+            RunConfig { threads: 1, telemetry: true, ..RunConfig::default() },
+            RunConfig { threads: 2, telemetry: false, ..RunConfig::default() },
+        ];
+        let solo: Vec<u64> = configs
+            .iter()
+            .map(|&cfg| result_fingerprint(&run_scenario_with(&specs[0].scenario, cfg)))
+            .collect();
+        let execs: Vec<Executor> = configs
+            .iter()
+            .enumerate()
+            .map(|(i, &config)| {
+                let mut exec = Executor::new(1);
+                exec.config = config;
+                exec.metrics_dir = Some(scratch_dir(&format!("two_configs_{i}")).display().to_string());
+                exec
+            })
+            .collect();
+
+        // Both threads are past the barrier before either runs.
+        let start = std::sync::Barrier::new(execs.len());
+        let reports: Vec<ScenarioReport> = std::thread::scope(|scope| {
+            let running: Vec<_> = execs
+                .iter()
+                .map(|exec| {
+                    scope.spawn(|| {
+                        start.wait();
+                        exec.run(&specs).remove(0)
+                    })
+                })
+                .collect();
+            running.into_iter().map(|t| t.join().expect("executor thread")).collect()
+        });
+        let dumped: Vec<Vec<String>> = execs
+            .iter()
+            .map(|exec| {
+                let dir = std::path::PathBuf::from(exec.metrics_dir.as_ref().unwrap());
+                let names = file_names(&dir);
+                let _ = std::fs::remove_dir_all(&dir);
+                names
+            })
+            .collect();
+
+        for (i, report) in reports.iter().enumerate() {
+            assert_eq!(result_fingerprint(&report.result), solo[i], "executor {i} vs its solo run");
+            assert_eq!(report.result.shards_used, configs[i].threads as u32);
+            // Each numbered its one scenario 000: neither advanced the other.
+            assert_eq!(dumped[i], ["000_mega.jsonl", "000_mega.prom"], "executor {i}");
+        }
+        assert!(!reports[0].result.telemetry.is_empty(), "executor 0 captures");
+        assert_eq!(reports[1].result.telemetry, "", "executor 1 does not");
+    }
+
+    #[test]
+    fn from_args_takes_its_flags_and_leaves_the_rest_in_order() {
+        let args = |line: &str| line.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        let (exec, rest) = Executor::from_args(args(
+            "-j 3 tables --shards=2 0.05 --no-timing --telemetry tele --metrics=met t3 --only x",
+        ))
+        .expect("well-formed");
+        assert_eq!(rest, args("tables 0.05 t3 --only x"));
+        assert_eq!((exec.workers, exec.config.threads), (3, 2));
+        assert!(!exec.timing && !exec.verify && !exec.config.telemetry);
+        assert_eq!(exec.telemetry_dir.as_deref(), Some("tele"));
+        assert_eq!(exec.metrics_dir.as_deref(), Some("met"));
+
+        // The front ends' defaults: one worker per core, the timing report
+        // on, everything else as `Executor::new`.
+        let (exec, rest) = Executor::from_args(args("--verify-determinism")).expect("well-formed");
+        assert!(rest.is_empty() && exec.verify && exec.timing);
+        assert_eq!((exec.workers, exec.config), (0, RunConfig::default()));
+
+        for bad in ["-j", "-j abc", "--jobs=-3", "--shards", "--telemetry", "--metrics="] {
+            let err = Executor::from_args(args(bad)).expect_err(bad);
+            let flag = bad.split([' ', '=']).next().unwrap();
+            assert!(err.starts_with(flag), "`{bad}`: {err}");
+        }
     }
 
     #[test]
@@ -830,7 +860,7 @@ mod tests {
     fn renderers_produce_one_line_per_row() {
         let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 30]);
         sc.deadline_s = 30.0;
-        let r = run_scenario(&sc);
+        let r = run_scenario_with(&sc, RunConfig::default());
         let s = render_time_tp_ia_jitter("T", std::slice::from_ref(&r));
         assert_eq!(s.lines().count(), 4);
         let s = render_conflict("T", std::slice::from_ref(&r));

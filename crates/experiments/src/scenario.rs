@@ -1,9 +1,10 @@
 //! Generic experiment scenarios: adaptive application flows over the
 //! paper's dumbbell, with configurable cross traffic and transport
 //! scheme — one flow for the paper's tables, a fleet of them for the
-//! many-flow scenarios. One driver ([`run_scenario`]) builds, runs and
-//! harvests every kind; every table module builds on it.
+//! many-flow scenarios. One driver ([`run_scenario_with`]) builds, runs
+//! and harvests every kind; every table module builds on it.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use iq_core::{CoordinationLog, CoordinationMode};
@@ -319,12 +320,11 @@ pub struct RunResult {
     /// throughput reporting; not a paper metric).
     pub events_processed: u64,
     /// Structured telemetry captured during the run, serialized as
-    /// JSONL (one record per line). Empty unless telemetry capture is
-    /// enabled via [`crate::runner::set_telemetry_capture`] or
-    /// [`crate::runner::set_telemetry_dir`].
+    /// JSONL (one record per line). Empty unless the run was handed
+    /// [`RunConfig::telemetry`].
     pub telemetry: String,
     /// Worker-pool size requested for intra-scenario sharded execution:
-    /// `--shards N` capped at the shard count of the world (1 for the
+    /// [`RunConfig::threads`] capped at the shard count of the world (1 for the
     /// one-shard scenarios), so the same on every host. The threads that
     /// ran — the engine also caps the pool at the host's cores — are
     /// `sched.workers`. Informational: never part of the determinism
@@ -348,6 +348,45 @@ pub struct RunResult {
     /// (0 when capture is off). Nonzero means the captured JSONL is
     /// incomplete; the runner warns on stderr.
     pub telemetry_evicted: u64,
+}
+
+/// How a scenario is executed — never what it computes: every field may
+/// take any value without moving a result bit. Handed to
+/// [`run_scenario_with`] with the scenario, the way the paper hands
+/// quality attributes to the transport with the data (`CMwritev_attr`)
+/// instead of through state both sides happen to share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// OS threads executing the world's fixed shard partition (`--shards
+    /// N`; 0 = one per available core). Capped at the partition's size,
+    /// so only `mega_flows` ever uses more than one.
+    pub threads: usize,
+    /// Attach a telemetry bus to the simulator and transport stack and
+    /// serialize its records into [`RunResult::telemetry`]. The disabled
+    /// sink costs one branch per would-be event, and the rendered tables
+    /// are byte-identical either way.
+    pub telemetry: bool,
+    /// Per-flow telemetry ring capacity (0 = the bus default,
+    /// [`iq_telemetry::bus::DEFAULT_RING_CAPACITY`]). Small values force
+    /// eviction, which the runner surfaces as a stderr warning and the
+    /// `iq_telemetry_evicted_total` counter.
+    pub telemetry_ring: usize,
+}
+
+impl Default for RunConfig {
+    /// One thread, no capture, the bus-default ring. Written out, not
+    /// derived: 0 threads means one per core.
+    fn default() -> Self {
+        Self { threads: 1, telemetry: false, telemetry_ring: 0 }
+    }
+}
+
+/// `n`, with 0 resolved to one per available core.
+pub(crate) fn or_one_per_core(n: usize) -> usize {
+    match n {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 /// One row of the sender-class table: what a flow of the class sends
@@ -492,7 +531,7 @@ impl World {
     /// flow `i` of a leg on pair `i % pairs`, port `1000 + i / pairs`,
     /// with conn/flow id `1000 + g`; the single flow is conn 1 on port 1
     /// of pair 0. Pair 1 carries CBR, pair 2 VBR or the TCP bulk flow.
-    fn build(sc: &Scenario) -> Self {
+    fn build(sc: &Scenario, cfg: RunConfig) -> Self {
         let fleet = sc.incast_flows > 0;
         let flows_per_leg = sc.incast_flows.max(1);
         let pairs = sc.dumbbell.pairs;
@@ -524,19 +563,18 @@ impl World {
                 (left, right)
             })
             .collect();
-        sim.set_threads(crate::runner::shards());
+        sim.set_threads(or_one_per_core(cfg.threads));
 
         // The bus is the RUDP stack's: a world with no RUDP endpoint (the
         // TCP row) attaches none. Only the single paper flow hands its
         // shard's sink to its own endpoints; fleets observe the network.
-        let capture = crate::runner::telemetry_enabled()
-            && !matches!(classes[..], [FlowClass::TcpBulk]);
+        let capture = cfg.telemetry && !matches!(classes[..], [FlowClass::TcpBulk]);
         let mut buses = Vec::new();
         // What a flow's own endpoints on each shard emit into.
         let mut flow_sinks = vec![TelemetrySink::disabled(); sim.num_shards()];
         if capture {
             for (shard, flow_sink) in flow_sinks.iter_mut().enumerate() {
-                let (sink, bus) = TelemetrySink::new_bus(crate::runner::telemetry_ring());
+                let (sink, bus) = TelemetrySink::new_bus(cfg.telemetry_ring);
                 sim.attach_telemetry(shard, sink.clone());
                 buses.push(bus);
                 if !fleet {
@@ -644,7 +682,12 @@ impl World {
     /// Folds every flow into one [`RunResult`]: sums for volume metrics,
     /// the max for duration, flow 0's series for jitter shape; a single
     /// flow is a fleet of one.
-    fn harvest(self, sc: &Scenario, pool_before: iq_netsim::PoolStats) -> RunResult {
+    fn harvest(
+        self,
+        sc: &Scenario,
+        cfg: RunConfig,
+        pool_before: iq_netsim::PoolStats,
+    ) -> RunResult {
         let Self { sim, buses, classes, flows } = self;
         // Merge per-shard telemetry in shard-index order — the same
         // declaration-order discipline the runner uses for `-j`, so the
@@ -746,7 +789,7 @@ impl World {
             sender_stats,
             events_processed: sim.counters().events_processed,
             telemetry,
-            shards_used: crate::runner::shards().min(sim.num_shards()) as u32,
+            shards_used: or_one_per_core(cfg.threads).min(sim.num_shards()) as u32,
             phase_profile: sim.phase_snapshots(),
             sched: sim.sched_totals(),
             obs,
@@ -776,13 +819,13 @@ fn sink_state<'a>(
 ///
 /// Every scenario is a [`ShardedSim`] world built once, run in
 /// one-second slices on one persistent worker pool
-/// ([`crate::runner::shards`] threads; any count gives identical bytes)
+/// ([`RunConfig::threads`] of them; any count gives identical bytes)
 /// until every sink finished or the deadline elapses (cross traffic
 /// would otherwise keep the queue busy forever), and harvested once. A
 /// deadline of zero runs no slice — not even the time-0 `on_start`s.
-pub fn run_scenario(sc: &Scenario) -> RunResult {
+pub fn run_scenario_with(sc: &Scenario, cfg: RunConfig) -> RunResult {
     let pool_before = iq_netsim::pool_stats();
-    let mut world = World::build(sc);
+    let mut world = World::build(sc, cfg);
     let deadline = time::secs(sc.deadline_s);
     if deadline > world.sim.now() {
         let flows = &world.flows;
@@ -795,7 +838,39 @@ pub fn run_scenario(sc: &Scenario) -> RunResult {
             })
         });
     }
-    world.harvest(sc, pool_before)
+    world.harvest(sc, cfg, pool_before)
+}
+
+// The repo benchmark's entry point. `benchmark/` may be edited only by a
+// `[benchmark]` issue, and such an issue may alter no product code, so
+// the API it is to be re-pointed to ([`run_scenario_with`]) had to exist
+// first; until it is, the harness keeps telling [`run_scenario`] how to
+// run through these two process-wide values. Nothing else in the
+// workspace writes or reads them (CI greps for a third static).
+static SHARDS: AtomicUsize = AtomicUsize::new(1);
+static TELEMETRY_CAPTURE: AtomicBool = AtomicBool::new(false);
+
+/// Sets [`RunConfig::threads`] for later [`run_scenario`] calls
+/// (default 1; 0 = one per available core).
+pub fn set_shards(n: usize) {
+    SHARDS.store(n, Ordering::Relaxed);
+}
+
+/// Sets [`RunConfig::telemetry`] for later [`run_scenario`] calls
+/// (default off).
+pub fn set_telemetry_capture(on: bool) {
+    TELEMETRY_CAPTURE.store(on, Ordering::Relaxed);
+}
+
+/// [`run_scenario_with`] under the process-wide [`set_shards`] and
+/// [`set_telemetry_capture`] values and the bus-default ring.
+pub fn run_scenario(sc: &Scenario) -> RunResult {
+    let cfg = RunConfig {
+        threads: SHARDS.load(Ordering::Relaxed),
+        telemetry: TELEMETRY_CAPTURE.load(Ordering::Relaxed),
+        ..RunConfig::default()
+    };
+    run_scenario_with(sc, cfg)
 }
 
 fn sum_receiver_stats(acc: &mut iq_rudp::ReceiverStats, s: &iq_rudp::ReceiverStats) {
@@ -896,6 +971,11 @@ pub fn app_frame_sizes(len: usize, seed: u64) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    /// A run under the default configuration.
+    fn run(sc: &Scenario) -> RunResult {
+        run_scenario_with(sc, RunConfig::default())
+    }
+
     fn small_scenario(scheme: Scheme) -> Scenario {
         let mut sc = Scenario::new(scheme, PolicySpec::None, vec![1400; 150]);
         sc.cross.cbr_bps = Some(10e6);
@@ -905,7 +985,7 @@ mod tests {
 
     #[test]
     fn rudp_scenario_completes_and_reports() {
-        let r = run_scenario(&small_scenario(Scheme::RudpPlain));
+        let r = run(&small_scenario(Scheme::RudpPlain));
         assert!(r.finished, "did not finish: {r:?}");
         assert_eq!(r.msgs_delivered, 150);
         assert!(r.throughput_kbps > 0.0);
@@ -914,7 +994,7 @@ mod tests {
 
     #[test]
     fn tcp_scenario_completes_and_reports() {
-        let r = run_scenario(&small_scenario(Scheme::Tcp));
+        let r = run(&small_scenario(Scheme::Tcp));
         assert!(r.finished, "did not finish: {r:?}");
         assert!(r.msgs_delivered > 0);
         assert!(r.throughput_kbps > 0.0);
@@ -924,7 +1004,7 @@ mod tests {
     fn cc_disabled_scheme_uses_fixed_window() {
         let mut sc = small_scenario(Scheme::AppAdaptOnly);
         sc.fixed_cwnd = 8.0;
-        let r = run_scenario(&sc);
+        let r = run(&sc);
         assert!(r.finished);
         assert_eq!(r.msgs_delivered, 150);
     }
@@ -932,8 +1012,8 @@ mod tests {
     #[test]
     fn identical_seeds_reproduce_results() {
         let sc = small_scenario(Scheme::RudpPlain);
-        let a = run_scenario(&sc);
-        let b = run_scenario(&sc);
+        let a = run(&sc);
+        let b = run(&sc);
         assert_eq!(a.duration_s, b.duration_s);
         assert_eq!(a.msgs_delivered, b.msgs_delivered);
         assert_eq!(a.jitter_s, b.jitter_s);
@@ -945,7 +1025,7 @@ mod tests {
     fn only_the_reported_flow_records_arrival_shape() {
         let mut sc = Scenario::incast(6, 5, 1400);
         sc.cross.tcp_bulk = true;
-        let world = World::build(&sc);
+        let world = World::build(&sc, RunConfig::default());
         for (g, flow) in world.flows.iter().enumerate() {
             let sink = world.sim.agent::<EchoSinkAgent>(flow.rx.id()).expect("fleet sink");
             assert_eq!(sink.metrics.records_shape(), g == 0, "flow {g}");
@@ -956,7 +1036,7 @@ mod tests {
         assert!(!sink.metrics.records_shape());
 
         // A TCP row's one flow is the reported one too.
-        let world = World::build(&small_scenario(Scheme::Tcp));
+        let world = World::build(&small_scenario(Scheme::Tcp), RunConfig::default());
         let sink = world.sim.agent::<TcpSinkAgent>(world.flows[0].rx.id()).expect("TCP sink");
         assert!(sink.metrics.records_shape());
     }
@@ -978,7 +1058,7 @@ mod tests {
     fn incast_runs_a_mixed_fleet_to_completion() {
         let mut sc = Scenario::incast(24, 40, 1400);
         sc.deadline_s = 60.0;
-        let r = run_scenario(&sc);
+        let r = run(&sc);
         assert!(r.finished, "incast did not finish: {r:?}");
         assert_eq!(r.msgs_offered, 24 * 40);
         // Unmarked-discard flows lose some messages by design; most of
@@ -993,8 +1073,8 @@ mod tests {
     #[test]
     fn incast_is_deterministic_across_runs() {
         let sc = Scenario::incast(12, 30, 1400);
-        let a = run_scenario(&sc);
-        let b = run_scenario(&sc);
+        let a = run(&sc);
+        let b = run(&sc);
         assert_eq!(a.duration_s, b.duration_s);
         assert_eq!(a.msgs_delivered, b.msgs_delivered);
         assert_eq!(a.jitter_s, b.jitter_s);
@@ -1003,11 +1083,9 @@ mod tests {
 
     #[test]
     fn mega_runs_a_sharded_fleet_to_completion() {
-        // Reads the process-global shard thread count.
-        let _g = crate::runner::capture_lock_for_tests();
         let mut sc = Scenario::mega(2, 24, 3, 1400);
         sc.deadline_s = 60.0;
-        let r = run_scenario(&sc);
+        let r = run(&sc);
         assert!(r.finished, "mega did not finish: {r:?}");
         assert_eq!(r.msgs_offered, 2 * 24 * 3);
         // Unmarked-discard flows lose some messages by design; most of
@@ -1022,10 +1100,6 @@ mod tests {
 
     #[test]
     fn every_kind_is_identical_for_any_shard_thread_count() {
-        // Serializes against sibling tests: both the telemetry-capture
-        // switch and the shard thread count are process-globals.
-        let _g = crate::runner::capture_lock_for_tests();
-        crate::runner::set_telemetry_capture(true);
         let mut mega = Scenario::mega(3, 17, 3, 1400);
         mega.deadline_s = 60.0;
         let kinds = [
@@ -1038,8 +1112,8 @@ mod tests {
             let runs: Vec<RunResult> = [1usize, 2, 4]
                 .iter()
                 .map(|&threads| {
-                    crate::runner::set_shards(threads);
-                    run_scenario(sc)
+                    let cfg = RunConfig { threads, telemetry: true, ..RunConfig::default() };
+                    run_scenario_with(sc, cfg)
                 })
                 .collect();
             let a = &runs[0];
@@ -1057,8 +1131,6 @@ mod tests {
                 assert_eq!(b.phase_profile.len(), *shards as usize, "{kind}");
             }
         }
-        crate::runner::set_shards(1);
-        crate::runner::set_telemetry_capture(false);
     }
 
     #[test]
@@ -1071,7 +1143,7 @@ mod tests {
         ];
         for mut sc in kinds {
             sc.deadline_s = 0.0;
-            let r = run_scenario(&sc);
+            let r = run(&sc);
             assert_eq!(r.events_processed, 0, "{}: not even an on_start ran", r.label);
             assert!(!r.finished);
             assert_eq!(r.msgs_delivered, 0);
@@ -1084,7 +1156,7 @@ mod tests {
         let mut sc = Scenario::incast(70_000, 1, 1400);
         sc.dumbbell.pairs = 1;
         sc.deadline_s = 0.0;
-        run_scenario(&sc);
+        run(&sc);
     }
 
     #[test]
@@ -1093,12 +1165,12 @@ mod tests {
         let mut sc = small_scenario(Scheme::RudpPlain);
         sc.dumbbell.pairs = 2;
         sc.cross.tcp_bulk = true;
-        run_scenario(&sc);
+        run(&sc);
     }
 
     #[test]
     fn runs_report_observability_registries() {
-        let r = run_scenario(&small_scenario(Scheme::RudpPlain));
+        let r = run(&small_scenario(Scheme::RudpPlain));
         assert!(!r.obs.is_empty());
         assert_eq!(r.obs.counter_total("iq_sim_events_total"), r.events_processed);
         assert!(r.obs.counter_total("iq_rudp_segments_sent_total") > 0);
@@ -1116,7 +1188,7 @@ mod tests {
         assert!(r.phase_profile[0].percent(iq_obs::Phase::Execute) > 50.0);
 
         // TCP runs carry simulator metrics but no transport counters.
-        let t = run_scenario(&small_scenario(Scheme::Tcp));
+        let t = run(&small_scenario(Scheme::Tcp));
         assert!(t.obs.counter_total("iq_sim_events_total") > 0);
         assert_eq!(t.obs.counter_total("iq_rudp_segments_sent_total"), 0);
     }

@@ -11,9 +11,7 @@
 use iq_metrics::{fmt, Table};
 use iq_rudp::CcAlgorithm;
 
-use crate::runner::{
-    render_conflict, render_overreaction, render_time_tp_ia_jitter, run_averaged,
-};
+use crate::runner::{render_conflict, render_overreaction, render_time_tp_ia_jitter, Executor};
 use crate::scenario::{app_frame_sizes, PolicySpec, RunResult, Scenario, Scheme, VbrSpec};
 
 /// Scale knob for tests: 1.0 = paper-sized runs, smaller = faster.
@@ -60,8 +58,8 @@ pub fn table1_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 1 and returns its rows.
-pub fn run_table1(size: Size) -> Vec<RunResult> {
-    let mut rows = run_averaged(&table1_scenarios(size), 3);
+pub fn run_table1(exec: &Executor, size: Size) -> Vec<RunResult> {
+    let mut rows = exec.run_averaged(&table1_scenarios(size), 3);
     rows[2].label = "App adaptation only";
     rows[3].label = "IQ-RUDP w/ app adaptation";
     rows
@@ -87,8 +85,8 @@ pub fn table2_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 2.
-pub fn run_table2(size: Size) -> Vec<RunResult> {
-    run_averaged(&table2_scenarios(size), 3)
+pub fn run_table2(exec: &Executor, size: Size) -> Vec<RunResult> {
+    exec.run_averaged(&table2_scenarios(size), 3)
 }
 
 /// Renders Table 2.
@@ -130,8 +128,8 @@ pub(crate) fn conflict_scenario(frames: &[u32], scheme: Scheme) -> Scenario {
 }
 
 /// Runs Table 3.
-pub fn run_table3(size: Size) -> Vec<RunResult> {
-    run_averaged(&table3_scenarios(size), 3)
+pub fn run_table3(exec: &Executor, size: Size) -> Vec<RunResult> {
+    exec.run_averaged(&table3_scenarios(size), 3)
 }
 
 /// Renders Table 3.
@@ -167,8 +165,8 @@ pub fn table4_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 4.
-pub fn run_table4(size: Size) -> Vec<RunResult> {
-    run_averaged(&table4_scenarios(size), 3)
+pub fn run_table4(exec: &Executor, size: Size) -> Vec<RunResult> {
+    exec.run_averaged(&table4_scenarios(size), 3)
 }
 
 /// Renders Table 4.
@@ -200,8 +198,8 @@ pub fn table5_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 5.
-pub fn run_table5(size: Size) -> Vec<RunResult> {
-    run_averaged(&table5_scenarios(size), 3)
+pub fn run_table5(exec: &Executor, size: Size) -> Vec<RunResult> {
+    exec.run_averaged(&table5_scenarios(size), 3)
 }
 
 /// Renders Table 5.
@@ -240,8 +238,8 @@ pub fn table6_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 6; rows come in (IQ-RUDP, RUDP) pairs per iperf rate.
-pub fn run_table6(size: Size) -> Vec<RunResult> {
-    run_averaged(&table6_scenarios(size), 3)
+pub fn run_table6(exec: &Executor, size: Size) -> Vec<RunResult> {
+    exec.run_averaged(&table6_scenarios(size), 3)
 }
 
 /// Renders Table 6.
@@ -286,8 +284,8 @@ pub fn table7_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 7.
-pub fn run_table7(size: Size) -> Vec<RunResult> {
-    let mut rows = run_averaged(&table7_scenarios(size), 3);
+pub fn run_table7(exec: &Executor, size: Size) -> Vec<RunResult> {
+    let mut rows = exec.run_averaged(&table7_scenarios(size), 3);
     rows[0].label = "IQ-RUDP w/o ADAPT_COND";
     rows
 }
@@ -335,8 +333,8 @@ pub fn table8_scenarios(size: Size) -> Vec<Scenario> {
 }
 
 /// Runs Table 8.
-pub fn run_table8(size: Size) -> Vec<RunResult> {
-    let mut rows = run_averaged(&table8_scenarios(size), 3);
+pub fn run_table8(exec: &Executor, size: Size) -> Vec<RunResult> {
+    let mut rows = exec.run_averaged(&table8_scenarios(size), 3);
     rows[1].label = "IQ-RUDP w/o ADAPT_COND";
     rows
 }
@@ -390,9 +388,9 @@ fn cc_row_label(alg: &CcAlgorithm, scheme: Scheme) -> &'static str {
 
 /// Runs Table 9. Rows come out in [`CcAlgorithm::all_adaptive`] order,
 /// coordinated before uncoordinated within each controller.
-pub fn run_table9(size: Size) -> Vec<RunResult> {
+pub fn run_table9(exec: &Executor, size: Size) -> Vec<RunResult> {
     let scenarios = table9_scenarios(size);
-    let mut rows = run_averaged(&scenarios, 3);
+    let mut rows = exec.run_averaged(&scenarios, 3);
     for (row, sc) in rows.iter_mut().zip(&scenarios) {
         row.label = cc_row_label(&sc.cc, sc.scheme);
     }

@@ -29,7 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use iq_experiments::{run_scenario, set_shards, Scenario};
+use iq_experiments::{run_scenario_with, RunConfig, RunResult, Scenario};
 use iq_metrics::FlowMetrics;
 use iq_netsim::{build_dumbbell, time, Addr, DumbbellSpec, FlowId, Simulator};
 use iq_rudp::{BulkSenderAgent, RudpConfig, RudpSinkAgent, SenderConn};
@@ -136,12 +136,17 @@ fn small_mega(run: bool) -> (Scenario, usize) {
     (sc, flows)
 }
 
+/// The gated world is drained inline: one thread, no capture.
+fn run(sc: &Scenario) -> RunResult {
+    run_scenario_with(sc, RunConfig::default())
+}
+
 /// The live-bytes high-water mark running `sc` adds to what was live
 /// before, with whether it finished.
 fn peak_of(sc: &Scenario) -> (usize, bool) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let result = run_scenario(sc);
+    let result = run(sc);
     (PEAK.load(Ordering::Relaxed) - before, result.finished)
 }
 
@@ -149,7 +154,7 @@ fn peak_of(sc: &Scenario) -> (usize, bool) {
 /// whether it finished and the events it processed.
 fn calls_of(sc: &Scenario) -> (usize, bool, u64) {
     let before = CALLS.load(Ordering::Relaxed);
-    let result = run_scenario(sc);
+    let result = run(sc);
     let (finished, events) = (result.finished, result.events_processed);
     drop(result);
     (CALLS.load(Ordering::Relaxed) - before, finished, events)
@@ -161,7 +166,6 @@ fn small_mega_world_stays_under_the_bytes_per_flow_ceiling() {
 }
 
 fn bytes_per_flow_and_run_growth() {
-    set_shards(1);
     let (full, flows) = small_mega(true);
     let (twin, _) = small_mega(false);
 
@@ -194,11 +198,10 @@ fn a_flows_first_touch_makes_no_allocator_calls() {
 }
 
 fn calls_per_flow() {
-    set_shards(1);
     let (full, flows) = small_mega(true);
     let (twin, _) = small_mega(false);
     // Once unmeasured: thread-local pools and lazily built tables.
-    run_scenario(&full);
+    run(&full);
 
     let (build_calls, _, unrun_events) = calls_of(&twin);
     let (full_calls, finished, _) = calls_of(&full);

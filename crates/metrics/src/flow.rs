@@ -14,12 +14,6 @@
 use crate::series::TimeSeries;
 use crate::stats::Welford;
 
-/// Jitter samples an arrival shape stores in itself before the series
-/// goes to the heap, so a short flow's series costs no allocator call
-/// beyond the shape's own; 4 × 16 B is what a `Vec`'s first block would
-/// take.
-const JITTER_INLINE: usize = 4;
-
 /// Accumulates arrivals at a receiving application.
 #[derive(Debug, Clone)]
 pub struct FlowMetrics {
@@ -47,10 +41,8 @@ struct ArrivalShape {
     inter_arrival: Welford,
     tagged_inter_arrival: Welford,
     /// Per-message |inter-arrival - mean so far| series for Figures 2/3,
-    /// one sample per gap `inter_arrival` has seen: the first
-    /// [`JITTER_INLINE`] here, the rest in `jitter_tail`.
-    jitter_head: [(u64, f64); JITTER_INLINE],
-    jitter_tail: Vec<(u64, f64)>,
+    /// one sample per gap `inter_arrival` has seen.
+    jitter: Vec<(u64, f64)>,
 }
 
 impl ArrivalShape {
@@ -67,10 +59,7 @@ impl ArrivalShape {
         // gap so far (including this gap), in milliseconds; mirrors the
         // per-packet jitter plots of Figures 2 and 3.
         let dev_ms = (gap_s - self.inter_arrival.mean()).abs() * 1e3;
-        match self.jitter_head.get_mut(self.inter_arrival.count() as usize - 1) {
-            Some(slot) => *slot = (now_ns, dev_ms),
-            None => self.jitter_tail.push((now_ns, dev_ms)),
-        }
+        self.jitter.push((now_ns, dev_ms));
     }
 
     fn record_tagged(&mut self, now_ns: u64) {
@@ -219,15 +208,9 @@ impl FlowMetrics {
         self.latency_sum_ns as f64 / self.messages as f64 * 1e-9
     }
 
-    /// The per-message jitter series (Figures 2/3), assembled from the
-    /// inline samples and the heap tail.
+    /// The per-message jitter series (Figures 2/3).
     pub fn jitter_series(&self) -> TimeSeries {
-        let shape = self.shape();
-        let inline = (shape.inter_arrival.count() as usize).min(JITTER_INLINE);
-        let mut points = Vec::with_capacity(inline + shape.jitter_tail.len());
-        points.extend_from_slice(&shape.jitter_head[..inline]);
-        points.extend_from_slice(&shape.jitter_tail);
-        TimeSeries { points }
+        TimeSeries { points: self.shape().jitter.clone() }
     }
 
     /// Percentage of `offered` messages that were delivered.
@@ -315,28 +298,6 @@ mod tests {
         assert!((last.1 - 5.0).abs() < 1e-9);
         // First sample: |0 − 0| = 0.
         assert_eq!(series.points[0], (10 * MS, 0.0));
-    }
-
-    #[test]
-    fn jitter_series_is_whole_across_the_inline_boundary() {
-        // One sample per gap, in order, whether the series still fits
-        // in the accumulator or has gone to the heap.
-        for messages in [1, 2, JITTER_INLINE, JITTER_INLINE + 1, JITTER_INLINE + 2, 40] {
-            let mut m = FlowMetrics::new();
-            for i in 0..messages as u64 {
-                m.on_message(i * i * MS, 0, 100, false);
-            }
-            let series = m.jitter_series();
-            assert_eq!(series.len(), messages - 1);
-            assert_eq!(
-                m.shape().jitter_tail.len(),
-                (messages - 1).saturating_sub(JITTER_INLINE)
-            );
-            let times: Vec<u64> = series.points.iter().map(|&(t, _)| t).collect();
-            let want: Vec<u64> = (1..messages as u64).map(|i| i * i * MS).collect();
-            assert_eq!(times, want);
-            assert_eq!(m.clone().jitter_series().points, series.points);
-        }
     }
 
     #[test]

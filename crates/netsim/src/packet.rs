@@ -194,6 +194,27 @@ fn pool_put(buf: Box<[u64; POOL_WORDS]>) {
     });
 }
 
+/// What every cast between a slot's `u64` words and a `T` relies on,
+/// re-checked in debug builds at the cast itself: [`payload`] decides the
+/// tier from the same three properties, so a failure here means that
+/// decision and a cast have drifted apart.
+#[inline]
+fn debug_assert_fits<T>(slot_bytes: usize) {
+    debug_assert!(
+        std::mem::size_of::<T>() <= slot_bytes,
+        "{} is {} bytes, the slot {slot_bytes}",
+        std::any::type_name::<T>(),
+        std::mem::size_of::<T>()
+    );
+    debug_assert!(
+        std::mem::align_of::<T>() <= std::mem::align_of::<u64>(),
+        "{} is aligned to {}, the slot to 8",
+        std::any::type_name::<T>(),
+        std::mem::align_of::<T>()
+    );
+    debug_assert!(!std::mem::needs_drop::<T>(), "a slot runs no destructor");
+}
+
 /// Dynamically-typed packet content.
 ///
 /// Three storage tiers, picked at construction by compile-time type
@@ -272,6 +293,7 @@ impl Payload {
         match &self.0 {
             Repr::Inline { type_id, data } => {
                 if *type_id == TypeId::of::<T>() {
+                    debug_assert_fits::<T>(INLINE_BYTES);
                     // SAFETY: the type id matches the `T` this payload was
                     // built from, so `data` holds a valid `T` (size and
                     // alignment were checked at construction).
@@ -282,6 +304,7 @@ impl Payload {
             }
             Repr::Pooled { type_id, buf } => {
                 if *type_id == TypeId::of::<T>() {
+                    debug_assert_fits::<T>(Payload::POOLED_BYTES);
                     // SAFETY: as above — the buffer was filled with a `T`
                     // whose size, alignment, and drop-freeness were
                     // checked at construction.
@@ -319,6 +342,7 @@ pub fn payload<T: Any + Send + Sync>(value: T) -> Payload {
         && !std::mem::needs_drop::<T>();
     if plain && std::mem::size_of::<T>() <= INLINE_BYTES {
         let mut data = [0u64; INLINE_BYTES / 8];
+        debug_assert_fits::<T>(std::mem::size_of_val(&data));
         // SAFETY: `T` fits in `data`, requires at most `u64` alignment,
         // and has no drop glue; the original is forgotten after the byte
         // copy, so the value is moved, not duplicated.
@@ -336,6 +360,7 @@ pub fn payload<T: Any + Send + Sync>(value: T) -> Payload {
         })
     } else if plain && std::mem::size_of::<T>() <= Payload::POOLED_BYTES {
         let mut buf = pool_get();
+        debug_assert_fits::<T>(std::mem::size_of_val(&*buf));
         // SAFETY: same argument as the inline arm, against the pooled
         // buffer (whose size and `u64` alignment were just checked).
         unsafe {

@@ -17,32 +17,21 @@ use iq_experiments::tables::{
     render_table7, render_table8, run_table1, run_table2, run_table3, run_table4, run_table5,
     run_table6, run_table7, run_table8, Size,
 };
+use iq_experiments::Executor;
 
 fn main() {
     iq_experiments::tune_allocator();
-    // Runner flags (`-j N`/`--jobs N`, `--verify-determinism`,
-    // `--timing`) are stripped before positional parsing, so
+    // The runner flags are `iqrudp`'s and may stand anywhere, so
     // `paper_tables -- -j 4 1.0 t3` works. Output on stdout is
-    // byte-identical for any worker count.
-    let mut args: Vec<String> = Vec::new();
-    let mut it = std::env::args().collect::<Vec<_>>().into_iter();
-    args.push(it.next().unwrap_or_default()); // argv[0]
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-j" | "--jobs" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: {a} requires a positive integer argument");
-                    std::process::exit(2);
-                });
-                iq_experiments::set_jobs(n);
-            }
-            "--verify-determinism" => iq_experiments::set_verify_determinism(true),
-            "--timing" => iq_experiments::set_timing_report(true),
-            _ => args.push(a),
-        }
-    }
-    let size = Size(args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1.0));
-    let only: Option<&str> = args.get(2).map(|s| s.as_str());
+    // byte-identical for any worker count; the timing report goes to
+    // stderr (`--no-timing` drops it).
+    let (exec, args) = Executor::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let exec = &exec;
+    let size = Size(args.first().and_then(|s| s.parse().ok()).unwrap_or(1.0));
+    let only: Option<&str> = args.get(1).map(|s| s.as_str());
     let want = |k: &str| only.is_none() || only == Some(k);
 
     let figdir = std::path::Path::new("figures");
@@ -74,36 +63,36 @@ fn main() {
         println!();
     }
     if want("t1") {
-        println!("{}", render_table1(&run_table1(size)));
+        println!("{}", render_table1(&run_table1(exec, size)));
     }
     if want("t2") {
-        println!("{}", render_table2(&run_table2(size)));
+        println!("{}", render_table2(&run_table2(exec, size)));
     }
     if want("t3") {
-        println!("{}", render_table3(&run_table3(size)));
+        println!("{}", render_table3(&run_table3(exec, size)));
     }
     if want("t4") {
-        println!("{}", render_table4(&run_table4(size)));
+        println!("{}", render_table4(&run_table4(exec, size)));
     }
     if want("t5") {
-        println!("{}", render_table5(&run_table5(size)));
+        println!("{}", render_table5(&run_table5(exec, size)));
     }
     let mut t6_rows = None;
     if want("t6") || want("f4") {
-        let rows = run_table6(size);
+        let rows = run_table6(exec, size);
         if want("t6") {
             println!("{}", render_table6(&rows));
         }
         t6_rows = Some(rows);
     }
     if want("t7") {
-        println!("{}", render_table7(&run_table7(size)));
+        println!("{}", render_table7(&run_table7(exec, size)));
     }
     if want("t8") {
-        println!("{}", render_table8(&run_table8(size)));
+        println!("{}", render_table8(&run_table8(exec, size)));
     }
     if want("f23") {
-        let (iq, rudp) = figures_2_3(size);
+        let (iq, rudp) = figures_2_3(exec, size);
         println!(
             "== Figures 2/3: per-packet delay jitter == IQ-RUDP: {} samples, mean {:.2} ms, \
              peak {:.2} ms | RUDP: {} samples, mean {:.2} ms, peak {:.2} ms",

@@ -62,6 +62,7 @@
 use iq_experiments::ablations::run_all_ablations;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
 use iq_experiments::tables::*;
+use iq_experiments::Executor;
 use iq_metrics::{line_plot, PlotConfig};
 use iq_trace::{MembershipConfig, MembershipTrace};
 
@@ -69,40 +70,40 @@ fn parse_size(args: &[String], idx: usize) -> Size {
     Size(args.get(idx).and_then(|s| s.parse().ok()).unwrap_or(1.0))
 }
 
-fn cmd_tables(args: &[String]) {
+fn cmd_tables(exec: &Executor, args: &[String]) {
     let size = parse_size(args, 0);
     let only = args.get(1).map(|s| s.as_str());
     let want = |k: &str| only.is_none() || only == Some(k);
     if want("t1") {
-        println!("{}", render_table1(&run_table1(size)));
+        println!("{}", render_table1(&run_table1(exec, size)));
     }
     if want("t2") {
-        println!("{}", render_table2(&run_table2(size)));
+        println!("{}", render_table2(&run_table2(exec, size)));
     }
     if want("t3") {
-        println!("{}", render_table3(&run_table3(size)));
+        println!("{}", render_table3(&run_table3(exec, size)));
     }
     if want("t4") {
-        println!("{}", render_table4(&run_table4(size)));
+        println!("{}", render_table4(&run_table4(exec, size)));
     }
     if want("t5") {
-        println!("{}", render_table5(&run_table5(size)));
+        println!("{}", render_table5(&run_table5(exec, size)));
     }
     if want("t6") {
-        println!("{}", render_table6(&run_table6(size)));
+        println!("{}", render_table6(&run_table6(exec, size)));
     }
     if want("t7") {
-        println!("{}", render_table7(&run_table7(size)));
+        println!("{}", render_table7(&run_table7(exec, size)));
     }
     if want("t8") {
-        println!("{}", render_table8(&run_table8(size)));
+        println!("{}", render_table8(&run_table8(exec, size)));
     }
     if want("t9") {
-        println!("{}", render_table9(&run_table9(size)));
+        println!("{}", render_table9(&run_table9(exec, size)));
     }
 }
 
-fn cmd_figures(args: &[String]) {
+fn cmd_figures(exec: &Executor, args: &[String]) {
     let size = parse_size(args, 0);
     let f1 = figure1();
     println!(
@@ -111,13 +112,13 @@ fn cmd_figures(args: &[String]) {
         f1.values().fold(f64::INFINITY, f64::min),
         f1.values().fold(0.0, f64::max)
     );
-    let (iq, rudp) = figures_2_3(size);
+    let (iq, rudp) = figures_2_3(exec, size);
     println!(
         "Figures 2/3: IQ-RUDP mean jitter {:.2} ms, RUDP {:.2} ms",
         iq.mean(),
         rudp.mean()
     );
-    let rows = run_table6(size);
+    let rows = run_table6(exec, size);
     println!("{}", render_figure4(&figure4_from_rows(&rows)));
     let _ = std::fs::create_dir_all("figures");
     let _ = std::fs::write(
@@ -137,7 +138,7 @@ fn cmd_figures(args: &[String]) {
     println!("wrote figures/*.svg");
 }
 
-fn cmd_bench(args: &[String]) {
+fn cmd_bench(exec: &Executor, args: &[String]) {
     let mut opts = iq_experiments::BenchOptions {
         size: Size::FULL,
         out_path: None,
@@ -165,7 +166,7 @@ fn cmd_bench(args: &[String]) {
             },
         }
     }
-    match iq_experiments::bench_main(&opts) {
+    match iq_experiments::bench_main(exec, &opts) {
         Ok(run) => {
             for sc in &run.scenarios {
                 println!(
@@ -192,7 +193,7 @@ fn die(msg: &str) -> ! {
 /// and `4` and fails unless the sim-plane exposition is byte-identical
 /// every time. Combine with the global `--metrics DIR` flag to also
 /// write `.prom`/`.jsonl` dumps.
-fn cmd_obs(args: &[String]) {
+fn cmd_obs(exec: &Executor, args: &[String]) {
     let mut size = Size(0.05);
     let mut only = "bulk_rudp".to_string();
     let mut verify = false;
@@ -220,7 +221,7 @@ fn cmd_obs(args: &[String]) {
         ));
     }
 
-    let reports = iq_experiments::run_specs(&specs);
+    let reports = exec.run(&specs);
     for rep in &reports {
         let mut reg = rep.result.obs.clone();
         reg.sort();
@@ -240,10 +241,10 @@ fn cmd_obs(args: &[String]) {
     }
 
     if verify {
-        let before = iq_experiments::shards();
         for shards in [2usize, 4] {
-            iq_experiments::set_shards(shards);
-            let again = iq_experiments::run_specs(&specs);
+            let mut at_n = exec.clone();
+            at_n.config.threads = shards;
+            let again = at_n.run(&specs);
             for (a, b) in reports.iter().zip(&again) {
                 if a.result.obs.sim_text() != b.result.obs.sim_text() {
                     eprintln!(
@@ -255,10 +256,10 @@ fn cmd_obs(args: &[String]) {
                 }
             }
         }
-        iq_experiments::set_shards(before);
         eprintln!(
             "obs verify: `{only}` sim-plane metrics byte-identical across \
-             --shards {before}/2/4 — ok"
+             --shards {}/2/4 — ok",
+            exec.config.threads
         );
     }
 }
@@ -437,108 +438,24 @@ fn cmd_demo() {
     );
 }
 
-/// Strips the runner flags (`-j`/`--jobs`, `--shards`,
-/// `--verify-determinism`, `--no-timing`, `--telemetry DIR`, `--metrics
-/// DIR`) out of the argument list, applying them globally, and returns
-/// the remaining positional arguments.
-fn apply_runner_flags(args: Vec<String>) -> Vec<String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut timing = true;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-j" | "--jobs" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("error: {a} requires a positive integer argument");
-                        std::process::exit(2);
-                    });
-                iq_experiments::set_jobs(n);
-            }
-            _ if a.starts_with("--jobs=") || a.starts_with("-j=") => {
-                let n = a.split_once('=').and_then(|(_, v)| v.parse().ok());
-                match n {
-                    Some(n) => iq_experiments::set_jobs(n),
-                    None => {
-                        eprintln!("error: {a}: expected a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--verify-determinism" => iq_experiments::set_verify_determinism(true),
-            "--shards" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --shards requires a non-negative integer (0 = auto)");
-                    std::process::exit(2);
-                });
-                iq_experiments::set_shards(n);
-            }
-            _ if a.starts_with("--shards=") => {
-                match a.split_once('=').and_then(|(_, v)| v.parse().ok()) {
-                    Some(n) => iq_experiments::set_shards(n),
-                    None => {
-                        eprintln!("error: {a}: expected a non-negative integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--telemetry" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("error: --telemetry requires a directory argument");
-                    std::process::exit(2);
-                });
-                iq_experiments::set_telemetry_dir(Some(dir));
-            }
-            _ if a.starts_with("--telemetry=") => {
-                match a.split_once('=').map(|(_, v)| v.to_string()) {
-                    Some(dir) if !dir.is_empty() => iq_experiments::set_telemetry_dir(Some(dir)),
-                    _ => {
-                        eprintln!("error: --telemetry= requires a directory");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--metrics" => {
-                let dir = it.next().unwrap_or_else(|| {
-                    eprintln!("error: --metrics requires a directory argument");
-                    std::process::exit(2);
-                });
-                iq_experiments::set_metrics_dir(Some(dir));
-            }
-            _ if a.starts_with("--metrics=") => {
-                match a.split_once('=').map(|(_, v)| v.to_string()) {
-                    Some(dir) if !dir.is_empty() => iq_experiments::set_metrics_dir(Some(dir)),
-                    _ => {
-                        eprintln!("error: --metrics= requires a directory");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--no-timing" => timing = false,
-            _ => rest.push(a),
-        }
-    }
-    iq_experiments::set_timing_report(timing);
-    rest
-}
-
 fn main() {
     iq_experiments::tune_allocator();
-    let args = apply_runner_flags(std::env::args().skip(1).collect());
+    // The runner flags may stand anywhere on the line; what is left is
+    // the command and its own arguments.
+    let (exec, args) =
+        Executor::from_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
     match args.first().map(|s| s.as_str()) {
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("figures") => cmd_figures(&args[1..]),
+        Some("tables") => cmd_tables(&exec, &args[1..]),
+        Some("figures") => cmd_figures(&exec, &args[1..]),
         Some("ablations") => {
             let size = parse_size(&args[1..], 0);
-            println!("{}", run_all_ablations(size));
+            println!("{}", run_all_ablations(&exec, size));
         }
-        Some("bench") => cmd_bench(&args[1..]),
+        Some("bench") => cmd_bench(&exec, &args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("demo") => cmd_demo(),
         Some("mc") => cmd_mc(&args[1..]),
-        Some("obs") => cmd_obs(&args[1..]),
+        Some("obs") => cmd_obs(&exec, &args[1..]),
         _ => {
             eprintln!(
                 "usage: iqrudp [-j N] [--shards N] [--verify-determinism] [--no-timing] \

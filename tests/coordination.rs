@@ -5,15 +5,20 @@
 use iq_experiments::tables::{
     table3_scenarios, table8_scenarios, Size,
 };
-use iq_experiments::{run_scenario, PolicySpec, Scenario, Scheme};
+use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, RunResult, Scenario, Scheme};
+
+/// A run under the default configuration: one thread, no capture.
+fn run(sc: &Scenario) -> RunResult {
+    run_scenario_with(sc, RunConfig::default())
+}
 
 /// §3.3 conflict: coordinated discard means fewer messages delivered
 /// (within tolerance) but no slower completion than uncoordinated RUDP.
 #[test]
 fn conflict_coordination_trades_messages_for_time() {
     let scenarios = table3_scenarios(Size::SMOKE);
-    let iq = run_scenario(&scenarios[0]);
-    let rudp = run_scenario(&scenarios[1]);
+    let iq = run(&scenarios[0]);
+    let rudp = run(&scenarios[1]);
     assert!(iq.finished && rudp.finished);
     // The coordinated run discards unmarked datagrams...
     assert!(
@@ -44,9 +49,9 @@ fn overreaction_coordination_rescales_window() {
     sc.thresholds = (Some(0.05), Some(0.005));
     sc.cross.cbr_bps = Some(18e6);
     sc.deadline_s = 180.0;
-    let iq = run_scenario(&sc);
+    let iq = run(&sc);
     sc.scheme = Scheme::Uncoordinated;
-    let rudp = run_scenario(&sc);
+    let rudp = run(&sc);
 
     assert!(iq.finished && rudp.finished);
     let iq_log = iq.coordination.unwrap();
@@ -62,9 +67,9 @@ fn overreaction_coordination_rescales_window() {
 #[test]
 fn granularity_cond_correction_orders_schemes() {
     let scenarios = table8_scenarios(Size::SMOKE);
-    let cond = run_scenario(&scenarios[0]);
-    let nocond = run_scenario(&scenarios[1]);
-    let rudp = run_scenario(&scenarios[2]);
+    let cond = run(&scenarios[0]);
+    let nocond = run(&scenarios[1]);
+    let rudp = run(&scenarios[2]);
     assert!(cond.finished && nocond.finished && rudp.finished);
     // Eq. (1) was actually used, and only in the COND scheme.
     assert!(cond.coordination.unwrap().cond_corrections > 0);
@@ -92,7 +97,6 @@ fn granularity_cond_correction_orders_schemes() {
 #[test]
 fn reinflation_follows_downsample_within_one_rtt_on_the_bus() {
     use iq_telemetry::{parse_jsonl, TelemetryEvent};
-    iq_experiments::set_telemetry_capture(true);
     let mut sc = Scenario::new(
         Scheme::Coordinated,
         PolicySpec::Resolution,
@@ -102,8 +106,7 @@ fn reinflation_follows_downsample_within_one_rtt_on_the_bus() {
     sc.thresholds = (Some(0.05), Some(0.005));
     sc.cross.cbr_bps = Some(18e6);
     sc.deadline_s = 180.0;
-    let r = run_scenario(&sc);
-    iq_experiments::set_telemetry_capture(false);
+    let r = run_scenario_with(&sc, RunConfig { telemetry: true, ..RunConfig::default() });
     assert!(r.finished);
     assert!(r.coordination.unwrap().window_rescales > 0, "no coordination happened");
 
@@ -146,7 +149,7 @@ fn app_adaptation_only_disables_congestion_control() {
     sc.fixed_cwnd = 24.0;
     sc.cross.cbr_bps = Some(17e6);
     sc.deadline_s = 180.0;
-    let r = run_scenario(&sc);
+    let r = run(&sc);
     assert!(r.finished);
     // The application adapted (it is the only control loop left).
     assert!(r.callbacks.0 > 0, "app never adapted");
@@ -158,7 +161,7 @@ fn tcp_scheme_flows_through_harness() {
     let mut sc = Scenario::new(Scheme::Tcp, PolicySpec::None, vec![5000; 100]);
     sc.cross.cbr_bps = Some(10e6);
     sc.deadline_s = 120.0;
-    let r = run_scenario(&sc);
+    let r = run(&sc);
     assert!(r.finished);
     assert!(r.throughput_kbps > 0.0);
     assert!(r.msgs_delivered > 0);

@@ -4,7 +4,7 @@
 //! level (the unit tests in `runner.rs` cover the executor internals).
 
 use iq_experiments::tables::{render_table1, table1_scenarios, table3_scenarios, Size};
-use iq_experiments::{run_scenario, Executor, ScenarioSpec};
+use iq_experiments::{run_scenario_with, Executor, RunConfig, ScenarioSpec};
 use proptest::prelude::*;
 
 /// A cheap scenario set: table 1 at minimum scale (40 frames per run).
@@ -79,7 +79,7 @@ proptest! {
         }
         let baseline: Vec<(String, String)> = specs
             .iter()
-            .map(|s| canonical(&run_scenario(&s.scenario)))
+            .map(|s| canonical(&run_scenario_with(&s.scenario, RunConfig::default())))
             .collect();
 
         let mut permuted = specs.clone();
