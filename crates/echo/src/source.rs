@@ -10,7 +10,6 @@ use iq_attrs::AttrList;
 use iq_core::{CoordinationMode, Coordinator};
 use iq_netsim::{time, Addr, Agent, Ctx, FlowId, Packet, Time};
 use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, SenderDriver, DEFAULT_MSS};
-use iq_telemetry::TelemetrySink;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -136,8 +135,18 @@ pub struct AdaptiveSourceAgent {
 impl AdaptiveSourceAgent {
     /// Builds the agent; `peer` is the sink's address.
     pub fn new(cfg: SourceConfig, policy: Policy, peer: Addr, flow: FlowId) -> Self {
+        let driver = cfg.rudp.builder(cfg.conn_id, flow).build_sender(peer);
+        Self::from_driver(driver, cfg, policy)
+    }
+
+    /// Wraps an already-built driver (see
+    /// [`iq_rudp::ConnBuilder::build_sender`]): the sources of a fleet
+    /// share their class's transport configuration instead of each
+    /// holding a copy. `cfg.rudp` and `cfg.conn_id` are not read on this
+    /// path — the driver carries both.
+    pub fn from_driver(driver: SenderDriver, cfg: SourceConfig, policy: Policy) -> Self {
         Self {
-            driver: cfg.rudp.builder(cfg.conn_id, flow).build_sender(peer),
+            driver,
             coordinator: Coordinator::new(cfg.mode),
             policy,
             frame_sizes: cfg.frame_sizes,
@@ -163,15 +172,6 @@ impl AdaptiveSourceAgent {
     /// The underlying connection (stats, window).
     pub fn conn(&self) -> &SenderConn {
         &self.driver.conn
-    }
-
-    /// Attaches a telemetry sink to the underlying connection so the
-    /// source's adaptation decisions land on the same bus as the
-    /// transport's events.
-    pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
-        let flow = self.driver.conn.telemetry_flow();
-        self.driver.conn.set_telemetry(sink, flow);
-        self
     }
 
     fn emit_adaptation(&self, now: Time, attrs: &AttrList) {

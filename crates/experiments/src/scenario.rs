@@ -629,9 +629,12 @@ impl World {
                 let peer = Addr::new(rh[pair], port);
                 let class = &classes[g as usize % classes.len()];
                 let sender: Box<dyn Agent> = match class {
-                    FlowClass::Adaptive(_) => {
+                    FlowClass::Adaptive(builder) => {
+                        let driver = builder
+                            .for_conn(id, flow)
+                            .telemetry(flow_sinks[left].clone())
+                            .build_sender(peer);
                         let mut cfg = SourceConfig::new(id, sc.frame_sizes.clone());
-                        cfg.rudp = base.clone();
                         cfg.mode = sc.scheme.mode();
                         cfg.fps = sc.fps;
                         cfg.datagram_mode = sc.datagram_mode;
@@ -639,10 +642,7 @@ impl World {
                         cfg.min_lower_gap = time::secs(sc.min_lower_gap_s);
                         cfg.seed = sc.seed ^ u64::from(g) ^ 0x5eed;
                         let policy = sc.policy.build(sc.scheme);
-                        Box::new(
-                            AdaptiveSourceAgent::new(cfg, policy, peer, flow)
-                                .with_telemetry(flow_sinks[left].clone()),
-                        )
+                        Box::new(AdaptiveSourceAgent::from_driver(driver, cfg, policy))
                     }
                     FlowClass::Bulk { builder, unmark_every } => {
                         let driver = builder.for_conn(id, flow).build_sender(peer);

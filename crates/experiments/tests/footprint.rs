@@ -36,39 +36,39 @@ use iq_rudp::{BulkSenderAgent, RudpConfig, RudpSinkAgent, SenderConn};
 use iq_workload::{CbrSource, UdpSink};
 
 /// Set ≈ 10 % above what the tree measured when the gate was last moved
-/// (3,608 B/flow, debug or release, this test run alone; the parent of
-/// that change, whose every shard kept a flow table and whose every sink
-/// an arrival shape, measured 3,988). A diet that lowers the number
-/// should lower this with it.
-const CEILING_BYTES_PER_FLOW: usize = 3_970;
+/// (3,361 B/flow, debug or release, this test run alone; the parent of
+/// that change, whose every adaptive source held a transport
+/// configuration of its own and whose packet slabs kept their start-up
+/// burst, measured 3,608). A diet that lowers the number should lower
+/// this with it.
+const CEILING_BYTES_PER_FLOW: usize = 3_700;
 
 /// Run growth: bytes per flow the high-water mark of the full run
 /// stands above that of the world as built. It is what the engine holds
 /// for a flow at the worst moment of its life beyond the flow's own
 /// state — packets and events in flight, and whatever a buffer that a
 /// burst grew has not given back. Set ≈ 10 % above what the tree
-/// measured when the gate was last moved (1,525 B/flow; its parent,
-/// whose flow tables grew as the flows sent their first packets,
-/// measured 1,707).
-const CEILING_RUN_GROWTH_PER_FLOW: usize = 1_680;
+/// measured when the gate was last moved (1,318 B/flow; its parent,
+/// whose packet slabs never shrank, measured 1,525).
+const CEILING_RUN_GROWTH_PER_FLOW: usize = 1_450;
 
 /// Allocator calls (`alloc` + `alloc_zeroed` + `realloc`) a flow's run
 /// phase may make, ≈ 10 % above what the tree measured when the gate
-/// was last moved (2.82: 1,444 calls over 512 flows; its parent, whose
-/// flow tables doubled their way up, 1,456). What is left is mostly the
-/// simulator's: event-queue buckets, payload-pool misses, link queues.
+/// was first set (2.82: 1,444 calls over 512 flows). It measures 2.91
+/// (1,489 calls) since an emptied packet slab gives its burst back and
+/// grows again. What is left is mostly the simulator's: event-queue
+/// buckets, payload-pool misses, link queues, slabs.
 const CEILING_RUN_CALLS_PER_FLOW: f64 = 3.1;
 
 /// Allocator calls per flow of building, harvesting and dropping the
-/// world without running it: exactly what the tree measured when the
-/// gate was last moved (2,240 calls over 512 flows) — an agent's box,
-/// its port-table entry, the adaptive source's config. Of those, one
-/// per *world* is the reported flow's arrival shape, boxed since the
-/// recorder split; its parent measured 2,263, the difference being the
-/// per-node port tables a shard no longer grows for nodes it does not
-/// host. Inline-first storage lives in the agents' boxes; pre-sizing
-/// heap buffers in the constructors instead would show up here.
-const CEILING_BUILD_CALLS_PER_FLOW: f64 = 4.38;
+/// world without running it: what the tree measured when the gate was
+/// last moved (2,112 calls over 512 flows, 4.125) — an agent's box and
+/// its port-table entry; one per *world* is the reported flow's arrival
+/// shape. Its parent measured 2,240, the difference being a transport
+/// configuration per adaptive source, which now shares its class's.
+/// Inline-first storage lives in the agents' boxes; pre-sizing heap
+/// buffers in the constructors instead would show up here.
+const CEILING_BUILD_CALLS_PER_FLOW: f64 = 4.13;
 
 struct LiveBytes;
 

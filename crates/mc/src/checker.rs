@@ -6,15 +6,13 @@
 //! the whole reachable space (under the drop budget) was covered — the
 //! report's `complete` flag.
 //!
-//! The visited table maps a state hash to the largest remaining depth
-//! it was explored with; a state is re-expanded only when revisited
-//! with *more* depth to spend, the standard IDDFS memoization. All
-//! iteration is over the deterministic [`World::choices`] vector — no
-//! hash-map iteration anywhere — so explored-state counts are stable
-//! run to run and pinned in CI.
+//! The visited table keeps, per state hash, the largest remaining depth
+//! the state was expanded with; a state is re-expanded only when
+//! revisited with *more* depth to spend, the standard IDDFS
+//! memoization. All iteration is over the deterministic
+//! [`World::choices`] vector — the table is only ever probed — so
+//! explored-state counts are stable run to run and pinned in CI.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::invariant::Violation;
@@ -55,8 +53,12 @@ pub struct Counterexample {
 /// The outcome of a bounded exploration.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
-    /// Unique states expanded in the deepest iteration run.
+    /// Expansions in the deepest iteration run: a state met again with
+    /// more depth left than before is expanded, and counted, again.
     pub explored: u64,
+    /// Distinct states among those expansions (the visited table's
+    /// occupancy when that iteration ended).
+    pub distinct: u64,
     /// Depth of the deepest iteration run.
     pub depth_reached: u32,
     /// Whether that iteration covered the entire bounded space (no
@@ -66,23 +68,95 @@ pub struct CheckReport {
     pub counterexample: Option<Counterexample>,
 }
 
-/// The visited table's hasher: [`World::state_hash`] is already
-/// avalanched, so the key is used as its own hash instead of being
-/// SipHash'd again.
-#[derive(Default)]
-struct KeyIsHash(u64);
+/// Bits of a [`Visited`] slot that hold the depth instead of the hash.
+const DEPTH_BITS: u32 = 6;
+const DEPTH_MASK: u64 = (1 << DEPTH_BITS) - 1;
 
-impl Hasher for KeyIsHash {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the visited table is keyed by u64 only");
+/// The visited table: one word per state, open addressing, linear
+/// probing from the hash's high bits.
+///
+/// A slot is the state hash with its low [`DEPTH_BITS`] bits replaced by
+/// `remaining + 1`, so 0 is an empty slot and "seen with at least this
+/// much depth" is one compare on the one cache line the probe touched.
+/// The 58 bits kept are the key: two states whose hashes agree on them
+/// are one state to the checker (2^-58 a pair; the pinned counts are
+/// what would show it).
+struct Visited {
+    /// Power-of-two length; at most three quarters occupied.
+    slots: Vec<u64>,
+    occupied: usize,
+}
+
+impl Default for Visited {
+    fn default() -> Self {
+        Self {
+            slots: vec![0; Self::BORN],
+            occupied: 0,
+        }
+    }
+}
+
+impl Visited {
+    /// Small enough that an exploration of a handful of states (a seeded
+    /// bug found at depth 2) pays nothing to set up.
+    const BORN: usize = 16;
+
+    /// Empties the table and keeps its allocation.
+    fn clear(&mut self) {
+        self.slots.fill(0);
+        self.occupied = 0;
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
+    /// Index of the first slot `word` (a hash or a slot) probes.
+    fn home(&self, word: u64) -> usize {
+        (word >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    /// Whether the state `hash` is to be expanded with `remaining` depth:
+    /// `false` when it was already admitted with as much or more,
+    /// otherwise `true` and the table now says `remaining`.
+    fn admit(&mut self, hash: u64, remaining: u32) -> bool {
+        debug_assert!(
+            u64::from(remaining) < DEPTH_MASK,
+            "`check` bounds max_depth"
+        );
+        let want = (hash & !DEPTH_MASK) | u64::from(remaining + 1);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                break;
+            }
+            if (slot ^ want) <= DEPTH_MASK {
+                // Same key, so the words order by depth.
+                if slot >= want {
+                    return false;
+                }
+                self.slots[i] = want;
+                return true;
+            }
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = want;
+        self.occupied += 1;
+        if self.occupied * 4 > self.slots.len() * 3 {
+            self.double();
+        }
+        true
+    }
+
+    fn double(&mut self) {
+        let doubled = vec![0; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut i = self.home(slot);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 }
 
@@ -91,8 +165,7 @@ impl Hasher for KeyIsHash {
 /// allocates except the visited table's growth.
 #[derive(Default)]
 struct Dfs {
-    /// State hash → largest remaining depth it was expanded with.
-    visited: HashMap<u64, u32, BuildHasherDefault<KeyIsHash>>,
+    visited: Visited,
     /// The enabled choices of every state on the current path, one
     /// segment per recursion level, stacked.
     choices: Vec<Choice>,
@@ -105,20 +178,29 @@ struct Dfs {
 }
 
 impl Dfs {
+    /// A scratch world holding a copy of `src`: a pooled one refilled,
+    /// or a fresh clone while the pool is still filling.
+    fn copy_of(&mut self, src: &World) -> World {
+        match self.pool.pop() {
+            Some(mut world) => {
+                world.clone_from(src);
+                world
+            }
+            None => src.clone(),
+        }
+    }
+
+    /// Explores from `world` and *consumes* it: every child but the last
+    /// runs on a pooled copy, the last on `world` itself, so the caller
+    /// must refill or drop `world` before reading it again.
     fn run(
         &mut self,
-        world: &World,
+        world: &mut World,
         remaining: u32,
         trace: &mut Vec<Choice>,
     ) -> Option<Counterexample> {
-        match self.visited.entry(world.state_hash()) {
-            Entry::Occupied(e) if *e.get() >= remaining => return None,
-            Entry::Occupied(mut e) => {
-                e.insert(remaining);
-            }
-            Entry::Vacant(e) => {
-                e.insert(remaining);
-            }
+        if !self.visited.admit(world.state_hash(), remaining) {
+            return None;
         }
         self.explored += 1;
         let start = self.choices.len();
@@ -132,25 +214,42 @@ impl Dfs {
             self.choices.truncate(start);
             return None;
         }
-        let mut next = self.pool.pop().unwrap_or_else(|| world.clone());
-        for i in start..end {
-            let choice = self.choices[i];
-            next.clone_from(world);
-            trace.push(choice);
-            if let Some(violation) = next.apply(choice) {
-                return Some(Counterexample {
-                    trace: trace.clone(),
-                    violation,
-                });
+        let last = end - 1;
+        if start < last {
+            let mut next = self.copy_of(world);
+            for i in start..last {
+                if i > start {
+                    next.clone_from(world);
+                }
+                if let Some(ce) = self.step(&mut next, self.choices[i], remaining, trace) {
+                    return Some(ce);
+                }
             }
-            if let Some(ce) = self.run(&next, remaining - 1, trace) {
-                return Some(ce);
-            }
-            trace.pop();
+            self.pool.push(next);
         }
-        self.pool.push(next);
+        let choice = self.choices[last];
         self.choices.truncate(start);
-        None
+        self.step(world, choice, remaining, trace)
+    }
+
+    /// Takes `choice` in `world` and explores from there.
+    fn step(
+        &mut self,
+        world: &mut World,
+        choice: Choice,
+        remaining: u32,
+        trace: &mut Vec<Choice>,
+    ) -> Option<Counterexample> {
+        trace.push(choice);
+        if let Some(violation) = world.apply(choice) {
+            return Some(Counterexample {
+                trace: trace.clone(),
+                violation,
+            });
+        }
+        let found = self.run(world, remaining - 1, trace);
+        trace.pop();
+        found
     }
 }
 
@@ -160,8 +259,15 @@ impl Dfs {
 /// that yields a violation (minimal counterexample) or covers the
 /// space completely.
 pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) -> CheckReport {
+    assert!(
+        u64::from(cfg.max_depth) < DEPTH_MASK,
+        "CheckerConfig::max_depth is {}: the visited table keeps a state's remaining depth \
+         in {DEPTH_BITS} bits, so it must be below {DEPTH_MASK}",
+        cfg.max_depth
+    );
     let mut report = CheckReport {
         explored: 0,
+        distinct: 0,
         depth_reached: 0,
         complete: false,
         counterexample: None,
@@ -175,8 +281,13 @@ pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) 
         dfs.visited.clear();
         dfs.explored = 0;
         dfs.cutoff = false;
-        let found = dfs.run(&root, depth, &mut trace);
+        // `run` consumes the world it is handed, so each depth gets a
+        // pooled copy of the root.
+        let mut start = dfs.copy_of(&root);
+        let found = dfs.run(&mut start, depth, &mut trace);
+        dfs.pool.push(start);
         report.explored = dfs.explored;
+        report.distinct = dfs.visited.occupied as u64;
         report.depth_reached = depth;
         if let Some(ce) = found {
             report.counterexample = Some(ce);
@@ -188,4 +299,112 @@ pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) 
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::world::scenario;
+
+    /// What [`Visited::admit`] replaced: a map from the 58 key bits to
+    /// the largest remaining depth admitted.
+    fn model_admit(model: &mut HashMap<u64, u32>, hash: u64, remaining: u32) -> bool {
+        match model.get(&(hash >> DEPTH_BITS)) {
+            Some(&seen) if seen >= remaining => false,
+            _ => {
+                model.insert(hash >> DEPTH_BITS, remaining);
+                true
+            }
+        }
+    }
+
+    proptest! {
+        /// Random `(hash, remaining)` streams against the map: fresh
+        /// hashes (enough of them for three doublings and more), hashes
+        /// crowded onto four home slots so that probe runs collide and
+        /// wrap, repeats of an earlier hash with rising and falling
+        /// `remaining`, and hashes that differ from an earlier one only
+        /// below bit 6 — which alias by design. Three rounds over each
+        /// stream with `clear()` between them.
+        #[test]
+        fn visited_matches_a_hash_map(
+            ops in prop::collection::vec(
+                (0u8..8, any::<u64>(), any::<usize>(), 0u32..63),
+                1..400,
+            ),
+        ) {
+            let mut table = Visited::default();
+            let mut model = HashMap::new();
+            let mut grown = 0;
+            for round in 0..3 {
+                let mut seen: Vec<u64> = Vec::new();
+                for &(kind, fresh, at, remaining) in &ops {
+                    let hash = match kind {
+                        0..=2 => fresh,
+                        3 => (fresh >> 4) | ((fresh & 3) << 62),
+                        4 | 5 if !seen.is_empty() => seen[at % seen.len()],
+                        6 if !seen.is_empty() => seen[at % seen.len()] ^ (fresh & DEPTH_MASK),
+                        _ => fresh.rotate_left(round),
+                    };
+                    seen.push(hash);
+                    prop_assert_eq!(
+                        table.admit(hash, remaining),
+                        model_admit(&mut model, hash, remaining),
+                        "hash {:#x} remaining {} round {}", hash, remaining, round
+                    );
+                    prop_assert_eq!(table.occupied, model.len());
+                    prop_assert!(table.slots.len().is_power_of_two());
+                    prop_assert!(table.occupied * 4 <= table.slots.len() * 3);
+                }
+                let occupied = table.slots.iter().filter(|&&slot| slot != 0).count();
+                prop_assert_eq!(occupied, model.len());
+                // Nothing shrinks, and a round that admitted more than
+                // 48 states crossed 16 → 32 → 64 → 128.
+                prop_assert!(table.slots.len() >= grown);
+                prop_assert!(model.len() <= 48 || table.slots.len() >= 128);
+                grown = table.slots.len();
+                table.clear();
+                model.clear();
+                prop_assert_eq!(table.occupied, 0);
+                prop_assert!(table.slots.iter().all(|&slot| slot == 0));
+                prop_assert_eq!(table.slots.len(), grown, "clear keeps the allocation");
+            }
+        }
+    }
+
+    #[test]
+    fn run_consumes_its_copy_and_leaves_the_root_alone() {
+        // `run` applies the last choice of every state to the world it
+        // was handed, so that world comes back somewhere down the last
+        // branch; the root it was copied from must not, and a refilled
+        // copy must explore exactly as a fresh one does.
+        let spec = scenario("deferred").unwrap();
+        let root = World::new(spec, Mutation::None, 1, 2);
+        let before = root.state_hash();
+        let mut dfs = Dfs::default();
+        let mut trace = Vec::new();
+        let mut counts = Vec::new();
+        for _ in 0..2 {
+            dfs.visited.clear();
+            dfs.explored = 0;
+            let mut copy = dfs.copy_of(&root);
+            assert_eq!(copy.state_hash(), before);
+            assert!(dfs.run(&mut copy, 7, &mut trace).is_none());
+            assert_ne!(copy.state_hash(), before, "the last child ran in place");
+            assert_eq!(root.state_hash(), before);
+            assert!(trace.is_empty() && dfs.choices.is_empty());
+            counts.push((dfs.explored, dfs.visited.occupied));
+            // Back to the pool as it is: the second round's copy is this
+            // one or another dirty one, refilled.
+            dfs.pool.push(copy);
+        }
+        // 7,165 is `deferred_scenario_with_a_drop_matches_the_benchmark_count`'s
+        // depth-7 pin.
+        assert_eq!(counts[0].0, 7_165);
+        assert_eq!(counts[0], counts[1]);
+    }
 }

@@ -13,6 +13,7 @@
 //!   it pops — nothing is ever remembered about dead timers.
 
 use crate::packet::{AgentId, Packet};
+use crate::sched::retained;
 
 /// Key of a packet parked in the simulator's `PacketSlab`.
 ///
@@ -26,6 +27,10 @@ struct PacketSlot {
     /// Destination agent resolved once at send time.
     dst_agent: Option<AgentId>,
 }
+
+/// A shard's usual packets in flight, for [`retained`]: a slab nothing
+/// is keyed in keeps room for two to four times this.
+const SLAB_FLOOR: usize = 64;
 
 /// Owns every packet currently in flight (queued, serializing,
 /// propagating, or awaiting delivery).
@@ -72,12 +77,22 @@ impl PacketSlab {
         self.slots[key.0 as usize].dst_agent
     }
 
-    /// Removes the packet, freeing the slot for reuse.
+    /// Removes the packet, freeing the slot for reuse. A slab left with
+    /// no key outstanding has nothing to re-key, so that is when it
+    /// gives back what a burst grew it to.
     pub(crate) fn take(&mut self, key: PacketKey) -> Packet {
         let slot = &mut self.slots[key.0 as usize];
         let pkt = slot.pkt.take().expect("packet key used after free");
         slot.dst_agent = None;
         self.free.push(key.0);
+        if self.free.len() == self.slots.len() {
+            if let Some(keep) = retained(self.slots.capacity(), 0, SLAB_FLOOR) {
+                self.slots.clear();
+                self.slots.shrink_to(keep);
+                self.free.clear();
+                self.free.shrink_to(keep);
+            }
+        }
         pkt
     }
 
@@ -222,6 +237,36 @@ mod tests {
         assert_eq!(s.get(b).id, 2);
         assert_eq!(s.capacity(), 2);
         assert_eq!(s.live(), 2);
+    }
+
+    #[test]
+    fn a_drained_burst_goes_back() {
+        let mut s = PacketSlab::default();
+        let keys: Vec<PacketKey> = (0..10_000).map(|i| s.insert(pkt(i), None)).collect();
+        assert!(s.slots.capacity() >= 10_000);
+        // While one key is out nothing moves: its slot must stay put.
+        for &k in &keys[1..] {
+            s.take(k);
+        }
+        assert!(s.slots.capacity() >= 10_000);
+        assert_eq!(s.get(keys[0]).id, 0);
+        s.take(keys[0]);
+        assert_eq!(s.live(), 0);
+        assert_eq!(s.slots.capacity(), 2 * SLAB_FLOOR);
+        assert_eq!(s.free.capacity(), 2 * SLAB_FLOOR);
+        // Keys start over, and a load within four floors is left alone.
+        let keys: Vec<PacketKey> = (0..4 * SLAB_FLOOR as u64)
+            .map(|i| s.insert(pkt(i), None))
+            .collect();
+        assert_eq!(keys[0], PacketKey(0));
+        for k in keys {
+            s.take(k);
+        }
+        assert_eq!(
+            s.capacity(),
+            4 * SLAB_FLOOR,
+            "emptied, and its slots are still there"
+        );
     }
 
     #[test]

@@ -79,35 +79,56 @@ impl Default for Fnv64 {
 /// distinct streams get distinct values (explored-state counts do not
 /// depend on *which* values, DESIGN.md §13). So each `write_*` absorbs
 /// its argument as one 64-bit word with one rotate-xor-multiply instead
-/// of [`Fnv64`]'s eight dependent byte steps, and [`finish`] avalanches
-/// the state so that both the low bits (a hash table's bucket index)
-/// and the top seven (its tag) depend on every word. `write_u8(5)` and
-/// `write_u64(5)` absorb the same word: digest streams are
-/// self-delimiting by construction (tags and length prefixes), not by
-/// operand width. Byte and text fingerprints, whose values are
-/// committed to files, stay on [`Fnv64`].
+/// of [`Fnv64`]'s eight dependent byte steps, and consecutive words go
+/// to four lanes in turn, so a word's multiply waits for the word four
+/// back and not for its neighbour. [`finish`] folds the word count and
+/// the lanes into one word and avalanches it, so that both the high
+/// bits (the visited table's slot) and the low ones depend on every
+/// word. `write_u8(5)` and `write_u64(5)` absorb the same word: digest
+/// streams are self-delimiting by construction (tags and length
+/// prefixes), not by operand width. Byte and text fingerprints, whose
+/// values are committed to files, stay on [`Fnv64`].
 ///
 /// [`finish`]: StateHasher::finish
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateHasher {
-    state: u64,
+    lanes: [u64; Self::LANES],
+    /// Words absorbed; the next one goes to lane `words % LANES`.
+    words: u64,
 }
 
 impl StateHasher {
+    const LANES: usize = 4;
     /// Non-zero so that a stream of leading zero words still moves the
-    /// state (the golden-ratio constant, also the finisher's multiplier).
+    /// state (the golden-ratio constant, also the finisher's multiplier);
+    /// each lane starts from its own rotation of it.
     const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
     const MUL: u64 = 0x517c_c1b7_2722_0a95;
 
     /// A hasher that has absorbed nothing.
     pub fn new() -> Self {
-        Self { state: Self::SEED }
+        Self {
+            lanes: [
+                Self::SEED,
+                Self::SEED.rotate_left(16),
+                Self::SEED.rotate_left(32),
+                Self::SEED.rotate_left(48),
+            ],
+            words: 0,
+        }
+    }
+
+    #[inline]
+    fn mix(state: u64, v: u64) -> u64 {
+        (state.rotate_left(5) ^ v).wrapping_mul(Self::MUL)
     }
 
     /// Absorbs one 64-bit word.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(Self::MUL);
+        let lane = &mut self.lanes[self.words as usize % Self::LANES];
+        *lane = Self::mix(*lane, v);
+        self.words += 1;
     }
 
     /// Absorbs one `u8` as a word.
@@ -132,7 +153,10 @@ impl StateHasher {
     /// The avalanched hash of everything absorbed so far.
     #[inline]
     pub fn finish(&self) -> u64 {
-        let mut x = self.state;
+        let mut x = self
+            .lanes
+            .iter()
+            .fold(self.words, |x, &lane| Self::mix(x, lane));
         x ^= x >> 32;
         x = x.wrapping_mul(Self::SEED);
         x ^ (x >> 29)
@@ -214,15 +238,15 @@ mod tests {
         // Nothing is committed under these values (explored-state counts
         // do not depend on them), but a constant changed by accident
         // should be loud.
-        assert_eq!(state_hash(&[]), 0xab16_9ebd_5d0c_32dc);
-        assert_eq!(state_hash(&[0]), 0x9b32_2c3e_aedb_e4b9);
-        assert_eq!(state_hash(&[1, 2, 3]), 0x4643_1ee8_0252_3ad9);
+        assert_eq!(state_hash(&[]), 0x527c_305e_a5c8_3370);
+        assert_eq!(state_hash(&[0]), 0xa24e_a7bd_5a6c_14db);
+        assert_eq!(state_hash(&[1, 2, 3]), 0x1e6e_26e1_33e8_4fb8);
         let mut h = StateHasher::new();
         h.write_u8(7);
         h.write_bool(true);
         h.write_f64(0.25);
         h.write_u64(u64::MAX);
-        assert_eq!(h.finish(), 0xdd16_adc8_494b_b849);
+        assert_eq!(h.finish(), 0x4dcc_6b28_d308_063e);
     }
 
     #[test]
@@ -243,6 +267,39 @@ mod tests {
         let (a, b) = (state_hash(&[1]), state_hash(&[2]));
         assert_ne!(a & 0xffff, b & 0xffff);
         assert_ne!(a >> 57, b >> 57);
+    }
+
+    #[test]
+    fn state_hasher_lanes_keep_order_zeros_and_length() {
+        // Order matters across lanes (neighbours) and within one (four
+        // apart), wherever in the stream the pair sits.
+        let words: Vec<u64> = (1..=12).collect();
+        for gap in [1, 4] {
+            for i in 0..words.len() - gap {
+                let mut swapped = words.clone();
+                swapped.swap(i, i + gap);
+                assert_ne!(
+                    state_hash(&swapped),
+                    state_hash(&words),
+                    "words {i} and {}",
+                    i + gap
+                );
+            }
+        }
+        // A leading run of zero words moves the hash at every length, so
+        // no lane starts from a fixed point of the mix.
+        let zeros = [0u64; 9];
+        for len in 0..zeros.len() {
+            assert_ne!(
+                state_hash(&zeros[..len]),
+                state_hash(&zeros[..=len]),
+                "{len} zeros"
+            );
+        }
+        // Two streams that differ only in length differ, also when the
+        // extra word lands in a lane the shorter stream never touched.
+        assert_ne!(state_hash(&[5, 0, 0, 0, 0]), state_hash(&[5, 0, 0, 0]));
+        assert_ne!(state_hash(&[5, 6, 7]), state_hash(&[5, 6, 7, 0]));
     }
 
     #[test]

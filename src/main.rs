@@ -283,9 +283,10 @@ fn cmd_mc(args: &[String]) {
                 Some(Some(alg)) => cc = alg,
                 _ => die("--cc requires one of: lda, cubic, bbr, rrr, fixed"),
             },
+            // 62: `check` keeps a state's remaining depth in six bits.
             "--depth" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(d) => cfg.max_depth = d,
-                None => die("--depth requires a positive integer"),
+                Some(d) if d <= 62 => cfg.max_depth = d,
+                _ => die("--depth requires a positive integer, at most 62"),
             },
             "--drops" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(d) => cfg.drop_budget = d,
@@ -315,8 +316,9 @@ fn cmd_mc(args: &[String]) {
     let wall = started.elapsed().as_secs_f64();
     // stderr: stdout is what CI greps and tests compare.
     eprintln!(
-        "mc: {} states in {:.3} s ({:.0} states/s)",
+        "mc: {} expansions of {} distinct states in {:.3} s ({:.0} states/s)",
         report.explored,
+        report.distinct,
         wall,
         report.explored as f64 / wall.max(1e-9),
     );
