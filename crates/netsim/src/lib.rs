@@ -60,7 +60,6 @@ pub mod shard;
 pub mod sim;
 pub mod slab;
 pub mod time;
-pub mod trace;
 pub mod topology;
 
 pub use agent::{Agent, Ctx, TimerId};
@@ -72,6 +71,5 @@ pub use shard::{SchedTotals, ShardAgentId, ShardStats, ShardView, ShardedSim};
 pub use sim::{SimCounters, Simulator};
 pub use slab::{PacketKey, TimerKey};
 pub use time::{Time, TimeDelta};
-pub use trace::{FlowStats, PacketEvent, PacketEventKind, TraceCollector};
 pub use topology::{build_dumbbell, build_dumbbell_leg, Dumbbell, DumbbellSpec};
 

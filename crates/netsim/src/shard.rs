@@ -73,7 +73,7 @@
 //! a per-link message counter, both of which depend only on the sending
 //! shard's execution order — so the receiving shard's event order never
 //! depends on *when* a message was drained. Merged outputs (counters,
-//! flow stats, telemetry) are combined in shard-index order, so every
+//! telemetry) are combined in shard-index order, so every
 //! run is byte-identical for any worker count or schedule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,11 +83,10 @@ use iq_obs::{counter_add, counter_inc, Phase};
 
 use crate::agent::Agent;
 use crate::link::{LinkSpec, LinkStats};
-use crate::packet::{pool_stats, AgentId, FlowId, LinkId, NodeId, Packet, PoolStats};
+use crate::packet::{pool_stats, AgentId, LinkId, NodeId, Packet, PoolStats};
 use crate::sched::retained;
 use crate::sim::{SimCounters, Simulator};
 use crate::time::{Time, TimeDelta};
-use crate::trace::FlowStats;
 
 /// Boundary-arrival sequence numbers live above every locally assigned
 /// sequence number, so same-timestamp local events always execute before
@@ -760,7 +759,9 @@ impl ShardedSim {
     /// Attaches a telemetry sink to one shard (see
     /// [`Simulator::attach_telemetry`]). Per-shard sinks keep telemetry
     /// lock-free across threads; merge the buses in shard-index order
-    /// for a deterministic combined stream.
+    /// for a deterministic combined stream. A flow's ground truth is the
+    /// fold of its `flow_records` on every shard's bus: its sends are on
+    /// its source's shard, its deliveries on its sink's.
     pub fn attach_telemetry(&mut self, shard: usize, sink: iq_telemetry::TelemetrySink) {
         self.shards[shard].sim.attach_telemetry(sink);
     }
@@ -845,42 +846,6 @@ impl ShardedSim {
     /// Engine-plane: which worker ran what depends on the schedule.
     pub fn worker_pool_stats(&self) -> PoolStats {
         *self.worker_pool.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Starts the per-flow ground-truth counters on every shard (see
-    /// [`Simulator::enable_flow_stats`]): after the shards are declared,
-    /// before the first run.
-    ///
-    /// # Panics
-    /// Panics with no shard declared, or once an event has run.
-    pub fn enable_flow_stats(&mut self) {
-        assert!(
-            !self.shards.is_empty(),
-            "enable_flow_stats() before add_shard(): a shard declared later would keep no counters"
-        );
-        for s in &mut self.shards {
-            s.sim.enable_flow_stats();
-        }
-    }
-
-    /// Ground-truth counters for one flow, summed over shards (a flow's
-    /// sends are accounted where its source lives, deliveries where its
-    /// sink lives).
-    ///
-    /// # Panics
-    /// Panics unless [`Self::enable_flow_stats`] was called.
-    pub fn flow_stats(&self, flow: FlowId) -> FlowStats {
-        let mut total = FlowStats::default();
-        for s in &self.shards {
-            let f = s.sim.flow_stats(flow);
-            total.sent_packets += f.sent_packets;
-            total.sent_bytes += f.sent_bytes;
-            total.delivered_packets += f.delivered_packets;
-            total.delivered_bytes += f.delivered_bytes;
-            total.dropped_packets += f.dropped_packets;
-            total.random_losses += f.random_losses;
-        }
-        total
     }
 
     /// Stats for one link, read from the shard that owns its sending
@@ -1022,7 +987,7 @@ fn mix_seed(seed: u64, shard: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::agent::Ctx;
-    use crate::packet::{payload, Addr};
+    use crate::packet::{payload, Addr, FlowId};
     use crate::time::{millis, secs, MILLISECOND};
 
     /// Sends `count` packets to `dst`, one per millisecond, then records
@@ -1130,7 +1095,11 @@ mod tests {
         let mut sim = ShardedSim::new(3);
         let (s0, s1, s2) = (sim.add_shard(), sim.add_shard(), sim.add_shard());
         sim.set_threads(3);
-        sim.enable_flow_stats();
+        let buses = [s0, s1, s2].map(|shard| {
+            let (sink, bus) = iq_telemetry::TelemetrySink::new_bus(0);
+            sim.attach_telemetry(shard, sink);
+            bus
+        });
         let a = sim.add_node(s0);
         let r = sim.add_node(s1);
         let b = sim.add_node(s2);
@@ -1146,30 +1115,20 @@ mod tests {
         sim.run_until(secs(1.0));
         assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 10);
         assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 10);
-        // Sent on shard 0, delivered on shard 2: the sum over shards.
-        assert_eq!(sim.flow_stats(FlowId(1)).sent_packets, 10);
-        assert_eq!(sim.flow_stats(FlowId(1)).delivered_packets, 10);
-        assert_eq!(sim.flow_stats(FlowId(2)).delivered_packets, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_flow_stats() before the run starts")]
-    fn flow_stats_of_a_sharded_world_that_kept_none_is_a_panic_not_zeroes() {
-        let mut sim = ShardedSim::new(3);
-        let (s0, s1) = (sim.add_shard(), sim.add_shard());
-        let a = sim.add_node(s0);
-        let b = sim.add_node(s1);
-        sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(2), 64_000));
-        sim.add_agent(a, 1, Box::new(Pinger {
-            dst: Addr::new(b, 2),
-            count: 3,
-            sent: 0,
-            echoes: Vec::new(),
-        }));
-        let echo = sim.add_agent(b, 2, Box::new(Echoer::default()));
-        sim.run_until(secs(1.0));
-        assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 3);
-        sim.flow_stats(FlowId(1));
+        // Sent on shard 0, delivered on shard 2: the fold over every
+        // shard's records.
+        let fold = |flow| {
+            let records: Vec<_> = buses
+                .iter()
+                .flat_map(|b| b.lock().unwrap().flow_records(flow))
+                .collect();
+            iq_telemetry::TelemetryReport::from_records(&records)
+        };
+        let (f1, f2) = (fold(1), fold(2));
+        assert_eq!(
+            (f1.sent_packets, f1.delivered_packets, f2.delivered_packets),
+            (10, 10, 10)
+        );
     }
 
     /// The shards of a world share one route table, and a topology

@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use iq_telemetry::{PacketKind, TelemetryEvent, TelemetrySink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +31,6 @@ use crate::sched::EventQueue;
 use crate::shard::{boundary_seq, WireMsg};
 use crate::slab::{PacketKey, PacketSlab, TimerKey, TimerSlab};
 use crate::time::{Time, TimeDelta};
-use crate::trace::{PacketEvent, PacketEventKind, TraceCollector};
 
 /// Simulation-wide counters, mostly for tests and sanity checks.
 ///
@@ -94,8 +94,9 @@ pub struct SimCore {
     pub(crate) rng: SmallRng,
     /// Running counters.
     pub counters: SimCounters,
-    /// Per-flow accounting and packet log, each when enabled.
-    pub trace: TraceCollector,
+    /// Where packet outcomes and queue depths go — the network's ground
+    /// truth, folded per flow by the bus's reader (disabled: nowhere).
+    pub(crate) telemetry: TelemetrySink,
     pub(crate) stopped: bool,
     /// One outbox per egress link, in [`Simulator::mark_egress`] order:
     /// the boundary arrivals produced since the shard engine last took
@@ -150,6 +151,26 @@ impl SimCore {
         self.timers.cancel(TimerKey(id.0));
     }
 
+    /// Puts one packet outcome on the bus; `link` is where a drop or loss
+    /// happened.
+    #[inline]
+    fn emit_packet(
+        &self,
+        packet_id: u64,
+        flow: FlowId,
+        size: u32,
+        kind: PacketKind,
+        link: Option<LinkId>,
+    ) {
+        self.telemetry
+            .emit_with(self.now, u64::from(flow.0), || TelemetryEvent::Packet {
+                packet_id,
+                size,
+                kind,
+                link: link.map_or(-1, |l| i64::from(l.0)),
+            });
+    }
+
     /// Injects a packet from `src` toward `dst`, routing it over the
     /// topology (or looping back locally when both are on the same node).
     pub(crate) fn send_from(
@@ -163,13 +184,7 @@ impl SimCore {
         let id = self.next_packet_id;
         self.next_packet_id += 1;
         self.counters.packets_sent += 1;
-        self.trace.record(PacketEvent {
-            at: self.now,
-            packet_id: id,
-            flow,
-            size,
-            kind: PacketEventKind::Sent,
-        });
+        self.emit_packet(id, flow, size, PacketKind::Sent, None);
         // Resolve the destination agent once, here; every hop after this
         // is pure index arithmetic.
         let dst_agent = self.resolve_port(dst);
@@ -202,13 +217,7 @@ impl SimCore {
             // (matching the old resolve-at-arrival semantics).
             match self.packets.dst_agent(key).or_else(|| self.resolve_port(dst)) {
                 Some(agent) => {
-                    self.trace.record(PacketEvent {
-                        at: self.now,
-                        packet_id: id,
-                        flow,
-                        size,
-                        kind: PacketEventKind::Delivered,
-                    });
+                    self.emit_packet(id, flow, size, PacketKind::Delivered, None);
                     self.schedule(self.now, EventKind::Deliver { agent, packet: key })
                 }
                 None => {
@@ -224,12 +233,12 @@ impl SimCore {
                 // link it transmits on, so the slot is never `NOT_OWNED`.
                 let link = &mut self.links[self.link_slot[link_id.0 as usize] as usize];
                 let outcome = link.enqueue(key, size, &mut self.rng);
-                if self.trace.telemetry.is_enabled() {
+                if self.telemetry.is_enabled() {
                     // Fast exit: with the bus detached this block (and its
                     // queue-depth math) costs one branch.
                     let (queued_bytes, queue_len) = (link.queued_bytes(), link.queue_len());
-                    self.trace.telemetry.emit_with(self.now, u64::from(flow.0), || {
-                        iq_telemetry::TelemetryEvent::QueueDepth {
+                    self.telemetry.emit_with(self.now, u64::from(flow.0), || {
+                        TelemetryEvent::QueueDepth {
                             link: u64::from(link_id.0),
                             queued_bytes: u64::from(queued_bytes),
                             queue_len: queue_len as u64,
@@ -241,13 +250,7 @@ impl SimCore {
                     Enqueue::StartTx => self.start_next_tx(link_id),
                     Enqueue::Queued => {}
                     Enqueue::Dropped => {
-                        self.trace.record(PacketEvent {
-                            at: self.now,
-                            packet_id: id,
-                            flow,
-                            size,
-                            kind: PacketEventKind::DroppedAtQueue(link_id),
-                        });
+                        self.emit_packet(id, flow, size, PacketKind::DroppedQueue, Some(link_id));
                         self.packets.take(key);
                     }
                 }
@@ -275,13 +278,13 @@ impl SimCore {
         if lost {
             link.stats.random_losses += 1;
             let pkt = self.packets.take(q.key);
-            self.trace.record(PacketEvent {
-                at: self.now,
-                packet_id: pkt.id,
-                flow: pkt.flow,
-                size: pkt.size,
-                kind: PacketEventKind::LostRandom(link_id),
-            });
+            self.emit_packet(
+                pkt.id,
+                pkt.flow,
+                pkt.size,
+                PacketKind::LostRandom,
+                Some(link_id),
+            );
         } else if let Some(outbox) = link.egress {
             // The far end lives on another shard: the arrival leaves via
             // the link's outbox with a content-derived sequence number
@@ -338,7 +341,7 @@ impl Simulator {
                 port_slot: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 counters: SimCounters::default(),
-                trace: TraceCollector::default(),
+                telemetry: TelemetrySink::disabled(),
                 stopped: false,
                 outboxes: Vec::new(),
                 delivery_latency: iq_obs::Hist::new(),
@@ -565,46 +568,13 @@ impl Simulator {
         }
     }
 
-    /// Starts the per-flow ground-truth counters [`Self::flow_stats`]
-    /// reads. Opt-in like the packet log beside it: a row and an index
-    /// entry per flow is what a world of many flows should pay only when
-    /// something reads them.
-    ///
-    /// # Panics
-    /// Panics once an event has run: counters that missed the first
-    /// packets are not ground truth.
-    pub fn enable_flow_stats(&mut self) {
-        assert_eq!(
-            self.core.counters.events_processed, 0,
-            "enable_flow_stats() after the run started: the packets sent so far went uncounted"
-        );
-        self.core.trace.enable_flow_stats();
-    }
-
-    /// Ground-truth counters for one flow (zeroes if it sent nothing).
-    ///
-    /// # Panics
-    /// Panics unless [`Self::enable_flow_stats`] was called: zeroes from
-    /// a world that kept no counters would read as a silent network.
-    pub fn flow_stats(&self, flow: FlowId) -> crate::trace::FlowStats {
-        self.core.trace.flow(flow)
-    }
-
-    /// Enables the bounded packet event log.
-    pub fn enable_packet_log(&mut self, capacity: usize) {
-        self.core.trace.enable_log(capacity);
-    }
-
-    /// The recorded packet events (empty unless enabled).
-    pub fn packet_log(&self) -> &[crate::trace::PacketEvent] {
-        self.core.trace.log()
-    }
-
-    /// Attaches a telemetry sink: packet lifecycle events and queue
-    /// depth snapshots are mirrored onto the bus from here on. A
-    /// disabled sink detaches.
-    pub fn attach_telemetry(&mut self, sink: iq_telemetry::TelemetrySink) {
-        self.core.trace.telemetry = sink;
+    /// Attaches a telemetry sink: packet outcomes and queue depth
+    /// snapshots go onto the bus from here on, and a flow's `packet`
+    /// records are its ground truth
+    /// ([`iq_telemetry::TelemetryBus::flow_records`]). A disabled sink
+    /// detaches.
+    pub fn attach_telemetry(&mut self, sink: TelemetrySink) {
+        self.core.telemetry = sink;
     }
 
     /// Immutable access to a concrete agent type (post-run inspection).
@@ -822,7 +792,7 @@ impl Simulator {
     }
 
     /// Offsets this shard's packet-id space so ids stay globally unique
-    /// across shards (ids surface in traces and telemetry).
+    /// across shards (ids surface in telemetry).
     pub(crate) fn set_packet_id_base(&mut self, base: u64) {
         debug_assert_eq!(self.core.next_packet_id, 0);
         self.core.next_packet_id = base;
@@ -1093,7 +1063,8 @@ mod tests {
         // 50 sequential packets through a 2-node link: the slab should
         // reuse a handful of slots while packet ids keep incrementing.
         let mut sim = Simulator::new(3);
-        sim.enable_packet_log(10_000);
+        let (sink, bus) = TelemetrySink::new_bus(0);
+        sim.attach_telemetry(sink);
         let (mut sim, _tx, rx) = {
             let a = sim.add_node();
             let b = sim.add_node();
@@ -1120,14 +1091,21 @@ mod tests {
             sim.core.packets.capacity()
         );
         assert_eq!(sim.core.packets.live(), 0, "all slots released");
-        // Ids remain unique across slot reuse, and the packet log saw
-        // every send exactly once.
-        use crate::trace::PacketEventKind as K;
-        let mut sent_ids: Vec<u64> = sim
-            .packet_log()
-            .iter()
-            .filter(|e| matches!(e.kind, K::Sent))
-            .map(|e| e.packet_id)
+        // Ids remain unique across slot reuse, and the bus saw every send
+        // exactly once.
+        let mut sent_ids: Vec<u64> = bus
+            .lock()
+            .unwrap()
+            .flow_records(1)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TelemetryEvent::Packet {
+                    packet_id,
+                    kind: PacketKind::Sent,
+                    ..
+                } => Some(packet_id),
+                _ => None,
+            })
             .collect();
         assert_eq!(sent_ids.len(), 50);
         sent_ids.sort_unstable();
@@ -1332,8 +1310,8 @@ mod tests {
     #[test]
     fn flow_stats_and_packet_log_track_ground_truth() {
         let mut sim = Simulator::new(8);
-        sim.enable_flow_stats();
-        sim.enable_packet_log(10_000);
+        let (sink, bus) = TelemetrySink::new_bus(0);
+        sim.attach_telemetry(sink);
         let a = sim.add_node();
         let b = sim.add_node();
         // Tight queue: some drops guaranteed.
@@ -1350,54 +1328,15 @@ mod tests {
         );
         let rx = sim.add_agent(b, 2, Box::new(Recorder::default()));
         sim.run_until(crate::time::secs(5.0));
-        let fs = sim.flow_stats(FlowId(1));
+        let fs = iq_telemetry::TelemetryReport::from_records(&bus.lock().unwrap().flow_records(1));
         let delivered = sim.agent::<Recorder>(rx).unwrap().arrivals.len() as u64;
         assert_eq!(fs.sent_packets, 50);
+        assert_eq!(fs.sent_bytes, 50_000);
         assert_eq!(fs.delivered_packets, delivered);
+        assert_eq!(fs.delivered_bytes, 1000 * delivered);
+        assert!(fs.dropped_packets > 0);
         assert_eq!(fs.delivered_packets + fs.dropped_packets, 50);
         assert!(fs.loss_ratio() > 0.0);
-        // The log saw every event class.
-        use crate::trace::PacketEventKind as K;
-        let log = sim.packet_log();
-        assert!(log.iter().any(|e| matches!(e.kind, K::Sent)));
-        assert!(log.iter().any(|e| matches!(e.kind, K::Delivered)));
-        assert!(log.iter().any(|e| matches!(e.kind, K::DroppedAtQueue(_))));
-        // Sent events equal the counter.
-        let sent = log.iter().filter(|e| matches!(e.kind, K::Sent)).count() as u64;
-        assert_eq!(sent, 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_flow_stats() before the run starts")]
-    fn flow_stats_of_a_world_that_kept_none_is_a_panic_not_zeroes() {
-        let mut sim = Simulator::new(8);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(1e6, millis(2), 25_000));
-        sim.add_agent(
-            a,
-            1,
-            Box::new(Blaster {
-                dst: Addr::new(b, 2),
-                count: 5,
-                size: 1000,
-                sent: 0,
-            }),
-        );
-        let rx = sim.add_agent(b, 2, Box::new(Recorder::default()));
-        sim.run_until(crate::time::secs(1.0));
-        assert_eq!(sim.agent::<Recorder>(rx).unwrap().arrivals.len(), 5);
-        sim.flow_stats(FlowId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "after the run started")]
-    fn flow_stats_cannot_start_mid_run() {
-        let mut sim = Simulator::new(8);
-        let n = sim.add_node();
-        sim.add_agent(n, 1, Box::new(Recorder::default()));
-        sim.run_until(millis(1));
-        sim.enable_flow_stats();
     }
 
     #[test]

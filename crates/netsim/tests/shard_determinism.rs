@@ -1,7 +1,8 @@
 //! Cross-shard determinism: a randomized multi-leg topology must produce
-//! byte-identical results — delivery logs, counters, flow stats, and the
-//! merged telemetry JSONL — no matter how many OS threads execute the
-//! fixed shard partition. This mirrors the runner's `-j` determinism
+//! byte-identical results — delivery logs, counters, and the merged
+//! telemetry JSONL, whose `packet` records are every flow's ground truth
+//! — no matter how many OS threads execute the fixed shard partition.
+//! This mirrors the runner's `-j` determinism
 //! test one level down, at the engine itself. And a world of one shard
 //! must be the serial `Simulator`, which is what lets every experiment
 //! run on the sharded engine.
@@ -10,10 +11,10 @@ use std::sync::{Arc, Mutex};
 
 use iq_netsim::agent::{Agent, Ctx};
 use iq_netsim::{
-    payload, Addr, FlowId, FlowStats, LinkSpec, NodeId, Packet, RedParams, ShardAgentId,
-    ShardedSim, SimCounters, Simulator, Time,
+    payload, Addr, FlowId, LinkSpec, NodeId, Packet, RedParams, ShardAgentId, ShardedSim,
+    SimCounters, Simulator, Time,
 };
-use iq_telemetry::{to_jsonl, TelemetryBus, TelemetrySink};
+use iq_telemetry::{parse_jsonl, to_jsonl, TelemetryBus, TelemetryReport, TelemetrySink};
 use proptest::{proptest, ProptestConfig};
 
 const MS: u64 = 1_000_000;
@@ -72,8 +73,8 @@ struct Params {
     red: bool,
 }
 
-/// Everything a run exposes: per-pinger echo logs, counter/flow-stat
-/// scalars, and the merged telemetry JSONL.
+/// Everything a run exposes: per-pinger echo logs, the counters, and the
+/// merged telemetry JSONL.
 type Observed = (Vec<Vec<(Time, u32)>>, Vec<u64>, String);
 
 /// The construction and inspection surface the serial and the sharded
@@ -84,7 +85,6 @@ trait Net {
     fn agent(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> ShardAgentId;
     fn pinger(&self, id: ShardAgentId) -> &Pinger;
     fn counters(&self) -> SimCounters;
-    fn flow(&self, flow: FlowId) -> FlowStats;
 }
 
 impl Net for ShardedSim {
@@ -102,9 +102,6 @@ impl Net for ShardedSim {
     }
     fn counters(&self) -> SimCounters {
         self.counters()
-    }
-    fn flow(&self, flow: FlowId) -> FlowStats {
-        self.flow_stats(flow)
     }
 }
 
@@ -125,15 +122,12 @@ impl Net for Simulator {
     fn counters(&self) -> SimCounters {
         self.counters()
     }
-    fn flow(&self, flow: FlowId) -> FlowStats {
-        self.flow_stats(flow)
-    }
 }
 
 /// Builds one dumbbell leg per `(left, right)` shard pair, joined by one
 /// duplex bottleneck, with an echo workload on every host pair. Returns
-/// the pingers and the number of flow ids used.
-fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> (Vec<ShardAgentId>, u32) {
+/// the pingers.
+fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> Vec<ShardAgentId> {
     let bottleneck = if p.red {
         LinkSpec::new(1e6, p.delay_ms * MS, 20_000).with_red(RedParams::for_capacity(20_000))
     } else {
@@ -174,7 +168,7 @@ fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> (Vec<ShardA
             flow += 2;
         }
     }
-    (pingers, flow)
+    pingers
 }
 
 /// Every observable surface of a finished run as one comparable bundle;
@@ -183,12 +177,11 @@ fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> (Vec<ShardA
 fn observe(
     net: &impl Net,
     pingers: &[ShardAgentId],
-    flows: u32,
     telemetry: &[Arc<Mutex<TelemetryBus>>],
 ) -> Observed {
     let logs = pingers.iter().map(|&id| net.pinger(id).echoes.clone()).collect();
     let c = net.counters();
-    let mut scalars = vec![
+    let scalars = vec![
         c.packets_sent,
         c.packets_delivered,
         c.packets_unroutable,
@@ -196,23 +189,12 @@ fn observe(
         c.timers_fired,
         c.timers_cancelled,
     ];
-    for f in 0..flows {
-        let fs = net.flow(FlowId(f));
-        scalars.extend([
-            fs.sent_packets,
-            fs.sent_bytes,
-            fs.delivered_packets,
-            fs.delivered_bytes,
-            fs.dropped_packets,
-            fs.random_losses,
-        ]);
-    }
-    // Two runs that counted nothing would compare equal.
-    assert!(scalars[6] > 0, "flow 0 has no sent packets: the flow tables are empty");
     let mut jsonl = String::new();
     for bus in telemetry {
         jsonl.push_str(&to_jsonl(&bus.lock().unwrap().records()));
     }
+    // Two runs that recorded nothing would compare equal.
+    assert!(jsonl.contains("\"kind\":\"sent\""), "the buses hold no packet sent");
     (logs, scalars, jsonl)
 }
 
@@ -227,7 +209,6 @@ fn run(p: &Params, threads: usize, perturb: Option<u64>) -> Observed {
         .collect();
     sim.set_threads(threads);
     sim.set_perturbation(perturb);
-    sim.enable_flow_stats();
 
     let mut telemetry = Vec::new();
     for shard in 0..sim.num_shards() {
@@ -235,9 +216,9 @@ fn run(p: &Params, threads: usize, perturb: Option<u64>) -> Observed {
         sim.attach_telemetry(shard, sink);
         telemetry.push(bus);
     }
-    let (pingers, flows) = build(&mut sim, p, &legs);
+    let pingers = build(&mut sim, p, &legs);
     sim.run_until(500 * MS);
-    observe(&sim, &pingers, flows, &telemetry)
+    observe(&sim, &pingers, &telemetry)
 }
 
 /// The world every single-leg experiment rests on: all `p.legs` legs on
@@ -249,21 +230,19 @@ fn run_one_shard(p: &Params, serial: bool) -> Observed {
     let legs = vec![(0, 0); p.legs];
     if serial {
         let mut sim = Simulator::new(p.seed);
-        sim.enable_flow_stats();
         sim.attach_telemetry(sink);
-        let (pingers, flows) = build(&mut sim, p, &legs);
+        let pingers = build(&mut sim, p, &legs);
         for _ in 0..3 {
             sim.run_for(1000 * MS);
         }
-        observe(&sim, &pingers, flows, &[bus])
+        observe(&sim, &pingers, &[bus])
     } else {
         let mut sim = ShardedSim::new(p.seed);
         sim.add_shard();
-        sim.enable_flow_stats();
         sim.attach_telemetry(0, sink);
-        let (pingers, flows) = build(&mut sim, p, &legs);
+        let pingers = build(&mut sim, p, &legs);
         sim.run_slices(3000 * MS, 1000 * MS, |_| false);
-        observe(&sim, &pingers, flows, &[bus])
+        observe(&sim, &pingers, &[bus])
     }
 }
 
@@ -284,8 +263,8 @@ fn one_shard_world_is_the_serial_simulator_under_red() {
     };
     let serial = run_one_shard(&p, true);
     assert_eq!(run_one_shard(&p, false), serial);
-    // Scalars: six counters, then six per flow with the queue drops fifth.
-    let dropped: u64 = (0..6).map(|f| serial.1[6 + 6 * f + 4]).sum();
+    let records = parse_jsonl(&serial.2).expect("the merged stream parses");
+    let dropped = TelemetryReport::from_records(&records).dropped_packets;
     assert!(dropped > 0, "RED never dropped, so the RNG stream went untested");
     assert!(serial.0.iter().all(|log| !log.is_empty()));
 }
@@ -377,7 +356,7 @@ proptest! {
         let serial = run_one_shard(&p, true);
         let world = run_one_shard(&p, false);
         assert_eq!(world.0, serial.0, "echo logs differ ({p:?})");
-        assert_eq!(world.1, serial.1, "counters or flow stats differ ({p:?})");
+        assert_eq!(world.1, serial.1, "counters differ ({p:?})");
         assert_eq!(world.2, serial.2, "telemetry differs ({p:?})");
         assert!(serial.1[1] > 0, "nothing was delivered ({p:?})");
     }

@@ -84,6 +84,27 @@ impl TelemetryBus {
         self.flows.values().map(|r| r.evicted).sum()
     }
 
+    /// `flow`'s records in emission order (none for a flow that emitted
+    /// nothing): what a per-flow ground-truth fold
+    /// ([`crate::TelemetryReport::from_records`]) reads.
+    ///
+    /// # Panics
+    /// Panics, naming the ring capacity, when the flow's ring evicted
+    /// anything: totals over what is left are not ground truth.
+    pub fn flow_records(&self, flow: u64) -> Vec<TelemetryRecord> {
+        let Some(ring) = self.flows.get(&flow) else {
+            return Vec::new();
+        };
+        assert!(
+            ring.evicted == 0,
+            "flow {flow}'s ring (capacity {}) evicted {} records: a fold over the rest is not \
+             ground truth; build the bus with a larger capacity",
+            self.per_flow_capacity,
+            ring.evicted
+        );
+        ring.buf.iter().cloned().collect()
+    }
+
     /// All held records merged back into emission order.
     pub fn records(&self) -> Vec<TelemetryRecord> {
         let mut out: Vec<TelemetryRecord> = self
@@ -204,5 +225,28 @@ mod tests {
         assert_eq!(recs[1].seq, 4);
         // Unknown flow: zero evictions.
         assert_eq!(bus.evicted(9), 0);
+    }
+
+    #[test]
+    fn flow_records_answer_only_for_a_flow_that_kept_every_record() {
+        let mut bus = TelemetryBus::new(2);
+        bus.push(0, 1, ev(0.0));
+        bus.push(1, 2, ev(1.0));
+        bus.push(2, 1, ev(2.0));
+        let seqs: Vec<u64> = bus.flow_records(1).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 2]);
+        assert!(bus.flow_records(9).is_empty());
+        bus.push(3, 1, ev(3.0));
+        // Flow 2 evicted nothing, so it still answers.
+        assert_eq!(bus.flow_records(2).len(), 1);
+        let evicted = std::panic::catch_unwind(|| bus.flow_records(1));
+        let msg = *evicted
+            .expect_err("an evicting ring must not answer")
+            .downcast::<String>()
+            .unwrap();
+        assert!(
+            msg.starts_with("flow 1's ring (capacity 2) evicted 1 records"),
+            "{msg}"
+        );
     }
 }

@@ -43,8 +43,7 @@ impl CwndReason {
     }
 }
 
-/// What happened to a packet inside the simulated network (the folded-in
-/// netsim packet log).
+/// What happened to a packet inside the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Injected by an agent.
@@ -153,7 +152,9 @@ pub enum TelemetryEvent {
         /// Whether the offered packet was dropped.
         dropped: bool,
     },
-    /// Packet lifecycle event folded in from the netsim packet log.
+    /// A packet was sent, delivered, dropped at a queue or lost on a
+    /// link: the one record of the network's ground truth, which
+    /// [`crate::TelemetryReport`] folds into per-flow totals.
     Packet {
         /// Simulator-assigned packet id.
         packet_id: u64,

@@ -1,10 +1,5 @@
-//! CSV export for quick spreadsheet inspection.
-//!
-//! The JSONL stream is the canonical format; CSV flattens each event's
-//! fields into a single `k=v;k=v` detail column so heterogeneous event
-//! types share one schema.
-
-use crate::event::TelemetryRecord;
+//! The hashers that fold observations and states into one word: the
+//! byte-exact fingerprint hasher and the model checker's state digest.
 
 /// The 64-bit FNV-1a hasher behind the determinism fingerprints.
 ///
@@ -169,61 +164,9 @@ impl Default for StateHasher {
     }
 }
 
-/// Renders records as CSV with header `at,seq,flow,type,detail`.
-///
-/// The detail column holds the event's JSON fields (everything after the
-/// `type` tag) re-joined as `key=value` pairs separated by `;`, in the
-/// same order [`TelemetryRecord::to_json`] writes them.
-pub fn to_csv(records: &[TelemetryRecord]) -> String {
-    let mut out = String::with_capacity(32 + records.len() * 64);
-    out.push_str("at,seq,flow,type,detail\n");
-    for r in records {
-        let json = r.to_json();
-        out.push_str(&r.at.to_string());
-        out.push(',');
-        out.push_str(&r.seq.to_string());
-        out.push(',');
-        out.push_str(&r.flow.to_string());
-        out.push(',');
-        out.push_str(r.event.kind());
-        out.push(',');
-        out.push_str(&detail_from_json(&json));
-        out.push('\n');
-    }
-    out
-}
-
-/// Extracts the fields after `"type":"..."` from a record's JSON and
-/// joins them as `k=v;k=v` (quotes stripped).
-fn detail_from_json(json: &str) -> String {
-    // The writer emits `..,"type":"<kind>",<fields>}`; everything after
-    // the type value (if any) is the detail.
-    let after = match json.find("\"type\":\"") {
-        Some(i) => {
-            let rest = &json[i + 8..];
-            match rest.find('"') {
-                Some(j) => &rest[j + 1..],
-                None => return String::new(),
-            }
-        }
-        None => return String::new(),
-    };
-    let body = after
-        .strip_prefix(',')
-        .unwrap_or(after)
-        .strip_suffix('}')
-        .unwrap_or(after);
-    body.split(',')
-        .filter(|p| !p.is_empty())
-        .map(|pair| pair.replace('"', "").replacen(':', "=", 1))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CwndReason, TelemetryEvent};
 
     fn state_hash(words: &[u64]) -> u64 {
         let mut h = StateHasher::new();
@@ -300,31 +243,5 @@ mod tests {
         // extra word lands in a lane the shorter stream never touched.
         assert_ne!(state_hash(&[5, 0, 0, 0, 0]), state_hash(&[5, 0, 0, 0]));
         assert_ne!(state_hash(&[5, 6, 7]), state_hash(&[5, 6, 7, 0]));
-    }
-
-    #[test]
-    fn csv_has_header_and_detail_pairs() {
-        let records = vec![
-            TelemetryRecord {
-                at: 5,
-                seq: 0,
-                flow: 1,
-                event: TelemetryEvent::CwndUpdate {
-                    cwnd: 3.5,
-                    reason: CwndReason::Period,
-                },
-            },
-            TelemetryRecord {
-                at: 9,
-                seq: 1,
-                flow: 1,
-                event: TelemetryEvent::Unmarked { size: 972 },
-            },
-        ];
-        let csv = to_csv(&records);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "at,seq,flow,type,detail");
-        assert_eq!(lines[1], "5,0,1,cwnd_update,cwnd=3.5;reason=period");
-        assert_eq!(lines[2], "9,1,1,unmarked,size=972");
     }
 }

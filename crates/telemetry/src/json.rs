@@ -310,7 +310,10 @@ fn get_str<'m>(map: &'m [(String, Tok)], key: &'static str) -> Result<&'m str, P
 /// Scans one flat JSON object into key/value pairs.
 fn parse_object(s: &str) -> Result<Vec<(String, Tok)>, ParseError> {
     let bad = |msg: &str| ParseError::Malformed(msg.to_string());
-    let bytes = s.trim().as_bytes();
+    // One string for the scan and the slices: offsets into the trimmed
+    // bytes are not offsets into an untrimmed `s`.
+    let s = s.trim();
+    let bytes = s.as_bytes();
     if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
         return Err(bad("not an object"));
     }
@@ -513,5 +516,56 @@ mod tests {
         jsonl.push_str(&to_jsonl(&records[..2]));
         jsonl.push('\n');
         assert_eq!(parse_jsonl(&jsonl).unwrap(), &records[..2]);
+    }
+
+    #[test]
+    fn surrounding_whitespace_is_ignored() {
+        for r in sample_records() {
+            let json = r.to_json();
+            for pad in [" ", "\t"] {
+                for line in [format!("{pad}{json}"), format!("{json}{pad}")] {
+                    assert_eq!(
+                        TelemetryRecord::from_json(&line).as_ref(),
+                        Ok(&r),
+                        "{line:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// What an edit may put into a stream: the format's own punctuation,
+    /// whitespace, and characters of two, three and four bytes.
+    const NOISE: [char; 12] = [
+        '{', '}', '"', ':', ',', ' ', '\t', '\n', 't', '-', 'é', '😀',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// A damaged stream — truncated, with characters inserted or
+        /// replaced anywhere — is an `Err` or a value, never a panic.
+        #[test]
+        fn damaged_streams_never_panic(
+            edits in proptest::prop::collection::vec((0u8..3, 0.0f64..1.0, 0usize..NOISE.len()), 1..6),
+        ) {
+            let mut s = to_jsonl(&sample_records());
+            for (op, at, c) in edits {
+                let mut i = (at * s.len() as f64) as usize;
+                while !s.is_char_boundary(i) {
+                    i -= 1;
+                }
+                match op {
+                    0 => s.truncate(i),
+                    1 => s.insert(i, NOISE[c]),
+                    _ => {
+                        if let Some(old) = s[i..].chars().next() {
+                            s.replace_range(i..i + old.len_utf8(), NOISE[c].encode_utf8(&mut [0; 4]));
+                        }
+                    }
+                }
+            }
+            let _ = parse_jsonl(&s);
+        }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Structured telemetry for the IQ-RUDP stack: typed per-flow event
 //! records carried on a cheap ring-buffer bus with simulation-time
-//! stamps, plus JSONL/CSV exporters and a summarizing report.
+//! stamps, plus a JSONL exporter and a summarizing report — which is
+//! also where per-flow network ground truth comes from: a fold over a
+//! flow's `packet` records ([`TelemetryBus::flow_records`]).
 //!
 //! The paper's coordination schemes (§3.3–§3.5) are claims about
 //! *internal dynamics* — window re-inflation after a down-sample,
@@ -36,6 +38,6 @@ pub mod report;
 
 pub use bus::{TelemetryBus, TelemetrySink, DEFAULT_RING_CAPACITY};
 pub use event::{CwndReason, PacketKind, TelemetryEvent, TelemetryRecord};
-pub use export::{to_csv, Fnv64, StateHasher};
+pub use export::{Fnv64, StateHasher};
 pub use json::{parse_jsonl, to_jsonl, ParseError};
 pub use report::{jitter_series_ms, TelemetryReport};

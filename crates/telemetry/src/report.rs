@@ -2,12 +2,16 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{TelemetryEvent, TelemetryRecord};
+use crate::event::{PacketKind, TelemetryEvent, TelemetryRecord};
 
 /// Aggregate view of one telemetry stream.
 ///
 /// Everything here is derived purely from the records, so a report built
 /// from a parsed JSONL file equals one built from the live bus.
+///
+/// The `packet` totals are the network's ground truth for the flows the
+/// records cover; they are exact only over a stream nothing was evicted
+/// from, which is what [`crate::TelemetryBus::flow_records`] checks.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Record count per event type, keyed by wire label.
@@ -34,6 +38,18 @@ pub struct TelemetryReport {
     pub msgs_delivered: u64,
     /// Mean delivery latency over `msg_delivered` records, milliseconds.
     pub mean_delivery_ms: f64,
+    /// Packets injected by agents.
+    pub sent_packets: u64,
+    /// Bytes injected.
+    pub sent_bytes: u64,
+    /// Packets handed to their destination agent.
+    pub delivered_packets: u64,
+    /// Bytes delivered.
+    pub delivered_bytes: u64,
+    /// Packets dropped at queues (drop-tail or RED).
+    pub dropped_packets: u64,
+    /// Packets lost to the random-loss failure model.
+    pub random_losses: u64,
 }
 
 impl TelemetryReport {
@@ -65,6 +81,18 @@ impl TelemetryReport {
                     rep.msgs_delivered += 1;
                     latency_sum_ns += *latency_ns;
                 }
+                TelemetryEvent::Packet { size, kind, .. } => match kind {
+                    PacketKind::Sent => {
+                        rep.sent_packets += 1;
+                        rep.sent_bytes += u64::from(*size);
+                    }
+                    PacketKind::Delivered => {
+                        rep.delivered_packets += 1;
+                        rep.delivered_bytes += u64::from(*size);
+                    }
+                    PacketKind::DroppedQueue => rep.dropped_packets += 1,
+                    PacketKind::LostRandom => rep.random_losses += 1,
+                },
                 _ => {}
             }
         }
@@ -78,6 +106,15 @@ impl TelemetryReport {
     /// Count for one event type by wire label (0 when absent).
     pub fn count(&self, kind: &str) -> u64 {
         self.counts.get(kind).copied().unwrap_or(0)
+    }
+
+    /// Ground-truth network loss ratio: queue drops and random losses
+    /// over packets sent (0 when nothing was sent).
+    pub fn loss_ratio(&self) -> f64 {
+        if self.sent_packets == 0 {
+            return 0.0;
+        }
+        (self.dropped_packets + self.random_losses) as f64 / self.sent_packets as f64
     }
 }
 
@@ -105,7 +142,7 @@ pub fn jitter_series_ms(records: &[TelemetryRecord], flow: u64) -> Vec<(u64, f64
                 // `* 1e-9`, not `/ 1e9`: must stay bit-identical to
                 // `FlowMetrics::record_gap`, which uses the multiply
                 // form on its hot path.
-                let gap_s = (r.at - prev) as f64 * 1e-9;
+                let gap_s = r.at.saturating_sub(prev) as f64 * 1e-9;
                 count += 1;
                 let delta = gap_s - mean;
                 mean += delta / count as f64;
@@ -208,5 +245,58 @@ mod tests {
         assert_eq!(series[0], (1_000_000_000, 0.0));
         assert_eq!(series[1].0, 4_000_000_000);
         assert!((series[1].1 - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn jitter_series_saturates_a_step_back_like_the_recorder() {
+        // Arrivals at 10, 5, 7 ns, as `FlowMetrics::new()` records them:
+        // the step back is a 0 s gap (mean 0, deviation 0), then a 2 ns
+        // gap against a mean of 1 ns deviates by 1 ns = 1e-6 ms.
+        let records = vec![delivered(10, 1, 0), delivered(5, 1, 1), delivered(7, 1, 2)];
+        assert_eq!(
+            jitter_series_ms(&records, 1),
+            vec![(5, 0.0), (7, 1e-9 * 1e3)]
+        );
+    }
+
+    fn packet(kind: PacketKind) -> TelemetryRecord {
+        TelemetryRecord {
+            at: 0,
+            seq: 0,
+            flow: 7,
+            event: TelemetryEvent::Packet {
+                packet_id: 1,
+                size: 100,
+                kind,
+                link: -1,
+            },
+        }
+    }
+
+    #[test]
+    fn packet_records_fold_into_ground_truth_totals() {
+        let records: Vec<_> = [
+            PacketKind::Sent,
+            PacketKind::Sent,
+            PacketKind::Delivered,
+            PacketKind::DroppedQueue,
+        ]
+        .into_iter()
+        .map(packet)
+        .collect();
+        let rep = TelemetryReport::from_records(&records);
+        assert_eq!(rep.sent_packets, 2);
+        assert_eq!(rep.sent_bytes, 200);
+        assert_eq!(rep.delivered_packets, 1);
+        assert_eq!(rep.delivered_bytes, 100);
+        assert_eq!(rep.dropped_packets, 1);
+        assert_eq!(rep.random_losses, 0);
+        assert!((rep.loss_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(rep.count("packet"), 4);
+    }
+
+    #[test]
+    fn zero_sent_flow_has_zero_loss() {
+        assert_eq!(TelemetryReport::from_records(&[]).loss_ratio(), 0.0);
     }
 }

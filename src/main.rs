@@ -386,8 +386,10 @@ fn cmd_demo() {
     use iq_workload::CbrSource;
 
     let mut sim = Simulator::new(1);
-    // For the ground-truth line at the end.
-    sim.enable_flow_stats();
+    // For the ground-truth line at the end: the fold of flow 1's packet
+    // records, which the default ring capacity holds without eviction.
+    let (sink, bus) = iq_telemetry::TelemetrySink::new_bus(0);
+    sim.attach_telemetry(sink);
     let db = build_dumbbell(&mut sim, &DumbbellSpec::paper_default(2));
     sim.add_agent(
         db.left_hosts[1],
@@ -431,8 +433,10 @@ fn cmd_demo() {
         src.callbacks.0,
         src.coordination_log().window_rescales,
     );
-    // Ground truth from the simulator's per-flow accounting.
-    let fs = sim.flow_stats(FlowId(1));
+    let bus = bus
+        .lock()
+        .expect("an emit panicked while holding the telemetry bus");
+    let fs = iq_telemetry::TelemetryReport::from_records(&bus.flow_records(1));
     println!(
         "ground truth: {} packets sent, {:.2}% network loss",
         fs.sent_packets,

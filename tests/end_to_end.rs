@@ -274,7 +274,8 @@ fn extensions_compose_in_one_simulation() {
     use iq_ftp::{FileSpec, FtpConfig, FtpReceiverAgent, FtpSenderAgent};
 
     let mut sim = Simulator::new(41);
-    sim.enable_flow_stats();
+    let (sink, bus) = iq_telemetry::TelemetrySink::new_bus(0);
+    sim.attach_telemetry(sink);
     let hub = sim.add_node();
     let sub1 = sim.add_node();
     let sub2 = sim.add_node();
@@ -326,7 +327,9 @@ fn extensions_compose_in_one_simulation() {
     let (got, total) = iq_ftp::completeness_at(sender, receiver, 0.0);
     assert_eq!(got, total);
     // Per-flow ground truth saw all three flows.
+    let bus = bus.lock().unwrap();
     for f in [1, 2, 3] {
-        assert!(sim.flow_stats(FlowId(f)).sent_packets > 0, "flow {f} silent");
+        let truth = iq_telemetry::TelemetryReport::from_records(&bus.flow_records(f));
+        assert!(truth.sent_packets > 0, "flow {f} silent");
     }
 }
