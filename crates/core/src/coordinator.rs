@@ -406,6 +406,23 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_cond_ratio_gets_the_plain_factor() {
+        // A NaN ADAPT_COND used to count a rescale and a correction that
+        // `scale_cwnd` then ignored, and left `cumulative_factor` NaN
+        // for the rest of the run.
+        let (mut c, mut conn) = setup(CoordinationMode::CoordinatedWithCond);
+        assert_eq!(conn.cwnd(), 20.0);
+        let attrs = AttrList::new()
+            .with(names::ADAPT_PKTSIZE, 0.2)
+            .with(names::ADAPT_COND_ERATIO, f64::NAN);
+        c.send_with_attrs(&mut conn, 0, 1000, true, &attrs);
+        assert!((conn.cwnd() - 25.0).abs() < 1e-9, "cwnd {}", conn.cwnd());
+        let log = c.log();
+        assert_eq!((log.window_rescales, log.cond_corrections), (1, 0));
+        assert!((log.cumulative_factor - 1.25).abs() < 1e-12, "{log:?}");
+    }
+
+    #[test]
     fn coordinated_mode_ignores_cond_attribute() {
         // Scheme 2: ADAPT_COND present but the mode does not use it.
         let (mut c, mut conn) = setup(CoordinationMode::Coordinated);

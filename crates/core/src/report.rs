@@ -29,14 +29,17 @@ pub struct AdaptReport {
 }
 
 impl AdaptReport {
-    /// Parses the `ADAPT_*` attributes out of `attrs`.
+    /// Parses the `ADAPT_*` attributes out of `attrs`. A NaN or infinite
+    /// ratio reads as absent: `clamp` passes NaN through, so one would
+    /// reach the window and stay in `CoordinationLog::cumulative_factor`.
     pub fn from_attrs(attrs: &AttrList) -> Self {
+        let ratio = |name: &str| attrs.get_float(name).filter(|v| v.is_finite());
         Self {
-            freq_chg: attrs.get_float(names::ADAPT_FREQ),
-            mark_ratio: attrs.get_float(names::ADAPT_MARK),
-            rate_chg: attrs.get_float(names::ADAPT_PKTSIZE),
+            freq_chg: ratio(names::ADAPT_FREQ),
+            mark_ratio: ratio(names::ADAPT_MARK),
+            rate_chg: ratio(names::ADAPT_PKTSIZE),
             when: attrs.get_int(names::ADAPT_WHEN),
-            cond_eratio: attrs.get_float(names::ADAPT_COND_ERATIO),
+            cond_eratio: ratio(names::ADAPT_COND_ERATIO),
         }
     }
 
@@ -113,6 +116,16 @@ mod tests {
         let r = AdaptReport::from_attrs(&AttrList::new());
         assert!(r.is_empty());
         assert!(!r.is_deferred());
+    }
+
+    #[test]
+    fn a_non_finite_ratio_is_no_report() {
+        for name in [names::ADAPT_MARK, names::ADAPT_PKTSIZE] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let r = AdaptReport::from_attrs(&AttrList::new().with(name, bad));
+                assert!(r.is_empty(), "{name} = {bad}: {r:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,39 @@
 //! memoization. All iteration is over the deterministic
 //! [`World::choices`] vector — the table is only ever probed — so
 //! explored-state counts are stable run to run and pinned in CI.
+//!
+//! # Which depths run
+//!
+//! Every iteration starts from a cleared table, so its report does not
+//! depend on the iterations before it. The answer is the first depth of
+//! `1..=max_depth` whose iteration *settles* — finds a violation, or
+//! ends without a cutoff — else `max_depth`, and two facts let [`check`]
+//! find that depth without running them all:
+//!
+//! 1. A violation on a transition out of a state at distance `< d` from
+//!    the root is reached by every bound `≥ d`. Along a shortest path,
+//!    each state is admitted with at least `d` minus its distance left
+//!    (a state met with more depth than before is expanded again), so
+//!    every choice out of it is taken, unless another violation ends the
+//!    iteration first.
+//! 2. A visited-table decision compares two remaining depths of the same
+//!    state, which a larger bound raises by the same amount, so it does
+//!    not depend on the bound. An iteration at `d` that ends without a
+//!    cutoff therefore makes the same traversal at every larger bound.
+//!
+//! So an iteration that ends *clean* — no violation, and a cutoff —
+//! proves every shallower one ended clean too. `check` doubles the
+//! bound (1, 2, 4, 8, …, capped at `max_depth`) while iterations end
+//! clean. At the first that settles it walks back over the depths it
+//! skipped, from the last clean bound plus one, one at a time: the first
+//! of those that settles is the answer, and the settled bound is when
+//! none does. That is the iteration the every-depth loop stopped at, so
+//! the report is that loop's, field for field, but for
+//! [`CheckReport::work`]. On the benchmark's input the depths are 1, 2,
+//! 4, 8 and 10: 410,186 expansions where every depth made 529,897. A
+//! search that ends in a violation or an exhausted space can run one
+//! iteration more than that loop did: the settled bound, past the
+//! answer.
 
 use std::sync::Arc;
 
@@ -66,6 +99,10 @@ pub struct CheckReport {
     pub complete: bool,
     /// The minimal counterexample, when a violation exists.
     pub counterexample: Option<Counterexample>,
+    /// Expansions summed over every iteration run, the deepest one
+    /// included: what the exploration cost, where `explored` is what its
+    /// answering iteration found.
+    pub work: u64,
 }
 
 /// Bits of a [`Visited`] slot that hold the depth instead of the hash.
@@ -169,6 +206,8 @@ struct Dfs {
     /// The enabled choices of every state on the current path, one
     /// segment per recursion level, stacked.
     choices: Vec<Choice>,
+    /// The choices taken from the root to the current state.
+    trace: Vec<Choice>,
     /// Scratch successor worlds, one per recursion level not currently
     /// on the path; refilled with `clone_from`, so their queues and
     /// rings are allocated once.
@@ -190,15 +229,38 @@ impl Dfs {
         }
     }
 
+    /// One deepening iteration: explores from `root` with `depth`
+    /// transitions to spend, and reports it alone (`work` is its own
+    /// expansions).
+    fn iterate(&mut self, root: &World, depth: u32) -> CheckReport {
+        // One table, cleared: never two alive, and no larger than the
+        // deepest iteration grows it. A `run` that found a violation
+        // returned without popping, so `trace` and `choices` hold its
+        // path, and the walk back runs right after such a `run`.
+        self.visited.clear();
+        self.choices.clear();
+        self.trace.clear();
+        self.explored = 0;
+        self.cutoff = false;
+        // `run` consumes the world it is handed, so each iteration gets
+        // a pooled copy of the root.
+        let mut start = self.copy_of(root);
+        let found = self.run(&mut start, depth);
+        self.pool.push(start);
+        CheckReport {
+            explored: self.explored,
+            distinct: self.visited.occupied as u64,
+            depth_reached: depth,
+            complete: found.is_none() && !self.cutoff,
+            counterexample: found,
+            work: self.explored,
+        }
+    }
+
     /// Explores from `world` and *consumes* it: every child but the last
     /// runs on a pooled copy, the last on `world` itself, so the caller
     /// must refill or drop `world` before reading it again.
-    fn run(
-        &mut self,
-        world: &mut World,
-        remaining: u32,
-        trace: &mut Vec<Choice>,
-    ) -> Option<Counterexample> {
+    fn run(&mut self, world: &mut World, remaining: u32) -> Option<Counterexample> {
         if !self.visited.admit(world.state_hash(), remaining) {
             return None;
         }
@@ -221,7 +283,7 @@ impl Dfs {
                 if i > start {
                     next.clone_from(world);
                 }
-                if let Some(ce) = self.step(&mut next, self.choices[i], remaining, trace) {
+                if let Some(ce) = self.step(&mut next, self.choices[i], remaining) {
                     return Some(ce);
                 }
             }
@@ -229,35 +291,30 @@ impl Dfs {
         }
         let choice = self.choices[last];
         self.choices.truncate(start);
-        self.step(world, choice, remaining, trace)
+        self.step(world, choice, remaining)
     }
 
     /// Takes `choice` in `world` and explores from there.
-    fn step(
-        &mut self,
-        world: &mut World,
-        choice: Choice,
-        remaining: u32,
-        trace: &mut Vec<Choice>,
-    ) -> Option<Counterexample> {
-        trace.push(choice);
+    fn step(&mut self, world: &mut World, choice: Choice, remaining: u32) -> Option<Counterexample> {
+        self.trace.push(choice);
         if let Some(violation) = world.apply(choice) {
             return Some(Counterexample {
-                trace: trace.clone(),
+                trace: self.trace.clone(),
                 violation,
             });
         }
-        let found = self.run(world, remaining - 1, trace);
-        trace.pop();
+        let found = self.run(world, remaining - 1);
+        self.trace.pop();
         found
     }
 }
 
 /// Explores `spec` under `mutation` up to the configured bounds.
 ///
-/// Runs depths `1..=max_depth` in order; returns on the first depth
-/// that yields a violation (minimal counterexample) or covers the
-/// space completely.
+/// Reports the first depth of `1..=max_depth` whose iteration yields a
+/// violation (minimal counterexample) or covers the space completely,
+/// else depth `max_depth`, and runs only the depths that the module
+/// doc's schedule cannot skip.
 pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) -> CheckReport {
     assert!(
         u64::from(cfg.max_depth) < DEPTH_MASK,
@@ -265,39 +322,36 @@ pub fn check(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) 
          in {DEPTH_BITS} bits, so it must be below {DEPTH_MASK}",
         cfg.max_depth
     );
-    let mut report = CheckReport {
+    let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
+    let mut dfs = Dfs::default();
+    let mut work = 0;
+    // The deepest bound run that ended with no violation and a cutoff
+    // (depth 0 until one has), and the shallowest that ended otherwise.
+    let mut clean = CheckReport {
         explored: 0,
         distinct: 0,
         depth_reached: 0,
         complete: false,
         counterexample: None,
+        work: 0,
     };
-    let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
-    let mut dfs = Dfs::default();
-    let mut trace = Vec::new();
-    for depth in 1..=cfg.max_depth {
-        // One table, cleared: never two alive, and no larger than the
-        // deepest iteration grows it.
-        dfs.visited.clear();
-        dfs.explored = 0;
-        dfs.cutoff = false;
-        // `run` consumes the world it is handed, so each depth gets a
-        // pooled copy of the root.
-        let mut start = dfs.copy_of(&root);
-        let found = dfs.run(&mut start, depth, &mut trace);
-        dfs.pool.push(start);
-        report.explored = dfs.explored;
-        report.distinct = dfs.visited.occupied as u64;
-        report.depth_reached = depth;
-        if let Some(ce) = found {
-            report.counterexample = Some(ce);
-            return report;
+    let mut settled: Option<CheckReport> = None;
+    let mut report = loop {
+        let depth = match settled.as_ref().map(|s| s.depth_reached) {
+            None if clean.depth_reached == cfg.max_depth => break clean,
+            None => (2 * clean.depth_reached).clamp(1, cfg.max_depth),
+            Some(at) if at == clean.depth_reached + 1 => break settled.unwrap(),
+            Some(_) => clean.depth_reached + 1,
+        };
+        let iteration = dfs.iterate(&root, depth);
+        work += iteration.explored;
+        if iteration.counterexample.is_none() && !iteration.complete {
+            clean = iteration;
+        } else {
+            settled = Some(iteration);
         }
-        if !dfs.cutoff {
-            report.complete = true;
-            return report;
-        }
-    }
+    };
+    report.work = work;
     report
 }
 
@@ -386,17 +440,16 @@ mod tests {
         let root = World::new(spec, Mutation::None, 1, 2);
         let before = root.state_hash();
         let mut dfs = Dfs::default();
-        let mut trace = Vec::new();
         let mut counts = Vec::new();
         for _ in 0..2 {
             dfs.visited.clear();
             dfs.explored = 0;
             let mut copy = dfs.copy_of(&root);
             assert_eq!(copy.state_hash(), before);
-            assert!(dfs.run(&mut copy, 7, &mut trace).is_none());
+            assert!(dfs.run(&mut copy, 7).is_none());
             assert_ne!(copy.state_hash(), before, "the last child ran in place");
             assert_eq!(root.state_hash(), before);
-            assert!(trace.is_empty() && dfs.choices.is_empty());
+            assert!(dfs.trace.is_empty() && dfs.choices.is_empty());
             counts.push((dfs.explored, dfs.visited.occupied));
             // Back to the pool as it is: the second round's copy is this
             // one or another dirty one, refilled.
@@ -406,5 +459,118 @@ mod tests {
         // depth-7 pin.
         assert_eq!(counts[0].0, 7_165);
         assert_eq!(counts[0], counts[1]);
+    }
+
+    /// What `check` ran before the doubling schedule: every depth from 1,
+    /// stopping at the first iteration that yields a violation or covers
+    /// the space. `work` sums what it ran.
+    fn every_depth(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) -> CheckReport {
+        let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
+        let mut dfs = Dfs::default();
+        let mut report = CheckReport {
+            explored: 0,
+            distinct: 0,
+            depth_reached: 0,
+            complete: false,
+            counterexample: None,
+            work: 0,
+        };
+        let mut work = 0;
+        for depth in 1..=cfg.max_depth {
+            report = dfs.iterate(&root, depth);
+            work += report.explored;
+            if report.counterexample.is_some() || report.complete {
+                break;
+            }
+        }
+        report.work = work;
+        report
+    }
+
+    /// Every field but `work`, which is what the schedule changes.
+    fn assert_same_answer(got: &CheckReport, want: &CheckReport, what: &str) {
+        assert_eq!(got.explored, want.explored, "explored: {what}");
+        assert_eq!(got.distinct, want.distinct, "distinct: {what}");
+        assert_eq!(got.depth_reached, want.depth_reached, "depth_reached: {what}");
+        assert_eq!(got.complete, want.complete, "complete: {what}");
+        match (&got.counterexample, &want.counterexample) {
+            (None, None) => {}
+            (Some(got), Some(want)) => {
+                assert_eq!(got.trace, want.trace, "trace: {what}");
+                let (g, w) = (&got.violation, &want.violation);
+                assert_eq!(g.invariant, w.invariant, "invariant: {what}");
+                assert_eq!(g.flow, w.flow, "flow: {what}");
+                assert_eq!(g.step, w.step, "step: {what}");
+                assert_eq!(g.detail, w.detail, "detail: {what}");
+            }
+            (got, want) => panic!("counterexample {got:?}, want {want:?}: {what}"),
+        }
+    }
+
+    #[test]
+    fn doubling_answers_what_every_depth_answers() {
+        // Each cell runs both at max_depth 1, 2, … 11, but goes no deeper
+        // once the oracle's answer explores more than this many states:
+        // the deep `deferred` and `two-flow` cells (and `basic` with a
+        // drop and timers past depth 8) are 10^4–10^7 states each, a
+        // minute and more in a debug build. What they would add is more
+        // clean doublings, which the shallower depths take too; the
+        // 449 cells that run take 3 s, and the CLI pins hold the deep
+        // ones in release.
+        const DEEPEST_ANSWER: u64 = 2_500;
+        let mut cells = 0;
+        for name in ["basic", "deferred", "two-flow"] {
+            let spec = scenario(name).unwrap();
+            for mutation in [
+                Mutation::None,
+                Mutation::SkipReinflate,
+                Mutation::DropCondCorrection,
+                Mutation::IgnoreDeferral,
+            ] {
+                for (drop_budget, tick_budget) in [(0, 0), (0, 2), (1, 0), (1, 2)] {
+                    for max_depth in 1..=11 {
+                        let cfg = CheckerConfig {
+                            max_depth,
+                            drop_budget,
+                            tick_budget,
+                        };
+                        let want = every_depth(&spec, mutation, &cfg);
+                        let got = check(&spec, mutation, &cfg);
+                        assert_same_answer(&got, &want, &format!("{name} {mutation:?} {cfg:?}"));
+                        cells += 1;
+                        if want.explored > DEEPEST_ANSWER {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cells > 400, "{cells} cells");
+    }
+
+    #[test]
+    fn the_walk_back_starts_from_an_empty_trace() {
+        // `--seed-break cond --depth 10 --drops 0`: the bug is three steps
+        // deep, so `check` runs depths 1, 2 and 4, then walks back to 3
+        // right after depth 4 found a violation. That `run` returned
+        // without popping; a depth 3 that kept its trace reported a
+        // four-step "minimal" counterexample.
+        let spec = scenario("deferred").unwrap();
+        let root = World::new(Arc::clone(&spec), Mutation::DropCondCorrection, 0, 2);
+        let mut dfs = Dfs::default();
+        assert!(dfs.iterate(&root, 4).counterexample.is_some());
+        assert!(!dfs.trace.is_empty(), "a violation leaves its path behind");
+        let walked = dfs.iterate(&root, 3);
+        assert_same_answer(&walked, &Dfs::default().iterate(&root, 3), "depth 3 after 4");
+        let cfg = CheckerConfig {
+            max_depth: 10,
+            drop_budget: 0,
+            tick_budget: 2,
+        };
+        let report = check(&spec, Mutation::DropCondCorrection, &cfg);
+        assert_eq!(report.depth_reached, 3);
+        assert_eq!(report.counterexample.unwrap().trace.len(), 3);
+        let ran = [1, 2, 4, 3].map(|depth| Dfs::default().iterate(&root, depth).explored);
+        assert_eq!(report.work, ran.iter().sum::<u64>());
     }
 }

@@ -28,7 +28,8 @@
 //!   the checker enumerates every enabled choice.
 //! * [`invariant`] — the three contract predicates, checked against
 //!   pre/post [`invariant::Snapshot`]s of a transition.
-//! * [`checker`] — iterative-deepening DFS with a visited table keyed
+//! * [`checker`] — iterative-deepening DFS (bounds doubling, then a
+//!   walk back over the skipped depths) with a visited table keyed
 //!   on [`world::World::state_hash`] (one `iq_telemetry::StateHasher`
 //!   pass over the full control state, timestamps taken relative to
 //!   the clock so equivalent states reached at different times

@@ -315,12 +315,19 @@ fn cmd_mc(args: &[String]) {
     let report = check(&spec, mutation, &cfg);
     let wall = started.elapsed().as_secs_f64();
     // stderr: stdout is what CI greps and tests compare.
+    let depths: Vec<String> = depths_run(cfg.max_depth, &report)
+        .iter()
+        .map(u32::to_string)
+        .collect();
     eprintln!(
-        "mc: {} expansions of {} distinct states in {:.3} s ({:.0} states/s)",
+        "mc: {} expansions of {} distinct states in {:.3} s ({:.0} states/s); \
+         {} expansions over depths {}",
         report.explored,
         report.distinct,
         wall,
         report.explored as f64 / wall.max(1e-9),
+        report.work,
+        depths.join(" "),
     );
     println!(
         "mc: scenario {} cc {} depth {} (reached {}) drops {} ticks {}: \
@@ -362,6 +369,26 @@ fn cmd_mc(args: &[String]) {
             }
         }
     }
+}
+
+/// The depths `iq_mc::check` ran to give `report`, in order, by the
+/// schedule its module doc states: bounds doubling from 1, capped at
+/// `max_depth`, up to the first at or past the depth that answered;
+/// then, when that answer is a violation or an exhausted space, the
+/// skipped depths from the last doubling below it up to the answer.
+fn depths_run(max_depth: u32, report: &iq_mc::CheckReport) -> Vec<u32> {
+    let answered = report.depth_reached;
+    let mut depths = Vec::new();
+    let mut bound = 0;
+    while bound < answered {
+        bound = (2 * bound).clamp(1, max_depth);
+        depths.push(bound);
+    }
+    if report.counterexample.is_some() || report.complete {
+        let clean = depths.len().checked_sub(2).map_or(0, |i| depths[i]);
+        depths.extend((clean + 1..=answered).filter(|&depth| depth != bound));
+    }
+    depths
 }
 
 fn cmd_trace(args: &[String]) {
