@@ -76,8 +76,12 @@ impl Default for Fnv64 {
 /// its argument as one 64-bit word with one rotate-xor-multiply instead
 /// of [`Fnv64`]'s eight dependent byte steps, and consecutive words go
 /// to four lanes in turn, so a word's multiply waits for the word four
-/// back and not for its neighbour. [`finish`] folds the word count and
-/// the lanes into one word and avalanches it, so that both the high
+/// back and not for its neighbour. The lanes rotate instead of being
+/// indexed: each word mixes into position 0, which then moves to the
+/// back, so word `i` still lands in lane `i mod 4` but every position is
+/// a constant and the four stay in registers. [`finish`] un-rotates
+/// once, folds the word count and the lanes into one word and
+/// avalanches it, so that both the high
 /// bits (the visited table's slot) and the low ones depend on every
 /// word. `write_u8(5)` and `write_u64(5)` absorb the same word: digest
 /// streams are self-delimiting by construction (tags and length
@@ -87,8 +91,11 @@ impl Default for Fnv64 {
 /// [`finish`]: StateHasher::finish
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateHasher {
+    /// Rotated left once per word: lane `i` sits at position
+    /// `(i + LANES - words % LANES) % LANES`, and the next word's lane,
+    /// `words % LANES`, at position 0.
     lanes: [u64; Self::LANES],
-    /// Words absorbed; the next one goes to lane `words % LANES`.
+    /// Words absorbed.
     words: u64,
 }
 
@@ -121,8 +128,10 @@ impl StateHasher {
     /// Absorbs one 64-bit word.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        let lane = &mut self.lanes[self.words as usize % Self::LANES];
-        *lane = Self::mix(*lane, v);
+        // Spelled out: a slice rotate measured slower than indexing by
+        // the word count.
+        let [a, b, c, d] = self.lanes;
+        self.lanes = [b, c, d, Self::mix(a, v)];
         self.words += 1;
     }
 
@@ -148,10 +157,10 @@ impl StateHasher {
     /// The avalanched hash of everything absorbed so far.
     #[inline]
     pub fn finish(&self) -> u64 {
-        let mut x = self
-            .lanes
-            .iter()
-            .fold(self.words, |x, &lane| Self::mix(x, lane));
+        let turned = self.words as usize % Self::LANES;
+        let mut x = (0..Self::LANES).fold(self.words, |x, lane| {
+            Self::mix(x, self.lanes[(lane + Self::LANES - turned) % Self::LANES])
+        });
         x ^= x >> 32;
         x = x.wrapping_mul(Self::SEED);
         x ^ (x >> 29)
@@ -166,7 +175,59 @@ impl Default for StateHasher {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The form the lanes had before they rotated: the word count picks
+    /// the lane, so the array is indexed at run time and lives in memory.
+    struct Indexed {
+        lanes: [u64; StateHasher::LANES],
+        words: u64,
+    }
+
+    impl Indexed {
+        fn new() -> Self {
+            Self {
+                lanes: StateHasher::new().lanes,
+                words: 0,
+            }
+        }
+
+        fn write_u64(&mut self, v: u64) {
+            let lane = &mut self.lanes[self.words as usize % StateHasher::LANES];
+            *lane = StateHasher::mix(*lane, v);
+            self.words += 1;
+        }
+
+        fn finish(&self) -> u64 {
+            let mut x = self
+                .lanes
+                .iter()
+                .fold(self.words, |x, &lane| StateHasher::mix(x, lane));
+            x ^= x >> 32;
+            x = x.wrapping_mul(StateHasher::SEED);
+            x ^ (x >> 29)
+        }
+    }
+
+    proptest! {
+        /// Every prefix of a random stream, so that `finish` un-rotates
+        /// from each of the four residues of the word count.
+        #[test]
+        fn state_hasher_matches_the_indexed_lanes(
+            words in prop::collection::vec(any::<u64>(), 0..65),
+        ) {
+            let mut rotated = StateHasher::new();
+            let mut indexed = Indexed::new();
+            prop_assert_eq!(rotated.finish(), indexed.finish());
+            for (i, &w) in words.iter().enumerate() {
+                rotated.write_u64(w);
+                indexed.write_u64(w);
+                prop_assert_eq!(rotated.finish(), indexed.finish(), "after word {}", i);
+            }
+        }
+    }
 
     fn state_hash(words: &[u64]) -> u64 {
         let mut h = StateHasher::new();

@@ -283,9 +283,10 @@ fn cmd_mc(args: &[String]) {
                 Some(Some(alg)) => cc = alg,
                 _ => die("--cc requires one of: lda, cubic, bbr, rrr, fixed"),
             },
-            // 62: `check` keeps a state's remaining depth in six bits.
+            // 62: `check` keeps a state's remaining depth in six bits; at
+            // 0 it would run no iteration and pass vacuously.
             "--depth" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(d) if d <= 62 => cfg.max_depth = d,
+                Some(d @ 1..=62) => cfg.max_depth = d,
                 _ => die("--depth requires a positive integer, at most 62"),
             },
             "--drops" => match it.next().and_then(|v| v.parse().ok()) {
