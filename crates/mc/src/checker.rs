@@ -122,8 +122,14 @@ pub struct CheckReport {
 const DEPTH_BITS: u32 = 6;
 const DEPTH_MASK: u64 = (1 << DEPTH_BITS) - 1;
 
-/// The visited table: one word per state, open addressing, linear
-/// probing from the hash's high bits.
+/// Slots in a segment past which it splits instead of doubling: 64 KiB,
+/// so a split rehashes in cache and holds one segment and its two
+/// halves alive, never half the table.
+const SEGMENT_CAP: usize = 1 << 13;
+
+/// The visited table: one word per state, in segments found by the
+/// hash's top bits (extendible hashing), each open-addressed with linear
+/// probing.
 ///
 /// A slot is the state hash with its low [`DEPTH_BITS`] bits replaced by
 /// `remaining + 1`, so 0 is an empty slot and "seen with at least this
@@ -131,16 +137,77 @@ const DEPTH_MASK: u64 = (1 << DEPTH_BITS) - 1;
 /// The 58 bits kept are the key: two states whose hashes agree on them
 /// are one state to the checker (2^-58 a pair; the pinned counts are
 /// what would show it).
+///
+/// The table is born as one 16-slot segment. A segment past three
+/// quarters doubles while it is below [`SEGMENT_CAP`], and at the cap
+/// splits on its next hash bit into two segments of the same length,
+/// again while a half is past three quarters; the directory doubles
+/// when the splitting segment's prefix is as long as the directory's.
+/// Capacity is not content: `admit` answers from the (key, largest
+/// remaining) pairs alone, however they are laid out.
 struct Visited {
-    /// Power-of-two length; at most three quarters occupied.
+    /// Indexed by a hash's top `global` bits: the segment holding it.
+    /// Each segment is named by the `2^(global - depth)` consecutive
+    /// entries that share its prefix.
+    directory: Vec<u32>,
+    /// At least 1, so the index shift is below 64.
+    global: u32,
+    segments: Vec<Segment>,
+    /// States held, over all segments.
+    occupied: usize,
+}
+
+/// The states whose hashes agree on their top `depth` bits.
+struct Segment {
+    /// Power-of-two length, at most [`SEGMENT_CAP`]; at most three
+    /// quarters occupied.
     slots: Vec<u64>,
     occupied: usize,
+    depth: u32,
+    /// `64 - log2(slots.len())`: a probe starts at the key bits just
+    /// below the `depth` the segment shares.
+    shift: u32,
+}
+
+impl Segment {
+    fn new(len: usize, depth: u32) -> Self {
+        Self {
+            slots: vec![0; len],
+            occupied: 0,
+            depth,
+            shift: u64::BITS - len.trailing_zeros(),
+        }
+    }
+
+    /// Index of the first slot `word` (a hash or a slot) probes. The
+    /// depth bits are masked off, so that a deep split never lets them
+    /// move a key's home.
+    fn home(&self, word: u64) -> usize {
+        (((word & !DEPTH_MASK) << self.depth) >> self.shift) as usize
+    }
+
+    /// Stores `slot`, whose key the segment does not hold.
+    fn place(&mut self, slot: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(slot);
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+        self.occupied += 1;
+    }
+
+    fn overfull(&self) -> bool {
+        self.occupied * 4 > self.slots.len() * 3
+    }
 }
 
 impl Default for Visited {
     fn default() -> Self {
         Self {
-            slots: vec![0; Self::BORN],
+            directory: vec![0; 2],
+            global: 1,
+            segments: vec![Segment::new(Self::BORN, 0)],
             occupied: 0,
         }
     }
@@ -151,15 +218,13 @@ impl Visited {
     /// bug found at depth 2) pays nothing to set up.
     const BORN: usize = 16;
 
-    /// Empties the table and keeps its allocation.
+    /// Empties the table and keeps its segments and directory.
     fn clear(&mut self) {
-        self.slots.fill(0);
+        for segment in &mut self.segments {
+            segment.slots.fill(0);
+            segment.occupied = 0;
+        }
         self.occupied = 0;
-    }
-
-    /// Index of the first slot `word` (a hash or a slot) probes.
-    fn home(&self, word: u64) -> usize {
-        (word >> (u64::BITS - self.slots.len().trailing_zeros())) as usize
     }
 
     /// Whether the state `hash` is to be expanded with `remaining` depth:
@@ -171,10 +236,12 @@ impl Visited {
             "`check` bounds max_depth"
         );
         let want = (hash & !DEPTH_MASK) | u64::from(remaining + 1);
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
+        let s = self.directory[(hash >> (u64::BITS - self.global)) as usize] as usize;
+        let segment = &mut self.segments[s];
+        let mask = segment.slots.len() - 1;
+        let mut i = segment.home(want);
         loop {
-            let slot = self.slots[i];
+            let slot = segment.slots[i];
             if slot == 0 {
                 break;
             }
@@ -183,29 +250,59 @@ impl Visited {
                 if slot >= want {
                     return false;
                 }
-                self.slots[i] = want;
+                segment.slots[i] = want;
                 return true;
             }
             i = (i + 1) & mask;
         }
-        self.slots[i] = want;
+        segment.slots[i] = want;
+        segment.occupied += 1;
         self.occupied += 1;
-        if self.occupied * 4 > self.slots.len() * 3 {
-            self.double();
+        if segment.overfull() {
+            self.grow(s);
         }
         true
     }
 
-    fn double(&mut self) {
-        let doubled = vec![0; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let mask = self.slots.len() - 1;
-        for slot in old.into_iter().filter(|&slot| slot != 0) {
-            let mut i = self.home(slot);
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
+    /// Brings segment `s`, just past three quarters, back under: doubles
+    /// it below the cap, else splits it on bit `depth`, and splits again
+    /// a half that is still past three quarters.
+    #[cold]
+    fn grow(&mut self, s: usize) {
+        let segment = &mut self.segments[s];
+        let (len, depth) = (segment.slots.len(), segment.depth);
+        if len < SEGMENT_CAP {
+            let old = std::mem::replace(segment, Segment::new(len * 2, depth));
+            for slot in old.slots.into_iter().filter(|&slot| slot != 0) {
+                segment.place(slot);
             }
-            self.slots[i] = slot;
+            return;
+        }
+        let old = std::mem::replace(segment, Segment::new(SEGMENT_CAP, depth + 1));
+        let mut high = Segment::new(SEGMENT_CAP, depth + 1);
+        let held = old.slots.iter().copied().find(|&slot| slot != 0).unwrap();
+        for slot in old.slots.into_iter().filter(|&slot| slot != 0) {
+            if (slot << depth) >> (u64::BITS - 1) == 0 {
+                segment.place(slot);
+            } else {
+                high.place(slot);
+            }
+        }
+        if depth == self.global {
+            self.directory = self.directory.iter().flat_map(|&e| [e, e]).collect();
+            self.global += 1;
+        }
+        // The entries naming `s`, those sharing its prefix with `held`:
+        // the upper half of them names `high`.
+        let span = 1 << (self.global - depth);
+        let first = (held >> (u64::BITS - self.global)) as usize & !(span - 1);
+        let h = self.segments.len();
+        self.directory[first + span / 2..first + span].fill(h as u32);
+        self.segments.push(high);
+        for half in [s, h] {
+            if self.segments[half].overfull() {
+                self.grow(half);
+            }
         }
     }
 }
@@ -488,23 +585,141 @@ mod tests {
                         "hash {:#x} remaining {} round {}", hash, remaining, round
                     );
                     prop_assert_eq!(table.occupied, model.len());
-                    prop_assert!(table.slots.len().is_power_of_two());
-                    prop_assert!(table.occupied * 4 <= table.slots.len() * 3);
+                    for segment in &table.segments {
+                        prop_assert!(segment.slots.len().is_power_of_two());
+                        prop_assert!(segment.occupied * 4 <= segment.slots.len() * 3);
+                    }
                 }
-                let occupied = table.slots.iter().filter(|&&slot| slot != 0).count();
+                let occupied: usize = table
+                    .segments
+                    .iter()
+                    .map(|segment| segment.slots.iter().filter(|&&slot| slot != 0).count())
+                    .sum();
                 prop_assert_eq!(occupied, model.len());
                 // Nothing shrinks, and a round that admitted more than
                 // 48 states crossed 16 → 32 → 64 → 128.
-                prop_assert!(table.slots.len() >= grown);
-                prop_assert!(model.len() <= 48 || table.slots.len() >= 128);
-                grown = table.slots.len();
+                prop_assert!(capacity(&table) >= grown);
+                prop_assert!(model.len() <= 48 || capacity(&table) >= 128);
+                grown = capacity(&table);
                 table.clear();
                 model.clear();
                 prop_assert_eq!(table.occupied, 0);
-                prop_assert!(table.slots.iter().all(|&slot| slot == 0));
-                prop_assert_eq!(table.slots.len(), grown, "clear keeps the allocation");
+                for segment in &table.segments {
+                    prop_assert_eq!(segment.occupied, 0);
+                    prop_assert!(segment.slots.iter().all(|&slot| slot == 0));
+                }
+                prop_assert_eq!(capacity(&table), grown, "clear keeps the allocation");
             }
         }
+    }
+
+    fn capacity(table: &Visited) -> usize {
+        table.segments.iter().map(|segment| segment.slots.len()).sum()
+    }
+
+    /// The table's shape: the directory has `2^global` entries; each
+    /// segment is at most three quarters full, a power of two no longer
+    /// than [`SEGMENT_CAP`], named by exactly `2^(global - depth)`
+    /// consecutive entries, and holds only words with their prefix; the
+    /// segments' occupancies sum to the table's.
+    fn assert_well_formed(table: &Visited) {
+        assert_eq!(table.directory.len(), 1 << table.global);
+        assert!(table.directory.iter().all(|&e| (e as usize) < table.segments.len()));
+        let mut first = vec![usize::MAX; table.segments.len()];
+        for (i, &e) in table.directory.iter().enumerate().rev() {
+            first[e as usize] = i;
+        }
+        let (mut named, mut occupied) = (0, 0);
+        for (k, segment) in table.segments.iter().enumerate() {
+            let len = segment.slots.len();
+            assert!(len.is_power_of_two() && len <= SEGMENT_CAP, "segment {k}: {len} slots");
+            assert!(segment.occupied * 4 <= len * 3, "segment {k} past three quarters");
+            let held = segment.slots.iter().filter(|&&slot| slot != 0).count();
+            assert_eq!(held, segment.occupied, "segment {k}");
+            occupied += held;
+            assert!(segment.depth <= table.global, "segment {k}");
+            // Its entries start at a multiple of `span`, and the `span`
+            // from there are its: with every segment's, that is each
+            // directory entry once.
+            let span = 1 << (table.global - segment.depth);
+            let first = first[k];
+            assert_eq!(first % span, 0, "segment {k} at depth {}", segment.depth);
+            assert!(table.directory[first..first + span].iter().all(|&e| e as usize == k));
+            named += span;
+            let prefix = (first / span) as u64;
+            for &slot in segment.slots.iter().filter(|&&slot| slot != 0) {
+                let top = slot.checked_shr(u64::BITS - segment.depth).unwrap_or(0);
+                assert_eq!(top, prefix, "segment {k} holds {slot:#x}");
+            }
+        }
+        assert_eq!(named, table.directory.len(), "a segment named outside its span");
+        assert_eq!(occupied, table.occupied);
+    }
+
+    #[test]
+    fn visited_matches_a_hash_map_past_the_split_path() {
+        // The proptest stays inside the first segment; a split starts at
+        // 6,144 entries. Three rounds, `clear()` between them, each
+        // 12,000 mixed operations on spread hashes and then 33,000 on
+        // hashes sharing their top 20 bits (over 20,000 of them fresh),
+        // so that one segment splits down one side again and again: the
+        // half that takes every entry is still past three quarters and
+        // splits again before `admit` returns.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut table = Visited::default();
+        let mut model = HashMap::new();
+        let mut ops = 0;
+        for round in 0..3u64 {
+            let prefix = next() >> 44 << 44;
+            let mut seen: Vec<u64> = Vec::new();
+            let mut shared = 0;
+            for i in 0..45_000 {
+                let fresh = if i < 12_000 { next() } else { prefix | (next() >> 20) };
+                let r = next();
+                let hash = match r % 8 {
+                    0..=3 | 7 => fresh,
+                    4 | 5 if !seen.is_empty() => seen[(r >> 8) as usize % seen.len()],
+                    6 if !seen.is_empty() => {
+                        seen[(r >> 8) as usize % seen.len()] ^ (fresh & DEPTH_MASK)
+                    }
+                    _ => fresh,
+                };
+                shared += usize::from(hash >> 44 == prefix >> 44);
+                seen.push(hash);
+                // Rising and falling: a repeat draws its depth afresh.
+                let remaining = (r >> 40) as u32 % 63;
+                assert_eq!(
+                    table.admit(hash, remaining),
+                    model_admit(&mut model, hash, remaining),
+                    "hash {hash:#x} remaining {remaining} round {round} op {i}"
+                );
+                assert_eq!(table.occupied, model.len());
+                ops += 1;
+            }
+            assert!(shared >= 20_000, "round {round}: {shared} hashes share the prefix");
+            assert_well_formed(&table);
+            assert!(table.segments.len() > 1, "round {round} split");
+            assert!(table.global > 20, "round {round}: the shared prefix split down");
+            let directory = table.directory.clone();
+            let lens: Vec<usize> = table.segments.iter().map(|s| s.slots.len()).collect();
+            table.clear();
+            model.clear();
+            assert_eq!(table.occupied, 0);
+            assert!(table.segments.iter().all(|s| s.occupied == 0));
+            assert!(table.segments.iter().all(|s| s.slots.iter().all(|&slot| slot == 0)));
+            assert_eq!(table.directory, directory, "clear keeps the directory");
+            let kept: Vec<usize> = table.segments.iter().map(|s| s.slots.len()).collect();
+            assert_eq!(kept, lens, "clear keeps every segment");
+        }
+        assert!(ops >= 100_000);
     }
 
     #[test]

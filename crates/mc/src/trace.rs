@@ -43,9 +43,11 @@ pub fn render(trace: &[Choice]) -> String {
 /// violation its final transition produces (if any).
 ///
 /// A choice that is not enabled in the replayed state (stale index,
-/// exhausted script) stops the replay and returns `None` — a trace
-/// recorded by [`crate::check`] against the same scenario, mutation,
-/// and budgets always stays enabled.
+/// exhausted script) stops the replay and returns `None`, and so does a
+/// violation before the final choice: the trace does not end where it
+/// broke. A trace recorded by [`crate::check`] against the same
+/// scenario, mutation, and budgets always stays enabled and violates on
+/// its last choice.
 pub fn replay(
     spec: &Arc<ScenarioSpec>,
     mutation: Mutation,
@@ -53,13 +55,14 @@ pub fn replay(
     trace: &[Choice],
 ) -> Option<Violation> {
     let mut world = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
-    for choice in trace {
-        if !world.choices().contains(choice) {
+    let (last, path) = trace.split_last()?;
+    for choice in path {
+        if !world.choices().contains(choice) || world.apply(*choice).is_some() {
             return None;
         }
-        if let Some(v) = world.apply(*choice) {
-            return Some(v);
-        }
     }
-    None
+    if !world.choices().contains(last) {
+        return None;
+    }
+    world.apply(*last)
 }

@@ -251,3 +251,32 @@ fn replay_rejects_a_foreign_trace() {
     let trace = [iq_mc::Choice::DeliverData { flow: 0, idx: 5 }];
     assert!(replay(&spec, Mutation::None, &cfg(10, 0), &trace).is_none());
 }
+
+#[test]
+fn replay_reproduces_only_a_trace_that_ends_at_its_violation() {
+    // A trace that breaks before its last choice, or not at all, is not
+    // the counterexample it claims to be: `replay` returned the first
+    // violation it met, so one more enabled choice after the breaking
+    // one still "reproduced".
+    for (name, mutation) in [
+        ("basic", Mutation::SkipReinflate),
+        ("deferred", Mutation::DropCondCorrection),
+        ("deferred", Mutation::IgnoreDeferral),
+    ] {
+        let spec = scenario(name).unwrap();
+        let config = cfg(10, 0);
+        let ce = check(&spec, mutation, &config).counterexample.unwrap();
+        assert!(replay(&spec, mutation, &config, &ce.trace).is_some());
+
+        let mut world = World::new(spec.clone(), mutation, config.drop_budget, config.tick_budget);
+        let (&last, path) = ce.trace.split_last().unwrap();
+        for &choice in path {
+            assert!(world.apply(choice).is_none());
+        }
+        assert!(world.apply(last).is_some());
+        let after = *world.choices().first().expect("a choice is enabled past the violation");
+        let longer = [ce.trace.as_slice(), &[after]].concat();
+        assert!(replay(&spec, mutation, &config, &longer).is_none(), "{name} {mutation:?} + {after}");
+        assert!(replay(&spec, mutation, &config, path).is_none(), "{name} {mutation:?} minus its last");
+    }
+}

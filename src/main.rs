@@ -348,8 +348,12 @@ fn cmd_mc(args: &[String]) {
             println!("minimal counterexample ({} steps):", ce.trace.len());
             print!("{}", iq_mc::trace::render(&ce.trace));
             let replayed = replay(&spec, mutation, &cfg, &ce.trace);
+            let found = &ce.violation;
             match replayed {
-                Some(v) if v.invariant == ce.violation.invariant => {
+                Some(v)
+                    if (v.invariant, v.flow, v.step, &v.detail)
+                        == (found.invariant, found.flow, found.step, &found.detail) =>
+                {
                     println!("replay: reproduced");
                 }
                 _ => {
