@@ -13,13 +13,11 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
-pub mod channel;
 pub mod deferred;
 pub mod sink;
 pub mod source;
 
 pub use adapters::{effective_eratio, FrequencyAdapter, MarkingAdapter, ResolutionAdapter};
-pub use channel::{ChannelSourceAgent, EventFilter, SubscriberReport, Subscription};
 pub use deferred::DeferredResolution;
 pub use sink::{AdaptiveToleranceSink, TolerancePolicy};
 pub use source::{AdaptiveSourceAgent, Policy, SourceConfig, FRAME_TIMER_TOKEN};

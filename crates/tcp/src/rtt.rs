@@ -25,12 +25,13 @@ impl TcpRtt {
         }
     }
 
-    /// Records a sample from transmission/arrival timestamps.
+    /// Records a sample from transmission/arrival timestamps. A same-tick
+    /// echo is a sample, floored at 1 µs; only `now < tx_at` is discarded.
     pub fn sample_times(&mut self, tx_at: Time, now: Time) {
-        if now <= tx_at {
+        if now < tx_at {
             return;
         }
-        let rtt_s = (now - tx_at) as f64 / 1e9;
+        let rtt_s = ((now - tx_at) as f64 / 1e9).max(1e-6);
         match self.srtt {
             None => {
                 self.srtt = Some(rtt_s);
@@ -85,5 +86,17 @@ mod tests {
         assert!(r.rto() >= base * 2 || r.rto() == time::secs(8.0));
         r.sample_times(0, 30_000_000);
         assert!(r.rto() <= base + millis(10));
+    }
+
+    #[test]
+    fn zero_delay_sample_seeds_the_estimator() {
+        let mut r = TcpRtt::new(millis(200), time::secs(8.0));
+        r.sample_times(100, 50); // now < tx_at: ignored
+        assert_eq!(r.srtt_ms(), 0.0);
+        r.sample_times(1_000, 1_000); // same tick: must not be discarded
+        assert!(r.srtt_ms() > 0.0, "estimator still unseeded");
+        // Seeded with the 1 µs floor, so the RTO leaves its 1 s initial
+        // value and clamps to the configured minimum.
+        assert_eq!(r.rto(), millis(200));
     }
 }

@@ -5,6 +5,8 @@
 //!                                           (t9: CC × scheme matrix)
 //! iqrudp [FLAGS] figures [SIZE]             regenerate the figures (+ SVGs)
 //! iqrudp [FLAGS] ablations [SIZE]           run the design-choice ablations
+//! iqrudp [FLAGS] diag [tN|avgN] [SIZE] [SEEDS]
+//!                                           per-scheme transport counters
 //! iqrudp [FLAGS] bench [SIZE] [OPTS]        reproduce the committed fingerprints
 //! iqrudp trace [FRAMES] [SEED]              dump a membership trace as TSV
 //! iqrudp demo                               one coordinated flow, annotated
@@ -32,7 +34,13 @@
 //! PATH` (write the run in that format; nothing is written without it).
 //! It measures no time or memory — `benchmark/run.sh` does.
 //!
-//! `SIZE` scales the experiment workloads (1.0 = paper scale). Flags:
+//! `SIZE` scales the experiment workloads (1.0 = paper scale). `tables`,
+//! `figures`, `ablations` and `diag` take their arguments in any order:
+//! a positive number is the size (for `diag`, a second one is the seed
+//! count) and a name the subcommand knows is the selection; anything
+//! else prints the usage line and exits 2. `figures` writes Figures 1–4
+//! as SVG into `figures/` and exits 1, naming the path, if it cannot.
+//! Flags:
 //!
 //! * `-j N` / `--jobs N` — run scenarios on N worker threads (default:
 //!   one per core). Rendered output is byte-identical for any N.
@@ -62,49 +70,102 @@
 use iq_experiments::ablations::run_all_ablations;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
 use iq_experiments::tables::*;
-use iq_experiments::Executor;
-use iq_metrics::{line_plot, PlotConfig};
+use iq_experiments::{Executor, RunResult, Scenario};
+use iq_metrics::{bar_chart, line_plot, PlotConfig};
 use iq_trace::{MembershipConfig, MembershipTrace};
 
-fn parse_size(args: &[String], idx: usize) -> Size {
-    Size(args.get(idx).and_then(|s| s.parse().ok()).unwrap_or(1.0))
+/// A table: its name on the command line, its runner and its renderer.
+type Table = (
+    &'static str,
+    fn(&Executor, Size) -> Vec<RunResult>,
+    fn(&[RunResult]) -> String,
+);
+
+/// What `tables` runs, in this order; `diag tN` runs one of them.
+const TABLES: [Table; 9] = [
+    ("t1", run_table1, render_table1),
+    ("t2", run_table2, render_table2),
+    ("t3", run_table3, render_table3),
+    ("t4", run_table4, render_table4),
+    ("t5", run_table5, render_table5),
+    ("t6", run_table6, render_table6),
+    ("t7", run_table7, render_table7),
+    ("t8", run_table8, render_table8),
+    ("t9", run_table9, render_table9),
+];
+
+/// A table `diag avgN` averages over seeds: its name and scenarios.
+type Averaged = (&'static str, fn(Size) -> Vec<Scenario>);
+
+/// The tables `diag avgN` knows.
+const AVERAGED: [Averaged; 4] = [
+    ("avg5", table5_scenarios),
+    ("avg6", table6_scenarios),
+    ("avg7", table7_scenarios),
+    ("avg8", table8_scenarios),
+];
+
+/// Reads the positional arguments of `tables`, `figures`, `ablations`
+/// and `diag`, in any order: positive numbers (the size, then `diag`'s
+/// seed count), at most `max_numbers` of them, and at most one of
+/// `names`, the selection. `None` for anything else.
+fn positional<'a>(
+    args: &'a [String],
+    names: &[&str],
+    max_numbers: usize,
+) -> Option<(Vec<f64>, Option<&'a str>)> {
+    let (mut numbers, mut name) = (Vec::new(), None);
+    for arg in args.iter().map(String::as_str) {
+        if name.is_none() && names.contains(&arg) {
+            name = Some(arg);
+            continue;
+        }
+        match arg.parse::<f64>() {
+            Ok(x) if x > 0.0 && x.is_finite() && numbers.len() < max_numbers => numbers.push(x),
+            _ => return None,
+        }
+    }
+    Some((numbers, name))
+}
+
+/// The size (default 1.0) and selection of `tables`, `figures` and
+/// `ablations`; the usage line and exit 2 for anything else.
+fn size_and_name<'a>(args: &'a [String], names: &[&str]) -> (Size, Option<&'a str>) {
+    let (numbers, name) = positional(args, names, 1).unwrap_or_else(|| usage());
+    (Size(numbers.first().copied().unwrap_or(1.0)), name)
+}
+
+/// `diag`'s selection, size and seed count: `t5`, 0.3 and 8 when absent,
+/// and a seed count only with an `avgN`.
+fn diag_args(args: &[String]) -> Option<(&str, Size, u32)> {
+    let names: Vec<&str> = TABLES
+        .iter()
+        .map(|t| t.0)
+        .chain(AVERAGED.map(|a| a.0))
+        .collect();
+    let (numbers, name) = positional(args, &names, 2)?;
+    let which = name.unwrap_or("t5");
+    let seeds = match numbers.get(1) {
+        None => 8,
+        Some(&n) if which.starts_with("avg") && n.fract() == 0.0 && n <= f64::from(u32::MAX) => {
+            n as u32
+        }
+        Some(_) => return None,
+    };
+    Some((which, Size(numbers.first().copied().unwrap_or(0.3)), seeds))
 }
 
 fn cmd_tables(exec: &Executor, args: &[String]) {
-    let size = parse_size(args, 0);
-    let only = args.get(1).map(|s| s.as_str());
-    let want = |k: &str| only.is_none() || only == Some(k);
-    if want("t1") {
-        println!("{}", render_table1(&run_table1(exec, size)));
-    }
-    if want("t2") {
-        println!("{}", render_table2(&run_table2(exec, size)));
-    }
-    if want("t3") {
-        println!("{}", render_table3(&run_table3(exec, size)));
-    }
-    if want("t4") {
-        println!("{}", render_table4(&run_table4(exec, size)));
-    }
-    if want("t5") {
-        println!("{}", render_table5(&run_table5(exec, size)));
-    }
-    if want("t6") {
-        println!("{}", render_table6(&run_table6(exec, size)));
-    }
-    if want("t7") {
-        println!("{}", render_table7(&run_table7(exec, size)));
-    }
-    if want("t8") {
-        println!("{}", render_table8(&run_table8(exec, size)));
-    }
-    if want("t9") {
-        println!("{}", render_table9(&run_table9(exec, size)));
+    let (size, only) = size_and_name(args, &TABLES.map(|t| t.0));
+    for (name, run, render) in TABLES {
+        if only.is_none_or(|only| only == name) {
+            println!("{}", render(&run(exec, size)));
+        }
     }
 }
 
 fn cmd_figures(exec: &Executor, args: &[String]) {
-    let size = parse_size(args, 0);
+    let (size, _) = size_and_name(args, &[]);
     let f1 = figure1();
     println!(
         "Figure 1: {} frames, group sizes {:.0}..{:.0}",
@@ -118,24 +179,110 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
         iq.mean(),
         rudp.mean()
     );
-    let rows = run_table6(exec, size);
-    println!("{}", render_figure4(&figure4_from_rows(&rows)));
-    let _ = std::fs::create_dir_all("figures");
-    let _ = std::fs::write(
-        "figures/figure1_membership_dynamics.svg",
-        line_plot(
-            &PlotConfig::new("Figure 1: Membership dynamics", "frame", "group size"),
-            &[("audience", &f1)],
+    let points = figure4_from_rows(&run_table6(exec, size));
+    println!("{}", render_figure4(&points));
+    let labels: Vec<String> = points
+        .iter()
+        .map(|p| format!("{:.0} Mb", p.iperf_bps / 1e6))
+        .collect();
+    let svgs = [
+        (
+            "figure1_membership_dynamics.svg",
+            line_plot(
+                &PlotConfig::new("Figure 1: Membership dynamics", "frame", "group size"),
+                &[("audience", &f1)],
+            ),
         ),
-    );
-    let _ = std::fs::write(
-        "figures/figures_2_3_jitter.svg",
-        line_plot(
-            &PlotConfig::new("Figures 2/3: per-packet delay jitter", "packet", "jitter (ms)"),
-            &[("IQ-RUDP", &iq), ("RUDP", &rudp)],
+        (
+            "figures_2_3_jitter.svg",
+            line_plot(
+                &PlotConfig::new(
+                    "Figures 2/3: per-packet delay jitter",
+                    "packet",
+                    "jitter (ms)",
+                ),
+                &[("IQ-RUDP", &iq), ("RUDP", &rudp)],
+            ),
         ),
-    );
+        (
+            "figure4_improvement_overreaction.svg",
+            bar_chart(
+                &PlotConfig::new(
+                    "Figure 4: Performance improvement - overreaction",
+                    "iperf background rate",
+                    "percent",
+                ),
+                &labels,
+                &[
+                    (
+                        "throughput gain %",
+                        points.iter().map(|p| p.throughput_gain_pct).collect(),
+                    ),
+                    (
+                        "jitter reduction %",
+                        points.iter().map(|p| p.jitter_reduction_pct).collect(),
+                    ),
+                ],
+            ),
+        ),
+    ];
+    let dir = std::path::Path::new("figures");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error: cannot create {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+    for (name, svg) in svgs {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, svg) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
     println!("wrote figures/*.svg");
+}
+
+/// `iqrudp diag [tN | avgN] [SIZE] [SEEDS]` — one line per scheme with
+/// the transport- and coordination-level counters that the rendered
+/// tables hide, for calibrating an experiment. `avgN` averages Table N
+/// (5–8) over SEEDS seeds.
+fn cmd_diag(exec: &Executor, args: &[String]) {
+    let (which, size, seeds) = diag_args(args).unwrap_or_else(|| usage());
+    let rows = match AVERAGED.iter().find(|a| a.0 == which) {
+        Some((_, scenarios)) => exec.run_averaged(&scenarios(size), seeds),
+        None => {
+            let (_, run, _) = TABLES
+                .iter()
+                .find(|t| t.0 == which)
+                .expect("diag_args admits only the names of TABLES and AVERAGED");
+            run(exec, size)
+        }
+    };
+    for r in &rows {
+        println!(
+            "{:<24} dur={:<6.1} tp={:<7.1} jit={:<7.2}ms tagD={:<6.1} tagJ={:<6.2} \
+             cb=({}, {}) coord={:?} offered={} delivered={} finished={} stats={:?}",
+            r.label,
+            r.duration_s,
+            r.throughput_kbps,
+            r.jitter_s * 1e3,
+            r.tagged_delay_ms,
+            r.tagged_jitter_ms,
+            r.callbacks.0,
+            r.callbacks.1,
+            r.coordination
+                .map(|c| (c.window_rescales, format!("{:.2}", c.cumulative_factor))),
+            r.msgs_offered,
+            r.msgs_delivered,
+            r.finished,
+            r.sender_stats.map(|st| (
+                st.segments_sent,
+                st.retransmits,
+                st.timeouts,
+                st.segments_abandoned,
+                st.msgs_discarded
+            ))
+        );
+    }
 }
 
 fn cmd_bench(exec: &Executor, args: &[String]) {
@@ -184,6 +331,22 @@ fn cmd_bench(exec: &Executor, args: &[String]) {
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: iqrudp [-j N] [--shards N] [--verify-determinism] [--no-timing] \
+         [--telemetry DIR] [--metrics DIR] \
+         <tables [SIZE] [tN] | figures [SIZE] | ablations [SIZE] | \
+         diag [tN | avgN] [SIZE] [SEEDS] | \
+         bench [SIZE] [--only NAME] [--check PATH] [--out PATH] | \
+         trace [FRAMES] [SEED] | demo | \
+         mc [--scenario NAME] [--cc lda|cubic|bbr|rrr] [--depth N] \
+         [--drops K] [--ticks K] \
+         [--seed-break reinflate|cond|deferral] | \
+         obs [SIZE] [--only NAME] [--verify]>"
+    );
     std::process::exit(2);
 }
 
@@ -486,27 +649,66 @@ fn main() {
         Some("tables") => cmd_tables(&exec, &args[1..]),
         Some("figures") => cmd_figures(&exec, &args[1..]),
         Some("ablations") => {
-            let size = parse_size(&args[1..], 0);
+            let (size, _) = size_and_name(&args[1..], &[]);
             println!("{}", run_all_ablations(&exec, size));
         }
+        Some("diag") => cmd_diag(&exec, &args[1..]),
         Some("bench") => cmd_bench(&exec, &args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("demo") => cmd_demo(),
         Some("mc") => cmd_mc(&args[1..]),
         Some("obs") => cmd_obs(&exec, &args[1..]),
-        _ => {
-            eprintln!(
-                "usage: iqrudp [-j N] [--shards N] [--verify-determinism] [--no-timing] \
-                 [--telemetry DIR] [--metrics DIR] \
-                 <tables [SIZE] [tN] | figures [SIZE] | ablations [SIZE] | \
-                 bench [SIZE] [--only NAME] [--check PATH] [--out PATH] | \
-                 trace [FRAMES] [SEED] | demo | \
-                 mc [--scenario NAME] [--cc lda|cubic|bbr|rrr] [--depth N] \
-                 [--drops K] [--ticks K] \
-                 [--seed-break reinflate|cond|deferral] | \
-                 obs [SIZE] [--only NAME] [--verify]>"
-            );
-            std::process::exit(2);
+        _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_positive_number_is_the_size_and_a_known_name_the_selection() {
+        let tables = TABLES.map(|t| t.0);
+        let parse =
+            |line: &str| positional(&args(line), &tables, 1).map(|(n, t)| (n, t.map(String::from)));
+        let t3 = Some("t3".to_string());
+        assert_eq!(parse(""), Some((vec![], None)));
+        assert_eq!(parse("t3"), Some((vec![], t3.clone())));
+        assert_eq!(parse("0.05 t3"), Some((vec![0.05], t3.clone())));
+        assert_eq!(parse("t3 0.05"), Some((vec![0.05], t3)));
+        for refused in [
+            "0.05 t10", "t3 t4", "0.05 0.1", "0", "-1", "NaN", "inf", "f4", "--out",
+        ] {
+            assert_eq!(parse(refused), None, "`tables {refused}` must exit 2");
+        }
+        // `figures` and `ablations` know no name.
+        assert_eq!(positional(&args("0.05"), &[], 1), Some((vec![0.05], None)));
+        assert_eq!(positional(&args("t3"), &[], 1), None);
+    }
+
+    #[test]
+    fn diag_takes_a_table_or_an_average_a_size_and_a_seed_count() {
+        let parse = |line: &str| diag_args(&args(line)).map(|(w, s, n)| (w.to_string(), s.0, n));
+        let row = |w: &str, size, seeds| Some((w.to_string(), size, seeds));
+        assert_eq!(parse(""), row("t5", 0.3, 8));
+        assert_eq!(parse("t3 0.05"), row("t3", 0.05, 8));
+        assert_eq!(parse("0.05 t9"), row("t9", 0.05, 8));
+        assert_eq!(parse("avg7 0.05 2"), row("avg7", 0.05, 2));
+        assert_eq!(parse("avg5"), row("avg5", 0.3, 8));
+        for refused in [
+            "t10",
+            "avg4",
+            "avg9",
+            "t3 0.05 2",
+            "avg7 0.05 2.5",
+            "avg7 0.05 2 3",
+            "t3 t4",
+        ] {
+            assert_eq!(parse(refused), None, "`diag {refused}` must exit 2");
         }
     }
 }

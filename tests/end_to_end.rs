@@ -265,71 +265,3 @@ fn receiver_window_prevents_buffer_overrun() {
     assert!(sink.is_finished());
     assert_eq!(sink.metrics.messages(), 400);
 }
-
-/// Channel fan-out + IQ-FTP exercise the full public API surface of the
-/// extension crates in one simulation.
-#[test]
-fn extensions_compose_in_one_simulation() {
-    use iq_echo::{ChannelSourceAgent, Subscription};
-    use iq_ftp::{FileSpec, FtpConfig, FtpReceiverAgent, FtpSenderAgent};
-
-    let mut sim = Simulator::new(41);
-    let (sink, bus) = iq_telemetry::TelemetrySink::new_bus(0);
-    sim.attach_telemetry(sink);
-    let hub = sim.add_node();
-    let sub1 = sim.add_node();
-    let sub2 = sim.add_node();
-    let ftp_dst = sim.add_node();
-    for n in [sub1, sub2, ftp_dst] {
-        sim.add_duplex_link(hub, n, LinkSpec::new(10e6, time::millis(5), 64_000));
-    }
-    // An event channel with two subscribers...
-    let subs = vec![
-        Subscription::new(1, Addr::new(sub1, 1), FlowId(1)),
-        Subscription::new(2, Addr::new(sub2, 1), FlowId(2)),
-    ];
-    sim.add_agent(
-        hub,
-        1,
-        Box::new(ChannelSourceAgent::new(vec![1000; 50], 50.0, subs)),
-    );
-    let rx1 = sim.add_agent(
-        sub1,
-        1,
-        Box::new(EchoSinkAgent::new(1, RudpConfig::default(), FlowId(1))),
-    );
-    let rx2 = sim.add_agent(
-        sub2,
-        1,
-        Box::new(EchoSinkAgent::new(2, RudpConfig::default(), FlowId(2))),
-    );
-    // ...and an IQ-FTP transfer sharing the hub.
-    let file = FileSpec::with_center_focus(100, 1400);
-    let cfg = FtpConfig::new(3);
-    let rudp = cfg.rudp.clone();
-    let ftx = sim.add_agent(
-        hub,
-        2,
-        Box::new(FtpSenderAgent::new(
-            cfg,
-            &file,
-            Addr::new(ftp_dst, 1),
-            FlowId(3),
-        )),
-    );
-    let frx = sim.add_agent(ftp_dst, 1, Box::new(FtpReceiverAgent::new(3, rudp, FlowId(3))));
-    sim.run_until(time::secs(60.0));
-
-    assert_eq!(sim.agent::<EchoSinkAgent>(rx1).unwrap().metrics.messages(), 50);
-    assert_eq!(sim.agent::<EchoSinkAgent>(rx2).unwrap().metrics.messages(), 50);
-    let sender = sim.agent::<FtpSenderAgent>(ftx).unwrap();
-    let receiver = sim.agent::<FtpReceiverAgent>(frx).unwrap();
-    let (got, total) = iq_ftp::completeness_at(sender, receiver, 0.0);
-    assert_eq!(got, total);
-    // Per-flow ground truth saw all three flows.
-    let bus = bus.lock().unwrap();
-    for f in [1, 2, 3] {
-        let truth = iq_telemetry::TelemetryReport::from_records(&bus.flow_records(f));
-        assert!(truth.sent_packets > 0, "flow {f} silent");
-    }
-}
