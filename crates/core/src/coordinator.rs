@@ -72,7 +72,7 @@ struct PendingAdaptation {
 ///
 /// The coordinator does not own the connection; every call borrows it.
 /// This lets the embedding agent keep the connection inside its
-/// [`iq_rudp::SenderDriver`] while the coordinator supplies policy.
+/// [`iq_netsim::SenderDriver`] while the coordinator supplies policy.
 ///
 /// `Clone` is shallow for the attribute registry (an [`AttrService`]
 /// shares its store across clones); model-checker worlds that need

@@ -8,8 +8,8 @@
 //! the sender on the next ACK.
 
 use iq_metrics::FlowMetrics;
-use iq_netsim::{Agent, Ctx, FlowId, Packet, Time};
-use iq_rudp::{ReceiverDriver, RudpConfig};
+use iq_netsim::{Agent, Ctx, FlowId, Packet, ReceiverDriver, Time};
+use iq_rudp::{ReceiverConn, RudpConfig};
 use iq_telemetry::{TelemetryEvent, TelemetrySink};
 
 /// Policy for the receiver-side tolerance controller.
@@ -42,7 +42,7 @@ impl Default for TolerancePolicy {
 
 /// A sink whose loss tolerance follows its observed delivery latency.
 pub struct AdaptiveToleranceSink {
-    driver: ReceiverDriver,
+    driver: ReceiverDriver<ReceiverConn>,
     policy: TolerancePolicy,
     /// Receiver-side application metrics.
     pub metrics: FlowMetrics,
@@ -139,8 +139,8 @@ impl Agent for AdaptiveToleranceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iq_netsim::{time, Addr, LinkSpec, Simulator};
-    use iq_rudp::{BulkSenderAgent, SenderConn};
+    use iq_netsim::{time, Addr, BulkSender, LinkSpec, SenderDriver, Simulator};
+    use iq_rudp::SenderConn;
 
     fn run(link_bps: f64) -> (f64, u64, (u64, u64)) {
         let mut sim = Simulator::new(15);
@@ -151,10 +151,8 @@ mod tests {
         sim.add_agent(
             a,
             1,
-            Box::new(BulkSenderAgent::new(
-                SenderConn::new(4, cfg.clone()),
-                Addr::new(b, 1),
-                FlowId(4),
+            Box::new(BulkSender::new(
+                SenderDriver::new(SenderConn::new(4, cfg.clone()), Addr::new(b, 1), FlowId(4)),
                 600,
                 1400,
             )),

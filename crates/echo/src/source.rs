@@ -8,8 +8,8 @@
 
 use iq_attrs::AttrList;
 use iq_core::{CoordinationMode, Coordinator};
-use iq_netsim::{time, Addr, Agent, Ctx, FlowId, Packet, Time};
-use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, SenderDriver, DEFAULT_MSS};
+use iq_netsim::{time, Addr, Agent, Ctx, FlowId, Packet, SenderDriver, Time};
+use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, DEFAULT_MSS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -18,6 +18,12 @@ use crate::deferred::DeferredResolution;
 
 /// Timer token for frame emission (fixed-rate sources).
 pub const FRAME_TIMER_TOKEN: u64 = 0x4652_414d; // "FRAM"
+
+/// Floor on scaled frame sizes, bytes.
+const MIN_FRAME_BYTES: u32 = 64;
+
+/// Segments a greedy source keeps queued in the transport.
+const BACKLOG_TARGET: usize = 128;
 
 /// Which application adaptation policy the source runs.
 pub enum Policy {
@@ -67,10 +73,6 @@ pub struct SourceConfig {
     /// Split frames into MSS-sized datagrams that are individually
     /// markable (required by the §3.3 marking experiments).
     pub datagram_mode: bool,
-    /// Floor on scaled frame sizes.
-    pub min_frame_bytes: u32,
-    /// Greedy mode keeps this many segments queued in the transport.
-    pub backlog_target: usize,
     /// Minimum time between successive upper-threshold adaptations —
     /// applications "do not want to be frequently interrupted for
     /// adaptation" (§2.3.1) and settle before reacting again.
@@ -94,8 +96,6 @@ impl SourceConfig {
             frame_sizes,
             fps: None,
             datagram_mode: false,
-            min_frame_bytes: 64,
-            backlog_target: 128,
             min_adapt_gap: time::secs(1.0),
             min_lower_gap: time::millis(400),
             seed: 1,
@@ -105,15 +105,13 @@ impl SourceConfig {
 
 /// The sending application agent.
 pub struct AdaptiveSourceAgent {
-    driver: SenderDriver,
+    driver: SenderDriver<SenderConn>,
     coordinator: Coordinator,
     /// The adaptation policy in effect.
     pub policy: Policy,
     frame_sizes: Vec<u32>,
     fps: Option<f64>,
     datagram_mode: bool,
-    min_frame_bytes: u32,
-    backlog_target: usize,
     next_frame: usize,
     frames_emitted: u64,
     datagram_idx: u64,
@@ -144,7 +142,11 @@ impl AdaptiveSourceAgent {
     /// share their class's transport configuration instead of each
     /// holding a copy. `cfg.rudp` and `cfg.conn_id` are not read on this
     /// path — the driver carries both.
-    pub fn from_driver(driver: SenderDriver, cfg: SourceConfig, policy: Policy) -> Self {
+    pub fn from_driver(
+        driver: SenderDriver<SenderConn>,
+        cfg: SourceConfig,
+        policy: Policy,
+    ) -> Self {
         Self {
             driver,
             coordinator: Coordinator::new(cfg.mode),
@@ -152,8 +154,6 @@ impl AdaptiveSourceAgent {
             frame_sizes: cfg.frame_sizes,
             fps: cfg.fps,
             datagram_mode: cfg.datagram_mode,
-            min_frame_bytes: cfg.min_frame_bytes,
-            backlog_target: cfg.backlog_target,
             next_frame: 0,
             frames_emitted: 0,
             datagram_idx: 0,
@@ -273,7 +273,7 @@ impl AdaptiveSourceAgent {
         };
         self.emit_adaptation(now, &attrs);
         let size = ((nominal as f64 * self.policy.frame_scale()) as u32)
-            .max(self.min_frame_bytes);
+            .max(MIN_FRAME_BYTES);
 
         if self.datagram_mode {
             // Frame becomes a burst of individually markable datagrams.
@@ -329,7 +329,7 @@ impl AdaptiveSourceAgent {
         if self.fps.is_some() {
             return;
         }
-        while self.driver.conn.backlog_segments() < self.backlog_target {
+        while self.driver.conn.backlog_segments() < BACKLOG_TARGET {
             if !self.emit_frame(now) {
                 break;
             }
@@ -384,8 +384,13 @@ impl Agent for AdaptiveSourceAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iq_metrics::FlowMetrics;
     use iq_netsim::{LinkSpec, Simulator};
     use iq_rudp::RudpSinkAgent;
+
+    fn sink(cfg: &RudpConfig, conn_id: u32) -> RudpSinkAgent {
+        RudpSinkAgent::new(cfg.builder(conn_id, FlowId(1)).build_receiver(), FlowMetrics::new())
+    }
 
     fn run_source(policy: Policy, cfg_mut: impl FnOnce(&mut SourceConfig)) -> (u64, u64, f64) {
         let mut sim = Simulator::new(17);
@@ -398,7 +403,7 @@ mod tests {
         let sink_cfg = cfg.rudp.clone();
         let src = AdaptiveSourceAgent::new(cfg, policy, Addr::new(b, 1), FlowId(1));
         let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(3, sink_cfg, FlowId(1))));
+        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 3)));
         sim.run_until(time::secs(60.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
@@ -424,7 +429,7 @@ mod tests {
         let sink_cfg = cfg.rudp.clone();
         let src = AdaptiveSourceAgent::new(cfg, Policy::None, Addr::new(b, 1), FlowId(1));
         sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(4, sink_cfg, FlowId(1))));
+        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 4)));
         sim.run_until(time::secs(10.0));
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
         assert_eq!(sink.metrics.messages(), 50);
@@ -455,7 +460,7 @@ mod tests {
             FlowId(1),
         );
         let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(5, sink_cfg, FlowId(1))));
+        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 5)));
         sim.run_until(time::secs(60.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         assert!(src.callbacks.0 > 0, "upper threshold never fired");
@@ -492,7 +497,7 @@ mod tests {
             FlowId(1),
         );
         let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(7, sink_cfg, FlowId(1))));
+        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 7)));
         sim.run_until(time::secs(120.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
@@ -529,7 +534,7 @@ mod tests {
             FlowId(1),
         );
         let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(6, sink_cfg, FlowId(1))));
+        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 6)));
         sim.run_until(time::secs(120.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         assert!(src.callbacks.0 > 0, "upper threshold never fired");

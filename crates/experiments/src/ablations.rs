@@ -16,10 +16,6 @@ use crate::runner::Executor;
 use crate::scenario::{PolicySpec, RunResult, Scenario, Scheme};
 use crate::tables::Size;
 
-fn frames(size: Size, full: usize) -> usize {
-    ((full as f64 * size.0) as usize).max(40)
-}
-
 /// Ablation 1: sweep the transport's measuring period on the §3.4
 /// over-reaction workload. Returns `(period_ms, iq, rudp)` triples.
 pub fn ablation_measure_period(exec: &Executor, size: Size) -> Vec<(u64, RunResult, RunResult)> {
@@ -30,7 +26,7 @@ pub fn ablation_measure_period(exec: &Executor, size: Size) -> Vec<(u64, RunResu
             let mut sc = Scenario::new(
                 scheme,
                 PolicySpec::Resolution,
-                vec![1400; frames(size, 2000)],
+                vec![1400; size.frames(2000)],
             );
             sc.fps = Some(60.0);
             sc.datagram_mode = true;
@@ -89,7 +85,7 @@ pub fn ablation_policies(exec: &Executor, size: Size) -> Vec<(&'static str, RunR
             let mut sc = Scenario::new(
                 Scheme::Coordinated,
                 policy,
-                vec![1400; frames(size, 2000)],
+                vec![1400; size.frames(2000)],
             );
             sc.fps = Some(80.0);
             sc.datagram_mode = true;
@@ -142,7 +138,7 @@ pub fn ablation_tolerance(exec: &Executor, size: Size) -> Vec<(f64, RunResult)> 
             let mut sc = Scenario::new(
                 Scheme::Coordinated,
                 PolicySpec::Marking,
-                vec![1400; frames(size, 3000)],
+                vec![1400; size.frames(3000)],
             );
             sc.fps = Some(100.0);
             sc.datagram_mode = true;
@@ -197,7 +193,7 @@ pub fn ablation_queue_discipline(
             let mut sc = Scenario::new(
                 scheme,
                 PolicySpec::Resolution,
-                vec![1400; frames(size, 2000)],
+                vec![1400; size.frames(2000)],
             );
             sc.fps = Some(60.0);
             sc.datagram_mode = true;

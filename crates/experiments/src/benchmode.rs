@@ -69,14 +69,14 @@ pub struct BenchRun {
 /// Names are stable identifiers — CI and the trajectory tooling key off
 /// them — so change them only with a deliberate baseline reset.
 pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
-    let frames = |n: usize, seed: u64| app_frame_sizes(scaled(size, n), seed);
+    let frames = |n: usize, seed: u64| app_frame_sizes(size.frames(n), seed);
     let mut specs = Vec::new();
 
     // 1. Bulk RUDP transfer: data/ack event volume plus RTO timer churn.
     let mut sc = Scenario::new(
         Scheme::RudpPlain,
         PolicySpec::None,
-        vec![1400u32; scaled(size, 60_000)],
+        vec![1400u32; size.frames(60_000)],
     );
     sc.deadline_s = 900.0;
     specs.push(ScenarioSpec::new("bulk_rudp", sc));
@@ -114,7 +114,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
 
     // 4. TCP bulk against a competing TCP flow: the second transport's
     //    state machine plus two full-speed flows through one queue.
-    let mut sc = Scenario::new(Scheme::Tcp, PolicySpec::None, vec![1400u32; scaled(size, 40_000)]);
+    let mut sc = Scenario::new(Scheme::Tcp, PolicySpec::None, vec![1400u32; size.frames(40_000)]);
     sc.cross.tcp_bulk = true;
     sc.deadline_s = 600.0;
     specs.push(ScenarioSpec::new("tcp_fairness", sc));
@@ -124,7 +124,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     let mut sc = Scenario::new(
         Scheme::RudpPlain,
         PolicySpec::None,
-        vec![1400u32; scaled(size, 25_000)],
+        vec![1400u32; size.frames(25_000)],
     );
     sc.dumbbell.pairs = 3;
     sc.red_bottleneck = true;
@@ -135,7 +135,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     // 6. Many-flow incast: hundreds of concurrent connections sharing
     //    one bottleneck — per-connection state, ACK fan-in and timer
     //    load that the single-flow profiles never reach.
-    let sc = Scenario::incast(200, scaled(size, 150), 1400);
+    let sc = Scenario::incast(200, size.frames(150), 1400);
     specs.push(ScenarioSpec::new("many_flows", sc));
 
     // 7. CUBIC under the Table-3 conflict workload: the cubic window
@@ -148,7 +148,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     // 8. BBR-like model under many-flow incast: per-connection
     //    rate/min-RTT sampling and BDP recomputation across hundreds
     //    of concurrent flows.
-    let mut sc = Scenario::incast(200, scaled(size, 150), 1400);
+    let mut sc = Scenario::incast(200, size.frames(150), 1400);
     sc.cc = CcAlgorithm::from_name("bbr").expect("known name");
     specs.push(ScenarioSpec::new("bbr_many_flows", sc));
 
@@ -167,10 +167,6 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     specs.push(ScenarioSpec::new("mega_flows", Scenario::mega(8, 12_800, msgs, 1400)));
 
     specs
-}
-
-fn scaled(size: Size, full: usize) -> usize {
-    ((full as f64 * size.0) as usize).max(40)
 }
 
 fn to_bench_scenario(name: String, r: &ScenarioReport) -> BenchScenario {

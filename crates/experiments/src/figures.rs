@@ -5,7 +5,7 @@ use iq_trace::MembershipTrace;
 
 use crate::runner::Executor;
 use crate::scenario::RunResult;
-use crate::tables::{run_table3, run_table6, Size, TABLE6_IPERF_BPS};
+use crate::tables::{run_table3, Size, TABLE6_IPERF_BPS};
 
 /// Figure 1: membership dynamics — the group-size trace driving the
 /// changing-application workloads.
@@ -39,15 +39,10 @@ pub struct Figure4Point {
 }
 
 /// Figure 4: performance improvement from coordination against
-/// over-reaction, as a function of congestion level (derived from the
-/// Table 6 sweep; the paper reports +6→25 % throughput and −20→76 %
-/// jitter as congestion grows).
-pub fn figure4(exec: &Executor, size: Size) -> Vec<Figure4Point> {
-    figure4_from_rows(&run_table6(exec, size))
-}
-
-/// Computes Figure 4 from already-run Table 6 rows (pairs of
-/// IQ-RUDP/RUDP per iperf rate).
+/// over-reaction, as a function of congestion level, computed from
+/// already-run Table 6 rows (pairs of IQ-RUDP/RUDP per iperf rate; the
+/// paper reports +6→25 % throughput and −20→76 % jitter as congestion
+/// grows).
 pub fn figure4_from_rows(rows: &[RunResult]) -> Vec<Figure4Point> {
     assert_eq!(rows.len(), 2 * TABLE6_IPERF_BPS.len(), "expected table 6 rows");
     TABLE6_IPERF_BPS

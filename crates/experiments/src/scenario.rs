@@ -14,14 +14,14 @@ use iq_echo::{
 };
 use iq_metrics::{FlowMetrics, TimeSeries};
 use iq_netsim::{
-    build_dumbbell_leg, time, Addr, Agent, AgentId, DumbbellSpec, FlowId, ShardAgentId,
-    ShardedSim,
+    build_dumbbell_leg, time, Addr, Agent, AgentId, BulkSender, DumbbellSpec, FlowId,
+    ReceiverDriver, SenderDriver, ShardAgentId, ShardedSim,
 };
 use iq_obs::{Plane, Registry};
 use iq_rudp::{
-    BbrParams, BulkSenderAgent, CcAlgorithm, ConnBuilder, CubicParams, RrrParams, RudpConfig,
+    BbrParams, CcAlgorithm, ConnBuilder, CubicParams, RrrParams, RudpConfig, SenderConn,
 };
-use iq_tcp::{TcpBulkSenderAgent, TcpConfig, TcpSenderConn, TcpSinkAgent};
+use iq_tcp::{TcpConfig, TcpReceiverConn, TcpSenderConn, TcpSinkAgent};
 use iq_telemetry::{to_jsonl, TelemetryBus, TelemetrySink};
 use iq_trace::{MembershipConfig, MembershipTrace};
 use iq_workload::{CbrSource, VbrSource};
@@ -607,16 +607,11 @@ impl World {
             if cross.tcp_bulk {
                 // Enough volume to outlast the run.
                 let msgs = (sc.deadline_s * 2.5e6 / 1400.0) as u64;
-                let conn = TcpSenderConn::new(900, tcp_cfg.clone());
-                let src =
-                    TcpBulkSenderAgent::new(conn, Addr::new(rh[2], 12), FlowId(102), msgs, 1400);
-                sim.add_agent(lh[2], 12, Box::new(src));
-                let sink = TcpSinkAgent::with_metrics(
-                    900,
-                    tcp_cfg.clone(),
-                    FlowId(102),
-                    FlowMetrics::volume_only(),
-                );
+                let (peer, flow) = (Addr::new(rh[2], 12), FlowId(102));
+                let tx = SenderDriver::new(TcpSenderConn::new(900, tcp_cfg.clone()), peer, flow);
+                sim.add_agent(lh[2], 12, Box::new(BulkSender::new(tx, msgs, 1400)));
+                let rx = ReceiverDriver::new(TcpReceiverConn::new(900, tcp_cfg.clone()), flow);
+                let sink = TcpSinkAgent::new(rx, FlowMetrics::volume_only());
                 sim.add_agent(rh[2], 12, Box::new(sink));
             }
 
@@ -647,14 +642,14 @@ impl World {
                     FlowClass::Bulk { builder, unmark_every } => {
                         let driver = builder.for_conn(id, flow).build_sender(peer);
                         Box::new(
-                            BulkSenderAgent::from_driver(driver, msgs_per_flow, msg_size)
+                            BulkSender::new(driver, msgs_per_flow, msg_size)
                                 .unmark_every(*unmark_every),
                         )
                     }
                     FlowClass::TcpBulk => {
                         let (msgs, size) = tcp_schedule(sc);
                         let conn = TcpSenderConn::new(id, tcp_cfg.clone());
-                        Box::new(TcpBulkSenderAgent::new(conn, peer, flow, msgs, size))
+                        Box::new(BulkSender::new(SenderDriver::new(conn, peer, flow), msgs, size))
                     }
                 };
                 let tx = sim.add_agent(lh[pair], port, sender);
@@ -666,10 +661,11 @@ impl World {
                     FlowClass::Adaptive(builder) | FlowClass::Bulk { builder, .. } => {
                         let builder =
                             builder.for_conn(id, flow).telemetry(flow_sinks[right].clone());
-                        Box::new(EchoSinkAgent::with_metrics(builder.build_receiver(), metrics))
+                        Box::new(EchoSinkAgent::new(builder.build_receiver(), metrics))
                     }
                     FlowClass::TcpBulk => {
-                        Box::new(TcpSinkAgent::with_metrics(id, tcp_cfg.clone(), flow, metrics))
+                        let conn = TcpReceiverConn::new(id, tcp_cfg.clone());
+                        Box::new(TcpSinkAgent::new(ReceiverDriver::new(conn, flow), metrics))
                     }
                 };
                 let rx = sim.add_agent(rh[pair], port, receiver);
@@ -732,7 +728,7 @@ impl World {
                     }
                 }
                 FlowClass::Bulk { .. } => {
-                    let a = sim.agent::<BulkSenderAgent>(flow.tx.id()).expect("bulk sender");
+                    let a = sim.agent::<BulkSender<SenderConn>>(flow.tx.id()).expect("bulk sender");
                     offered += a.offered_msgs();
                     sum_sender_stats(sender_stats.get_or_insert_default(), &a.conn().stats());
                 }

@@ -32,7 +32,9 @@ impl Size {
     /// conflict scenarios degenerate into loss-free runs.
     pub const SMOKE: Size = Size(0.25);
 
-    fn frames(&self, full: usize) -> usize {
+    /// `full` scaled to this size, never below 40 (the schedules'
+    /// floor).
+    pub(crate) fn frames(&self, full: usize) -> usize {
         ((full as f64 * self.0) as usize).max(40)
     }
 }

@@ -31,8 +31,8 @@ use std::sync::Mutex;
 
 use iq_experiments::{run_scenario_with, RunConfig, RunResult, Scenario};
 use iq_metrics::FlowMetrics;
-use iq_netsim::{build_dumbbell, time, Addr, DumbbellSpec, FlowId, Simulator};
-use iq_rudp::{BulkSenderAgent, RudpConfig, RudpSinkAgent, SenderConn};
+use iq_netsim::{build_dumbbell, time, Addr, BulkSender, DumbbellSpec, FlowId, Simulator};
+use iq_rudp::{RudpConfig, RudpSinkAgent};
 use iq_workload::{CbrSource, UdpSink};
 
 /// Set ≈ 10 % above what the tree measured when the gate was last moved
@@ -252,11 +252,11 @@ fn cross_sink_over_run_length() {
     let cbr = CbrSource::new(Addr::new(rh[1], 10), FlowId(100), 18e6, 972);
     sim.add_agent(lh[1], 10, Box::new(cbr));
     let cross = sim.add_agent(rh[1], 10, Box::new(UdpSink::new()));
-    let cfg = RudpConfig::default();
-    let conn = SenderConn::new(1, cfg.clone());
-    let bulk = BulkSenderAgent::new(conn, Addr::new(rh[0], 1), FlowId(1), 150, 1400);
+    let builder = RudpConfig::default().builder(1, FlowId(1));
+    let bulk = BulkSender::new(builder.build_sender(Addr::new(rh[0], 1)), 150, 1400);
     sim.add_agent(lh[0], 1, Box::new(bulk));
-    let rx = sim.add_agent(rh[0], 1, Box::new(RudpSinkAgent::new(1, cfg, FlowId(1))));
+    let sink = RudpSinkAgent::new(builder.build_receiver(), FlowMetrics::new());
+    let rx = sim.add_agent(rh[0], 1, Box::new(sink));
 
     let mut marks = Vec::new();
     for until in [2.0, 8.0] {

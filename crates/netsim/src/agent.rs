@@ -81,9 +81,4 @@ impl Ctx<'_> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.cancel_timer(id);
     }
-
-    /// Requests the simulation loop to stop after the current event.
-    pub fn stop_simulation(&mut self) {
-        self.core.stopped = true;
-    }
 }

@@ -46,11 +46,15 @@
 //! sim.run_until(time::secs(1.0));
 //! assert_eq!(sim.agent::<Count>(rx).unwrap().0, 1);
 //! ```
+//!
+//! A transport's sans-io connection becomes an agent through the one
+//! [`endpoint`] layer, whatever the protocol.
 
 #![warn(missing_docs)]
 #![allow(clippy::new_without_default)]
 
 pub mod agent;
+pub mod endpoint;
 pub mod event;
 pub mod link;
 pub mod packet;
@@ -63,6 +67,7 @@ pub mod time;
 pub mod topology;
 
 pub use agent::{Agent, Ctx, TimerId};
+pub use endpoint::{BulkSender, Conn, ReceiverDriver, SendConn, SenderDriver, Wire};
 pub use link::{LinkSpec, LinkStats, QueueDiscipline, RedParams};
 pub use packet::{payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats};
 pub use routing::RoutingTable;

@@ -72,10 +72,11 @@ impl FlowId {
 const INLINE_BYTES: usize = 16;
 
 /// Size in `u64` words of a pooled payload buffer: fits the largest
-/// protocol segment wrapper (`RudpPacket`, 104 bytes whatever its SACK
-/// block holds; `TcpPacket` is 56). `iq-rudp` guards the fit with a
-/// test against [`Payload::POOLED_BYTES`], since a wrapper that
-/// outgrows the slot silently falls to the `Arc` tier.
+/// transport segment in its [`Wire`](crate::endpoint::Wire) (104 bytes
+/// for an RUDP segment whatever its SACK block holds; 56 for TCP).
+/// `iq-rudp` guards the fit with a test against
+/// [`Payload::POOLED_BYTES`], since a wire that outgrows the slot
+/// silently falls to the `Arc` tier.
 const POOL_WORDS: usize = 13;
 
 /// Pooled buffers retained per thread; beyond this, freed buffers go
@@ -223,10 +224,10 @@ fn debug_assert_fits<T>(slot_bytes: usize) {
 /// * **inline** — plain-data values of at most `INLINE_BYTES` bytes
 ///   (e.g. a datagram sequence number) live in the `Payload` itself;
 /// * **pooled** — larger destructor-free plain data up to
-///   [`Payload::POOLED_BYTES`] (transport segments: `RudpPacket`,
-///   `TcpPacket`) lives in a fixed-size buffer drawn from a per-thread
-///   free list and returned to it on drop, so steady-state segment
-///   traffic never touches the allocator;
+///   [`Payload::POOLED_BYTES`] (transport segments in their
+///   [`Wire`](crate::endpoint::Wire)) lives in a fixed-size buffer
+///   drawn from a per-thread free list and returned to it on drop, so
+///   steady-state segment traffic never touches the allocator;
 /// * **shared** — everything else goes behind an `Arc`, so a packet can
 ///   be duplicated (e.g. by a lossy-duplication link model) without
 ///   copying the content.

@@ -97,7 +97,6 @@ pub struct SimCore {
     /// Where packet outcomes and queue depths go — the network's ground
     /// truth, folded per flow by the bus's reader (disabled: nowhere).
     pub(crate) telemetry: TelemetrySink,
-    pub(crate) stopped: bool,
     /// One outbox per egress link, in [`Simulator::mark_egress`] order:
     /// the boundary arrivals produced since the shard engine last took
     /// them. Per link so a window's output is handed to each boundary
@@ -342,7 +341,6 @@ impl Simulator {
                 rng: SmallRng::seed_from_u64(seed),
                 counters: SimCounters::default(),
                 telemetry: TelemetrySink::disabled(),
-                stopped: false,
                 outboxes: Vec::new(),
                 delivery_latency: iq_obs::Hist::new(),
                 profiler: iq_obs::PhaseProfiler::new(),
@@ -678,22 +676,16 @@ impl Simulator {
         }
     }
 
-    /// Runs until the event queue drains, `deadline` passes, or an agent
-    /// stops the simulation. Returns the time the loop stopped at.
+    /// Runs until the event queue drains or `deadline` passes. Returns
+    /// the time the loop stopped at.
     pub fn run_until(&mut self, deadline: Time) -> Time {
         self.ensure_routes();
-        self.core.stopped = false;
-        while !self.core.stopped {
-            match self.core.queue.pop_before(deadline) {
-                Some(ev) => self.exec_event(ev),
-                None => break,
-            }
+        while let Some(ev) = self.core.queue.pop_before(deadline) {
+            self.exec_event(ev);
         }
-        if !self.core.stopped {
-            // All remaining events lie beyond the deadline, so the clock
-            // can jump straight to it.
-            self.core.now = self.core.now.max(deadline);
-        }
+        // All remaining events lie beyond the deadline, so the clock can
+        // jump straight to it.
+        self.core.now = self.core.now.max(deadline);
         self.core.now
     }
 
@@ -703,12 +695,11 @@ impl Simulator {
         self.run_until(deadline)
     }
 
-    /// Runs until the event queue is exhausted or an agent stops the
-    /// simulation (useful for closed workloads that terminate).
+    /// Runs until the event queue is exhausted (useful for closed
+    /// workloads that terminate).
     pub fn run_to_completion(&mut self) -> Time {
         self.ensure_routes();
-        self.core.stopped = false;
-        while !self.core.stopped && self.step() {}
+        while self.step() {}
         self.core.now
     }
 
@@ -830,11 +821,6 @@ impl Simulator {
             // to and not in some shard's past.
             self.core.now = self.core.now.max(last);
         }
-        assert!(
-            !self.core.stopped,
-            "stop_simulation() is not supported under sharded execution \
-             (a shard stopping early would break the lookahead contract)"
-        );
     }
 
     /// The boundary arrivals egress link `outbox` (a

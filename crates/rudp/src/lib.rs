@@ -15,9 +15,9 @@
 //!    be abandoned and skipped with a `fwd_seq` floor.
 //!
 //! The protocol lives in pure state machines ([`SenderConn`],
-//! [`ReceiverConn`]) with simulator glue in [`endpoint`]. Coordination
-//! with application adaptations (what makes IQ-RUDP "IQ") lives one
-//! crate up, in `iq-core`.
+//! [`ReceiverConn`]); [`endpoint`] plugs them into the simulator's
+//! generic drivers. Coordination with application adaptations (what
+//! makes IQ-RUDP "IQ") lives one crate up, in `iq-core`.
 
 #![warn(missing_docs)]
 
@@ -36,17 +36,15 @@ pub use cc::{
     BbrParams, BbrWindow, CcAlgorithm, CcConfig, CcController, CongestionControl, CubicParams,
     CubicWindow, FixedWindow, LdaParams, LdaWindow, RrrParams, RrrWindow,
 };
-pub use endpoint::{
-    BulkSenderAgent, ConnBuilder, ReceiverDriver, RudpSinkAgent, SenderDriver, RUDP_TIMER_TOKEN,
-};
+pub use endpoint::{ConnBuilder, RudpSinkAgent};
 pub use inline::InlineQueue;
 pub use meter::{NetCond, PeriodMeter};
 pub use receiver::ReceiverConn;
 pub use ring::SeqRing;
 pub use rtt::RttEstimator;
 pub use segment::{
-    wire_size, AckSeg, DataSeg, RudpPacket, SackRanges, Segment, ACK_BYTES, DEFAULT_MSS,
-    HEADER_BYTES, MAX_SACK_RANGES, SACK_RANGE_BYTES,
+    wire_size, AckSeg, DataSeg, SackRanges, Segment, ACK_BYTES, DEFAULT_MSS, HEADER_BYTES,
+    MAX_SACK_RANGES, SACK_RANGE_BYTES,
 };
 pub use sender::{SenderConn, SenderState};
 pub use types::{ConnEvent, DeliveredMsg, ReceiverStats, RudpConfig, SendOutcome, SenderStats};

@@ -955,12 +955,12 @@ mod tests {
             println!("{name}: {size} bytes (ceiling {ceiling})");
             assert!(size <= ceiling, "{name} grew to {size} bytes");
         }
-        // A wrapper past the pooled payload slot would silently ride the
+        // A wire past the pooled payload slot would silently ride the
         // `Arc` tier, one allocator call a packet.
+        let wire = std::mem::size_of::<iq_netsim::Wire<Segment>>();
         assert!(
-            std::mem::size_of::<crate::RudpPacket>() <= iq_netsim::Payload::POOLED_BYTES,
-            "RudpPacket is {} bytes, the pooled payload slot {}",
-            std::mem::size_of::<crate::RudpPacket>(),
+            wire <= iq_netsim::Payload::POOLED_BYTES,
+            "Wire<Segment> is {wire} bytes, the pooled payload slot {}",
             iq_netsim::Payload::POOLED_BYTES
         );
     }

@@ -309,16 +309,6 @@ impl Segment {
     }
 }
 
-/// A segment stamped with the connection it belongs to; this is the
-/// payload type placed in simulator packets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RudpPacket {
-    /// Connection identifier (demultiplexing and sanity checks).
-    pub conn_id: u32,
-    /// The segment.
-    pub segment: Segment,
-}
-
 /// Wire size in bytes of a segment, for queueing and serialization.
 pub fn wire_size(seg: &Segment) -> u32 {
     match seg {

@@ -13,9 +13,9 @@
 //! 3. under a lossy netsim bulk transfer, the timer-fire rate stays
 //!    within a small, justified per-sim-second budget.
 
-use iq_netsim::{time, Addr, FlowId, LinkSpec, Simulator};
-use iq_rudp::endpoint::{BulkSenderAgent, RudpSinkAgent};
-use iq_rudp::{ReceiverConn, RudpConfig, Segment, SenderConn};
+use iq_metrics::FlowMetrics;
+use iq_netsim::{time, Addr, BulkSender, FlowId, LinkSpec, Simulator};
+use iq_rudp::{ReceiverConn, RudpConfig, RudpSinkAgent, Segment, SenderConn};
 
 /// Handshakes a directly-driven sender/receiver pair at `now`.
 fn establish(now: u64, cfg: &RudpConfig) -> (SenderConn, ReceiverConn) {
@@ -109,16 +109,11 @@ fn lossy_transfer_timer_rate_is_bounded() {
         b,
         LinkSpec::new(10e6, time::millis(5), 64_000).with_random_loss(0.05),
     );
-    let cfg = RudpConfig::default();
-    let sender = BulkSenderAgent::new(
-        SenderConn::new(7, cfg.clone()),
-        Addr::new(b, 1),
-        FlowId(1),
-        200,
-        1400,
-    );
+    let builder = RudpConfig::default().builder(7, FlowId(1));
+    let sender = BulkSender::new(builder.build_sender(Addr::new(b, 1)), 200, 1400);
     sim.add_agent(a, 1, Box::new(sender));
-    let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(7, cfg, FlowId(1))));
+    let sink = RudpSinkAgent::new(builder.build_receiver(), FlowMetrics::new());
+    let rx = sim.add_agent(b, 1, Box::new(sink));
     let horizon_s = 60.0;
     sim.run_until(time::secs(horizon_s));
 

@@ -1,240 +1,93 @@
-//! Simulator glue for the TCP model: drivers plus bulk/sink agents,
-//! mirroring the RUDP endpoint layer.
+//! Simulator glue for the TCP model: its connections plug into
+//! `iq-netsim`'s endpoint layer exactly as RUDP's do, plus the sink that
+//! records [`FlowMetrics`].
 
 use iq_metrics::FlowMetrics;
-use iq_netsim::{payload, Addr, Agent, Ctx, FlowId, Packet, Time, TimerId};
+use iq_netsim::{Agent, Conn, Ctx, Packet, ReceiverDriver, SendConn, Time};
 
-use crate::receiver::{TcpDeliveredMsg, TcpReceiverConn};
-use crate::segment::{tcp_wire_size, TcpPacket};
-use crate::sender::{TcpConfig, TcpSenderConn};
+use crate::receiver::TcpReceiverConn;
+use crate::segment::{tcp_wire_size, TcpSegment};
+use crate::sender::TcpSenderConn;
 
-/// Timer token reserved for TCP protocol ticks.
-pub const TCP_TIMER_TOKEN: u64 = 0x5443_5054; // "TCPT"
+impl Conn for TcpSenderConn {
+    type Segment = TcpSegment;
 
-/// Embeds a [`TcpSenderConn`] into an agent.
-pub struct TcpSenderDriver {
-    /// The protocol state machine.
-    pub conn: TcpSenderConn,
-    peer: Addr,
-    flow: FlowId,
-    armed: Option<(Time, TimerId)>,
-}
-
-impl TcpSenderDriver {
-    /// Creates a driver toward `peer` tagging packets with `flow`.
-    pub fn new(conn: TcpSenderConn, peer: Addr, flow: FlowId) -> Self {
-        Self {
-            conn,
-            peer,
-            flow,
-            armed: None,
-        }
+    fn conn_id(&self) -> u32 {
+        TcpSenderConn::conn_id(self)
     }
 
-    /// Feeds an incoming packet; returns `true` when consumed.
-    pub fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> bool {
-        let Some(tp) = pkt.payload_as::<TcpPacket>() else {
-            return false;
-        };
-        if tp.conn_id != self.conn.conn_id() {
-            return false;
-        }
-        self.conn.on_segment(ctx.now(), &tp.segment);
-        true
+    fn on_segment(&mut self, now: Time, seg: &TcpSegment) {
+        TcpSenderConn::on_segment(self, now, seg);
     }
 
-    /// Handles the protocol timer tick. Only a timer that actually
-    /// reached its deadline is considered consumed, so several drivers
-    /// may share one agent's timer token safely.
-    pub fn handle_timer(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((at, _)) = self.armed {
-            if at <= ctx.now() {
-                self.armed = None;
-            }
-        }
-        self.conn.on_tick(ctx.now());
+    fn poll_transmit(&mut self, now: Time) -> Option<TcpSegment> {
+        TcpSenderConn::poll_transmit(self, now)
     }
 
-    /// Transmits everything ready and re-arms the timer.
-    pub fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        let conn_id = self.conn.conn_id();
-        while let Some(seg) = self.conn.poll_transmit(ctx.now()) {
-            let size = tcp_wire_size(&seg);
-            ctx.send(
-                self.peer,
-                size,
-                self.flow,
-                payload(TcpPacket {
-                    conn_id,
-                    segment: seg,
-                }),
-            );
-        }
-        if let Some(next) = self.conn.next_timeout(ctx.now()) {
-            let next = next.max(ctx.now());
-            match self.armed {
-                Some((at, _)) if at <= next => {}
-                _ => {
-                    if let Some((_, id)) = self.armed.take() {
-                        ctx.cancel_timer(id);
-                    }
-                    let id = ctx.set_timer(next - ctx.now(), TCP_TIMER_TOKEN);
-                    self.armed = Some((next, id));
-                }
-            }
-        }
+    fn wire_size(seg: &TcpSegment) -> u32 {
+        tcp_wire_size(seg)
     }
 }
 
-/// Embeds a [`TcpReceiverConn`] into an agent.
-pub struct TcpReceiverDriver {
-    /// The protocol state machine.
-    pub conn: TcpReceiverConn,
-    peer: Option<Addr>,
-    flow: FlowId,
-}
-
-impl TcpReceiverDriver {
-    /// Creates a receiver driver tagging ACKs with `flow`.
-    pub fn new(conn: TcpReceiverConn, flow: FlowId) -> Self {
-        Self {
-            conn,
-            peer: None,
-            flow,
-        }
+impl SendConn for TcpSenderConn {
+    fn on_tick(&mut self, now: Time) {
+        TcpSenderConn::on_tick(self, now);
     }
 
-    /// Feeds an incoming packet; returns `true` when consumed.
-    pub fn handle_packet(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) -> bool {
-        let Some(tp) = pkt.payload_as::<TcpPacket>() else {
-            return false;
-        };
-        if tp.conn_id != self.conn.conn_id() {
-            return false;
-        }
-        self.peer.get_or_insert(pkt.src);
-        self.conn.on_segment(ctx.now(), &tp.segment);
-        true
+    fn next_timeout(&self, now: Time) -> Option<Time> {
+        TcpSenderConn::next_timeout(self, now)
     }
 
-    /// Transmits pending ACK/control segments.
-    pub fn pump(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(peer) = self.peer else {
-            return;
-        };
-        let conn_id = self.conn.conn_id();
-        while let Some(seg) = self.conn.poll_transmit(ctx.now()) {
-            let size = tcp_wire_size(&seg);
-            ctx.send(
-                peer,
-                size,
-                self.flow,
-                payload(TcpPacket {
-                    conn_id,
-                    segment: seg,
-                }),
-            );
-        }
+    /// TCP delivers everything: `marked` is ignored.
+    fn send_message(&mut self, now: Time, size: u32, _marked: bool) {
+        TcpSenderConn::send_message(self, now, size);
+    }
+
+    fn backlog_segments(&self) -> usize {
+        TcpSenderConn::backlog_segments(self)
+    }
+
+    fn finish(&mut self) {
+        TcpSenderConn::finish(self);
+    }
+
+    fn clear_events(&mut self) {
+        self.take_events();
     }
 }
 
-/// Sends a fixed number of fixed-size messages as fast as TCP allows.
-pub struct TcpBulkSenderAgent {
-    driver: TcpSenderDriver,
-    remaining_msgs: u64,
-    msg_size: u32,
-    backlog_target: usize,
-}
+impl Conn for TcpReceiverConn {
+    type Segment = TcpSegment;
 
-impl TcpBulkSenderAgent {
-    /// Creates a bulk sender transferring `total_msgs × msg_size` bytes.
-    pub fn new(
-        conn: TcpSenderConn,
-        peer: Addr,
-        flow: FlowId,
-        total_msgs: u64,
-        msg_size: u32,
-    ) -> Self {
-        Self {
-            driver: TcpSenderDriver::new(conn, peer, flow),
-            remaining_msgs: total_msgs,
-            msg_size,
-            backlog_target: 128,
-        }
+    fn conn_id(&self) -> u32 {
+        TcpReceiverConn::conn_id(self)
     }
 
-    /// Access to the connection (stats).
-    pub fn conn(&self) -> &TcpSenderConn {
-        &self.driver.conn
+    fn on_segment(&mut self, now: Time, seg: &TcpSegment) {
+        TcpReceiverConn::on_segment(self, now, seg);
     }
 
-    fn refill(&mut self, now: Time) {
-        while self.remaining_msgs > 0
-            && self.driver.conn.backlog_segments() < self.backlog_target
-        {
-            self.driver.conn.send_message(now, self.msg_size);
-            self.remaining_msgs -= 1;
-        }
-        if self.remaining_msgs == 0 {
-            self.driver.conn.finish();
-        }
-    }
-}
-
-impl Agent for TcpBulkSenderAgent {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.refill(ctx.now());
-        self.driver.pump(ctx);
+    fn poll_transmit(&mut self, now: Time) -> Option<TcpSegment> {
+        TcpReceiverConn::poll_transmit(self, now)
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        if self.driver.handle_packet(ctx, &pkt) {
-            self.driver.conn.take_events();
-            self.refill(ctx.now());
-            self.driver.pump(ctx);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TCP_TIMER_TOKEN {
-            self.driver.handle_timer(ctx);
-            self.refill(ctx.now());
-            self.driver.pump(ctx);
-        }
+    fn wire_size(seg: &TcpSegment) -> u32 {
+        tcp_wire_size(seg)
     }
 }
 
 /// Receives TCP messages and records [`FlowMetrics`].
 pub struct TcpSinkAgent {
-    driver: TcpReceiverDriver,
+    driver: ReceiverDriver<TcpReceiverConn>,
     /// Receiver-side application metrics.
     pub metrics: FlowMetrics,
-    /// Raw messages, retained when requested.
-    pub messages: Vec<TcpDeliveredMsg>,
-    keep_messages: bool,
 }
 
 impl TcpSinkAgent {
-    /// Creates a sink for connection `conn_id`.
-    pub fn new(conn_id: u32, cfg: TcpConfig, flow: FlowId) -> Self {
-        Self::with_metrics(conn_id, cfg, flow, FlowMetrics::new())
-    }
-
-    /// [`Self::new`] recording into `metrics`: a sink whose arrival shape
-    /// nobody reads takes [`FlowMetrics::volume_only`].
-    pub fn with_metrics(conn_id: u32, cfg: TcpConfig, flow: FlowId, metrics: FlowMetrics) -> Self {
-        Self {
-            driver: TcpReceiverDriver::new(TcpReceiverConn::new(conn_id, cfg), flow),
-            metrics,
-            messages: Vec::new(),
-            keep_messages: false,
-        }
-    }
-
-    /// Retain every delivered message.
-    pub fn keep_messages(mut self) -> Self {
-        self.keep_messages = true;
-        self
+    /// A sink on `driver` recording into `metrics`: a sink whose arrival
+    /// shape nobody reads takes [`FlowMetrics::volume_only`].
+    pub fn new(driver: ReceiverDriver<TcpReceiverConn>, metrics: FlowMetrics) -> Self {
+        Self { driver, metrics }
     }
 
     /// Whether the transfer finished cleanly.
@@ -256,9 +109,6 @@ impl Agent for TcpSinkAgent {
         for msg in self.driver.conn.take_messages() {
             self.metrics
                 .on_message(msg.delivered_at, msg.sent_at, u64::from(msg.size), true);
-            if self.keep_messages {
-                self.messages.push(msg);
-            }
         }
         self.driver.conn.take_events();
         self.driver.pump(ctx);
@@ -268,7 +118,19 @@ impl Agent for TcpSinkAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iq_netsim::{time, LinkSpec, Simulator};
+    use crate::sender::TcpConfig;
+    use iq_netsim::{time, Addr, BulkSender, FlowId, LinkSpec, NodeId, SenderDriver, Simulator};
+
+    /// A bulk sender of `msgs` 1400-byte messages on connection `id`
+    /// toward `peer`, and its sink.
+    fn pair(id: u32, peer: NodeId, msgs: u64) -> (BulkSender<TcpSenderConn>, TcpSinkAgent) {
+        let cfg = TcpConfig::default();
+        let conn = TcpSenderConn::new(id, cfg.clone());
+        let tx = SenderDriver::new(conn, Addr::new(peer, 1), FlowId(id));
+        let tx = BulkSender::new(tx, msgs, 1400);
+        let rx = ReceiverDriver::new(TcpReceiverConn::new(id, cfg), FlowId(id));
+        (tx, TcpSinkAgent::new(rx, FlowMetrics::new()))
+    }
 
     #[test]
     fn tcp_bulk_transfer_completes() {
@@ -276,19 +138,9 @@ mod tests {
         let a = sim.add_node();
         let b = sim.add_node();
         sim.add_duplex_link(a, b, LinkSpec::new(10e6, time::millis(5), 64_000));
-        let cfg = TcpConfig::default();
-        sim.add_agent(
-            a,
-            1,
-            Box::new(TcpBulkSenderAgent::new(
-                TcpSenderConn::new(2, cfg.clone()),
-                Addr::new(b, 1),
-                FlowId(2),
-                150,
-                1400,
-            )),
-        );
-        let rx = sim.add_agent(b, 1, Box::new(TcpSinkAgent::new(2, cfg, FlowId(2))));
+        let (sender, sink) = pair(2, b, 150);
+        sim.add_agent(a, 1, Box::new(sender));
+        let rx = sim.add_agent(b, 1, Box::new(sink));
         sim.run_until(time::secs(30.0));
         let sink = sim.agent::<TcpSinkAgent>(rx).unwrap();
         assert!(sink.is_finished());
@@ -305,24 +157,14 @@ mod tests {
             b,
             LinkSpec::new(10e6, time::millis(5), 64_000).with_random_loss(0.03),
         );
-        let cfg = TcpConfig::default();
-        let tx = sim.add_agent(
-            a,
-            1,
-            Box::new(TcpBulkSenderAgent::new(
-                TcpSenderConn::new(2, cfg.clone()),
-                Addr::new(b, 1),
-                FlowId(2),
-                300,
-                1400,
-            )),
-        );
-        let rx = sim.add_agent(b, 1, Box::new(TcpSinkAgent::new(2, cfg, FlowId(2))));
+        let (sender, sink) = pair(2, b, 300);
+        let tx = sim.add_agent(a, 1, Box::new(sender));
+        let rx = sim.add_agent(b, 1, Box::new(sink));
         sim.run_until(time::secs(120.0));
         let sink = sim.agent::<TcpSinkAgent>(rx).unwrap();
         assert!(sink.is_finished(), "lossy TCP transfer did not finish");
         assert_eq!(sink.metrics.messages(), 300);
-        let sender = sim.agent::<TcpBulkSenderAgent>(tx).unwrap();
+        let sender = sim.agent::<BulkSender<TcpSenderConn>>(tx).unwrap();
         assert!(sender.conn().stats().retransmits > 0);
     }
 
@@ -331,40 +173,19 @@ mod tests {
         let mut sim = Simulator::new(21);
         let spec = iq_netsim::DumbbellSpec::paper_default(2);
         let db = iq_netsim::build_dumbbell(&mut sim, &spec);
-        let cfg = TcpConfig::default();
-        let msgs = 3000u64;
-        for (i, (&l, &r)) in db
-            .left_hosts
-            .iter()
-            .zip(&db.right_hosts)
-            .enumerate()
-        {
-            let conn_id = i as u32 + 1;
-            sim.add_agent(
-                l,
-                1,
-                Box::new(TcpBulkSenderAgent::new(
-                    TcpSenderConn::new(conn_id, cfg.clone()),
-                    Addr::new(r, 1),
-                    FlowId(conn_id),
-                    msgs,
-                    1400,
-                )),
-            );
+        let mut sinks = Vec::new();
+        for (i, (&l, &r)) in db.left_hosts.iter().zip(&db.right_hosts).enumerate() {
+            let (sender, sink) = pair(i as u32 + 1, r, 3000);
+            sim.add_agent(l, 1, Box::new(sender));
+            sinks.push((r, sink));
         }
-        let rx0 = sim.add_agent(
-            db.right_hosts[0],
-            1,
-            Box::new(TcpSinkAgent::new(1, cfg.clone(), FlowId(1))),
-        );
-        let rx1 = sim.add_agent(
-            db.right_hosts[1],
-            1,
-            Box::new(TcpSinkAgent::new(2, cfg.clone(), FlowId(2))),
-        );
+        let rx: Vec<_> = sinks
+            .into_iter()
+            .map(|(r, sink)| sim.add_agent(r, 1, Box::new(sink)))
+            .collect();
         sim.run_until(time::secs(20.0));
-        let t0 = sim.agent::<TcpSinkAgent>(rx0).unwrap().metrics.throughput_kbps();
-        let t1 = sim.agent::<TcpSinkAgent>(rx1).unwrap().metrics.throughput_kbps();
+        let kbps = |id| sim.agent::<TcpSinkAgent>(id).unwrap().metrics.throughput_kbps();
+        let (t0, t1) = (kbps(rx[0]), kbps(rx[1]));
         assert!(t0 > 100.0 && t1 > 100.0, "both must progress: {t0} / {t1}");
         let ratio = t0.max(t1) / t0.min(t1).max(1.0);
         assert!(ratio < 3.0, "gross unfairness: {t0} vs {t1}");

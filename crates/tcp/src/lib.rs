@@ -2,9 +2,10 @@
 //!
 //! A TCP Reno model (slow start, congestion avoidance, fast
 //! retransmit/recovery, retransmission timeouts) used as the baseline
-//! transport in the IQ-RUDP evaluation (Tables 1 and 2). It shares the
-//! simulator substrate and message-framing conventions with `iq-rudp`
-//! so that experiment harnesses can swap transports freely.
+//! transport in the IQ-RUDP evaluation (Tables 1 and 2). It rides the
+//! simulator through the same endpoint layer as `iq-rudp`
+//! ([`iq_netsim::endpoint`]) and shares its message-framing
+//! conventions, so experiment harnesses can swap transports freely.
 
 #![warn(missing_docs)]
 
@@ -14,9 +15,7 @@ pub mod rtt;
 pub mod segment;
 pub mod sender;
 
-pub use endpoint::{
-    TcpBulkSenderAgent, TcpReceiverDriver, TcpSenderDriver, TcpSinkAgent, TCP_TIMER_TOKEN,
-};
+pub use endpoint::TcpSinkAgent;
 pub use receiver::{TcpDeliveredMsg, TcpReceiverConn, TcpReceiverStats};
-pub use segment::{tcp_wire_size, TcpAckSeg, TcpDataSeg, TcpPacket, TcpSegment};
+pub use segment::{tcp_wire_size, TcpAckSeg, TcpDataSeg, TcpSegment};
 pub use sender::{TcpConfig, TcpEvent, TcpSenderConn, TcpSenderStats};

@@ -70,15 +70,6 @@ pub enum TcpSegment {
     FinAck,
 }
 
-/// Payload type placed in simulator packets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TcpPacket {
-    /// Connection identifier.
-    pub conn_id: u32,
-    /// The segment.
-    pub segment: TcpSegment,
-}
-
 /// Wire size of a segment in bytes.
 pub fn tcp_wire_size(seg: &TcpSegment) -> u32 {
     match seg {

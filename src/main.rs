@@ -65,12 +65,13 @@
 //! `obs` runs one bench scenario (default `bulk_rudp`, pick with
 //! `--only NAME`) and prints its full exposition on stdout; `--verify`
 //! re-runs it at `--shards 2` and `4` and fails unless the sim-plane
-//! exposition is byte-identical.
+//! exposition is byte-identical. Only `mega_flows` has shards to spread,
+//! so `--verify` on any other scenario exits 2.
 
 use iq_experiments::ablations::run_all_ablations;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
 use iq_experiments::tables::*;
-use iq_experiments::{Executor, RunResult, Scenario};
+use iq_experiments::{Executor, RunResult, Scenario, ScenarioReport};
 use iq_metrics::{bar_chart, line_plot, PlotConfig};
 use iq_trace::{MembershipConfig, MembershipTrace};
 
@@ -353,9 +354,10 @@ fn usage() -> ! {
 /// `iqrudp obs [SIZE] [--only NAME] [--verify]` — run one bench
 /// scenario and print its metric exposition (Prometheus text, both
 /// planes) on stdout. `--verify` re-runs the scenario at `--shards 2`
-/// and `4` and fails unless the sim-plane exposition is byte-identical
-/// every time. Combine with the global `--metrics DIR` flag to also
-/// write `.prom`/`.jsonl` dumps.
+/// and `4` and fails unless each re-run spread over several shards and
+/// rendered a byte-identical sim-plane exposition ([`verify_rerun`]).
+/// Combine with the global `--metrics DIR` flag to also write
+/// `.prom`/`.jsonl` dumps.
 fn cmd_obs(exec: &Executor, args: &[String]) {
     let mut size = Size(0.05);
     let mut only = "bulk_rudp".to_string();
@@ -407,16 +409,9 @@ fn cmd_obs(exec: &Executor, args: &[String]) {
         for shards in [2usize, 4] {
             let mut at_n = exec.clone();
             at_n.config.threads = shards;
-            let again = at_n.run(&specs);
-            for (a, b) in reports.iter().zip(&again) {
-                if a.result.obs.sim_text() != b.result.obs.sim_text() {
-                    eprintln!(
-                        "obs verify: FAILED — `{}` sim-plane metrics diverged at \
-                         --shards {shards}",
-                        a.name
-                    );
-                    std::process::exit(1);
-                }
+            if let Err((code, why)) = verify_rerun(&reports, &at_n.run(&specs), shards) {
+                eprintln!("obs verify: {why}");
+                std::process::exit(code);
             }
         }
         eprintln!(
@@ -425,6 +420,36 @@ fn cmd_obs(exec: &Executor, args: &[String]) {
             exec.config.threads
         );
     }
+}
+
+/// Checks `again`, the re-run of `first` at `--shards {shards}`: each
+/// re-run must have run on more than one shard, or it repeated the first
+/// run's schedule and proves nothing (exit code 2), and must render the
+/// same sim-plane metrics (exit code 1). The error names the scenario.
+fn verify_rerun(
+    first: &[ScenarioReport],
+    again: &[ScenarioReport],
+    shards: usize,
+) -> Result<(), (i32, String)> {
+    for (a, b) in first.iter().zip(again) {
+        if b.result.shards_used <= 1 {
+            return Err((
+                2,
+                format!(
+                    "`{}` has one shard, so --shards {shards} re-ran the same schedule; \
+                     pick a sharded scenario (--only mega_flows)",
+                    a.name
+                ),
+            ));
+        }
+        if a.result.obs.sim_text() != b.result.obs.sim_text() {
+            return Err((
+                1,
+                format!("FAILED — `{}` sim-plane metrics diverged at --shards {shards}", a.name),
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn cmd_mc(args: &[String]) {
@@ -612,7 +637,10 @@ fn cmd_demo() {
     let rx = sim.add_agent(
         db.right_hosts[0],
         1,
-        Box::new(EchoSinkAgent::new(1, sink_cfg, FlowId(1))),
+        Box::new(EchoSinkAgent::new(
+            sink_cfg.builder(1, FlowId(1)).build_receiver(),
+            iq_metrics::FlowMetrics::new(),
+        )),
     );
     sim.run_until(time::secs(60.0));
     let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
@@ -688,6 +716,29 @@ mod tests {
         // `figures` and `ablations` know no name.
         assert_eq!(positional(&args("0.05"), &[], 1), Some((vec![0.05], None)));
         assert_eq!(positional(&args("t3"), &[], 1), None);
+    }
+
+    #[test]
+    fn obs_verify_refuses_a_one_shard_rerun_and_catches_a_mismatch() {
+        use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, Scheme};
+        // A world built and never run: a report to copy and edit.
+        let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400]);
+        sc.deadline_s = 0.0;
+        let report = |shards_used| {
+            let mut result = run_scenario_with(&sc, RunConfig::default());
+            result.shards_used = shards_used;
+            ScenarioReport { name: "bulk".into(), result, wall_s: 0.0, events_per_sec: 0.0 }
+        };
+        let first = [report(1)];
+        let one_shard = verify_rerun(&first, &[report(1)], 2).unwrap_err();
+        assert_eq!(one_shard.0, 2);
+        assert!(one_shard.1.contains("`bulk` has one shard"), "{}", one_shard.1);
+        assert_eq!(verify_rerun(&first, &[report(2)], 2), Ok(()));
+        let mut diverged = report(2);
+        diverged.result.obs.counter(iq_obs::Plane::Sim, "iq_probe_total", &[], 1);
+        let mismatch = verify_rerun(&first, &[diverged], 2).unwrap_err();
+        assert_eq!(mismatch.0, 1);
+        assert!(mismatch.1.contains("`bulk` sim-plane metrics diverged"), "{}", mismatch.1);
     }
 
     #[test]

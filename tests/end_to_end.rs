@@ -2,10 +2,50 @@
 //! every layer engaged (netsim, transports, middleware, workloads).
 
 use iq_echo::{AdaptiveSourceAgent, EchoSinkAgent, MarkingAdapter, Policy, SourceConfig};
-use iq_netsim::{build_dumbbell, time, Addr, DumbbellSpec, FlowId, LinkSpec, Simulator};
-use iq_rudp::{BulkSenderAgent, RudpConfig, RudpSinkAgent, SenderConn};
-use iq_tcp::{TcpBulkSenderAgent, TcpConfig, TcpSenderConn, TcpSinkAgent};
+use iq_metrics::FlowMetrics;
+use iq_netsim::{
+    build_dumbbell, time, Addr, Agent, BulkSender, Conn, Ctx, DumbbellSpec, FlowId, LinkSpec,
+    NodeId, Packet, ReceiverDriver, SenderDriver, Simulator,
+};
+use iq_rudp::{DeliveredMsg, ReceiverConn, RudpConfig, RudpSinkAgent, SenderConn};
+use iq_tcp::{TcpConfig, TcpDeliveredMsg, TcpReceiverConn, TcpSenderConn};
 use iq_workload::{CbrSource, UdpSink};
+
+/// A bulk RUDP sender of `msgs` messages of `size` bytes on connection 1
+/// toward `peer`, and the receiving driver of the same connection.
+fn rudp_pair(
+    cfg: &RudpConfig,
+    peer: NodeId,
+    msgs: u64,
+    size: u32,
+) -> (BulkSender<SenderConn>, ReceiverDriver<ReceiverConn>) {
+    let b = cfg.builder(1, FlowId(1));
+    (BulkSender::new(b.build_sender(Addr::new(peer, 1)), msgs, size), b.build_receiver())
+}
+
+/// A sink on `rx` recording every message's arrival shape.
+fn sink(rx: ReceiverDriver<ReceiverConn>) -> RudpSinkAgent {
+    RudpSinkAgent::new(rx, FlowMetrics::new())
+}
+
+/// Keeps every message its connection delivers, in delivery order —
+/// what the in-order checks read and no sink retains.
+struct Recorder<C, M> {
+    driver: ReceiverDriver<C>,
+    messages: Vec<M>,
+    /// Moves the connection's delivered messages into the log and drops
+    /// its pending events.
+    drain: fn(&mut C, &mut Vec<M>),
+}
+
+impl<C: Conn + Send + 'static, M: Send + 'static> Agent for Recorder<C, M> {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        if self.driver.handle_packet(ctx, &pkt) {
+            (self.drain)(&mut self.driver.conn, &mut self.messages);
+            self.driver.pump(ctx);
+        }
+    }
+}
 
 /// RUDP delivers a full transfer across the dumbbell while an iperf-like
 /// flow congests the bottleneck.
@@ -25,23 +65,9 @@ fn rudp_transfer_completes_under_cross_traffic() {
     );
     let cross_rx = sim.add_agent(db.right_hosts[1], 9, Box::new(UdpSink::new()));
 
-    let cfg = RudpConfig::default();
-    sim.add_agent(
-        db.left_hosts[0],
-        1,
-        Box::new(BulkSenderAgent::new(
-            SenderConn::new(1, cfg.clone()),
-            Addr::new(db.right_hosts[0], 1),
-            FlowId(1),
-            500,
-            1400,
-        )),
-    );
-    let rx = sim.add_agent(
-        db.right_hosts[0],
-        1,
-        Box::new(RudpSinkAgent::new(1, cfg, FlowId(1))),
-    );
+    let (sender, rx) = rudp_pair(&RudpConfig::default(), db.right_hosts[0], 500, 1400);
+    sim.add_agent(db.left_hosts[0], 1, Box::new(sender));
+    let rx = sim.add_agent(db.right_hosts[0], 1, Box::new(sink(rx)));
     sim.run_until(time::secs(60.0));
 
     let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
@@ -69,55 +95,45 @@ fn both_transports_deliver_identical_payloads() {
         match transport {
             "tcp" => {
                 let cfg = TcpConfig::default();
-                sim.add_agent(
-                    a,
-                    1,
-                    Box::new(TcpBulkSenderAgent::new(
-                        TcpSenderConn::new(1, cfg.clone()),
-                        Addr::new(b, 1),
-                        FlowId(1),
-                        200,
-                        1000,
-                    )),
-                );
-                let rx = sim.add_agent(
-                    b,
-                    1,
-                    Box::new(TcpSinkAgent::new(1, cfg, FlowId(1)).keep_messages()),
-                );
+                let conn = TcpSenderConn::new(1, cfg.clone());
+                let tx = SenderDriver::new(conn, Addr::new(b, 1), FlowId(1));
+                sim.add_agent(a, 1, Box::new(BulkSender::new(tx, 200, 1000)));
+                let recorder = Recorder {
+                    driver: ReceiverDriver::new(TcpReceiverConn::new(1, cfg), FlowId(1)),
+                    messages: Vec::new(),
+                    drain: |conn: &mut TcpReceiverConn, log| {
+                        log.extend(conn.take_messages());
+                        conn.take_events();
+                    },
+                };
+                let rx = sim.add_agent(b, 1, Box::new(recorder));
                 sim.run_until(time::secs(120.0));
-                let sink = sim.agent::<TcpSinkAgent>(rx).unwrap();
-                assert!(sink.is_finished(), "tcp did not finish");
-                assert_eq!(sink.messages.len(), 200);
+                let rec = sim.agent::<Recorder<TcpReceiverConn, TcpDeliveredMsg>>(rx).unwrap();
+                assert!(rec.driver.conn.is_finished(), "tcp did not finish");
+                assert_eq!(rec.messages.len(), 200);
                 // In-order, no duplicates, no gaps.
-                for (i, m) in sink.messages.iter().enumerate() {
+                for (i, m) in rec.messages.iter().enumerate() {
                     assert_eq!(m.msg_id, i as u64);
                     assert_eq!(m.size, 1000);
                 }
             }
             _ => {
-                let cfg = RudpConfig::default();
-                sim.add_agent(
-                    a,
-                    1,
-                    Box::new(BulkSenderAgent::new(
-                        SenderConn::new(1, cfg.clone()),
-                        Addr::new(b, 1),
-                        FlowId(1),
-                        200,
-                        1000,
-                    )),
-                );
-                let rx = sim.add_agent(
-                    b,
-                    1,
-                    Box::new(RudpSinkAgent::new(1, cfg, FlowId(1)).keep_messages()),
-                );
+                let (sender, rx) = rudp_pair(&RudpConfig::default(), b, 200, 1000);
+                sim.add_agent(a, 1, Box::new(sender));
+                let recorder = Recorder {
+                    driver: rx,
+                    messages: Vec::new(),
+                    drain: |conn: &mut ReceiverConn, log| {
+                        log.extend(std::iter::from_fn(|| conn.pop_message()));
+                        conn.clear_events();
+                    },
+                };
+                let rx = sim.add_agent(b, 1, Box::new(recorder));
                 sim.run_until(time::secs(120.0));
-                let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
-                assert!(sink.is_finished(), "rudp did not finish");
-                assert_eq!(sink.messages.len(), 200);
-                for (i, m) in sink.messages.iter().enumerate() {
+                let rec = sim.agent::<Recorder<ReceiverConn, DeliveredMsg>>(rx).unwrap();
+                assert!(rec.driver.conn.is_finished(), "rudp did not finish");
+                assert_eq!(rec.messages.len(), 200);
+                for (i, m) in rec.messages.iter().enumerate() {
                     assert_eq!(m.msg_id, i as u64);
                     assert_eq!(m.size, 1000);
                     assert!(m.marked);
@@ -156,11 +172,8 @@ fn tagged_data_survives_reliability_adaptation() {
         FlowId(1),
     );
     let tx = sim.add_agent(a, 1, Box::new(src));
-    let rx = sim.add_agent(
-        b,
-        1,
-        Box::new(EchoSinkAgent::new(3, sink_cfg, FlowId(1)).keep_messages()),
-    );
+    let rx = sink(sink_cfg.builder(3, FlowId(1)).build_receiver());
+    let rx = sim.add_agent(b, 1, Box::new(rx));
     sim.run_until(time::secs(120.0));
 
     let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
@@ -168,7 +181,7 @@ fn tagged_data_survives_reliability_adaptation() {
     assert!(sink.is_finished(), "did not finish");
     // Every tagged (control) datagram was delivered: the source tags
     // every 5th datagram and the tolerance only covers unmarked ones.
-    let tagged_delivered = sink.messages.iter().filter(|m| m.marked).count() as u64;
+    let tagged_delivered = sink.metrics.tagged_messages();
     let tagged_offered = src.offered_msgs.div_ceil(5);
     assert!(
         tagged_delivered >= tagged_offered,
@@ -216,7 +229,7 @@ fn full_stack_runs_are_reproducible() {
         let rx = sim.add_agent(
             db.right_hosts[0],
             1,
-            Box::new(EchoSinkAgent::new(1, sink_cfg, FlowId(1))),
+            Box::new(sink(sink_cfg.builder(1, FlowId(1)).build_receiver())),
         );
         sim.run_until(time::secs(60.0));
         let sink = sim.agent::<EchoSinkAgent>(rx).unwrap();
@@ -248,18 +261,9 @@ fn receiver_window_prevents_buffer_overrun() {
         recv_buffer_segments: 16,
         ..RudpConfig::default()
     };
-    sim.add_agent(
-        a,
-        1,
-        Box::new(BulkSenderAgent::new(
-            SenderConn::new(1, cfg.clone()),
-            Addr::new(b, 1),
-            FlowId(1),
-            400,
-            1400,
-        )),
-    );
-    let rx = sim.add_agent(b, 1, Box::new(RudpSinkAgent::new(1, cfg, FlowId(1))));
+    let (sender, rx) = rudp_pair(&cfg, b, 400, 1400);
+    sim.add_agent(a, 1, Box::new(sender));
+    let rx = sim.add_agent(b, 1, Box::new(sink(rx)));
     sim.run_until(time::secs(60.0));
     let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
     assert!(sink.is_finished());
