@@ -37,13 +37,17 @@
 //!
 //! Shards are *work items*, not thread-owned property. A persistent pool
 //! of workers (spawned once per [`ShardedSim::run_slices`] call, spanning
-//! every slice) claims runnable shards from one ready queue, min clock
-//! first, so the furthest-behind shard — the one gating everyone else's
-//! lookahead — runs next and any worker can execute any shard. Every
-//! scheduling decision is taken under one mutex. A shard is `Parked`,
-//! `Ready` (in the queue, exactly once) or `Running`; a worker loops
-//! *lock → claim → unlock → run windows → lock → release*, and blocks on
-//! a condvar when there is nothing to claim. After each window the
+//! every slice) claims runnable shards from one ready queue, max clock
+//! first, and any worker can execute any shard. The most advanced shard
+//! is the one whose neighbour just ran: on a dumbbell leg the two halves
+//! leapfrog each other to the epoch target while the leg's flows are
+//! still in cache, and only then does the drain move to the next leg, so
+//! one leg's start-up burst is live at a time. Every scheduling decision
+//! is taken under one mutex. A shard is `Parked`, `Ready` (in the queue,
+//! exactly once) or `Running`; a worker loops *lock → claim → unlock →
+//! run windows → lock → release*, and blocks on a condvar when there is
+//! nothing to claim. A claimed shard runs windows until its lookahead
+//! bound stops it or it reaches the epoch target. After each window the
 //! runner stores its clock and then takes the lock once to queue every
 //! parked successor; the release section re-reads the shard's lookahead
 //! bound under the lock and re-queues it, parks it until an upstream
@@ -83,7 +87,7 @@ use iq_obs::{counter_add, counter_inc, Phase};
 
 use crate::agent::Agent;
 use crate::link::{LinkSpec, LinkStats};
-use crate::packet::{pool_stats, AgentId, LinkId, NodeId, Packet, PoolStats};
+use crate::packet::{pool_stats, Addr, AgentId, LinkId, NodeId, Packet, PoolStats};
 use crate::sched::retained;
 use crate::sim::{SimCounters, Simulator};
 use crate::time::{Time, TimeDelta};
@@ -118,7 +122,8 @@ pub fn boundary_seq(link: LinkId, counter: u64) -> u64 {
 pub struct ShardStats {
     /// Lookahead windows executed (`run_window` calls that made progress).
     pub windows: u64,
-    /// Claims where the ingress lookahead bound forbade progress.
+    /// Claims that ran no window: the ingress lookahead bound forbade
+    /// progress from the start.
     pub stalls: u64,
     /// Cross-shard arrivals drained from ingress mailboxes.
     pub ingress_msgs: u64,
@@ -234,7 +239,8 @@ enum Claim {
 struct SchedInner {
     claim: Vec<Claim>,
     /// The `Ready` shards as `(clock at enqueue, shard)`; claimed
-    /// min-clock first so the shard gating everyone's lookahead runs next.
+    /// max-clock first, so the shard a just-published neighbour unblocked
+    /// runs next and a leg drains to the target before the next one starts.
     ready: Vec<(Time, usize)>,
     /// Exclusive epoch target (shards run events strictly below it).
     target: Time,
@@ -255,14 +261,14 @@ impl SchedInner {
         }
     }
 
-    /// Pops and claims the min-clock ready shard (the max-clock one if
-    /// `pick_max`: perturbation, to prove order doesn't matter).
-    fn claim(&mut self, pick_max: bool) -> Option<usize> {
+    /// Pops and claims the max-clock ready shard (the min-clock one if
+    /// `pick_min`: perturbation, to prove order doesn't matter).
+    fn claim(&mut self, pick_min: bool) -> Option<usize> {
         let ready = self.ready.iter().enumerate();
-        let (best, _) = if pick_max {
-            ready.max_by_key(|&(_, &(clock, _))| clock)
-        } else {
+        let (best, _) = if pick_min {
             ready.min_by_key(|&(_, &(clock, _))| clock)
+        } else {
+            ready.max_by_key(|&(_, &(clock, _))| clock)
         }?;
         let (_, s) = self.ready.swap_remove(best);
         self.claim[s] = Claim::Running;
@@ -395,8 +401,8 @@ impl Engine<'_> {
             if g.shutdown {
                 return None;
             }
-            let pick_max = rng.as_mut().is_some_and(|r| r.next() % 4 == 0);
-            if let Some(s) = g.claim(pick_max) {
+            let pick_min = rng.as_mut().is_some_and(|r| r.next() % 4 == 0);
+            if let Some(s) = g.claim(pick_min) {
                 return Some((s, g.target));
             }
             self.worker_parks.fetch_add(1, Ordering::Relaxed);
@@ -419,9 +425,10 @@ impl Engine<'_> {
         limit
     }
 
-    /// Runs claimed shard `s` for as many windows as its lookahead
-    /// allows, then releases the claim: re-queue if still runnable, park
-    /// if lookahead-limited, report epoch completion if it crossed.
+    /// Runs claimed shard `s` window after window until its lookahead
+    /// bound stops it or it reaches `target`, then releases the claim:
+    /// re-queue if still runnable, park if lookahead-limited, report
+    /// epoch completion if it crossed.
     fn run_shard(&self, s: usize, target: Time, worker: usize, rng: &mut Option<Xorshift>) {
         let mut slot = self.slots[s].lock().unwrap();
         let slot = &mut *slot;
@@ -431,12 +438,11 @@ impl Engine<'_> {
             }
             slot.last_worker = worker;
         }
-        loop {
-            let limit = target.min(self.bound(s));
-            if limit <= self.clock(s) {
-                counter_inc!(slot.sim.shard_stats_mut().stalls);
-                break;
-            }
+        let mut limit = target.min(self.bound(s));
+        if limit <= self.clock(s) {
+            counter_inc!(slot.sim.shard_stats_mut().stalls);
+        }
+        while limit > self.clock(s) {
             if let Some(r) = rng.as_mut() {
                 // Perturbation: pretend the scheduler preempted us here.
                 if r.next() % 8 == 0 {
@@ -445,20 +451,12 @@ impl Engine<'_> {
             }
             self.window(s, slot, limit);
             // The clock is stored; queue whoever it unblocks.
-            let mut g = self.lock();
-            let woken = g.wake(self.successors[s].iter().copied(), |d| self.clock(d));
-            let contended = !g.ready.is_empty();
-            drop(g);
+            let woken = self.lock().wake(self.successors[s].iter().copied(), |d| self.clock(d));
             for _ in 0..woken {
                 self.worker_cv.notify_one();
             }
             counter_add!(slot.sim.shard_stats_mut().wakes, woken as u64);
-            // Fairness: if other shards are waiting to run, release this
-            // one (it re-queues below) so claims keep following the
-            // min-clock order instead of one worker tunnelling ahead.
-            if limit >= target || contended {
-                break;
-            }
+            limit = target.min(self.bound(s));
         }
         let mut g = self.lock();
         let parked = g.release(s, self.clock(s), self.bound(s));
@@ -536,10 +534,12 @@ impl Engine<'_> {
         self.worker_cv.notify_all();
         while g.remaining > 0 {
             if inline {
-                // The queue cannot be empty while shards remain: the
-                // min-clock uncrossed shard's bound always exceeds its
-                // clock (positive lookahead, no predecessor behind it),
-                // so `release` re-queues it rather than parking it.
+                // The queue cannot be empty while shards remain: a parked
+                // shard's bound was at most its clock, and only a
+                // predecessor's publish (which queues it) raises it; the
+                // min-clock uncrossed shard's bound exceeds its clock
+                // (positive lookahead, no predecessor behind it), so it
+                // is queued whichever shard this thread ran last.
                 let s = g.claim(false).expect("ready queue empty with shards remaining");
                 drop(g);
                 self.run_shard(s, target, 0, &mut None);
@@ -664,6 +664,18 @@ impl ShardedSim {
         self.shards.len()
     }
 
+    /// Shard `shard`'s simulator; panics, naming the index, if no
+    /// `add_shard` returned it.
+    fn sim(&self, shard: usize) -> &Simulator {
+        let len = self.shards.len();
+        &self.shards.get(shard).unwrap_or_else(|| no_such_shard(shard, len)).sim
+    }
+
+    fn sim_mut(&mut self, shard: usize) -> &mut Simulator {
+        let len = self.shards.len();
+        &mut self.shards.get_mut(shard).unwrap_or_else(|| no_such_shard(shard, len)).sim
+    }
+
     /// Sets the requested worker-pool size (default 1). The pool that
     /// runs is capped at the shard count and at the host's available
     /// parallelism (surplus workers would only time-slice the same cores
@@ -675,9 +687,10 @@ impl ShardedSim {
     }
 
     /// Sets (or clears) a scheduling-perturbation seed. When set,
-    /// workers deterministically shuffle claim order and inject fake
-    /// preemptions — a determinism-test aid that exercises steal orders
-    /// and parks the normal schedule would rarely produce — and the
+    /// workers claim the *least* advanced shard one time in four and
+    /// inject fake preemptions — a determinism-test aid that exercises
+    /// steal orders and parks the normal schedule would rarely produce,
+    /// the min-clock order among them — and the
     /// worker pool is deliberately *not* capped at the core count, so
     /// oversubscribed schedules get exercised even on small hosts.
     /// Results must be byte-identical either way; only engine-plane
@@ -690,7 +703,7 @@ impl ShardedSim {
     /// counts it, but only the owning shard hosts its agents and events
     /// (and, from the node's first agent on, a port table for it).
     pub fn add_node(&mut self, shard: usize) -> NodeId {
-        assert!(shard < self.shards.len(), "no such shard {shard}");
+        self.sim(shard); // names an undeclared shard
         let mut id = None;
         for slot in &mut self.shards {
             let nid = slot.sim.add_node();
@@ -704,8 +717,21 @@ impl ShardedSim {
     /// Adds a unidirectional link. Links with endpoints on different
     /// shards become boundary links and must have `spec.delay > 0` — the
     /// delay is the lookahead that lets the two shards run concurrently.
+    ///
+    /// # Panics
+    /// Panics, naming the link and the node, if either endpoint was not
+    /// created with [`Self::add_node`].
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
-        let (src, dst) = (self.owner[from.0 as usize], self.owner[to.0 as usize]);
+        let id = LinkId(self.endpoints.len() as u32);
+        let [src, dst] = [from, to].map(|end| {
+            *self.owner.get(end.0 as usize).unwrap_or_else(|| {
+                panic!(
+                    "link {id} references unknown node {end} (only {} nodes exist; \
+                     create nodes with add_node first)",
+                    self.owner.len()
+                )
+            })
+        });
         if src != dst {
             assert!(
                 spec.delay > 0,
@@ -716,7 +742,6 @@ impl ShardedSim {
         }
         // Every shard numbers the link; only `src`, which transmits on
         // it, holds state for it.
-        let id = LinkId(self.endpoints.len() as u32);
         Arc::make_mut(&mut self.endpoints).push((from, to));
         let lookahead = spec.delay;
         let mut spec = Some(spec);
@@ -750,9 +775,19 @@ impl ShardedSim {
     }
 
     /// Registers an agent at `(node, port)` on the node's owning shard.
+    ///
+    /// # Panics
+    /// Panics if `node` does not exist or the address is already taken.
     pub fn add_agent(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> ShardAgentId {
-        let shard = self.owner[node.0 as usize];
-        let agent = self.shards[shard].sim.add_agent(node, port, agent);
+        let shard = *self.owner.get(node.0 as usize).unwrap_or_else(|| {
+            panic!(
+                "agent registered at {}, but node {node} does not exist \
+                 (only {} nodes; create it with add_node first)",
+                Addr::new(node, port),
+                self.owner.len()
+            )
+        });
+        let agent = self.sim_mut(shard).add_agent(node, port, agent);
         ShardAgentId { shard, agent }
     }
 
@@ -763,7 +798,7 @@ impl ShardedSim {
     /// fold of its `flow_records` on every shard's bus: its sends are on
     /// its source's shard, its deliveries on its sink's.
     pub fn attach_telemetry(&mut self, shard: usize, sink: iq_telemetry::TelemetrySink) {
-        self.shards[shard].sim.attach_telemetry(sink);
+        self.sim_mut(shard).attach_telemetry(sink);
     }
 
     /// Current simulation time (the last `run_until` deadline reached).
@@ -773,17 +808,17 @@ impl ShardedSim {
 
     /// Read access to one shard's serial simulator (post-run inspection).
     pub fn shard(&self, idx: usize) -> &Simulator {
-        &self.shards[idx].sim
+        self.sim(idx)
     }
 
     /// Immutable access to a concrete agent type (see [`Simulator::agent`]).
     pub fn agent<T: Agent>(&self, id: ShardAgentId) -> Option<&T> {
-        self.shards[id.shard].sim.agent(id.agent)
+        self.sim(id.shard).agent(id.agent)
     }
 
     /// Mutable access to a concrete agent type.
     pub fn agent_mut<T: Agent>(&mut self, id: ShardAgentId) -> Option<&mut T> {
-        self.shards[id.shard].sim.agent_mut(id.agent)
+        self.sim_mut(id.shard).agent_mut(id.agent)
     }
 
     /// Simulation-wide counters, summed over shards in index order.
@@ -975,6 +1010,10 @@ impl ShardedSim {
     }
 }
 
+fn no_such_shard(shard: usize, len: usize) -> ! {
+    panic!("no such shard {shard} (only {len} shards declared)")
+}
+
 /// Per-shard RNG salt: splitmix64-style odd-constant mix so shard
 /// streams are decorrelated but fully determined by (seed, index).
 /// Shard 0 draws the caller's seed itself, so a 1-shard world *is*
@@ -987,7 +1026,7 @@ fn mix_seed(seed: u64, shard: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::agent::Ctx;
-    use crate::packet::{payload, Addr, FlowId};
+    use crate::packet::{payload, FlowId};
     use crate::time::{millis, secs, MILLISECOND};
 
     /// Sends `count` packets to `dst`, one per millisecond, then records
@@ -1240,15 +1279,115 @@ mod tests {
         assert_eq!(sim.counters().packets_unroutable, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "no such link L2 (only 2 links exist)")]
-    fn link_stats_for_a_link_no_shard_knows_names_the_offender() {
+    /// Two shards, a node on each and a duplex link between them: the
+    /// ids it issued stop at shard 1, node 1 and link 1.
+    fn two_shard_world() -> ShardedSim {
         let mut sim = ShardedSim::new(1);
         let (s0, s1) = (sim.add_shard(), sim.add_shard());
         let a = sim.add_node(s0);
         let b = sim.add_node(s1);
         sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
-        sim.link_stats(LinkId(2));
+        sim
+    }
+
+    #[test]
+    #[should_panic(expected = "no such link L2 (only 2 links exist)")]
+    fn link_stats_for_a_link_no_shard_knows_names_the_offender() {
+        two_shard_world().link_stats(LinkId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "link L2 references unknown node n2 (only 2 nodes exist")]
+    fn add_link_to_an_unknown_node_names_the_offender() {
+        let spec = LinkSpec::new(10e6, millis(5), 64_000);
+        two_shard_world().add_link(NodeId(0), NodeId(2), spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent registered at n7:1, but node n7 does not exist (only 2 nodes")]
+    fn add_agent_on_an_unknown_node_names_the_offender() {
+        two_shard_world().add_agent(NodeId(7), 1, Box::new(Echoer::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard 2 (only 2 shards declared)")]
+    fn attach_telemetry_to_an_unknown_shard_names_the_offender() {
+        let (sink, _bus) = iq_telemetry::TelemetrySink::new_bus(0);
+        two_shard_world().attach_telemetry(2, sink);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard 3 (only 2 shards declared)")]
+    fn shard_of_an_unknown_index_names_the_offender() {
+        two_shard_world().shard(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard 2 (only 2 shards declared)")]
+    fn agent_on_an_unknown_shard_names_the_offender() {
+        let id = ShardAgentId {
+            shard: 2,
+            agent: AgentId(0),
+        };
+        two_shard_world().agent::<Echoer>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard 5 (only 2 shards declared)")]
+    fn agent_mut_on_an_unknown_shard_names_the_offender() {
+        let id = ShardAgentId {
+            shard: 5,
+            agent: AgentId(0),
+        };
+        two_shard_world().agent_mut::<Echoer>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such shard 2 (only 2 shards declared)")]
+    fn add_node_on_an_unknown_shard_names_the_offender() {
+        two_shard_world().add_node(2);
+    }
+
+    /// Appends `(leg, now)` to a log shared by every agent, once a
+    /// millisecond.
+    struct Ticker {
+        leg: usize,
+        log: Arc<Mutex<Vec<(usize, Time)>>>,
+    }
+    impl Agent for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(MILLISECOND, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.log.lock().unwrap().push((self.leg, ctx.now()));
+            ctx.set_timer(MILLISECOND, 0);
+        }
+    }
+
+    /// The drain order: one thread runs a leg's two shards, leapfrogging
+    /// on the boundary lookahead, all the way to the epoch target before
+    /// it touches the other leg — so the execution log switches leg once.
+    /// A min-clock scheduler switches at every window.
+    #[test]
+    fn one_thread_drains_one_leg_at_a_time() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = ShardedSim::new(13);
+        let shards: Vec<usize> = (0..4).map(|_| sim.add_shard()).collect();
+        let nodes: Vec<NodeId> = shards.iter().map(|&s| sim.add_node(s)).collect();
+        for leg in 0..2 {
+            let (l, r) = (nodes[2 * leg], nodes[2 * leg + 1]);
+            sim.add_duplex_link(l, r, LinkSpec::new(10e6, millis(5), 64_000));
+            for node in [l, r] {
+                let log = Arc::clone(&log);
+                sim.add_agent(node, 1, Box::new(Ticker { leg, log }));
+            }
+        }
+        sim.run_until(millis(200));
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 4 * 200, "every shard ran to the target");
+        let switches = log.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert_eq!(switches, 1, "the drain switched leg {switches} times");
     }
 
     /// Sends `burst` packets at time zero, then `trickle` more every
@@ -1482,13 +1621,13 @@ mod tests {
 
         /// The world after worker `w`'s next step, if it has one. `stale`
         /// is the mutation: release on the bound read before the section.
-        fn step(preds: Preds, stale: bool, mut x: World, w: usize, max: bool) -> Option<World> {
+        fn step(preds: Preds, stale: bool, mut x: World, w: usize, min: bool) -> Option<World> {
             let bound =
                 |x: &World, s: usize| preds[s].iter().map(|&p| x.clocks[p] + 1).min().unwrap();
             let (pc, s, limit, seen) = x.workers[w];
             let target = x.sched.target;
             x.workers[w] = match pc {
-                Pc::Claim => (Pc::Look, x.sched.claim(max)?, 0, 0),
+                Pc::Claim => (Pc::Look, x.sched.claim(min)?, 0, 0),
                 Pc::Look => {
                     let seen = bound(&x, s);
                     let limit = target.min(seen);
@@ -1502,8 +1641,7 @@ mod tests {
                 Pc::Wake => {
                     let successors = (0..x.clocks.len()).filter(|&d| preds[d].contains(&s));
                     x.sched.wake(successors, |d| x.clocks[d]);
-                    let done = limit >= target || !x.sched.ready.is_empty();
-                    (if done { Pc::Release } else { Pc::Look }, s, limit, seen)
+                    (Pc::Look, s, limit, seen)
                 }
                 Pc::Release => {
                     let bound = if stale { seen } else { bound(&x, s) };
@@ -1548,8 +1686,8 @@ mod tests {
                 }
                 if visited.insert(x.clone()) {
                     stuck |= check(&x);
-                    for (w, max) in (0..workers).flat_map(|w| [(w, false), (w, true)]) {
-                        stack.extend(step(preds, stale, x.clone(), w, max));
+                    for (w, min) in (0..workers).flat_map(|w| [(w, false), (w, true)]) {
+                        stack.extend(step(preds, stale, x.clone(), w, min));
                     }
                 }
             }
