@@ -291,13 +291,18 @@ fn drift(run: &BenchRun, reference: &BenchRun, subset: bool) -> Vec<String> {
 /// determinism across thread counts is a hard property, not a perf
 /// budget, so every curve entry must reproduce the 1-thread one exactly.
 ///
-/// Returns `Err` with a human-readable message when a check fails or a
-/// file cannot be read or written.
-pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, String> {
+/// `Err` carries the process exit code and a human-readable message: 2
+/// for an `only` the sweep has no scenario of (nothing has run), 1 when
+/// a check fails or a file cannot be read or written.
+pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, (i32, String)> {
     let mut specs = bench_specs(opts.size);
     if let Some(only) = &opts.only {
+        let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         specs.retain(|s| &s.name == only);
-        assert!(!specs.is_empty(), "bench: no scenario named `{only}`");
+        if specs.is_empty() {
+            let available = names.join(", ");
+            return Err((2, format!("no scenario named `{only}` (available: {available})")));
+        }
     }
     let mut scenarios: Vec<BenchScenario> = exec
         .run(&specs)
@@ -317,7 +322,7 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, Stri
         let first = &scenarios[curve];
         for s in &scenarios[curve + 1..] {
             if let Some(d) = disagreement(s, first, &first.name) {
-                return Err(format!("shard determinism violation: {d}"));
+                return Err((1, format!("shard determinism violation: {d}")));
             }
         }
         eprintln!("bench check: 2, 4 and 8 shard threads reproduce `{}` — ok", first.name);
@@ -325,13 +330,13 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, Stri
     let run = BenchRun { size: opts.size.0, scenarios };
     if let Some(path) = &opts.check_path {
         let committed =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let reference = parse_json(&committed).map_err(|e| format!("{path}: {e}"))?;
+            std::fs::read_to_string(path).map_err(|e| (1, format!("cannot read {path}: {e}")))?;
+        let reference = parse_json(&committed).map_err(|e| (1, format!("{path}: {e}")))?;
         let drifted = drift(&run, &reference, opts.only.is_some());
         if !drifted.is_empty() {
-            return Err(format!(
-                "results drifted from {path}:\n  {}",
-                drifted.join("\n  ")
+            return Err((
+                1,
+                format!("results drifted from {path}:\n  {}", drifted.join("\n  ")),
             ));
         }
         eprintln!(
@@ -340,7 +345,8 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, Stri
         );
     }
     if let Some(path) = &opts.out_path {
-        std::fs::write(path, render_json(&run)).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, render_json(&run))
+            .map_err(|e| (1, format!("cannot write {path}: {e}")))?;
     }
     Ok(run)
 }

@@ -157,13 +157,11 @@ pub fn pool_stats() -> PoolStats {
 
 #[inline]
 fn pool_count(f: impl FnOnce(&mut PoolStats)) {
-    if iq_obs::ENABLED {
-        POOL_STATS.with(|s| {
-            let mut v = s.get();
-            f(&mut v);
-            s.set(v);
-        });
-    }
+    POOL_STATS.with(|s| {
+        let mut v = s.get();
+        f(&mut v);
+        s.set(v);
+    });
 }
 
 /// A pooled buffer: fresh from the free list, or newly allocated

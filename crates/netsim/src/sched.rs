@@ -47,8 +47,6 @@
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use iq_obs::counter_inc;
-
 use crate::event::Event;
 use crate::time::Time;
 
@@ -224,11 +222,11 @@ impl EventQueue {
             // here, since `seq` grows monotonically).
             match self.near.last() {
                 Some(last) if ev.cmp(last) != Ordering::Greater => {
-                    counter_inc!(self.stats.near_inserts);
+                    self.stats.near_inserts += 1;
                     self.near_over.push(ev);
                 }
                 _ => {
-                    counter_inc!(self.stats.near_hits);
+                    self.stats.near_hits += 1;
                     self.near.push(ev);
                 }
             }
@@ -236,13 +234,13 @@ impl EventQueue {
         }
         let b = bucket_of(ev.at);
         if b - bucket_of(self.near_end) < SLOTS as u64 {
-            counter_inc!(self.stats.wheel_pushes);
+            self.stats.wheel_pushes += 1;
             let i = (b as usize) & (SLOTS - 1);
             self.buckets[i].push(ev);
             self.occupied[i / 64] |= 1u64 << (i % 64);
             self.in_ring += 1;
         } else {
-            counter_inc!(self.stats.far_spills);
+            self.stats.far_spills += 1;
             self.far.push(ev);
         }
     }
@@ -337,7 +335,7 @@ impl EventQueue {
             (Some(b), None) | (None, Some(b)) => b,
             (None, None) => return,
         };
-        counter_inc!(self.stats.bucket_drains);
+        self.stats.bucket_drains += 1;
         // Both are empty here, and `near`'s buffer is about to wait a
         // ring turn in a slot: what a burst grew goes back first.
         if let Some(keep) = retained(self.near.capacity(), 0, BUCKET_FLOOR) {

@@ -83,7 +83,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use iq_obs::{counter_add, counter_inc, Phase};
+use iq_obs::Phase;
 
 use crate::agent::Agent;
 use crate::link::{LinkSpec, LinkStats};
@@ -434,13 +434,13 @@ impl Engine<'_> {
         let slot = &mut *slot;
         if slot.last_worker != worker {
             if slot.last_worker != usize::MAX {
-                counter_inc!(slot.sim.shard_stats_mut().steals);
+                slot.sim.shard_stats_mut().steals += 1;
             }
             slot.last_worker = worker;
         }
         let mut limit = target.min(self.bound(s));
         if limit <= self.clock(s) {
-            counter_inc!(slot.sim.shard_stats_mut().stalls);
+            slot.sim.shard_stats_mut().stalls += 1;
         }
         while limit > self.clock(s) {
             if let Some(r) = rng.as_mut() {
@@ -455,7 +455,7 @@ impl Engine<'_> {
             for _ in 0..woken {
                 self.worker_cv.notify_one();
             }
-            counter_add!(slot.sim.shard_stats_mut().wakes, woken as u64);
+            slot.sim.shard_stats_mut().wakes += woken as u64;
             limit = target.min(self.bound(s));
         }
         let mut g = self.lock();
@@ -463,7 +463,7 @@ impl Engine<'_> {
         let epoch_done = g.remaining == 0;
         drop(g);
         if parked {
-            counter_inc!(slot.sim.shard_stats_mut().parks);
+            slot.sim.shard_stats_mut().parks += 1;
         }
         if epoch_done {
             self.main_cv.notify_all();
@@ -483,7 +483,7 @@ impl Engine<'_> {
                 let mut ch = self.channels[b].lock().unwrap();
                 std::mem::swap(&mut *ch, ingress_buf);
             }
-            counter_add!(sim.shard_stats_mut().ingress_msgs, ingress_buf.len() as u64);
+            sim.shard_stats_mut().ingress_msgs += ingress_buf.len() as u64;
             for m in ingress_buf.drain(..) {
                 sim.inject_arrival(m);
             }
@@ -520,7 +520,7 @@ impl Engine<'_> {
         }
         self.clocks[s].store(limit, Ordering::Release);
         sim.profiler().enter(Phase::Idle);
-        counter_inc!(sim.shard_stats_mut().windows);
+        sim.shard_stats_mut().windows += 1;
     }
 
     /// Runs one epoch: every shard advances to the exclusive `target`.

@@ -653,10 +653,9 @@ impl Simulator {
             EventKind::Deliver { agent, packet } => {
                 self.core.counters.packets_delivered += 1;
                 let pkt = self.core.packets.take(packet);
-                iq_obs::hist_record!(
-                    self.core.delivery_latency,
-                    self.core.now.saturating_sub(pkt.sent_at)
-                );
+                self.core
+                    .delivery_latency
+                    .record(self.core.now.saturating_sub(pkt.sent_at));
                 self.dispatch(agent, |a, ctx| a.on_packet(ctx, pkt));
             }
             EventKind::Timer { key } => {

@@ -214,27 +214,25 @@ fn pool_overflow_drops_the_surplus_and_keeps_every_value() {
         let second = wave(0xdead_beef);
         second.iter().for_each(Pair::check);
         let reused = pool_stats().since(before);
-        if iq_obs::ENABLED {
-            assert_eq!(
-                (returned.hits, returned.misses),
-                (0, WAVE),
-                "the pool was born empty"
-            );
-            assert!(
-                returned.drops > 0,
-                "{WAVE} buffers fit the free list: raise WAVE"
-            );
-            assert_eq!(returned.returns + returned.drops, WAVE);
-            assert_eq!(
-                reused.hits, returned.returns,
-                "the second wave drains the free list"
-            );
-            assert_eq!(
-                reused.misses,
-                WAVE + returned.drops,
-                "and allocates the surplus again"
-            );
-        }
+        assert_eq!(
+            (returned.hits, returned.misses),
+            (0, WAVE),
+            "the pool was born empty"
+        );
+        assert!(
+            returned.drops > 0,
+            "{WAVE} buffers fit the free list: raise WAVE"
+        );
+        assert_eq!(returned.returns + returned.drops, WAVE);
+        assert_eq!(
+            reused.hits, returned.returns,
+            "the second wave drains the free list"
+        );
+        assert_eq!(
+            reused.misses,
+            WAVE + returned.drops,
+            "and allocates the surplus again"
+        );
     })
     .join()
     .expect("the overflow thread");

@@ -1,5 +1,6 @@
-//! Metric exposition: Prometheus-style text format and JSONL snapshots,
-//! plus a strict parser used by CI to validate emitted files.
+//! Metric exposition: Prometheus-style text format, the one form a
+//! registry leaves the process in (`--metrics DIR` writes it to files,
+//! [`Registry::sim_text`](crate::Registry::sim_text) fingerprints it).
 //!
 //! Histograms render as Prometheus summaries (`{quantile="…"}` series
 //! plus `_sum`/`_count`), which keeps the log-linear bucket table out of
@@ -61,135 +62,6 @@ pub fn render_prom(reg: &Registry, plane: Option<Plane>) -> String {
     out
 }
 
-/// Render the registry as JSONL: one metric object per line.
-pub fn render_jsonl(reg: &Registry, scenario: &str) -> String {
-    let mut out = String::new();
-    for m in reg.metrics() {
-        let mut line = String::new();
-        line.push_str("{\"scenario\":\"");
-        json_escape_into(&mut line, scenario);
-        line.push_str("\",\"name\":\"");
-        json_escape_into(&mut line, &m.name);
-        line.push_str("\",\"plane\":\"");
-        line.push_str(m.plane.as_str());
-        line.push_str("\",\"labels\":{");
-        for (i, (k, v)) in m.labels.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push('"');
-            json_escape_into(&mut line, k);
-            line.push_str("\":\"");
-            json_escape_into(&mut line, v);
-            line.push('"');
-        }
-        line.push_str("},");
-        match &m.value {
-            Value::Counter(v) => {
-                let _ = write!(line, "\"type\":\"counter\",\"value\":{}", v);
-            }
-            Value::Gauge(v) => {
-                let _ = write!(line, "\"type\":\"gauge\",\"value\":{}", fmt_f64(*v));
-            }
-            Value::Hist(h) => {
-                let _ = write!(
-                    line,
-                    "\"type\":\"summary\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                     \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}",
-                    h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99, h.p999
-                );
-            }
-        }
-        line.push('}');
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-/// Strictly parse Prometheus text exposition; returns the number of
-/// samples on success. Used by `iqrudp obs --verify` and CI to ensure
-/// emitted files are well-formed.
-pub fn validate_prom(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut parts = rest.split_whitespace();
-            match parts.next() {
-                Some("TYPE") => {
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| format!("line {n}: TYPE without metric name"))?;
-                    check_name(name).map_err(|e| format!("line {n}: {e}"))?;
-                    match parts.next() {
-                        Some("counter" | "gauge" | "summary" | "histogram" | "untyped") => {}
-                        other => return Err(format!("line {n}: bad TYPE kind {:?}", other)),
-                    }
-                }
-                Some("HELP") => {}
-                other => return Err(format!("line {n}: unknown comment {:?}", other)),
-            }
-            continue;
-        }
-        // sample: name[{labels}] value
-        let (name_part, value_part) = match line.find(' ') {
-            Some(_) => {
-                let close_or_space = if let Some(open) = line.find('{') {
-                    let close = line[open..]
-                        .find('}')
-                        .map(|i| open + i + 1)
-                        .ok_or_else(|| format!("line {n}: unbalanced label braces"))?;
-                    close
-                } else {
-                    line.find(' ').unwrap()
-                };
-                let (a, b) = line.split_at(close_or_space);
-                (a, b.trim_start())
-            }
-            None => return Err(format!("line {n}: sample without value")),
-        };
-        let bare = name_part.split('{').next().unwrap_or("");
-        check_name(bare).map_err(|e| format!("line {n}: {e}"))?;
-        if let Some(open) = name_part.find('{') {
-            let inner = &name_part[open + 1..name_part.len() - 1];
-            if !inner.is_empty() {
-                for pair in inner.split(',') {
-                    let (k, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("line {n}: label without '='"))?;
-                    check_name(k).map_err(|e| format!("line {n}: {e}"))?;
-                    if !(v.starts_with('"') && v.ends_with('"') && v.len() >= 2) {
-                        return Err(format!("line {n}: unquoted label value {v:?}"));
-                    }
-                }
-            }
-        }
-        value_part
-            .parse::<f64>()
-            .map_err(|_| format!("line {n}: bad sample value {value_part:?}"))?;
-        samples += 1;
-    }
-    Ok(samples)
-}
-
-fn check_name(name: &str) -> Result<(), String> {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return Err(format!("bad metric/label name {name:?}")),
-    }
-    for c in chars {
-        if !(c.is_ascii_alphanumeric() || c == '_' || c == ':') {
-            return Err(format!("bad metric/label name {name:?}"));
-        }
-    }
-    Ok(())
-}
-
 fn label_str(m: &Metric, extra: &[(&str, &str)]) -> String {
     if m.labels.is_empty() && extra.is_empty() {
         return String::new();
@@ -213,7 +85,7 @@ fn label_str(m: &Metric, extra: &[(&str, &str)]) -> String {
 }
 
 /// Deterministic float formatting (shortest round-trip via `{}`); whole
-/// floats keep a trailing `.0` so JSON consumers see a float.
+/// floats keep a trailing `.0` so a gauge always reads as a float.
 fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
@@ -226,20 +98,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +106,7 @@ mod tests {
     fn sample_registry() -> Registry {
         let mut r = Registry::new();
         r.counter(Plane::Sim, "iq_sim_events_total", &[("shard", "0")], 42);
+        r.counter(Plane::Sim, "iq_sim_events_total", &[("shard", r#"a"b\c"#)], 7);
         r.gauge(Plane::Engine, "iq_sched_wheel_events", &[("level", "1")], 3.5);
         let mut h = Hist::new();
         for v in [1u64, 10, 100, 1000] {
@@ -257,37 +116,30 @@ mod tests {
         r
     }
 
+    /// The literal a reader checks by eye: one TYPE line per name,
+    /// quantiles in this order, then `_sum` and `_count`; label values
+    /// escaped; the sim plane sorted first.
+    const SIM_TEXT: &str = r#"# TYPE iq_sim_delivery_latency_ns summary
+iq_sim_delivery_latency_ns{quantile="0"} 1
+iq_sim_delivery_latency_ns{quantile="0.5"} 10
+iq_sim_delivery_latency_ns{quantile="0.9"} 992
+iq_sim_delivery_latency_ns{quantile="0.99"} 992
+iq_sim_delivery_latency_ns{quantile="0.999"} 992
+iq_sim_delivery_latency_ns{quantile="1"} 1000
+iq_sim_delivery_latency_ns_sum 1111
+iq_sim_delivery_latency_ns_count 4
+# TYPE iq_sim_events_total counter
+iq_sim_events_total{shard="0"} 42
+iq_sim_events_total{shard="a\"b\\c"} 7
+"#;
+
     #[test]
-    fn prom_round_trips_through_validator() {
+    fn prom_text_is_a_known_answer() {
         let mut r = sample_registry();
         r.sort();
-        let text = render_prom(&r, None);
-        let n = validate_prom(&text).expect("valid exposition");
-        // 1 counter + 1 gauge + 6 quantiles + sum + count = 10 samples
-        assert_eq!(n, 10);
-        // Plane filter drops the gauge.
-        let sim = render_prom(&r, Some(Plane::Sim));
-        assert!(!sim.contains("iq_sched_wheel_events"));
-        assert!(sim.contains("iq_sim_events_total{shard=\"0\"} 42"));
-    }
-
-    #[test]
-    fn validator_rejects_garbage() {
-        assert!(validate_prom("9bad_name 1\n").is_err());
-        assert!(validate_prom("name{x=1} 2\n").is_err());
-        assert!(validate_prom("name 1.x\n").is_err());
-        assert!(validate_prom("name{a=\"b\" 2\n").is_err());
-    }
-
-    #[test]
-    fn jsonl_shape() {
-        let r = sample_registry();
-        let text = render_jsonl(&r, "unit");
-        assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            assert!(line.starts_with("{\"scenario\":\"unit\""));
-            assert!(line.ends_with('}'));
-        }
-        assert!(text.contains("\"type\":\"summary\""));
+        let engine = "# TYPE iq_sched_wheel_events gauge\niq_sched_wheel_events{level=\"1\"} 3.5\n";
+        assert_eq!(render_prom(&r, None), format!("{SIM_TEXT}{engine}"));
+        assert_eq!(render_prom(&r, Some(Plane::Sim)), SIM_TEXT);
+        assert_eq!(r.sim_text(), SIM_TEXT);
     }
 }

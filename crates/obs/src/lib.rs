@@ -3,11 +3,10 @@
 //! This crate is deliberately dependency-free and sits below `netsim`,
 //! `rudp`, and `experiments` in the crate graph. It provides:
 //!
-//! - plain-`u64` counter cells updated through zero-cost-when-disabled
-//!   macros ([`counter_inc!`], [`counter_add!`], [`hist_record!`]) — hot
-//!   paths never touch atomics or hash maps; each shard/component owns
-//!   its own cells and they are merged in deterministic (shard-index)
-//!   order at collection time;
+//! - plain-`u64` counter cells, which hot paths bump in place
+//!   (`cell += 1`) — never an atomic or a hash map; each shard/component
+//!   owns its own cells and they are merged in deterministic
+//!   (shard-index) order at collection time;
 //! - [`hist::Hist`], a log-linear (HDR-style) histogram whose merge is
 //!   element-wise and therefore associative and commutative;
 //! - [`profile::PhaseProfiler`], a wall-clock phase timer for the
@@ -17,8 +16,8 @@
 //!   [`registry::Plane::Sim`] for deterministic sim-time counters (folded
 //!   into the determinism fingerprint) and [`registry::Plane::Engine`]
 //!   for wall-clock / thread-schedule-dependent mechanics;
-//! - [`expo`], Prometheus-style text exposition plus JSONL snapshots,
-//!   and a parser used by CI to validate the exposition format.
+//! - [`expo`], Prometheus-style text exposition: the one form a
+//!   registry leaves the process in.
 
 pub mod expo;
 pub mod hist;
@@ -28,41 +27,6 @@ pub mod registry;
 pub use hist::Hist;
 pub use profile::{Phase, PhaseProfiler, PhaseSnapshot};
 pub use registry::{Metric, Plane, Registry, Value};
-
-/// Whether instrumentation is compiled in. The macros below branch on
-/// this constant, so with `--no-default-features` every instrumentation
-/// site folds to nothing at compile time.
-pub const ENABLED: bool = cfg!(feature = "enabled");
-
-/// Increment a plain `u64` counter cell by one.
-#[macro_export]
-macro_rules! counter_inc {
-    ($cell:expr) => {
-        if $crate::ENABLED {
-            $cell += 1;
-        }
-    };
-}
-
-/// Add `n` to a plain `u64` counter cell.
-#[macro_export]
-macro_rules! counter_add {
-    ($cell:expr, $n:expr) => {
-        if $crate::ENABLED {
-            $cell += $n;
-        }
-    };
-}
-
-/// Record a value into a [`Hist`].
-#[macro_export]
-macro_rules! hist_record {
-    ($hist:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $hist.record($v);
-        }
-    };
-}
 
 /// FNV-1a over a byte slice; same constants as the telemetry
 /// fingerprint so counter digests read consistently in reports.
@@ -78,14 +42,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn macros_update_cells() {
-        let mut c = 0u64;
-        counter_inc!(c);
-        counter_add!(c, 41);
-        assert_eq!(c, if ENABLED { 42 } else { 0 });
-    }
 
     #[test]
     fn fnv_matches_reference() {

@@ -319,7 +319,7 @@ impl ReceiverConn {
         let mut ranges = SackRanges::new();
         for (seq, _) in self.buffer.iter() {
             if !ranges.extend_last(seq) && !ranges.push((seq, seq + 1)) {
-                iq_obs::counter_inc!(self.stats.sack_truncations);
+                self.stats.sack_truncations += 1;
                 break;
             }
         }

@@ -11,7 +11,6 @@
 //! iqrudp trace [FRAMES] [SEED]              dump a membership trace as TSV
 //! iqrudp demo                               one coordinated flow, annotated
 //! iqrudp mc [OPTS]                          model-check the coordination protocol
-//! iqrudp [FLAGS] obs [SIZE] [OPTS]          print a scenario's metric exposition
 //! ```
 //!
 //! `mc` runs the bounded model checker over a named scenario
@@ -32,14 +31,18 @@
 //! has the size, the scenario names and every events count and
 //! fingerprint that the committed `BENCH_netsim.json` records), `--out
 //! PATH` (write the run in that format; nothing is written without it).
-//! It measures no time or memory — `benchmark/run.sh` does.
+//! It is the one code path that re-runs a scenario to compare results:
+//! `mega_flows` re-runs at 1, 2, 4 and 8 shard threads and every run
+//! must agree. It measures no time or memory — `benchmark/run.sh` does.
 //!
 //! `SIZE` scales the experiment workloads (1.0 = paper scale). `tables`,
 //! `figures`, `ablations` and `diag` take their arguments in any order:
 //! a positive number is the size (for `diag`, a second one is the seed
 //! count) and a name the subcommand knows is the selection; anything
-//! else prints the usage line and exits 2. `figures` writes Figures 1–4
-//! as SVG into `figures/` and exits 1, naming the path, if it cannot.
+//! else prints the usage line and exits 2, as does `trace` for anything
+//! but a positive frame count and an integer seed. `figures` writes
+//! Figures 1–4 as SVG into `figures/` and exits 1, naming the path, if
+//! it cannot.
 //! Flags:
 //!
 //! * `-j N` / `--jobs N` — run scenarios on N worker threads (default:
@@ -47,8 +50,6 @@
 //! * `--shards N` — worker threads inside a scenario's sharded world
 //!   (only `mega_flows` has more than one shard); results are
 //!   byte-identical for any N (0 = one per core, default 1).
-//! * `--verify-determinism` — run every scenario twice with the same
-//!   seed and abort if any metric differs bit-for-bit.
 //! * `--no-timing` — suppress the per-scenario wall-clock / events-per-
 //!   second report on stderr.
 //! * `--telemetry DIR` — capture the structured telemetry bus for every
@@ -56,22 +57,17 @@
 //!   dumps are byte-identical for any `-j`, and rendered tables do not
 //!   change.
 //! * `--metrics DIR` — write each scenario's metric registry into `DIR`
-//!   as `NNN_<scenario>.prom` (Prometheus text exposition) and
-//!   `NNN_<scenario>.jsonl` (one JSON object per sample). Sim-plane
-//!   metrics are byte-identical for any `-j`/`--shards`; engine-plane
-//!   metrics (scheduler placement, pool hit rates, phase times) vary
-//!   with thread scheduling.
-//!
-//! `obs` runs one bench scenario (default `bulk_rudp`, pick with
-//! `--only NAME`) and prints its full exposition on stdout; `--verify`
-//! re-runs it at `--shards 2` and `4` and fails unless the sim-plane
-//! exposition is byte-identical. Only `mega_flows` has shards to spread,
-//! so `--verify` on any other scenario exits 2.
+//!   as `NNN_<scenario>.prom` (Prometheus text exposition), the one form
+//!   a registry leaves the process in. Sim-plane metrics are
+//!   byte-identical for any `-j`/`--shards`; engine-plane metrics
+//!   (scheduler placement, pool hit rates, phase times) vary with thread
+//!   scheduling. One scenario's exposition:
+//!   `iqrudp --metrics DIR bench 0.05 --only NAME`.
 
 use iq_experiments::ablations::run_all_ablations;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
 use iq_experiments::tables::*;
-use iq_experiments::{Executor, RunResult, Scenario, ScenarioReport};
+use iq_experiments::{BenchOptions, Executor, RunResult, Scenario};
 use iq_metrics::{bar_chart, line_plot, PlotConfig};
 use iq_trace::{MembershipConfig, MembershipTrace};
 
@@ -121,12 +117,17 @@ fn positional<'a>(
             name = Some(arg);
             continue;
         }
-        match arg.parse::<f64>() {
-            Ok(x) if x > 0.0 && x.is_finite() && numbers.len() < max_numbers => numbers.push(x),
+        match positive(arg) {
+            Some(x) if numbers.len() < max_numbers => numbers.push(x),
             _ => return None,
         }
     }
     Some((numbers, name))
+}
+
+/// A size or a seed count: a positive, finite number.
+fn positive(arg: &str) -> Option<f64> {
+    arg.parse::<f64>().ok().filter(|x| *x > 0.0 && x.is_finite())
 }
 
 /// The size (default 1.0) and selection of `tables`, `figures` and
@@ -286,8 +287,11 @@ fn cmd_diag(exec: &Executor, args: &[String]) {
     }
 }
 
-fn cmd_bench(exec: &Executor, args: &[String]) {
-    let mut opts = iq_experiments::BenchOptions {
+/// `bench`'s options: a size by [`positive`]'s rule, `--only NAME`,
+/// `--check PATH` and `--out PATH`. `Err` is a one-line message naming
+/// the argument it cannot read.
+fn bench_args(args: &[String]) -> Result<BenchOptions, String> {
+    let mut opts = BenchOptions {
         size: Size::FULL,
         out_path: None,
         check_path: None,
@@ -295,25 +299,22 @@ fn cmd_bench(exec: &Executor, args: &[String]) {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().cloned().ok_or(format!("{a} requires {what}"));
         match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => opts.out_path = Some(p.clone()),
-                None => die("--out requires a path"),
-            },
-            "--check" => match it.next() {
-                Some(p) => opts.check_path = Some(p.clone()),
-                None => die("--check requires a path"),
-            },
-            "--only" => match it.next() {
-                Some(n) => opts.only = Some(n.clone()),
-                None => die("--only requires a scenario name"),
-            },
-            other => match other.parse::<f64>() {
-                Ok(s) if s > 0.0 => opts.size = Size(s),
-                _ => die(&format!("bench: unknown argument `{other}`")),
+            "--out" => opts.out_path = Some(value("a path")?),
+            "--check" => opts.check_path = Some(value("a path")?),
+            "--only" => opts.only = Some(value("a scenario name")?),
+            other => match positive(other) {
+                Some(s) => opts.size = Size(s),
+                None => return Err(format!("bench: unknown argument `{other}`")),
             },
         }
     }
+    Ok(opts)
+}
+
+fn cmd_bench(exec: &Executor, args: &[String]) {
+    let opts = bench_args(args).unwrap_or_else(|e| die(&e));
     match iq_experiments::bench_main(exec, &opts) {
         Ok(run) => {
             for sc in &run.scenarios {
@@ -323,9 +324,9 @@ fn cmd_bench(exec: &Executor, args: &[String]) {
                 );
             }
         }
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("bench: {e}");
-            std::process::exit(1);
+            std::process::exit(code);
         }
     }
 }
@@ -337,7 +338,7 @@ fn die(msg: &str) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: iqrudp [-j N] [--shards N] [--verify-determinism] [--no-timing] \
+        "usage: iqrudp [-j N] [--shards N] [--no-timing] \
          [--telemetry DIR] [--metrics DIR] \
          <tables [SIZE] [tN] | figures [SIZE] | ablations [SIZE] | \
          diag [tN | avgN] [SIZE] [SEEDS] | \
@@ -345,111 +346,9 @@ fn usage() -> ! {
          trace [FRAMES] [SEED] | demo | \
          mc [--scenario NAME] [--cc lda|cubic|bbr|rrr] [--depth N] \
          [--drops K] [--ticks K] \
-         [--seed-break reinflate|cond|deferral] | \
-         obs [SIZE] [--only NAME] [--verify]>"
+         [--seed-break reinflate|cond|deferral]>"
     );
     std::process::exit(2);
-}
-
-/// `iqrudp obs [SIZE] [--only NAME] [--verify]` — run one bench
-/// scenario and print its metric exposition (Prometheus text, both
-/// planes) on stdout. `--verify` re-runs the scenario at `--shards 2`
-/// and `4` and fails unless each re-run spread over several shards and
-/// rendered a byte-identical sim-plane exposition ([`verify_rerun`]).
-/// Combine with the global `--metrics DIR` flag to also write
-/// `.prom`/`.jsonl` dumps.
-fn cmd_obs(exec: &Executor, args: &[String]) {
-    let mut size = Size(0.05);
-    let mut only = "bulk_rudp".to_string();
-    let mut verify = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--only" => match it.next() {
-                Some(n) => only = n.clone(),
-                None => die("--only requires a scenario name"),
-            },
-            "--verify" => verify = true,
-            other => match other.parse::<f64>() {
-                Ok(s) if s > 0.0 => size = Size(s),
-                _ => die(&format!("obs: unknown argument `{other}`")),
-            },
-        }
-    }
-    let mut specs = iq_experiments::benchmode::bench_specs(size);
-    let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
-    specs.retain(|s| s.name == only);
-    if specs.is_empty() {
-        die(&format!(
-            "obs: no scenario named `{only}` (available: {})",
-            names.join(", ")
-        ));
-    }
-
-    let reports = exec.run(&specs);
-    for rep in &reports {
-        let mut reg = rep.result.obs.clone();
-        reg.sort();
-        let text = iq_obs::expo::render_prom(&reg, None);
-        match iq_obs::expo::validate_prom(&text) {
-            Ok(n) => eprintln!(
-                "obs: `{}` exposition parses ({n} samples), counter fingerprint {:#018x}",
-                rep.name,
-                reg.sim_fingerprint()
-            ),
-            Err(e) => {
-                eprintln!("obs: `{}` exposition INVALID: {e}", rep.name);
-                std::process::exit(1);
-            }
-        }
-        print!("{text}");
-    }
-
-    if verify {
-        for shards in [2usize, 4] {
-            let mut at_n = exec.clone();
-            at_n.config.threads = shards;
-            if let Err((code, why)) = verify_rerun(&reports, &at_n.run(&specs), shards) {
-                eprintln!("obs verify: {why}");
-                std::process::exit(code);
-            }
-        }
-        eprintln!(
-            "obs verify: `{only}` sim-plane metrics byte-identical across \
-             --shards {}/2/4 — ok",
-            exec.config.threads
-        );
-    }
-}
-
-/// Checks `again`, the re-run of `first` at `--shards {shards}`: each
-/// re-run must have run on more than one shard, or it repeated the first
-/// run's schedule and proves nothing (exit code 2), and must render the
-/// same sim-plane metrics (exit code 1). The error names the scenario.
-fn verify_rerun(
-    first: &[ScenarioReport],
-    again: &[ScenarioReport],
-    shards: usize,
-) -> Result<(), (i32, String)> {
-    for (a, b) in first.iter().zip(again) {
-        if b.result.shards_used <= 1 {
-            return Err((
-                2,
-                format!(
-                    "`{}` has one shard, so --shards {shards} re-ran the same schedule; \
-                     pick a sharded scenario (--only mega_flows)",
-                    a.name
-                ),
-            ));
-        }
-        if a.result.obs.sim_text() != b.result.obs.sim_text() {
-            return Err((
-                1,
-                format!("FAILED — `{}` sim-plane metrics diverged at --shards {shards}", a.name),
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn cmd_mc(args: &[String]) {
@@ -584,12 +483,19 @@ fn depths_run(max_depth: u32, report: &iq_mc::CheckReport) -> Vec<u32> {
     depths
 }
 
+/// `trace`'s frame count (default 2,000) and seed: a positive integer
+/// and a `u64`, in that order, and nothing else.
+fn trace_args(args: &[String]) -> Option<(usize, u64)> {
+    if args.len() > 2 {
+        return None;
+    }
+    let len = args.first().map_or(Some(2000), |s| s.parse().ok().filter(|&n| n > 0))?;
+    let seed = args.get(1).map_or(Some(0x4d42_6f6e), |s| s.parse().ok())?;
+    Some((len, seed))
+}
+
 fn cmd_trace(args: &[String]) {
-    let len = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000usize);
-    let seed = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0x4d42_6f6e);
+    let (len, seed) = trace_args(args).unwrap_or_else(|| usage());
     let trace = MembershipTrace::generate(&MembershipConfig {
         seed,
         len,
@@ -685,7 +591,6 @@ fn main() {
         Some("trace") => cmd_trace(&args[1..]),
         Some("demo") => cmd_demo(),
         Some("mc") => cmd_mc(&args[1..]),
-        Some("obs") => cmd_obs(&exec, &args[1..]),
         _ => usage(),
     }
 }
@@ -719,29 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_verify_refuses_a_one_shard_rerun_and_catches_a_mismatch() {
-        use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, Scheme};
-        // A world built and never run: a report to copy and edit.
-        let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400]);
-        sc.deadline_s = 0.0;
-        let report = |shards_used| {
-            let mut result = run_scenario_with(&sc, RunConfig::default());
-            result.shards_used = shards_used;
-            ScenarioReport { name: "bulk".into(), result, wall_s: 0.0, events_per_sec: 0.0 }
-        };
-        let first = [report(1)];
-        let one_shard = verify_rerun(&first, &[report(1)], 2).unwrap_err();
-        assert_eq!(one_shard.0, 2);
-        assert!(one_shard.1.contains("`bulk` has one shard"), "{}", one_shard.1);
-        assert_eq!(verify_rerun(&first, &[report(2)], 2), Ok(()));
-        let mut diverged = report(2);
-        diverged.result.obs.counter(iq_obs::Plane::Sim, "iq_probe_total", &[], 1);
-        let mismatch = verify_rerun(&first, &[diverged], 2).unwrap_err();
-        assert_eq!(mismatch.0, 1);
-        assert!(mismatch.1.contains("`bulk` sim-plane metrics diverged"), "{}", mismatch.1);
-    }
-
-    #[test]
     fn diag_takes_a_table_or_an_average_a_size_and_a_seed_count() {
         let parse = |line: &str| diag_args(&args(line)).map(|(w, s, n)| (w.to_string(), s.0, n));
         let row = |w: &str, size, seeds| Some((w.to_string(), size, seeds));
@@ -760,6 +642,33 @@ mod tests {
             "t3 t4",
         ] {
             assert_eq!(parse(refused), None, "`diag {refused}` must exit 2");
+        }
+    }
+
+    #[test]
+    fn bench_takes_a_size_by_the_positional_rule_and_a_known_name() {
+        let parse = |line: &str| bench_args(&args(line)).map(|o| (o.size.0, o.only));
+        assert_eq!(parse(""), Ok((1.0, None)));
+        assert_eq!(parse("0.05 --only mega_flows"), Ok((0.05, Some("mega_flows".into()))));
+        for refused in ["inf", "NaN", "0", "-1", "abc", "--only", "--check"] {
+            assert!(parse(refused).is_err(), "`bench {refused}` must exit 2");
+        }
+        // A name the sweep lacks is refused, naming the ones it has,
+        // before anything runs.
+        let opts = bench_args(&args("0.05 --only nope")).expect("well-formed");
+        let (code, why) = iq_experiments::bench_main(&Executor::new(1), &opts).unwrap_err();
+        assert_eq!(code, 2);
+        assert!(why.starts_with("no scenario named `nope` (available: bulk_rudp, "), "{why}");
+    }
+
+    #[test]
+    fn trace_takes_a_frame_count_and_a_seed_and_nothing_else() {
+        let parse = |line: &str| trace_args(&args(line));
+        assert_eq!(parse(""), Some((2000, 0x4d42_6f6e)));
+        assert_eq!(parse("5"), Some((5, 0x4d42_6f6e)));
+        assert_eq!(parse("5 7"), Some((5, 7)));
+        for refused in ["abc", "0", "-5", "2.5", "5 -7", "5 x", "5 7 extra"] {
+            assert_eq!(parse(refused), None, "`trace {refused}` must exit 2");
         }
     }
 }
