@@ -20,9 +20,9 @@
 //! * **Obsolete information** (`ADAPT_COND`) → apply Eq. (1), correcting
 //!   the resolution factor for network drift during the delay.
 
-use iq_attrs::{names, AttrList, AttrService};
+use iq_attrs::AttrList;
 use iq_netsim::Time;
-use iq_rudp::{ConnEvent, NetCond, SendOutcome, SenderConn};
+use iq_rudp::{ConnEvent, SendOutcome, SenderConn};
 use iq_telemetry::{CwndReason, TelemetryEvent};
 
 use crate::report::{cond_window_factor, resolution_window_factor, AdaptReport};
@@ -73,16 +73,10 @@ struct PendingAdaptation {
 /// The coordinator does not own the connection; every call borrows it.
 /// This lets the embedding agent keep the connection inside its
 /// [`iq_netsim::SenderDriver`] while the coordinator supplies policy.
-///
-/// `Clone` is shallow for the attribute registry (an [`AttrService`]
-/// shares its store across clones); model-checker worlds that need
-/// independent copies must run without one attached.
 #[derive(Clone)]
 pub struct Coordinator {
     mode: CoordinationMode,
     pending: Option<PendingAdaptation>,
-    /// Optional registry to export `NET_*` metrics into.
-    attrs: Option<AttrService>,
     /// Size of the most recent application message, for the frames-below-
     /// MSS condition on resolution re-adjustment.
     last_msg_size: u32,
@@ -96,7 +90,6 @@ impl Coordinator {
         Self {
             mode,
             pending: None,
-            attrs: None,
             last_msg_size: 0,
             mss: iq_rudp::DEFAULT_MSS,
             log: CoordinationLog {
@@ -104,12 +97,6 @@ impl Coordinator {
                 ..CoordinationLog::default()
             },
         }
-    }
-
-    /// Exports `NET_*` metrics into `service` after every period.
-    pub fn with_attr_service(mut self, service: AttrService) -> Self {
-        self.attrs = Some(service);
-        self
     }
 
     /// The active coordination mode.
@@ -275,17 +262,12 @@ impl Coordinator {
         }
     }
 
-    /// Removes and returns the oldest pending transport event,
-    /// exporting metrics along the way. The embedding agent forwards
-    /// threshold events to the application's registered callbacks;
-    /// looping on this drains the connection in place, with no buffer
-    /// on either side.
+    /// Removes and returns the oldest pending transport event. The
+    /// embedding agent forwards threshold events to the application's
+    /// registered callbacks; looping on this drains the connection in
+    /// place, with no buffer on either side.
     pub fn next_event(&mut self, conn: &mut SenderConn) -> Option<ConnEvent> {
-        let ev = conn.pop_event()?;
-        if let (Some(service), ConnEvent::PeriodEnded(cond)) = (&self.attrs, &ev) {
-            export_net_cond(service, cond);
-        }
-        Some(ev)
+        conn.pop_event()
     }
 
     /// Drains every pending transport event ([`Self::next_event`] until
@@ -295,17 +277,10 @@ impl Coordinator {
     }
 }
 
-/// Publishes a [`NetCond`] snapshot as `NET_*` attributes.
-pub fn export_net_cond(service: &AttrService, cond: &NetCond) {
-    service.update(names::NET_ERROR_RATIO, cond.eratio);
-    service.update(names::NET_RTT_MS, cond.srtt_ms);
-    service.update(names::NET_CWND, cond.cwnd);
-    service.update(names::NET_RATE_KBPS, cond.rate_kbps);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iq_attrs::names;
     use iq_rudp::{RudpConfig, Segment};
 
     fn setup(mode: CoordinationMode) -> (Coordinator, SenderConn) {
@@ -433,26 +408,5 @@ mod tests {
         c.send_with_attrs(&mut conn, 0, 1000, true, &attrs);
         assert!((conn.cwnd() - before * 1.25).abs() < 1e-9);
         assert_eq!(c.log().cond_corrections, 0);
-    }
-
-    #[test]
-    fn metrics_exported_to_attr_service() {
-        let service = AttrService::new();
-        let mut conn = SenderConn::new(1, RudpConfig::default());
-        let mut c = Coordinator::new(CoordinationMode::Coordinated)
-            .with_attr_service(service.clone());
-        let _ = conn.poll_transmit(0);
-        conn.on_segment(
-            0,
-            &Segment::SynAck {
-                loss_tolerance: 0.0,
-                recv_window: 64,
-            },
-        );
-        // Roll one measuring period.
-        conn.on_tick(iq_netsim::time::millis(200));
-        let _ = c.take_events(&mut conn);
-        assert!(service.query_float(names::NET_ERROR_RATIO).is_some());
-        assert!(service.query_float(names::NET_CWND).is_some());
     }
 }

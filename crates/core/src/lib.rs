@@ -22,5 +22,5 @@
 pub mod coordinator;
 pub mod report;
 
-pub use coordinator::{export_net_cond, CoordinationLog, CoordinationMode, Coordinator};
+pub use coordinator::{CoordinationLog, CoordinationMode, Coordinator};
 pub use report::{cond_window_factor, resolution_window_factor, AdaptReport};

@@ -10,7 +10,7 @@
 use iq_metrics::FlowMetrics;
 use iq_netsim::{Agent, Ctx, FlowId, Packet, ReceiverDriver, Time};
 use iq_rudp::{ReceiverConn, RudpConfig};
-use iq_telemetry::{TelemetryEvent, TelemetrySink};
+use iq_telemetry::TelemetryEvent;
 
 /// Policy for the receiver-side tolerance controller.
 #[derive(Debug, Clone)]
@@ -62,13 +62,6 @@ impl AdaptiveToleranceSink {
             window: (0.0, 0),
             adjustments: (0, 0),
         }
-    }
-
-    /// Attaches a telemetry sink so tolerance changes land on the bus.
-    pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
-        let flow = self.driver.conn.telemetry_flow();
-        self.driver.conn.set_telemetry(sink, flow);
-        self
     }
 
     /// Current loss tolerance.

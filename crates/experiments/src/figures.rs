@@ -5,7 +5,7 @@ use iq_trace::MembershipTrace;
 
 use crate::runner::Executor;
 use crate::scenario::RunResult;
-use crate::tables::{run_table3, Size, TABLE6_IPERF_BPS};
+use crate::tables::{run, Size, TABLE3, TABLE6_IPERF};
 
 /// Figure 1: membership dynamics — the group-size trace driving the
 /// changing-application workloads.
@@ -23,7 +23,7 @@ pub fn figure1() -> TimeSeries {
 /// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each the
 /// receiver-side series of its row, whatever the run's configuration.
 pub fn figures_2_3(exec: &Executor, size: Size) -> (TimeSeries, TimeSeries) {
-    let rows = run_table3(exec, size);
+    let rows = run(&TABLE3, exec, size);
     (rows[0].jitter_series.clone(), rows[1].jitter_series.clone())
 }
 
@@ -44,11 +44,11 @@ pub struct Figure4Point {
 /// paper reports +6→25 % throughput and −20→76 % jitter as congestion
 /// grows).
 pub fn figure4_from_rows(rows: &[RunResult]) -> Vec<Figure4Point> {
-    assert_eq!(rows.len(), 2 * TABLE6_IPERF_BPS.len(), "expected table 6 rows");
-    TABLE6_IPERF_BPS
+    assert_eq!(rows.len(), 2 * TABLE6_IPERF.len(), "expected table 6 rows");
+    TABLE6_IPERF
         .iter()
         .enumerate()
-        .map(|(i, &iperf_bps)| {
+        .map(|(i, &(iperf_bps, _))| {
             let iq = &rows[2 * i];
             let rudp = &rows[2 * i + 1];
             let throughput_gain_pct = if rudp.throughput_kbps > 0.0 {

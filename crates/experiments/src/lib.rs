@@ -4,10 +4,15 @@
 //! evaluation (§3). Each module builds its scenario(s) on the shared
 //! [`scenario`] runner and renders rows shaped like the paper's tables.
 //!
-//! * [`tables`] — Tables 1–8 (`run_table1` … `run_table8`).
+//! * [`tables`] — the [`Experiment`](tables::Experiment) type, the one
+//!   [`run`](tables::run) and [`render`](tables::render), and the nine
+//!   tables ([`TABLES`](tables::TABLES): Tables 1–8 and the controller
+//!   matrix).
+//! * [`ablations`] — the four design-choice ablations
+//!   ([`ABLATIONS`](ablations::ABLATIONS)).
 //! * [`figures`] — Figures 1–4.
 //! * [`runner`] — parallel execution ([`Executor`], which carries a run's
-//!   whole configuration) and row rendering.
+//!   whole configuration).
 //! * [`benchmode`] — the `iqrudp bench` reproduction gate.
 
 #![warn(missing_docs)]

@@ -1,5 +1,4 @@
-//! Deterministic parallel scenario execution and shared rendering
-//! helpers.
+//! Deterministic parallel scenario execution.
 //!
 //! Every experiment in this crate is an independent, fully deterministic
 //! simulation, so the sweep is embarrassingly parallel across scenarios
@@ -13,8 +12,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
-
-use iq_metrics::{fmt, Table};
 
 use crate::scenario::{or_one_per_core, run_scenario_with, RunConfig, RunResult, Scenario};
 
@@ -343,17 +340,11 @@ impl Executor {
         })
     }
 
-    /// Runs independent scenarios under their default names, returning
-    /// the results in declaration order (simulations are deterministic,
-    /// so output is identical to a serial run).
-    pub fn run_scenarios(&self, scenarios: &[Scenario]) -> Vec<RunResult> {
-        let specs: Vec<ScenarioSpec> = scenarios.iter().cloned().map(ScenarioSpec::from).collect();
-        self.run(&specs).into_iter().map(|r| r.result).collect()
-    }
-
-    /// Runs each scenario `n_seeds` times with distinct seeds and averages
-    /// the scalar metrics, stabilizing single-run variance. The jitter
-    /// series and counters of the first seed are kept.
+    /// Runs each scenario `n_seeds` times with distinct seeds, under
+    /// their default names, and averages the scalar metrics, stabilizing
+    /// single-run variance; results come in declaration order. The
+    /// jitter series and counters of the first seed are kept, and one
+    /// seed is the scenario's own run, unchanged.
     pub fn run_averaged(&self, scenarios: &[Scenario], n_seeds: u32) -> Vec<RunResult> {
         let n = n_seeds.max(1);
         let mut expanded = Vec::with_capacity(scenarios.len() * n as usize);
@@ -361,10 +352,10 @@ impl Executor {
             for i in 0..n {
                 let mut s = sc.clone();
                 s.seed = sc.seed.wrapping_add(u64::from(i) * 7919);
-                expanded.push(s);
+                expanded.push(ScenarioSpec::from(s));
             }
         }
-        let all = self.run_scenarios(&expanded);
+        let all: Vec<RunResult> = self.run(&expanded).into_iter().map(|r| r.result).collect();
         all.chunks(n as usize)
             .map(|chunk| {
                 let mut avg = chunk[0].clone();
@@ -475,82 +466,6 @@ fn dump_metrics(dir: &str, seq: &AtomicUsize, reports: &[ScenarioReport]) {
     }
 }
 
-/// Renders the four-column layout shared by Tables 1, 2, 5 and 7.
-pub fn render_time_tp_ia_jitter(title: &str, rows: &[RunResult]) -> String {
-    let mut t = Table::new(
-        title,
-        &[
-            "Transport Tested",
-            "Time(s)",
-            "Throughput(KB/s)",
-            "Inter-arrival(s)",
-            "Jitter(s)",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.label.to_string(),
-            fmt(r.duration_s, 1),
-            fmt(r.throughput_kbps, 1),
-            fmt(r.inter_arrival_s, 3),
-            fmt(r.jitter_s, 3),
-        ]);
-    }
-    t.render()
-}
-
-/// Renders the conflict-experiment layout (Tables 3 and 4).
-pub fn render_conflict(title: &str, rows: &[RunResult]) -> String {
-    let mut t = Table::new(
-        title,
-        &[
-            "Scheme",
-            "Duration(s)",
-            "Mesgs Recvd(%)",
-            "Tagged Delay(ms)",
-            "Tagged Jitter(ms)",
-            "Delay(ms)",
-            "Jitter(ms)",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.label.to_string(),
-            fmt(r.duration_s, 1),
-            fmt(r.delivered_pct, 1),
-            fmt(r.tagged_delay_ms, 1),
-            fmt(r.tagged_jitter_ms, 2),
-            fmt(r.inter_arrival_s * 1e3, 1),
-            fmt(r.jitter_s * 1e3, 2),
-        ]);
-    }
-    t.render()
-}
-
-/// Renders the over-reaction layout (Tables 5, 6, 8): throughput first.
-pub fn render_overreaction(title: &str, labels: &[String], rows: &[RunResult]) -> String {
-    let mut t = Table::new(
-        title,
-        &[
-            "Scheme",
-            "Throughput(KB/s)",
-            "Duration(s)",
-            "Delay(ms)",
-            "Jitter(ms)",
-        ],
-    );
-    for (label, r) in labels.iter().zip(rows) {
-        t.row(&[
-            label.clone(),
-            fmt(r.throughput_kbps, 1),
-            fmt(r.duration_s, 1),
-            fmt(r.inter_arrival_s * 1e3, 2),
-            fmt(r.jitter_s * 1e3, 2),
-        ]);
-    }
-    t.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,7 +502,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let sc = small_scenario(1);
         let seq = run_scenario_with(&sc, RunConfig::default());
-        let par = Executor::new(0).run_scenarios(&[sc.clone(), sc.clone()]);
+        let par = Executor::new(0).run_averaged(&[sc.clone(), sc.clone()], 1);
         assert_eq!(par.len(), 2);
         assert_eq!(par[0].duration_s, seq.duration_s);
         assert_eq!(par[1].msgs_delivered, seq.msgs_delivered);
@@ -817,18 +732,5 @@ mod tests {
         let uneven = [shard(600, 0, 400), shard(100, 0, 800)];
         assert!((utilization(&uneven, 2) - 700.0 / 2000.0).abs() < 1e-12);
         assert!((idle_s_per_worker(&uneven, 2) - 650e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn renderers_produce_one_line_per_row() {
-        let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 30]);
-        sc.deadline_s = 30.0;
-        let r = run_scenario_with(&sc, RunConfig::default());
-        let s = render_time_tp_ia_jitter("T", std::slice::from_ref(&r));
-        assert_eq!(s.lines().count(), 4);
-        let s = render_conflict("T", std::slice::from_ref(&r));
-        assert!(s.contains("Mesgs Recvd"));
-        let s = render_overreaction("T", &["X".into()], &[r]);
-        assert!(s.contains("Throughput"));
     }
 }

@@ -1125,6 +1125,12 @@ mod tests {
                 assert_eq!(a.telemetry, b.telemetry, "{kind}: telemetry JSONL diverged");
                 assert_eq!(b.shards_used, threads.min(*shards), "{kind}");
                 assert_eq!(b.phase_profile.len(), *shards as usize, "{kind}");
+                if *kind == "mega" && threads > 1 {
+                    // The payload pool is thread-local: each pool worker
+                    // folds its counters into the world as it exits.
+                    let hits = b.obs.counter_total("iq_pool_hits_total");
+                    assert!(hits > 0, "mega: no pool hits folded in at {threads} shard threads");
+                }
             }
         }
     }

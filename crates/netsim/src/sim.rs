@@ -430,11 +430,6 @@ impl Simulator {
         self.core.counters
     }
 
-    /// Engine-plane scheduler counters (placement/drain behavior).
-    pub fn sched_stats(&self) -> crate::sched::SchedStats {
-        self.core.queue.stats()
-    }
-
     /// Wall-clock phase breakdown accumulated so far (engine plane).
     pub fn phase_snapshot(&self) -> iq_obs::PhaseSnapshot {
         self.core.profiler.snapshot()

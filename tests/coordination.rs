@@ -2,9 +2,7 @@
 //! down versions of the paper's experiments asserting the *directional*
 //! outcomes that define each scheme.
 
-use iq_experiments::tables::{
-    table3_scenarios, table8_scenarios, Size,
-};
+use iq_experiments::tables::{Size, TABLES};
 use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, RunResult, Scenario, Scheme};
 
 /// A run under the default configuration: one thread, no capture.
@@ -12,11 +10,17 @@ fn run(sc: &Scenario) -> RunResult {
     run_scenario_with(sc, RunConfig::default())
 }
 
+/// The scenarios of the table named `name`, at smoke size.
+fn scenarios(name: &str) -> Vec<Scenario> {
+    let table = TABLES.into_iter().find(|t| t.name == name).expect("a table");
+    (table.rows)(Size::SMOKE).into_iter().map(|(_, sc)| sc).collect()
+}
+
 /// §3.3 conflict: coordinated discard means fewer messages delivered
 /// (within tolerance) but no slower completion than uncoordinated RUDP.
 #[test]
 fn conflict_coordination_trades_messages_for_time() {
-    let scenarios = table3_scenarios(Size::SMOKE);
+    let scenarios = scenarios("t3");
     let iq = run(&scenarios[0]);
     let rudp = run(&scenarios[1]);
     assert!(iq.finished && rudp.finished);
@@ -66,7 +70,7 @@ fn overreaction_coordination_rescales_window() {
 /// deferred adaptations; the ordering of the three schemes holds.
 #[test]
 fn granularity_cond_correction_orders_schemes() {
-    let scenarios = table8_scenarios(Size::SMOKE);
+    let scenarios = scenarios("t8");
     let cond = run(&scenarios[0]);
     let nocond = run(&scenarios[1]);
     let rudp = run(&scenarios[2]);

@@ -3,16 +3,26 @@
 //! output bit-for-bit. These tests pin that contract at the integration
 //! level (the unit tests in `runner.rs` cover the executor internals).
 
-use iq_experiments::tables::{render_table1, table1_scenarios, table3_scenarios, Size};
+use iq_experiments::tables::{render, Experiment, Size, TABLES};
 use iq_experiments::{run_scenario_with, Executor, RunConfig, ScenarioSpec};
 use proptest::prelude::*;
 
+/// The table named `name`.
+fn table(name: &str) -> Experiment {
+    TABLES.into_iter().find(|t| t.name == name).expect("a table")
+}
+
+/// The scenarios of table `name` at `size`, under their default names.
+fn table_specs(name: &str, size: Size) -> Vec<ScenarioSpec> {
+    (table(name).rows)(size)
+        .into_iter()
+        .map(|(_, sc)| ScenarioSpec::from(sc))
+        .collect()
+}
+
 /// A cheap scenario set: table 1 at minimum scale (40 frames per run).
 fn small_specs() -> Vec<ScenarioSpec> {
-    table1_scenarios(Size(0.02))
-        .into_iter()
-        .map(ScenarioSpec::from)
-        .collect()
+    table_specs("t1", Size(0.02))
 }
 
 #[test]
@@ -21,8 +31,8 @@ fn rendered_table_is_byte_identical_across_worker_counts() {
     let parallel = Executor::new(4).run(&small_specs());
     let rows_serial: Vec<_> = serial.into_iter().map(|r| r.result).collect();
     let rows_parallel: Vec<_> = parallel.into_iter().map(|r| r.result).collect();
-    let rendered_serial = render_table1(&rows_serial);
-    let rendered_parallel = render_table1(&rows_parallel);
+    let rendered_serial = render(&table("t1"), &rows_serial);
+    let rendered_parallel = render(&table("t1"), &rows_parallel);
     assert_eq!(
         rendered_serial, rendered_parallel,
         "rendered table differs between -j 1 and -j 4"
@@ -35,10 +45,7 @@ fn rendered_table_is_byte_identical_across_worker_counts() {
 fn conflict_table_survives_oversubscribed_pool() {
     // More workers than scenarios: workers must drain and exit cleanly
     // and order must still match declaration order.
-    let specs: Vec<ScenarioSpec> = table3_scenarios(Size(0.05))
-        .into_iter()
-        .map(ScenarioSpec::from)
-        .collect();
+    let specs = table_specs("t3", Size(0.05));
     let reports = Executor::new(8).run(&specs);
     assert_eq!(reports.len(), specs.len());
     for (report, spec) in reports.iter().zip(&specs) {
