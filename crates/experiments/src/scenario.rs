@@ -1094,6 +1094,29 @@ mod tests {
         assert_eq!(r.shards_used, 1, "default shard thread count");
     }
 
+    /// The event queue's cursor stops at a shard's window: what the rest
+    /// of the window pushes before the next pending bucket takes the
+    /// ring, and `near_over` keeps only pushes into a resident bucket's
+    /// span. One thread, so placement is deterministic.
+    #[test]
+    fn mega_pushes_rarely_take_the_near_overflow_heap() {
+        let r = run(&Scenario::mega(2, 256, 4, 1400));
+        assert!(r.finished, "mega did not finish");
+        let total = |name| r.obs.counter_total(name);
+        let inserts = total("iq_sched_near_inserts_total");
+        let pushes = total("iq_sched_near_hits_total")
+            + inserts
+            + total("iq_sched_wheel_pushes_total")
+            + total("iq_sched_far_spills_total");
+        let share = inserts as f64 / pushes as f64;
+        assert!(
+            share < 0.20,
+            "{inserts} of {pushes} pushes ({:.1} %) went to near_over: \
+             the cursor ran past a window",
+            100.0 * share
+        );
+    }
+
     #[test]
     fn every_kind_is_identical_for_any_shard_thread_count() {
         let mut mega = Scenario::mega(3, 17, 3, 1400);

@@ -14,22 +14,32 @@
 //!   popped from, so pop order is exactly `(time, seq)`.
 //! * **ring** — [`SLOTS`] buckets of 2^20 ns (≈ 1.05 ms) each, covering
 //!   the ≈ 268 ms after `near_end`. A bucket is a plain `Vec<Event>`; a
-//!   drained bucket trades buffers with `near`, so a slot's next bucket
-//!   starts on a buffer an earlier one grew, and a steady load stops
-//!   allocating once every slot has been round.
+//!   drained bucket's buffer becomes `near`, and the slot is left with
+//!   none. `near`'s emptied buffer goes on one spare list that the
+//!   whole ring shares, and a push into an empty slot takes its buffer
+//!   from there first: the buffers number the slots occupied at once,
+//!   and a steady load stops allocating once that many exist.
 //! * **far** — a binary heap for events beyond the ring's horizon. An
 //!   event stays there until its bucket is the next to drain.
+//!
+//! The cursor moves only when something can pop. `pop_before(deadline)`
+//! drains the next bucket only if it starts at or before `deadline`;
+//! otherwise `near_end` stays put, and what the rest of a shard's
+//! lookahead window pushes before that bucket — boundary arrivals,
+//! access-link events, timers — still takes the ring. A cursor that ran
+//! ahead to a bucket beyond the window would send all of those to
+//! `near_over`.
 //!
 //! ## Retention
 //!
 //! A fleet's flows all open at time zero, and that burst grows whatever
 //! it passes through. None of these buffers keeps that: `near` and
-//! `near_over` when they are found empty, `far` when a drain has left
-//! it mostly empty, shrink to a small multiple of what they hold or of
-//! a private floor (`retained`). A load within four floors never
-//! meets the allocator; what a burst grew goes back as soon as the
-//! burst has drained. Capacity is not content, so none of this can
-//! touch the pop order.
+//! `near_over` when they are found empty — `near`'s buffer on its way
+//! to the spare list — and `far` when a drain has left it mostly empty,
+//! shrink to a small multiple of what they hold or of a private floor
+//! (`retained`). A load within four floors never meets the allocator;
+//! what a burst grew goes back as soon as the burst has drained.
+//! Capacity is not content, so none of this can touch the pop order.
 //!
 //! ## Determinism
 //!
@@ -39,8 +49,10 @@
 //! them no later than the moment `near_end` passes its timestamp; and
 //! `near_end` only ever advances to the end of the earliest bucket that
 //! holds anything, in the ring or in `far`, taking that bucket's events
-//! from both. Buckets are unordered, but a bucket *becomes* `near` whole
-//! before any of its events pop, and is sorted on the way.
+//! from both — and only to a bucket that starts at or before the
+//! deadline of the pop that asked, so no event that pop could return is
+//! left behind. Buckets are unordered, but a bucket *becomes* `near`
+//! whole before any of its events pop, and is sorted on the way.
 //! `tests/scheduler_diff.rs` pins the equivalence against a model
 //! `BinaryHeap` under vendored proptest op streams.
 
@@ -62,8 +74,9 @@ pub struct SchedStats {
     /// Pushes appended straight onto the `near` vector (the fast path).
     pub near_hits: u64,
     /// Pushes below `near_end` that could not append and went to the
-    /// `near_over` heap (rare same-window earlier arrivals, e.g.
-    /// cross-shard injections).
+    /// `near_over` heap: what a resident bucket's handlers schedule into
+    /// its own span ahead of its tail. Not rare: about 17–20 % of a mega
+    /// world's pushes.
     pub near_inserts: u64,
     /// Pushes landing in a ring bucket.
     pub wheel_pushes: u64,
@@ -81,7 +94,7 @@ const WORDS: usize = SLOTS / 64;
 const BUCKET_BITS: u32 = 20;
 
 /// A bucket's usual load, for [`retained`]: an empty `near` — and so
-/// the ring slot it is swapped into — keeps room for two to four times
+/// the spare buffer it becomes — keeps room for two to four times
 /// this. Steady-state buckets hold a few dozen events.
 const BUCKET_FLOOR: usize = 32;
 /// Likewise for `near_over`, which takes every push a resident bucket's
@@ -127,9 +140,9 @@ fn bucket_end(b: u64) -> Time {
 pub struct EventQueue {
     /// Events below `near_end`, sorted descending by `(time, seq)` so the
     /// next event pops from the end. A drained bucket *becomes* `near` (a
-    /// buffer swap, then one in-place `sort_unstable`, which beats
+    /// buffer move, then one in-place `sort_unstable`, which beats
     /// per-event heap sifts for the handful of events a bucket holds);
-    /// the bucket's slot keeps `near`'s emptied buffer. `Event`'s `Ord`
+    /// `near`'s emptied buffer goes on the spare list. `Event`'s `Ord`
     /// is reversed (min-queue through a max-heap), so an ascending sort
     /// by that `Ord` *is* descending `(time, seq)`.
     near: Vec<Event>,
@@ -147,8 +160,12 @@ pub struct EventQueue {
     near_end: Time,
     /// The ring: absolute bucket `b` lives in slot `b % SLOTS`. Every
     /// ring event's bucket is within `SLOTS` of the cursor, so a slot
-    /// never holds two buckets at once.
+    /// never holds two buckets at once. An empty slot holds no buffer.
     buckets: Vec<Vec<Event>>,
+    /// Emptied buffers waiting for a push into an empty slot: one list
+    /// for the whole ring, so the buffers number the slots occupied at
+    /// once and not every slot the cursor has passed.
+    spare: Vec<Vec<Event>>,
     /// One bit per non-empty slot, so empty stretches are skipped a word
     /// at a time.
     occupied: [u64; WORDS],
@@ -175,6 +192,7 @@ impl EventQueue {
             near_over: BinaryHeap::new(),
             near_end: 0,
             buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occupied: [0; WORDS],
             in_ring: 0,
             far: BinaryHeap::new(),
@@ -198,8 +216,14 @@ impl EventQueue {
     /// Events every buffer of the queue has room for, full or not.
     #[cfg(test)]
     fn capacity(&self) -> usize {
-        let ring: usize = self.buckets.iter().map(Vec::capacity).sum();
+        let ring: usize = self.buckets.iter().chain(&self.spare).map(Vec::capacity).sum();
         self.near.capacity() + self.near_over.capacity() + ring + self.far.capacity()
+    }
+
+    /// Whether every ring slot without events also holds no buffer.
+    #[cfg(test)]
+    fn empty_slots_hold_no_buffer(&self) -> bool {
+        self.buckets.iter().all(|b| !b.is_empty() || b.capacity() == 0)
     }
 
     /// Number of pending events.
@@ -236,7 +260,13 @@ impl EventQueue {
         if b - bucket_of(self.near_end) < SLOTS as u64 {
             self.stats.wheel_pushes += 1;
             let i = (b as usize) & (SLOTS - 1);
-            self.buckets[i].push(ev);
+            let slot = &mut self.buckets[i];
+            if slot.capacity() == 0 {
+                if let Some(buf) = self.spare.pop() {
+                    *slot = buf;
+                }
+            }
+            slot.push(ev);
             self.occupied[i / 64] |= 1u64 << (i % 64);
             self.in_ring += 1;
         } else {
@@ -246,11 +276,12 @@ impl EventQueue {
     }
 
     /// Time of the earliest pending event, and whether it sits in
-    /// `near_over` (else at `near`'s tail). May migrate events
-    /// internally, hence `&mut`.
+    /// `near_over` (else at `near`'s tail); `None` as well when nothing
+    /// pending can be due by `deadline` (see [`Self::refill`]). May
+    /// migrate events internally, hence `&mut`.
     #[inline]
-    fn head(&mut self) -> Option<(Time, bool)> {
-        self.refill();
+    fn head(&mut self, deadline: Time) -> Option<(Time, bool)> {
+        self.refill(deadline);
         match (self.near.last(), self.near_over.peek()) {
             // Reversed `Ord`: `Greater` means earlier `(time, seq)`.
             (Some(n), Some(o)) if o.cmp(n) == Ordering::Greater => Some((o.at, true)),
@@ -262,7 +293,7 @@ impl EventQueue {
 
     /// Earliest pending time; `None` when empty.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.head().map(|(at, _)| at)
+        self.head(Time::MAX).map(|(at, _)| at)
     }
 
     /// Removes and returns the earliest event (ties broken by `seq`).
@@ -274,7 +305,7 @@ impl EventQueue {
     /// `deadline` — the simulator's run-loop primitive, saving a separate
     /// peek-then-pop round trip per event.
     pub fn pop_before(&mut self, deadline: Time) -> Option<Event> {
-        let (at, over) = self.head()?;
+        let (at, over) = self.head(deadline)?;
         if at > deadline {
             return None;
         }
@@ -317,14 +348,17 @@ impl EventQueue {
         None
     }
 
-    /// Ensures `near` or `near_over` holds the earliest pending event (if
-    /// any exist): when both are empty, the earliest bucket that holds
-    /// anything becomes `near`.
+    /// Ensures `near` or `near_over` holds the earliest pending event if
+    /// it can be due by `deadline`: when both are empty, the earliest
+    /// bucket that holds anything becomes `near` — unless that bucket
+    /// starts after `deadline`. Then nothing in it can pop yet, and the
+    /// cursor stays where it is, so that what is pushed before that
+    /// bucket meanwhile still takes the ring and not `near_over`.
     ///
     /// An event below `near_end` precedes everything still in the ring or
     /// the far heap, so nothing migrates while one is pending — which
-    /// also keeps the swap from clobbering a non-empty `near`.
-    fn refill(&mut self) {
+    /// also keeps the drain from clobbering a non-empty `near`.
+    fn refill(&mut self, deadline: Time) {
         if !self.near.is_empty() || !self.near_over.is_empty() {
             return;
         }
@@ -335,9 +369,12 @@ impl EventQueue {
             (Some(b), None) | (None, Some(b)) => b,
             (None, None) => return,
         };
+        if b << BUCKET_BITS > deadline {
+            return;
+        }
         self.stats.bucket_drains += 1;
-        // Both are empty here, and `near`'s buffer is about to wait a
-        // ring turn in a slot: what a burst grew goes back first.
+        // Both are empty here, and `near`'s buffer is about to wait on
+        // the spare list: what a burst grew goes back first.
         if let Some(keep) = retained(self.near.capacity(), 0, BUCKET_FLOOR) {
             self.near.shrink_to(keep);
         }
@@ -345,10 +382,14 @@ impl EventQueue {
             self.near_over.shrink_to(keep);
         }
         if ring == Some(b) {
-            // A swap, not a copy: the bucket's buffer becomes `near` and
-            // the slot keeps `near`'s emptied one.
+            // The bucket's buffer becomes `near`; the slot is left with
+            // none, and `near`'s emptied one waits for the next push
+            // into an empty slot.
             let i = (b as usize) & (SLOTS - 1);
-            std::mem::swap(&mut self.near, &mut self.buckets[i]);
+            let emptied = std::mem::replace(&mut self.near, std::mem::take(&mut self.buckets[i]));
+            if emptied.capacity() > 0 {
+                self.spare.push(emptied);
+            }
             self.occupied[i / 64] &= !(1u64 << (i % 64));
             self.in_ring -= self.near.len();
         }
@@ -584,6 +625,27 @@ mod tests {
             pop(&mut q, &mut model);
         }
         assert!(q.is_empty());
+        assert!(q.empty_slots_hold_no_buffer(), "a drained slot kept its buffer");
+    }
+
+    /// `pop_before` drains no bucket that starts after its deadline: the
+    /// cursor stays put, so what is pushed before that bucket meanwhile
+    /// takes the ring, not `near` and `near_over`.
+    #[test]
+    fn a_bounded_pop_leaves_the_cursor_short_of_a_later_bucket() {
+        const MS: Time = 1_000_000;
+        let mut q = EventQueue::new();
+        q.push(ev(100 * MS, 0)); // A
+        assert!(q.pop_before(10 * MS).is_none());
+        let before = q.stats();
+        q.push(ev(20 * MS, 1)); // B
+        q.push(ev(30 * MS, 2)); // C
+        let after = q.stats();
+        assert_eq!(after.wheel_pushes - before.wheel_pushes, 2);
+        assert_eq!(after.near_inserts - before.near_inserts, 0);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
+        assert_eq!(order, [1, 2, 0], "B, C, A");
+        assert!(q.empty_slots_hold_no_buffer(), "a drained slot kept its buffer");
     }
 
     #[test]

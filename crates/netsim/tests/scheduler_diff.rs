@@ -11,6 +11,11 @@
 //! that they keep crossing the queue's retention rule (a buffer a burst
 //! grew is shrunk when it is next found empty): capacity is not content,
 //! and the order must not know the difference.
+//!
+//! They also carry pops bounded just past the clock, which find nothing
+//! due while the next event waits a bucket or more ahead: the queue
+//! keeps its cursor short of that bucket, and what is pushed in between
+//! must still pop first.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,6 +37,14 @@ const BUCKET_BITS: u32 = 20;
 /// empty at burst size — the shrink path. (`sched.rs`'s own tests look
 /// at the capacity.)
 static SHRINKS_CROSSED: AtomicUsize = AtomicUsize::new(0);
+
+/// Short-deadline pops that found nothing due while the earliest pending
+/// event's bucket started past the deadline: the queue must leave its
+/// cursor short of that bucket, and the op then pushes an event between
+/// the deadline and the head — the shard engine's pattern at the end of
+/// a lookahead window. Counted from the op stream, like
+/// [`SHRINKS_CROSSED`].
+static CURSORS_HELD: AtomicUsize = AtomicUsize::new(0);
 
 /// Notes a pop at time `at`: every burst in an earlier bucket has been
 /// drained and refilled past. Returns `at`.
@@ -65,8 +78,9 @@ proptest! {
         let mut burst_buckets: Vec<u64> = Vec::new();
 
         for &(kind, raw) in &ops {
-            // One op in 32 is a burst; the rest are the six plain kinds.
-            match if kind == 31 { 6 } else { kind % 6 } {
+            // One op in 32 is a burst and one a window's-end pop; the
+            // rest are the six plain kinds.
+            match match kind { 31 => 6, 30 => 7, k => k % 6 } {
                 // Pop from both, compare, and advance the clock.
                 4 => {
                     let got = queue.pop().map(|e| (e.at, e.seq));
@@ -87,6 +101,31 @@ proptest! {
                     prop_assert_eq!(got, want);
                     if let Some((at, _)) = want {
                         now = popped(&mut burst_buckets, at);
+                    }
+                }
+                // A pop bounded at most 1 ms past the clock, as a shard
+                // ends its lookahead window; when nothing was due and the
+                // head's bucket starts past the deadline, a push lands
+                // between the two.
+                7 => {
+                    let deadline = now.saturating_add(raw % 1_000_001);
+                    let got = queue.pop_before(deadline).map(|e| (e.at, e.seq));
+                    let head = model.peek().map(|e| e.at);
+                    let want = match head {
+                        Some(at) if at <= deadline => model.pop().map(|e| (e.at, e.seq)),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, want);
+                    match (want, head) {
+                        (Some((at, _)), _) => now = popped(&mut burst_buckets, at),
+                        (None, Some(head)) if head >> BUCKET_BITS << BUCKET_BITS > deadline => {
+                            CURSORS_HELD.fetch_add(1, Ordering::Relaxed);
+                            let at = deadline + 1 + (raw >> 20) % (head - deadline);
+                            queue.push(ev(at, seq));
+                            model.push(ev(at, seq));
+                            seq += 1;
+                        }
+                        _ => {}
                     }
                 }
                 // A burst into one bucket, up to 400 ms ahead (either
@@ -164,4 +203,6 @@ fn event_queue_conforms_to_the_source_contract() {
     // The streams are seeded, so this is a fact about them, not luck.
     let crossed = SHRINKS_CROSSED.load(Ordering::Relaxed);
     assert!(crossed >= 32, "only {crossed} bursts were drained and shrunk behind");
+    let held = CURSORS_HELD.load(Ordering::Relaxed);
+    assert!(held >= 32, "only {held} short-deadline pops left the cursor before the head");
 }
