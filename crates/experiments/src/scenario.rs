@@ -684,7 +684,12 @@ impl World {
         cfg: RunConfig,
         pool_before: iq_netsim::PoolStats,
     ) -> RunResult {
-        let Self { sim, buses, classes, flows } = self;
+        let Self {
+            mut sim,
+            buses,
+            classes,
+            flows,
+        } = self;
         // Merge per-shard telemetry in shard-index order — the same
         // declaration-order discipline the runner uses for `-j`, so the
         // JSONL is independent of the thread count.
@@ -705,7 +710,6 @@ impl World {
         let mut throughput = 0.0f64;
         let mut duration = 0.0f64;
         let mut finished = true;
-        let mut first: Option<&FlowMetrics> = None;
         for (g, flow) in flows.iter().enumerate() {
             match &classes[g % classes.len()] {
                 FlowClass::Adaptive(_) => {
@@ -735,7 +739,6 @@ impl World {
                 FlowClass::TcpBulk => offered += tcp_schedule(sc).0,
             }
             let (m, done) = sink_state(&sim, flow.rx.id(), &mut receiver_stats);
-            first.get_or_insert(m);
             delivered += m.messages();
             throughput += m.throughput_kbps();
             duration = duration.max(m.duration_s());
@@ -754,9 +757,15 @@ impl World {
                 .plus(sim.worker_pool_stats()),
             telemetry_evicted,
         );
-        let first = first.expect("a world has at least one flow");
+        // Flow 0's shape: its columns, then its series, moved out of the
+        // sink so that the run holds it once.
+        let first = sink_metrics_mut(&mut sim, flows[0].rx.id());
         // The TCP sink tags every message; the tagged columns are RUDP's.
         let tagged_ms = |s: f64| if receiver_stats.is_some() { s * 1e3 } else { 0.0 };
+        let (inter_arrival_s, jitter_s) = (first.inter_arrival_s(), first.jitter_s());
+        let tagged_delay_ms = tagged_ms(first.tagged_inter_arrival_s());
+        let tagged_jitter_ms = tagged_ms(first.tagged_jitter_s());
+        let jitter_series = first.take_jitter_series();
         RunResult {
             label: if sc.mega_legs > 0 {
                 "mega flows"
@@ -767,10 +776,10 @@ impl World {
             },
             duration_s: duration,
             throughput_kbps: throughput,
-            inter_arrival_s: first.inter_arrival_s(),
-            jitter_s: first.jitter_s(),
-            tagged_delay_ms: tagged_ms(first.tagged_inter_arrival_s()),
-            tagged_jitter_ms: tagged_ms(first.tagged_jitter_s()),
+            inter_arrival_s,
+            jitter_s,
+            tagged_delay_ms,
+            tagged_jitter_ms,
             msgs_offered: offered,
             msgs_delivered: delivered,
             delivered_pct: if offered > 0 {
@@ -778,7 +787,7 @@ impl World {
             } else {
                 0.0
             },
-            jitter_series: first.jitter_series(),
+            jitter_series,
             finished,
             coordination,
             callbacks,
@@ -808,6 +817,18 @@ fn sink_state<'a>(
     } else {
         let s = sim.agent::<TcpSinkAgent>(rx).expect("sink");
         (&s.metrics, s.is_finished())
+    }
+}
+
+/// A sink's application metrics, whichever transport it terminates.
+fn sink_metrics_mut(sim: &mut ShardedSim, rx: ShardAgentId) -> &mut FlowMetrics {
+    if sim.agent::<EchoSinkAgent>(rx).is_some() {
+        &mut sim
+            .agent_mut::<EchoSinkAgent>(rx)
+            .expect("checked above")
+            .metrics
+    } else {
+        &mut sim.agent_mut::<TcpSinkAgent>(rx).expect("sink").metrics
     }
 }
 

@@ -19,7 +19,12 @@
 //! `host.bytes_per_flow` / `host.allocs_per_kevent` at 25,600 flows;
 //! they are ratchets for per-flow state, not a second benchmark.
 //!
-//! A third test runs a hand-built single-flow world with CBR cross
+//! A third test runs one single-flow scenario whose receiver logs 20,000
+//! arrivals: its high-water mark, less the jitter series the run
+//! returns, must stay under [`CEILING_SINGLE_FLOW_BYTES`], so that the
+//! series is held once and not copied out of the world at harvest.
+//!
+//! A fourth test runs a hand-built single-flow world with CBR cross
 //! traffic for 2 s and on to 8 s of simulated time: what the cross
 //! traffic's sink holds must not depend on how long the traffic has been
 //! arriving, nor what the whole world does by more than what is in
@@ -29,20 +34,21 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use iq_experiments::{run_scenario_with, RunConfig, RunResult, Scenario};
+use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, RunResult, Scenario, Scheme};
 use iq_metrics::FlowMetrics;
 use iq_netsim::{build_dumbbell, time, Addr, BulkSender, DumbbellSpec, FlowId, Simulator};
 use iq_rudp::{RudpConfig, RudpSinkAgent};
 use iq_workload::{CbrSource, UdpSink};
 
 /// Set ≈ 10 % above what the tree measured when the gate was last moved
-/// (3,138 B/flow, debug or release, this test run alone, since the event
-/// queue's ring slots share one spare list of buffers and its cursor
-/// stops at a shard's window; 3,222 before that, and 3,320 when the
+/// (3,114 B/flow, debug or release, this test run alone, since a queued
+/// fragment packs into 32 bytes; 3,138 with 40-byte fragments, 3,222
+/// before the event queue's ring slots shared one spare list of buffers
+/// and its cursor stopped at a shard's window, and 3,320 when the
 /// scheduler drained every shard in each lookahead window and so held
 /// all legs' start-up bursts at once). A diet that lowers the number
 /// should lower this with it.
-const CEILING_BYTES_PER_FLOW: usize = 3_450;
+const CEILING_BYTES_PER_FLOW: usize = 3_425;
 
 /// Run growth: bytes per flow the high-water mark of the full run
 /// stands above that of the world as built. It is what the engine holds
@@ -74,6 +80,15 @@ const CEILING_RUN_CALLS_PER_FLOW: f64 = 3.1;
 /// Inline-first storage lives in the agents' boxes; pre-sizing heap
 /// buffers in the constructors instead would show up here.
 const CEILING_BUILD_CALLS_PER_FLOW: f64 = 4.13;
+
+/// The single-flow gate: bytes the run of a 20,000-message
+/// `RudpPlain` transfer adds at its high-water mark beyond the jitter
+/// series it returns. Set ≈ 10 % above what the tree measured when the
+/// gate was set (372,882 B debug, 372,930 release, with a 319,984-byte
+/// series); harvesting a clone of the series instead of moving it read
+/// 688,826 B, the recorder's doubled buffer and the copy both live at
+/// once.
+const CEILING_SINGLE_FLOW_BYTES: usize = 410_000;
 
 struct LiveBytes;
 
@@ -230,6 +245,39 @@ fn calls_per_flow() {
         "the run phase makes {run:.2} allocator calls per flow ({} over {flows} flows), \
          above the ceiling of {CEILING_RUN_CALLS_PER_FLOW}",
         full_calls - build_calls
+    );
+}
+
+#[test]
+fn a_single_flow_run_holds_its_series_once() {
+    alone(single_flow_series);
+}
+
+fn single_flow_series() {
+    let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 20_000]);
+    sc.deadline_s = 900.0;
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let r = run(&sc);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let points = &r.jitter_series.points;
+    let series = points.capacity() * std::mem::size_of::<(u64, f64)>();
+    let beyond = peak - series;
+    println!(
+        "single flow: {peak} B at the high-water mark, {series} B of it the returned series, \
+         {beyond} B beyond it"
+    );
+    assert!(r.finished, "the transfer did not finish");
+    assert_eq!(points.len(), 19_999, "one jitter sample per gap");
+    assert_eq!(
+        points.capacity(),
+        points.len(),
+        "the returned series keeps doubling slack"
+    );
+    assert!(
+        beyond <= CEILING_SINGLE_FLOW_BYTES,
+        "the run's high-water mark stands {beyond} B above the {series}-byte series it returns, \
+         above the ceiling of {CEILING_SINGLE_FLOW_BYTES} B: the series is held twice"
     );
 }
 

@@ -9,7 +9,9 @@
 //! (inter-arrival statistics, their tagged twins, the per-message jitter
 //! series) is what a run reports for the one flow it looks at; it lives
 //! out of line, and a recorder built with [`FlowMetrics::volume_only`]
-//! has none.
+//! has none. The series leaves by move
+//! ([`FlowMetrics::take_jitter_series`]), not by copy: a run's report
+//! holds the one buffer the recorder filled.
 
 use crate::series::TimeSeries;
 use crate::stats::Welford;
@@ -72,6 +74,12 @@ impl ArrivalShape {
     }
 }
 
+/// Why a volume-only recorder has no shape to read.
+const NO_SHAPE: &str = "this FlowMetrics was built with FlowMetrics::volume_only() and records \
+                        no arrival shape (inter-arrival, jitter, tagged statistics, jitter \
+                        series); build the recorder of a flow whose shape is read with \
+                        FlowMetrics::new()";
+
 impl Default for FlowMetrics {
     fn default() -> Self {
         Self::new()
@@ -115,11 +123,13 @@ impl FlowMetrics {
     /// Panics on a volume-only recorder: a zero here would read as a
     /// flow with no jitter.
     fn shape(&self) -> &ArrivalShape {
-        self.shape.as_deref().expect(
-            "this FlowMetrics was built with FlowMetrics::volume_only() and records no arrival \
-             shape (inter-arrival, jitter, tagged statistics, jitter series); build the recorder \
-             of a flow whose shape is read with FlowMetrics::new()",
-        )
+        self.shape.as_deref().expect(NO_SHAPE)
+    }
+
+    /// The arrival shape, to move the series out of; panics like
+    /// [`Self::shape`].
+    fn shape_mut(&mut self) -> &mut ArrivalShape {
+        self.shape.as_deref_mut().expect(NO_SHAPE)
     }
 
     /// Records a delivered message.
@@ -208,9 +218,15 @@ impl FlowMetrics {
         self.latency_sum_ns as f64 / self.messages as f64 * 1e-9
     }
 
-    /// The per-message jitter series (Figures 2/3).
-    pub fn jitter_series(&self) -> TimeSeries {
-        TimeSeries { points: self.shape().jitter.clone() }
+    /// Moves the per-message jitter series (Figures 2/3) out of the
+    /// recorder, shrunk to fit, and leaves it an empty one: a run reports
+    /// the series once and holds it once. The inter-arrival statistics
+    /// are kept, so the delay and jitter columns read the same before
+    /// and after.
+    pub fn take_jitter_series(&mut self) -> TimeSeries {
+        let mut points = std::mem::take(&mut self.shape_mut().jitter);
+        points.shrink_to_fit();
+        TimeSeries { points }
     }
 
     /// Percentage of `offered` messages that were delivered.
@@ -269,11 +285,9 @@ mod tests {
         for &t in &times {
             m.on_message(t * MS, 0, 100, false);
         }
-        assert_eq!(m.jitter_series().len(), times.len() - 1);
-        let peak = m
-            .jitter_series()
-            .values()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let series = m.take_jitter_series();
+        assert_eq!(series.len(), times.len() - 1);
+        let peak = series.values().fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 10.0, "the 40 ms gap should spike jitter, got {peak}");
     }
 
@@ -287,17 +301,47 @@ mod tests {
         m.on_message(10 * MS, 0, 100, false); // same instant
         m.on_message(20 * MS, 0, 100, false);
         assert_eq!(m.messages(), 3);
-        assert_eq!(m.jitter_series().len(), 2);
+        let series = m.take_jitter_series();
+        assert_eq!(series.len(), 2);
         // Gaps are 0 ms and 10 ms → mean 5 ms.
         assert!((m.inter_arrival_s() - 0.005).abs() < 1e-12);
         // The second jitter sample deviates from the updated mean:
         // |10 ms − 5 ms| = 5 ms.
-        let series = m.jitter_series();
         let last = series.points.last().unwrap();
         assert_eq!(last.0, 20 * MS);
         assert!((last.1 - 5.0).abs() < 1e-9);
         // First sample: |0 − 0| = 0.
         assert_eq!(series.points[0], (10 * MS, 0.0));
+    }
+
+    #[test]
+    fn taking_the_series_moves_it_shrunk_and_keeps_the_columns() {
+        let mut m = FlowMetrics::new();
+        for t in [0u64, 10, 30, 35, 70] {
+            m.on_message(t * MS, 0, 100, t % 2 == 0);
+        }
+        let columns = |m: &FlowMetrics| {
+            [
+                m.inter_arrival_s(),
+                m.jitter_s(),
+                m.tagged_inter_arrival_s(),
+                m.tagged_jitter_s(),
+            ]
+            .map(f64::to_bits)
+        };
+        let before = columns(&m);
+        let series = m.take_jitter_series();
+        assert_eq!(series.len(), 4);
+        assert_eq!(series.points.capacity(), series.len(), "no doubling slack");
+        assert_eq!(
+            columns(&m),
+            before,
+            "the columns do not come from the series"
+        );
+        assert!(
+            m.take_jitter_series().is_empty(),
+            "the recorder keeps no second copy"
+        );
     }
 
     #[test]
@@ -442,7 +486,7 @@ mod tests {
             let bits = |points: &[(u64, f64)]| -> Vec<(u64, u64)> {
                 points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
             };
-            prop_assert_eq!(bits(&full.jitter_series().points), bits(&unsplit.jitter));
+            prop_assert_eq!(bits(&full.take_jitter_series().points), bits(&unsplit.jitter));
         }
     }
 

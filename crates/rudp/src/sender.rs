@@ -3,6 +3,7 @@
 //! segments, clock ticks, and application messages; outputs are segments
 //! to transmit (via [`SenderConn::poll_transmit`]) and [`ConnEvent`]s.
 
+use std::num::NonZeroU16;
 use std::sync::Arc;
 
 use iq_netsim::Time;
@@ -54,26 +55,59 @@ pub enum SenderState {
 
 /// A fragment of a submitted message, from submission until it is
 /// acknowledged or abandoned: what goes on the wire with it, and its
-/// transmit state (all zero until the first transmission). 40 bytes: a
-/// slot of the fragment ring is paid for by every connection. `Copy`,
-/// so that cloning a ring's inline slab is a block copy.
+/// transmit state (all zero until the first transmission). 32 bytes, and
+/// so is `Option<Frag>`: a slot of the fragment ring is paid for by
+/// every connection, and a backlog by every fragment queued. Past the
+/// three 64-bit fields everything packs into one word, within limits
+/// [`SenderConn::from_shared`] checks: `len` fits 16 bits because `mss`
+/// does, `dup_hint` a byte because it stops counting at
+/// `dupack_threshold`, the three flags share a byte, and `frag_count`
+/// is never zero, the niche that makes a ring slot's `Option` free.
+/// `Copy`, so that cloning a ring's inline slab is a block copy.
 #[derive(Debug, Clone, Copy)]
 struct Frag {
     msg_id: u64,
-    frag_idx: u16,
-    frag_count: u16,
-    len: u32,
-    marked: bool,
     msg_sent_at: Time,
     /// Last transmission time.
     tx_at: Time,
-    /// Whether it has ever been retransmitted (Karn).
-    retransmitted: bool,
+    frag_idx: u16,
+    frag_count: NonZeroU16,
+    len: u16,
     /// Number of ACKs that covered data above this seq without covering
-    /// it (loss-detection counter).
-    dup_hint: u32,
+    /// it (loss-detection counter). It stops once the fragment is
+    /// declared lost, at `dupack_threshold` at most, and saturates.
+    dup_hint: u8,
+    /// [`Frag::MARKED`] | [`Frag::RETRANSMITTED`] | [`Frag::LOST_PENDING`].
+    flags: u8,
+}
+
+impl Frag {
+    /// The message is marked (must be delivered).
+    const MARKED: u8 = 1;
+    /// It has been retransmitted at least once (Karn).
+    const RETRANSMITTED: u8 = 1 << 1;
     /// Declared lost and waiting in the retransmit queue.
-    lost_pending: bool,
+    const LOST_PENDING: u8 = 1 << 2;
+
+    fn marked(&self) -> bool {
+        self.flags & Self::MARKED != 0
+    }
+
+    fn retransmitted(&self) -> bool {
+        self.flags & Self::RETRANSMITTED != 0
+    }
+
+    fn lost_pending(&self) -> bool {
+        self.flags & Self::LOST_PENDING != 0
+    }
+
+    fn set(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
 }
 
 /// The sending endpoint state machine.
@@ -258,7 +292,13 @@ impl SenderConn {
     /// Creates a sender sharing an already-wrapped configuration (the
     /// [`crate::ConnBuilder`] path: many-flow setups build hundreds of
     /// connections from one config without cloning it each time).
+    ///
+    /// # Panics
+    /// Panics if `cfg.mss` is outside 1..=65,535 or
+    /// `cfg.dupack_threshold` is above 255, the limits a queued
+    /// fragment's packed fields hold.
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
+        cfg.check_fragment_limits();
         let cc = CcController::new(&cfg.cc);
         let discard_unmarked = cfg.discard_unmarked;
         Self {
@@ -384,7 +424,7 @@ impl SenderConn {
     /// when it was last transmitted: the one the RTO runs on.
     fn earliest_outstanding(&self) -> Option<(u64, Time)> {
         self.inflight()
-            .find(|(_, e)| !e.lost_pending)
+            .find(|(_, e)| !e.lost_pending())
             .map(|(seq, e)| (seq, e.tx_at))
     }
 
@@ -429,8 +469,23 @@ impl SenderConn {
     /// The message is fragmented into MSS-sized segments. Returns
     /// [`SendOutcome::Discarded`] when the message is unmarked and
     /// discard-unmarked coordination is active.
+    ///
+    /// # Panics
+    /// Panics if `size` is 0 or more than 65,535 fragments of `mss`
+    /// bytes, the most a segment's fragment count can number.
     pub fn send_message(&mut self, now: Time, size: u32, marked: bool) -> SendOutcome {
         assert!(size > 0, "empty messages are not allowed");
+        let frags = size.div_ceil(self.cfg.mss);
+        let frag_count = u16::try_from(frags)
+            .ok()
+            .and_then(NonZeroU16::new)
+            .unwrap_or_else(|| {
+                panic!(
+                    "a {size}-byte message is {frags} fragments of mss {}, above the 65,535 a \
+                     message may have",
+                    self.cfg.mss
+                )
+            });
         if self.discard_unmarked && !marked {
             self.stats.msgs_discarded += 1;
             self.telemetry
@@ -440,31 +495,28 @@ impl SenderConn {
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         self.stats.msgs_submitted += 1;
-        let frag_count = size.div_ceil(self.cfg.mss).max(1) as u16;
         let mut remaining = size;
-        for idx in 0..frag_count {
+        for idx in 0..frag_count.get() {
             let len = remaining.min(self.cfg.mss);
             remaining -= len;
             self.frags.insert(
                 self.next_seq + self.unsent as u64,
                 Frag {
                     msg_id,
-                    frag_idx: idx,
-                    frag_count,
-                    len,
-                    marked,
                     msg_sent_at: now,
                     tx_at: 0,
-                    retransmitted: false,
+                    frag_idx: idx,
+                    frag_count,
+                    len: u16::try_from(len).expect("from_shared holds mss to 16 bits"),
                     dup_hint: 0,
-                    lost_pending: false,
+                    flags: if marked { Frag::MARKED } else { 0 },
                 },
             );
             self.unsent += 1;
         }
         SendOutcome::Queued {
             msg_id,
-            fragments: frag_count,
+            fragments: frag_count.get(),
         }
     }
 
@@ -499,14 +551,14 @@ impl SenderConn {
         let Some(entry) = self.frags.get(seq) else {
             return;
         };
-        if entry.lost_pending {
+        if entry.lost_pending() {
             return;
         }
-        let marked = entry.marked;
+        let marked = entry.marked();
         self.meter.on_loss();
         if marked || !self.may_abandon() {
             let entry = self.frags.get_mut(seq).expect("checked above");
-            entry.lost_pending = true;
+            entry.set(Frag::LOST_PENDING, true);
             self.retx_queue.push_back(seq);
         } else {
             self.frags.take(seq);
@@ -629,11 +681,11 @@ impl SenderConn {
         let dupack_threshold = self.cfg.dupack_threshold;
         self.frags
             .for_each_mut_below(dup_horizon.min(sent_end), |seq, entry| {
-                if entry.lost_pending {
+                if entry.lost_pending() {
                     return;
                 }
-                entry.dup_hint += 1;
-                if entry.dup_hint >= dupack_threshold {
+                entry.dup_hint = entry.dup_hint.saturating_add(1);
+                if u32::from(entry.dup_hint) >= dupack_threshold {
                     self.scratch_seqs.push_back(seq);
                 }
             });
@@ -863,9 +915,9 @@ impl SenderConn {
                 continue; // acked or abandoned meanwhile
             };
             entry.tx_at = now;
-            entry.retransmitted = true;
+            entry.set(Frag::RETRANSMITTED, true);
             entry.dup_hint = 0;
-            entry.lost_pending = false;
+            entry.set(Frag::LOST_PENDING, false);
             self.stats.segments_sent += 1;
             self.stats.retransmits += 1;
             self.meter.on_send();
@@ -873,9 +925,9 @@ impl SenderConn {
                 seq,
                 msg_id: entry.msg_id,
                 frag_idx: entry.frag_idx,
-                frag_count: entry.frag_count,
-                len: entry.len,
-                marked: entry.marked,
+                frag_count: entry.frag_count.get(),
+                len: u32::from(entry.len),
+                marked: entry.marked(),
                 fwd_seq,
                 msg_sent_at: entry.msg_sent_at,
                 tx_at: now,
@@ -899,9 +951,9 @@ impl SenderConn {
                 seq,
                 msg_id: frag.msg_id,
                 frag_idx: frag.frag_idx,
-                frag_count: frag.frag_count,
-                len: frag.len,
-                marked: frag.marked,
+                frag_count: frag.frag_count.get(),
+                len: u32::from(frag.len),
+                marked: frag.marked(),
                 fwd_seq,
                 msg_sent_at: frag.msg_sent_at,
                 tx_at: now,
@@ -948,7 +1000,7 @@ impl SenderConn {
             h.write_u64(f.msg_id);
             h.write_u64(u64::from(f.frag_idx));
             h.write_u64(u64::from(f.len));
-            h.write_bool(f.marked);
+            h.write_bool(f.marked());
         }
         h.write_u64(self.retx_queue.len() as u64);
         for &seq in self.retx_queue.iter() {
@@ -958,10 +1010,10 @@ impl SenderConn {
         for (seq, e) in self.inflight() {
             h.write_u64(seq);
             h.write_u64(now.saturating_sub(e.tx_at));
-            h.write_bool(e.retransmitted);
+            h.write_bool(e.retransmitted());
             h.write_u64(u64::from(e.dup_hint));
-            h.write_bool(e.lost_pending);
-            h.write_bool(e.marked);
+            h.write_bool(e.lost_pending());
+            h.write_bool(e.marked());
             h.write_u64(u64::from(e.len));
         }
         self.cc.digest(now, h);
@@ -1049,6 +1101,73 @@ mod tests {
             SendOutcome::Queued { fragments, .. } => assert_eq!(fragments, 1),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mss is 0")]
+    fn a_zero_mss_is_refused() {
+        SenderConn::new(
+            1,
+            RudpConfig {
+                mss: 0,
+                ..RudpConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mss is 65536")]
+    fn an_mss_past_16_bits_is_refused() {
+        SenderConn::new(
+            1,
+            RudpConfig {
+                mss: 65_536,
+                ..RudpConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dupack_threshold is 256")]
+    fn a_dupack_threshold_past_a_byte_is_refused() {
+        SenderConn::new(
+            1,
+            RudpConfig {
+                dupack_threshold: 256,
+                ..RudpConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn a_message_of_65535_fragments_is_queued_whole() {
+        let mut c = SenderConn::new(
+            1,
+            RudpConfig {
+                mss: 1,
+                ..RudpConfig::default()
+            },
+        );
+        match c.send_message(0, 65_535, true) {
+            SendOutcome::Queued { fragments, .. } => assert_eq!(fragments, u16::MAX),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(c.backlog_segments(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65536-byte message is 65536 fragments of mss 1")]
+    fn a_message_of_more_than_65535_fragments_is_refused() {
+        // It used to wrap to 0 fragments: counted as submitted, and
+        // nothing queued.
+        let mut c = SenderConn::new(
+            1,
+            RudpConfig {
+                mss: 1,
+                ..RudpConfig::default()
+            },
+        );
+        c.send_message(0, 65_536, true);
     }
 
     #[test]
@@ -1414,7 +1533,9 @@ mod tests {
         // Every connection of a fleet pays these bytes when the world is
         // built (DESIGN.md §12); a new field should show up here.
         for (name, size, ceiling) in [
-            ("SenderConn", std::mem::size_of::<SenderConn>(), 704),
+            ("SenderConn", std::mem::size_of::<SenderConn>(), 680),
+            ("Frag", std::mem::size_of::<Frag>(), 32),
+            ("Option<Frag>", std::mem::size_of::<Option<Frag>>(), 32),
             ("CcController", std::mem::size_of::<CcController>(), 152),
             ("SendEvent", std::mem::size_of::<SendEvent>(), 1),
         ] {

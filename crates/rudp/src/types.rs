@@ -61,6 +61,25 @@ impl Default for RudpConfig {
     }
 }
 
+impl RudpConfig {
+    /// Panics unless `mss` is in 1..=65,535 and `dupack_threshold` at
+    /// most 255: a sender's queued fragment holds its length in 16 bits
+    /// and its dup-ACK count in 8. Both endpoints check, so a config is
+    /// refused whichever end is built first.
+    pub(crate) fn check_fragment_limits(&self) {
+        assert!(
+            (1..=u32::from(u16::MAX)).contains(&self.mss),
+            "mss is {}, outside the 1..=65,535 a fragment's length holds",
+            self.mss
+        );
+        assert!(
+            self.dupack_threshold <= u32::from(u8::MAX),
+            "dupack_threshold is {}, above the 255 a fragment's dup-ACK count holds",
+            self.dupack_threshold
+        );
+    }
+}
+
 /// Asynchronous notifications surfaced by a connection; drained by the
 /// embedding agent after every input.
 ///
