@@ -18,9 +18,7 @@ use iq_netsim::{
     ReceiverDriver, SenderDriver, ShardAgentId, ShardedSim,
 };
 use iq_obs::{Plane, Registry};
-use iq_rudp::{
-    BbrParams, CcAlgorithm, ConnBuilder, CubicParams, RrrParams, RudpConfig, SenderConn,
-};
+use iq_rudp::{CcAlgorithm, ConnBuilder, RudpConfig, SenderConn};
 use iq_tcp::{TcpConfig, TcpReceiverConn, TcpSenderConn, TcpSinkAgent};
 use iq_telemetry::{to_jsonl, TelemetryBus, TelemetrySink};
 use iq_trace::{MembershipConfig, MembershipTrace};
@@ -172,16 +170,11 @@ pub struct Scenario {
     pub thresholds: (Option<f64>, Option<f64>),
     /// Congestion-control algorithm for the transport schemes. Ignored
     /// by [`Scheme::AppAdaptOnly`], which always pins the window at
-    /// [`Self::fixed_cwnd`], and by [`Scheme::Tcp`].
+    /// `APP_ADAPT_ONLY_CWND` (32 segments), and by [`Scheme::Tcp`].
     pub cc: CcAlgorithm,
-    /// Fixed window used when congestion control is disabled
-    /// ([`Scheme::AppAdaptOnly`]).
-    pub fixed_cwnd: f64,
     /// Override for the transport's measuring period (long-RTT paths
     /// need a period that spans at least one RTT).
     pub measure_period: Option<iq_netsim::TimeDelta>,
-    /// Settle time between upper-threshold adaptations, seconds.
-    pub min_adapt_gap_s: f64,
     /// Cadence limit for lower-threshold (recovery) adaptations, seconds.
     pub min_lower_gap_s: f64,
     /// Run the bottleneck queue under RED instead of drop-tail
@@ -222,9 +215,7 @@ impl Scenario {
             loss_tolerance: 0.0,
             thresholds: (None, None),
             cc: CcAlgorithm::default(),
-            fixed_cwnd: 32.0,
             measure_period: None,
-            min_adapt_gap_s: 1.0,
             min_lower_gap_s: 0.4,
             red_bottleneck: false,
             cross: CrossTraffic::default(),
@@ -446,10 +437,10 @@ fn flow_classes(sc: &Scenario, base: &RudpConfig) -> Vec<FlowClass> {
         ..base.clone()
     };
     vec![
-        bulk(marked, CcAlgorithm::Cubic(CubicParams::default()), 0),
+        bulk(marked, CcAlgorithm::Cubic, 0),
         adaptive,
-        bulk(unmarked, CcAlgorithm::BbrLike(BbrParams::default()), 4),
-        bulk(sparse_ack, CcAlgorithm::Rrr(RrrParams::default()), 0),
+        bulk(unmarked, CcAlgorithm::BbrLike, 4),
+        bulk(sparse_ack, CcAlgorithm::Rrr, 0),
     ]
 }
 
@@ -460,6 +451,9 @@ fn tcp_schedule(sc: &Scenario) -> (u64, u32) {
     let msg_size = (total / sc.frame_sizes.len().max(1) as u64).clamp(200, 64_000) as u32;
     (total / u64::from(msg_size), msg_size)
 }
+
+/// The pinned window of [`Scheme::AppAdaptOnly`], segments.
+const APP_ADAPT_ONLY_CWND: f64 = 32.0;
 
 fn rudp_config(sc: &Scenario) -> RudpConfig {
     let mut cfg = RudpConfig {
@@ -475,7 +469,7 @@ fn rudp_config(sc: &Scenario) -> RudpConfig {
         // "Application adaptation only": no transport adaptation, the
         // window stays pinned (the old `enabled: false` mode).
         CcAlgorithm::Fixed {
-            cwnd: sc.fixed_cwnd,
+            cwnd: APP_ADAPT_ONLY_CWND,
         }
     } else {
         sc.cc.clone()
@@ -633,7 +627,6 @@ impl World {
                         cfg.mode = sc.scheme.mode();
                         cfg.fps = sc.fps;
                         cfg.datagram_mode = sc.datagram_mode;
-                        cfg.min_adapt_gap = time::secs(sc.min_adapt_gap_s);
                         cfg.min_lower_gap = time::secs(sc.min_lower_gap_s);
                         cfg.seed = sc.seed ^ u64::from(g) ^ 0x5eed;
                         let policy = sc.policy.build(sc.scheme);
@@ -1019,9 +1012,7 @@ mod tests {
 
     #[test]
     fn cc_disabled_scheme_uses_fixed_window() {
-        let mut sc = small_scenario(Scheme::AppAdaptOnly);
-        sc.fixed_cwnd = 8.0;
-        let r = run(&sc);
+        let r = run(&small_scenario(Scheme::AppAdaptOnly));
         assert!(r.finished);
         assert_eq!(r.msgs_delivered, 150);
     }

@@ -7,7 +7,7 @@
 //! [`iq_core::cond_window_factor`]) and flags any divergence.
 
 use iq_core::{cond_window_factor, resolution_window_factor, AdaptReport, CoordinationMode, Coordinator};
-use iq_rudp::{CcConfig, SenderConn};
+use iq_rudp::{SenderConn, MAX_CWND, MIN_CWND};
 
 /// Tolerance for floating-point window comparisons.
 const EPS: f64 = 1e-6;
@@ -121,7 +121,6 @@ impl Snapshot {
 /// call (which may have seen mutated attributes).
 pub fn check_invariants(
     mode: CoordinationMode,
-    cc: &CcConfig,
     msg_size: u32,
     report: &AdaptReport,
     pre: &Snapshot,
@@ -180,7 +179,7 @@ pub fn check_invariants(
                 ),
                 _ => (resolution_window_factor(rate_chg), false),
             };
-            let expect = (pre.cwnd * factor).clamp(cc.min_cwnd, cc.max_cwnd);
+            let expect = (pre.cwnd * factor).clamp(MIN_CWND, MAX_CWND);
 
             if post.rescales != pre.rescales + 1 {
                 return Some(Violation::new(
@@ -197,8 +196,8 @@ pub fn check_invariants(
                 // Attribute the miss: if the plain §3.4 factor explains
                 // the observed window, the Eq. (1) correction is what
                 // went missing.
-                let plain = (pre.cwnd * resolution_window_factor(rate_chg))
-                    .clamp(cc.min_cwnd, cc.max_cwnd);
+                let plain =
+                    (pre.cwnd * resolution_window_factor(rate_chg)).clamp(MIN_CWND, MAX_CWND);
                 let inv = if cond_expected && (post.cwnd - expect).abs() > EPS
                     && (factor - resolution_window_factor(rate_chg)).abs() > EPS
                     && (post.cwnd - plain).abs() <= EPS

@@ -549,7 +549,7 @@ impl World {
             .coord
             .send_with_attrs(&mut f.sender, now, step.size, step.marked, &fed);
         let post = Snapshot::capture(&f.sender, &f.coord);
-        check_invariants(spec.mode, &spec.cfg.cc, step.size, &report, &pre, &post)
+        check_invariants(spec.mode, step.size, &report, &pre, &post)
             .map(|v| v.at(flow, f.script_pos - 1))
     }
 

@@ -32,10 +32,7 @@ pub mod segment;
 pub mod sender;
 pub mod types;
 
-pub use cc::{
-    BbrParams, BbrWindow, CcAlgorithm, CcConfig, CcController, CongestionControl, CubicParams,
-    CubicWindow, FixedWindow, LdaParams, LdaWindow, RrrParams, RrrWindow,
-};
+pub use cc::{CcAlgorithm, CcConfig, CcController, INITIAL_CWND, MAX_CWND, MIN_CWND};
 pub use endpoint::{ConnBuilder, RudpSinkAgent};
 pub use inline::InlineQueue;
 pub use meter::{NetCond, PeriodMeter};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use iq_netsim::Time;
 use iq_telemetry::{CwndReason, TelemetryEvent, TelemetrySink};
 
-use crate::cc::{CcController, CongestionControl};
+use crate::cc::CcController;
 use crate::inline::InlineQueue;
 use crate::meter::{NetCond, PeriodMeter};
 use crate::ring::SeqRing;
@@ -299,7 +299,7 @@ impl SenderConn {
     /// fragment's packed fields hold.
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
         cfg.check_fragment_limits();
-        let cc = CcController::new(&cfg.cc);
+        let cc = CcController::new(&cfg.cc.algorithm);
         let discard_unmarked = cfg.discard_unmarked;
         Self {
             cfg,
@@ -385,7 +385,7 @@ impl SenderConn {
     /// reaction to a reported application adaptation). Returns the
     /// resulting window.
     pub fn scale_cwnd(&mut self, factor: f64) -> f64 {
-        self.cc.scale(&self.cfg.cc, factor)
+        self.cc.scale(factor)
     }
 
     /// Toggles discard-unmarked coordination.
@@ -640,14 +640,12 @@ impl SenderConn {
                 seq += 1;
             }
         }
-        // ACK-clocked controllers grow here; the hook fires once per
-        // ACK segment that newly acknowledged data. LDA's hook is a
-        // no-op, so its telemetry stream is untouched by the redesign.
+        // ACK-clocked controllers (CUBIC) grow here; the hook fires once
+        // per ACK segment that newly acknowledged data. For the others it
+        // leaves the window as it was, so nothing is emitted.
         if newly_acked > 0 {
             let before = self.cc.cwnd();
-            let cwnd = self
-                .cc
-                .on_ack(&self.cfg.cc, now, newly_acked, self.rtt.srtt());
+            let cwnd = self.cc.on_ack(now, newly_acked);
             if cwnd != before {
                 self.telemetry.emit(
                     now,
@@ -698,7 +696,7 @@ impl SenderConn {
         // approximation. (RTO losses react in `on_tick` instead.)
         if any_lost {
             let before = self.cc.cwnd();
-            let cwnd = self.cc.on_loss(&self.cfg.cc, now);
+            let cwnd = self.cc.on_loss();
             if cwnd != before {
                 self.telemetry.emit(
                     now,
@@ -745,7 +743,7 @@ impl SenderConn {
                     self.stats.timeouts += 1;
                     let rto_ns = self.rtt.rto(&self.cfg);
                     self.rtt.on_timeout();
-                    let cwnd = self.cc.on_timeout(&self.cfg.cc, now);
+                    let cwnd = self.cc.on_timeout();
                     self.telemetry.emit_with(now, self.telemetry_flow, || {
                         TelemetryEvent::RtoFired {
                             seq,
@@ -770,7 +768,7 @@ impl SenderConn {
                     self.meter
                         .maybe_roll(now, self.cfg.measure_period, srtt_ms, cwnd)
                 {
-                    let new_cwnd = self.cc.on_period(&self.cfg.cc, now, &cond);
+                    let new_cwnd = self.cc.on_period(&cond);
                     // The snapshot the period events will report (and
                     // `net_cond` overwrites on read anyway) carries the
                     // window the controller just chose.

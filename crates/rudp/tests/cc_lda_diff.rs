@@ -1,18 +1,15 @@
-//! Differential test of the trait-based [`LdaWindow`] against the
+//! Differential test of the LDA [`CcController`] against the
 //! pre-refactor implementation.
 //!
-//! The congestion-control redesign (the [`CongestionControl`] trait and
-//! [`CcController`] enum dispatch) must not move LDA's trajectories by
-//! a single bit: the determinism fingerprints, the telemetry streams,
-//! and the model checker's pinned explored-state counts all hang off
-//! them. `ReferenceLda` below is the pre-refactor `LdaWindow` copied
-//! verbatim (config flags and all); the property drives it and the
-//! trait-based controller through identical period / timeout / scale
-//! sequences and requires bit-identical windows after every step.
+//! No change to congestion control may move LDA's trajectories by a
+//! single bit: the determinism fingerprints, the telemetry streams, and
+//! the model checker's pinned explored-state counts all hang off them.
+//! `ReferenceLda` below is the pre-refactor `LdaWindow` copied verbatim
+//! (config flags and all); the property drives it and the controller
+//! through identical period / timeout / scale sequences and requires
+//! bit-identical windows after every step.
 
-use iq_rudp::{
-    CcAlgorithm, CcConfig, CcController, CongestionControl, LdaParams, NetCond,
-};
+use iq_rudp::{CcAlgorithm, CcController, NetCond};
 use proptest::{prop, prop_assert_eq, proptest, ProptestConfig};
 
 /// The pre-refactor `LdaWindow`, verbatim (including the `enabled` /
@@ -117,37 +114,19 @@ proptest! {
     /// Same loss sequences → identical cwnd trajectories, bit for bit.
     #[test]
     fn trait_lda_matches_pre_refactor_lda(
-        incr in 0.25f64..4.0,
-        beta in 0.5f64..4.0,
-        initial in 1.0f64..64.0,
         ops in prop::collection::vec((0u32..3, 0.0f64..1.2), 1..600),
     ) {
-        let mut model = ReferenceLda::new(RefConfig {
-            initial_cwnd: initial,
-            incr_per_period: incr,
-            beta,
-            ..RefConfig::default()
-        });
-        let cfg = CcConfig {
-            algorithm: CcAlgorithm::Lda(LdaParams {
-                incr_per_period: incr,
-                beta,
-            }),
-            initial_cwnd: initial,
-            ..CcConfig::default()
-        };
-        let mut cc = CcController::new(&cfg);
+        let mut model = ReferenceLda::new(RefConfig::default());
+        let mut cc = CcController::new(&CcAlgorithm::Lda);
         prop_assert_eq!(model.cwnd().to_bits(), cc.cwnd().to_bits());
 
-        let mut now = 0u64;
         for &(op, x) in &ops {
-            now += 1_000_000;
             let (want, got) = match op {
                 // Period boundary: x doubles as the loss ratio (values
                 // slightly above 1 exercise the decrease floor).
-                0 => (model.on_period(x), cc.on_period(&cfg, now, &cond_with_loss(x))),
+                0 => (model.on_period(x), cc.on_period(&cond_with_loss(x))),
                 // Retransmission timeout.
-                1 => (model.on_timeout(), cc.on_timeout(&cfg, now)),
+                1 => (model.on_timeout(), cc.on_timeout()),
                 // Coordination rescale, spanning shrink, grow, and the
                 // degenerate factors `scale` must ignore.
                 _ => {
@@ -156,7 +135,7 @@ proptest! {
                     } else {
                         x * 2.0 - 0.2 // ~[0, 2.2], includes <= 0
                     };
-                    (model.scale(factor), cc.scale(&cfg, factor))
+                    (model.scale(factor), cc.scale(factor))
                 }
             };
             prop_assert_eq!(want.to_bits(), got.to_bits());
@@ -177,18 +156,12 @@ proptest! {
             fixed_cwnd: pinned,
             ..RefConfig::default()
         });
-        let cfg = CcConfig {
-            algorithm: CcAlgorithm::Fixed { cwnd: pinned },
-            ..CcConfig::default()
-        };
-        let mut cc = CcController::new(&cfg);
-        let mut now = 0u64;
+        let mut cc = CcController::new(&CcAlgorithm::Fixed { cwnd: pinned });
         for &(op, x) in &ops {
-            now += 1_000_000;
             let (want, got) = match op {
-                0 => (model.on_period(x), cc.on_period(&cfg, now, &cond_with_loss(x))),
-                1 => (model.on_timeout(), cc.on_timeout(&cfg, now)),
-                _ => (model.scale(x * 2.0), cc.scale(&cfg, x * 2.0)),
+                0 => (model.on_period(x), cc.on_period(&cond_with_loss(x))),
+                1 => (model.on_timeout(), cc.on_timeout()),
+                _ => (model.scale(x * 2.0), cc.scale(x * 2.0)),
             };
             prop_assert_eq!(want.to_bits(), got.to_bits());
         }

@@ -8,7 +8,7 @@
 //! layout included — equals the clone's, and which behaves identically
 //! from there on.
 
-use iq_rudp::{AckSeg, ReceiverConn, RudpConfig, Segment, SenderConn};
+use iq_rudp::{AckSeg, CcAlgorithm, ReceiverConn, RudpConfig, Segment, SenderConn};
 
 const MS: u64 = 1_000_000;
 
@@ -69,7 +69,7 @@ fn worn_pair() -> (SenderConn, ReceiverConn, Segment) {
 /// sequence 0, its 47 ACKs spilled from the outbox.
 fn dirtier_pair() -> (SenderConn, ReceiverConn) {
     let mut cfg = RudpConfig::default();
-    cfg.cc.initial_cwnd = 48.0;
+    cfg.cc.algorithm = CcAlgorithm::Fixed { cwnd: 48.0 };
     cfg.loss_tolerance = 0.25;
     let (mut s, mut r) = established(9, cfg);
     for _ in 0..96 {

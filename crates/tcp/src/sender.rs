@@ -124,7 +124,14 @@ pub struct TcpSenderConn {
 
 impl TcpSenderConn {
     /// Creates a sender for connection `conn_id`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.mss` is 0.
     pub fn new(conn_id: u32, cfg: TcpConfig) -> Self {
+        assert!(
+            cfg.mss > 0,
+            "mss is 0: a segment must carry at least one byte"
+        );
         let rtt = TcpRtt::new(cfg.min_rto, cfg.max_rto);
         let ssthresh = cfg.initial_ssthresh;
         Self {
@@ -187,12 +194,23 @@ impl TcpSenderConn {
     }
 
     /// Submits an application message of `size` bytes (always reliable).
+    ///
+    /// # Panics
+    /// Panics if `size` is 0 or more than 65,535 fragments of `mss`
+    /// bytes, the most a segment's fragment count can number.
     pub fn send_message(&mut self, now: Time, size: u32) -> u64 {
         assert!(size > 0, "empty messages are not allowed");
+        let frags = size.div_ceil(self.cfg.mss);
+        let frag_count = u16::try_from(frags).unwrap_or_else(|_| {
+            panic!(
+                "a {size}-byte message is {frags} fragments of mss {}, above the 65,535 a \
+                 message may have",
+                self.cfg.mss
+            )
+        });
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         self.stats.msgs_submitted += 1;
-        let frag_count = size.div_ceil(self.cfg.mss).max(1) as u16;
         let mut remaining = size;
         for idx in 0..frag_count {
             let len = remaining.min(self.cfg.mss);
@@ -559,5 +577,50 @@ mod tests {
         ));
         c.on_segment(millis(60), &TcpSegment::FinAck);
         assert!(c.is_closed());
+    }
+
+    #[test]
+    #[should_panic(expected = "mss is 0")]
+    fn a_zero_mss_is_refused() {
+        TcpSenderConn::new(
+            1,
+            TcpConfig {
+                mss: 0,
+                ..TcpConfig::default()
+            },
+        );
+    }
+
+    fn one_byte_segments() -> TcpSenderConn {
+        TcpSenderConn::new(
+            1,
+            TcpConfig {
+                mss: 1,
+                ..TcpConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn a_message_of_65535_fragments_is_queued_whole() {
+        let mut c = one_byte_segments();
+        c.send_message(0, 65_535);
+        assert_eq!(c.stats().msgs_submitted, 1);
+        assert_eq!(c.backlog_segments(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65536-byte message is 65536 fragments of mss 1")]
+    fn a_message_of_more_than_65535_fragments_is_refused() {
+        // It used to wrap to 0 fragments: counted as submitted, and
+        // nothing queued.
+        one_byte_segments().send_message(0, 65_536);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65537-byte message is 65537 fragments of mss 1")]
+    fn a_message_that_would_wrap_short_is_refused() {
+        // It used to wrap to 1 fragment: a 1-byte message delivered.
+        one_byte_segments().send_message(0, 65_537);
     }
 }

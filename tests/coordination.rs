@@ -150,7 +150,6 @@ fn app_adaptation_only_disables_congestion_control() {
     );
     sc.datagram_mode = true;
     sc.thresholds = (Some(0.05), Some(0.005));
-    sc.fixed_cwnd = 24.0;
     sc.cross.cbr_bps = Some(17e6);
     sc.deadline_s = 180.0;
     let r = run(&sc);
