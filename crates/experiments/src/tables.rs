@@ -151,7 +151,7 @@ pub(crate) fn pairs<T>(
 /// scaled from 30 %/5 %, tolerance 40 %), over 12 Mb CBR cross traffic.
 /// Tables 3, 4 and 9, the loss-tolerance ablation and `bench` build on
 /// it.
-pub(crate) fn conflict_scenario(frames: &[u32], scheme: Scheme) -> Scenario {
+pub fn conflict_scenario(frames: &[u32], scheme: Scheme) -> Scenario {
     let mut sc = Scenario::new(scheme, PolicySpec::Marking, frames.to_vec());
     sc.fps = Some(100.0);
     sc.datagram_mode = true;

@@ -24,7 +24,12 @@
 //! returns, must stay under [`CEILING_SINGLE_FLOW_BYTES`], so that the
 //! series is held once and not copied out of the world at harvest.
 //!
-//! A fourth test runs a hand-built single-flow world with CBR cross
+//! A fourth runs the §3.3 conflict workload, whose application outruns
+//! its transport: its high-water mark, less the series it returns, must
+//! stay under [`CEILING_BACKLOGGED_FLOW_BYTES`], so that the sender's
+//! backlog costs what it holds and not a doubled slab and its copy.
+//!
+//! A fifth test runs a hand-built single-flow world with CBR cross
 //! traffic for 2 s and on to 8 s of simulated time: what the cross
 //! traffic's sink holds must not depend on how long the traffic has been
 //! arriving, nor what the whole world does by more than what is in
@@ -34,7 +39,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, RunResult, Scenario, Scheme};
+use iq_experiments::tables::conflict_scenario;
+use iq_experiments::{
+    app_frame_sizes, run_scenario_with, PolicySpec, RunConfig, RunResult, Scenario, Scheme,
+};
 use iq_metrics::FlowMetrics;
 use iq_netsim::{build_dumbbell, time, Addr, BulkSender, DumbbellSpec, FlowId, Simulator};
 use iq_rudp::{RudpConfig, RudpSinkAgent};
@@ -89,6 +97,20 @@ const CEILING_BUILD_CALLS_PER_FLOW: f64 = 4.13;
 /// 688,826 B, the recorder's doubled buffer and the copy both live at
 /// once.
 const CEILING_SINGLE_FLOW_BYTES: usize = 410_000;
+
+/// Frames the backlogged-flow gate's application offers: at 100 fps
+/// it outruns its transport, and the sender's backlog goes past
+/// `PAGE_SLOTS` fragments.
+const FRAMES: usize = 5_000;
+
+/// The backlogged-flow gate: bytes a §3.3 conflict run of [`FRAMES`]
+/// frames under plain RUDP adds at its high-water mark beyond the
+/// jitter series it returns, the sender's backlog of fragments among
+/// them. Set ≈ 10 % above what the tree measured when the gate was set
+/// (1,033,986 B, debug or release, since a backlog past `PAGE_SLOTS`
+/// lives in pages); a fragment ring that doubled its slab, and held the
+/// old one and the new while it copied, read 1,492,226 B.
+const CEILING_BACKLOGGED_FLOW_BYTES: usize = 1_140_000;
 
 struct LiveBytes;
 
@@ -278,6 +300,33 @@ fn single_flow_series() {
         beyond <= CEILING_SINGLE_FLOW_BYTES,
         "the run's high-water mark stands {beyond} B above the {series}-byte series it returns, \
          above the ceiling of {CEILING_SINGLE_FLOW_BYTES} B: the series is held twice"
+    );
+}
+
+#[test]
+fn a_backlogged_flow_holds_its_backlog_once() {
+    alone(backlogged_flow);
+}
+
+fn backlogged_flow() {
+    let frames = app_frame_sizes(FRAMES, 11);
+    let sc = conflict_scenario(&frames, Scheme::Uncoordinated);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let r = run(&sc);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let series = r.jitter_series.points.capacity() * std::mem::size_of::<(u64, f64)>();
+    let beyond = peak - series;
+    println!(
+        "backlogged flow: {peak} B at the high-water mark, {series} B of it the returned \
+         series, {beyond} B beyond it"
+    );
+    assert!(r.finished, "the transfer did not finish");
+    assert!(
+        beyond <= CEILING_BACKLOGGED_FLOW_BYTES,
+        "the run's high-water mark stands {beyond} B above the {series}-byte series it returns, \
+         above the ceiling of {CEILING_BACKLOGGED_FLOW_BYTES} B: the backlog costs more than \
+         it holds"
     );
 }
 

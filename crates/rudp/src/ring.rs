@@ -7,17 +7,32 @@
 //! forward as cumulative ACKs and in-order delivery advance. A
 //! `BTreeMap<u64, T>` pays pointer chasing and node allocation for
 //! ordering the structure gets for free; [`SeqRing`] stores the window
-//! in a power-of-two slab of `Option<T>` slots indexed by
-//! `(seq - head_seq) & mask`, so lookups are O(1), iteration is a linear
-//! scan, and steady-state operation allocates nothing (the slab only
-//! grows, and the window is bounded by the receive buffer). The first
-//! `FIRST` slots (a type parameter, [`FIRST_SLOTS`] unless the holder
-//! says otherwise) are part of the ring itself, so a flow whose window
-//! never outgrows them never calls the allocator for it.
+//! in `Option<T>` slots addressed by their offset from the head, so
+//! lookups are O(1), iteration is a linear scan, and a window that
+//! slides without widening allocates nothing. The slots live in one of
+//! three tiers; a ring moves up a tier when its window outgrows the one
+//! it is on, and never back:
+//!
+//! * the first `FIRST` slots (a type parameter, [`FIRST_SLOTS`] unless
+//!   the holder says otherwise) are part of the ring itself, so a flow
+//!   whose window never outgrows them never calls the allocator for it;
+//! * up to [`PAGE_SLOTS`], a power-of-two heap slab indexed by
+//!   `(head + offset) & mask`, which doubles (a copy) as the window
+//!   widens;
+//! * past that, pages of [`PAGE_SLOTS`] slots. Slot `head + offset` is
+//!   split by shift and mask into a page and a slot, and the ring grows
+//!   only by adding a page at either end, so no slot is copied. A page
+//!   the head leaves is empty and rotates to the back, where the window
+//!   reuses it.
+//!
+//! [`PAGE_SLOTS`] is `MAX_CWND`, so an in-flight window never pages:
+//! only an application's backlog does.
 //!
 //! Semantics match a `BTreeMap<u64, T>` restricted to the access
 //! patterns the protocol uses; `tests/ring_diff.rs` pins that
 //! equivalence with differential property tests.
+
+use std::collections::VecDeque;
 
 /// Default number of slots in a ring's first slab, which is stored
 /// inline. Most flows of a large fleet never have more than a few
@@ -25,40 +40,113 @@
 /// least twice the size and doubles from there.
 pub const FIRST_SLOTS: usize = 4;
 
+/// Slots in a page, and the widest heap slab: a window wider than this
+/// lives in pages.
+pub const PAGE_SLOTS: usize = 1024;
+
+const PAGE_SHIFT: u32 = PAGE_SLOTS.trailing_zeros();
+
 /// Where a ring's slots live.
 #[derive(Debug, Clone)]
 enum Slab<T, const FIRST: usize> {
     /// The first slab, inside the ring (and so inside whatever holds
     /// the ring): no allocation until the window outgrows it.
     Inline([Option<T>; FIRST]),
-    /// A power-of-two heap slab of more than `FIRST` slots.
+    /// A power-of-two heap slab of more than `FIRST` slots and at most
+    /// [`PAGE_SLOTS`].
     Heap(Box<[Option<T>]>),
+    /// Pages of [`PAGE_SLOTS`] slots; the head lies in the first.
+    Paged(VecDeque<Box<[Option<T>]>>),
+}
+
+/// Moves the first `n` pages, which the head has left empty, to the
+/// back. Out of line: the head leaves a page once in [`PAGE_SLOTS`]
+/// slots.
+#[cold]
+fn rotate<T>(pages: &mut VecDeque<Box<[Option<T>]>>, n: usize) {
+    pages.rotate_left(n);
+}
+
+/// An empty page.
+fn page<T>() -> Box<[Option<T>]> {
+    (0..PAGE_SLOTS).map(|_| None).collect()
 }
 
 impl<T, const FIRST: usize> Slab<T, FIRST> {
-    fn slots(&self) -> &[Option<T>] {
+    fn capacity(&self) -> usize {
         match self {
-            Slab::Inline(slots) => slots,
-            Slab::Heap(slots) => slots,
+            Slab::Inline(_) => FIRST,
+            Slab::Heap(slots) => slots.len(),
+            Slab::Paged(pages) => pages.len() << PAGE_SHIFT,
         }
     }
 
-    fn slots_mut(&mut self) -> &mut [Option<T>] {
-        match self {
+    /// The slot at physical index `p`: masked into a ring slab, split
+    /// into a page and a slot on pages.
+    fn slot(&self, p: usize) -> &Option<T> {
+        let slots: &[Option<T>] = match self {
             Slab::Inline(slots) => slots,
             Slab::Heap(slots) => slots,
+            Slab::Paged(pages) => return &pages[p >> PAGE_SHIFT][p & (PAGE_SLOTS - 1)],
+        };
+        &slots[p & (slots.len() - 1)]
+    }
+
+    fn slot_mut(&mut self, p: usize) -> &mut Option<T> {
+        let slots: &mut [Option<T>] = match self {
+            Slab::Inline(slots) => slots,
+            Slab::Heap(slots) => slots,
+            Slab::Paged(pages) => return &mut pages[p >> PAGE_SHIFT][p & (PAGE_SLOTS - 1)],
+        };
+        let mask = slots.len() - 1;
+        &mut slots[p & mask]
+    }
+
+    /// The slots of a ring slab, `None` on pages: a loop over the
+    /// window reads a ring slab by mask, without a match per slot.
+    fn ring(&self) -> Option<&[Option<T>]> {
+        match self {
+            Slab::Inline(slots) => Some(slots),
+            Slab::Heap(slots) => Some(slots),
+            Slab::Paged(_) => None,
         }
+    }
+
+    fn ring_mut(&mut self) -> Option<&mut [Option<T>]> {
+        match self {
+            Slab::Inline(slots) => Some(slots),
+            Slab::Heap(slots) => Some(slots),
+            Slab::Paged(_) => None,
+        }
+    }
+
+    /// Physical index `p`, reached by the head, as the head's new
+    /// index: wrapped into a ring slab; on pages, every page wholly
+    /// below `p` is empty and rotates to the back.
+    fn rebase(&mut self, p: usize) -> usize {
+        let len = match self {
+            Slab::Inline(slots) => slots.len(),
+            Slab::Heap(slots) => slots.len(),
+            Slab::Paged(pages) => {
+                if p >= PAGE_SLOTS {
+                    rotate(pages, p >> PAGE_SHIFT);
+                }
+                PAGE_SLOTS
+            }
+        };
+        p & (len - 1)
     }
 }
 
 /// A sparse window of `T` values keyed by contiguous-ish `u64` sequence
-/// numbers, backed by a ring of `Option<T>` slots, the first `FIRST` of
-/// them (a power of two: slots are addressed by mask) inline.
+/// numbers, backed by `Option<T>` slots, the first `FIRST` of them (a
+/// power of two: slots are addressed by mask) inline.
 #[derive(Debug)]
 pub struct SeqRing<T, const FIRST: usize = FIRST_SLOTS> {
     /// Sequence number of the slot at physical index `head`; meaningful
     /// only while `span > 0`. Invariant: when `len > 0` the head slot is
-    /// occupied (leading empties are trimmed after every removal).
+    /// occupied (leading empties are trimmed after every removal), and
+    /// every slot outside the window is empty.
     head_seq: u64,
     /// Physical index of `head_seq`'s slot.
     head: usize,
@@ -66,7 +154,7 @@ pub struct SeqRing<T, const FIRST: usize = FIRST_SLOTS> {
     span: usize,
     /// Occupied slots within the window.
     len: usize,
-    /// Power-of-two slot storage.
+    /// Slot storage.
     slab: Slab<T, FIRST>,
 }
 
@@ -127,7 +215,7 @@ impl<T, const FIRST: usize> Default for SeqRing<T, FIRST> {
 impl<T, const FIRST: usize> SeqRing<T, FIRST> {
     /// An empty ring on its inline slab; allocates nothing.
     pub fn new() -> Self {
-        const { assert!(FIRST.is_power_of_two()) };
+        const { assert!(FIRST.is_power_of_two() && FIRST <= PAGE_SLOTS) };
         Self {
             head_seq: 0,
             head: 0,
@@ -148,12 +236,12 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
     }
 
     /// Current slot capacity (for tests and sizing diagnostics): `FIRST`
-    /// while the ring is on its inline slab, more once it has moved to
-    /// the heap (it never moves back).
+    /// while the ring is on its inline slab, a power of two up to
+    /// [`PAGE_SLOTS`] on a heap slab, and a multiple of it on pages (it
+    /// never shrinks).
     pub fn capacity(&self) -> usize {
-        self.slab.slots().len()
+        self.slab.capacity()
     }
-
 
     /// Lowest occupied sequence number.
     pub fn first_seq(&self) -> Option<u64> {
@@ -173,6 +261,16 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
         }
     }
 
+    /// How far past the head the window may reach without more room.
+    fn room(&self) -> usize {
+        match &self.slab {
+            Slab::Inline(_) => FIRST,
+            Slab::Heap(slots) => slots.len(),
+            Slab::Paged(pages) => (pages.len() << PAGE_SHIFT) - self.head,
+        }
+    }
+
+    /// Physical index of `seq`'s slot, if the window covers it.
     fn slot_index(&self, seq: u64) -> Option<usize> {
         if self.span == 0 || seq < self.head_seq {
             return None;
@@ -181,7 +279,7 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
         if offset >= self.span as u64 {
             return None;
         }
-        Some((self.head + offset as usize) & (self.capacity() - 1))
+        Some(self.head + offset as usize)
     }
 
     /// Whether `seq` is occupied.
@@ -191,29 +289,89 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
 
     /// Borrows the entry at `seq`.
     pub fn get(&self, seq: u64) -> Option<&T> {
-        self.slot_index(seq)
-            .and_then(|i| self.slab.slots()[i].as_ref())
+        self.slot_index(seq).and_then(|p| self.slab.slot(p).as_ref())
     }
 
     /// Mutably borrows the entry at `seq`.
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
         self.slot_index(seq)
-            .and_then(move |i| self.slab.slots_mut()[i].as_mut())
+            .and_then(move |p| self.slab.slot_mut(p).as_mut())
     }
 
-    /// Relocates the window into a heap slab of at least `min_cap`
-    /// slots, with the head at physical index 0.
+    /// Relocates the window into a heap slab of at least `min_cap` (at
+    /// most [`PAGE_SLOTS`]) slots, with the head at physical index 0.
+    #[cold]
     fn grow(&mut self, min_cap: usize) {
         let new_cap = min_cap.next_power_of_two();
         let mut new_slots: Vec<Option<T>> = Vec::with_capacity(new_cap);
+        let (head, slab) = (self.head, &mut self.slab);
+        new_slots.extend((0..self.span).map(|off| slab.slot_mut(head + off).take()));
         new_slots.resize_with(new_cap, || None);
-        let old = self.slab.slots_mut();
-        let mask = old.len() - 1;
-        for (off, slot) in new_slots.iter_mut().enumerate().take(self.span) {
-            *slot = old[(self.head + off) & mask].take();
-        }
         self.slab = Slab::Heap(new_slots.into_boxed_slice());
         self.head = 0;
+    }
+
+    /// Moves the window, at most [`PAGE_SLOTS`] wide, onto one page with
+    /// the head at its first slot. A heap slab of [`PAGE_SLOTS`] slots
+    /// becomes that page, rotated in place; a smaller slab is copied.
+    #[cold]
+    fn page_in(&mut self) {
+        let first = match &mut self.slab {
+            Slab::Heap(slots) if slots.len() == PAGE_SLOTS => {
+                slots.rotate_left(self.head);
+                std::mem::take(slots)
+            }
+            slab => {
+                let mut first = page();
+                for (off, slot) in first.iter_mut().enumerate().take(self.span) {
+                    *slot = slab.slot_mut(self.head + off).take();
+                }
+                first
+            }
+        };
+        self.slab = Slab::Paged(VecDeque::from([first]));
+        self.head = 0;
+    }
+
+    /// Makes room for the window to reach `end` slots past the head,
+    /// which [`Self::room`] says it has not.
+    #[cold]
+    fn reserve(&mut self, end: usize) {
+        if !matches!(self.slab, Slab::Paged(_)) {
+            if end <= PAGE_SLOTS {
+                return self.grow(end);
+            }
+            self.page_in();
+        }
+        if let Slab::Paged(pages) = &mut self.slab {
+            pages.resize_with((self.head + end).div_ceil(PAGE_SLOTS), page);
+        }
+    }
+
+    /// Makes room for the head to move `back` slots down and the window
+    /// to widen to `needed` slots, which it has not. On pages, a page
+    /// wholly past the window is empty and moves to the front before a
+    /// new one is allocated.
+    #[cold]
+    fn reserve_front(&mut self, back: usize, needed: usize) {
+        if !matches!(self.slab, Slab::Paged(_)) {
+            if needed <= PAGE_SLOTS {
+                return self.grow(needed);
+            }
+            self.page_in();
+        }
+        if let Slab::Paged(pages) = &mut self.slab {
+            while self.head < back {
+                let used = (self.head + self.span).div_ceil(PAGE_SLOTS);
+                let spare = if pages.len() > used {
+                    pages.pop_back()
+                } else {
+                    None
+                };
+                pages.push_front(spare.unwrap_or_else(page));
+                self.head += PAGE_SLOTS;
+            }
+        }
     }
 
     /// Inserts `value` at `seq`, returning the previous occupant if any.
@@ -228,10 +386,10 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
         } else if seq >= self.head_seq {
             let offset = seq - self.head_seq;
             let offset = usize::try_from(offset).expect("seq window exceeds usize");
-            if offset >= self.capacity() {
-                self.grow(offset + 1);
-            }
             if offset >= self.span {
+                if offset >= self.room() {
+                    self.reserve(offset + 1);
+                }
                 self.span = offset + 1;
             }
         } else {
@@ -240,17 +398,26 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
                 .checked_add(back)
                 .and_then(|n| usize::try_from(n).ok())
                 .expect("seq window exceeds usize");
-            if needed > self.capacity() {
-                self.grow(needed);
-            }
             let back = back as usize;
-            let cap = self.capacity();
-            self.head = (self.head + cap - back) & (cap - 1);
+            let fits = match self.slab {
+                Slab::Paged(_) => back <= self.head,
+                _ => needed <= self.capacity(),
+            };
+            if !fits {
+                self.reserve_front(back, needed);
+            }
+            self.head = match &self.slab {
+                Slab::Paged(_) => self.head - back,
+                slab => {
+                    let cap = slab.capacity();
+                    (self.head + cap - back) & (cap - 1)
+                }
+            };
             self.head_seq = seq;
-            self.span += back;
+            self.span = needed;
         }
-        let i = (self.head + (seq - self.head_seq) as usize) & (self.capacity() - 1);
-        let old = self.slab.slots_mut()[i].replace(value);
+        let p = self.head + (seq - self.head_seq) as usize;
+        let old = self.slab.slot_mut(p).replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -264,19 +431,22 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
             self.span = 0;
             return;
         }
-        let slots = self.slab.slots();
-        let mask = slots.len() - 1;
-        while slots[self.head].is_none() {
-            self.head = (self.head + 1) & mask;
-            self.head_seq += 1;
-            self.span -= 1;
+        if self.slab.slot(self.head).is_some() {
+            return;
         }
+        let mut skip = 1;
+        while self.slab.slot(self.head + skip).is_none() {
+            skip += 1;
+        }
+        self.head = self.slab.rebase(self.head + skip);
+        self.head_seq += skip as u64;
+        self.span -= skip;
     }
 
     /// Removes and returns the entry at `seq`.
     pub fn take(&mut self, seq: u64) -> Option<T> {
-        let i = self.slot_index(seq)?;
-        let v = self.slab.slots_mut()[i].take()?;
+        let p = self.slot_index(seq)?;
+        let v = self.slab.slot_mut(p).take()?;
         self.len -= 1;
         self.trim_front();
         Some(v)
@@ -288,15 +458,12 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
             return None;
         }
         let seq = self.head_seq;
-        let v = self.slab.slots_mut()[self.head]
-            .take()
-            .expect("head slot occupied");
+        let v = self.slab.slot_mut(self.head).take().expect("head slot occupied");
         self.len -= 1;
         if self.len == 0 {
             self.span = 0;
         } else {
-            let mask = self.capacity() - 1;
-            self.head = (self.head + 1) & mask;
+            self.head = self.slab.rebase(self.head + 1);
             self.head_seq += 1;
             self.span -= 1;
             self.trim_front();
@@ -315,28 +482,37 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
 
     /// Iterates occupied entries in ascending sequence order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let slots = self.slab.slots();
-        let mask = slots.len() - 1;
+        let ring = self.slab.ring();
+        let mask = ring.map_or(0, |slots| slots.len() - 1);
         (0..self.span).filter_map(move |off| {
-            let i = (self.head + off) & mask;
-            slots[i]
-                .as_ref()
-                .map(|v| (self.head_seq + off as u64, v))
+            let p = self.head + off;
+            let slot = match ring {
+                Some(slots) => &slots[p & mask],
+                None => self.slab.slot(p),
+            };
+            slot.as_ref().map(|v| (self.head_seq + off as u64, v))
         })
     }
 
     /// Calls `f` on every occupied entry with seq below `bound`, in
     /// ascending order (the dup-hint loss-detection sweep).
     pub fn for_each_mut_below(&mut self, bound: u64, mut f: impl FnMut(u64, &mut T)) {
-        let slots = self.slab.slots_mut();
-        let mask = slots.len() - 1;
-        for off in 0..self.span {
-            let seq = self.head_seq + off as u64;
-            if seq >= bound {
-                break;
+        let (head, head_seq) = (self.head, self.head_seq);
+        let below = bound.saturating_sub(head_seq);
+        let end = usize::try_from(below).map_or(self.span, |n| n.min(self.span));
+        let mut visit = |off: usize, slot: &mut Option<T>| {
+            if let Some(v) = slot {
+                f(head_seq + off as u64, v);
             }
-            if let Some(v) = slots[(self.head + off) & mask].as_mut() {
-                f(seq, v);
+        };
+        if let Some(slots) = self.slab.ring_mut() {
+            let mask = slots.len() - 1;
+            for off in 0..end {
+                visit(off, &mut slots[(head + off) & mask]);
+            }
+        } else {
+            for off in 0..end {
+                visit(off, self.slab.slot_mut(head + off));
             }
         }
     }
@@ -650,6 +826,132 @@ mod tests {
         assert_eq!(dst.capacity(), FIRST_SLOTS);
         assert_eq!(dst.first_seq(), None);
         assert_eq!(format!("{dst:?}"), format!("{:?}", Ring::new()));
+        // Every tier into every other: paged on two pages and on four,
+        // heap, inline worn and new.
+        let page = PAGE_SLOTS as u64;
+        let rings = || {
+            [
+                worn(500, page + 8),
+                worn(0, 3 * page + 1),
+                worn(100, 8),
+                worn(20, 3),
+                Ring::new(),
+            ]
+        };
+        for src in rings() {
+            for mut dst in rings() {
+                dst.clone_from(&src);
+                assert_eq!(format!("{dst:?}"), format!("{:?}", src.clone()));
+                assert_eq!(dst.capacity(), src.capacity());
+                let end = dst.end_seq();
+                dst.insert(end + page, 9);
+                assert_eq!(dst.get(end + page), Some(&9));
+                assert_eq!(src.get(end + page), None);
+                while let Some((seq, _)) = dst.pop_first() {
+                    assert!(src.get(seq).is_some() || seq == end + page);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrapped_heap_window_with_a_hole_grows_into_pages() {
+        let page = PAGE_SLOTS as u64;
+        let mut r = Ring::new();
+        for seq in 0..page {
+            r.insert(seq, seq as u32);
+        }
+        for _ in 0..100 {
+            r.pop_first();
+        }
+        // The window wraps the slab's end, with a hole past it.
+        for seq in page..page + 100 {
+            r.insert(seq, seq as u32);
+        }
+        r.take(page + 10);
+        let Slab::Heap(slots) = &r.slab else {
+            panic!("a window of {PAGE_SLOTS} slots is on a heap slab")
+        };
+        assert_eq!(r.capacity(), PAGE_SLOTS);
+        let slab = slots.as_ptr();
+        // One past the slab: the slab becomes the first page, rotated in
+        // place, and a second page is added behind it.
+        r.insert(page + 100, 0);
+        let Slab::Paged(pages) = &r.slab else {
+            panic!("a window of {} slots is on pages", PAGE_SLOTS + 1)
+        };
+        assert_eq!(pages[0].as_ptr(), slab, "the slab was copied");
+        assert_eq!(r.capacity(), 2 * PAGE_SLOTS);
+        let mut want: Vec<(u64, u32)> = (100..page + 100)
+            .filter(|&s| s != page + 10)
+            .map(|s| (s, s as u32))
+            .collect();
+        want.push((page + 100, 0));
+        assert_eq!(occupied(&r), want);
+        assert_eq!(r.get(page + 10), None);
+        assert_eq!(r.first_seq(), Some(100));
+        assert_eq!(r.end_seq(), page + 101);
+        // A jump from the inline slab pages at once.
+        let mut r = Ring::new();
+        r.insert(7, 7);
+        r.insert(7 + 3 * page, 0);
+        assert!(matches!(r.slab, Slab::Paged(_)));
+        assert_eq!(r.capacity(), 4 * PAGE_SLOTS);
+        assert_eq!(occupied(&r), vec![(7, 7), (7 + 3 * page, 0)]);
+    }
+
+    #[test]
+    fn a_backward_reanchor_below_a_paged_head_adds_a_front_page() {
+        let page = PAGE_SLOTS as u64;
+        let mut r = Ring::new();
+        r.insert(10_000, 0);
+        r.insert(10_000 + page, 1);
+        assert_eq!(r.capacity(), 2 * PAGE_SLOTS);
+        // The head is the first page's first slot: ten below it is a
+        // new page in front.
+        r.insert(9_990, 2);
+        assert_eq!(r.capacity(), 3 * PAGE_SLOTS);
+        assert_eq!(
+            occupied(&r),
+            vec![(9_990, 2), (10_000, 0), (10_000 + page, 1)]
+        );
+        assert_eq!(r.end_seq(), 10_001 + page);
+        // The head moves to the last page; the two it left rotate to
+        // the back, empty, and a re-anchor 2,000 below it takes them
+        // to the front again instead of allocating.
+        assert_eq!(r.pop_first(), Some((9_990, 2)));
+        assert_eq!(r.pop_first(), Some((10_000, 0)));
+        r.insert(10_000 + page - 2_000, 3);
+        assert_eq!(r.capacity(), 3 * PAGE_SLOTS);
+        assert_eq!(occupied(&r), vec![(10_000 + page - 2_000, 3), (10_000 + page, 1)]);
+        // And past the spares, one more page.
+        r.insert(10_000 + page - 3_000, 4);
+        assert_eq!(r.capacity(), 4 * PAGE_SLOTS);
+        assert_eq!(r.first_seq(), Some(10_000 + page - 3_000));
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.get(10_000 + page - 2_000), Some(&3));
+    }
+
+    #[test]
+    fn a_paged_window_slides_on_its_pages() {
+        assert_eq!(PAGE_SLOTS as f64, crate::MAX_CWND, "an in-flight window never pages");
+        let page = PAGE_SLOTS as u64;
+        let mut r = Ring::new();
+        for seq in 0..=page {
+            r.insert(seq, seq as u32);
+        }
+        assert!(matches!(r.slab, Slab::Paged(_)));
+        let cap = r.capacity();
+        assert_eq!(cap, 2 * PAGE_SLOTS);
+        for seq in page + 1..11 * page {
+            assert_eq!(r.pop_first(), Some((seq - page - 1, (seq - page - 1) as u32)));
+            r.insert(seq, seq as u32);
+        }
+        assert_eq!(r.capacity(), cap, "the pages the head left were reused");
+        assert_eq!(r.len(), PAGE_SLOTS + 1);
+        assert!(occupied(&r)
+            .into_iter()
+            .eq((10 * page - 1..11 * page).map(|s| (s, s as u32))));
     }
 
     #[test]

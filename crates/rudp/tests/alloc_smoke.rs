@@ -47,15 +47,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One steady-state cycle: submit data, ship segments to the receiver,
-/// return its ACKs, drain messages and events through reused scratch.
+/// One-segment messages a cycle keeps queued or in flight. Each cycle
+/// tops the backlog up to this many, putting in what the last one took
+/// out, so the sender's fragment ring holds the same window whatever
+/// the controller's: a fixed number per cycle would outrun a window
+/// that sends fewer (BBR's sits at one segment here) and the backlog
+/// would grow without end.
+const BACKLOG: usize = 16;
+
+/// One steady-state cycle: top up the backlog, ship segments to the
+/// receiver, return its ACKs, drain messages and events through reused
+/// scratch.
 fn cycle(
     now: &mut u64,
     s: &mut SenderConn,
     r: &mut ReceiverConn,
     msgs: &mut Vec<iq_rudp::DeliveredMsg>,
 ) {
-    for _ in 0..4 {
+    while s.backlog_segments() < BACKLOG {
         let _ = s.send_message(*now, 1000, true);
     }
     s.on_tick(*now);
@@ -74,7 +83,12 @@ fn cycle(
 
 /// Runs the steady-state measurement under one congestion controller
 /// and returns the best (lowest) allocation delta over three attempts.
+///
+/// # Panics
+/// Panics if the sender's backlog at the end of an attempt differs from
+/// its backlog at the start: the cycle is then not a steady state.
 fn measure(algorithm: CcAlgorithm) -> u64 {
+    let name = algorithm.name();
     let mut cfg = RudpConfig::default();
     cfg.cc.algorithm = algorithm;
     let mut s = SenderConn::new(7, cfg.clone());
@@ -102,11 +116,17 @@ fn measure(algorithm: CcAlgorithm) -> u64 {
     // out of three keeps the gate sound while shedding harness noise.
     let mut delta = u64::MAX;
     for _ in 0..3 {
+        let backlog = s.backlog_segments();
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         for _ in 0..200 {
             cycle(&mut now, &mut s, &mut r, &mut msgs);
         }
         delta = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            s.backlog_segments(),
+            backlog,
+            "the backlog moved across 200 cycles under {name}: not a steady state"
+        );
         if delta == 0 {
             break;
         }

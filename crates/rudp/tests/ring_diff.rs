@@ -8,11 +8,13 @@
 //! `fwd_seq` abandonment paths), and bounded mutation sweeps — over
 //! randomized op streams with loss, reordering, and skips. Every ring
 //! starts on its inline slab, so the streams also carry it across the
-//! move to the heap, stretched forwards and re-anchored backwards.
+//! move to the heap, stretched forwards and re-anchored backwards, and
+//! jumps of up to two pages carry it onto pages and across them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use iq_rudp::ring::PAGE_SLOTS;
 use iq_rudp::SeqRing;
 use proptest::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -20,6 +22,11 @@ use proptest::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 /// caused them: past the window's end, and below its head.
 static MOVED_FORWARD: AtomicUsize = AtomicUsize::new(0);
 static MOVED_BACKWARD: AtomicUsize = AtomicUsize::new(0);
+
+/// Moves onto pages (a window past [`PAGE_SLOTS`]) the streams made, the
+/// same two ways.
+static PAGED_FORWARD: AtomicUsize = AtomicUsize::new(0);
+static PAGED_BACKWARD: AtomicUsize = AtomicUsize::new(0);
 
 /// Asserts the ring and map agree on everything a caller can observe.
 fn assert_same<const FIRST: usize>(ring: &SeqRing<u32, FIRST>, model: &BTreeMap<u64, u32>) {
@@ -45,6 +52,8 @@ fn random_ops_match<const FIRST: usize>(ops: &[(u32, u64)]) {
     for &(op, raw) in ops {
         tick += 1;
         let inline = ring.capacity() == FIRST;
+        let unpaged = ring.capacity() <= PAGE_SLOTS;
+        let head = ring.first_seq();
         match op {
             // Forward insert at (or slightly past) the cursor,
             // leaving reorder holes behind.
@@ -96,7 +105,7 @@ fn random_ops_match<const FIRST: usize>(ops: &[(u32, u64)]) {
                 }
             }
             // Bounded mutation sweep (the dup-ack hint scan).
-            _ => {
+            6 => {
                 let bound = ring.first_seq().unwrap_or(0) + raw;
                 let mut visited = Vec::new();
                 ring.for_each_mut_below(bound, |seq, v| {
@@ -110,12 +119,31 @@ fn random_ops_match<const FIRST: usize>(ops: &[(u32, u64)]) {
                 }
                 prop_assert_eq!(visited, expected, "sweep order/coverage");
             }
+            // A jump of up to two pages past the cursor (even `raw`) or
+            // below the head (odd): the window goes onto pages, and
+            // across them as the stream slides on.
+            _ => {
+                let dist = raw * PAGE_SLOTS as u64 / 24;
+                let seq = if raw % 2 == 0 {
+                    cursor + dist
+                } else {
+                    ring.first_seq().unwrap_or(cursor).saturating_sub(dist)
+                };
+                cursor = cursor.max(seq + 1);
+                prop_assert_eq!(ring.insert(seq, tick), model.insert(seq, tick));
+            }
         }
         assert_same(&ring, &model);
+        // Only an insert widens the window: below the head if it moved
+        // the head down.
+        let below = head.is_some_and(|h| ring.first_seq() < Some(h));
         if inline && ring.capacity() > FIRST {
-            // Only an insert widens the window.
-            let moved = if op == 0 { &MOVED_FORWARD } else { &MOVED_BACKWARD };
+            let moved = if below { &MOVED_BACKWARD } else { &MOVED_FORWARD };
             moved.fetch_add(1, Ordering::Relaxed);
+        }
+        if unpaged && ring.capacity() > PAGE_SLOTS {
+            let paged = if below { &PAGED_BACKWARD } else { &PAGED_FORWARD };
+            paged.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -126,7 +154,7 @@ proptest! {
     /// The cases behind [`ring_matches_btreemap_under_random_ops`], on
     /// the receiver's two inline slots, the default four, and eight.
     fn random_op_cases(
-        ops in prop::collection::vec((0u32..7, 0u64..48), 1..400),
+        ops in prop::collection::vec((0u32..8, 0u64..48), 1..400),
     ) {
         random_ops_match::<2>(&ops);
         random_ops_match::<4>(&ops);
@@ -181,7 +209,8 @@ proptest! {
 fn ring_matches_btreemap_under_random_ops() {
     random_op_cases();
     // The streams are seeded, so this is a fact about them, not luck:
-    // they move rings to the heap in both directions, many times over.
+    // they move rings to the heap and onto pages in both directions,
+    // many times over.
     let (forward, backward) = (
         MOVED_FORWARD.load(Ordering::Relaxed),
         MOVED_BACKWARD.load(Ordering::Relaxed),
@@ -189,5 +218,14 @@ fn ring_matches_btreemap_under_random_ops() {
     assert!(
         forward >= 32 && backward >= 32,
         "inline→heap moves: {forward} forward, {backward} on a backward re-anchor"
+    );
+    let (forward, backward) = (
+        PAGED_FORWARD.load(Ordering::Relaxed),
+        PAGED_BACKWARD.load(Ordering::Relaxed),
+    );
+    println!("moves onto pages: {forward} forward, {backward} on a backward re-anchor");
+    assert!(
+        forward >= 32 && backward >= 32,
+        "moves onto pages: {forward} forward, {backward} on a backward re-anchor"
     );
 }

@@ -242,9 +242,11 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
 fn cmd_diag(exec: &Executor, args: &[String]) {
     let (table, size) = diag_args(args).unwrap_or_else(|| usage());
     for r in &run(&table, exec, size) {
+        let (coord, stats) = (r.coordination, r.sender_stats);
         println!(
             "{:<24} dur={:<6.1} tp={:<7.1} jit={:<7.2}ms tagD={:<6.1} tagJ={:<6.2} \
-             cb=({}, {}) coord={:?} offered={} delivered={} finished={} stats={:?}",
+             cb=({}, {}) rescales={} factor={} offered={} delivered={} finished={} \
+             sent={} retx={} rto={} abandoned={} discarded={}",
             r.label,
             r.duration_s,
             r.throughput_kbps,
@@ -253,20 +255,24 @@ fn cmd_diag(exec: &Executor, args: &[String]) {
             r.tagged_jitter_ms,
             r.callbacks.0,
             r.callbacks.1,
-            r.coordination
-                .map(|c| (c.window_rescales, format!("{:.2}", c.cumulative_factor))),
+            field(coord.map(|c| c.window_rescales)),
+            field(coord.map(|c| format!("{:.2}", c.cumulative_factor))),
             r.msgs_offered,
             r.msgs_delivered,
             r.finished,
-            r.sender_stats.map(|st| (
-                st.segments_sent,
-                st.retransmits,
-                st.timeouts,
-                st.segments_abandoned,
-                st.msgs_discarded
-            ))
+            field(stats.map(|st| st.segments_sent)),
+            field(stats.map(|st| st.retransmits)),
+            field(stats.map(|st| st.timeouts)),
+            field(stats.map(|st| st.segments_abandoned)),
+            field(stats.map(|st| st.msgs_discarded)),
         );
     }
+}
+
+/// A `diag` field's value, `-` when the row has none (a scheme without
+/// coordination, or a transport other than RUDP).
+fn field(value: Option<impl std::fmt::Display>) -> String {
+    value.map_or_else(|| "-".to_owned(), |v| v.to_string())
 }
 
 /// `bench`'s options: a [`size`], `--only NAME`,
