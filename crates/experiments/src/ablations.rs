@@ -1,5 +1,5 @@
 //! Ablation studies of the design choices behind IQ-RUDP, beyond the
-//! paper's own tables, each one [`Experiment`] run on a single seed:
+//! paper's own tables, each one [`Experiment`] run once a row:
 //!
 //! 1. **Measuring period** — the cadence of metrics/callbacks trades
 //!    reaction speed against burst noise (§2.1's "measuring period" is
@@ -15,28 +15,27 @@ use iq_netsim::time;
 
 use crate::scenario::{PolicySpec, Scenario, Scheme};
 use crate::tables::{
-    conflict_scenario, group_label, label, overreaction_scenario, pairs, per_row, Column,
-    Experiment, Layout,
+    conflict_scenario, group_label, label, overreaction_scenario, pairs, per_row, rows_at,
+    Column, Experiment, Layout,
 };
 
 /// What `iqrudp ablations` runs and prints, in order.
 pub const ABLATIONS: [Experiment; 4] = [MEASURE_PERIOD, POLICY, TOLERANCE, QUEUE];
 
 /// IQ-RUDP's and RUDP's throughput and jitter side by side, from a
-/// group of two results.
+/// group of two rows.
 const IQ_RUDP_COLUMNS: [Column; 4] = [
-    ("IQ tp(KB/s)", |g| fmt(g[0].throughput_kbps, 1)),
-    ("RUDP tp", |g| fmt(g[1].throughput_kbps, 1)),
-    ("IQ jitter(ms)", |g| fmt(g[0].jitter_s * 1e3, 2)),
-    ("RUDP jitter", |g| fmt(g[1].jitter_s * 1e3, 2)),
+    ("IQ tp(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
+    ("RUDP tp", |g| fmt(g[1].mean(|r| r.throughput_kbps), 1)),
+    ("IQ jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
+    ("RUDP jitter", |g| fmt(g[1].mean(|r| r.jitter_s) * 1e3, 2)),
 ];
 
 /// Ablation 1: the transport's measuring period swept on the §3.4
 /// over-reaction workload, for both schemes.
 const MEASURE_PERIOD: Experiment = Experiment {
     name: "period",
-    seeds: 1,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400; size.frames(2000)];
         let periods_ms = [
             (50, ["50 / IQ-RUDP", "50 / RUDP"]),
@@ -44,7 +43,7 @@ const MEASURE_PERIOD: Experiment = Experiment {
             (200, ["200 / IQ-RUDP", "200 / RUDP"]),
             (400, ["400 / IQ-RUDP", "400 / RUDP"]),
         ];
-        pairs(&periods_ms, |&ms, scheme| {
+        pairs(seed, &periods_ms, |&ms, scheme| {
             let mut sc = overreaction_scenario(&frames, scheme);
             sc.measure_period = Some(time::millis(ms));
             sc
@@ -68,36 +67,33 @@ const MEASURE_PERIOD: Experiment = Experiment {
 /// no-adaptation control.
 const POLICY: Experiment = Experiment {
     name: "policy",
-    seeds: 1,
-    rows: |size| {
+    rows: |size, seed| {
         let policies = [
             ("none", PolicySpec::None),
             ("frequency", PolicySpec::Frequency),
             ("resolution", PolicySpec::Resolution),
             ("reliability (marking)", PolicySpec::Marking),
         ];
-        policies
-            .map(|(label, policy)| {
-                let frames = vec![1400; size.frames(2000)];
-                let mut sc = Scenario::new(Scheme::Coordinated, policy, frames);
-                sc.fps = Some(80.0);
-                sc.datagram_mode = true;
-                sc.loss_tolerance = 0.40;
-                sc.thresholds = (Some(0.10), Some(0.02));
-                sc.cross.cbr_bps = Some(15e6);
-                sc.deadline_s = 600.0;
-                (label, sc)
-            })
-            .into()
+        rows_at(seed, &policies, |&policy| {
+            let frames = vec![1400; size.frames(2000)];
+            let mut sc = Scenario::new(Scheme::Coordinated, policy, frames);
+            sc.fps = Some(80.0);
+            sc.datagram_mode = true;
+            sc.loss_tolerance = 0.40;
+            sc.thresholds = (Some(0.10), Some(0.02));
+            sc.cross.cbr_bps = Some(15e6);
+            sc.deadline_s = 600.0;
+            sc
+        })
     },
     layouts: &[per_row(
         "Ablation: adaptation dimension (coordinated, same workload)",
         &[
             ("Policy", label),
-            ("Duration(s)", |g| fmt(g[0].duration_s, 1)),
-            ("Thpt(KB/s)", |g| fmt(g[0].throughput_kbps, 1)),
-            ("Delivered(%)", |g| fmt(g[0].delivered_pct, 1)),
-            ("Jitter(ms)", |g| fmt(g[0].jitter_s * 1e3, 2)),
+            ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
+            ("Thpt(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
+            ("Delivered(%)", |g| fmt(g[0].mean(|r| r.delivered_pct), 1)),
+            ("Jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
         ],
     )],
 };
@@ -106,25 +102,23 @@ const POLICY: Experiment = Experiment {
 /// conflict (reliability) workload, coordinated.
 const TOLERANCE: Experiment = Experiment {
     name: "tolerance",
-    seeds: 1,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400; size.frames(3000)];
-        [("0.0", 0.0), ("0.2", 0.2), ("0.4", 0.4), ("0.6", 0.6)]
-            .map(|(label, tolerance)| {
-                let mut sc = conflict_scenario(&frames, Scheme::Coordinated);
-                sc.loss_tolerance = tolerance;
-                (label, sc)
-            })
-            .into()
+        let tolerances = [("0.0", 0.0), ("0.2", 0.2), ("0.4", 0.4), ("0.6", 0.6)];
+        rows_at(seed, &tolerances, |&tolerance| {
+            let mut sc = conflict_scenario(&frames, Scheme::Coordinated);
+            sc.loss_tolerance = tolerance;
+            sc
+        })
     },
     layouts: &[per_row(
         "Ablation: receiver loss tolerance (reliability workload)",
         &[
             ("Tolerance", label),
-            ("Duration(s)", |g| fmt(g[0].duration_s, 1)),
-            ("Delivered(%)", |g| fmt(g[0].delivered_pct, 1)),
-            ("Tagged delay(ms)", |g| fmt(g[0].tagged_delay_ms, 2)),
-            ("Tagged jitter(ms)", |g| fmt(g[0].tagged_jitter_ms, 2)),
+            ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
+            ("Delivered(%)", |g| fmt(g[0].mean(|r| r.delivered_pct), 1)),
+            ("Tagged delay(ms)", |g| fmt(g[0].mean(|r| r.tagged_delay_ms), 2)),
+            ("Tagged jitter(ms)", |g| fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)),
         ],
     )],
 };
@@ -135,14 +129,13 @@ const TOLERANCE: Experiment = Experiment {
 /// the whole coordination machinery keys off.
 const QUEUE: Experiment = Experiment {
     name: "queue",
-    seeds: 1,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400; size.frames(2000)];
         let disciplines = [
             (false, ["drop-tail / IQ-RUDP", "drop-tail / RUDP"]),
             (true, ["RED / IQ-RUDP", "RED / RUDP"]),
         ];
-        pairs(&disciplines, |&red, scheme| {
+        pairs(seed, &disciplines, |&red, scheme| {
             let mut sc = overreaction_scenario(&frames, scheme);
             sc.red_bottleneck = red;
             sc
@@ -165,11 +158,13 @@ const QUEUE: Experiment = Experiment {
 mod tests {
     use super::*;
     use crate::runner::Executor;
-    use crate::scenario::RunResult;
-    use crate::tables::{render, run, Size};
+    use crate::tables::{render, run, Row, Size};
 
-    fn run_small(exp: &Experiment) -> Vec<RunResult> {
-        run(exp, &Executor::new(0), Size(0.05))
+    /// Every row of `exp` at seed 0, one run each.
+    fn run_small(exp: &Experiment) -> Vec<Row> {
+        let rows = run(exp, &Executor::new(0), Size(0.05), 0, 1);
+        assert!(rows.iter().all(|r| r.runs.len() == 1), "{}: one draw is one run", exp.name);
+        rows
     }
 
     #[test]
@@ -177,7 +172,7 @@ mod tests {
         let rows = run_small(&MEASURE_PERIOD);
         assert_eq!(rows.len(), 2 * 4);
         for r in &rows {
-            assert!(r.finished, "{} did not finish", r.label);
+            assert!(r.runs[0].finished, "{} did not finish", r.label);
         }
         let s = render(&MEASURE_PERIOD, &rows);
         assert_eq!(s.lines().count(), 3 + 4);
@@ -189,13 +184,14 @@ mod tests {
         assert_eq!(rows.len(), 4);
         // Reliability is the only policy allowed to drop messages.
         for r in &rows {
-            assert!(r.finished, "{} did not finish", r.label);
+            let run = &r.runs[0];
+            assert!(run.finished, "{} did not finish", r.label);
             if r.label != "reliability (marking)" {
                 assert!(
-                    r.delivered_pct > 99.0,
+                    run.delivered_pct > 99.0,
                     "{} dropped messages: {}",
                     r.label,
-                    r.delivered_pct
+                    run.delivered_pct
                 );
             }
         }
@@ -206,7 +202,7 @@ mod tests {
         let rows = run_small(&QUEUE);
         assert_eq!(rows.len(), 2 * 2);
         for r in &rows {
-            assert!(r.finished, "{} did not finish", r.label);
+            assert!(r.runs[0].finished, "{} did not finish", r.label);
         }
     }
 
@@ -214,13 +210,13 @@ mod tests {
     fn tolerance_zero_delivers_everything() {
         let rows = run_small(&TOLERANCE);
         assert_eq!(rows.len(), 4);
-        let r0 = &rows[0];
+        let (r0, run0) = (&rows[0], &rows[0].runs[0]);
         assert_eq!(r0.label, "0.0");
-        assert!(r0.finished);
-        assert!(r0.delivered_pct > 99.9, "tolerance 0 lost data");
+        assert!(run0.finished);
+        assert!(run0.delivered_pct > 99.9, "tolerance 0 lost data");
         // Delivered fraction is non-increasing in tolerance (weakly).
         for pair in rows.windows(2) {
-            assert!(pair[1].delivered_pct <= pair[0].delivered_pct + 3.0);
+            assert!(pair[1].runs[0].delivered_pct <= pair[0].runs[0].delivered_pct + 3.0);
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::runner::{Executor, ScenarioReport, ScenarioSpec};
 use crate::scenario::{app_frame_sizes, PolicySpec, Scenario, Scheme, VbrSpec};
-use crate::tables::{conflict_scenario, Size};
+use crate::tables::{conflict_scenario, seeded, Size};
 use iq_rudp::CcAlgorithm;
 
 /// The schema string a reference file must carry.
@@ -67,9 +67,11 @@ pub struct BenchRun {
 /// The fixed sweep: one scenario per hot-path profile.
 ///
 /// Names are stable identifiers — CI and the trajectory tooling key off
-/// them — so change them only with a deliberate baseline reset.
+/// them — so change them only with a deliberate baseline reset. The
+/// sweep is one world: its trace seeds are the tables' at seed 0, taken
+/// through the same [`seeded`].
 pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
-    let frames = |n: usize, seed: u64| app_frame_sizes(size.frames(n), seed);
+    let frames = |n: usize, trace: u64| app_frame_sizes(size.frames(n), trace);
     let mut specs = Vec::new();
 
     // 1. Bulk RUDP transfer: data/ack event volume plus RTO timer churn.
@@ -86,7 +88,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     let mut sc = Scenario::new(
         Scheme::Coordinated,
         PolicySpec::Resolution,
-        frames(8000, 7),
+        frames(8000, seeded(0, 7)),
     );
     sc.cross.cbr_bps = Some(18e6);
     sc.thresholds = (Some(0.15), Some(0.01));
@@ -98,7 +100,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     let mut sc = Scenario::new(
         Scheme::CoordinatedWithCond,
         PolicySpec::Marking,
-        frames(12_000, 11),
+        frames(12_000, seeded(0, 11)),
     );
     sc.fps = Some(100.0);
     sc.datagram_mode = true;
@@ -107,7 +109,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     sc.cross.vbr = Some(VbrSpec {
         fps: 500.0,
         mean_bps: 10e6,
-        seed: 13,
+        seed: seeded(0, 13),
     });
     sc.deadline_s = 600.0;
     specs.push(ScenarioSpec::new("marking_vbr", sc));
@@ -141,7 +143,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     // 7. CUBIC under the Table-3 conflict workload: the cubic window
     //    curve (cbrt, per-ACK target steps) plus the coordinator's
     //    re-inflation seam on a non-LDA controller.
-    let mut sc = conflict_scenario(&frames(9000, 17), Scheme::Coordinated);
+    let mut sc = conflict_scenario(&frames(9000, seeded(0, 17)), Scheme::Coordinated);
     sc.cc = CcAlgorithm::from_name("cubic").expect("known name");
     specs.push(ScenarioSpec::new("cubic_conflict", sc));
 
@@ -154,7 +156,7 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
 
     // 9. RRR on the same conflict workload without coordination:
     //    loss-proportional rate reduction reacting to raw loss ratios.
-    let mut sc = conflict_scenario(&frames(9000, 19), Scheme::Uncoordinated);
+    let mut sc = conflict_scenario(&frames(9000, seeded(0, 19)), Scheme::Uncoordinated);
     sc.cc = CcAlgorithm::from_name("rrr").expect("known name");
     specs.push(ScenarioSpec::new("rrr_table3", sc));
 

@@ -4,8 +4,7 @@ use iq_metrics::TimeSeries;
 use iq_trace::MembershipTrace;
 
 use crate::runner::Executor;
-use crate::scenario::RunResult;
-use crate::tables::{run, Size, TABLE3, TABLE6_IPERF};
+use crate::tables::{run, Row, Size, DRAWS, TABLE3, TABLE6_IPERF};
 
 /// Figure 1: membership dynamics — the group-size trace driving the
 /// changing-application workloads.
@@ -20,11 +19,11 @@ pub fn figure1() -> TimeSeries {
 
 /// Figures 2 and 3: per-packet delay jitter at the receiver for the
 /// conflict experiment, coordinated (Figure 2) vs uncoordinated
-/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each the
-/// receiver-side series of its row, whatever the run's configuration.
+/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each its row's
+/// first receiver-side series, whatever the run's configuration.
 pub fn figures_2_3(exec: &Executor, size: Size) -> (TimeSeries, TimeSeries) {
-    let rows = run(&TABLE3, exec, size);
-    (rows[0].jitter_series.clone(), rows[1].jitter_series.clone())
+    let rows = run(&TABLE3, exec, size, 0, DRAWS);
+    (rows[0].runs[0].jitter_series.clone(), rows[1].runs[0].jitter_series.clone())
 }
 
 /// One bar group of Figure 4.
@@ -40,24 +39,24 @@ pub struct Figure4Point {
 
 /// Figure 4: performance improvement from coordination against
 /// over-reaction, as a function of congestion level, computed from
-/// already-run Table 6 rows (pairs of IQ-RUDP/RUDP per iperf rate; the
-/// paper reports +6→25 % throughput and −20→76 % jitter as congestion
-/// grows).
-pub fn figure4_from_rows(rows: &[RunResult]) -> Vec<Figure4Point> {
+/// already-run Table 6 rows (pairs of IQ-RUDP/RUDP per iperf rate, each
+/// the mean of its runs; the paper reports +6→25 % throughput and
+/// −20→76 % jitter as congestion grows).
+pub fn figure4_from_rows(rows: &[Row]) -> Vec<Figure4Point> {
     assert_eq!(rows.len(), 2 * TABLE6_IPERF.len(), "expected table 6 rows");
     TABLE6_IPERF
         .iter()
         .enumerate()
         .map(|(i, &(iperf_bps, _))| {
-            let iq = &rows[2 * i];
-            let rudp = &rows[2 * i + 1];
-            let throughput_gain_pct = if rudp.throughput_kbps > 0.0 {
-                100.0 * (iq.throughput_kbps / rudp.throughput_kbps - 1.0)
+            let [iq_tp, rudp_tp] = [0, 1].map(|k| rows[2 * i + k].mean(|r| r.throughput_kbps));
+            let [iq_jitter, rudp_jitter] = [0, 1].map(|k| rows[2 * i + k].mean(|r| r.jitter_s));
+            let throughput_gain_pct = if rudp_tp > 0.0 {
+                100.0 * (iq_tp / rudp_tp - 1.0)
             } else {
                 0.0
             };
-            let jitter_reduction_pct = if rudp.jitter_s > 0.0 {
-                100.0 * (1.0 - iq.jitter_s / rudp.jitter_s)
+            let jitter_reduction_pct = if rudp_jitter > 0.0 {
+                100.0 * (1.0 - iq_jitter / rudp_jitter)
             } else {
                 0.0
             };
@@ -132,8 +131,8 @@ mod tests {
     #[test]
     fn figure4_math() {
         use crate::scenario::RunResult;
-        fn row(tp: f64, jit: f64) -> RunResult {
-            RunResult {
+        fn row(tp: f64, jit: f64) -> Row {
+            let run = RunResult {
                 label: "x",
                 duration_s: 1.0,
                 throughput_kbps: tp,
@@ -156,7 +155,8 @@ mod tests {
                 phase_profile: Vec::new(),
                 sched: iq_netsim::SchedTotals::default(),
                 telemetry_evicted: 0,
-            }
+            };
+            Row { label: "x", runs: vec![run] }
         }
         let rows = vec![
             row(110.0, 0.8),  // 12M IQ

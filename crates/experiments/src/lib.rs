@@ -5,9 +5,10 @@
 //! [`scenario`] runner and renders rows shaped like the paper's tables.
 //!
 //! * [`tables`] — the [`Experiment`](tables::Experiment) type, the one
-//!   [`run`](tables::run) and [`render`](tables::render), and the nine
-//!   tables ([`TABLES`](tables::TABLES): Tables 1–8 and the controller
-//!   matrix).
+//!   [`run`](tables::run) (one [`Row`](tables::Row) of runs per row, at
+//!   a seed that reaches every trace through [`seeded`](tables::seeded))
+//!   and [`render`](tables::render), and the nine tables
+//!   ([`TABLES`](tables::TABLES): Tables 1–8 and the controller matrix).
 //! * [`ablations`] — the four design-choice ablations
 //!   ([`ABLATIONS`](ablations::ABLATIONS)).
 //! * [`figures`] — Figures 1–4.

@@ -2,7 +2,7 @@
 //!
 //! Every experiment in this crate is an independent, fully deterministic
 //! simulation, so the sweep is embarrassingly parallel across scenarios
-//! and seeds. [`Executor`] fans [`ScenarioSpec`]s out over a worker
+//! and their draws. [`Executor`] fans [`ScenarioSpec`]s out over a worker
 //! pool, collects results through a channel, and reassembles them in
 //! declaration order — the rendered output is byte-identical to a
 //! serial run regardless of worker count or completion order. Timing
@@ -339,43 +339,7 @@ impl Executor {
             reports
         })
     }
-
-    /// Runs each scenario `n_seeds` times with distinct seeds, under
-    /// their default names, and averages the scalar metrics, stabilizing
-    /// single-run variance; results come in declaration order. The
-    /// jitter series and counters of the first seed are kept, and one
-    /// seed is the scenario's own run, unchanged.
-    pub fn run_averaged(&self, scenarios: &[Scenario], n_seeds: u32) -> Vec<RunResult> {
-        let n = n_seeds.max(1);
-        let mut expanded = Vec::with_capacity(scenarios.len() * n as usize);
-        for sc in scenarios {
-            for i in 0..n {
-                let mut s = sc.clone();
-                s.seed = sc.seed.wrapping_add(u64::from(i) * 7919);
-                expanded.push(ScenarioSpec::from(s));
-            }
-        }
-        let all: Vec<RunResult> = self.run(&expanded).into_iter().map(|r| r.result).collect();
-        all.chunks(n as usize)
-            .map(|chunk| {
-                let mut avg = chunk[0].clone();
-                let k = chunk.len() as f64;
-                avg.duration_s = chunk.iter().map(|r| r.duration_s).sum::<f64>() / k;
-                avg.throughput_kbps = chunk.iter().map(|r| r.throughput_kbps).sum::<f64>() / k;
-                avg.inter_arrival_s = chunk.iter().map(|r| r.inter_arrival_s).sum::<f64>() / k;
-                avg.jitter_s = chunk.iter().map(|r| r.jitter_s).sum::<f64>() / k;
-                avg.tagged_delay_ms = chunk.iter().map(|r| r.tagged_delay_ms).sum::<f64>() / k;
-                avg.tagged_jitter_ms = chunk.iter().map(|r| r.tagged_jitter_ms).sum::<f64>() / k;
-                avg.delivered_pct = chunk.iter().map(|r| r.delivered_pct).sum::<f64>() / k;
-                avg.msgs_delivered =
-                    (chunk.iter().map(|r| r.msgs_delivered).sum::<u64>() as f64 / k) as u64;
-                avg.finished = chunk.iter().all(|r| r.finished);
-                avg
-            })
-            .collect()
-    }
 }
-
 
 /// Worker utilization of a run from its per-shard phase profile: total
 /// execute nanos over `run wall × workers`. Every shard's profile spans
@@ -502,10 +466,10 @@ mod tests {
     fn parallel_matches_sequential() {
         let sc = small_scenario(1);
         let seq = run_scenario_with(&sc, RunConfig::default());
-        let par = Executor::new(0).run_averaged(&[sc.clone(), sc.clone()], 1);
+        let par = Executor::new(0).run(&[sc.clone().into(), sc.into()]);
         assert_eq!(par.len(), 2);
-        assert_eq!(par[0].duration_s, seq.duration_s);
-        assert_eq!(par[1].msgs_delivered, seq.msgs_delivered);
+        assert_eq!(par[0].result.duration_s, seq.duration_s);
+        assert_eq!(par[1].result.msgs_delivered, seq.msgs_delivered);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use iq_metrics::{fmt, Table};
 use iq_netsim::time;
 use iq_rudp::CcAlgorithm;
 
-use crate::runner::Executor;
+use crate::runner::{Executor, ScenarioSpec};
 use crate::scenario::{app_frame_sizes, PolicySpec, RunResult, Scenario, Scheme, VbrSpec};
 
 /// Scale knob for tests: 1.0 = paper-sized runs, smaller = faster.
@@ -44,22 +44,53 @@ impl Size {
     }
 }
 
+/// The input seed that experiment seed `seed` gives where seed 0 gives
+/// `literal`, for every trace seed and every row's base sim seed. Seed 0
+/// is the identity and any other moves every input: `literal` is xored
+/// with SplitMix64's finalizer of `seed` times an odd constant, a
+/// bijection that maps only 0 to 0.
+pub fn seeded(seed: u64, literal: u64) -> u64 {
+    let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    literal ^ z ^ (z >> 31)
+}
+
+/// How many draws `iqrudp tables` and `figures` take of a drawing row.
+pub const DRAWS: u32 = 3;
+
+/// A row that has run: its label and its runs, one per draw.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// The row's label.
+    pub label: &'static str,
+    /// Its runs in draw order; one when its world draws nothing.
+    pub runs: Vec<RunResult>,
+}
+
+impl Row {
+    /// The mean of `f` over the runs, summed in draw order (one: its own).
+    pub fn mean(&self, f: impl Fn(&RunResult) -> f64) -> f64 {
+        self.runs.iter().map(f).sum::<f64>() / self.runs.len() as f64
+    }
+}
+
 /// One printed column: its header and what it shows for one group of
-/// consecutive results.
-pub type Column = (&'static str, fn(&[RunResult]) -> String);
+/// consecutive rows.
+pub type Column = (&'static str, fn(&[Row]) -> String);
 
 /// One printed table of an experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct Layout {
     /// The table's title.
     pub title: &'static str,
-    /// How many consecutive results one printed line covers.
+    /// How many consecutive rows one printed line covers.
     pub group: usize,
     /// The columns, left to right.
     pub columns: &'static [Column],
 }
 
-/// A layout of one printed line per result.
+/// A layout of one printed line per row.
 pub(crate) const fn per_row(title: &'static str, columns: &'static [Column]) -> Layout {
     Layout { title, group: 1, columns }
 }
@@ -69,36 +100,45 @@ pub(crate) const fn per_row(title: &'static str, columns: &'static [Column]) -> 
 pub struct Experiment {
     /// Its name on the command line (`iqrudp tables t3`).
     pub name: &'static str,
-    /// How many seeds each row is averaged over
-    /// ([`Executor::run_averaged`]).
-    pub seeds: u32,
-    /// The rows at a size, in run order: each a label and a scenario.
-    pub rows: fn(Size) -> Vec<(&'static str, Scenario)>,
+    /// The rows at a size and at the inputs [`seeded`] from a seed.
+    pub rows: fn(Size, u64) -> Rows,
     /// What [`render`] prints, in order.
     pub layouts: &'static [Layout],
 }
 
-/// Runs every row of `exp` at `size` as one [`Executor::run_averaged`]
-/// batch and labels each result with its row's label.
-pub fn run(exp: &Experiment, exec: &Executor, size: Size) -> Vec<RunResult> {
-    let (labels, scenarios): (Vec<_>, Vec<_>) = (exp.rows)(size).into_iter().unzip();
-    let mut results = exec.run_averaged(&scenarios, exp.seeds);
-    for (r, label) in results.iter_mut().zip(labels) {
-        r.label = label;
-    }
-    results
+/// Whether a run of `sc` samples an RNG, so that another sim seed may
+/// change its result: the marking policy's unmark draw and a RED
+/// bottleneck's early drop are the only consumers a dumbbell world has.
+fn draws_randomness(sc: &Scenario) -> bool {
+    sc.policy == PolicySpec::Marking || sc.red_bottleneck
 }
 
-/// Renders every layout of `exp` over its `results`, a blank line
-/// between two.
-pub fn render(exp: &Experiment, results: &[RunResult]) -> String {
+/// Runs every row of `exp` at `size` and `seed` as one
+/// [`Executor::run`] batch: `draws` times at sim seeds 7,919 apart when
+/// the row draws randomness, once otherwise.
+pub fn run(exp: &Experiment, exec: &Executor, size: Size, seed: u64, draws: u32) -> Vec<Row> {
+    let rows = (exp.rows)(size, seed);
+    let runs = |sc: &Scenario| if draws_randomness(sc) { u64::from(draws.max(1)) } else { 1 };
+    let specs: Vec<ScenarioSpec> = rows
+        .iter()
+        .flat_map(|(_, sc)| (0..runs(sc)).map(move |i| (sc, sc.seed.wrapping_add(i * 7919))))
+        .map(|(sc, seed)| ScenarioSpec::from(Scenario { seed, ..sc.clone() }))
+        .collect();
+    let mut results = exec.run(&specs).into_iter().map(|r| r.result);
+    rows.iter()
+        .map(|(label, sc)| Row { label, runs: results.by_ref().take(runs(sc) as usize).collect() })
+        .collect()
+}
+
+/// Renders every layout of `exp` over its `rows`, a blank line between two.
+pub fn render(exp: &Experiment, rows: &[Row]) -> String {
     let tables: Vec<String> = exp
         .layouts
         .iter()
         .map(|layout| {
             let headers: Vec<&str> = layout.columns.iter().map(|c| c.0).collect();
             let mut t = Table::new(layout.title, &headers);
-            for group in results.chunks(layout.group) {
+            for group in rows.chunks(layout.group) {
                 let cells: Vec<String> = layout.columns.iter().map(|c| (c.1)(group)).collect();
                 t.row(&cells);
             }
@@ -113,12 +153,18 @@ pub const TABLES: [Experiment; 9] = [
     TABLE1, TABLE2, TABLE3, TABLE4, TABLE5, TABLE6, TABLE7, TABLE8, TABLE9,
 ];
 
-/// An experiment's rows.
-type Rows = Vec<(&'static str, Scenario)>;
+/// An experiment's rows: each a label and a scenario.
+pub type Rows = Vec<(&'static str, Scenario)>;
 
-/// The rows `build` makes of each labelled scheme, in order.
-fn per_scheme(schemes: &[(&'static str, Scheme)], build: impl Fn(Scheme) -> Scenario) -> Rows {
-    schemes.iter().map(|&(label, scheme)| (label, build(scheme))).collect()
+/// The rows `build` makes of each labelled item, in order, each at the
+/// base sim seed [`seeded`] from `seed`.
+pub(crate) fn rows_at<T>(
+    seed: u64,
+    items: &[(&'static str, T)],
+    build: impl Fn(&T) -> Scenario,
+) -> Rows {
+    let at_seed = |sc: Scenario| Scenario { seed: seeded(seed, sc.seed), ..sc };
+    items.iter().map(|(label, item)| (*label, at_seed(build(item)))).collect()
 }
 
 /// The comparison of §3.3–§3.5: the coordinated scheme, then its
@@ -129,8 +175,9 @@ const IQ_VS_RUDP: [(&str, Scheme); 2] = [
 ];
 
 /// [`IQ_VS_RUDP`] once per group: two rows a group, labelled by the
-/// group's own pair of labels.
+/// group's own pair of labels, at `seed` as [`rows_at`] takes it.
 pub(crate) fn pairs<T>(
+    seed: u64,
     groups: &[(T, [&'static str; 2])],
     build: impl Fn(&T, Scheme) -> Scenario,
 ) -> Rows {
@@ -138,10 +185,8 @@ pub(crate) fn pairs<T>(
     groups
         .iter()
         .flat_map(|(group, labels)| {
-            labels
-                .iter()
-                .zip(IQ_VS_RUDP)
-                .map(move |(&label, (_, scheme))| (label, build(group, scheme)))
+            let labelled = [0, 1].map(|i| (labels[i], IQ_VS_RUDP[i].1));
+            rows_at(seed, &labelled, |&scheme| build(group, scheme))
         })
         .collect()
 }
@@ -180,61 +225,66 @@ pub(crate) fn overreaction_scenario(frames: &[u32], scheme: Scheme) -> Scenario 
     sc
 }
 
-/// The first result's label.
-pub(crate) fn label(g: &[RunResult]) -> String {
+/// The first row's label.
+pub(crate) fn label(g: &[Row]) -> String {
     g[0].label.to_string()
 }
 
 /// What a group's labels share: the first label up to its ` /`.
-pub(crate) fn group_label(g: &[RunResult]) -> String {
+pub(crate) fn group_label(g: &[Row]) -> String {
     g[0].label.split(" /").next().unwrap_or_default().to_string()
+}
+
+/// What coordinating changed `f` by: a pair's first row's mean less its
+/// second's.
+fn gain(g: &[Row], f: fn(&RunResult) -> f64) -> f64 {
+    g[0].mean(f) - g[1].mean(f)
 }
 
 /// Time, throughput, inter-arrival and jitter, in seconds (Tables 1
 /// and 2).
 const TIME_TP_IA_JITTER: &[Column] = &[
     ("Transport Tested", label),
-    ("Time(s)", |g| fmt(g[0].duration_s, 1)),
-    ("Throughput(KB/s)", |g| fmt(g[0].throughput_kbps, 1)),
-    ("Inter-arrival(s)", |g| fmt(g[0].inter_arrival_s, 3)),
-    ("Jitter(s)", |g| fmt(g[0].jitter_s, 3)),
+    ("Time(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
+    ("Throughput(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
+    ("Inter-arrival(s)", |g| fmt(g[0].mean(|r| r.inter_arrival_s), 3)),
+    ("Jitter(s)", |g| fmt(g[0].mean(|r| r.jitter_s), 3)),
 ];
 
 /// The conflict columns (Tables 3, 4 and 9): how much arrived, and how
 /// late the tagged and all messages were.
 const CONFLICT: &[Column] = &[
     ("Scheme", label),
-    ("Duration(s)", |g| fmt(g[0].duration_s, 1)),
-    ("Mesgs Recvd(%)", |g| fmt(g[0].delivered_pct, 1)),
-    ("Tagged Delay(ms)", |g| fmt(g[0].tagged_delay_ms, 1)),
-    ("Tagged Jitter(ms)", |g| fmt(g[0].tagged_jitter_ms, 2)),
-    ("Delay(ms)", |g| fmt(g[0].inter_arrival_s * 1e3, 1)),
-    ("Jitter(ms)", |g| fmt(g[0].jitter_s * 1e3, 2)),
+    ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
+    ("Mesgs Recvd(%)", |g| fmt(g[0].mean(|r| r.delivered_pct), 1)),
+    ("Tagged Delay(ms)", |g| fmt(g[0].mean(|r| r.tagged_delay_ms), 1)),
+    ("Tagged Jitter(ms)", |g| fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)),
+    ("Delay(ms)", |g| fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 1)),
+    ("Jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
 ];
 
 /// The over-reaction columns (Tables 5–8): throughput first.
 const OVERREACTION: &[Column] = &[
     ("Scheme", label),
-    ("Throughput(KB/s)", |g| fmt(g[0].throughput_kbps, 1)),
-    ("Duration(s)", |g| fmt(g[0].duration_s, 1)),
-    ("Delay(ms)", |g| fmt(g[0].inter_arrival_s * 1e3, 2)),
-    ("Jitter(ms)", |g| fmt(g[0].jitter_s * 1e3, 2)),
+    ("Throughput(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
+    ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
+    ("Delay(ms)", |g| fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 2)),
+    ("Jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
 ];
 
 /// Table 1: basic performance comparison under 18 Mb CBR cross traffic;
 /// the two adaptive rows run the resolution policy.
 const TABLE1: Experiment = Experiment {
     name: "t1",
-    seeds: 3,
-    rows: |size| {
-        let frames = app_frame_sizes(size.frames(1000), 7);
+    rows: |size, seed| {
+        let frames = app_frame_sizes(size.frames(1000), seeded(seed, 7));
         let schemes = [
             ("TCP", Scheme::Tcp),
             ("IQ-RUDP", Scheme::RudpPlain),
             ("App adaptation only", Scheme::AppAdaptOnly),
             ("IQ-RUDP w/ app adaptation", Scheme::Coordinated),
         ];
-        per_scheme(&schemes, |scheme| {
+        rows_at(seed, &schemes, |&scheme| {
             let policy = match scheme {
                 Scheme::Tcp | Scheme::RudpPlain => PolicySpec::None,
                 _ => PolicySpec::Resolution,
@@ -252,10 +302,9 @@ const TABLE1: Experiment = Experiment {
 /// Table 2: fairness against a competing TCP bulk flow.
 const TABLE2: Experiment = Experiment {
     name: "t2",
-    seeds: 3,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400u32; size.frames(4000)];
-        per_scheme(&[("TCP", Scheme::Tcp), ("IQ-RUDP", Scheme::RudpPlain)], |scheme| {
+        rows_at(seed, &[("TCP", Scheme::Tcp), ("IQ-RUDP", Scheme::RudpPlain)], |&scheme| {
             let mut sc = Scenario::new(scheme, PolicySpec::None, frames.clone());
             sc.cross.tcp_bulk = true;
             sc.deadline_s = 300.0;
@@ -269,10 +318,9 @@ const TABLE2: Experiment = Experiment {
 /// conflict workload on the MBone trace.
 pub(crate) const TABLE3: Experiment = Experiment {
     name: "t3",
-    seeds: 3,
-    rows: |size| {
-        let frames = app_frame_sizes(size.frames(3000), 11);
-        per_scheme(&IQ_VS_RUDP, |scheme| conflict_scenario(&frames, scheme))
+    rows: |size, seed| {
+        let frames = app_frame_sizes(size.frames(3000), seeded(seed, 11));
+        rows_at(seed, &IQ_VS_RUDP, |&scheme| conflict_scenario(&frames, scheme))
     },
     layouts: &[per_row("Table 3: Coordination against conflict - changing application", CONFLICT)],
 };
@@ -282,16 +330,15 @@ pub(crate) const TABLE3: Experiment = Experiment {
 /// allows, plus VBR UDP cross traffic.
 const TABLE4: Experiment = Experiment {
     name: "t4",
-    seeds: 3,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400u32; size.frames(5000)];
-        per_scheme(&IQ_VS_RUDP, |scheme| {
+        rows_at(seed, &IQ_VS_RUDP, |&scheme| {
             let mut sc = conflict_scenario(&frames, scheme);
             sc.fps = None;
             sc.cross.vbr = Some(VbrSpec {
                 fps: 500.0,
                 mean_bps: 6e6,
-                seed: 13,
+                seed: seeded(seed, 13),
             });
             sc
         })
@@ -303,10 +350,9 @@ const TABLE4: Experiment = Experiment {
 /// the over-reaction workload on the MBone trace.
 const TABLE5: Experiment = Experiment {
     name: "t5",
-    seeds: 3,
-    rows: |size| {
-        let frames = app_frame_sizes(size.frames(2000), 17);
-        per_scheme(&IQ_VS_RUDP, |scheme| overreaction_scenario(&frames, scheme))
+    rows: |size, seed| {
+        let frames = app_frame_sizes(size.frames(2000), seeded(seed, 17));
+        rows_at(seed, &IQ_VS_RUDP, |&scheme| overreaction_scenario(&frames, scheme))
     },
     layouts: &[per_row("Table 5: Coordination against overreaction - changing app", OVERREACTION)],
 };
@@ -323,10 +369,9 @@ pub(crate) const TABLE6_IPERF: [(f64, [&str; 2]); 3] = [
 /// rows come in (IQ-RUDP, RUDP) pairs per iperf rate.
 pub(crate) const TABLE6: Experiment = Experiment {
     name: "t6",
-    seeds: 3,
-    rows: |size| {
+    rows: |size, seed| {
         let frames = vec![1400u32; size.frames(4000)];
-        pairs(&TABLE6_IPERF, |&cbr, scheme| {
+        pairs(seed, &TABLE6_IPERF, |&cbr, scheme| {
             let mut sc = Scenario::new(scheme, PolicySpec::Resolution, frames.clone());
             sc.datagram_mode = true;
             sc.thresholds = (Some(0.15), Some(0.01));
@@ -334,7 +379,7 @@ pub(crate) const TABLE6: Experiment = Experiment {
             sc.cross.vbr = Some(VbrSpec {
                 fps: 500.0,
                 mean_bps: 2.5e6,
-                seed: 13,
+                seed: seeded(seed, 13),
             });
             sc.deadline_s = 900.0;
             sc
@@ -351,14 +396,13 @@ pub(crate) const TABLE6: Experiment = Experiment {
 /// divisible by 20; RUDP vs IQ-RUDP without `ADAPT_COND`.
 const TABLE7: Experiment = Experiment {
     name: "t7",
-    seeds: 3,
-    rows: |size| {
-        let frames = app_frame_sizes(size.frames(2000), 17);
+    rows: |size, seed| {
+        let frames = app_frame_sizes(size.frames(2000), seeded(seed, 17));
         let schemes = [
             ("IQ-RUDP w/o ADAPT_COND", Scheme::Coordinated),
             ("RUDP", Scheme::Uncoordinated),
         ];
-        per_scheme(&schemes, |scheme| {
+        rows_at(seed, &schemes, |&scheme| {
             let mut sc = overreaction_scenario(&frames, scheme);
             sc.policy = PolicySpec::Deferred { granularity: 20 };
             sc.measure_period = Some(time::millis(200));
@@ -373,8 +417,7 @@ const TABLE7: Experiment = Experiment {
 /// VBR cross traffic; three schemes.
 const TABLE8: Experiment = Experiment {
     name: "t8",
-    seeds: 3,
-    rows: |size| {
+    rows: |size, seed| {
         // The deferral/obsolete-information dynamics play out in the
         // first ~30 s; longer schedules only dilute the scheme
         // differences into a long backlog drain, so the schedule is
@@ -385,7 +428,7 @@ const TABLE8: Experiment = Experiment {
             ("IQ-RUDP w/o ADAPT_COND", Scheme::Coordinated),
             ("RUDP", Scheme::Uncoordinated),
         ];
-        per_scheme(&schemes, |scheme| {
+        rows_at(seed, &schemes, |&scheme| {
             let mut sc =
                 Scenario::new(scheme, PolicySpec::Deferred { granularity: 20 }, frames.clone());
             sc.dumbbell = iq_netsim::DumbbellSpec::long_rtt(3);
@@ -397,7 +440,7 @@ const TABLE8: Experiment = Experiment {
             sc.cross.vbr = Some(VbrSpec {
                 fps: 500.0,
                 mean_bps: 3e6,
-                seed: 29,
+                seed: seeded(seed, 29),
             });
             sc.deadline_s = 600.0;
             sc
@@ -413,16 +456,15 @@ const TABLE8: Experiment = Experiment {
 /// what coordinating changed.
 const TABLE9: Experiment = Experiment {
     name: "t9",
-    seeds: 3,
-    rows: |size| {
-        let frames = app_frame_sizes(size.frames(3000), 11);
+    rows: |size, seed| {
+        let frames = app_frame_sizes(size.frames(3000), seeded(seed, 11));
         let controllers = [
             ("lda", ["LDA / coordinated", "LDA / uncoordinated"]),
             ("cubic", ["CUBIC / coordinated", "CUBIC / uncoordinated"]),
             ("bbr", ["BBR-like / coordinated", "BBR-like / uncoordinated"]),
             ("rrr", ["RRR / coordinated", "RRR / uncoordinated"]),
         ];
-        pairs(&controllers, |name, scheme| {
+        pairs(seed, &controllers, |name, scheme| {
             let mut sc = conflict_scenario(&frames, scheme);
             sc.cc = CcAlgorithm::from_name(name).expect("a name CcAlgorithm::name gives");
             sc
@@ -435,11 +477,9 @@ const TABLE9: Experiment = Experiment {
             group: 2,
             columns: &[
                 ("Controller", group_label),
-                ("dRecvd(pp)", |g| fmt(g[0].delivered_pct - g[1].delivered_pct, 1)),
-                ("dTaggedJitter(ms)", |g| {
-                    fmt(g[0].tagged_jitter_ms - g[1].tagged_jitter_ms, 2)
-                }),
-                ("dJitter(ms)", |g| fmt((g[0].jitter_s - g[1].jitter_s) * 1e3, 2)),
+                ("dRecvd(pp)", |g| fmt(gain(g, |r| r.delivered_pct), 1)),
+                ("dTaggedJitter(ms)", |g| fmt(gain(g, |r| r.tagged_jitter_ms), 2)),
+                ("dJitter(ms)", |g| fmt(gain(g, |r| r.jitter_s) * 1e3, 2)),
             ],
         },
     ],
@@ -449,13 +489,14 @@ const TABLE9: Experiment = Experiment {
 mod tests {
     use super::*;
     use crate::ablations::ABLATIONS;
+    use crate::runner::result_fingerprint;
 
     #[test]
     fn table_builders_have_expected_row_counts() {
         let counts: Vec<(&str, usize)> = TABLES
             .iter()
             .chain(&ABLATIONS)
-            .map(|exp| (exp.name, (exp.rows)(Size::SMOKE).len()))
+            .map(|exp| (exp.name, (exp.rows)(Size::SMOKE, 0).len()))
             .collect();
         assert_eq!(
             counts,
@@ -476,18 +517,112 @@ mod tests {
             ]
         );
         for exp in TABLES.iter().chain(&ABLATIONS) {
-            let n = (exp.rows)(Size::SMOKE).len();
+            let n = (exp.rows)(Size::SMOKE, 0).len();
             for layout in exp.layouts {
                 assert_eq!(n % layout.group, 0, "{}: {}", exp.name, layout.title);
             }
         }
-        assert!(TABLES.iter().all(|t| t.seeds == 3));
-        assert!(ABLATIONS.iter().all(|a| a.seeds == 1));
+    }
+
+    /// Each experiment's trace seeds as the literals its rows held before
+    /// [`seeded`]: (name, application-frame trace, VBR trace).
+    const TRACES_AT_SEED_0: [(&str, Option<u64>, Option<u64>); 13] = [
+        ("t1", Some(7), None),
+        ("t2", None, None),
+        ("t3", Some(11), None),
+        ("t4", None, Some(13)),
+        ("t5", Some(17), None),
+        ("t6", None, Some(13)),
+        ("t7", Some(17), None),
+        ("t8", None, Some(29)),
+        ("t9", Some(11), None),
+        ("period", None, None),
+        ("policy", None, None),
+        ("tolerance", None, None),
+        ("queue", None, None),
+    ];
+
+    /// Seed 0 builds the scenarios the tables always ran: the same frames,
+    /// VBR seed and sim seed. Seed 1 moves every row's sim seed, every
+    /// trace-driven row's frames and every VBR seed, and nothing else a
+    /// seed could reach.
+    #[test]
+    fn the_seed_reaches_every_trace_and_sim_seed() {
+        for x in [0, 7, 42, u64::MAX] {
+            assert_eq!(seeded(0, x), x);
+            assert!((1..1000).all(|seed| seeded(seed, x) != x), "{x}");
+        }
+        let sim_seed = Scenario::new(Scheme::Tcp, PolicySpec::None, Vec::new()).seed;
+        let vbr_seed = |sc: &Scenario| sc.cross.vbr.as_ref().map(|v| v.seed);
+        let experiments = TABLES.iter().chain(&ABLATIONS);
+        for (exp, &(name, trace, vbr)) in experiments.zip(&TRACES_AT_SEED_0) {
+            assert_eq!(exp.name, name);
+            let (at_0, at_1) = ((exp.rows)(Size::SMOKE, 0), (exp.rows)(Size::SMOKE, 1));
+            assert_eq!(at_0.len(), at_1.len(), "{name}");
+            for ((label, a), (_, b)) in at_0.iter().zip(&at_1) {
+                assert_eq!(a.seed, sim_seed, "{name} / {label}");
+                assert_ne!(b.seed, a.seed, "{name} / {label}");
+                match trace {
+                    Some(trace) => {
+                        let frames = app_frame_sizes(a.frame_sizes.len(), trace);
+                        assert_eq!(a.frame_sizes, frames, "{name} / {label}");
+                        assert_ne!(b.frame_sizes, a.frame_sizes, "{name} / {label}");
+                    }
+                    None => {
+                        assert!(a.frame_sizes.iter().all(|&f| f == 1400), "{name} / {label}");
+                        assert_eq!(b.frame_sizes, a.frame_sizes, "{name} / {label}");
+                    }
+                }
+                assert_eq!(vbr_seed(a), vbr, "{name} / {label}");
+                match (vbr, vbr_seed(b)) {
+                    (Some(at_0), Some(at_1)) => assert_ne!(at_1, at_0, "{name} / {label}"),
+                    (at_0, at_1) => assert_eq!((at_0, at_1), (None, None), "{name} / {label}"),
+                }
+            }
+        }
+    }
+
+    /// A row the draw rule calls drawless gives the same result at two sim
+    /// seeds, so a second draw could only repeat it; t3's rows, which mark
+    /// datagrams at random, give two. One batch: the drawless rows at
+    /// 0.05, t3 at the smoke size, where its losses start.
+    #[test]
+    fn only_a_drawing_row_runs_again() {
+        let drawless: Rows = TABLES
+            .iter()
+            .chain(&ABLATIONS)
+            .flat_map(|exp| (exp.rows)(Size(0.05), 0))
+            .filter(|(_, sc)| !draws_randomness(sc))
+            .collect();
+        assert_eq!(drawless.len(), 32);
+        let drawing = (TABLE3.rows)(Size::SMOKE, 0);
+        assert!(drawing.iter().all(|(_, sc)| draws_randomness(sc)));
+        let specs: Vec<ScenarioSpec> = drawless
+            .iter()
+            .chain(&drawing)
+            .flat_map(|(_, sc)| {
+                [0, 7919].map(|offset| {
+                    let mut s = sc.clone();
+                    s.seed += offset;
+                    ScenarioSpec::from(s)
+                })
+            })
+            .collect();
+        let reports = Executor::new(0).run(&specs);
+        let fingerprints: Vec<u64> =
+            reports.iter().map(|r| result_fingerprint(&r.result)).collect();
+        let mut pairs = drawless.iter().chain(&drawing).zip(fingerprints.chunks(2));
+        for ((label, _), f) in pairs.by_ref().take(drawless.len()) {
+            assert_eq!(f[0], f[1], "{label}: drawless, yet another sim seed moved it");
+        }
+        for ((label, _), f) in pairs {
+            assert_ne!(f[0], f[1], "{label}: draws, yet another sim seed did not move it");
+        }
     }
 
     #[test]
     fn table9_covers_every_adaptive_controller_twice() {
-        let rows = (TABLE9.rows)(Size::SMOKE);
+        let rows = (TABLE9.rows)(Size::SMOKE, 0);
         for (i, alg) in CcAlgorithm::all_adaptive().iter().enumerate() {
             assert_eq!(&rows[2 * i].1.cc, alg);
             assert_eq!(rows[2 * i].1.scheme, Scheme::Coordinated);
@@ -500,7 +635,7 @@ mod tests {
     }
 
     /// Every layout of all thirteen experiments, rendered from one
-    /// synthetic result copied to each row under the row's label: the
+    /// synthetic result, each row's one run, under the row's label: the
     /// headers, the column order, each column's field, scale and
     /// decimals, the group lines and the blank line between layouts.
     /// Every second row reads lower throughput and delivery and higher
@@ -535,22 +670,23 @@ mod tests {
             .iter()
             .chain(&ABLATIONS)
             .map(|exp| {
-                let results: Vec<RunResult> = (exp.rows)(Size::SMOKE)
+                let rows: Vec<Row> = (exp.rows)(Size::SMOKE, 0)
                     .into_iter()
                     .enumerate()
                     .map(|(i, (label, _))| {
                         let odd = (i % 2) as f64;
-                        RunResult {
+                        let run = RunResult {
                             label,
                             throughput_kbps: synthetic.throughput_kbps - 100.0 * odd,
                             jitter_s: synthetic.jitter_s * (1.0 + odd),
                             tagged_jitter_ms: synthetic.tagged_jitter_ms + odd,
                             delivered_pct: synthetic.delivered_pct - 10.0 * odd,
                             ..synthetic.clone()
-                        }
+                        };
+                        Row { label, runs: vec![run] }
                     })
                     .collect();
-                render(exp, &results)
+                render(exp, &rows)
             })
             .collect();
         // The last column's padding is trimmed: this file keeps no

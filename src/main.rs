@@ -37,13 +37,13 @@
 //! `SIZE` scales the experiment workloads: a number above 0 and at most
 //! 100, 1.0 being paper scale. `tables`, `figures`, `ablations` and
 //! `diag` take their arguments in any order: a number is the size (for
-//! `diag`, a second one is the seed count, by default the table's own)
-//! and a name the subcommand knows is the selection; anything else
-//! prints the usage line and exits 2, as does `trace` for anything but
-//! a positive frame count and an integer seed. Each table and ablation
-//! is one `Experiment` value (`iq_experiments::tables`): `tables` and
-//! `ablations` run and print every one in order, and `diag tN` prints
-//! Table N's rows with the counters the table hides. `figures` writes
+//! `diag`, a second one is SEEDS, 1 to 1,000, by default 1) and a name
+//! the subcommand knows is the selection; anything else prints the usage
+//! line and exits 2, as does `trace` for anything but a positive frame
+//! count and an integer seed. Each table and ablation is one `Experiment`
+//! (`iq_experiments::tables`): `tables` and `ablations` print every one
+//! at seed 0, and `diag tN` one line per run of Table N's rows at seeds
+//! 0..SEEDS with the counters the table hides. `figures` writes
 //! Figures 1–4 as SVG into `figures/` and exits 1, naming the path, if
 //! it cannot.
 //! Flags:
@@ -69,7 +69,7 @@
 
 use iq_experiments::ablations::ABLATIONS;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
-use iq_experiments::tables::{render, run, Experiment, Size, TABLES};
+use iq_experiments::tables::{render, run, Experiment, Size, DRAWS, TABLES};
 use iq_experiments::{BenchOptions, Executor};
 use iq_metrics::{bar_chart, line_plot, PlotConfig};
 use iq_trace::{MembershipConfig, MembershipTrace};
@@ -77,6 +77,9 @@ use iq_trace::{MembershipConfig, MembershipTrace};
 /// The largest SIZE. Paper scale is 1.0; a size far past this one
 /// scales a schedule past what a run can allocate.
 const MAX_SIZE: f64 = 100.0;
+
+/// The most seeds `diag` runs: a working and a held-out set of seeds fit.
+const MAX_SEEDS: f64 = 1000.0;
 
 /// Reads the positional arguments of `tables`, `figures`, `ablations`
 /// and `diag`, in any order: numbers (a [`size`], then `diag`'s seed
@@ -123,18 +126,13 @@ fn size_and_name<'a>(args: &'a [String], names: &[&str]) -> (Size, Option<&'a st
     (Size(numbers.first().copied().unwrap_or(1.0)), name)
 }
 
-/// `diag`'s table and size, `t5` at 0.3 when absent, with its seed
-/// count set to SEEDS when given (a whole number).
-fn diag_args(args: &[String]) -> Option<(Experiment, Size)> {
+/// `diag`'s table, size and seed count: `t5` at 0.3 over one seed when
+/// absent; SEEDS is a whole number no larger than [`MAX_SEEDS`].
+fn diag_args(args: &[String]) -> Option<(Experiment, Size, u64)> {
     let (numbers, name) = positional(args, &TABLES.map(|t| t.name), 2)?;
-    let mut table = table(name.unwrap_or("t5"));
-    if let Some(&n) = numbers.get(1) {
-        if n.fract() != 0.0 || n > f64::from(u32::MAX) {
-            return None;
-        }
-        table.seeds = n as u32;
-    }
-    Some((table, Size(numbers.first().copied().unwrap_or(0.3))))
+    let (size, seeds) = (numbers.first().unwrap_or(&0.3), numbers.get(1).unwrap_or(&1.0));
+    let whole = seeds.fract() == 0.0 && *seeds <= MAX_SEEDS;
+    whole.then(|| (table(name.unwrap_or("t5")), Size(*size), *seeds as u64))
 }
 
 /// The table named `name`, one of [`TABLES`].
@@ -145,17 +143,19 @@ fn table(name: &str) -> Experiment {
         .expect("a name of TABLES")
 }
 
-/// Runs `exps` in order, printing each as soon as it has run.
-fn run_and_print(exec: &Executor, size: Size, exps: impl IntoIterator<Item = Experiment>) {
+/// Runs `exps` in order at seed 0, a drawing row `draws` times,
+/// printing each as soon as it has run.
+fn run_and_print(exec: &Executor, size: Size, draws: u32, exps: &[Experiment]) {
     for exp in exps {
-        println!("{}", render(&exp, &run(&exp, exec, size)));
+        println!("{}", render(exp, &run(exp, exec, size, 0, draws)));
     }
 }
 
 fn cmd_tables(exec: &Executor, args: &[String]) {
     let (size, only) = size_and_name(args, &TABLES.map(|t| t.name));
-    let selected = TABLES.into_iter().filter(|t| only.is_none_or(|only| only == t.name));
-    run_and_print(exec, size, selected);
+    let selected: Vec<Experiment> =
+        TABLES.into_iter().filter(|t| only.is_none_or(|only| only == t.name)).collect();
+    run_and_print(exec, size, DRAWS, &selected);
 }
 
 fn cmd_figures(exec: &Executor, args: &[String]) {
@@ -173,7 +173,7 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
         iq.mean(),
         rudp.mean()
     );
-    let points = figure4_from_rows(&run(&table("t6"), exec, size));
+    let points = figure4_from_rows(&run(&table("t6"), exec, size, 0, DRAWS));
     println!("{}", render_figure4(&points));
     let labels: Vec<String> = points
         .iter()
@@ -235,37 +235,41 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
     println!("wrote figures/*.svg");
 }
 
-/// `iqrudp diag [tN] [SIZE] [SEEDS]` — one line per row of Table N
-/// with the transport- and coordination-level counters that the
-/// rendered table hides, for calibrating an experiment; scalars are
-/// averaged over SEEDS seeds.
+/// `iqrudp diag [tN] [SIZE] [SEEDS]` — one line per run of Table N's
+/// rows at seeds 0..SEEDS, a drawing row [`DRAWS`] times, labelled with
+/// its seed and draw: the transport- and coordination-level counters
+/// that the rendered table hides, for calibrating an experiment.
 fn cmd_diag(exec: &Executor, args: &[String]) {
-    let (table, size) = diag_args(args).unwrap_or_else(|| usage());
-    for r in &run(&table, exec, size) {
-        let (coord, stats) = (r.coordination, r.sender_stats);
-        println!(
-            "{:<24} dur={:<6.1} tp={:<7.1} jit={:<7.2}ms tagD={:<6.1} tagJ={:<6.2} \
-             cb=({}, {}) rescales={} factor={} offered={} delivered={} finished={} \
-             sent={} retx={} rto={} abandoned={} discarded={}",
-            r.label,
-            r.duration_s,
-            r.throughput_kbps,
-            r.jitter_s * 1e3,
-            r.tagged_delay_ms,
-            r.tagged_jitter_ms,
-            r.callbacks.0,
-            r.callbacks.1,
-            field(coord.map(|c| c.window_rescales)),
-            field(coord.map(|c| format!("{:.2}", c.cumulative_factor))),
-            r.msgs_offered,
-            r.msgs_delivered,
-            r.finished,
-            field(stats.map(|st| st.segments_sent)),
-            field(stats.map(|st| st.retransmits)),
-            field(stats.map(|st| st.timeouts)),
-            field(stats.map(|st| st.segments_abandoned)),
-            field(stats.map(|st| st.msgs_discarded)),
-        );
+    let (table, size, seeds) = diag_args(args).unwrap_or_else(|| usage());
+    for seed in 0..seeds {
+        for row in run(&table, exec, size, seed, DRAWS) {
+            for (draw, r) in row.runs.iter().enumerate() {
+                let (coord, stats) = (r.coordination, r.sender_stats);
+                println!(
+                    "{:<24} seed={seed} draw={draw} dur={:<6.1} tp={:<7.1} jit={:<7.2}ms \
+                     tagD={:<6.1} tagJ={:<6.2} cb=({}, {}) rescales={} factor={} offered={} \
+                     delivered={} finished={} sent={} retx={} rto={} abandoned={} discarded={}",
+                    row.label,
+                    r.duration_s,
+                    r.throughput_kbps,
+                    r.jitter_s * 1e3,
+                    r.tagged_delay_ms,
+                    r.tagged_jitter_ms,
+                    r.callbacks.0,
+                    r.callbacks.1,
+                    field(coord.map(|c| c.window_rescales)),
+                    field(coord.map(|c| format!("{:.2}", c.cumulative_factor))),
+                    r.msgs_offered,
+                    r.msgs_delivered,
+                    r.finished,
+                    field(stats.map(|st| st.segments_sent)),
+                    field(stats.map(|st| st.retransmits)),
+                    field(stats.map(|st| st.timeouts)),
+                    field(stats.map(|st| st.segments_abandoned)),
+                    field(stats.map(|st| st.msgs_discarded)),
+                );
+            }
+        }
     }
 }
 
@@ -336,7 +340,7 @@ fn usage() -> ! {
          mc [--scenario NAME] [--cc lda|cubic|bbr|rrr] [--depth N] \
          [--drops K] [--ticks K] \
          [--seed-break reinflate|cond|deferral]>; \
-         SIZE: above 0, at most 100 (1 = paper scale)"
+         SIZE: above 0, at most 100 (1 = paper scale); SEEDS: 1 to 1000"
     );
     std::process::exit(2);
 }
@@ -574,7 +578,7 @@ fn main() {
         Some("figures") => cmd_figures(&exec, &args[1..]),
         Some("ablations") => {
             let (size, _) = size_and_name(&args[1..], &[]);
-            run_and_print(&exec, size, ABLATIONS);
+            run_and_print(&exec, size, 1, &ABLATIONS);
         }
         Some("diag") => cmd_diag(&exec, &args[1..]),
         Some("bench") => cmd_bench(&exec, &args[1..]),
@@ -616,14 +620,15 @@ mod tests {
 
     #[test]
     fn diag_takes_a_table_a_size_and_a_seed_count() {
-        let parse = |line: &str| diag_args(&args(line)).map(|(t, s)| (t.name, s.0, t.seeds));
-        assert_eq!(parse(""), Some(("t5", 0.3, 3)));
-        assert_eq!(parse("t3 0.05"), Some(("t3", 0.05, 3)));
-        assert_eq!(parse("0.05 t9"), Some(("t9", 0.05, 3)));
+        let parse = |line: &str| diag_args(&args(line)).map(|(t, s, n)| (t.name, s.0, n));
+        assert_eq!(parse(""), Some(("t5", 0.3, 1)));
+        assert_eq!(parse("t3 0.05"), Some(("t3", 0.05, 1)));
+        assert_eq!(parse("0.05 t9"), Some(("t9", 0.05, 1)));
         assert_eq!(parse("t7 0.05 2"), Some(("t7", 0.05, 2)));
         assert_eq!(parse("0.05 8 t6"), Some(("t6", 0.05, 8)));
-        // A seed count may exceed the size bound.
+        // A seed count may exceed the size bound, up to its own.
         assert_eq!(parse("t2 0.05 200"), Some(("t2", 0.05, 200)));
+        assert_eq!(parse("t2 0.05 1000"), Some(("t2", 0.05, 1000)));
         for refused in [
             "t10",
             // The deleted `diag` average alias, spelled in two halves so
@@ -635,6 +640,9 @@ mod tests {
             "t2 101",
             "t2 1e12",
             "t2 1e30",
+            // A seed count past the bound, which a batch could not hold.
+            "t2 0.05 1001",
+            "t2 0.05 4294967295",
         ] {
             assert_eq!(parse(refused), None, "`diag {refused}` must exit 2");
         }

@@ -13,7 +13,7 @@ fn run(sc: &Scenario) -> RunResult {
 /// The scenarios of the table named `name`, at smoke size.
 fn scenarios(name: &str) -> Vec<Scenario> {
     let table = TABLES.into_iter().find(|t| t.name == name).expect("a table");
-    (table.rows)(Size::SMOKE).into_iter().map(|(_, sc)| sc).collect()
+    (table.rows)(Size::SMOKE, 0).into_iter().map(|(_, sc)| sc).collect()
 }
 
 /// §3.3 conflict: coordinated discard means fewer messages delivered

@@ -3,8 +3,8 @@
 //! output bit-for-bit. These tests pin that contract at the integration
 //! level (the unit tests in `runner.rs` cover the executor internals).
 
-use iq_experiments::tables::{render, Experiment, Size, TABLES};
-use iq_experiments::{run_scenario_with, Executor, RunConfig, ScenarioSpec};
+use iq_experiments::tables::{render, Experiment, Row, Size, TABLES};
+use iq_experiments::{run_scenario_with, Executor, RunConfig, ScenarioReport, ScenarioSpec};
 use proptest::prelude::*;
 
 /// The table named `name`.
@@ -14,7 +14,7 @@ fn table(name: &str) -> Experiment {
 
 /// The scenarios of table `name` at `size`, under their default names.
 fn table_specs(name: &str, size: Size) -> Vec<ScenarioSpec> {
-    (table(name).rows)(size)
+    (table(name).rows)(size, 0)
         .into_iter()
         .map(|(_, sc)| ScenarioSpec::from(sc))
         .collect()
@@ -29,8 +29,9 @@ fn small_specs() -> Vec<ScenarioSpec> {
 fn rendered_table_is_byte_identical_across_worker_counts() {
     let serial = Executor::new(1).run(&small_specs());
     let parallel = Executor::new(4).run(&small_specs());
-    let rows_serial: Vec<_> = serial.into_iter().map(|r| r.result).collect();
-    let rows_parallel: Vec<_> = parallel.into_iter().map(|r| r.result).collect();
+    let row = |r: ScenarioReport| Row { label: r.result.label, runs: vec![r.result] };
+    let rows_serial: Vec<_> = serial.into_iter().map(row).collect();
+    let rows_parallel: Vec<_> = parallel.into_iter().map(row).collect();
     let rendered_serial = render(&table("t1"), &rows_serial);
     let rendered_parallel = render(&table("t1"), &rows_parallel);
     assert_eq!(
