@@ -4,7 +4,7 @@ use iq_metrics::TimeSeries;
 use iq_trace::MembershipTrace;
 
 use crate::runner::Executor;
-use crate::tables::{run, Row, Size, DRAWS, TABLE3, TABLE6_IPERF};
+use crate::tables::{run, Row, Size, TABLE3, TABLE6_IPERF};
 
 /// Figure 1: membership dynamics — the group-size trace driving the
 /// changing-application workloads.
@@ -19,11 +19,16 @@ pub fn figure1() -> TimeSeries {
 
 /// Figures 2 and 3: per-packet delay jitter at the receiver for the
 /// conflict experiment, coordinated (Figure 2) vs uncoordinated
-/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each its row's
-/// first receiver-side series, whatever the run's configuration.
+/// (Figure 3). Returns `(iq_rudp_series, rudp_series)`: each row's
+/// receiver-side series at its first draw, the one draw it runs,
+/// whatever the run's configuration.
 pub fn figures_2_3(exec: &Executor, size: Size) -> (TimeSeries, TimeSeries) {
-    let rows = run(&TABLE3, exec, size, 0, DRAWS);
-    (rows[0].runs[0].jitter_series.clone(), rows[1].runs[0].jitter_series.clone())
+    let mut series = run(&TABLE3, exec, size, 0, 1)
+        .into_iter()
+        .map(|mut row| row.runs.swap_remove(0).jitter_series);
+    let iq = series.next().expect("Table 3 has an IQ-RUDP row");
+    let rudp = series.next().expect("Table 3 has an RUDP row");
+    (iq, rudp)
 }
 
 /// One bar group of Figure 4.
@@ -90,11 +95,11 @@ pub fn render_figure4(points: &[Figure4Point]) -> String {
 mod tests {
     use super::*;
 
-    /// The bus carries what the receiver-side accumulator folds: the
-    /// `msg_delivered` records of a captured run, refolded by
-    /// `iq_telemetry::jitter_series_ms`, are the run's `jitter_series`
-    /// bit for bit. The reference only — no product path derives a
-    /// figure from the JSONL.
+    /// The bus carries what the receiver-side accumulator records: the
+    /// times of a captured run's `msg_delivered` records for flow 1, fed
+    /// through `iq_metrics::jitter_series`, give the run's
+    /// `jitter_series` bit for bit. The reference only — no product path
+    /// derives a figure from the JSONL.
     #[test]
     fn bus_derived_jitter_series_matches_receiver_accumulator() {
         use crate::scenario::{run_scenario_with, PolicySpec, RunConfig, Scenario, Scheme};
@@ -104,10 +109,14 @@ mod tests {
         let capture = RunConfig { telemetry: true, ..RunConfig::default() };
         let r = run_scenario_with(&sc, capture);
         let records = iq_telemetry::parse_jsonl(&r.telemetry).expect("captured telemetry parses");
-        let mut rebuilt = TimeSeries::new();
-        for (at, dev_ms) in iq_telemetry::jitter_series_ms(&records, 1) {
-            rebuilt.record(at, dev_ms);
-        }
+        let delivered: Vec<u64> = records
+            .iter()
+            .filter(|r| r.flow == 1)
+            .filter(|r| matches!(r.event, iq_telemetry::TelemetryEvent::MsgDelivered { .. }))
+            .map(|r| r.at)
+            .collect();
+        let rebuilt = iq_metrics::jitter_series(&delivered);
+        assert!(!rebuilt.is_empty(), "the run delivered no message on the bus");
         assert_eq!(rebuilt.len(), r.jitter_series.len());
         for (a, b) in rebuilt.points.iter().zip(&r.jitter_series.points) {
             assert_eq!(a.0, b.0, "jitter sample timestamps diverge");

@@ -670,7 +670,10 @@ impl World {
 
     /// Folds every flow into one [`RunResult`]: sums for volume metrics,
     /// the max for duration, flow 0's series for jitter shape; a single
-    /// flow is a fleet of one.
+    /// flow is a fleet of one. Everything is read from the world before
+    /// it is dropped but the series, which is derived from flow 0's
+    /// arrival times after: the world and the series are never live at
+    /// once.
     fn harvest(
         self,
         sc: &Scenario,
@@ -688,7 +691,7 @@ impl World {
         // JSONL is independent of the thread count.
         let mut telemetry = String::new();
         let mut telemetry_evicted = 0u64;
-        for bus in &buses {
+        for bus in buses {
             let bus = bus.lock().unwrap_or_else(|e| e.into_inner());
             telemetry.push_str(&to_jsonl(&bus.records()));
             telemetry_evicted += bus.total_evicted();
@@ -750,15 +753,21 @@ impl World {
                 .plus(sim.worker_pool_stats()),
             telemetry_evicted,
         );
-        // Flow 0's shape: its columns, then its series, moved out of the
-        // sink so that the run holds it once.
+        // Flow 0's shape: its columns, then its arrival times, moved out
+        // of the sink.
         let first = sink_metrics_mut(&mut sim, flows[0].rx.id());
         // The TCP sink tags every message; the tagged columns are RUDP's.
         let tagged_ms = |s: f64| if receiver_stats.is_some() { s * 1e3 } else { 0.0 };
         let (inter_arrival_s, jitter_s) = (first.inter_arrival_s(), first.jitter_s());
         let tagged_delay_ms = tagged_ms(first.tagged_inter_arrival_s());
         let tagged_jitter_ms = tagged_ms(first.tagged_jitter_s());
-        let jitter_series = first.take_jitter_series();
+        let arrivals = first.take_arrivals();
+        let events_processed = sim.counters().events_processed;
+        let shards_used = or_one_per_core(cfg.threads).min(sim.num_shards()) as u32;
+        let phase_profile = sim.phase_snapshots();
+        let sched = sim.sched_totals();
+        drop(sim);
+        let jitter_series = iq_metrics::jitter_series(&arrivals);
         RunResult {
             label: if sc.mega_legs > 0 {
                 "mega flows"
@@ -785,11 +794,11 @@ impl World {
             coordination,
             callbacks,
             sender_stats,
-            events_processed: sim.counters().events_processed,
+            events_processed,
             telemetry,
-            shards_used: or_one_per_core(cfg.threads).min(sim.num_shards()) as u32,
-            phase_profile: sim.phase_snapshots(),
-            sched: sim.sched_totals(),
+            shards_used,
+            phase_profile,
+            sched,
             obs,
             telemetry_evicted,
         }

@@ -6,12 +6,16 @@
 //! A recorder has two parts. The *volume* (first and last arrival,
 //! bytes, messages, summed latency) is what a harvest sums over every
 //! flow of a world, and every recorder keeps it. The arrival *shape*
-//! (inter-arrival statistics, their tagged twins, the per-message jitter
-//! series) is what a run reports for the one flow it looks at; it lives
-//! out of line, and a recorder built with [`FlowMetrics::volume_only`]
-//! has none. The series leaves by move
-//! ([`FlowMetrics::take_jitter_series`]), not by copy: a run's report
-//! holds the one buffer the recorder filled.
+//! (inter-arrival statistics, their tagged twins, the arrival times) is
+//! what a run reports for the one flow it looks at; it lives out of
+//! line, and a recorder built with [`FlowMetrics::volume_only`] has none.
+//!
+//! The shape keeps one `u64` a message, its arrival time, and no
+//! per-message jitter: the series of Figures 2/3 is a pure function of
+//! the times, [`jitter_series`], the one place it is computed. The times
+//! leave by move ([`FlowMetrics::take_arrivals`]), so a run derives the
+//! series after its world is dropped, allocated at exactly its length;
+//! the statistics behind the table columns stay online.
 
 use crate::series::TimeSeries;
 use crate::stats::Welford;
@@ -42,32 +46,23 @@ struct ArrivalShape {
     tagged_messages: u64,
     inter_arrival: Welford,
     tagged_inter_arrival: Welford,
-    /// Per-message |inter-arrival - mean so far| series for Figures 2/3,
-    /// one sample per gap `inter_arrival` has seen.
-    jitter: Vec<(u64, f64)>,
+    /// Every arrival time in order, the first included: what
+    /// [`jitter_series`] derives Figures 2/3 from.
+    arrivals: Vec<u64>,
+}
+
+/// The gap between two arrivals in seconds, as both the recorder and
+/// [`jitter_series`] compute it: saturating, so a clock that stepped
+/// back reads as no time passed, and `* 1e-9` (not `/ 1e9`) so that the
+/// two agree to the bit.
+fn gap_s(prev_ns: u64, now_ns: u64) -> f64 {
+    now_ns.saturating_sub(prev_ns) as f64 * 1e-9
 }
 
 impl ArrivalShape {
-    /// Feeds one inter-arrival gap to both consumers from a single
-    /// computation: the Welford accumulator behind the tables'
-    /// delay/jitter columns and the per-message series behind
-    /// Figures 2/3. Keeping them in one place guarantees they can never
-    /// disagree on count or value — a same-nanosecond arrival (gap 0)
-    /// lands in both, once.
-    fn record_gap(&mut self, now_ns: u64, prev_ns: u64) {
-        let gap_s = (now_ns.saturating_sub(prev_ns)) as f64 * 1e-9;
-        self.inter_arrival.push(gap_s);
-        // Jitter sample: absolute deviation of this gap from the mean
-        // gap so far (including this gap), in milliseconds; mirrors the
-        // per-packet jitter plots of Figures 2 and 3.
-        let dev_ms = (gap_s - self.inter_arrival.mean()).abs() * 1e3;
-        self.jitter.push((now_ns, dev_ms));
-    }
-
     fn record_tagged(&mut self, now_ns: u64) {
         if self.tagged_messages > 0 {
-            let gap_ns = now_ns.saturating_sub(self.prev_tagged_ns);
-            self.tagged_inter_arrival.push(gap_ns as f64 * 1e-9);
+            self.tagged_inter_arrival.push(gap_s(self.prev_tagged_ns, now_ns));
         }
         self.tagged_messages += 1;
         self.prev_tagged_ns = now_ns;
@@ -76,8 +71,8 @@ impl ArrivalShape {
 
 /// Why a volume-only recorder has no shape to read.
 const NO_SHAPE: &str = "this FlowMetrics was built with FlowMetrics::volume_only() and records \
-                        no arrival shape (inter-arrival, jitter, tagged statistics, jitter \
-                        series); build the recorder of a flow whose shape is read with \
+                        no arrival shape (inter-arrival, jitter, tagged statistics, arrival \
+                        times); build the recorder of a flow whose shape is read with \
                         FlowMetrics::new()";
 
 impl Default for FlowMetrics {
@@ -98,7 +93,7 @@ impl FlowMetrics {
     /// An empty accumulator recording volume only: messages, bytes,
     /// duration, throughput and latency. It makes no allocator call, now
     /// or per message, and its shape getters (inter-arrival, jitter,
-    /// the tagged statistics, the jitter series) panic — for the sinks of
+    /// the tagged statistics, the arrival times) panic — for the sinks of
     /// a world whose shape nobody reads.
     pub fn volume_only() -> Self {
         Self {
@@ -126,7 +121,7 @@ impl FlowMetrics {
         self.shape.as_deref().expect(NO_SHAPE)
     }
 
-    /// The arrival shape, to move the series out of; panics like
+    /// The arrival shape, to move the times out of; panics like
     /// [`Self::shape`].
     fn shape_mut(&mut self) -> &mut ArrivalShape {
         self.shape.as_deref_mut().expect(NO_SHAPE)
@@ -139,8 +134,9 @@ impl FlowMetrics {
     pub fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
         if let Some(shape) = &mut self.shape {
             if self.messages > 0 {
-                shape.record_gap(now_ns, self.last_arrival_ns);
+                shape.inter_arrival.push(gap_s(self.last_arrival_ns, now_ns));
             }
+            shape.arrivals.push(now_ns);
             if tagged {
                 shape.record_tagged(now_ns);
             }
@@ -218,15 +214,13 @@ impl FlowMetrics {
         self.latency_sum_ns as f64 / self.messages as f64 * 1e-9
     }
 
-    /// Moves the per-message jitter series (Figures 2/3) out of the
-    /// recorder, shrunk to fit, and leaves it an empty one: a run reports
-    /// the series once and holds it once. The inter-arrival statistics
-    /// are kept, so the delay and jitter columns read the same before
-    /// and after.
-    pub fn take_jitter_series(&mut self) -> TimeSeries {
-        let mut points = std::mem::take(&mut self.shape_mut().jitter);
-        points.shrink_to_fit();
-        TimeSeries { points }
+    /// Moves the arrival times, one per delivered message in arrival
+    /// order, out of the recorder and leaves it none: [`jitter_series`]
+    /// derives Figures 2/3 from them. The inter-arrival statistics are
+    /// kept, so the delay and jitter columns read the same before and
+    /// after.
+    pub fn take_arrivals(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.shape_mut().arrivals)
     }
 
     /// Percentage of `offered` messages that were delivered.
@@ -236,6 +230,27 @@ impl FlowMetrics {
         }
         100.0 * self.messages as f64 / offered as f64
     }
+}
+
+/// The per-message jitter series of Figures 2/3 from arrival times in
+/// arrival order: one point per gap, at the later arrival, valued at the
+/// gap's absolute deviation from the mean gap so far (this gap
+/// included), in milliseconds. It replays what the recorder's
+/// inter-arrival statistics saw, gap for gap, so a point is the same to
+/// the bit whether the times came from [`FlowMetrics::take_arrivals`]
+/// or from a telemetry bus's `msg_delivered` records; the series is
+/// allocated at exactly its length.
+pub fn jitter_series(arrivals: &[u64]) -> TimeSeries {
+    let mut gaps = Welford::new();
+    let points = arrivals
+        .windows(2)
+        .map(|pair| {
+            let gap = gap_s(pair[0], pair[1]);
+            gaps.push(gap);
+            (pair[1], (gap - gaps.mean()).abs() * 1e3)
+        })
+        .collect();
+    TimeSeries { points }
 }
 
 #[cfg(test)]
@@ -285,7 +300,7 @@ mod tests {
         for &t in &times {
             m.on_message(t * MS, 0, 100, false);
         }
-        let series = m.take_jitter_series();
+        let series = jitter_series(&m.take_arrivals());
         assert_eq!(series.len(), times.len() - 1);
         let peak = series.values().fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 10.0, "the 40 ms gap should spike jitter, got {peak}");
@@ -301,7 +316,7 @@ mod tests {
         m.on_message(10 * MS, 0, 100, false); // same instant
         m.on_message(20 * MS, 0, 100, false);
         assert_eq!(m.messages(), 3);
-        let series = m.take_jitter_series();
+        let series = jitter_series(&m.take_arrivals());
         assert_eq!(series.len(), 2);
         // Gaps are 0 ms and 10 ms → mean 5 ms.
         assert!((m.inter_arrival_s() - 0.005).abs() < 1e-12);
@@ -330,7 +345,7 @@ mod tests {
             .map(f64::to_bits)
         };
         let before = columns(&m);
-        let series = m.take_jitter_series();
+        let series = jitter_series(&m.take_arrivals());
         assert_eq!(series.len(), 4);
         assert_eq!(series.points.capacity(), series.len(), "no doubling slack");
         assert_eq!(
@@ -339,9 +354,33 @@ mod tests {
             "the columns do not come from the series"
         );
         assert!(
-            m.take_jitter_series().is_empty(),
+            m.take_arrivals().is_empty(),
             "the recorder keeps no second copy"
         );
+    }
+
+    #[test]
+    fn derived_series_mirrors_welford_deviation() {
+        // Gaps: 1 s, 3 s. Welford means after each push: 1.0, 2.0.
+        // Deviations: |1-1| = 0 ms, |3-2| = 1000 ms.
+        let series = jitter_series(&[0, 1_000_000_000, 4_000_000_000]);
+        assert_eq!(series.len(), 2);
+        assert_eq!(series.points[0], (1_000_000_000, 0.0));
+        assert_eq!(series.points[1].0, 4_000_000_000);
+        assert!((series.points[1].1 - 1000.0).abs() < 1e-9);
+        // No gap, no point, no allocation.
+        for times in [&[][..], &[7]] {
+            let empty = jitter_series(times);
+            assert!(empty.is_empty() && empty.points.capacity() == 0);
+        }
+    }
+
+    #[test]
+    fn derived_series_saturates_a_step_back_like_the_recorder() {
+        // Arrivals at 10, 5, 7 ns: the step back is a 0 s gap (mean 0,
+        // deviation 0), then a 2 ns gap against a mean of 1 ns deviates
+        // by 1 ns = 1e-6 ms.
+        assert_eq!(jitter_series(&[10, 5, 7]).points, vec![(5, 0.0), (7, 1e-9 * 1e3)]);
     }
 
     #[test]
@@ -486,7 +525,9 @@ mod tests {
             let bits = |points: &[(u64, f64)]| -> Vec<(u64, u64)> {
                 points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
             };
-            prop_assert_eq!(bits(&full.take_jitter_series().points), bits(&unsplit.jitter));
+            let series = jitter_series(&full.take_arrivals());
+            prop_assert_eq!(series.points.capacity(), series.len());
+            prop_assert_eq!(bits(&series.points), bits(&unsplit.jitter));
         }
     }
 

@@ -12,7 +12,7 @@ pub mod series;
 pub mod stats;
 pub mod table;
 
-pub use flow::FlowMetrics;
+pub use flow::{jitter_series, FlowMetrics};
 pub use plot::{bar_chart, line_plot, PlotConfig};
 pub use series::TimeSeries;
 pub use stats::{Ewma, Welford};

@@ -40,4 +40,4 @@ pub use bus::{TelemetryBus, TelemetrySink, DEFAULT_RING_CAPACITY};
 pub use event::{CwndReason, PacketKind, TelemetryEvent, TelemetryRecord};
 pub use export::{Fnv64, StateHasher};
 pub use json::{parse_jsonl, to_jsonl, ParseError};
-pub use report::{jitter_series_ms, TelemetryReport};
+pub use report::TelemetryReport;

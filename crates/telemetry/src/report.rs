@@ -118,42 +118,6 @@ impl TelemetryReport {
     }
 }
 
-/// Rebuilds a flow's jitter time-series from its `msg_delivered` events.
-///
-/// This mirrors `FlowMetrics::on_message` exactly — for each delivery
-/// after the first, the inter-arrival gap feeds a running (Welford) mean
-/// and the point recorded at the delivery time is the absolute deviation
-/// of that gap from the *updated* mean, in milliseconds. Records must be
-/// in emission order (as [`crate::bus::TelemetryBus::records`] and
-/// [`crate::json::parse_jsonl`] on an exported stream both yield), so
-/// the series is bit-identical to the one the metrics crate collects
-/// during the run.
-pub fn jitter_series_ms(records: &[TelemetryRecord], flow: u64) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    let mut prev_at: Option<u64> = None;
-    let mut count: u64 = 0;
-    let mut mean: f64 = 0.0;
-    for r in records {
-        if r.flow != flow {
-            continue;
-        }
-        if let TelemetryEvent::MsgDelivered { .. } = r.event {
-            if let Some(prev) = prev_at {
-                // `* 1e-9`, not `/ 1e9`: must stay bit-identical to
-                // `FlowMetrics::record_gap`, which uses the multiply
-                // form on its hot path.
-                let gap_s = r.at.saturating_sub(prev) as f64 * 1e-9;
-                count += 1;
-                let delta = gap_s - mean;
-                mean += delta / count as f64;
-                out.push((r.at, (gap_s - mean).abs() * 1e3));
-            }
-            prev_at = Some(r.at);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,36 +191,6 @@ mod tests {
         assert_eq!(rep.first_at, None);
         assert_eq!(rep.msgs_delivered, 0);
         assert_eq!(rep.mean_delivery_ms, 0.0);
-    }
-
-    #[test]
-    fn jitter_series_mirrors_welford_deviation() {
-        // Gaps: 1s, 3s. Welford means after each push: 1.0, 2.0.
-        // Deviations: |1-1| = 0 ms, |3-2| = 1000 ms.
-        let records = vec![
-            delivered(0, 1, 0),
-            delivered(1_000_000_000, 1, 1),
-            delivered(4_000_000_000, 1, 2),
-            // Other flows and event types are ignored.
-            delivered(4_500_000_000, 2, 3),
-        ];
-        let series = jitter_series_ms(&records, 1);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], (1_000_000_000, 0.0));
-        assert_eq!(series[1].0, 4_000_000_000);
-        assert!((series[1].1 - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn jitter_series_saturates_a_step_back_like_the_recorder() {
-        // Arrivals at 10, 5, 7 ns, as `FlowMetrics::new()` records them:
-        // the step back is a 0 s gap (mean 0, deviation 0), then a 2 ns
-        // gap against a mean of 1 ns deviates by 1 ns = 1e-6 ms.
-        let records = vec![delivered(10, 1, 0), delivered(5, 1, 1), delivered(7, 1, 2)];
-        assert_eq!(
-            jitter_series_ms(&records, 1),
-            vec![(5, 0.0), (7, 1e-9 * 1e3)]
-        );
     }
 
     fn packet(kind: PacketKind) -> TelemetryRecord {
