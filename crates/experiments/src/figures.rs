@@ -115,7 +115,7 @@ mod tests {
             .filter(|r| matches!(r.event, iq_telemetry::TelemetryEvent::MsgDelivered { .. }))
             .map(|r| r.at)
             .collect();
-        let rebuilt = iq_metrics::jitter_series(&delivered);
+        let rebuilt = iq_metrics::jitter_series(delivered.iter().copied());
         assert!(!rebuilt.is_empty(), "the run delivered no message on the bus");
         assert_eq!(rebuilt.len(), r.jitter_series.len());
         for (a, b) in rebuilt.points.iter().zip(&r.jitter_series.points) {

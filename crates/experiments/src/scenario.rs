@@ -672,8 +672,9 @@ impl World {
     /// the max for duration, flow 0's series for jitter shape; a single
     /// flow is a fleet of one. Everything is read from the world before
     /// it is dropped but the series, which is derived from flow 0's
-    /// arrival times after: the world and the series are never live at
-    /// once.
+    /// arrival log after: the world and the series are never live at
+    /// once, and the log (≈ 3 B an arrival) goes as soon as the series is
+    /// derived.
     fn harvest(
         self,
         sc: &Scenario,
@@ -767,7 +768,8 @@ impl World {
         let phase_profile = sim.phase_snapshots();
         let sched = sim.sched_totals();
         drop(sim);
-        let jitter_series = iq_metrics::jitter_series(&arrivals);
+        let jitter_series = iq_metrics::jitter_series(arrivals.iter());
+        drop(arrivals);
         RunResult {
             label: if sc.mega_legs > 0 {
                 "mega flows"

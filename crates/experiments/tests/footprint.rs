@@ -2,8 +2,11 @@
 //! small mega world.
 //!
 //! A global allocator that tracks live bytes, their high-water mark and
-//! the calls made wraps `System`; one `Scenario::mega(2, 256, 4, 1400)`
-//! world (512 flows on 4 shards, drained inline) is built, run to
+//! the calls made wraps `System`, counting only the calls of the thread
+//! a test measures on (libtest's own threads allocate when they report
+//! a finished test, and would move a read that overlaps); one
+//! `Scenario::mega(2, 256, 4, 1400)` world (512 flows on 4 shards,
+//! drained inline) is built, run to
 //! completion and harvested. The high-water mark it adds, divided by
 //! its flows, must stay under [`CEILING_BYTES_PER_FLOW`]; what of that
 //! the run adds to the built world — the full run's high-water mark
@@ -22,7 +25,7 @@
 //! A third test runs one single-flow scenario whose receiver logs 20,000
 //! arrivals: its high-water mark, less the jitter series the run
 //! returns, must stay under [`CEILING_SINGLE_FLOW_BYTES`], so that the
-//! receiver records 8 B an arrival and the series is derived once, after
+//! receiver logs ≈ 3 B an arrival and the series is derived once, after
 //! the world is dropped.
 //!
 //! A fourth runs the §3.3 conflict workload, whose application outruns
@@ -30,8 +33,9 @@
 //! stay under [`CEILING_BACKLOGGED_FLOW_BYTES`], so that the sender's
 //! backlog costs what it holds and not a doubled slab and its copy.
 //!
-//! A fifth feeds one shape recorder [`ARRIVALS`] arrivals: it may hold
-//! 8 B an arrival beyond its box and no more.
+//! A fifth feeds one shape recorder [`ARRIVALS`] arrivals a millisecond
+//! apart: it may hold 3 B an arrival, one partly filled page, the page
+//! table and its box, and no more.
 //!
 //! A sixth test runs a hand-built single-flow world with CBR cross
 //! traffic for 2 s and on to 8 s of simulated time: what the cross
@@ -40,7 +44,8 @@
 //! flight.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use iq_experiments::tables::conflict_scenario;
@@ -96,13 +101,14 @@ const CEILING_BUILD_CALLS_PER_FLOW: f64 = 4.13;
 /// The single-flow gate: bytes the run of a 20,000-message
 /// `RudpPlain` transfer adds at its high-water mark beyond the jitter
 /// series it returns. Set ≈ 10 % above what the tree measured when the
-/// gate was last moved (286,226 B debug, 286,248 release, with a
-/// 319,984-byte series), since the receiver records one 8-byte arrival
-/// time a message and harvest derives the series after dropping the
-/// world. Deriving it before the drop read 424,570 B; recording
+/// gate was last moved (85,778 B release, with a 319,984-byte
+/// series), since the receiver logs each arrival as a varint of its gap
+/// in 4 KiB pages and harvest derives the series after dropping the
+/// world. With 8-byte arrival times in a doubling `Vec` it read
+/// 286,248 B; deriving the series before the drop, 424,570 B; recording
 /// 16-byte `(time, deviation)` pairs and moving them out, 372,930 B;
 /// harvesting a clone of those, 688,826 B.
-const CEILING_SINGLE_FLOW_BYTES: usize = 315_000;
+const CEILING_SINGLE_FLOW_BYTES: usize = 95_000;
 
 /// Frames the backlogged-flow gate's application offers: at 100 fps
 /// it outruns its transport, and the sender's backlog goes past
@@ -113,72 +119,116 @@ const FRAMES: usize = 5_000;
 /// frames under plain RUDP adds at its high-water mark beyond the
 /// jitter series it returns, the sender's backlog of fragments among
 /// them. Set ≈ 10 % above what the tree measured when the gate was last
-/// moved (542,346 B, debug or release, 543,797 in some test orders,
-/// since the series is derived from 8-byte arrival times after the
-/// world is dropped); it read 1,033,986 B while the receiver recorded
-/// 16-byte pairs and the series stood beside the world, 1,205,490 when
-/// the series was derived before the drop, and 1,492,226 B when a
-/// fragment ring doubled its slab and held the old one and the new
-/// while it copied.
-const CEILING_BACKLOGGED_FLOW_BYTES: usize = 598_000;
+/// moved (154,250 B release, since the receiver logs its arrivals
+/// in paged varints); it read 542,346 B with 8-byte arrival times in a
+/// doubling `Vec`, 1,033,986 B while the receiver recorded 16-byte
+/// pairs and the series stood beside the world, 1,205,490 when the
+/// series was derived before the drop, and 1,492,226 B when a fragment
+/// ring doubled its slab and held the old one and the new while it
+/// copied.
+const CEILING_BACKLOGGED_FLOW_BYTES: usize = 170_000;
 
 /// Arrivals the shape-recorder gate feeds one recorder.
 const ARRIVALS: u64 = 10_000;
 
+/// Bytes in a page of the recorder's arrival log.
+const LOG_PAGE_BYTES: usize = 4096;
+
 struct LiveBytes;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Signed: a measured thread frees, as it ends, what std allocated for
+/// it before [`MEASURED`] was set (40 B), so the count drifts below
+/// zero by that much a test. Only differences are read.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether the allocator counts this thread's calls: set on the
+    /// thread [`alone`] spawns, for the rest of its life.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The counters are process-global and libtest runs tests on parallel
 /// threads: [`alone`] holds this while a test measures.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Runs `measure` on a thread of its own and waits for that thread to
-/// end, all under [`SERIAL`]. Joining matters as much as the lock: a
-/// thread's payload pool is freed when the thread ends, and a finished
-/// test's pool going away while the next test measures would read as
-/// that test's world shrinking.
+/// Runs `measure` on a thread of its own, the one thread whose calls
+/// the allocator counts, and waits for that thread to end, all under
+/// [`SERIAL`]. Joining matters as much as the lock: a thread's payload
+/// pool is freed when the thread ends (counted, as the thread's
+/// destructors run on it), and a finished test's pool going away while
+/// the next test measures would read as that test's world shrinking.
 fn alone(measure: impl FnOnce() + Send + 'static) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    if let Err(panic) = std::thread::spawn(measure).join() {
+    let thread = std::thread::spawn(|| {
+        MEASURED.set(true);
+        measure()
+    });
+    if let Err(panic) = thread.join() {
         std::panic::resume_unwind(panic);
     }
 }
 
+/// Whether the calling thread's allocator calls count.
+fn measured() -> bool {
+    MEASURED.try_with(Cell::get).unwrap_or(false)
+}
+
 fn grew(by: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
+    let by = by as isize;
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
+        if measured() {
+            grew(layout.size());
+        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
+        if measured() {
+            grew(layout.size());
+        }
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size >= layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+        if measured() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                CALLS.fetch_add(1, Ordering::Relaxed);
+                LIVE.fetch_sub((layout.size() - new_size) as isize, Ordering::Relaxed);
+            }
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        if measured() {
+            LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 }
 
 #[global_allocator]
 static ALLOC: LiveBytes = LiveBytes;
+
+/// Starts a new high-water mark at what is live now, and returns that.
+fn mark() -> isize {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    before
+}
+
+/// Bytes the high-water mark stands above `before`, what [`mark`]
+/// returned.
+fn peak_above(before: isize) -> usize {
+    (PEAK.load(Ordering::Relaxed) - before) as usize
+}
 
 /// The gated world; `run = false` is its `deadline_s = 0` twin.
 fn small_mega(run: bool) -> (Scenario, usize) {
@@ -199,10 +249,9 @@ fn run(sc: &Scenario) -> RunResult {
 /// The live-bytes high-water mark running `sc` adds to what was live
 /// before, with whether it finished.
 fn peak_of(sc: &Scenario) -> (usize, bool) {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = mark();
     let result = run(sc);
-    (PEAK.load(Ordering::Relaxed) - before, result.finished)
+    (peak_above(before), result.finished)
 }
 
 /// Allocator calls of running `sc` and dropping what it returned, with
@@ -291,10 +340,9 @@ fn a_single_flow_run_holds_its_series_once() {
 fn single_flow_series() {
     let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 20_000]);
     sc.deadline_s = 900.0;
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = mark();
     let r = run(&sc);
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak = peak_above(before);
     let points = &r.jitter_series.points;
     let series = points.capacity() * std::mem::size_of::<(u64, f64)>();
     let beyond = peak - series;
@@ -313,7 +361,7 @@ fn single_flow_series() {
         beyond <= CEILING_SINGLE_FLOW_BYTES,
         "the run's high-water mark stands {beyond} B above the {series}-byte series it returns, \
          above the ceiling of {CEILING_SINGLE_FLOW_BYTES} B: the series is held twice or \
-         beside the world"
+         beside the world, or an arrival costs more than its varint"
     );
 }
 
@@ -325,10 +373,9 @@ fn a_backlogged_flow_holds_its_backlog_once() {
 fn backlogged_flow() {
     let frames = app_frame_sizes(FRAMES, 11);
     let sc = conflict_scenario(&frames, Scheme::Uncoordinated);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = mark();
     let r = run(&sc);
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak = peak_above(before);
     let series = r.jitter_series.points.capacity() * std::mem::size_of::<(u64, f64)>();
     let beyond = peak - series;
     println!(
@@ -345,7 +392,7 @@ fn backlogged_flow() {
 }
 
 #[test]
-fn a_shape_recorder_holds_eight_bytes_an_arrival() {
+fn a_shape_recorder_holds_three_bytes_an_arrival() {
     alone(shape_recorder_bytes);
 }
 
@@ -354,18 +401,18 @@ fn shape_recorder_bytes() {
     for i in 0..ARRIVALS {
         m.on_message(i * 1_000_000 + i % 7 * 1_000, 0, 1400, i % 3 == 0);
     }
-    // The least of three reads: the test harness's own thread allocates
-    // now and then (it reports the test before), and a read it overlaps
-    // reads high.
-    let least = |m: &FlowMetrics| (0..3).map(|_| heap_of(m)).min().expect("three reads");
-    let held = least(&m);
-    let boxed = least(&FlowMetrics::new());
-    let times = 8 * ARRIVALS as usize;
+    let held = heap_of(&m);
+    let boxed = heap_of(&FlowMetrics::new());
+    // A gap of about a millisecond is a 3-byte varint.
+    let times = 3 * ARRIVALS as usize;
+    let page_table = (times / LOG_PAGE_BYTES + 1) * std::mem::size_of::<Box<[u8]>>();
+    let bound = times + LOG_PAGE_BYTES + page_table + boxed;
     println!("shape recorder: {held} B after {ARRIVALS} arrivals, {boxed} B of it the box");
     assert!(
-        held <= times + boxed,
-        "a shape recorder holds {held} B after {ARRIVALS} arrivals, above {times} B of \
-         arrival times and its {boxed}-byte box: it keeps more than one u64 an arrival"
+        held <= bound,
+        "a shape recorder holds {held} B after {ARRIVALS} arrivals a millisecond apart, above \
+         {bound} B: {times} B of 3-byte gaps, a {LOG_PAGE_BYTES}-byte page partly filled, a \
+         {page_table}-byte page table and its {boxed}-byte box"
     );
 }
 
@@ -378,7 +425,7 @@ fn a_cross_traffic_sink_does_not_grow_with_the_run() {
 fn heap_of(metrics: &FlowMetrics) -> usize {
     let before = LIVE.load(Ordering::Relaxed);
     let copy = metrics.clone();
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
     drop(copy);
     held
 }
@@ -387,6 +434,7 @@ fn cross_sink_over_run_length() {
     // The single-flow world of the paper's tables, by hand so the sinks
     // can be read mid-run: a 150-message RUDP transfer on host pair 0,
     // 18 Mb/s CBR on pair 1 of the 20 Mb/s dumbbell.
+    let start = LIVE.load(Ordering::Relaxed);
     let mut sim = Simulator::new(42);
     let db = build_dumbbell(&mut sim, &DumbbellSpec::paper_default(2));
     let (lh, rh) = (&db.left_hosts, &db.right_hosts);
@@ -403,7 +451,8 @@ fn cross_sink_over_run_length() {
     for until in [2.0, 8.0] {
         sim.run_until(time::secs(until));
         let sink = sim.agent::<UdpSink>(cross).expect("cross sink");
-        marks.push((sink.received, heap_of(&sink.metrics), LIVE.load(Ordering::Relaxed)));
+        let world = (LIVE.load(Ordering::Relaxed) - start) as usize;
+        marks.push((sink.received, heap_of(&sink.metrics), world));
     }
     let flow = sim.agent::<RudpSinkAgent>(rx).expect("flow sink");
     assert!(flow.is_finished() && flow.metrics.duration_s() < 2.0, "the flow outlasted 2 s");

@@ -10,12 +10,19 @@
 //! what a run reports for the one flow it looks at; it lives out of
 //! line, and a recorder built with [`FlowMetrics::volume_only`] has none.
 //!
-//! The shape keeps one `u64` a message, its arrival time, and no
-//! per-message jitter: the series of Figures 2/3 is a pure function of
-//! the times, [`jitter_series`], the one place it is computed. The times
-//! leave by move ([`FlowMetrics::take_arrivals`]), so a run derives the
-//! series after its world is dropped, allocated at exactly its length;
-//! the statistics behind the table columns stay online.
+//! The shape keeps every arrival time and no per-message jitter: the
+//! series of Figures 2/3 is a pure function of the times,
+//! [`jitter_series`], the one place it is computed. The times go into an
+//! [`ArrivalLog`]: each one as the LEB128 varint of its wrapping
+//! difference from the one before (from 0 for the first), so a message a
+//! millisecond after the last costs 3 bytes and any `u64` sequence, steps
+//! back included, decodes exactly. The bytes fill fixed 4 KiB pages that
+//! are allocated once and never copied: a doubling `Vec<u8>` would keep up
+//! to half its capacity as slack and, while it reallocates, the old
+//! buffer and the new one. The log leaves by move
+//! ([`FlowMetrics::take_arrivals`]), so a run derives the series after its
+//! world is dropped, allocated at exactly its length; the statistics
+//! behind the table columns stay online.
 
 use crate::series::TimeSeries;
 use crate::stats::Welford;
@@ -48,8 +55,126 @@ struct ArrivalShape {
     tagged_inter_arrival: Welford,
     /// Every arrival time in order, the first included: what
     /// [`jitter_series`] derives Figures 2/3 from.
-    arrivals: Vec<u64>,
+    arrivals: ArrivalLog,
 }
+
+/// Bytes in one page of an [`ArrivalLog`].
+const PAGE_BYTES: usize = 4096;
+
+/// Arrival times in order, each stored as the LEB128 varint of its
+/// wrapping difference from the time before it (from 0 for the first),
+/// in fixed 4 KiB pages. A varint may straddle two pages; a page, once
+/// allocated, is never copied or resized. Lossless for any `u64`
+/// sequence, equal times and steps back included.
+#[derive(Debug, Clone, Default)]
+pub struct ArrivalLog {
+    pages: Vec<Box<[u8]>>,
+    /// Bytes written into the last page.
+    tail: usize,
+    /// Times pushed.
+    len: usize,
+    /// The latest time pushed; 0 before the first.
+    prev: u64,
+}
+
+impl ArrivalLog {
+    /// Appends the time `t`: its difference from the last, seven bits a
+    /// byte from the lowest, the top bit set on every byte but the last.
+    pub fn push(&mut self, t: u64) {
+        let mut delta = t.wrapping_sub(self.prev);
+        self.prev = t;
+        self.len += 1;
+        loop {
+            if self.pages.is_empty() || self.tail == PAGE_BYTES {
+                self.add_page();
+            }
+            let page = self.pages.last_mut().expect("a page was just ensured");
+            // `tail` is stored once a varint, not once a byte: read back
+            // after every byte's store, it made each byte wait on the last.
+            let start = self.tail;
+            for (at, byte) in (start..).zip(&mut page[start..]) {
+                if delta < 0x80 {
+                    *byte = delta as u8;
+                    self.tail = at + 1;
+                    return;
+                }
+                *byte = delta as u8 | 0x80;
+                delta >>= 7;
+            }
+            self.tail = PAGE_BYTES;
+        }
+    }
+
+    /// Starts a new, empty last page: once every 4 KiB, so kept out of
+    /// line, off the path of every delivered message.
+    #[cold]
+    fn add_page(&mut self) {
+        self.pages.push(vec![0; PAGE_BYTES].into_boxed_slice());
+        self.tail = 0;
+    }
+
+    /// Times pushed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no time was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The times in the order they were pushed.
+    pub fn iter(&self) -> ArrivalIter<'_> {
+        ArrivalIter { pages: &self.pages, page: 0, at: 0, left: self.len, prev: 0 }
+    }
+}
+
+/// The decoder of an [`ArrivalLog`]: its times in order.
+#[derive(Debug)]
+pub struct ArrivalIter<'a> {
+    pages: &'a [Box<[u8]>],
+    /// Page and byte of the next varint.
+    page: usize,
+    at: usize,
+    /// Times not yet decoded.
+    left: usize,
+    /// The time decoded last; 0 before the first.
+    prev: u64,
+}
+
+impl Iterator for ArrivalIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut delta = 0u64;
+        let mut shift = 0;
+        loop {
+            if self.at == PAGE_BYTES {
+                self.page += 1;
+                self.at = 0;
+            }
+            let byte = self.pages[self.page][self.at];
+            self.at += 1;
+            delta |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        self.prev = self.prev.wrapping_add(delta);
+        Some(self.prev)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for ArrivalIter<'_> {}
 
 /// The gap between two arrivals in seconds, as both the recorder and
 /// [`jitter_series`] compute it: saturating, so a clock that stepped
@@ -215,11 +340,11 @@ impl FlowMetrics {
     }
 
     /// Moves the arrival times, one per delivered message in arrival
-    /// order, out of the recorder and leaves it none: [`jitter_series`]
-    /// derives Figures 2/3 from them. The inter-arrival statistics are
-    /// kept, so the delay and jitter columns read the same before and
-    /// after.
-    pub fn take_arrivals(&mut self) -> Vec<u64> {
+    /// order, out of the recorder and leaves it an empty log:
+    /// [`jitter_series`] derives Figures 2/3 from them. The inter-arrival
+    /// statistics are kept, so the delay and jitter columns read the same
+    /// before and after.
+    pub fn take_arrivals(&mut self) -> ArrivalLog {
         std::mem::take(&mut self.shape_mut().arrivals)
     }
 
@@ -239,17 +364,19 @@ impl FlowMetrics {
 /// inter-arrival statistics saw, gap for gap, so a point is the same to
 /// the bit whether the times came from [`FlowMetrics::take_arrivals`]
 /// or from a telemetry bus's `msg_delivered` records; the series is
-/// allocated at exactly its length.
-pub fn jitter_series(arrivals: &[u64]) -> TimeSeries {
-    let mut gaps = Welford::new();
-    let points = arrivals
-        .windows(2)
-        .map(|pair| {
-            let gap = gap_s(pair[0], pair[1]);
+/// allocated at exactly its length, and not at all for fewer than two
+/// times.
+pub fn jitter_series(mut arrivals: impl ExactSizeIterator<Item = u64>) -> TimeSeries {
+    let mut points = Vec::with_capacity(arrivals.len().saturating_sub(1));
+    if let Some(mut prev) = arrivals.next() {
+        let mut gaps = Welford::new();
+        points.extend(arrivals.map(|now| {
+            let gap = gap_s(prev, now);
+            prev = now;
             gaps.push(gap);
-            (pair[1], (gap - gaps.mean()).abs() * 1e3)
-        })
-        .collect();
+            (now, (gap - gaps.mean()).abs() * 1e3)
+        }));
+    }
     TimeSeries { points }
 }
 
@@ -300,7 +427,7 @@ mod tests {
         for &t in &times {
             m.on_message(t * MS, 0, 100, false);
         }
-        let series = jitter_series(&m.take_arrivals());
+        let series = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), times.len() - 1);
         let peak = series.values().fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 10.0, "the 40 ms gap should spike jitter, got {peak}");
@@ -316,7 +443,7 @@ mod tests {
         m.on_message(10 * MS, 0, 100, false); // same instant
         m.on_message(20 * MS, 0, 100, false);
         assert_eq!(m.messages(), 3);
-        let series = jitter_series(&m.take_arrivals());
+        let series = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), 2);
         // Gaps are 0 ms and 10 ms → mean 5 ms.
         assert!((m.inter_arrival_s() - 0.005).abs() < 1e-12);
@@ -345,7 +472,7 @@ mod tests {
             .map(f64::to_bits)
         };
         let before = columns(&m);
-        let series = jitter_series(&m.take_arrivals());
+        let series = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), 4);
         assert_eq!(series.points.capacity(), series.len(), "no doubling slack");
         assert_eq!(
@@ -363,14 +490,14 @@ mod tests {
     fn derived_series_mirrors_welford_deviation() {
         // Gaps: 1 s, 3 s. Welford means after each push: 1.0, 2.0.
         // Deviations: |1-1| = 0 ms, |3-2| = 1000 ms.
-        let series = jitter_series(&[0, 1_000_000_000, 4_000_000_000]);
+        let series = jitter_series([0, 1_000_000_000, 4_000_000_000].iter().copied());
         assert_eq!(series.len(), 2);
         assert_eq!(series.points[0], (1_000_000_000, 0.0));
         assert_eq!(series.points[1].0, 4_000_000_000);
         assert!((series.points[1].1 - 1000.0).abs() < 1e-9);
         // No gap, no point, no allocation.
         for times in [&[][..], &[7]] {
-            let empty = jitter_series(times);
+            let empty = jitter_series(times.iter().copied());
             assert!(empty.is_empty() && empty.points.capacity() == 0);
         }
     }
@@ -380,7 +507,10 @@ mod tests {
         // Arrivals at 10, 5, 7 ns: the step back is a 0 s gap (mean 0,
         // deviation 0), then a 2 ns gap against a mean of 1 ns deviates
         // by 1 ns = 1e-6 ms.
-        assert_eq!(jitter_series(&[10, 5, 7]).points, vec![(5, 0.0), (7, 1e-9 * 1e3)]);
+        assert_eq!(
+            jitter_series([10, 5, 7].iter().copied()).points,
+            vec![(5, 0.0), (7, 1e-9 * 1e3)]
+        );
     }
 
     #[test]
@@ -525,9 +655,90 @@ mod tests {
             let bits = |points: &[(u64, f64)]| -> Vec<(u64, u64)> {
                 points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
             };
-            let series = jitter_series(&full.take_arrivals());
+            let series = jitter_series(full.take_arrivals().iter());
             prop_assert_eq!(series.points.capacity(), series.len());
             prop_assert_eq!(bits(&series.points), bits(&unsplit.jitter));
+        }
+    }
+
+    /// Bytes of the LEB128 varint of `delta`.
+    fn varint_bytes(delta: u64) -> usize {
+        (64 - delta.leading_zeros() as usize).div_ceil(7).max(1)
+    }
+
+    #[test]
+    fn a_varint_straddles_a_page_and_a_millisecond_costs_three_bytes() {
+        // Every gap is 2^63 + 1 forward (wrapping), a 10-byte varint: 409
+        // take 4,090 bytes, and the 410th runs 4 bytes past the first page.
+        let mut log = ArrivalLog::default();
+        let times: Vec<u64> = (1..=420u64).map(|i| ((i % 2) << 63) | i).collect();
+        for &t in &times {
+            log.push(t);
+        }
+        assert_eq!((log.pages.len(), log.tail), (2, 420 * 10 - PAGE_BYTES));
+        assert_eq!(log.iter().collect::<Vec<_>>(), times);
+
+        let mut log = ArrivalLog::default();
+        for i in 1..=1_000u64 {
+            log.push(i * MS);
+        }
+        assert_eq!((log.pages.len(), log.tail), (1, 3 * 1_000));
+    }
+
+    proptest! {
+        /// Over streams with equal times, steps back, 0, `u64::MAX` and
+        /// gaps of 2^63 or more (10-byte varints, so pages are crossed
+        /// mid-varint): the log gives back what was pushed in exactly the
+        /// pages its varints need, and the series derived from it is the
+        /// one derived from the plain times, bit for bit, at exactly its
+        /// length.
+        #[test]
+        fn an_arrival_log_decodes_what_was_pushed(
+            steps in prop::collection::vec((0u8..7, any::<u64>()), 0..1_500),
+        ) {
+            let mut times = Vec::with_capacity(steps.len());
+            let mut now = 0u64;
+            for &(kind, x) in &steps {
+                now = match kind {
+                    0 => now,                                  // the same nanosecond
+                    1 => now.wrapping_sub(x % (1 << 40)),      // a step back
+                    2 => 0,
+                    3 => u64::MAX,
+                    4 => now.wrapping_add(x | (1 << 63)),      // a 10-byte gap
+                    5 => now.wrapping_add(x % (10 * MS)),
+                    _ => x,
+                };
+                times.push(now);
+            }
+            let mut log = ArrivalLog::default();
+            for &t in &times {
+                log.push(t);
+            }
+            prop_assert_eq!(log.len(), times.len());
+            prop_assert_eq!(log.iter().len(), times.len());
+            prop_assert_eq!(log.iter().collect::<Vec<_>>(), times.clone());
+            let bytes: usize = std::iter::once(0)
+                .chain(times.iter().copied())
+                .zip(&times)
+                .map(|(prev, &t)| varint_bytes(t.wrapping_sub(prev)))
+                .sum();
+            prop_assert_eq!(log.pages.len(), bytes.div_ceil(PAGE_BYTES));
+
+            let bits = |series: TimeSeries| -> Vec<(u64, u64)> {
+                series.points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+            };
+            let series = jitter_series(log.iter());
+            prop_assert_eq!(series.points.capacity(), series.len());
+            prop_assert_eq!(series.len(), times.len().saturating_sub(1));
+            prop_assert_eq!(bits(series), bits(jitter_series(times.iter().copied())));
+
+            // Zero or one arrival: no gap, no point, no allocation.
+            let mut short = ArrivalLog::default();
+            for &t in times.iter().take(2) {
+                let empty = jitter_series(short.iter());
+                prop_assert!(empty.is_empty() && empty.points.capacity() == 0);
+                short.push(t);
+            }
         }
     }
 
