@@ -80,7 +80,6 @@ pub struct Coordinator {
     /// Size of the most recent application message, for the frames-below-
     /// MSS condition on resolution re-adjustment.
     last_msg_size: u32,
-    mss: u32,
     log: CoordinationLog,
 }
 
@@ -91,7 +90,6 @@ impl Coordinator {
             mode,
             pending: None,
             last_msg_size: 0,
-            mss: iq_rudp::DEFAULT_MSS,
             log: CoordinationLog {
                 cumulative_factor: 1.0,
                 ..CoordinationLog::default()
@@ -130,7 +128,6 @@ impl Coordinator {
         h.write_bool(self.pending.is_some());
         h.write_f64(self.pending.map_or(0.0, |p| p.eratio_at_announce));
         h.write_u64(u64::from(self.last_msg_size));
-        h.write_u64(u64::from(self.mss));
         h.write_u64(self.log.window_rescales);
         h.write_u64(self.log.cond_corrections);
         h.write_u64(self.log.reliability_reports);
@@ -202,7 +199,7 @@ impl Coordinator {
         // already polices it (deflating here would pin the flow below
         // its share during every recovery).
         if let Some(rate_chg) = report.rate_chg {
-            let frames_below_mss = self.last_msg_size <= self.mss;
+            let frames_below_mss = self.last_msg_size <= iq_rudp::MSS;
             let pending = self.pending.take();
             if frames_below_mss && rate_chg > 0.0 {
                 // (eratio_then, eratio_now) when Eq. (1) was applied.

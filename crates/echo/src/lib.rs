@@ -6,9 +6,9 @@
 //! policies (marking / resolution / frequency / deferred), and sends
 //! through the coordinator's attribute-carrying `CMwritev_attr` path.
 //!
-//! The receiving side of a channel is `iq_rudp::RudpSinkAgent`
-//! (re-exported as [`EchoSinkAgent`]): it reassembles messages and
-//! records the receiver metrics the paper's tables report.
+//! The receiving side of a channel is [`iq_rudp::RudpSinkAgent`]: it
+//! reassembles messages and records the receiver metrics the paper's
+//! tables report.
 
 #![warn(missing_docs)]
 
@@ -21,6 +21,3 @@ pub use adapters::{effective_eratio, FrequencyAdapter, MarkingAdapter, Resolutio
 pub use deferred::DeferredResolution;
 pub use sink::{AdaptiveToleranceSink, TolerancePolicy};
 pub use source::{AdaptiveSourceAgent, Policy, SourceConfig, FRAME_TIMER_TOKEN};
-
-/// The receiving end of an IQ-ECho channel.
-pub type EchoSinkAgent = iq_rudp::RudpSinkAgent;

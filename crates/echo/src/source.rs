@@ -9,7 +9,7 @@
 use iq_attrs::AttrList;
 use iq_core::{CoordinationMode, Coordinator};
 use iq_netsim::{time, Addr, Agent, Ctx, FlowId, Packet, SenderDriver, Time};
-use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, DEFAULT_MSS};
+use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, MSS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -281,11 +281,11 @@ impl AdaptiveSourceAgent {
             // resolution adaptation shrinks datagram size, not count —
             // down-sampling sends "less data in each message with the
             // previous frequency" (§2.3.2).
-            let n = nominal.div_ceil(DEFAULT_MSS);
+            let n = nominal.div_ceil(MSS);
             // Datagrams keep a floor: real applications cannot shrink a
             // packet below its framing minimum, which also stops header
             // overhead from swallowing the goodput.
-            let dlen = size.div_ceil(n).clamp(300.min(DEFAULT_MSS), DEFAULT_MSS);
+            let dlen = size.div_ceil(n).clamp(300.min(MSS), MSS);
             let mut remaining = size;
             for _ in 0..n {
                 let len = remaining.min(dlen);

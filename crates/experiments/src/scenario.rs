@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 
 use iq_core::{CoordinationLog, CoordinationMode};
 use iq_echo::{
-    AdaptiveSourceAgent, DeferredResolution, EchoSinkAgent, MarkingAdapter, Policy,
-    ResolutionAdapter, SourceConfig,
+    AdaptiveSourceAgent, DeferredResolution, MarkingAdapter, Policy, ResolutionAdapter,
+    SourceConfig,
 };
 use iq_metrics::{FlowMetrics, TimeSeries};
 use iq_netsim::{
@@ -18,7 +18,7 @@ use iq_netsim::{
     ReceiverDriver, SenderDriver, ShardAgentId, ShardedSim,
 };
 use iq_obs::{Plane, Registry};
-use iq_rudp::{CcAlgorithm, ConnBuilder, RudpConfig, SenderConn};
+use iq_rudp::{CcAlgorithm, ConnBuilder, RudpConfig, RudpSinkAgent, SenderConn};
 use iq_tcp::{TcpConfig, TcpReceiverConn, TcpSenderConn, TcpSinkAgent};
 use iq_telemetry::{to_jsonl, TelemetryBus, TelemetrySink};
 use iq_trace::{MembershipConfig, MembershipTrace};
@@ -581,7 +581,6 @@ impl World {
         dspec.red_bottleneck = sc.red_bottleneck;
         let msgs_per_flow = sc.frame_sizes.len() as u64;
         let msg_size = sc.frame_sizes.first().copied().unwrap_or(1400);
-        let tcp_cfg = TcpConfig::default();
         let mut flows = Vec::with_capacity(legs.len() * flows_per_leg as usize);
         for &(left, right) in &legs {
             let db = build_dumbbell_leg(&mut sim, left, right, &dspec);
@@ -602,9 +601,9 @@ impl World {
                 // Enough volume to outlast the run.
                 let msgs = (sc.deadline_s * 2.5e6 / 1400.0) as u64;
                 let (peer, flow) = (Addr::new(rh[2], 12), FlowId(102));
-                let tx = SenderDriver::new(TcpSenderConn::new(900, tcp_cfg.clone()), peer, flow);
+                let tx = SenderDriver::new(TcpSenderConn::new(900, TcpConfig), peer, flow);
                 sim.add_agent(lh[2], 12, Box::new(BulkSender::new(tx, msgs, 1400)));
-                let rx = ReceiverDriver::new(TcpReceiverConn::new(900, tcp_cfg.clone()), flow);
+                let rx = ReceiverDriver::new(TcpReceiverConn::new(900, TcpConfig), flow);
                 let sink = TcpSinkAgent::new(rx, FlowMetrics::volume_only());
                 sim.add_agent(rh[2], 12, Box::new(sink));
             }
@@ -641,7 +640,7 @@ impl World {
                     }
                     FlowClass::TcpBulk => {
                         let (msgs, size) = tcp_schedule(sc);
-                        let conn = TcpSenderConn::new(id, tcp_cfg.clone());
+                        let conn = TcpSenderConn::new(id, TcpConfig);
                         Box::new(BulkSender::new(SenderDriver::new(conn, peer, flow), msgs, size))
                     }
                 };
@@ -654,10 +653,10 @@ impl World {
                     FlowClass::Adaptive(builder) | FlowClass::Bulk { builder, .. } => {
                         let builder =
                             builder.for_conn(id, flow).telemetry(flow_sinks[right].clone());
-                        Box::new(EchoSinkAgent::new(builder.build_receiver(), metrics))
+                        Box::new(RudpSinkAgent::new(builder.build_receiver(), metrics))
                     }
                     FlowClass::TcpBulk => {
-                        let conn = TcpReceiverConn::new(id, tcp_cfg.clone());
+                        let conn = TcpReceiverConn::new(id, TcpConfig);
                         Box::new(TcpSinkAgent::new(ReceiverDriver::new(conn, flow), metrics))
                     }
                 };
@@ -815,7 +814,7 @@ fn sink_state<'a>(
     rx: ShardAgentId,
     stats: &mut Option<iq_rudp::ReceiverStats>,
 ) -> (&'a FlowMetrics, bool) {
-    if let Some(s) = sim.agent::<EchoSinkAgent>(rx) {
+    if let Some(s) = sim.agent::<RudpSinkAgent>(rx) {
         sum_receiver_stats(stats.get_or_insert_default(), &s.conn().stats());
         (&s.metrics, s.is_finished())
     } else {
@@ -826,9 +825,9 @@ fn sink_state<'a>(
 
 /// A sink's application metrics, whichever transport it terminates.
 fn sink_metrics_mut(sim: &mut ShardedSim, rx: ShardAgentId) -> &mut FlowMetrics {
-    if sim.agent::<EchoSinkAgent>(rx).is_some() {
+    if sim.agent::<RudpSinkAgent>(rx).is_some() {
         &mut sim
-            .agent_mut::<EchoSinkAgent>(rx)
+            .agent_mut::<RudpSinkAgent>(rx)
             .expect("checked above")
             .metrics
     } else {
@@ -853,7 +852,7 @@ pub fn run_scenario_with(sc: &Scenario, cfg: RunConfig) -> RunResult {
         world.sim.run_slices(deadline, time::secs(1.0), |view| {
             flows.iter().all(|f| {
                 let rx = f.rx.id();
-                view.with_agent::<EchoSinkAgent, _>(rx, |s| s.is_finished())
+                view.with_agent::<RudpSinkAgent, _>(rx, |s| s.is_finished())
                     .or_else(|| view.with_agent::<TcpSinkAgent, _>(rx, |s| s.is_finished()))
                     .unwrap_or(false)
             })
@@ -1046,7 +1045,7 @@ mod tests {
         sc.cross.tcp_bulk = true;
         let world = World::build(&sc, RunConfig::default());
         for (g, flow) in world.flows.iter().enumerate() {
-            let sink = world.sim.agent::<EchoSinkAgent>(flow.rx.id()).expect("fleet sink");
+            let sink = world.sim.agent::<RudpSinkAgent>(flow.rx.id()).expect("fleet sink");
             assert_eq!(sink.metrics.records_shape(), g == 0, "flow {g}");
         }
         // The cross traffic is added first: its source, then its sink.

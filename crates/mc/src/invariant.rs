@@ -162,7 +162,7 @@ pub fn check_invariants(
     }
 
     if let Some(rate_chg) = report.rate_chg {
-        if msg_size <= iq_rudp::DEFAULT_MSS && rate_chg > 0.0 {
+        if msg_size <= iq_rudp::MSS && rate_chg > 0.0 {
             // Invariant 2 decides which factor invariant 1 must apply.
             let (factor, cond_expected) = match (mode, report.cond_eratio, pre.has_pending) {
                 (CoordinationMode::CoordinatedWithCond, Some(then), _) => (

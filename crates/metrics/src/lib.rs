@@ -13,7 +13,7 @@ pub mod stats;
 pub mod table;
 
 pub use flow::{jitter_series, FlowMetrics};
-pub use plot::{bar_chart, line_plot, PlotConfig};
+pub use plot::{bar_chart, line_plot};
 pub use series::TimeSeries;
 pub use stats::{Ewma, Welford};
 pub use table::{fmt, Table};

@@ -6,37 +6,12 @@ use std::fmt::Write as _;
 
 use crate::series::TimeSeries;
 
-/// Styling and geometry of a plot.
-#[derive(Debug, Clone)]
-pub struct PlotConfig {
-    /// Title drawn above the axes.
-    pub title: String,
-    /// X-axis label.
-    pub x_label: String,
-    /// Y-axis label.
-    pub y_label: String,
-    /// Canvas width in pixels.
-    pub width: u32,
-    /// Canvas height in pixels.
-    pub height: u32,
-    /// Downsample series to at most this many points (0 = no limit).
-    pub max_points: usize,
-}
-
-impl PlotConfig {
-    /// A sensible default for the repository's figures.
-    pub fn new(title: &str, x_label: &str, y_label: &str) -> Self {
-        Self {
-            title: title.to_string(),
-            x_label: x_label.to_string(),
-            y_label: y_label.to_string(),
-            width: 720,
-            height: 420,
-            max_points: 2000,
-        }
-    }
-}
-
+/// Canvas width in pixels.
+const WIDTH: u32 = 720;
+/// Canvas height in pixels.
+const HEIGHT: u32 = 420;
+/// A line plot downsamples each series to at most this many points.
+const MAX_POINTS: usize = 2000;
 const MARGIN_L: f64 = 64.0;
 const MARGIN_R: f64 = 16.0;
 const MARGIN_T: f64 = 40.0;
@@ -78,28 +53,27 @@ fn fmt_tick(v: f64) -> String {
     }
 }
 
-fn svg_header(out: &mut String, cfg: &PlotConfig) {
+fn svg_header(out: &mut String, title: &str) {
     let _ = write!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}" font-family="sans-serif">
 <rect width="{w}" height="{h}" fill="white"/>
 <text x="{cx}" y="22" text-anchor="middle" font-size="15" font-weight="bold">{title}</text>
 "#,
-        w = cfg.width,
-        h = cfg.height,
-        cx = cfg.width / 2,
-        title = cfg.title,
+        w = WIDTH,
+        h = HEIGHT,
+        cx = WIDTH / 2,
     );
 }
 
 fn svg_axes(
     out: &mut String,
-    cfg: &PlotConfig,
+    (x_label, y_label): (&str, &str),
     (x_lo, x_hi): (f64, f64),
     (y_lo, y_hi): (f64, f64),
 ) -> impl Fn(f64, f64) -> (f64, f64) {
-    let pw = f64::from(cfg.width) - MARGIN_L - MARGIN_R;
-    let ph = f64::from(cfg.height) - MARGIN_T - MARGIN_B;
+    let pw = f64::from(WIDTH) - MARGIN_L - MARGIN_R;
+    let ph = f64::from(HEIGHT) - MARGIN_T - MARGIN_B;
     let x_span = (x_hi - x_lo).max(1e-12);
     let y_span = (y_hi - y_lo).max(1e-12);
     let project = move |x: f64, y: f64| {
@@ -144,26 +118,25 @@ fn svg_axes(
     // Axis labels.
     let _ = write!(
         out,
-        r#"<text x="{cx}" y="{by}" text-anchor="middle" font-size="12">{xl}</text>
-<text x="14" y="{cy}" text-anchor="middle" font-size="12" transform="rotate(-90 14 {cy})">{yl}</text>
+        r#"<text x="{cx}" y="{by}" text-anchor="middle" font-size="12">{x_label}</text>
+<text x="14" y="{cy}" text-anchor="middle" font-size="12" transform="rotate(-90 14 {cy})">{y_label}</text>
 "#,
         cx = MARGIN_L + pw / 2.0,
-        by = f64::from(cfg.height) - 10.0,
+        by = f64::from(HEIGHT) - 10.0,
         cy = MARGIN_T + ph / 2.0,
-        xl = cfg.x_label,
-        yl = cfg.y_label,
     );
     project
 }
 
-/// Renders one or more time series as an SVG line plot. The x axis is
-/// the sample index (the figures plot "per packet" series).
-pub fn line_plot(cfg: &PlotConfig, series: &[(&str, &TimeSeries)]) -> String {
+/// Renders one or more time series as an SVG line plot titled `title`,
+/// its axes labelled `axes` (x, then y). The x axis is the sample index
+/// (the figures plot "per packet" series).
+pub fn line_plot(title: &str, axes: (&str, &str), series: &[(&str, &TimeSeries)]) -> String {
     let mut out = String::new();
-    svg_header(&mut out, cfg);
+    svg_header(&mut out, title);
     let prepared: Vec<(&str, TimeSeries)> = series
         .iter()
-        .map(|&(name, s)| (name, s.downsample(cfg.max_points)))
+        .map(|&(name, s)| (name, s.downsample(MAX_POINTS)))
         .collect();
     let x_hi = prepared
         .iter()
@@ -176,7 +149,7 @@ pub fn line_plot(cfg: &PlotConfig, series: &[(&str, &TimeSeries)]) -> String {
         .flat_map(|(_, s)| s.values().collect::<Vec<_>>())
         .fold(f64::NEG_INFINITY, f64::max)
         .max(1e-9);
-    let project = svg_axes(&mut out, cfg, (0.0, x_hi), (0.0, y_hi * 1.05));
+    let project = svg_axes(&mut out, axes, (0.0, x_hi), (0.0, y_hi * 1.05));
     for (i, (name, s)) in prepared.iter().enumerate() {
         let color = SERIES_COLORS[i % SERIES_COLORS.len()];
         let mut path = String::new();
@@ -197,10 +170,16 @@ pub fn line_plot(cfg: &PlotConfig, series: &[(&str, &TimeSeries)]) -> String {
     out
 }
 
-/// Renders grouped bars: one group per label, one bar per series.
-pub fn bar_chart(cfg: &PlotConfig, labels: &[String], series: &[(&str, Vec<f64>)]) -> String {
+/// Renders grouped bars titled `title`, its axes labelled `axes` (x,
+/// then y): one group per label, one bar per series.
+pub fn bar_chart(
+    title: &str,
+    axes: (&str, &str),
+    labels: &[String],
+    series: &[(&str, Vec<f64>)],
+) -> String {
     let mut out = String::new();
-    svg_header(&mut out, cfg);
+    svg_header(&mut out, title);
     let y_hi = series
         .iter()
         .flat_map(|(_, v)| v.iter().copied())
@@ -212,7 +191,7 @@ pub fn bar_chart(cfg: &PlotConfig, labels: &[String], series: &[(&str, Vec<f64>)
         .fold(0.0f64, f64::min);
     let project = svg_axes(
         &mut out,
-        cfg,
+        axes,
         (0.0, labels.len() as f64),
         (y_lo * 1.1, y_hi * 1.1),
     );
@@ -236,7 +215,7 @@ pub fn bar_chart(cfg: &PlotConfig, labels: &[String], series: &[(&str, Vec<f64>)
         let _ = writeln!(
             out,
             r#"<text x="{cx:.1}" y="{ty}" text-anchor="middle" font-size="11">{label}</text>"#,
-            ty = f64::from(cfg.height) - MARGIN_B + 30.0,
+            ty = f64::from(HEIGHT) - MARGIN_B + 30.0,
         );
     }
     for (si, (name, _)) in series.iter().enumerate() {
@@ -266,10 +245,13 @@ mod tests {
 
     #[test]
     fn line_plot_is_wellformed_svg() {
-        let cfg = PlotConfig::new("Test", "packet", "jitter (ms)");
         let s1 = series(500);
         let s2 = series(300);
-        let svg = line_plot(&cfg, &[("IQ-RUDP", &s1), ("RUDP", &s2)]);
+        let svg = line_plot(
+            "Test",
+            ("packet", "jitter (ms)"),
+            &[("IQ-RUDP", &s1), ("RUDP", &s2)],
+        );
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         assert_eq!(svg.matches("<path").count(), 2);
@@ -279,20 +261,18 @@ mod tests {
 
     #[test]
     fn line_plot_downsamples_large_series() {
-        let mut cfg = PlotConfig::new("T", "x", "y");
-        cfg.max_points = 100;
         let s = series(10_000);
-        let svg = line_plot(&cfg, &[("s", &s)]);
-        // Path has ~100 points, not 10k: count coordinate pairs.
+        let svg = line_plot("T", ("x", "y"), &[("s", &s)]);
+        // The path has MAX_POINTS points, not 10k: count coordinate pairs.
         let path = svg.split("d=\"").nth(1).unwrap().split('"').next().unwrap();
-        assert!(path.split_whitespace().count() <= 110);
+        assert_eq!(path.split_whitespace().count(), MAX_POINTS);
     }
 
     #[test]
     fn bar_chart_draws_all_groups() {
-        let cfg = PlotConfig::new("Fig 4", "iperf", "%");
         let svg = bar_chart(
-            &cfg,
+            "Fig 4",
+            ("iperf", "%"),
             &["12M".into(), "16M".into(), "18M".into()],
             &[
                 ("thpt gain", vec![6.0, 15.0, 25.0]),
@@ -305,8 +285,7 @@ mod tests {
 
     #[test]
     fn negative_bars_render() {
-        let cfg = PlotConfig::new("F", "x", "y");
-        let svg = bar_chart(&cfg, &["a".into()], &[("v", vec![-5.0])]);
+        let svg = bar_chart("F", ("x", "y"), &["a".into()], &[("v", vec![-5.0])]);
         assert!(svg.contains("<rect"));
     }
 

@@ -8,13 +8,17 @@
 //! [`Wire`], keeps only the arrivals stamped with its own id, and — on
 //! the sending side — keeps the protocol timer armed at the
 //! connection's next deadline. [`BulkSender`] is the ready-made agent
-//! that pushes a fixed volume through any [`SendConn`].
+//! that pushes a fixed volume through any [`SendConn`], and
+//! [`RttEstimator`] the one round-trip estimator both transports time
+//! their retransmissions with.
 
 use std::any::Any;
 
 use crate::agent::{Agent, Ctx, TimerId};
 use crate::packet::{payload, Addr, FlowId, Packet};
 use crate::time::Time;
+
+pub use crate::rtt::RttEstimator;
 
 /// Timer token of a [`SenderDriver`]'s protocol timer. The driver owns
 /// the routing ([`SenderDriver::on_timer`]); an agent that embeds one

@@ -59,6 +59,7 @@ pub mod event;
 pub mod link;
 pub mod packet;
 pub mod routing;
+mod rtt;
 pub mod sched;
 pub mod shard;
 pub mod sim;
@@ -67,8 +68,8 @@ pub mod time;
 pub mod topology;
 
 pub use agent::{Agent, Ctx, TimerId};
-pub use endpoint::{BulkSender, Conn, ReceiverDriver, SendConn, SenderDriver, Wire};
-pub use link::{LinkSpec, LinkStats, QueueDiscipline, RedParams};
+pub use endpoint::{BulkSender, Conn, ReceiverDriver, RttEstimator, SendConn, SenderDriver, Wire};
+pub use link::{LinkSpec, LinkStats, QueueDiscipline};
 pub use packet::{payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats};
 pub use routing::RoutingTable;
 pub use sched::{EventQueue, SchedStats};

@@ -23,37 +23,19 @@ pub enum QueueDiscipline {
     /// Drop arriving packets only when the queue is full (the paper's
     /// EMULAB router behaviour and the default everywhere).
     DropTail,
-    /// Random Early Detection: probabilistic drops ramp up between the
-    /// thresholds of the *averaged* queue size, signalling congestion
-    /// before the buffer overflows.
-    Red(RedParams),
+    /// Random Early Detection (Floyd & Jacobson, scaled to byte queues):
+    /// probabilistic drops ramp up as the *averaged* queue size goes from
+    /// a quarter to three quarters of the link's `queue_bytes`,
+    /// signalling congestion before the buffer overflows.
+    Red,
 }
 
-/// RED tunables (Floyd & Jacobson defaults scaled to byte queues).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RedParams {
-    /// Averaged queue size below which nothing is dropped, bytes.
-    pub min_th_bytes: u32,
-    /// Averaged queue size above which everything is dropped, bytes.
-    pub max_th_bytes: u32,
-    /// Drop probability as the average reaches `max_th_bytes`.
-    pub max_p: f64,
-    /// EWMA weight for the averaged queue size.
-    pub weight: f64,
-}
+/// RED's drop probability as the averaged queue reaches its upper
+/// threshold.
+const RED_MAX_P: f64 = 0.1;
 
-impl RedParams {
-    /// Conventional parameters for a queue of `capacity` bytes:
-    /// thresholds at 25 % / 75 %, `max_p` 0.1, weight 0.002.
-    pub fn for_capacity(capacity: u32) -> Self {
-        Self {
-            min_th_bytes: capacity / 4,
-            max_th_bytes: capacity * 3 / 4,
-            max_p: 0.1,
-            weight: 0.002,
-        }
-    }
-}
+/// RED's EWMA weight for the averaged queue size.
+const RED_WEIGHT: f64 = 0.002;
 
 /// Immutable link configuration.
 #[derive(Debug, Clone)]
@@ -87,9 +69,9 @@ impl LinkSpec {
         }
     }
 
-    /// Switches the queue to RED with the given parameters.
-    pub fn with_red(mut self, params: RedParams) -> Self {
-        self.discipline = QueueDiscipline::Red(params);
+    /// Switches the queue to RED, its thresholds set by `queue_bytes`.
+    pub fn with_red(mut self) -> Self {
+        self.discipline = QueueDiscipline::Red;
         self
     }
 
@@ -102,14 +84,6 @@ impl LinkSpec {
     /// Adds uniform propagation jitter in `[0, jitter]`.
     pub fn with_jitter(mut self, jitter: TimeDelta) -> Self {
         self.jitter = jitter;
-        self
-    }
-
-    /// Queue capacity sized to one bandwidth-delay product of `rtt`,
-    /// the conventional router buffer rule used for the experiments.
-    pub fn with_bdp_queue(mut self, rtt: TimeDelta) -> Self {
-        let bdp = self.rate_bps * (rtt as f64 / crate::time::SECOND as f64) / 8.0;
-        self.queue_bytes = bdp.max(3000.0) as u32;
         self
     }
 }
@@ -224,16 +198,17 @@ impl LinkState {
     /// owns the key and must release the slab entry.
     pub fn enqueue(&mut self, key: PacketKey, sz: u32, rng: &mut SmallRng) -> Enqueue {
         // RED early drop, evaluated on the averaged queue size.
-        if let QueueDiscipline::Red(red) = self.spec.discipline {
+        if self.spec.discipline == QueueDiscipline::Red {
+            let capacity = self.spec.queue_bytes;
+            let (min_th, max_th) = (capacity / 4, (u64::from(capacity) * 3 / 4) as u32);
             self.avg_queue =
-                (1.0 - red.weight) * self.avg_queue + red.weight * f64::from(self.queued_bytes);
-            let drop_p = if self.avg_queue < f64::from(red.min_th_bytes) {
+                (1.0 - RED_WEIGHT) * self.avg_queue + RED_WEIGHT * f64::from(self.queued_bytes);
+            let drop_p = if self.avg_queue < f64::from(min_th) {
                 0.0
-            } else if self.avg_queue >= f64::from(red.max_th_bytes) {
+            } else if self.avg_queue >= f64::from(max_th) {
                 1.0
             } else {
-                red.max_p * (self.avg_queue - f64::from(red.min_th_bytes))
-                    / f64::from(red.max_th_bytes - red.min_th_bytes)
+                RED_MAX_P * (self.avg_queue - f64::from(min_th)) / f64::from(max_th - min_th)
             };
             if drop_p > 0.0 && rng.gen::<f64>() < drop_p {
                 self.stats.red_drops += 1;
@@ -374,17 +349,12 @@ mod tests {
 
     #[test]
     fn red_drops_early_when_average_queue_high() {
-        let params = RedParams::for_capacity(10_000);
-        let mut l = LinkState::new(
-            LinkSpec::new(8e6, crate::time::millis(1), 10_000).with_red(RedParams {
-                weight: 0.5, // fast-moving average for the test
-                ..params
-            }),
-        );
+        let mut l = LinkState::new(LinkSpec::new(8e6, crate::time::millis(1), 10_000).with_red());
         let mut r = rng();
-        // Fill the queue to drive the average well above max_th.
+        // Keep the queue full long enough for the slow (0.002) average
+        // to pass max_th: after ~700 arrivals it is above 7,500 B.
         let mut dropped = 0;
-        for i in 0..60 {
+        for i in 0..1000 {
             if l.enqueue(PacketKey(i), 500, &mut r) == Enqueue::Dropped {
                 dropped += 1;
             }
@@ -397,31 +367,12 @@ mod tests {
 
     #[test]
     fn red_is_quiet_below_min_threshold() {
-        let mut l = LinkState::new(
-            LinkSpec::new(8e6, crate::time::millis(1), 100_000)
-                .with_red(RedParams::for_capacity(100_000)),
-        );
+        let mut l = LinkState::new(LinkSpec::new(8e6, crate::time::millis(1), 100_000).with_red());
         let mut r = rng();
         for i in 0..10 {
             assert_ne!(l.enqueue(PacketKey(i), 500, &mut r), Enqueue::Dropped);
             l.begin_tx();
         }
         assert_eq!(l.stats.red_drops, 0);
-    }
-
-    #[test]
-    fn red_params_for_capacity() {
-        let p = RedParams::for_capacity(100_000);
-        assert_eq!(p.min_th_bytes, 25_000);
-        assert_eq!(p.max_th_bytes, 75_000);
-        assert!(p.max_p > 0.0 && p.max_p < 1.0);
-    }
-
-    #[test]
-    fn bdp_queue_sizing() {
-        let spec = LinkSpec::new(20e6, crate::time::millis(15), 0)
-            .with_bdp_queue(crate::time::millis(30));
-        // 20 Mb/s * 30 ms / 8 = 75,000 bytes.
-        assert_eq!(spec.queue_bytes, 75_000);
     }
 }

@@ -12,6 +12,9 @@ use crate::shard::ShardedSim;
 use crate::sim::Simulator;
 use crate::time::{millis, TimeDelta};
 
+/// Access link rate: fast enough never to be the constraint.
+const ACCESS_BPS: f64 = 1e9;
+
 /// Handles to the pieces of a dumbbell topology.
 #[derive(Debug, Clone)]
 pub struct Dumbbell {
@@ -42,8 +45,6 @@ pub struct DumbbellSpec {
     /// Bottleneck queue size in bytes; by convention one RTT worth of the
     /// bottleneck rate.
     pub queue_bytes: u32,
-    /// Access link rate (fast; default 1 Gb/s).
-    pub access_bps: f64,
     /// Run the bottleneck queue under RED instead of drop-tail.
     pub red_bottleneck: bool,
 }
@@ -59,7 +60,6 @@ impl DumbbellSpec {
             bottleneck_bps,
             one_way_delay: millis(15),
             queue_bytes: bdp,
-            access_bps: 1e9,
             red_bottleneck: false,
         }
     }
@@ -133,14 +133,14 @@ fn dumbbell<S>(
 
     let mut bn_spec = LinkSpec::new(spec.bottleneck_bps, bottleneck_delay, spec.queue_bytes);
     if spec.red_bottleneck {
-        bn_spec = bn_spec.with_red(crate::link::RedParams::for_capacity(spec.queue_bytes));
+        bn_spec = bn_spec.with_red();
     }
     let (bottleneck, bottleneck_back) = add_duplex_link(sim, left_router, right_router, bn_spec);
 
     let mut left_hosts = Vec::with_capacity(spec.pairs);
     let mut right_hosts = Vec::with_capacity(spec.pairs);
     // Access queues are generous: the bottleneck is the only loss point.
-    let access_spec = LinkSpec::new(spec.access_bps, access_delay, 16 * 1024 * 1024);
+    let access_spec = LinkSpec::new(ACCESS_BPS, access_delay, 16 * 1024 * 1024);
     for _ in 0..spec.pairs {
         let l = add_node(sim, false);
         let r = add_node(sim, true);

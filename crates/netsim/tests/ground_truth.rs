@@ -4,7 +4,7 @@
 //! bottlenecks that also lose packets at random.
 
 use iq_netsim::agent::{Agent, Ctx};
-use iq_netsim::{payload, time, Addr, FlowId, LinkSpec, LinkStats, Packet, RedParams, Simulator};
+use iq_netsim::{payload, time, Addr, FlowId, LinkSpec, LinkStats, Packet, Simulator};
 use iq_telemetry::{TelemetryReport, TelemetrySink};
 
 const FLOWS: u32 = 4;
@@ -43,7 +43,7 @@ fn check(seed: u64, red: bool) {
     let (left, right) = (sim.add_node(), sim.add_node());
     let mut bottleneck = LinkSpec::new(4e6, time::millis(5), 15_000).with_random_loss(0.05);
     if red {
-        bottleneck = bottleneck.with_red(RedParams::for_capacity(15_000));
+        bottleneck = bottleneck.with_red();
     }
     let (fwd, back) = sim.add_duplex_link(left, right, bottleneck);
     let mut links = vec![fwd, back];

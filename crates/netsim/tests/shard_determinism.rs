@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use iq_netsim::agent::{Agent, Ctx};
 use iq_netsim::{
-    payload, Addr, FlowId, LinkSpec, NodeId, Packet, RedParams, ShardAgentId, ShardedSim,
+    payload, Addr, FlowId, LinkSpec, NodeId, Packet, ShardAgentId, ShardedSim,
     SimCounters, Simulator, Time,
 };
 use iq_telemetry::{parse_jsonl, to_jsonl, TelemetryBus, TelemetryReport, TelemetrySink};
@@ -129,7 +129,7 @@ impl Net for Simulator {
 /// the pingers.
 fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> Vec<ShardAgentId> {
     let bottleneck = if p.red {
-        LinkSpec::new(1e6, p.delay_ms * MS, 20_000).with_red(RedParams::for_capacity(20_000))
+        LinkSpec::new(1e6, p.delay_ms * MS, 20_000).with_red()
     } else {
         // jitter knob: 0 → none, 1 → 200 µs, 2 → 1.5 ms.
         let jitter = [0, 200_000, 1_500_000][p.jitter_us as usize % 3];

@@ -38,7 +38,7 @@
 use iq_netsim::Time;
 
 use crate::meter::NetCond;
-use crate::segment::DEFAULT_MSS;
+use crate::segment::MSS;
 
 /// Initial window of the adaptive controllers, segments.
 pub const INITIAL_CWND: f64 = 2.0;
@@ -443,7 +443,7 @@ impl Bbr {
             return None;
         }
         // rate is KB/s and RTT is ms, so rate·rtt is bytes in flight.
-        Some(max_rate * min_rtt / f64::from(DEFAULT_MSS))
+        Some(max_rate * min_rtt / f64::from(MSS))
     }
 
     /// Feeds the period's delivery rate and RTT into the filters and

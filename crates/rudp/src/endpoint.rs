@@ -314,12 +314,8 @@ mod tests {
         let mut sim = Simulator::new(5);
         let a = sim.add_node();
         let b = sim.add_node();
-        // 8 Mb/s, 20 ms RTT; queue = BDP.
-        sim.add_duplex_link(
-            a,
-            b,
-            LinkSpec::new(8e6, time::millis(10), 64_000).with_bdp_queue(time::millis(20)),
-        );
+        // 8 Mb/s, 20 ms RTT; queue = BDP (20,000 B).
+        sim.add_duplex_link(a, b, LinkSpec::new(8e6, time::millis(10), 20_000));
         let (sender, sink) = pair(&RudpConfig::default(), b, 2000);
         sim.add_agent(a, 1, Box::new(sender));
         let rx = sim.add_agent(b, 1, Box::new(sink));

@@ -27,7 +27,6 @@ pub mod inline;
 pub mod meter;
 pub mod receiver;
 pub mod ring;
-pub mod rtt;
 pub mod segment;
 pub mod sender;
 pub mod types;
@@ -38,10 +37,9 @@ pub use inline::InlineQueue;
 pub use meter::{NetCond, PeriodMeter};
 pub use receiver::ReceiverConn;
 pub use ring::SeqRing;
-pub use rtt::RttEstimator;
 pub use segment::{
-    wire_size, AckSeg, DataSeg, SackRanges, Segment, ACK_BYTES, DEFAULT_MSS, HEADER_BYTES,
-    MAX_SACK_RANGES, SACK_RANGE_BYTES,
+    wire_size, AckSeg, DataSeg, SackRanges, Segment, ACK_BYTES, HEADER_BYTES, MAX_SACK_RANGES,
+    MSS, SACK_RANGE_BYTES,
 };
 pub use sender::{SenderConn, SenderState};
 pub use types::{ConnEvent, DeliveredMsg, ReceiverStats, RudpConfig, SendOutcome, SenderStats};

@@ -190,11 +190,8 @@ impl ReceiverConn {
     /// # Panics
     /// Panics if `cfg.recv_buffer_segments` exceeds 65,535: a SACK block
     /// stores its ranges as 16-bit offsets, which covers every sequence
-    /// number a receiver can hold only up to that window. Panics, as the
-    /// sender does, if `cfg.mss` is outside 1..=65,535 or
-    /// `cfg.dupack_threshold` is above 255.
+    /// number a receiver can hold only up to that window.
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
-        cfg.check_fragment_limits();
         assert!(
             cfg.recv_buffer_segments <= u32::from(u16::MAX),
             "recv_buffer_segments is {}, above the 65,535 a SACK block can span",
@@ -939,30 +936,6 @@ mod tests {
             1,
             RudpConfig {
                 recv_buffer_segments: 65_536,
-                ..RudpConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "mss is 0")]
-    fn a_zero_mss_is_refused_by_the_receiver_too() {
-        ReceiverConn::new(
-            1,
-            RudpConfig {
-                mss: 0,
-                ..RudpConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "dupack_threshold is 256")]
-    fn a_dupack_threshold_above_a_byte_is_refused_by_the_receiver_too() {
-        ReceiverConn::new(
-            1,
-            RudpConfig {
-                dupack_threshold: 256,
                 ..RudpConfig::default()
             },
         );

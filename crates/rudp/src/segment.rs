@@ -24,8 +24,10 @@ pub const ACK_BYTES: u32 = HEADER_BYTES + 16;
 /// (two 16-bit fields against one 64-bit base).
 pub const SACK_RANGE_BYTES: u32 = 8;
 
-/// Default maximum RUDP segment payload (paper §3.1: 1400 bytes).
-pub const DEFAULT_MSS: u32 = 1400;
+/// The RUDP segment payload, bytes (paper §3.1): a sender fragments
+/// every message at it, and the controllers, the sources and the
+/// coordinator that reason in segments read the same constant.
+pub const MSS: u32 = 1400;
 
 /// Maximum SACK ranges reported per ACK.
 pub const MAX_SACK_RANGES: usize = 8;

@@ -6,15 +6,14 @@
 use std::num::NonZeroU16;
 use std::sync::Arc;
 
-use iq_netsim::Time;
+use iq_netsim::{time, RttEstimator, Time, TimeDelta};
 use iq_telemetry::{CwndReason, TelemetryEvent, TelemetrySink};
 
 use crate::cc::CcController;
 use crate::inline::InlineQueue;
 use crate::meter::{NetCond, PeriodMeter};
 use crate::ring::SeqRing;
-use crate::rtt::RttEstimator;
-use crate::segment::{AckSeg, DataSeg, Segment};
+use crate::segment::{AckSeg, DataSeg, Segment, MSS};
 use crate::types::{ConnEvent, RudpConfig, SendOutcome, SenderStats};
 
 /// Where the measured error ratio sits relative to the registered
@@ -53,17 +52,31 @@ pub enum SenderState {
     Closed,
 }
 
+/// ACKs above a segment that do not cover it before it is declared lost
+/// (fast retransmit).
+const DUPACK_THRESHOLD: u8 = 3;
+
+/// Lower clamp on the retransmission timeout.
+const MIN_RTO: TimeDelta = time::millis(100);
+
+/// Upper clamp on the retransmission timeout.
+const MAX_RTO: TimeDelta = 4 * time::SECOND;
+
+// A queued fragment holds its length in 16 bits, and every fragment
+// carries at least one byte.
+const _: () = assert!(MSS >= 1 && MSS <= u16::MAX as u32);
+
 /// A fragment of a submitted message, from submission until it is
 /// acknowledged or abandoned: what goes on the wire with it, and its
 /// transmit state (all zero until the first transmission). 32 bytes, and
 /// so is `Option<Frag>`: a slot of the fragment ring is paid for by
 /// every connection, and a backlog by every fragment queued. Past the
-/// three 64-bit fields everything packs into one word, within limits
-/// [`SenderConn::from_shared`] checks: `len` fits 16 bits because `mss`
-/// does, `dup_hint` a byte because it stops counting at
-/// `dupack_threshold`, the three flags share a byte, and `frag_count`
-/// is never zero, the niche that makes a ring slot's `Option` free.
-/// `Copy`, so that cloning a ring's inline slab is a block copy.
+/// three 64-bit fields everything packs into one word: `len` fits 16
+/// bits because [`MSS`] does (asserted at compile time), `dup_hint` a
+/// byte because it stops counting at [`DUPACK_THRESHOLD`], the three
+/// flags share a byte, and `frag_count` is never zero, the niche that
+/// makes a ring slot's `Option` free. `Copy`, so that cloning a ring's
+/// inline slab is a block copy.
 #[derive(Debug, Clone, Copy)]
 struct Frag {
     msg_id: u64,
@@ -75,7 +88,7 @@ struct Frag {
     len: u16,
     /// Number of ACKs that covered data above this seq without covering
     /// it (loss-detection counter). It stops once the fragment is
-    /// declared lost, at `dupack_threshold` at most, and saturates.
+    /// declared lost, at [`DUPACK_THRESHOLD`] at most, and saturates.
     dup_hint: u8,
     /// [`Frag::MARKED`] | [`Frag::RETRANSMITTED`] | [`Frag::LOST_PENDING`].
     flags: u8,
@@ -292,13 +305,7 @@ impl SenderConn {
     /// Creates a sender sharing an already-wrapped configuration (the
     /// [`crate::ConnBuilder`] path: many-flow setups build hundreds of
     /// connections from one config without cloning it each time).
-    ///
-    /// # Panics
-    /// Panics if `cfg.mss` is outside 1..=65,535 or
-    /// `cfg.dupack_threshold` is above 255, the limits a queued
-    /// fragment's packed fields hold.
     pub fn from_shared(conn_id: u32, cfg: Arc<RudpConfig>) -> Self {
-        cfg.check_fragment_limits();
         let cc = CcController::new(&cfg.cc.algorithm);
         let discard_unmarked = cfg.discard_unmarked;
         Self {
@@ -420,6 +427,11 @@ impl SenderConn {
         self.frags.iter().take_while(move |&(seq, _)| seq < next_seq)
     }
 
+    /// The retransmission timeout, within RUDP's clamps.
+    fn rto(&self) -> TimeDelta {
+        self.rtt.rto(MIN_RTO, MAX_RTO)
+    }
+
     /// The earliest in-flight segment not already declared lost, and
     /// when it was last transmitted: the one the RTO runs on.
     fn earliest_outstanding(&self) -> Option<(u64, Time)> {
@@ -471,19 +483,18 @@ impl SenderConn {
     /// discard-unmarked coordination is active.
     ///
     /// # Panics
-    /// Panics if `size` is 0 or more than 65,535 fragments of `mss`
+    /// Panics if `size` is 0 or more than 65,535 fragments of [`MSS`]
     /// bytes, the most a segment's fragment count can number.
     pub fn send_message(&mut self, now: Time, size: u32, marked: bool) -> SendOutcome {
         assert!(size > 0, "empty messages are not allowed");
-        let frags = size.div_ceil(self.cfg.mss);
+        let frags = size.div_ceil(MSS);
         let frag_count = u16::try_from(frags)
             .ok()
             .and_then(NonZeroU16::new)
             .unwrap_or_else(|| {
                 panic!(
-                    "a {size}-byte message is {frags} fragments of mss {}, above the 65,535 a \
-                     message may have",
-                    self.cfg.mss
+                    "a {size}-byte message is {frags} fragments of {MSS} bytes, above the \
+                     65,535 a message may have"
                 )
             });
         if self.discard_unmarked && !marked {
@@ -497,7 +508,7 @@ impl SenderConn {
         self.stats.msgs_submitted += 1;
         let mut remaining = size;
         for idx in 0..frag_count.get() {
-            let len = remaining.min(self.cfg.mss);
+            let len = remaining.min(MSS);
             remaining -= len;
             self.frags.insert(
                 self.next_seq + self.unsent as u64,
@@ -507,7 +518,7 @@ impl SenderConn {
                     tx_at: 0,
                     frag_idx: idx,
                     frag_count,
-                    len: u16::try_from(len).expect("from_shared holds mss to 16 bits"),
+                    len: u16::try_from(len).expect("MSS fits 16 bits"),
                     dup_hint: 0,
                     flags: if marked { Frag::MARKED } else { 0 },
                 },
@@ -676,14 +687,13 @@ impl SenderConn {
         } else {
             ack.highest_seen
         };
-        let dupack_threshold = self.cfg.dupack_threshold;
         self.frags
             .for_each_mut_below(dup_horizon.min(sent_end), |seq, entry| {
                 if entry.lost_pending() {
                     return;
                 }
                 entry.dup_hint = entry.dup_hint.saturating_add(1);
-                if u32::from(entry.dup_hint) >= dupack_threshold {
+                if entry.dup_hint >= DUPACK_THRESHOLD {
                     self.scratch_seqs.push_back(seq);
                 }
             });
@@ -737,11 +747,11 @@ impl SenderConn {
                 // the per-iteration Karn backoff pushes the RTO out for
                 // whatever remains.
                 while let Some((seq, tx_at)) = self.earliest_outstanding() {
-                    if now < tx_at + self.rtt.rto(&self.cfg) {
+                    if now < tx_at + self.rto() {
                         break;
                     }
                     self.stats.timeouts += 1;
-                    let rto_ns = self.rtt.rto(&self.cfg);
+                    let rto_ns = self.rto();
                     self.rtt.on_timeout();
                     let cwnd = self.cc.on_timeout();
                     self.telemetry.emit_with(now, self.telemetry_flow, || {
@@ -852,7 +862,7 @@ impl SenderConn {
             SenderState::Established => {
                 let mut t = self.meter.deadline(self.cfg.measure_period);
                 if let Some((_, tx_at)) = self.earliest_outstanding() {
-                    t = t.min(tx_at + self.rtt.rto(&self.cfg));
+                    t = t.min(tx_at + self.rto());
                 }
                 t
             }
@@ -871,14 +881,14 @@ impl SenderConn {
         match self.state {
             SenderState::Idle => {
                 self.state = SenderState::SynSent;
-                self.handshake_deadline = now + self.rtt.rto(&self.cfg);
+                self.handshake_deadline = now + self.rto();
                 self.handshake_dirty = false;
                 Some(Segment::Syn { init_seq: 0 })
             }
             SenderState::SynSent => {
                 if self.handshake_dirty {
                     self.handshake_dirty = false;
-                    self.handshake_deadline = now + self.rtt.rto(&self.cfg);
+                    self.handshake_deadline = now + self.rto();
                     Some(Segment::Syn { init_seq: 0 })
                 } else {
                     None
@@ -888,7 +898,7 @@ impl SenderConn {
             SenderState::FinSent => {
                 if self.handshake_dirty {
                     self.handshake_dirty = false;
-                    self.handshake_deadline = now + self.rtt.rto(&self.cfg);
+                    self.handshake_deadline = now + self.rto();
                     Some(Segment::Fin {
                         final_seq: self.next_seq,
                     })
@@ -961,7 +971,7 @@ impl SenderConn {
         // 4. Graceful close once everything is finished.
         if self.finish_requested && self.frags.is_empty() {
             self.state = SenderState::FinSent;
-            self.handshake_deadline = now + self.rtt.rto(&self.cfg);
+            self.handshake_deadline = now + self.rto();
             self.handshake_dirty = false;
             return Some(Segment::Fin {
                 final_seq: self.next_seq,
@@ -1102,51 +1112,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mss is 0")]
-    fn a_zero_mss_is_refused() {
-        SenderConn::new(
-            1,
-            RudpConfig {
-                mss: 0,
-                ..RudpConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "mss is 65536")]
-    fn an_mss_past_16_bits_is_refused() {
-        SenderConn::new(
-            1,
-            RudpConfig {
-                mss: 65_536,
-                ..RudpConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "dupack_threshold is 256")]
-    fn a_dupack_threshold_past_a_byte_is_refused() {
-        SenderConn::new(
-            1,
-            RudpConfig {
-                dupack_threshold: 256,
-                ..RudpConfig::default()
-            },
-        );
-    }
-
-    #[test]
     fn a_message_of_65535_fragments_is_queued_whole() {
-        let mut c = SenderConn::new(
-            1,
-            RudpConfig {
-                mss: 1,
-                ..RudpConfig::default()
-            },
-        );
-        match c.send_message(0, 65_535, true) {
+        let mut c = SenderConn::new(1, RudpConfig::default());
+        match c.send_message(0, 65_535 * MSS, true) {
             SendOutcome::Queued { fragments, .. } => assert_eq!(fragments, u16::MAX),
             other => panic!("{other:?}"),
         }
@@ -1154,18 +1122,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a 65536-byte message is 65536 fragments of mss 1")]
+    #[should_panic(expected = "a 91749001-byte message is 65536 fragments of 1400 bytes")]
     fn a_message_of_more_than_65535_fragments_is_refused() {
         // It used to wrap to 0 fragments: counted as submitted, and
         // nothing queued.
-        let mut c = SenderConn::new(
-            1,
-            RudpConfig {
-                mss: 1,
-                ..RudpConfig::default()
-            },
-        );
-        c.send_message(0, 65_536, true);
+        SenderConn::new(1, RudpConfig::default()).send_message(0, 65_535 * MSS + 1, true);
     }
 
     #[test]

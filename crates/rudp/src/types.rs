@@ -4,24 +4,15 @@ use iq_netsim::{time, Time, TimeDelta};
 
 use crate::cc::CcConfig;
 use crate::meter::NetCond;
-use crate::segment::DEFAULT_MSS;
 
 /// Connection configuration, shared by sender and receiver endpoints
 /// (each uses the fields relevant to its role).
 #[derive(Debug, Clone)]
 pub struct RudpConfig {
-    /// Maximum data payload per segment (paper: 1400 B).
-    pub mss: u32,
     /// Congestion-control tunables.
     pub cc: CcConfig,
     /// Measuring-period length for loss-ratio/metrics snapshots.
     pub measure_period: TimeDelta,
-    /// SACK-above count that declares a segment lost (fast retransmit).
-    pub dupack_threshold: u32,
-    /// Lower clamp on the retransmission timeout.
-    pub min_rto: TimeDelta,
-    /// Upper clamp on the retransmission timeout.
-    pub max_rto: TimeDelta,
     /// Receive buffer, in segments (advertised window).
     pub recv_buffer_segments: u32,
     /// Receiver loss tolerance in `[0, 1]`: the fraction of traffic the
@@ -45,12 +36,8 @@ pub struct RudpConfig {
 impl Default for RudpConfig {
     fn default() -> Self {
         Self {
-            mss: DEFAULT_MSS,
             cc: CcConfig::default(),
             measure_period: time::millis(100),
-            dupack_threshold: 3,
-            min_rto: time::millis(100),
-            max_rto: time::secs(4.0),
             recv_buffer_segments: 2048,
             loss_tolerance: 0.0,
             upper_threshold: None,
@@ -58,25 +45,6 @@ impl Default for RudpConfig {
             discard_unmarked: false,
             ack_every: 1,
         }
-    }
-}
-
-impl RudpConfig {
-    /// Panics unless `mss` is in 1..=65,535 and `dupack_threshold` at
-    /// most 255: a sender's queued fragment holds its length in 16 bits
-    /// and its dup-ACK count in 8. Both endpoints check, so a config is
-    /// refused whichever end is built first.
-    pub(crate) fn check_fragment_limits(&self) {
-        assert!(
-            (1..=u32::from(u16::MAX)).contains(&self.mss),
-            "mss is {}, outside the 1..=65,535 a fragment's length holds",
-            self.mss
-        );
-        assert!(
-            self.dupack_threshold <= u32::from(u8::MAX),
-            "dupack_threshold is {}, above the 255 a fragment's dup-ACK count holds",
-            self.dupack_threshold
-        );
     }
 }
 

@@ -124,11 +124,10 @@ mod tests {
     /// A bulk sender of `msgs` 1400-byte messages on connection `id`
     /// toward `peer`, and its sink.
     fn pair(id: u32, peer: NodeId, msgs: u64) -> (BulkSender<TcpSenderConn>, TcpSinkAgent) {
-        let cfg = TcpConfig::default();
-        let conn = TcpSenderConn::new(id, cfg.clone());
+        let conn = TcpSenderConn::new(id, TcpConfig);
         let tx = SenderDriver::new(conn, Addr::new(peer, 1), FlowId(id));
         let tx = BulkSender::new(tx, msgs, 1400);
-        let rx = ReceiverDriver::new(TcpReceiverConn::new(id, cfg), FlowId(id));
+        let rx = ReceiverDriver::new(TcpReceiverConn::new(id, TcpConfig), FlowId(id));
         (tx, TcpSinkAgent::new(rx, FlowMetrics::new()))
     }
 

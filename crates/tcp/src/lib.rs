@@ -11,7 +11,6 @@
 
 pub mod endpoint;
 pub mod receiver;
-pub mod rtt;
 pub mod segment;
 pub mod sender;
 

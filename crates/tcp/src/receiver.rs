@@ -10,6 +10,9 @@ use iq_netsim::Time;
 use crate::segment::{TcpAckSeg, TcpDataSeg, TcpSegment};
 use crate::sender::{TcpConfig, TcpEvent};
 
+/// Receive buffer, segments: the most the advertised window opens to.
+const RECV_BUFFER_SEGMENTS: u32 = 2048;
+
 /// A reassembled message (same shape as RUDP's, `marked` always true).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpDeliveredMsg {
@@ -45,7 +48,6 @@ struct Assembly {
 
 /// The TCP receiving state machine.
 pub struct TcpReceiverConn {
-    cfg: TcpConfig,
     conn_id: u32,
     established: bool,
     next_required: u64,
@@ -61,9 +63,8 @@ pub struct TcpReceiverConn {
 
 impl TcpReceiverConn {
     /// Creates a receiver for connection `conn_id`.
-    pub fn new(conn_id: u32, cfg: TcpConfig) -> Self {
+    pub fn new(conn_id: u32, _cfg: TcpConfig) -> Self {
         Self {
-            cfg,
             conn_id,
             established: false,
             next_required: 0,
@@ -104,8 +105,7 @@ impl TcpReceiverConn {
     }
 
     fn recv_window(&self) -> u32 {
-        self.cfg
-            .recv_buffer_segments
+        RECV_BUFFER_SEGMENTS
             .saturating_sub(self.buffer.len() as u32)
             .max(1)
     }
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn in_order_delivery_and_cumulative_acks() {
-        let mut r = TcpReceiverConn::new(1, TcpConfig::default());
+        let mut r = TcpReceiverConn::new(1, TcpConfig);
         r.on_segment(0, &TcpSegment::Syn);
         r.on_segment(1, &data(0, 0, 0, 2));
         r.on_segment(2, &data(1, 0, 1, 2));
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn reorder_generates_dup_acks_without_echo() {
-        let mut r = TcpReceiverConn::new(1, TcpConfig::default());
+        let mut r = TcpReceiverConn::new(1, TcpConfig);
         r.on_segment(0, &TcpSegment::Syn);
         let _ = acks(&mut r);
         r.on_segment(1, &data(1, 1, 0, 1)); // gap at 0
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn duplicates_counted() {
-        let mut r = TcpReceiverConn::new(1, TcpConfig::default());
+        let mut r = TcpReceiverConn::new(1, TcpConfig);
         r.on_segment(0, &TcpSegment::Syn);
         r.on_segment(1, &data(0, 0, 0, 1));
         r.on_segment(2, &data(0, 0, 0, 1));
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn fin_finishes_after_all_data() {
-        let mut r = TcpReceiverConn::new(1, TcpConfig::default());
+        let mut r = TcpReceiverConn::new(1, TcpConfig);
         r.on_segment(0, &TcpSegment::Syn);
         r.on_segment(1, &data(1, 1, 0, 1));
         r.on_segment(2, &TcpSegment::Fin { final_seq: 2 });

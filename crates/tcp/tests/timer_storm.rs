@@ -14,7 +14,7 @@ use iq_tcp::{TcpConfig, TcpReceiverConn, TcpSenderConn, TcpSinkAgent};
 /// A 2000-message transfer over a 1 Mb/s link with 5 % loss keeps its
 /// retransmission timer armed for about 45 of the 60 simulated seconds.
 /// Budget: the timer sits at the oldest unacknowledged segment's RTO
-/// deadline, at least `min_rto` (200 ms) away, so an ACK-clocked flow
+/// deadline, at least the 200 ms RTO floor away, so an ACK-clocked flow
 /// ticks at most 5×/s, and each real timeout doubles the RTO; 10/s is
 /// generous. A driver that re-armed an expired deadline fires thousands
 /// per simulated second.
@@ -28,10 +28,9 @@ fn lossy_tcp_transfer_timer_rate_is_bounded() {
         b,
         LinkSpec::new(1e6, time::millis(5), 16_000).with_random_loss(0.05),
     );
-    let cfg = TcpConfig::default();
-    let tx = SenderDriver::new(TcpSenderConn::new(7, cfg.clone()), Addr::new(b, 1), FlowId(1));
+    let tx = SenderDriver::new(TcpSenderConn::new(7, TcpConfig), Addr::new(b, 1), FlowId(1));
     sim.add_agent(a, 1, Box::new(BulkSender::new(tx, 2000, 1400)));
-    let rx = ReceiverDriver::new(TcpReceiverConn::new(7, cfg), FlowId(1));
+    let rx = ReceiverDriver::new(TcpReceiverConn::new(7, TcpConfig), FlowId(1));
     let rx = sim.add_agent(b, 1, Box::new(TcpSinkAgent::new(rx, FlowMetrics::new())));
     let horizon_s = 60.0;
     sim.run_until(time::secs(horizon_s));

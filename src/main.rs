@@ -45,7 +45,8 @@
 //! at seed 0, and `diag tN` one line per run of Table N's rows at seeds
 //! 0..SEEDS with the counters the table hides. `figures` writes
 //! Figures 1–4 as SVG into `figures/` and exits 1, naming the path, if
-//! it cannot.
+//! it cannot. A reader that closes stdout early (`iqrudp tables | head
+//! -1`) ends every subcommand quietly with status 0.
 //! Flags:
 //!
 //! * `-j N` / `--jobs N` — run scenarios on N worker threads (default:
@@ -67,12 +68,34 @@
 //!   scheduling. One scenario's exposition:
 //!   `iqrudp --metrics DIR bench 0.05 --only NAME`.
 
+use std::io::Write as _;
+
 use iq_experiments::ablations::ABLATIONS;
 use iq_experiments::figures::{figure1, figure4_from_rows, figures_2_3, render_figure4};
 use iq_experiments::tables::{render, run, Experiment, Size, DRAWS, TABLES};
 use iq_experiments::{BenchOptions, Executor};
-use iq_metrics::{bar_chart, line_plot, PlotConfig};
+use iq_metrics::{bar_chart, line_plot};
 use iq_trace::{MembershipConfig, MembershipTrace};
+
+/// `println!` through [`out`]: every line the CLI prints goes through it.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A closed stdout (a reader such as `head` went away)
+/// ends the process quietly with status 0, where `println!` would panic;
+/// any other write error ends it with a message and status 1.
+fn out(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// The largest SIZE. Paper scale is 1.0; a size far past this one
 /// scales a schedule past what a run can allocate.
@@ -147,7 +170,7 @@ fn table(name: &str) -> Experiment {
 /// printing each as soon as it has run.
 fn run_and_print(exec: &Executor, size: Size, draws: u32, exps: &[Experiment]) {
     for exp in exps {
-        println!("{}", render(exp, &run(exp, exec, size, 0, draws)));
+        outln!("{}", render(exp, &run(exp, exec, size, 0, draws)));
     }
 }
 
@@ -161,20 +184,20 @@ fn cmd_tables(exec: &Executor, args: &[String]) {
 fn cmd_figures(exec: &Executor, args: &[String]) {
     let (size, _) = size_and_name(args, &[]);
     let f1 = figure1();
-    println!(
+    outln!(
         "Figure 1: {} frames, group sizes {:.0}..{:.0}",
         f1.len(),
         f1.values().fold(f64::INFINITY, f64::min),
         f1.values().fold(0.0, f64::max)
     );
     let (iq, rudp) = figures_2_3(exec, size);
-    println!(
+    outln!(
         "Figures 2/3: IQ-RUDP mean jitter {:.2} ms, RUDP {:.2} ms",
         iq.mean(),
         rudp.mean()
     );
     let points = figure4_from_rows(&run(&table("t6"), exec, size, 0, DRAWS));
-    println!("{}", render_figure4(&points));
+    outln!("{}", render_figure4(&points));
     let labels: Vec<String> = points
         .iter()
         .map(|p| format!("{:.0} Mb", p.iperf_bps / 1e6))
@@ -183,29 +206,24 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
         (
             "figure1_membership_dynamics.svg",
             line_plot(
-                &PlotConfig::new("Figure 1: Membership dynamics", "frame", "group size"),
+                "Figure 1: Membership dynamics",
+                ("frame", "group size"),
                 &[("audience", &f1)],
             ),
         ),
         (
             "figures_2_3_jitter.svg",
             line_plot(
-                &PlotConfig::new(
-                    "Figures 2/3: per-packet delay jitter",
-                    "packet",
-                    "jitter (ms)",
-                ),
+                "Figures 2/3: per-packet delay jitter",
+                ("packet", "jitter (ms)"),
                 &[("IQ-RUDP", &iq), ("RUDP", &rudp)],
             ),
         ),
         (
             "figure4_improvement_overreaction.svg",
             bar_chart(
-                &PlotConfig::new(
-                    "Figure 4: Performance improvement - overreaction",
-                    "iperf background rate",
-                    "percent",
-                ),
+                "Figure 4: Performance improvement - overreaction",
+                ("iperf background rate", "percent"),
                 &labels,
                 &[
                     (
@@ -232,7 +250,7 @@ fn cmd_figures(exec: &Executor, args: &[String]) {
             std::process::exit(1);
         }
     }
-    println!("wrote figures/*.svg");
+    outln!("wrote figures/*.svg");
 }
 
 /// `iqrudp diag [tN] [SIZE] [SEEDS]` — one line per run of Table N's
@@ -245,7 +263,7 @@ fn cmd_diag(exec: &Executor, args: &[String]) {
         for row in run(&table, exec, size, seed, DRAWS) {
             for (draw, r) in row.runs.iter().enumerate() {
                 let (coord, stats) = (r.coordination, r.sender_stats);
-                println!(
+                outln!(
                     "{:<24} seed={seed} draw={draw} dur={:<6.1} tp={:<7.1} jit={:<7.2}ms \
                      tagD={:<6.1} tagJ={:<6.2} cb=({}, {}) rescales={} factor={} offered={} \
                      delivered={} finished={} sent={} retx={} rto={} abandoned={} discarded={}",
@@ -311,7 +329,7 @@ fn cmd_bench(exec: &Executor, args: &[String]) {
     match iq_experiments::bench_main(exec, &opts) {
         Ok(run) => {
             for sc in &run.scenarios {
-                println!(
+                outln!(
                     "{:<18} {:>10} events  fingerprint {:#018x}  counters {:#018x}",
                     sc.name, sc.events, sc.fingerprint, sc.counter_fingerprint
                 );
@@ -411,7 +429,7 @@ fn cmd_mc(args: &[String]) {
         report.work,
         depths.join(" "),
     );
-    println!(
+    outln!(
         "mc: scenario {} cc {} depth {} (reached {}) drops {} ticks {}: \
          {} states explored, space {}",
         spec.name,
@@ -425,9 +443,9 @@ fn cmd_mc(args: &[String]) {
     );
     match report.counterexample {
         Some(ce) => {
-            println!("VIOLATION: {}", ce.violation);
-            println!("minimal counterexample ({} steps):", ce.trace.len());
-            print!("{}", iq_mc::trace::render(&ce.trace));
+            outln!("VIOLATION: {}", ce.violation);
+            outln!("minimal counterexample ({} steps):", ce.trace.len());
+            out(format_args!("{}", iq_mc::trace::render(&ce.trace)));
             let replayed = replay(&spec, mutation, &cfg, &ce.trace);
             let found = &ce.violation;
             match replayed {
@@ -435,10 +453,10 @@ fn cmd_mc(args: &[String]) {
                     if (v.invariant, v.flow, v.step, &v.detail)
                         == (found.invariant, found.flow, found.step, &found.detail) =>
                 {
-                    println!("replay: reproduced");
+                    outln!("replay: reproduced");
                 }
                 _ => {
-                    println!("replay: FAILED to reproduce");
+                    outln!("replay: FAILED to reproduce");
                     std::process::exit(2);
                 }
             }
@@ -448,7 +466,7 @@ fn cmd_mc(args: &[String]) {
             }
         }
         None => {
-            println!("no violations");
+            outln!("no violations");
             if mutation != Mutation::None {
                 eprintln!("mc: seeded mutation {mutation:?} was NOT caught");
                 std::process::exit(1);
@@ -496,13 +514,14 @@ fn cmd_trace(args: &[String]) {
         ..MembershipConfig::default()
     });
     for (i, g) in trace.samples.iter().enumerate() {
-        println!("{i}\t{g}");
+        outln!("{i}\t{g}");
     }
 }
 
 fn cmd_demo() {
-    use iq_echo::{AdaptiveSourceAgent, EchoSinkAgent, Policy, ResolutionAdapter, SourceConfig};
+    use iq_echo::{AdaptiveSourceAgent, Policy, ResolutionAdapter, SourceConfig};
     use iq_netsim::{build_dumbbell, time, Addr, DumbbellSpec, FlowId, Simulator};
+    use iq_rudp::RudpSinkAgent;
     use iq_workload::CbrSource;
 
     let mut sim = Simulator::new(1);
@@ -537,15 +556,15 @@ fn cmd_demo() {
     let rx = sim.add_agent(
         db.right_hosts[0],
         1,
-        Box::new(EchoSinkAgent::new(
+        Box::new(RudpSinkAgent::new(
             sink_cfg.builder(1, FlowId(1)).build_receiver(),
             iq_metrics::FlowMetrics::new(),
         )),
     );
     sim.run_until(time::secs(60.0));
     let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
-    let sink = sim.agent::<EchoSinkAgent>(rx).unwrap();
-    println!(
+    let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
+    outln!(
         "delivered {}/{} messages in {:.1} s at {:.1} KB/s (jitter {:.2} ms); \
          {} upper callbacks, {} window re-adjustments",
         sink.metrics.messages(),
@@ -560,7 +579,7 @@ fn cmd_demo() {
         .lock()
         .expect("an emit panicked while holding the telemetry bus");
     let fs = iq_telemetry::TelemetryReport::from_records(&bus.flow_records(1));
-    println!(
+    outln!(
         "ground truth: {} packets sent, {:.2}% network loss",
         fs.sent_packets,
         100.0 * fs.loss_ratio()

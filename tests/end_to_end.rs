@@ -1,7 +1,7 @@
 //! Cross-crate integration: full transfers through the simulator with
 //! every layer engaged (netsim, transports, middleware, workloads).
 
-use iq_echo::{AdaptiveSourceAgent, EchoSinkAgent, MarkingAdapter, Policy, SourceConfig};
+use iq_echo::{AdaptiveSourceAgent, MarkingAdapter, Policy, SourceConfig};
 use iq_metrics::FlowMetrics;
 use iq_netsim::{
     build_dumbbell, time, Addr, Agent, BulkSender, Conn, Ctx, DumbbellSpec, FlowId, LinkSpec,
@@ -94,12 +94,11 @@ fn both_transports_deliver_identical_payloads() {
         );
         match transport {
             "tcp" => {
-                let cfg = TcpConfig::default();
-                let conn = TcpSenderConn::new(1, cfg.clone());
+                let conn = TcpSenderConn::new(1, TcpConfig);
                 let tx = SenderDriver::new(conn, Addr::new(b, 1), FlowId(1));
                 sim.add_agent(a, 1, Box::new(BulkSender::new(tx, 200, 1000)));
                 let recorder = Recorder {
-                    driver: ReceiverDriver::new(TcpReceiverConn::new(1, cfg), FlowId(1)),
+                    driver: ReceiverDriver::new(TcpReceiverConn::new(1, TcpConfig), FlowId(1)),
                     messages: Vec::new(),
                     drain: |conn: &mut TcpReceiverConn, log| {
                         log.extend(conn.take_messages());
@@ -177,7 +176,7 @@ fn tagged_data_survives_reliability_adaptation() {
     sim.run_until(time::secs(120.0));
 
     let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
-    let sink = sim.agent::<EchoSinkAgent>(rx).unwrap();
+    let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
     assert!(sink.is_finished(), "did not finish");
     // Every tagged (control) datagram was delivered: the source tags
     // every 5th datagram and the tolerance only covers unmarked ones.
@@ -232,7 +231,7 @@ fn full_stack_runs_are_reproducible() {
             Box::new(sink(sink_cfg.builder(1, FlowId(1)).build_receiver())),
         );
         sim.run_until(time::secs(60.0));
-        let sink = sim.agent::<EchoSinkAgent>(rx).unwrap();
+        let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
         (
             sink.metrics.messages(),
             sink.metrics.bytes(),

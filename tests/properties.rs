@@ -344,9 +344,8 @@ mod sim_properties {
             sizes in prop::collection::vec(1u32..4000, 1..30),
             drops in prop::collection::vec(prop::bool::weighted(0.25), 16..128),
         ) {
-            let cfg = TcpConfig::default();
-            let mut tx = TcpSenderConn::new(1, cfg.clone());
-            let mut rx = TcpReceiverConn::new(1, cfg);
+            let mut tx = TcpSenderConn::new(1, TcpConfig);
+            let mut rx = TcpReceiverConn::new(1, TcpConfig);
             for &s in &sizes {
                 tx.send_message(0, s);
             }
