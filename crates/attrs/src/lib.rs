@@ -17,5 +17,5 @@ pub mod service;
 pub mod value;
 
 pub use list::{AttrList, AttrName};
-pub use service::{AttrService, Versioned, WatchGuard};
+pub use service::AttrService;
 pub use value::AttrValue;

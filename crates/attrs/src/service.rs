@@ -1,70 +1,19 @@
 //! The attribute service: a small shared registry through which the
 //! application and the transport exchange quality information without a
-//! direct call dependency (the paper's "distributed service" for
-//! registration, update, and query of ECho attributes).
+//! direct call dependency (the paper's "distributed service" for update
+//! and query of ECho attributes). Applications learn of changes through
+//! the sender's threshold callbacks, not through the registry.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock};
 
 use crate::list::AttrName;
 use crate::value::AttrValue;
 
-/// A monotonically increasing version per attribute, so readers can tell
-/// whether a value changed since they last looked.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Versioned {
-    /// The current value.
-    pub value: AttrValue,
-    /// Bumped on every update.
-    pub version: u64,
-}
-
-type SharedWatchFn = Arc<dyn Fn(&AttrValue) + Send + Sync>;
-
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<AttrName, Versioned>,
-    watchers: HashMap<AttrName, Vec<(u64, SharedWatchFn)>>,
-    next_watch_id: u64,
-}
-
-/// RAII registration handle returned by [`AttrService::subscribe`]: the
-/// watcher stays registered for as long as the guard lives and is
-/// removed when the guard drops, so removal can never be forgotten and
-/// never races with a stale id.
-#[must_use = "dropping the guard immediately unregisters the watcher"]
-pub struct WatchGuard {
-    inner: Arc<RwLock<Inner>>,
-    id: u64,
-}
-
-impl Drop for WatchGuard {
-    fn drop(&mut self) {
-        remove_watcher(&self.inner, self.id);
-    }
-}
-
-impl std::fmt::Debug for WatchGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WatchGuard").field("id", &self.id).finish()
-    }
-}
-
-fn remove_watcher(inner: &RwLock<Inner>, id: u64) -> bool {
-    let mut g = inner.write().unwrap_or_else(|e| e.into_inner());
-    for ws in g.watchers.values_mut() {
-        if let Some(idx) = ws.iter().position(|(wid, _)| *wid == id) {
-            drop(ws.remove(idx));
-            return true;
-        }
-    }
-    false
-}
-
 /// Shared attribute registry. Cheap to clone; clones view the same state.
 #[derive(Clone, Default)]
 pub struct AttrService {
-    inner: Arc<RwLock<Inner>>,
+    entries: Arc<RwLock<HashMap<AttrName, AttrValue>>>,
 }
 
 impl AttrService {
@@ -73,114 +22,18 @@ impl AttrService {
         Self::default()
     }
 
-    // Lock poisoning only happens if a watcher panicked mid-update; the
-    // registry itself is still consistent, so recover the guard.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    /// Registers or updates `name`.
+    pub fn update(&self, name: impl Into<AttrName>, value: impl Into<AttrValue>) {
+        // A panic while the lock was held cannot leave a half-written
+        // map entry behind, so a poisoned lock is recovered.
+        let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        entries.insert(name.into(), value.into());
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers or updates `name`, bumping its version and invoking any
-    /// watchers registered for it. Returns the new version.
-    pub fn update(&self, name: impl Into<AttrName>, value: impl Into<AttrValue>) -> u64 {
-        let name = name.into();
-        let value = value.into();
-        let mut g = self.write();
-        let entry = g
-            .entries
-            .entry(name.clone())
-            .and_modify(|v| v.version += 1)
-            .or_insert(Versioned {
-                value: AttrValue::Int(0),
-                version: 1,
-            });
-        entry.value = value.clone();
-        let version = entry.version;
-        // Snapshot the matching watchers and release the lock before
-        // invoking them: callbacks may re-enter the service (query,
-        // update another attribute, even subscribe) without deadlocking.
-        // Each watcher sees the value of the update that triggered it;
-        // under concurrent updates of the same attribute, callback
-        // delivery order between the two updates is unspecified.
-        let to_call: Vec<SharedWatchFn> = g
-            .watchers
-            .get(&name)
-            .map(|ws| ws.iter().map(|(_, f)| Arc::clone(f)).collect())
-            .unwrap_or_default();
-        drop(g);
-        for f in &to_call {
-            f(&value);
-        }
-        version
-    }
-
-    fn register(&self, name: AttrName, f: SharedWatchFn) -> u64 {
-        let mut g = self.write();
-        g.next_watch_id += 1;
-        let id = g.next_watch_id;
-        g.watchers.entry(name).or_default().push((id, f));
-        id
-    }
-
-    /// Registers a callback invoked on every update of `name` — the
-    /// paper's attribute-based callback registration (§2.2: "the
-    /// application registers for call-backs from IQ-RUDP using
-    /// attributes"). The watcher lives until the returned [`WatchGuard`]
-    /// is dropped. Callbacks run outside the registry lock, so they may
-    /// call back into the service.
-    pub fn subscribe(
-        &self,
-        name: impl Into<AttrName>,
-        f: impl Fn(&AttrValue) + Send + Sync + 'static,
-    ) -> WatchGuard {
-        let id = self.register(name.into(), Arc::new(f));
-        WatchGuard {
-            inner: Arc::clone(&self.inner),
-            id,
-        }
-    }
-
-    /// Queries the current value of `name`.
-    pub fn query(&self, name: &str) -> Option<AttrValue> {
-        self.read().entries.get(name).map(|v| v.value.clone())
-    }
-
-    /// Queries value + version together.
-    pub fn query_versioned(&self, name: &str) -> Option<Versioned> {
-        self.read().entries.get(name).cloned()
-    }
-
-    /// Float view of `name`.
+    /// Float view of the current value of `name`.
     pub fn query_float(&self, name: &str) -> Option<f64> {
-        self.query(name).and_then(|v| v.as_float())
-    }
-
-    /// Returns the value only if its version is newer than `seen`,
-    /// supporting cheap change polling.
-    pub fn changed_since(&self, name: &str, seen: u64) -> Option<Versioned> {
-        self.read()
-            .entries
-            .get(name)
-            .filter(|v| v.version > seen)
-            .cloned()
-    }
-
-    /// Removes `name`; returns whether it existed.
-    pub fn remove(&self, name: &str) -> bool {
-        self.write().entries.remove(name).is_some()
-    }
-
-    /// Number of registered attributes.
-    pub fn len(&self) -> usize {
-        self.read().entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
+        entries.get(name).and_then(AttrValue::as_float)
     }
 }
 
@@ -192,29 +45,11 @@ mod tests {
     #[test]
     fn update_and_query() {
         let s = AttrService::new();
-        assert!(s.query(names::NET_ERROR_RATIO).is_none());
+        assert!(s.query_float(names::NET_ERROR_RATIO).is_none());
         s.update(names::NET_ERROR_RATIO, 0.12);
         assert_eq!(s.query_float(names::NET_ERROR_RATIO), Some(0.12));
-    }
-
-    #[test]
-    fn versions_bump_on_update() {
-        let s = AttrService::new();
-        assert_eq!(s.update("x", 1i64), 1);
-        assert_eq!(s.update("x", 2i64), 2);
-        let v = s.query_versioned("x").unwrap();
-        assert_eq!(v.version, 2);
-        assert_eq!(v.value, AttrValue::Int(2));
-    }
-
-    #[test]
-    fn changed_since_filters() {
-        let s = AttrService::new();
-        s.update("x", 1i64);
-        assert!(s.changed_since("x", 0).is_some());
-        assert!(s.changed_since("x", 1).is_none());
-        s.update("x", 2i64);
-        assert!(s.changed_since("x", 1).is_some());
+        s.update(names::NET_ERROR_RATIO, 0.2);
+        assert_eq!(s.query_float(names::NET_ERROR_RATIO), Some(0.2));
     }
 
     #[test]
@@ -223,65 +58,8 @@ mod tests {
         let b = a.clone();
         a.update("k", 5i64);
         assert_eq!(b.query_float("k"), Some(5.0));
-        assert!(b.remove("k"));
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn watchers_fire_on_update_and_unregister_on_guard_drop() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let s = AttrService::new();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = hits.clone();
-        let guard = s.subscribe(names::NET_ERROR_RATIO, move |v| {
-            assert!(v.as_float().is_some());
-            h.fetch_add(1, Ordering::SeqCst);
-        });
-        s.update(names::NET_ERROR_RATIO, 0.1);
-        s.update(names::NET_ERROR_RATIO, 0.2);
-        s.update(names::NET_RTT_MS, 30.0); // different attribute: no hit
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-        drop(guard);
-        s.update(names::NET_ERROR_RATIO, 0.3);
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn multiple_watchers_on_one_attribute() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let s = AttrService::new();
-        let hits = Arc::new(AtomicU64::new(0));
-        let guards: Vec<WatchGuard> = (0..3)
-            .map(|_| {
-                let h = hits.clone();
-                s.subscribe("x", move |_| {
-                    h.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        s.update("x", 1i64);
-        assert_eq!(hits.load(Ordering::SeqCst), 3);
-        drop(guards);
-        s.update("x", 2i64);
-        assert_eq!(hits.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn watchers_may_reenter_the_service() {
-        // Callbacks run outside the registry lock, so a watcher can
-        // query and even update other attributes from inside the
-        // notification without deadlocking.
-        let s = AttrService::new();
-        let s2 = s.clone();
-        let _g = s.subscribe(names::NET_ERROR_RATIO, move |v| {
-            let e = v.as_float().unwrap();
-            assert_eq!(s2.query_float(names::NET_ERROR_RATIO), Some(e));
-            s2.update("derived", e * 2.0);
-        });
-        s.update(names::NET_ERROR_RATIO, 0.25);
-        assert_eq!(s.query_float("derived"), Some(0.5));
+        b.update("k", 6i64);
+        assert_eq!(a.query_float("k"), Some(6.0));
     }
 
     #[test]
@@ -297,7 +75,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.len(), 4);
         for t in 0..4 {
             assert_eq!(s.query_float(&format!("k{t}")), Some(99.0));
         }

@@ -10,30 +10,31 @@ use iq_rudp::NetCond;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// One tagged (control) datagram every this many (§3.3).
+const TAG_EVERY: u64 = 5;
+
+/// Cap on the marking adapter's unmarking probability.
+const MAX_UNMARK: f64 = 0.95;
+
+/// Floor on the resolution adapter's frame scale: the application's
+/// minimum useful resolution.
+const MIN_SCALE: f64 = 0.25;
+
+/// Growth of the frame scale at the lower threshold (§3.4: 10 %).
+const RECOVERY_STEP: f64 = 0.10;
+
+/// Ceiling on the frequency adapter's interval stretch.
+const MAX_INTERVAL_SCALE: f64 = 8.0;
+
 /// §3.3's reliability adaptation: trade reliability for timeliness by
 /// probabilistically unmarking raw-data packets while keeping every
 /// fifth packet tagged (control information that must be delivered).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MarkingAdapter {
-    /// One tagged packet every this many datagrams.
-    pub tag_every: u64,
     /// Current probability of unmarking a non-control datagram.
     pub unmark_prob: f64,
-    /// Cap on the unmarking probability.
-    pub max_unmark: f64,
     /// How callbacks have moved the probability (diagnostics).
     pub adaptations: u64,
-}
-
-impl Default for MarkingAdapter {
-    fn default() -> Self {
-        Self {
-            tag_every: 5,
-            unmark_prob: 0.0,
-            max_unmark: 0.95,
-            adaptations: 0,
-        }
-    }
 }
 
 /// The error ratio adapters act on: the smoothed value (the paper's
@@ -48,9 +49,7 @@ impl MarkingAdapter {
     /// `max(0.40, 1.25·eratio)` (the paper's `max(40, (5/4)·eratio)` %).
     pub fn on_upper(&mut self, cond: &NetCond) -> AttrList {
         self.adaptations += 1;
-        self.unmark_prob = (1.25 * effective_eratio(cond))
-            .max(0.40)
-            .min(self.max_unmark);
+        self.unmark_prob = (1.25 * effective_eratio(cond)).clamp(0.40, MAX_UNMARK);
         AttrList::new().with(names::ADAPT_MARK, self.unmark_prob)
     }
 
@@ -63,10 +62,10 @@ impl MarkingAdapter {
     }
 
     /// Marking decision for the `idx`-th datagram: control datagrams
-    /// (every `tag_every`-th) are always tagged; the rest are unmarked
-    /// with the current probability.
+    /// (every fifth) are always tagged; the rest are unmarked with the
+    /// current probability.
     pub fn mark(&mut self, idx: u64, rng: &mut SmallRng) -> bool {
-        if idx.is_multiple_of(self.tag_every) {
+        if idx.is_multiple_of(TAG_EVERY) {
             return true;
         }
         !(self.unmark_prob > 0.0 && rng.gen::<f64>() < self.unmark_prob)
@@ -78,12 +77,8 @@ impl MarkingAdapter {
 /// back by 10% on the lower threshold.
 #[derive(Debug, Clone)]
 pub struct ResolutionAdapter {
-    /// Current frame-size scale in `(0, 1]`.
+    /// Current frame-size scale in `[0.25, 1]` (`MIN_SCALE` to full).
     pub scale: f64,
-    /// Floor on the scale (the application's minimum useful resolution).
-    pub min_scale: f64,
-    /// Growth factor applied at the lower threshold.
-    pub recovery_step: f64,
     /// Number of adaptations performed.
     pub adaptations: u64,
 }
@@ -92,8 +87,6 @@ impl Default for ResolutionAdapter {
     fn default() -> Self {
         Self {
             scale: 1.0,
-            min_scale: 0.25,
-            recovery_step: 0.10,
             adaptations: 0,
         }
     }
@@ -104,7 +97,7 @@ impl ResolutionAdapter {
     /// the error ratio. Returns the attributes describing the change.
     pub fn on_upper(&mut self, cond: &NetCond) -> AttrList {
         let rate_chg = effective_eratio(cond);
-        let new_scale = (self.scale * (1.0 - rate_chg)).max(self.min_scale);
+        let new_scale = (self.scale * (1.0 - rate_chg)).max(MIN_SCALE);
         if new_scale >= self.scale {
             return AttrList::new(); // already at the floor
         }
@@ -117,7 +110,7 @@ impl ResolutionAdapter {
 
     /// Lower-threshold callback: increase frame size by 10%.
     pub fn on_lower(&mut self, _cond: &NetCond) -> AttrList {
-        let new_scale = (self.scale * (1.0 + self.recovery_step)).min(1.0);
+        let new_scale = (self.scale * (1.0 + RECOVERY_STEP)).min(1.0);
         if new_scale <= self.scale {
             return AttrList::new(); // already at full resolution
         }
@@ -136,10 +129,8 @@ impl ResolutionAdapter {
 /// A frequency adaptation: send the same frames, less often.
 #[derive(Debug, Clone)]
 pub struct FrequencyAdapter {
-    /// Multiplier on the inter-frame interval (≥ 1).
+    /// Multiplier on the inter-frame interval, in `[1, 8]`.
     pub interval_scale: f64,
-    /// Ceiling on the interval stretch.
-    pub max_interval_scale: f64,
     /// Number of adaptations performed.
     pub adaptations: u64,
 }
@@ -148,7 +139,6 @@ impl Default for FrequencyAdapter {
     fn default() -> Self {
         Self {
             interval_scale: 1.0,
-            max_interval_scale: 8.0,
             adaptations: 0,
         }
     }
@@ -162,7 +152,7 @@ impl FrequencyAdapter {
         if chg <= 0.0 {
             return AttrList::new();
         }
-        self.interval_scale = (self.interval_scale / (1.0 - chg)).min(self.max_interval_scale);
+        self.interval_scale = (self.interval_scale / (1.0 - chg)).min(MAX_INTERVAL_SCALE);
         self.adaptations += 1;
         AttrList::new().with(names::ADAPT_FREQ, chg)
     }
@@ -277,7 +267,7 @@ mod tests {
         for _ in 0..50 {
             r.on_upper(&cond(0.8));
         }
-        assert!((r.scale - r.min_scale).abs() < 1e-9);
+        assert!((r.scale - MIN_SCALE).abs() < 1e-9);
         // At the floor, further reductions report nothing.
         assert!(r.on_upper(&cond(0.8)).is_empty());
         for _ in 0..100 {

@@ -39,10 +39,11 @@ pub struct DeferredResolution {
 }
 
 impl DeferredResolution {
-    /// Creates a deferred wrapper with the paper's granularity of 20.
-    pub fn new(inner: ResolutionAdapter, granularity: u64, include_cond: bool) -> Self {
+    /// Creates a deferred wrapper around a fresh [`ResolutionAdapter`];
+    /// the paper's granularity is 20.
+    pub fn new(granularity: u64, include_cond: bool) -> Self {
         Self {
-            inner,
+            inner: ResolutionAdapter::default(),
             granularity: granularity.max(1),
             include_cond,
             pending: None,
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn defers_to_next_multiple_of_granularity() {
-        let mut d = DeferredResolution::new(ResolutionAdapter::default(), 20, false);
+        let mut d = DeferredResolution::new(20, false);
         let attrs = d.on_threshold(true, &cond(0.3), 7);
         // Next boundary after frame 7 is 20, i.e. 13 frames away.
         assert_eq!(attrs.get_int(names::ADAPT_WHEN), Some(13));
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn decision_exactly_on_boundary_waits_a_full_cycle() {
-        let mut d = DeferredResolution::new(ResolutionAdapter::default(), 20, false);
+        let mut d = DeferredResolution::new(20, false);
         let attrs = d.on_threshold(true, &cond(0.2), 20);
         assert_eq!(attrs.get_int(names::ADAPT_WHEN), Some(20));
         assert!(d.on_frame(21).is_empty());
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn newer_decision_replaces_pending() {
-        let mut d = DeferredResolution::new(ResolutionAdapter::default(), 20, false);
+        let mut d = DeferredResolution::new(20, false);
         d.on_threshold(true, &cond(0.10), 5);
         d.on_threshold(true, &cond(0.30), 12);
         let exec = d.on_frame(20);
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn include_cond_attaches_decision_eratio() {
-        let mut d = DeferredResolution::new(ResolutionAdapter::default(), 20, true);
+        let mut d = DeferredResolution::new(20, true);
         d.on_threshold(true, &cond(0.25), 3);
         let exec = d.on_frame(20);
         assert_eq!(exec.get_float(names::ADAPT_COND_ERATIO), Some(0.25));
@@ -176,7 +177,7 @@ mod tests {
 
     #[test]
     fn lower_threshold_defers_increases_too() {
-        let mut d = DeferredResolution::new(ResolutionAdapter::default(), 10, false);
+        let mut d = DeferredResolution::new(10, false);
         // Shrink first so an increase is possible.
         d.on_threshold(true, &cond(0.5), 1);
         d.on_frame(10);

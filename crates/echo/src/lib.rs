@@ -14,10 +14,8 @@
 
 pub mod adapters;
 pub mod deferred;
-pub mod sink;
 pub mod source;
 
 pub use adapters::{effective_eratio, FrequencyAdapter, MarkingAdapter, ResolutionAdapter};
 pub use deferred::DeferredResolution;
-pub use sink::{AdaptiveToleranceSink, TolerancePolicy};
 pub use source::{AdaptiveSourceAgent, Policy, SourceConfig, FRAME_TIMER_TOKEN};

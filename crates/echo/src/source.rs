@@ -8,8 +8,8 @@
 
 use iq_attrs::AttrList;
 use iq_core::{CoordinationMode, Coordinator};
-use iq_netsim::{time, Addr, Agent, Ctx, FlowId, Packet, SenderDriver, Time};
-use iq_rudp::{ConnEvent, NetCond, RudpConfig, SenderConn, MSS};
+use iq_netsim::{time, Agent, Ctx, Packet, SenderDriver, Time};
+use iq_rudp::{ConnEvent, NetCond, SenderConn, MSS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -56,12 +56,9 @@ impl Policy {
     }
 }
 
-/// Configuration of an [`AdaptiveSourceAgent`].
+/// Configuration of an [`AdaptiveSourceAgent`]'s application side; the
+/// transport's travels in the driver it wraps.
 pub struct SourceConfig {
-    /// Connection identifier (must match the sink).
-    pub conn_id: u32,
-    /// Transport configuration (thresholds, congestion control, ...).
-    pub rudp: RudpConfig,
     /// Coordination mode (the experiment's independent variable).
     pub mode: CoordinationMode,
     /// Frame sizes in emission order; the source finishes when the
@@ -88,10 +85,8 @@ pub struct SourceConfig {
 
 impl SourceConfig {
     /// A reasonable default around a frame schedule.
-    pub fn new(conn_id: u32, frame_sizes: Vec<u32>) -> Self {
+    pub fn new(frame_sizes: Vec<u32>) -> Self {
         Self {
-            conn_id,
-            rudp: RudpConfig::default(),
             mode: CoordinationMode::Coordinated,
             frame_sizes,
             fps: None,
@@ -131,17 +126,11 @@ pub struct AdaptiveSourceAgent {
 }
 
 impl AdaptiveSourceAgent {
-    /// Builds the agent; `peer` is the sink's address.
-    pub fn new(cfg: SourceConfig, policy: Policy, peer: Addr, flow: FlowId) -> Self {
-        let driver = cfg.rudp.builder(cfg.conn_id, flow).build_sender(peer);
-        Self::from_driver(driver, cfg, policy)
-    }
-
     /// Wraps an already-built driver (see
-    /// [`iq_rudp::ConnBuilder::build_sender`]): the sources of a fleet
-    /// share their class's transport configuration instead of each
-    /// holding a copy. `cfg.rudp` and `cfg.conn_id` are not read on this
-    /// path — the driver carries both.
+    /// [`iq_rudp::ConnBuilder::build_sender`]), which carries the
+    /// connection id, the peer and the transport configuration: the
+    /// sources of a fleet share their class's configuration instead of
+    /// each holding a copy.
     pub fn from_driver(
         driver: SenderDriver<SenderConn>,
         cfg: SourceConfig,
@@ -385,51 +374,76 @@ impl Agent for AdaptiveSourceAgent {
 mod tests {
     use super::*;
     use iq_metrics::FlowMetrics;
-    use iq_netsim::{LinkSpec, Simulator};
-    use iq_rudp::RudpSinkAgent;
+    use iq_netsim::{Addr, AgentId, FlowId, LinkSpec, NodeId, Simulator};
+    use iq_rudp::{RudpConfig, RudpSinkAgent};
 
-    fn sink(cfg: &RudpConfig, conn_id: u32) -> RudpSinkAgent {
-        RudpSinkAgent::new(cfg.builder(conn_id, FlowId(1)).build_receiver(), FlowMetrics::new())
-    }
-
-    fn run_source(policy: Policy, cfg_mut: impl FnOnce(&mut SourceConfig)) -> (u64, u64, f64) {
-        let mut sim = Simulator::new(17);
+    /// A two-node world on a `bps` link with 5 ms of delay and a `queue`
+    /// byte buffer.
+    fn world(seed: u64, bps: f64, queue: u32) -> Simulator {
+        let mut sim = Simulator::new(seed);
         let a = sim.add_node();
         let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(10e6, time::millis(5), 40_000));
-        let mut cfg = SourceConfig::new(3, vec![1400; 300]);
-        cfg.rudp.loss_tolerance = 0.4;
-        cfg_mut(&mut cfg);
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(cfg, policy, Addr::new(b, 1), FlowId(1));
+        sim.add_duplex_link(a, b, LinkSpec::new(bps, time::millis(5), queue));
+        sim
+    }
+
+    /// Adds a source on node 0 and its sink on node 1, both on `rudp`.
+    fn flow(
+        sim: &mut Simulator,
+        rudp: &RudpConfig,
+        conn_id: u32,
+        cfg: SourceConfig,
+        policy: Policy,
+    ) -> (AgentId, AgentId) {
+        let (a, b) = (NodeId(0), NodeId(1));
+        let driver = rudp
+            .builder(conn_id, FlowId(1))
+            .build_sender(Addr::new(b, 1));
+        let src = AdaptiveSourceAgent::from_driver(driver, cfg, policy);
         let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 3)));
-        sim.run_until(time::secs(60.0));
-        let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
-        let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
-        assert!(src.schedule_done(), "source did not finish its schedule");
-        (src.offered_msgs, sink.metrics.messages(), src.conn().cwnd())
+        let receiver = rudp.builder(conn_id, FlowId(1)).build_receiver();
+        let rx = sim.add_agent(
+            b,
+            1,
+            Box::new(RudpSinkAgent::new(receiver, FlowMetrics::new())),
+        );
+        (tx, rx)
+    }
+
+    fn thresholds(loss_tolerance: f64, upper: f64, lower: f64) -> RudpConfig {
+        RudpConfig {
+            loss_tolerance,
+            upper_threshold: Some(upper),
+            lower_threshold: Some(lower),
+            ..RudpConfig::default()
+        }
     }
 
     #[test]
     fn greedy_source_delivers_all_frames_without_adaptation() {
-        let (offered, delivered, _) = run_source(Policy::None, |_| {});
-        assert_eq!(offered, 300);
-        assert_eq!(delivered, 300);
+        let mut sim = world(17, 10e6, 40_000);
+        let rudp = RudpConfig {
+            loss_tolerance: 0.4,
+            ..RudpConfig::default()
+        };
+        let cfg = SourceConfig::new(vec![1400; 300]);
+        let (tx, rx) = flow(&mut sim, &rudp, 3, cfg, Policy::None);
+        sim.run_until(time::secs(60.0));
+        let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
+        assert!(src.schedule_done(), "source did not finish its schedule");
+        assert_eq!(src.offered_msgs, 300);
+        assert_eq!(
+            sim.agent::<RudpSinkAgent>(rx).unwrap().metrics.messages(),
+            300
+        );
     }
 
     #[test]
     fn fixed_rate_source_paces_frames() {
-        let mut sim = Simulator::new(18);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(10e6, time::millis(5), 40_000));
-        let mut cfg = SourceConfig::new(4, vec![1000; 50]);
+        let mut sim = world(18, 10e6, 40_000);
+        let mut cfg = SourceConfig::new(vec![1000; 50]);
         cfg.fps = Some(100.0); // 10 ms apart
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(cfg, Policy::None, Addr::new(b, 1), FlowId(1));
-        sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 4)));
+        let (_, rx) = flow(&mut sim, &RudpConfig::default(), 4, cfg, Policy::None);
         sim.run_until(time::secs(10.0));
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
         assert_eq!(sink.metrics.messages(), 50);
@@ -442,25 +456,12 @@ mod tests {
     fn marking_policy_unmarks_under_loss() {
         // Constrain the link so drop-tail losses trigger the upper
         // threshold, then check the marking adapter engaged.
-        let mut sim = Simulator::new(19);
-        let a = sim.add_node();
-        let b = sim.add_node();
         // Slow, shallow-buffered link: a greedy source overwhelms it.
-        sim.add_duplex_link(a, b, LinkSpec::new(2e6, time::millis(5), 8_000));
-        let mut cfg = SourceConfig::new(5, vec![1400; 400]);
-        cfg.rudp.loss_tolerance = 0.4;
-        cfg.rudp.upper_threshold = Some(0.05);
-        cfg.rudp.lower_threshold = Some(0.01);
+        let mut sim = world(19, 2e6, 8_000);
+        let mut cfg = SourceConfig::new(vec![1400; 400]);
         cfg.datagram_mode = true;
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(
-            cfg,
-            Policy::Marking(MarkingAdapter::default()),
-            Addr::new(b, 1),
-            FlowId(1),
-        );
-        let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 5)));
+        let policy = Policy::Marking(MarkingAdapter::default());
+        let (tx, rx) = flow(&mut sim, &thresholds(0.4, 0.05, 0.01), 5, cfg, policy);
         sim.run_until(time::secs(60.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         assert!(src.callbacks.0 > 0, "upper threshold never fired");
@@ -478,26 +479,14 @@ mod tests {
 
     #[test]
     fn frequency_policy_stretches_emission_under_loss() {
-        let mut sim = Simulator::new(29);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(1.5e6, time::millis(5), 8_000));
         // 200 frames at 100 fps would take 2 s unloaded; the link only
         // carries ~1.5 Mb/s of the 1.12 Mb/s offered plus overhead, so
         // losses trigger frequency adaptation and stretch the schedule.
-        let mut cfg = SourceConfig::new(7, vec![1400; 200]);
+        let mut sim = world(29, 1.5e6, 8_000);
+        let mut cfg = SourceConfig::new(vec![1400; 200]);
         cfg.fps = Some(100.0);
-        cfg.rudp.upper_threshold = Some(0.05);
-        cfg.rudp.lower_threshold = Some(0.005);
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(
-            cfg,
-            Policy::Frequency(crate::FrequencyAdapter::default()),
-            Addr::new(b, 1),
-            FlowId(1),
-        );
-        let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 7)));
+        let policy = Policy::Frequency(crate::FrequencyAdapter::default());
+        let (tx, rx) = flow(&mut sim, &thresholds(0.0, 0.05, 0.005), 7, cfg, policy);
         sim.run_until(time::secs(120.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
@@ -519,22 +508,10 @@ mod tests {
 
     #[test]
     fn resolution_policy_shrinks_frames_under_loss() {
-        let mut sim = Simulator::new(23);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(2e6, time::millis(5), 8_000));
-        let mut cfg = SourceConfig::new(6, vec![1400; 400]);
-        cfg.rudp.upper_threshold = Some(0.05);
-        cfg.rudp.lower_threshold = Some(0.005);
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(
-            cfg,
-            Policy::Resolution(ResolutionAdapter::default()),
-            Addr::new(b, 1),
-            FlowId(1),
-        );
-        let tx = sim.add_agent(a, 1, Box::new(src));
-        let rx = sim.add_agent(b, 1, Box::new(sink(&sink_cfg, 6)));
+        let mut sim = world(23, 2e6, 8_000);
+        let cfg = SourceConfig::new(vec![1400; 400]);
+        let policy = Policy::Resolution(ResolutionAdapter::default());
+        let (tx, rx) = flow(&mut sim, &thresholds(0.0, 0.05, 0.005), 6, cfg, policy);
         sim.run_until(time::secs(120.0));
         let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
         assert!(src.callbacks.0 > 0, "upper threshold never fired");

@@ -96,7 +96,6 @@ impl PolicySpec {
             PolicySpec::Resolution => Policy::Resolution(ResolutionAdapter::default()),
             PolicySpec::Frequency => Policy::Frequency(iq_echo::FrequencyAdapter::default()),
             PolicySpec::Deferred { granularity } => Policy::Deferred(DeferredResolution::new(
-                ResolutionAdapter::default(),
                 granularity,
                 scheme == Scheme::CoordinatedWithCond,
             )),
@@ -622,7 +621,7 @@ impl World {
                             .for_conn(id, flow)
                             .telemetry(flow_sinks[left].clone())
                             .build_sender(peer);
-                        let mut cfg = SourceConfig::new(id, sc.frame_sizes.clone());
+                        let mut cfg = SourceConfig::new(sc.frame_sizes.clone());
                         cfg.mode = sc.scheme.mode();
                         cfg.fps = sc.fps;
                         cfg.datagram_mode = sc.datagram_mode;
@@ -980,9 +979,7 @@ pub fn app_frame_sizes(len: usize, seed: u64) -> Vec<u32> {
         len,
         base: 3.0,
         burst_scale: 3.0,
-        min: 1,
         max: 10,
-        ..MembershipConfig::default()
     });
     trace.frame_sizes(3000)
 }

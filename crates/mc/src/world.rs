@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use iq_attrs::{names, AttrList};
 use iq_core::{AdaptReport, CoordinationMode, Coordinator};
-use iq_echo::{DeferredResolution, ResolutionAdapter};
+use iq_echo::DeferredResolution;
 use iq_netsim::{Time, TimeDelta};
 use iq_rudp::{NetCond, ReceiverConn, RudpConfig, Segment, SenderConn};
 use iq_telemetry::StateHasher;
@@ -116,8 +116,7 @@ pub fn scenario_with_cc(
         "deferred" => {
             // Generate the announcement/execution pair with the real
             // application-side adapter (granularity 2, scheme 3).
-            let mut adapter =
-                DeferredResolution::new(ResolutionAdapter::default(), 2, true);
+            let mut adapter = DeferredResolution::new(2, true);
             let seen = NetCond {
                 eratio: 0.3,
                 eratio_smoothed: 0.3,

@@ -53,16 +53,6 @@ impl TimeSeries {
             .collect();
         TimeSeries { points }
     }
-
-    /// Renders as `index<TAB>time_s<TAB>value` lines, gnuplot-ready.
-    pub fn to_tsv(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(self.points.len() * 24);
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            let _ = writeln!(out, "{i}\t{:.6}\t{v:.6}", t as f64 / 1e9);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -89,15 +79,5 @@ mod tests {
         assert_eq!(d.points[0], (0, 0.0));
         // Downsampling something already small is identity.
         assert_eq!(d.downsample(50).len(), 10);
-    }
-
-    #[test]
-    fn tsv_has_one_line_per_point() {
-        let mut s = TimeSeries::new();
-        s.record(1_000_000_000, 2.5);
-        s.record(2_000_000_000, 3.5);
-        let tsv = s.to_tsv();
-        assert_eq!(tsv.lines().count(), 2);
-        assert!(tsv.starts_with("0\t1.000000\t2.500000"));
     }
 }

@@ -101,11 +101,6 @@ impl Ewma {
     pub fn get(&self) -> Option<f64> {
         self.value
     }
-
-    /// Current average or `default` when no samples have been seen.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
 }
 
 #[cfg(test)]
@@ -185,6 +180,6 @@ mod tests {
     fn ewma_first_sample_initializes() {
         let mut e = Ewma::new(0.1);
         assert_eq!(e.push(42.0), 42.0);
-        assert_eq!(e.get_or(0.0), 42.0);
+        assert_eq!(e.get(), Some(42.0));
     }
 }

@@ -50,9 +50,6 @@ enum RecvEvent {
 pub struct ReceiverConn {
     cfg: Arc<RudpConfig>,
     conn_id: u32,
-    /// Current loss tolerance; starts at `cfg.loss_tolerance` and may be
-    /// changed by the receiving application at any time.
-    tolerance: f64,
     established: bool,
     /// Next sequence number needed for in-order progress.
     next_required: u64,
@@ -94,7 +91,6 @@ impl Clone for ReceiverConn {
         let Self {
             cfg,
             conn_id,
-            tolerance,
             established,
             next_required,
             highest_seen,
@@ -114,7 +110,6 @@ impl Clone for ReceiverConn {
         Self {
             cfg: cfg.clone(),
             conn_id: *conn_id,
-            tolerance: *tolerance,
             established: *established,
             next_required: *next_required,
             highest_seen: *highest_seen,
@@ -137,7 +132,6 @@ impl Clone for ReceiverConn {
         let Self {
             cfg,
             conn_id,
-            tolerance,
             established,
             next_required,
             highest_seen,
@@ -158,7 +152,6 @@ impl Clone for ReceiverConn {
             self.cfg = Arc::clone(cfg);
         }
         self.conn_id = *conn_id;
-        self.tolerance = *tolerance;
         self.established = *established;
         self.next_required = *next_required;
         self.highest_seen = *highest_seen;
@@ -197,11 +190,9 @@ impl ReceiverConn {
             "recv_buffer_segments is {}, above the 65,535 a SACK block can span",
             cfg.recv_buffer_segments
         );
-        let tolerance = cfg.loss_tolerance;
         Self {
             cfg,
             conn_id,
-            tolerance,
             established: false,
             next_required: 0,
             highest_seen: 0,
@@ -292,18 +283,6 @@ impl ReceiverConn {
         self.delivered.pop_front()
     }
 
-    /// Current loss tolerance.
-    pub fn loss_tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// Adaptive reliability, receiver side (§2.1): changes the loss
-    /// tolerance mid-connection. The new value is advertised on every
-    /// subsequent ACK, so the sender picks it up within one RTT.
-    pub fn set_loss_tolerance(&mut self, tolerance: f64) {
-        self.tolerance = tolerance.clamp(0.0, 1.0);
-    }
-
     /// Remaining buffer space, in segments.
     fn recv_window(&self) -> u32 {
         self.cfg
@@ -332,7 +311,7 @@ impl ReceiverConn {
             highest_seen: self.highest_seen,
             sack: self.sack_ranges(),
             recv_window: self.recv_window(),
-            loss_tolerance: self.tolerance,
+            loss_tolerance: self.cfg.loss_tolerance,
             echo_tx_at,
         };
         self.outbox.push_back(Segment::Ack(ack));
@@ -349,7 +328,7 @@ impl ReceiverConn {
                 }
                 // (Re)send the SYN-ACK; duplicates are harmless.
                 self.outbox.push_back(Segment::SynAck {
-                    loss_tolerance: self.tolerance,
+                    loss_tolerance: self.cfg.loss_tolerance,
                     recv_window: self.recv_window(),
                 });
             }
@@ -556,7 +535,6 @@ impl ReceiverConn {
     /// receiving-side counterpart of [`crate::SenderConn::state_digest`]).
     pub fn state_digest(&self, now: Time, h: &mut iq_telemetry::StateHasher) {
         h.write_bool(self.established);
-        h.write_f64(self.tolerance);
         h.write_u64(self.next_required);
         h.write_u64(self.highest_seen);
         h.write_u64(self.buffer.len() as u64);
@@ -832,22 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_tolerance_is_advertised_on_acks() {
-        let mut r = recv(0.0);
-        r.on_segment(0, &Segment::Syn { init_seq: 0 });
-        r.on_segment(1, &data(0, 0, 0, 1, true));
-        assert_eq!(last_ack(&mut r).loss_tolerance, 0.0);
-        // The receiving application relaxes its requirement mid-stream.
-        r.set_loss_tolerance(0.25);
-        assert_eq!(r.loss_tolerance(), 0.25);
-        r.on_segment(2, &data(1, 1, 0, 1, true));
-        assert!((last_ack(&mut r).loss_tolerance - 0.25).abs() < 1e-12);
-        // Values outside [0, 1] are clamped.
-        r.set_loss_tolerance(7.0);
-        assert_eq!(r.loss_tolerance(), 1.0);
-    }
-
-    #[test]
     fn ack_decimation_batches_clean_progress() {
         let mut r = ReceiverConn::new(
             1,
@@ -946,7 +908,7 @@ mod tests {
         // Paid by every flow of a fleet when the world is built
         // (DESIGN.md §12); a new field should show up here.
         for (name, size, ceiling) in [
-            ("ReceiverConn", std::mem::size_of::<ReceiverConn>(), 472),
+            ("ReceiverConn", std::mem::size_of::<ReceiverConn>(), 464),
             ("Segment", std::mem::size_of::<Segment>(), 96),
             ("RecvEvent", std::mem::size_of::<RecvEvent>(), 1),
         ] {

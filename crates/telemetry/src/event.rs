@@ -183,13 +183,6 @@ pub enum TelemetryEvent {
         /// First skipped sequence number.
         seq: u64,
     },
-    /// The receiving application re-adapted its loss tolerance.
-    ToleranceChange {
-        /// New tolerance in `[0, 1]`.
-        tolerance: f64,
-        /// Whether the tolerance was raised.
-        raised: bool,
-    },
     /// A measuring period ended with these observed conditions.
     PeriodSample {
         /// Raw per-period error ratio.
@@ -244,7 +237,6 @@ impl TelemetryEvent {
             TelemetryEvent::Packet { .. } => "packet",
             TelemetryEvent::MsgDelivered { .. } => "msg_delivered",
             TelemetryEvent::GapSkipped { .. } => "gap_skipped",
-            TelemetryEvent::ToleranceChange { .. } => "tolerance_change",
             TelemetryEvent::PeriodSample { .. } => "period_sample",
             TelemetryEvent::Threshold { .. } => "threshold",
             TelemetryEvent::AdaptMark { .. } => "adapt_mark",

@@ -120,10 +120,6 @@ impl TelemetryRecord {
             TelemetryEvent::GapSkipped { seq } => {
                 field(&mut out, "skip_seq", &seq.to_string());
             }
-            TelemetryEvent::ToleranceChange { tolerance, raised } => {
-                field_f64(&mut out, "tolerance", *tolerance);
-                field(&mut out, "raised", if *raised { "true" } else { "false" });
-            }
             TelemetryEvent::PeriodSample {
                 eratio,
                 eratio_smoothed,
@@ -214,10 +210,6 @@ impl TelemetryRecord {
             },
             "gap_skipped" => TelemetryEvent::GapSkipped {
                 seq: get_u64(&map, "skip_seq")?,
-            },
-            "tolerance_change" => TelemetryEvent::ToleranceChange {
-                tolerance: get_f64(&map, "tolerance")?,
-                raised: get_bool(&map, "raised")?,
             },
             "period_sample" => TelemetryEvent::PeriodSample {
                 eratio: get_f64(&map, "eratio")?,
@@ -453,10 +445,6 @@ mod tests {
                 latency_ns: 31_000_001,
             },
             TelemetryEvent::GapSkipped { seq: 11 },
-            TelemetryEvent::ToleranceChange {
-                tolerance: 0.35,
-                raised: true,
-            },
             TelemetryEvent::PeriodSample {
                 eratio: 0.0,
                 eratio_smoothed: 0.015,

@@ -11,7 +11,22 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Tunables for [`MembershipTrace::generate`].
+/// Per-step probability of a join/leave burst starting.
+const BURST_PROB: f64 = 0.02;
+
+/// Mean-reversion factor per step toward the baseline.
+const REVERSION: f64 = 0.02;
+
+/// Per-step random walk standard deviation, members.
+const WALK_SD: f64 = 1.2;
+
+/// Inclusive lower clamp on group size: a session has its sender.
+const MIN_MEMBERS: u32 = 1;
+
+/// Tunables for [`MembershipTrace::generate`]. Two parameter sets are in
+/// use: the default (base 12, burst 10, max 45), Figure 1's trace and the
+/// VBR cross traffic's, and the application frames' (base 3, burst 3,
+/// max 10; `iq_experiments::app_frame_sizes`).
 #[derive(Debug, Clone)]
 pub struct MembershipConfig {
     /// RNG seed; equal seeds give identical traces.
@@ -20,16 +35,8 @@ pub struct MembershipConfig {
     pub len: usize,
     /// Baseline group size the series reverts toward.
     pub base: f64,
-    /// Per-step probability of a join/leave burst starting.
-    pub burst_prob: f64,
     /// Mean burst amplitude in members (sign chosen randomly).
     pub burst_scale: f64,
-    /// Mean-reversion factor per step (0 = pure random walk).
-    pub reversion: f64,
-    /// Per-step random walk standard deviation.
-    pub walk_sd: f64,
-    /// Inclusive lower clamp on group size.
-    pub min: u32,
     /// Inclusive upper clamp on group size.
     pub max: u32,
 }
@@ -40,11 +47,7 @@ impl Default for MembershipConfig {
             seed: 0x4d42_6f6e, // "MBon"
             len: 2000,
             base: 12.0,
-            burst_prob: 0.02,
             burst_scale: 10.0,
-            reversion: 0.02,
-            walk_sd: 1.2,
-            min: 1,
             max: 45,
         }
     }
@@ -67,16 +70,18 @@ impl MembershipTrace {
         // remaining amplitude (signed).
         let mut burst = 0.0f64;
         for _ in 0..cfg.len {
-            if rng.gen::<f64>() < cfg.burst_prob {
+            if rng.gen::<f64>() < BURST_PROB {
                 let magnitude = cfg.burst_scale * (0.5 + rng.gen::<f64>());
                 burst += if rng.gen::<bool>() { magnitude } else { -magnitude };
             }
             burst *= 0.9;
             // Box-Muller-free gaussian-ish step: sum of uniforms (CLT).
             let noise: f64 = (0..4).map(|_| rng.gen::<f64>()).sum::<f64>() - 2.0;
-            level += cfg.walk_sd * noise;
-            level += cfg.reversion * (cfg.base - level);
-            let value = (level + burst).round().clamp(cfg.min as f64, cfg.max as f64);
+            level += WALK_SD * noise;
+            level += REVERSION * (cfg.base - level);
+            let value = (level + burst)
+                .round()
+                .clamp(MIN_MEMBERS as f64, cfg.max as f64);
             samples.push(value as u32);
         }
         Self { samples }
@@ -89,21 +94,14 @@ impl MembershipTrace {
 
     /// Frame sizes in bytes: group size times `bytes_per_member`.
     ///
-    /// The paper uses 3000 B/member for application traffic (§3.1) and
-    /// 2000 B/member for the VBR UDP cross traffic.
+    /// The paper uses 3000 B/member for application traffic (§3.1). The
+    /// VBR cross traffic scales its own trace to a target rate instead
+    /// (`iq_experiments::VbrSpec::frame_sizes`).
     pub fn frame_sizes(&self, bytes_per_member: u32) -> Vec<u32> {
         self.samples
             .iter()
             .map(|&g| g.saturating_mul(bytes_per_member))
             .collect()
-    }
-
-    /// Total bytes of a frame-size schedule derived from this trace.
-    pub fn total_bytes(&self, bytes_per_member: u32) -> u64 {
-        self.samples
-            .iter()
-            .map(|&g| u64::from(g) * u64::from(bytes_per_member))
-            .sum()
     }
 
     /// Number of samples.
@@ -135,12 +133,11 @@ mod tests {
     #[test]
     fn respects_bounds() {
         let cfg = MembershipConfig {
-            min: 2,
             max: 20,
             ..MembershipConfig::default()
         };
         let t = MembershipTrace::generate(&cfg);
-        assert!(t.samples.iter().all(|&g| (2..=20).contains(&g)));
+        assert!(t.samples.iter().all(|&g| (MIN_MEMBERS..=20).contains(&g)));
         assert_eq!(t.len(), cfg.len);
     }
 
@@ -165,6 +162,5 @@ mod tests {
             samples: vec![1, 5, 10],
         };
         assert_eq!(t.frame_sizes(3000), vec![3000, 15000, 30000]);
-        assert_eq!(t.total_bytes(2000), 32_000);
     }
 }

@@ -28,48 +28,30 @@ const SEND_TOKEN: u64 = 1;
 
 /// Constant-bit-rate UDP source (iperf-like).
 ///
-/// Emits fixed-size datagrams at a fixed rate, forever or until a
-/// configured volume is reached.
+/// Emits fixed-size datagrams at a fixed rate from time 0 on, for as
+/// long as the world runs.
 pub struct CbrSource {
     dst: Addr,
     flow: FlowId,
     /// Datagram payload size in bytes.
     datagram_bytes: u32,
-    /// Stop after this many datagrams (`u64::MAX` = unbounded).
-    limit: u64,
     sent: u64,
-    /// Start delay before the first datagram.
-    start_after: TimeDelta,
     /// Inter-datagram gap, precomputed once: the source re-arms its
     /// timer on every send, so this sits on the per-packet path.
     interval: TimeDelta,
 }
 
 impl CbrSource {
-    /// Creates an unbounded CBR source.
+    /// Creates a CBR source.
     pub fn new(dst: Addr, flow: FlowId, rate_bps: f64, datagram_bytes: u32) -> Self {
         let wire = f64::from(datagram_bytes + UDP_HEADER_BYTES) * 8.0;
         Self {
             dst,
             flow,
             datagram_bytes,
-            limit: u64::MAX,
             sent: 0,
-            start_after: 0,
             interval: time::secs(wire / rate_bps.max(1.0)),
         }
-    }
-
-    /// Delays the first datagram.
-    pub fn with_start_after(mut self, delay: TimeDelta) -> Self {
-        self.start_after = delay;
-        self
-    }
-
-    /// Bounds the total number of datagrams.
-    pub fn with_limit(mut self, datagrams: u64) -> Self {
-        self.limit = datagrams;
-        self
     }
 
     /// Datagrams sent so far.
@@ -80,15 +62,12 @@ impl CbrSource {
 
 impl Agent for CbrSource {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_after, SEND_TOKEN);
+        ctx.set_timer(0, SEND_TOKEN);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _pkt: Packet) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        if self.sent >= self.limit {
-            return;
-        }
         ctx.send(
             self.dst,
             self.datagram_bytes + UDP_HEADER_BYTES,
@@ -96,11 +75,13 @@ impl Agent for CbrSource {
             payload(UdpDatagram { seq: self.sent }),
         );
         self.sent += 1;
-        if self.sent < self.limit {
-            ctx.set_timer(self.interval, SEND_TOKEN);
-        }
+        ctx.set_timer(self.interval, SEND_TOKEN);
     }
 }
+
+/// Maximum VBR datagram payload, bytes: a frame leaves as datagrams of
+/// at most this size.
+const MTU: u32 = 1400;
 
 /// Variable-bit-rate UDP source: a fixed frame rate with per-frame sizes
 /// from a trace. Each frame is burst onto the network as MTU-sized
@@ -113,17 +94,13 @@ pub struct VbrSource {
     fps: f64,
     /// Per-frame sizes in bytes; the trace loops when exhausted.
     frame_sizes: Vec<u32>,
-    /// Maximum datagram payload.
-    mtu: u32,
     next_frame: usize,
-    /// Whether to loop the trace (default) or stop at its end.
-    looping: bool,
     sent_datagrams: u64,
     sent_bytes: u64,
 }
 
 impl VbrSource {
-    /// Creates a looping VBR source.
+    /// Creates a VBR source that loops its trace.
     pub fn new(dst: Addr, flow: FlowId, fps: f64, frame_sizes: Vec<u32>) -> Self {
         assert!(!frame_sizes.is_empty(), "VBR source needs a trace");
         Self {
@@ -131,30 +108,15 @@ impl VbrSource {
             flow,
             fps,
             frame_sizes,
-            mtu: 1400,
             next_frame: 0,
-            looping: true,
             sent_datagrams: 0,
             sent_bytes: 0,
         }
     }
 
-    /// Stop at the end of the trace instead of looping.
-    pub fn once(mut self) -> Self {
-        self.looping = false;
-        self
-    }
-
     /// Total payload bytes sent so far.
     pub fn sent_bytes(&self) -> u64 {
         self.sent_bytes
-    }
-
-    /// Average offered rate in bits/second.
-    pub fn offered_bps(&self) -> f64 {
-        let mean = self.frame_sizes.iter().map(|&s| f64::from(s)).sum::<f64>()
-            / self.frame_sizes.len() as f64;
-        mean * 8.0 * self.fps
     }
 }
 
@@ -167,9 +129,6 @@ impl Agent for VbrSource {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         if self.next_frame >= self.frame_sizes.len() {
-            if !self.looping {
-                return;
-            }
             self.next_frame = 0;
         }
         let size = self.frame_sizes[self.next_frame];
@@ -177,7 +136,7 @@ impl Agent for VbrSource {
         // Burst the frame as MTU datagrams.
         let mut remaining = size;
         while remaining > 0 {
-            let len = remaining.min(self.mtu);
+            let len = remaining.min(MTU);
             remaining -= len;
             ctx.send(
                 self.dst,
@@ -264,28 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn cbr_respects_limit_and_start_delay() {
-        let mut sim = Simulator::new(2);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(20e6, time::millis(5), 100_000));
-        sim.add_agent(
-            a,
-            1,
-            Box::new(
-                CbrSource::new(Addr::new(b, 1), FlowId(9), 8e6, 972)
-                    .with_limit(10)
-                    .with_start_after(time::secs(1.0)),
-            ),
-        );
-        let rx = sim.add_agent(b, 1, Box::new(UdpSink::new()));
-        sim.run_until(time::millis(900));
-        assert_eq!(sim.agent::<UdpSink>(rx).unwrap().received, 0);
-        sim.run_until(time::secs(5.0));
-        assert_eq!(sim.agent::<UdpSink>(rx).unwrap().received, 10);
-    }
-
-    #[test]
     fn vbr_bursts_frames_at_frame_rate() {
         let mut sim = Simulator::new(3);
         let a = sim.add_node();
@@ -307,35 +244,5 @@ mod tests {
         let sink = sim.agent::<UdpSink>(rx).unwrap();
         // ~100 frames x 3 datagrams.
         assert!((295..=303).contains(&sink.received), "{}", sink.received);
-    }
-
-    #[test]
-    fn vbr_once_stops_at_trace_end() {
-        let mut sim = Simulator::new(4);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(100e6, time::millis(1), 1_000_000));
-        sim.add_agent(
-            a,
-            1,
-            Box::new(
-                VbrSource::new(Addr::new(b, 1), FlowId(9), 100.0, vec![1000; 5]).once(),
-            ),
-        );
-        let rx = sim.add_agent(b, 1, Box::new(UdpSink::new()));
-        sim.run_until(time::secs(2.0));
-        assert_eq!(sim.agent::<UdpSink>(rx).unwrap().received, 5);
-    }
-
-    #[test]
-    fn offered_rate_math() {
-        let v = VbrSource::new(
-            Addr::new(iq_netsim::NodeId(0), 1),
-            FlowId(1),
-            500.0,
-            vec![2000, 4000],
-        );
-        // Mean 3000 B at 500 fps = 12 Mb/s.
-        assert!((v.offered_bps() - 12e6).abs() < 1.0);
     }
 }

@@ -519,66 +519,39 @@ fn cmd_trace(args: &[String]) {
 }
 
 fn cmd_demo() {
-    use iq_echo::{AdaptiveSourceAgent, Policy, ResolutionAdapter, SourceConfig};
-    use iq_netsim::{build_dumbbell, time, Addr, DumbbellSpec, FlowId, Simulator};
-    use iq_rudp::RudpSinkAgent;
-    use iq_workload::CbrSource;
+    use iq_experiments::{run_scenario_with, PolicySpec, RunConfig, Scenario, Scheme};
 
-    let mut sim = Simulator::new(1);
-    // For the ground-truth line at the end: the fold of flow 1's packet
-    // records, which the default ring capacity holds without eviction.
-    let (sink, bus) = iq_telemetry::TelemetrySink::new_bus(0);
-    sim.attach_telemetry(sink);
-    let db = build_dumbbell(&mut sim, &DumbbellSpec::paper_default(2));
-    sim.add_agent(
-        db.left_hosts[1],
-        9,
-        Box::new(CbrSource::new(
-            Addr::new(db.right_hosts[1], 9),
-            FlowId(99),
-            18e6,
-            972,
-        )),
+    let mut sc = Scenario::new(Scheme::Coordinated, PolicySpec::Resolution, vec![1400; 600]);
+    sc.seed = 1;
+    sc.dumbbell = iq_netsim::DumbbellSpec::paper_default(2);
+    sc.cross.cbr_bps = Some(18e6);
+    sc.thresholds = (Some(0.15), Some(0.01));
+    sc.datagram_mode = true;
+    sc.deadline_s = 60.0;
+    let r = run_scenario_with(
+        &sc,
+        RunConfig {
+            telemetry: true,
+            ..RunConfig::default()
+        },
     );
-    sim.add_agent(db.right_hosts[1], 9, Box::new(iq_workload::UdpSink::new()));
-    let mut cfg = SourceConfig::new(1, vec![1400; 600]);
-    cfg.rudp.upper_threshold = Some(0.15);
-    cfg.rudp.lower_threshold = Some(0.01);
-    cfg.datagram_mode = true;
-    let sink_cfg = cfg.rudp.clone();
-    let src = AdaptiveSourceAgent::new(
-        cfg,
-        Policy::Resolution(ResolutionAdapter::default()),
-        Addr::new(db.right_hosts[0], 1),
-        FlowId(1),
-    );
-    let tx = sim.add_agent(db.left_hosts[0], 1, Box::new(src));
-    let rx = sim.add_agent(
-        db.right_hosts[0],
-        1,
-        Box::new(RudpSinkAgent::new(
-            sink_cfg.builder(1, FlowId(1)).build_receiver(),
-            iq_metrics::FlowMetrics::new(),
-        )),
-    );
-    sim.run_until(time::secs(60.0));
-    let src = sim.agent::<AdaptiveSourceAgent>(tx).unwrap();
-    let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
     outln!(
         "delivered {}/{} messages in {:.1} s at {:.1} KB/s (jitter {:.2} ms); \
          {} upper callbacks, {} window re-adjustments",
-        sink.metrics.messages(),
-        src.offered_msgs,
-        sink.metrics.duration_s(),
-        sink.metrics.throughput_kbps(),
-        sink.metrics.jitter_s() * 1e3,
-        src.callbacks.0,
-        src.coordination_log().window_rescales,
+        r.msgs_delivered,
+        r.msgs_offered,
+        r.duration_s,
+        r.throughput_kbps,
+        r.jitter_s * 1e3,
+        r.callbacks.0,
+        r.coordination.map_or(0, |c| c.window_rescales),
     );
-    let bus = bus
-        .lock()
-        .expect("an emit panicked while holding the telemetry bus");
-    let fs = iq_telemetry::TelemetryReport::from_records(&bus.flow_records(1));
+    // The ground truth is the fold of flow 1's records, which the
+    // default ring capacity holds without eviction.
+    assert_eq!(r.telemetry_evicted, 0, "the demo's telemetry ring evicted records");
+    let mut records = iq_telemetry::parse_jsonl(&r.telemetry).expect("the run's own JSONL parses");
+    records.retain(|rec| rec.flow == 1);
+    let fs = iq_telemetry::TelemetryReport::from_records(&records);
     outln!(
         "ground truth: {} packets sent, {:.2}% network loss",
         fs.sent_packets,

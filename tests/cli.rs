@@ -20,3 +20,21 @@ fn a_closed_stdout_ends_the_cli_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(run.status.success(), "{:?}: {stderr}", run.status);
 }
+
+/// README's quickstart quotes `iqrudp demo`'s output; the quote is the
+/// output, byte for byte.
+#[test]
+fn demo_prints_what_the_readme_quotes() {
+    let run = Command::new(env!("CARGO_BIN_EXE_iqrudp"))
+        .arg("demo")
+        .output()
+        .expect("iqrudp runs");
+    assert!(run.status.success(), "{:?}", run.status);
+    let stdout = String::from_utf8(run.stdout).expect("UTF-8 output");
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&stdout),
+        "README.md does not quote `iqrudp demo`:\n{stdout}"
+    );
+}

@@ -155,23 +155,21 @@ fn tagged_data_survives_reliability_adaptation() {
         b,
         LinkSpec::new(6e6, time::millis(10), 32_000).with_random_loss(0.05),
     );
-    let mut cfg = SourceConfig::new(3, vec![1400; 600]);
-    cfg.rudp.loss_tolerance = 0.30;
+    let rudp = RudpConfig {
+        loss_tolerance: 0.30,
+        ..RudpConfig::default()
+    };
+    let mut cfg = SourceConfig::new(vec![1400; 600]);
     cfg.datagram_mode = true;
-    let sink_cfg = cfg.rudp.clone();
     // Pre-unmarked policy: heavy unmarking from the start.
     let adapter = MarkingAdapter {
         unmark_prob: 0.6,
         ..MarkingAdapter::default()
     };
-    let src = AdaptiveSourceAgent::new(
-        cfg,
-        Policy::Marking(adapter),
-        Addr::new(b, 1),
-        FlowId(1),
-    );
+    let driver = rudp.builder(3, FlowId(1)).build_sender(Addr::new(b, 1));
+    let src = AdaptiveSourceAgent::from_driver(driver, cfg, Policy::Marking(adapter));
     let tx = sim.add_agent(a, 1, Box::new(src));
-    let rx = sink(sink_cfg.builder(3, FlowId(1)).build_receiver());
+    let rx = sink(rudp.builder(3, FlowId(1)).build_receiver());
     let rx = sim.add_agent(b, 1, Box::new(rx));
     sim.run_until(time::secs(120.0));
 
@@ -213,22 +211,22 @@ fn full_stack_runs_are_reproducible() {
             )),
         );
         sim.add_agent(db.right_hosts[1], 9, Box::new(UdpSink::new()));
-        let mut cfg = SourceConfig::new(1, vec![1400; 300]);
-        cfg.rudp.upper_threshold = Some(0.1);
-        cfg.rudp.lower_threshold = Some(0.01);
+        let rudp = RudpConfig {
+            upper_threshold: Some(0.1),
+            lower_threshold: Some(0.01),
+            ..RudpConfig::default()
+        };
+        let mut cfg = SourceConfig::new(vec![1400; 300]);
         cfg.datagram_mode = true;
-        let sink_cfg = cfg.rudp.clone();
-        let src = AdaptiveSourceAgent::new(
-            cfg,
-            Policy::Marking(MarkingAdapter::default()),
-            Addr::new(db.right_hosts[0], 1),
-            FlowId(1),
-        );
+        let builder = rudp.builder(1, FlowId(1));
+        let driver = builder.build_sender(Addr::new(db.right_hosts[0], 1));
+        let policy = Policy::Marking(MarkingAdapter::default());
+        let src = AdaptiveSourceAgent::from_driver(driver, cfg, policy);
         sim.add_agent(db.left_hosts[0], 1, Box::new(src));
         let rx = sim.add_agent(
             db.right_hosts[0],
             1,
-            Box::new(sink(sink_cfg.builder(1, FlowId(1)).build_receiver())),
+            Box::new(sink(builder.build_receiver())),
         );
         sim.run_until(time::secs(60.0));
         let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();

@@ -202,21 +202,19 @@ proptest! {
         len in 1usize..600,
         base in 1.0f64..30.0,
         burst in 0.0f64..20.0,
-        min in 1u32..5,
-        spread in 0u32..40,
+        max in 1u32..45,
     ) {
         let cfg = MembershipConfig {
             seed,
             len,
             base,
             burst_scale: burst,
-            min,
-            max: min + spread,
-            ..MembershipConfig::default()
+            max,
         };
         let t = MembershipTrace::generate(&cfg);
         prop_assert_eq!(t.len(), len);
-        prop_assert!(t.samples.iter().all(|&g| g >= min && g <= min + spread));
+        // A group always has one member: its sender.
+        prop_assert!(t.samples.iter().all(|&g| g >= 1 && g <= max));
         // Determinism.
         prop_assert_eq!(t, MembershipTrace::generate(&cfg));
     }
