@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-
 /// The value half of an ECho `<name, value>` quality-attribute tuple.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {

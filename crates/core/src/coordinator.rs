@@ -154,7 +154,13 @@ impl Coordinator {
     }
 
     /// Plain send without attributes.
-    pub fn send(&mut self, conn: &mut SenderConn, now: Time, size: u32, marked: bool) -> SendOutcome {
+    pub fn send(
+        &mut self,
+        conn: &mut SenderConn,
+        now: Time,
+        size: u32,
+        marked: bool,
+    ) -> SendOutcome {
         self.last_msg_size = size;
         conn.send_message(now, size, marked)
     }
@@ -353,7 +359,11 @@ mod tests {
         let (mut c, mut conn) = setup(CoordinationMode::Coordinated);
         let before = conn.cwnd();
         // Announce: adaptation in 20 messages. No window change yet.
-        c.report_adaptation(&mut conn, 0, &AttrList::new().with(names::ADAPT_WHEN, 20i64));
+        c.report_adaptation(
+            &mut conn,
+            0,
+            &AttrList::new().with(names::ADAPT_WHEN, 20i64),
+        );
         assert_eq!(conn.cwnd(), before);
         assert_eq!(c.log().deferred_announcements, 1);
         // Execute.

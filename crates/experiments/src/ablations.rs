@@ -15,8 +15,8 @@ use iq_netsim::time;
 
 use crate::scenario::{PolicySpec, Scenario, Scheme};
 use crate::tables::{
-    conflict_scenario, group_label, label, overreaction_scenario, pairs, per_row, rows_at,
-    Column, Experiment, Layout,
+    conflict_scenario, group_label, label, overreaction_scenario, pairs, per_row, rows_at, Column,
+    Experiment, Layout,
 };
 
 /// What `iqrudp ablations` runs and prints, in order.
@@ -117,8 +117,12 @@ const TOLERANCE: Experiment = Experiment {
             ("Tolerance", label),
             ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
             ("Delivered(%)", |g| fmt(g[0].mean(|r| r.delivered_pct), 1)),
-            ("Tagged delay(ms)", |g| fmt(g[0].mean(|r| r.tagged_delay_ms), 2)),
-            ("Tagged jitter(ms)", |g| fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)),
+            ("Tagged delay(ms)", |g| {
+                fmt(g[0].mean(|r| r.tagged_delay_ms), 2)
+            }),
+            ("Tagged jitter(ms)", |g| {
+                fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)
+            }),
         ],
     )],
 };
@@ -163,7 +167,11 @@ mod tests {
     /// Every row of `exp` at seed 0, one run each.
     fn run_small(exp: &Experiment) -> Vec<Row> {
         let rows = run(exp, &Executor::new(0), Size(0.05), 0, 1);
-        assert!(rows.iter().all(|r| r.runs.len() == 1), "{}: one draw is one run", exp.name);
+        assert!(
+            rows.iter().all(|r| r.runs.len() == 1),
+            "{}: one draw is one run",
+            exp.name
+        );
         rows
     }
 

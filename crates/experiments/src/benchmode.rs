@@ -116,7 +116,11 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
 
     // 4. TCP bulk against a competing TCP flow: the second transport's
     //    state machine plus two full-speed flows through one queue.
-    let mut sc = Scenario::new(Scheme::Tcp, PolicySpec::None, vec![1400u32; size.frames(40_000)]);
+    let mut sc = Scenario::new(
+        Scheme::Tcp,
+        PolicySpec::None,
+        vec![1400u32; size.frames(40_000)],
+    );
     sc.cross.tcp_bulk = true;
     sc.deadline_s = 600.0;
     specs.push(ScenarioSpec::new("tcp_fairness", sc));
@@ -166,7 +170,10 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     //     the point is per-connection state pressure at fleet size — so
     //     `size` only scales the per-flow message count.
     let msgs = ((8.0 * size.0).ceil() as usize).max(2);
-    specs.push(ScenarioSpec::new("mega_flows", Scenario::mega(8, 12_800, msgs, 1400)));
+    specs.push(ScenarioSpec::new(
+        "mega_flows",
+        Scenario::mega(8, 12_800, msgs, 1400),
+    ));
 
     specs
 }
@@ -206,7 +213,9 @@ pub fn render_json(run: &BenchRun) -> String {
 fn number<T: std::str::FromStr>(json: &str, key: &str) -> Option<T> {
     let needle = format!("\"{key}\":");
     let rest = json[json.find(&needle)? + needle.len()..].trim_start();
-    let digits = rest.split(|c: char| !(c.is_ascii_digit() || c == '.')).next()?;
+    let digits = rest
+        .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .next()?;
     digits.parse().ok()
 }
 
@@ -223,7 +232,11 @@ fn parse_json(json: &str) -> Result<BenchRun, String> {
     let size = number(json, "size").ok_or("no `size`")?;
     let mut scenarios = Vec::new();
     for line in json.lines() {
-        let Some(name) = line.split("\"name\": \"").nth(1).and_then(|r| r.split('"').next()) else {
+        let Some(name) = line
+            .split("\"name\": \"")
+            .nth(1)
+            .and_then(|r| r.split('"').next())
+        else {
             continue;
         };
         let field = |key| number(line, key).ok_or_else(|| format!("`{name}`: no `{key}`"));
@@ -244,7 +257,11 @@ fn disagreement(got: &BenchScenario, want: &BenchScenario, whose: &str) -> Optio
     let diffs: Vec<String> = [
         ("events", got.events, want.events),
         ("fingerprint", got.fingerprint, want.fingerprint),
-        ("counter_fingerprint", got.counter_fingerprint, want.counter_fingerprint),
+        (
+            "counter_fingerprint",
+            got.counter_fingerprint,
+            want.counter_fingerprint,
+        ),
     ]
     .iter()
     .filter(|(_, got, want)| got != want)
@@ -275,9 +292,17 @@ fn drift(run: &BenchRun, reference: &BenchRun, subset: bool) -> Vec<String> {
     if !subset {
         let ran = |name: &String| run.scenarios.iter().any(|s| &s.name == name);
         for want in reference.scenarios.iter().filter(|w| !ran(&w.name)) {
-            drifted.push(format!("`{}`: in the reference, not in this run", want.name));
+            drifted.push(format!(
+                "`{}`: in the reference, not in this run",
+                want.name
+            ));
         }
-        let names = |r: &BenchRun| r.scenarios.iter().map(|s| s.name.clone()).collect::<Vec<_>>();
+        let names = |r: &BenchRun| {
+            r.scenarios
+                .iter()
+                .map(|s| s.name.clone())
+                .collect::<Vec<_>>()
+        };
         if drifted.is_empty() && names(run) != names(reference) {
             drifted.push("scenarios are not in the reference's order".to_string());
         }
@@ -303,7 +328,10 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, (i32
         specs.retain(|s| &s.name == only);
         if specs.is_empty() {
             let available = names.join(", ");
-            return Err((2, format!("no scenario named `{only}` (available: {available})")));
+            return Err((
+                2,
+                format!("no scenario named `{only}` (available: {available})"),
+            ));
         }
     }
     let mut scenarios: Vec<BenchScenario> = exec
@@ -319,7 +347,10 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, (i32
             let mut at_n = exec.clone();
             at_n.config.threads = n;
             let reports = at_n.run(std::slice::from_ref(mega));
-            scenarios.push(to_bench_scenario(format!("mega_flows_shards{n}"), &reports[0]));
+            scenarios.push(to_bench_scenario(
+                format!("mega_flows_shards{n}"),
+                &reports[0],
+            ));
         }
         let first = &scenarios[curve];
         for s in &scenarios[curve + 1..] {
@@ -327,9 +358,15 @@ pub fn bench_main(exec: &Executor, opts: &BenchOptions) -> Result<BenchRun, (i32
                 return Err((1, format!("shard determinism violation: {d}")));
             }
         }
-        eprintln!("bench check: 2, 4 and 8 shard threads reproduce `{}` — ok", first.name);
+        eprintln!(
+            "bench check: 2, 4 and 8 shard threads reproduce `{}` — ok",
+            first.name
+        );
     }
-    let run = BenchRun { size: opts.size.0, scenarios };
+    let run = BenchRun {
+        size: opts.size.0,
+        scenarios,
+    };
     if let Some(path) = &opts.check_path {
         let committed =
             std::fs::read_to_string(path).map_err(|e| (1, format!("cannot read {path}: {e}")))?;
@@ -373,7 +410,10 @@ mod tests {
 
     #[test]
     fn v4_render_parse_round_trip() {
-        let written = run(vec![scenario("a", u64::MAX), scenario("b", (1 << 53) + 1)], 0.25);
+        let written = run(
+            vec![scenario("a", u64::MAX), scenario("b", (1 << 53) + 1)],
+            0.25,
+        );
         let doc = render_json(&written);
         assert!(doc.contains("\"schema\": \"iq-bench-netsim/v4\""));
         assert_eq!(doc.lines().count(), written.scenarios.len() + 6);
@@ -384,7 +424,8 @@ mod tests {
         let err = parse_json(&v3).unwrap_err();
         assert!(err.contains("bench 1.0 --out BENCH_netsim.json"), "{err}");
         // A row that lost a field names the scenario and the field.
-        let err = parse_json(&doc.replace("\"events\": 100, \"fingerprint\": 9", "\"fingerprint\": 9"));
+        let err =
+            parse_json(&doc.replace("\"events\": 100, \"fingerprint\": 9", "\"fingerprint\": 9"));
         assert_eq!(err, Err("`b`: no `events`".to_string()));
     }
 
@@ -392,9 +433,16 @@ mod tests {
     fn committed_reference_is_the_full_sweep() {
         let committed = parse_json(include_str!("../../../BENCH_netsim.json")).expect("v4 file");
         assert_eq!(committed.size, 1.0);
-        let mut names: Vec<String> = bench_specs(Size::FULL).into_iter().map(|s| s.name).collect();
+        let mut names: Vec<String> = bench_specs(Size::FULL)
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
         names.extend([1, 2, 4, 8].map(|n| format!("mega_flows_shards{n}")));
-        let got: Vec<&str> = committed.scenarios.iter().map(|s| s.name.as_str()).collect();
+        let got: Vec<&str> = committed
+            .scenarios
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
         assert_eq!(got, names);
         let curve = &committed.scenarios[committed.scenarios.len() - 4..];
         for s in &curve[1..] {
@@ -424,7 +472,10 @@ mod tests {
         let resized = run(vec![scenario("a", u64::MAX), scenario("b", 7)], 0.5);
         let drifted = drift(&resized, &committed, false);
         assert_eq!(drifted.len(), 1, "{drifted:?}");
-        assert!(drifted[0].starts_with("size 0.5 (committed 1)"), "{drifted:?}");
+        assert!(
+            drifted[0].starts_with("size 0.5 (committed 1)"),
+            "{drifted:?}"
+        );
 
         // `--only b`: the rest of the reference may go unrun, but `b`
         // must be there.

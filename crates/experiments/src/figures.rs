@@ -106,7 +106,10 @@ mod tests {
         let mut sc = Scenario::new(Scheme::RudpPlain, PolicySpec::None, vec![1400; 80]);
         sc.cross.cbr_bps = Some(8e6);
         sc.deadline_s = 60.0;
-        let capture = RunConfig { telemetry: true, ..RunConfig::default() };
+        let capture = RunConfig {
+            telemetry: true,
+            ..RunConfig::default()
+        };
         let r = run_scenario_with(&sc, capture);
         let records = iq_telemetry::parse_jsonl(&r.telemetry).expect("captured telemetry parses");
         let delivered: Vec<u64> = records
@@ -116,7 +119,10 @@ mod tests {
             .map(|r| r.at)
             .collect();
         let rebuilt = iq_metrics::jitter_series(delivered.iter().copied());
-        assert!(!rebuilt.is_empty(), "the run delivered no message on the bus");
+        assert!(
+            !rebuilt.is_empty(),
+            "the run delivered no message on the bus"
+        );
         assert_eq!(rebuilt.len(), r.jitter_series.len());
         for (a, b) in rebuilt.points.iter().zip(&r.jitter_series.points) {
             assert_eq!(a.0, b.0, "jitter sample timestamps diverge");
@@ -165,7 +171,10 @@ mod tests {
                 sched: iq_netsim::SchedTotals::default(),
                 telemetry_evicted: 0,
             };
-            Row { label: "x", runs: vec![run] }
+            Row {
+                label: "x",
+                runs: vec![run],
+            }
         }
         let rows = vec![
             row(110.0, 0.8),  // 12M IQ

@@ -126,7 +126,11 @@ pub(crate) fn result_fingerprint(r: &RunResult) -> u64 {
         r.callbacks.1,
         r.events_processed,
     ];
-    let series = r.jitter_series.points.iter().flat_map(|&(t, v)| [t, v.to_bits()]);
+    let series = r
+        .jitter_series
+        .points
+        .iter()
+        .flat_map(|&(t, v)| [t, v.to_bits()]);
     // Last, the counter fingerprint: FNV-1a over the canonical sim-plane
     // exposition text, so per-shard simulator counters, transport
     // counters, and the delivery-latency histogram are all held to the
@@ -365,7 +369,10 @@ fn utilization(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
 /// the run wall minus a worker's share of the busy phases.
 fn idle_s_per_worker(profile: &[iq_obs::PhaseSnapshot], workers: u64) -> f64 {
     let idle = iq_obs::Phase::Idle as usize;
-    let busy: u64 = profile.iter().map(|s| s.total_nanos() - s.nanos[idle]).sum();
+    let busy: u64 = profile
+        .iter()
+        .map(|s| s.total_nanos() - s.nanos[idle])
+        .sum();
     let per_worker = busy as f64 / workers.max(1) as f64;
     (run_wall_nanos(profile) as f64 - per_worker).max(0.0) / 1e9
 }
@@ -456,7 +463,10 @@ mod tests {
 
     fn file_names(dir: &std::path::Path) -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(dir)
-            .map(|d| d.map(|e| e.unwrap().file_name().into_string().unwrap()).collect())
+            .map(|d| {
+                d.map(|e| e.unwrap().file_name().into_string().unwrap())
+                    .collect()
+            })
             .unwrap_or_default();
         names.sort();
         names
@@ -522,15 +532,25 @@ mod tests {
         }
         let dumped = file_names(&dir);
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(dumped.len(), 2 * specs.len(), "one JSONL file per executed scenario");
+        assert_eq!(
+            dumped.len(),
+            2 * specs.len(),
+            "one JSONL file per executed scenario"
+        );
         assert_eq!(dumped[0], "000_t0.jsonl");
         assert_eq!(dumped[7], "007_t3.jsonl");
     }
 
     #[test]
     fn telemetry_evictions_are_counted_and_reported() {
-        let capture = RunConfig { telemetry: true, ..RunConfig::default() };
-        let tiny_ring = RunConfig { telemetry_ring: 4, ..capture };
+        let capture = RunConfig {
+            telemetry: true,
+            ..RunConfig::default()
+        };
+        let tiny_ring = RunConfig {
+            telemetry_ring: 4,
+            ..capture
+        };
         let r = run_scenario_with(&small_scenario(2), tiny_ring);
         assert!(
             r.telemetry_evicted > 0,
@@ -582,8 +602,16 @@ mod tests {
     fn two_configurations_run_at_once() {
         let specs = [ScenarioSpec::new("mega", small_mega())];
         let configs = [
-            RunConfig { threads: 1, telemetry: true, ..RunConfig::default() },
-            RunConfig { threads: 2, telemetry: false, ..RunConfig::default() },
+            RunConfig {
+                threads: 1,
+                telemetry: true,
+                ..RunConfig::default()
+            },
+            RunConfig {
+                threads: 2,
+                telemetry: false,
+                ..RunConfig::default()
+            },
         ];
         let solo: Vec<u64> = configs
             .iter()
@@ -595,7 +623,11 @@ mod tests {
             .map(|(i, &config)| {
                 let mut exec = Executor::new(1);
                 exec.config = config;
-                exec.metrics_dir = Some(scratch_dir(&format!("two_configs_{i}")).display().to_string());
+                exec.metrics_dir = Some(
+                    scratch_dir(&format!("two_configs_{i}"))
+                        .display()
+                        .to_string(),
+                );
                 exec
             })
             .collect();
@@ -612,7 +644,10 @@ mod tests {
                     })
                 })
                 .collect();
-            running.into_iter().map(|t| t.join().expect("executor thread")).collect()
+            running
+                .into_iter()
+                .map(|t| t.join().expect("executor thread"))
+                .collect()
         });
         let dumped: Vec<Vec<String>> = execs
             .iter()
@@ -625,18 +660,29 @@ mod tests {
             .collect();
 
         for (i, report) in reports.iter().enumerate() {
-            assert_eq!(result_fingerprint(&report.result), solo[i], "executor {i} vs its solo run");
+            assert_eq!(
+                result_fingerprint(&report.result),
+                solo[i],
+                "executor {i} vs its solo run"
+            );
             assert_eq!(report.result.shards_used, configs[i].threads as u32);
             // Each numbered its one scenario 000: neither advanced the other.
             assert_eq!(dumped[i], ["000_mega.prom"], "executor {i}");
         }
-        assert!(!reports[0].result.telemetry.is_empty(), "executor 0 captures");
+        assert!(
+            !reports[0].result.telemetry.is_empty(),
+            "executor 0 captures"
+        );
         assert_eq!(reports[1].result.telemetry, "", "executor 1 does not");
     }
 
     #[test]
     fn from_args_takes_its_flags_and_leaves_the_rest_in_order() {
-        let args = |line: &str| line.split_whitespace().map(str::to_string).collect::<Vec<_>>();
+        let args = |line: &str| {
+            line.split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
         let (exec, rest) = Executor::from_args(args(
             "-j 3 tables --shards=2 0.05 --no-timing --telemetry tele --metrics=met t3 --only x",
         ))
@@ -657,7 +703,14 @@ mod tests {
         assert!(rest == [gone] && exec.timing);
         assert_eq!((exec.workers, exec.config), (0, RunConfig::default()));
 
-        for bad in ["-j", "-j abc", "--jobs=-3", "--shards", "--telemetry", "--metrics="] {
+        for bad in [
+            "-j",
+            "-j abc",
+            "--jobs=-3",
+            "--shards",
+            "--telemetry",
+            "--metrics=",
+        ] {
             let err = Executor::from_args(args(bad)).expect_err(bad);
             let flag = bad.split([' ', '=']).next().unwrap();
             assert!(err.starts_with(flag), "`{bad}`: {err}");

@@ -123,8 +123,8 @@ impl VbrSpec {
             len: 4000,
             ..MembershipConfig::default()
         });
-        let mean_group = trace.samples.iter().map(|&g| f64::from(g)).sum::<f64>()
-            / trace.samples.len() as f64;
+        let mean_group =
+            trace.samples.iter().map(|&g| f64::from(g)).sum::<f64>() / trace.samples.len() as f64;
         let bytes_per_member = self.mean_bps / (8.0 * self.fps * mean_group);
         trace
             .samples
@@ -367,7 +367,11 @@ impl Default for RunConfig {
     /// One thread, no capture, the bus-default ring. Written out, not
     /// derived: 0 threads means one per core.
     fn default() -> Self {
-        Self { threads: 1, telemetry: false, telemetry_ring: 0 }
+        Self {
+            threads: 1,
+            telemetry: false,
+            telemetry_ring: 0,
+        }
     }
 }
 
@@ -388,7 +392,10 @@ enum FlowClass {
     /// A greedy RUDP bulk sender offering `frame_sizes.len()` messages of
     /// `frame_sizes[0]` bytes, every `unmark_every`-th one unmarked
     /// (0 = all marked).
-    Bulk { builder: ConnBuilder, unmark_every: u64 },
+    Bulk {
+        builder: ConnBuilder,
+        unmark_every: u64,
+    },
     /// A greedy TCP Reno bulk sender over the same byte volume (TCP has
     /// no application adaptation path).
     TcpBulk,
@@ -420,7 +427,10 @@ fn flow_classes(sc: &Scenario, base: &RudpConfig) -> Vec<FlowClass> {
         if sc.mega_legs > 0 {
             cfg.cc.algorithm = mega_cc;
         }
-        FlowClass::Bulk { builder: cfg.builder(0, FlowId(0)), unmark_every }
+        FlowClass::Bulk {
+            builder: cfg.builder(0, FlowId(0)),
+            unmark_every,
+        }
     };
     let marked = RudpConfig {
         loss_tolerance: 0.0,
@@ -492,13 +502,19 @@ struct Handle {
 
 impl From<ShardAgentId> for Handle {
     fn from(id: ShardAgentId) -> Self {
-        Self { shard: id.shard as u32, agent: id.agent }
+        Self {
+            shard: id.shard as u32,
+            agent: id.agent,
+        }
     }
 }
 
 impl Handle {
     fn id(self) -> ShardAgentId {
-        ShardAgentId { shard: self.shard as usize, agent: self.agent }
+        ShardAgentId {
+            shard: self.shard as usize,
+            agent: self.agent,
+        }
     }
 }
 
@@ -552,7 +568,11 @@ impl World {
         let legs: Vec<(usize, usize)> = (0..sc.mega_legs.max(1))
             .map(|_| {
                 let left = sim.add_shard();
-                let right = if sc.mega_legs > 0 { sim.add_shard() } else { left };
+                let right = if sc.mega_legs > 0 {
+                    sim.add_shard()
+                } else {
+                    left
+                };
                 (left, right)
             })
             .collect();
@@ -630,7 +650,10 @@ impl World {
                         let policy = sc.policy.build(sc.scheme);
                         Box::new(AdaptiveSourceAgent::from_driver(driver, cfg, policy))
                     }
-                    FlowClass::Bulk { builder, unmark_every } => {
+                    FlowClass::Bulk {
+                        builder,
+                        unmark_every,
+                    } => {
                         let driver = builder.for_conn(id, flow).build_sender(peer);
                         Box::new(
                             BulkSender::new(driver, msgs_per_flow, msg_size)
@@ -640,18 +663,27 @@ impl World {
                     FlowClass::TcpBulk => {
                         let (msgs, size) = tcp_schedule(sc);
                         let conn = TcpSenderConn::new(id, TcpConfig);
-                        Box::new(BulkSender::new(SenderDriver::new(conn, peer, flow), msgs, size))
+                        Box::new(BulkSender::new(
+                            SenderDriver::new(conn, peer, flow),
+                            msgs,
+                            size,
+                        ))
                     }
                 };
                 let tx = sim.add_agent(lh[pair], port, sender);
                 // A recorder exists where a reader exists: `harvest`
                 // reports the arrival shape of flow 0 and sums volume
                 // over the rest.
-                let metrics = if g == 0 { FlowMetrics::new() } else { FlowMetrics::volume_only() };
+                let metrics = if g == 0 {
+                    FlowMetrics::new()
+                } else {
+                    FlowMetrics::volume_only()
+                };
                 let receiver: Box<dyn Agent> = match class {
                     FlowClass::Adaptive(builder) | FlowClass::Bulk { builder, .. } => {
-                        let builder =
-                            builder.for_conn(id, flow).telemetry(flow_sinks[right].clone());
+                        let builder = builder
+                            .for_conn(id, flow)
+                            .telemetry(flow_sinks[right].clone());
                         Box::new(RudpSinkAgent::new(builder.build_receiver(), metrics))
                     }
                     FlowClass::TcpBulk => {
@@ -660,10 +692,18 @@ impl World {
                     }
                 };
                 let rx = sim.add_agent(rh[pair], port, receiver);
-                flows.push(Flow { tx: tx.into(), rx: rx.into() });
+                flows.push(Flow {
+                    tx: tx.into(),
+                    rx: rx.into(),
+                });
             }
         }
-        Self { sim, buses, classes, flows }
+        Self {
+            sim,
+            buses,
+            classes,
+            flows,
+        }
     }
 
     /// Folds every flow into one [`RunResult`]: sums for volume metrics,
@@ -708,7 +748,9 @@ impl World {
         for (g, flow) in flows.iter().enumerate() {
             match &classes[g % classes.len()] {
                 FlowClass::Adaptive(_) => {
-                    let a = sim.agent::<AdaptiveSourceAgent>(flow.tx.id()).expect("adaptive source");
+                    let a = sim
+                        .agent::<AdaptiveSourceAgent>(flow.tx.id())
+                        .expect("adaptive source");
                     offered += a.offered_msgs;
                     callbacks.0 += a.callbacks.0;
                     callbacks.1 += a.callbacks.1;
@@ -727,7 +769,9 @@ impl World {
                     }
                 }
                 FlowClass::Bulk { .. } => {
-                    let a = sim.agent::<BulkSender<SenderConn>>(flow.tx.id()).expect("bulk sender");
+                    let a = sim
+                        .agent::<BulkSender<SenderConn>>(flow.tx.id())
+                        .expect("bulk sender");
                     offered += a.offered_msgs();
                     sum_sender_stats(sender_stats.get_or_insert_default(), &a.conn().stats());
                 }
@@ -756,7 +800,13 @@ impl World {
         // of the sink.
         let first = sink_metrics_mut(&mut sim, flows[0].rx.id());
         // The TCP sink tags every message; the tagged columns are RUDP's.
-        let tagged_ms = |s: f64| if receiver_stats.is_some() { s * 1e3 } else { 0.0 };
+        let tagged_ms = |s: f64| {
+            if receiver_stats.is_some() {
+                s * 1e3
+            } else {
+                0.0
+            }
+        };
         let (inter_arrival_s, jitter_s) = (first.inter_arrival_s(), first.jitter_s());
         let tagged_delay_ms = tagged_ms(first.tagged_inter_arrival_s());
         let tagged_jitter_ms = tagged_ms(first.tagged_jitter_s());
@@ -915,9 +965,24 @@ fn collect_run_obs(
     telemetry_evicted: u64,
 ) {
     if let Some(s) = tx {
-        reg.counter(Plane::Sim, "iq_rudp_msgs_submitted_total", &[], s.msgs_submitted);
-        reg.counter(Plane::Sim, "iq_rudp_msgs_discarded_total", &[], s.msgs_discarded);
-        reg.counter(Plane::Sim, "iq_rudp_segments_sent_total", &[], s.segments_sent);
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_msgs_submitted_total",
+            &[],
+            s.msgs_submitted,
+        );
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_msgs_discarded_total",
+            &[],
+            s.msgs_discarded,
+        );
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_segments_sent_total",
+            &[],
+            s.segments_sent,
+        );
         reg.counter(Plane::Sim, "iq_rudp_retransmits_total", &[], s.retransmits);
         reg.counter(
             Plane::Sim,
@@ -925,7 +990,12 @@ fn collect_run_obs(
             &[],
             s.segments_abandoned,
         );
-        reg.counter(Plane::Sim, "iq_rudp_segments_acked_total", &[], s.segments_acked);
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_segments_acked_total",
+            &[],
+            s.segments_acked,
+        );
         reg.counter(Plane::Sim, "iq_rudp_rto_total", &[], s.timeouts);
         reg.counter(Plane::Sim, "iq_rudp_bytes_acked_total", &[], s.bytes_acked);
     }
@@ -937,8 +1007,18 @@ fn collect_run_obs(
             s.segments_received,
         );
         reg.counter(Plane::Sim, "iq_rudp_duplicates_total", &[], s.duplicates);
-        reg.counter(Plane::Sim, "iq_rudp_segments_skipped_total", &[], s.segments_skipped);
-        reg.counter(Plane::Sim, "iq_rudp_msgs_delivered_total", &[], s.msgs_delivered);
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_segments_skipped_total",
+            &[],
+            s.segments_skipped,
+        );
+        reg.counter(
+            Plane::Sim,
+            "iq_rudp_msgs_delivered_total",
+            &[],
+            s.msgs_delivered,
+        );
         reg.counter(
             Plane::Sim,
             "iq_rudp_msgs_dropped_partial_total",
@@ -952,7 +1032,12 @@ fn collect_run_obs(
             s.sack_truncations,
         );
     }
-    reg.counter(Plane::Sim, "iq_telemetry_evicted_total", &[], telemetry_evicted);
+    reg.counter(
+        Plane::Sim,
+        "iq_telemetry_evicted_total",
+        &[],
+        telemetry_evicted,
+    );
     reg.counter(Plane::Engine, "iq_pool_hits_total", &[], pool.hits);
     reg.counter(Plane::Engine, "iq_pool_misses_total", &[], pool.misses);
     reg.counter(Plane::Engine, "iq_pool_returns_total", &[], pool.returns);
@@ -1042,17 +1127,29 @@ mod tests {
         sc.cross.tcp_bulk = true;
         let world = World::build(&sc, RunConfig::default());
         for (g, flow) in world.flows.iter().enumerate() {
-            let sink = world.sim.agent::<RudpSinkAgent>(flow.rx.id()).expect("fleet sink");
+            let sink = world
+                .sim
+                .agent::<RudpSinkAgent>(flow.rx.id())
+                .expect("fleet sink");
             assert_eq!(sink.metrics.records_shape(), g == 0, "flow {g}");
         }
         // The cross traffic is added first: its source, then its sink.
-        let cross = ShardAgentId { shard: 0, agent: AgentId(1) };
-        let sink = world.sim.agent::<TcpSinkAgent>(cross).expect("cross.tcp_bulk sink");
+        let cross = ShardAgentId {
+            shard: 0,
+            agent: AgentId(1),
+        };
+        let sink = world
+            .sim
+            .agent::<TcpSinkAgent>(cross)
+            .expect("cross.tcp_bulk sink");
         assert!(!sink.metrics.records_shape());
 
         // A TCP row's one flow is the reported one too.
         let world = World::build(&small_scenario(Scheme::Tcp), RunConfig::default());
-        let sink = world.sim.agent::<TcpSinkAgent>(world.flows[0].rx.id()).expect("TCP sink");
+        let sink = world
+            .sim
+            .agent::<TcpSinkAgent>(world.flows[0].rx.id())
+            .expect("TCP sink");
         assert!(sink.metrics.records_shape());
     }
 
@@ -1082,7 +1179,10 @@ mod tests {
         assert!(r.throughput_kbps > 0.0);
         let stats = r.sender_stats.expect("aggregated sender stats");
         assert!(stats.segments_acked > 0);
-        assert!(r.coordination.is_some(), "adaptive flows report coordination");
+        assert!(
+            r.coordination.is_some(),
+            "adaptive flows report coordination"
+        );
     }
 
     #[test]
@@ -1105,11 +1205,18 @@ mod tests {
         assert_eq!(r.msgs_offered, 2 * 24 * 3);
         // Unmarked-discard flows lose some messages by design; most of
         // the fleet is reliable.
-        assert!(r.msgs_delivered > 2 * 24 * 3 * 8 / 10, "{}", r.msgs_delivered);
+        assert!(
+            r.msgs_delivered > 2 * 24 * 3 * 8 / 10,
+            "{}",
+            r.msgs_delivered
+        );
         assert!(r.throughput_kbps > 0.0);
         let stats = r.sender_stats.expect("aggregated sender stats");
         assert!(stats.segments_acked > 0);
-        assert!(r.coordination.is_some(), "adaptive flows report coordination");
+        assert!(
+            r.coordination.is_some(),
+            "adaptive flows report coordination"
+        );
         assert_eq!(r.shards_used, 1, "default shard thread count");
     }
 
@@ -1150,14 +1257,22 @@ mod tests {
             let runs: Vec<RunResult> = [1usize, 2, 4]
                 .iter()
                 .map(|&threads| {
-                    let cfg = RunConfig { threads, telemetry: true, ..RunConfig::default() };
+                    let cfg = RunConfig {
+                        threads,
+                        telemetry: true,
+                        ..RunConfig::default()
+                    };
                     run_scenario_with(sc, cfg)
                 })
                 .collect();
             let a = &runs[0];
             assert!(a.finished, "{kind} did not finish");
             // The TCP row attaches no bus.
-            assert_eq!(a.telemetry.is_empty(), *kind == "tcp", "{kind}: capture was on");
+            assert_eq!(
+                a.telemetry.is_empty(),
+                *kind == "tcp",
+                "{kind}: capture was on"
+            );
             for (b, threads) in runs.iter().zip([1u32, 2, 4]) {
                 assert_eq!(
                     crate::runner::result_fingerprint(a),
@@ -1171,7 +1286,10 @@ mod tests {
                     // The payload pool is thread-local: each pool worker
                     // folds its counters into the world as it exits.
                     let hits = b.obs.counter_total("iq_pool_hits_total");
-                    assert!(hits > 0, "mega: no pool hits folded in at {threads} shard threads");
+                    assert!(
+                        hits > 0,
+                        "mega: no pool hits folded in at {threads} shard threads"
+                    );
                 }
             }
         }
@@ -1188,7 +1306,11 @@ mod tests {
         for mut sc in kinds {
             sc.deadline_s = 0.0;
             let r = run(&sc);
-            assert_eq!(r.events_processed, 0, "{}: not even an on_start ran", r.label);
+            assert_eq!(
+                r.events_processed, 0,
+                "{}: not even an on_start ran",
+                r.label
+            );
             assert!(!r.finished);
             assert_eq!(r.msgs_delivered, 0);
         }
@@ -1216,7 +1338,10 @@ mod tests {
     fn runs_report_observability_registries() {
         let r = run(&small_scenario(Scheme::RudpPlain));
         assert!(!r.obs.is_empty());
-        assert_eq!(r.obs.counter_total("iq_sim_events_total"), r.events_processed);
+        assert_eq!(
+            r.obs.counter_total("iq_sim_events_total"),
+            r.events_processed
+        );
         assert!(r.obs.counter_total("iq_rudp_segments_sent_total") > 0);
         assert!(r.obs.counter_total("iq_rudp_msgs_delivered_total") > 0);
         let mut sorted = r.obs.clone();

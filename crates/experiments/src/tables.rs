@@ -92,7 +92,11 @@ pub struct Layout {
 
 /// A layout of one printed line per row.
 pub(crate) const fn per_row(title: &'static str, columns: &'static [Column]) -> Layout {
-    Layout { title, group: 1, columns }
+    Layout {
+        title,
+        group: 1,
+        columns,
+    }
 }
 
 /// One table or ablation: the scenarios it runs and how it prints them.
@@ -118,7 +122,13 @@ fn draws_randomness(sc: &Scenario) -> bool {
 /// the row draws randomness, once otherwise.
 pub fn run(exp: &Experiment, exec: &Executor, size: Size, seed: u64, draws: u32) -> Vec<Row> {
     let rows = (exp.rows)(size, seed);
-    let runs = |sc: &Scenario| if draws_randomness(sc) { u64::from(draws.max(1)) } else { 1 };
+    let runs = |sc: &Scenario| {
+        if draws_randomness(sc) {
+            u64::from(draws.max(1))
+        } else {
+            1
+        }
+    };
     let specs: Vec<ScenarioSpec> = rows
         .iter()
         .flat_map(|(_, sc)| (0..runs(sc)).map(move |i| (sc, sc.seed.wrapping_add(i * 7919))))
@@ -126,7 +136,10 @@ pub fn run(exp: &Experiment, exec: &Executor, size: Size, seed: u64, draws: u32)
         .collect();
     let mut results = exec.run(&specs).into_iter().map(|r| r.result);
     rows.iter()
-        .map(|(label, sc)| Row { label, runs: results.by_ref().take(runs(sc) as usize).collect() })
+        .map(|(label, sc)| Row {
+            label,
+            runs: results.by_ref().take(runs(sc) as usize).collect(),
+        })
         .collect()
 }
 
@@ -163,8 +176,14 @@ pub(crate) fn rows_at<T>(
     items: &[(&'static str, T)],
     build: impl Fn(&T) -> Scenario,
 ) -> Rows {
-    let at_seed = |sc: Scenario| Scenario { seed: seeded(seed, sc.seed), ..sc };
-    items.iter().map(|(label, item)| (*label, at_seed(build(item)))).collect()
+    let at_seed = |sc: Scenario| Scenario {
+        seed: seeded(seed, sc.seed),
+        ..sc
+    };
+    items
+        .iter()
+        .map(|(label, item)| (*label, at_seed(build(item))))
+        .collect()
 }
 
 /// The comparison of §3.3–§3.5: the coordinated scheme, then its
@@ -232,7 +251,11 @@ pub(crate) fn label(g: &[Row]) -> String {
 
 /// What a group's labels share: the first label up to its ` /`.
 pub(crate) fn group_label(g: &[Row]) -> String {
-    g[0].label.split(" /").next().unwrap_or_default().to_string()
+    g[0].label
+        .split(" /")
+        .next()
+        .unwrap_or_default()
+        .to_string()
 }
 
 /// What coordinating changed `f` by: a pair's first row's mean less its
@@ -246,8 +269,12 @@ fn gain(g: &[Row], f: fn(&RunResult) -> f64) -> f64 {
 const TIME_TP_IA_JITTER: &[Column] = &[
     ("Transport Tested", label),
     ("Time(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
-    ("Throughput(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
-    ("Inter-arrival(s)", |g| fmt(g[0].mean(|r| r.inter_arrival_s), 3)),
+    ("Throughput(KB/s)", |g| {
+        fmt(g[0].mean(|r| r.throughput_kbps), 1)
+    }),
+    ("Inter-arrival(s)", |g| {
+        fmt(g[0].mean(|r| r.inter_arrival_s), 3)
+    }),
     ("Jitter(s)", |g| fmt(g[0].mean(|r| r.jitter_s), 3)),
 ];
 
@@ -257,18 +284,28 @@ const CONFLICT: &[Column] = &[
     ("Scheme", label),
     ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
     ("Mesgs Recvd(%)", |g| fmt(g[0].mean(|r| r.delivered_pct), 1)),
-    ("Tagged Delay(ms)", |g| fmt(g[0].mean(|r| r.tagged_delay_ms), 1)),
-    ("Tagged Jitter(ms)", |g| fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)),
-    ("Delay(ms)", |g| fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 1)),
+    ("Tagged Delay(ms)", |g| {
+        fmt(g[0].mean(|r| r.tagged_delay_ms), 1)
+    }),
+    ("Tagged Jitter(ms)", |g| {
+        fmt(g[0].mean(|r| r.tagged_jitter_ms), 2)
+    }),
+    ("Delay(ms)", |g| {
+        fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 1)
+    }),
     ("Jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
 ];
 
 /// The over-reaction columns (Tables 5–8): throughput first.
 const OVERREACTION: &[Column] = &[
     ("Scheme", label),
-    ("Throughput(KB/s)", |g| fmt(g[0].mean(|r| r.throughput_kbps), 1)),
+    ("Throughput(KB/s)", |g| {
+        fmt(g[0].mean(|r| r.throughput_kbps), 1)
+    }),
     ("Duration(s)", |g| fmt(g[0].mean(|r| r.duration_s), 1)),
-    ("Delay(ms)", |g| fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 2)),
+    ("Delay(ms)", |g| {
+        fmt(g[0].mean(|r| r.inter_arrival_s) * 1e3, 2)
+    }),
     ("Jitter(ms)", |g| fmt(g[0].mean(|r| r.jitter_s) * 1e3, 2)),
 ];
 
@@ -296,7 +333,10 @@ const TABLE1: Experiment = Experiment {
             sc
         })
     },
-    layouts: &[per_row("Table 1: Basic performance comparison", TIME_TP_IA_JITTER)],
+    layouts: &[per_row(
+        "Table 1: Basic performance comparison",
+        TIME_TP_IA_JITTER,
+    )],
 };
 
 /// Table 2: fairness against a competing TCP bulk flow.
@@ -304,14 +344,21 @@ const TABLE2: Experiment = Experiment {
     name: "t2",
     rows: |size, seed| {
         let frames = vec![1400u32; size.frames(4000)];
-        rows_at(seed, &[("TCP", Scheme::Tcp), ("IQ-RUDP", Scheme::RudpPlain)], |&scheme| {
-            let mut sc = Scenario::new(scheme, PolicySpec::None, frames.clone());
-            sc.cross.tcp_bulk = true;
-            sc.deadline_s = 300.0;
-            sc
-        })
+        rows_at(
+            seed,
+            &[("TCP", Scheme::Tcp), ("IQ-RUDP", Scheme::RudpPlain)],
+            |&scheme| {
+                let mut sc = Scenario::new(scheme, PolicySpec::None, frames.clone());
+                sc.cross.tcp_bulk = true;
+                sc.deadline_s = 300.0;
+                sc
+            },
+        )
     },
-    layouts: &[per_row("Table 2: Fairness test (vs TCP cross flow)", TIME_TP_IA_JITTER)],
+    layouts: &[per_row(
+        "Table 2: Fairness test (vs TCP cross flow)",
+        TIME_TP_IA_JITTER,
+    )],
 };
 
 /// Table 3: coordination against conflict, changing application — the
@@ -320,9 +367,14 @@ pub(crate) const TABLE3: Experiment = Experiment {
     name: "t3",
     rows: |size, seed| {
         let frames = app_frame_sizes(size.frames(3000), seeded(seed, 11));
-        rows_at(seed, &IQ_VS_RUDP, |&scheme| conflict_scenario(&frames, scheme))
+        rows_at(seed, &IQ_VS_RUDP, |&scheme| {
+            conflict_scenario(&frames, scheme)
+        })
     },
-    layouts: &[per_row("Table 3: Coordination against conflict - changing application", CONFLICT)],
+    layouts: &[per_row(
+        "Table 3: Coordination against conflict - changing application",
+        CONFLICT,
+    )],
 };
 
 /// Table 4: coordination against conflict, changing network — the
@@ -343,7 +395,10 @@ const TABLE4: Experiment = Experiment {
             sc
         })
     },
-    layouts: &[per_row("Table 4: Coordination against conflict - changing network", CONFLICT)],
+    layouts: &[per_row(
+        "Table 4: Coordination against conflict - changing network",
+        CONFLICT,
+    )],
 };
 
 /// Table 5: coordination against over-reaction, changing application —
@@ -352,9 +407,14 @@ const TABLE5: Experiment = Experiment {
     name: "t5",
     rows: |size, seed| {
         let frames = app_frame_sizes(size.frames(2000), seeded(seed, 17));
-        rows_at(seed, &IQ_VS_RUDP, |&scheme| overreaction_scenario(&frames, scheme))
+        rows_at(seed, &IQ_VS_RUDP, |&scheme| {
+            overreaction_scenario(&frames, scheme)
+        })
     },
-    layouts: &[per_row("Table 5: Coordination against overreaction - changing app", OVERREACTION)],
+    layouts: &[per_row(
+        "Table 5: Coordination against overreaction - changing app",
+        OVERREACTION,
+    )],
 };
 
 /// The iperf rates swept by Table 6, bits/second, each with its
@@ -409,7 +469,10 @@ const TABLE7: Experiment = Experiment {
             sc
         })
     },
-    layouts: &[per_row("Table 7: Limited adaptation granularity - changing app", OVERREACTION)],
+    layouts: &[per_row(
+        "Table 7: Limited adaptation granularity - changing app",
+        OVERREACTION,
+    )],
 };
 
 /// Table 8: limited granularity, changing network, on the 125 ms
@@ -429,8 +492,11 @@ const TABLE8: Experiment = Experiment {
             ("RUDP", Scheme::Uncoordinated),
         ];
         rows_at(seed, &schemes, |&scheme| {
-            let mut sc =
-                Scenario::new(scheme, PolicySpec::Deferred { granularity: 20 }, frames.clone());
+            let mut sc = Scenario::new(
+                scheme,
+                PolicySpec::Deferred { granularity: 20 },
+                frames.clone(),
+            );
             sc.dumbbell = iq_netsim::DumbbellSpec::long_rtt(3);
             sc.fps = Some(120.0);
             sc.datagram_mode = true;
@@ -446,7 +512,10 @@ const TABLE8: Experiment = Experiment {
             sc
         })
     },
-    layouts: &[per_row("Table 8: Limited adaptation granularity - changing network", OVERREACTION)],
+    layouts: &[per_row(
+        "Table 8: Limited adaptation granularity - changing network",
+        OVERREACTION,
+    )],
 };
 
 /// Table 9 (not in the paper): the coordination-benefit matrix across
@@ -461,7 +530,10 @@ const TABLE9: Experiment = Experiment {
         let controllers = [
             ("lda", ["LDA / coordinated", "LDA / uncoordinated"]),
             ("cubic", ["CUBIC / coordinated", "CUBIC / uncoordinated"]),
-            ("bbr", ["BBR-like / coordinated", "BBR-like / uncoordinated"]),
+            (
+                "bbr",
+                ["BBR-like / coordinated", "BBR-like / uncoordinated"],
+            ),
             ("rrr", ["RRR / coordinated", "RRR / uncoordinated"]),
         ];
         pairs(seed, &controllers, |name, scheme| {
@@ -471,14 +543,19 @@ const TABLE9: Experiment = Experiment {
         })
     },
     layouts: &[
-        per_row("Table 9: Coordination benefit across congestion controllers", CONFLICT),
+        per_row(
+            "Table 9: Coordination benefit across congestion controllers",
+            CONFLICT,
+        ),
         Layout {
             title: "Coordination benefit (coordinated - uncoordinated)",
             group: 2,
             columns: &[
                 ("Controller", group_label),
                 ("dRecvd(pp)", |g| fmt(gain(g, |r| r.delivered_pct), 1)),
-                ("dTaggedJitter(ms)", |g| fmt(gain(g, |r| r.tagged_jitter_ms), 2)),
+                ("dTaggedJitter(ms)", |g| {
+                    fmt(gain(g, |r| r.tagged_jitter_ms), 2)
+                }),
                 ("dJitter(ms)", |g| fmt(gain(g, |r| r.jitter_s) * 1e3, 2)),
             ],
         },
@@ -609,14 +686,22 @@ mod tests {
             })
             .collect();
         let reports = Executor::new(0).run(&specs);
-        let fingerprints: Vec<u64> =
-            reports.iter().map(|r| result_fingerprint(&r.result)).collect();
+        let fingerprints: Vec<u64> = reports
+            .iter()
+            .map(|r| result_fingerprint(&r.result))
+            .collect();
         let mut pairs = drawless.iter().chain(&drawing).zip(fingerprints.chunks(2));
         for ((label, _), f) in pairs.by_ref().take(drawless.len()) {
-            assert_eq!(f[0], f[1], "{label}: drawless, yet another sim seed moved it");
+            assert_eq!(
+                f[0], f[1],
+                "{label}: drawless, yet another sim seed moved it"
+            );
         }
         for ((label, _), f) in pairs {
-            assert_ne!(f[0], f[1], "{label}: draws, yet another sim seed did not move it");
+            assert_ne!(
+                f[0], f[1],
+                "{label}: draws, yet another sim seed did not move it"
+            );
         }
     }
 
@@ -683,7 +768,10 @@ mod tests {
                             delivered_pct: synthetic.delivered_pct - 10.0 * odd,
                             ..synthetic.clone()
                         };
-                        Row { label, runs: vec![run] }
+                        Row {
+                            label,
+                            runs: vec![run],
+                        }
                     })
                     .collect();
                 render(exp, &rows)

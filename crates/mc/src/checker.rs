@@ -409,7 +409,12 @@ impl Dfs {
     }
 
     /// Takes `choice` in `world` and explores from there.
-    fn step(&mut self, world: &mut World, choice: Choice, remaining: u32) -> Option<Counterexample> {
+    fn step(
+        &mut self,
+        world: &mut World,
+        choice: Choice,
+        remaining: u32,
+    ) -> Option<Counterexample> {
         self.trace.push(choice);
         if let Some(violation) = world.apply(choice) {
             return Some(Counterexample {
@@ -614,7 +619,11 @@ mod tests {
     }
 
     fn capacity(table: &Visited) -> usize {
-        table.segments.iter().map(|segment| segment.slots.len()).sum()
+        table
+            .segments
+            .iter()
+            .map(|segment| segment.slots.len())
+            .sum()
     }
 
     /// The table's shape: the directory has `2^global` entries; each
@@ -624,7 +633,10 @@ mod tests {
     /// segments' occupancies sum to the table's.
     fn assert_well_formed(table: &Visited) {
         assert_eq!(table.directory.len(), 1 << table.global);
-        assert!(table.directory.iter().all(|&e| (e as usize) < table.segments.len()));
+        assert!(table
+            .directory
+            .iter()
+            .all(|&e| (e as usize) < table.segments.len()));
         let mut first = vec![usize::MAX; table.segments.len()];
         for (i, &e) in table.directory.iter().enumerate().rev() {
             first[e as usize] = i;
@@ -632,8 +644,14 @@ mod tests {
         let (mut named, mut occupied) = (0, 0);
         for (k, segment) in table.segments.iter().enumerate() {
             let len = segment.slots.len();
-            assert!(len.is_power_of_two() && len <= SEGMENT_CAP, "segment {k}: {len} slots");
-            assert!(segment.occupied * 4 <= len * 3, "segment {k} past three quarters");
+            assert!(
+                len.is_power_of_two() && len <= SEGMENT_CAP,
+                "segment {k}: {len} slots"
+            );
+            assert!(
+                segment.occupied * 4 <= len * 3,
+                "segment {k} past three quarters"
+            );
             let held = segment.slots.iter().filter(|&&slot| slot != 0).count();
             assert_eq!(held, segment.occupied, "segment {k}");
             occupied += held;
@@ -644,7 +662,9 @@ mod tests {
             let span = 1 << (table.global - segment.depth);
             let first = first[k];
             assert_eq!(first % span, 0, "segment {k} at depth {}", segment.depth);
-            assert!(table.directory[first..first + span].iter().all(|&e| e as usize == k));
+            assert!(table.directory[first..first + span]
+                .iter()
+                .all(|&e| e as usize == k));
             named += span;
             let prefix = (first / span) as u64;
             for &slot in segment.slots.iter().filter(|&&slot| slot != 0) {
@@ -652,7 +672,11 @@ mod tests {
                 assert_eq!(top, prefix, "segment {k} holds {slot:#x}");
             }
         }
-        assert_eq!(named, table.directory.len(), "a segment named outside its span");
+        assert_eq!(
+            named,
+            table.directory.len(),
+            "a segment named outside its span"
+        );
         assert_eq!(occupied, table.occupied);
     }
 
@@ -682,7 +706,11 @@ mod tests {
             let mut seen: Vec<u64> = Vec::new();
             let mut shared = 0;
             for i in 0..45_000 {
-                let fresh = if i < 12_000 { next() } else { prefix | (next() >> 20) };
+                let fresh = if i < 12_000 {
+                    next()
+                } else {
+                    prefix | (next() >> 20)
+                };
                 let r = next();
                 let hash = match r % 8 {
                     0..=3 | 7 => fresh,
@@ -704,17 +732,26 @@ mod tests {
                 assert_eq!(table.occupied, model.len());
                 ops += 1;
             }
-            assert!(shared >= 20_000, "round {round}: {shared} hashes share the prefix");
+            assert!(
+                shared >= 20_000,
+                "round {round}: {shared} hashes share the prefix"
+            );
             assert_well_formed(&table);
             assert!(table.segments.len() > 1, "round {round} split");
-            assert!(table.global > 20, "round {round}: the shared prefix split down");
+            assert!(
+                table.global > 20,
+                "round {round}: the shared prefix split down"
+            );
             let directory = table.directory.clone();
             let lens: Vec<usize> = table.segments.iter().map(|s| s.slots.len()).collect();
             table.clear();
             model.clear();
             assert_eq!(table.occupied, 0);
             assert!(table.segments.iter().all(|s| s.occupied == 0));
-            assert!(table.segments.iter().all(|s| s.slots.iter().all(|&slot| slot == 0)));
+            assert!(table
+                .segments
+                .iter()
+                .all(|s| s.slots.iter().all(|&slot| slot == 0)));
             assert_eq!(table.directory, directory, "clear keeps the directory");
             let kept: Vec<usize> = table.segments.iter().map(|s| s.slots.len()).collect();
             assert_eq!(kept, lens, "clear keeps every segment");
@@ -814,7 +851,11 @@ mod tests {
     /// batch: every depth from 1, each explored one child at a time,
     /// stopping at the first iteration that yields a violation or covers
     /// the space. `work` sums what it ran.
-    fn every_depth(spec: &Arc<ScenarioSpec>, mutation: Mutation, cfg: &CheckerConfig) -> CheckReport {
+    fn every_depth(
+        spec: &Arc<ScenarioSpec>,
+        mutation: Mutation,
+        cfg: &CheckerConfig,
+    ) -> CheckReport {
         let root = World::new(Arc::clone(spec), mutation, cfg.drop_budget, cfg.tick_budget);
         let mut report = CheckReport {
             explored: 0,
@@ -840,7 +881,10 @@ mod tests {
     fn assert_same_answer(got: &CheckReport, want: &CheckReport, what: &str) {
         assert_eq!(got.explored, want.explored, "explored: {what}");
         assert_eq!(got.distinct, want.distinct, "distinct: {what}");
-        assert_eq!(got.depth_reached, want.depth_reached, "depth_reached: {what}");
+        assert_eq!(
+            got.depth_reached, want.depth_reached,
+            "depth_reached: {what}"
+        );
         assert_eq!(got.complete, want.complete, "complete: {what}");
         match (&got.counterexample, &want.counterexample) {
             (None, None) => {}
@@ -954,7 +998,11 @@ mod tests {
         assert!(dfs.iterate(&root, 4).counterexample.is_some());
         assert!(!dfs.trace.is_empty(), "a violation leaves its path behind");
         let walked = dfs.iterate(&root, 3);
-        assert_same_answer(&walked, &Dfs::default().iterate(&root, 3), "depth 3 after 4");
+        assert_same_answer(
+            &walked,
+            &Dfs::default().iterate(&root, 3),
+            "depth 3 after 4",
+        );
         let cfg = CheckerConfig {
             max_depth: 10,
             drop_budget: 0,

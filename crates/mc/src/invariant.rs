@@ -6,7 +6,9 @@
 //! paper's formulas ([`iq_core::resolution_window_factor`],
 //! [`iq_core::cond_window_factor`]) and flags any divergence.
 
-use iq_core::{cond_window_factor, resolution_window_factor, AdaptReport, CoordinationMode, Coordinator};
+use iq_core::{
+    cond_window_factor, resolution_window_factor, AdaptReport, CoordinationMode, Coordinator,
+};
 use iq_rudp::{SenderConn, MAX_CWND, MIN_CWND};
 
 /// Tolerance for floating-point window comparisons.
@@ -137,10 +139,7 @@ pub fn check_invariants(
         if (post.cwnd - pre.cwnd).abs() > EPS {
             return Some(Violation::new(
                 Invariant::Deferral,
-                format!(
-                    "announcement changed cwnd {} -> {}",
-                    pre.cwnd, post.cwnd
-                ),
+                format!("announcement changed cwnd {} -> {}", pre.cwnd, post.cwnd),
             ));
         }
         if post.rescales != pre.rescales {
@@ -198,7 +197,8 @@ pub fn check_invariants(
                 // went missing.
                 let plain =
                     (pre.cwnd * resolution_window_factor(rate_chg)).clamp(MIN_CWND, MAX_CWND);
-                let inv = if cond_expected && (post.cwnd - expect).abs() > EPS
+                let inv = if cond_expected
+                    && (post.cwnd - expect).abs() > EPS
                     && (factor - resolution_window_factor(rate_chg)).abs() > EPS
                     && (post.cwnd - plain).abs() <= EPS
                 {

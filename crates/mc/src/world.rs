@@ -52,7 +52,10 @@ impl AppStep {
     }
 
     fn with_attrs(attrs: AttrList) -> Self {
-        Self { attrs, ..Self::plain() }
+        Self {
+            attrs,
+            ..Self::plain()
+        }
     }
 }
 
@@ -95,10 +98,7 @@ pub fn scenario(name: &str) -> Option<Arc<ScenarioSpec>> {
 /// checked against whatever controller the transport runs, because
 /// their contract — `scale` is multiply-then-clamp — is
 /// controller-independent.
-pub fn scenario_with_cc(
-    name: &str,
-    cc: iq_rudp::CcAlgorithm,
-) -> Option<Arc<ScenarioSpec>> {
+pub fn scenario_with_cc(name: &str, cc: iq_rudp::CcAlgorithm) -> Option<Arc<ScenarioSpec>> {
     let mut spec = match name {
         "basic" => ScenarioSpec {
             name: "basic",
@@ -421,9 +421,7 @@ impl World {
     /// Whether every script has run and no segments remain in flight.
     pub fn quiescent(&self) -> bool {
         self.flows.iter().enumerate().all(|(i, f)| {
-            f.script_pos == self.spec.flows[i].len()
-                && f.to_recv.is_empty()
-                && f.to_send.is_empty()
+            f.script_pos == self.spec.flows[i].len() && f.to_recv.is_empty() && f.to_send.is_empty()
         })
     }
 

@@ -19,8 +19,14 @@ fn cfg(max_depth: u32, drop_budget: u32) -> CheckerConfig {
 fn basic_scenario_is_clean_and_complete() {
     let spec = scenario("basic").unwrap();
     let report = check(&spec, Mutation::None, &cfg(30, 1));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
-    assert!(report.complete, "basic space should close under the budgets");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
+    assert!(
+        report.complete,
+        "basic space should close under the budgets"
+    );
     assert_eq!(report.depth_reached, 11);
     // Pinned: a change here means the protocol state space changed —
     // deliberate protocol changes update the pin, anything else is a
@@ -36,7 +42,10 @@ fn basic_scenario_is_clean_and_complete_under_cubic() {
     // the count differ from LDA's — both pins are deliberate.
     let spec = scenario_with_cc("basic", CcAlgorithm::from_name("cubic").unwrap()).unwrap();
     let report = check(&spec, Mutation::None, &cfg(30, 1));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert!(report.complete, "basic space should close under cubic");
     assert_eq!(report.depth_reached, 11);
     assert_eq!(report.explored, 5477);
@@ -46,7 +55,10 @@ fn basic_scenario_is_clean_and_complete_under_cubic() {
 fn basic_scenario_is_clean_and_complete_under_bbr() {
     let spec = scenario_with_cc("basic", CcAlgorithm::from_name("bbr").unwrap()).unwrap();
     let report = check(&spec, Mutation::None, &cfg(30, 1));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert!(report.complete, "basic space should close under bbr");
     assert_eq!(report.explored, 5268);
 }
@@ -59,7 +71,10 @@ fn basic_scenario_is_clean_and_complete_under_rrr_and_fixed() {
     for (cc, states) in [("rrr", 5289), ("fixed", 5268)] {
         let spec = scenario_with_cc("basic", CcAlgorithm::from_name(cc).unwrap()).unwrap();
         let report = check(&spec, Mutation::None, &cfg(30, 1));
-        assert!(report.counterexample.is_none(), "violation under {cc}: {report:?}");
+        assert!(
+            report.counterexample.is_none(),
+            "violation under {cc}: {report:?}"
+        );
         assert!(report.complete, "basic space should close under {cc}");
         assert_eq!(report.depth_reached, 11, "{cc}");
         assert_eq!(report.explored, states, "{cc}");
@@ -81,7 +96,10 @@ fn lda_pin_is_unchanged_by_cc_selection_plumbing() {
 fn deferred_scenario_is_clean_at_bounded_depth() {
     let spec = scenario("deferred").unwrap();
     let report = check(&spec, Mutation::None, &cfg(10, 0));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert_eq!(report.explored, 144_704);
 }
 
@@ -97,7 +115,10 @@ fn deferred_scenario_with_a_drop_matches_the_benchmark_count() {
     let shallow = check(&spec, Mutation::None, &cfg(7, 1));
     assert_eq!(shallow.explored, 7_165);
     let report = check(&spec, Mutation::None, &cfg(10, 1));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert_eq!(report.depth_reached, 10);
     assert!(!report.complete);
     assert_eq!(report.explored, 381_099);
@@ -111,7 +132,10 @@ fn deferred_scenario_is_clean_with_two_drops() {
     // ROADMAP 4(d)'s reach: coordinator + deferral + more than one loss.
     let spec = scenario("deferred").unwrap();
     let report = check(&spec, Mutation::None, &cfg(10, 2));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert_eq!(report.explored, 500_170);
 }
 
@@ -121,7 +145,10 @@ fn two_flow_scenario_is_clean_under_rrr_with_a_drop() {
     // controller (Relative Rate Reduction).
     let spec = scenario_with_cc("two-flow", CcAlgorithm::from_name("rrr").unwrap()).unwrap();
     let report = check(&spec, Mutation::None, &cfg(8, 1));
-    assert!(report.counterexample.is_none(), "violation under rrr: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation under rrr: {report:?}"
+    );
     assert_eq!(report.explored, 381_714);
 }
 
@@ -129,7 +156,10 @@ fn two_flow_scenario_is_clean_under_rrr_with_a_drop() {
 fn two_flow_scenario_is_clean_at_bounded_depth() {
     let spec = scenario("two-flow").unwrap();
     let report = check(&spec, Mutation::None, &cfg(8, 0));
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert_eq!(report.explored, 149_404);
 }
 
@@ -144,7 +174,10 @@ fn two_flow_scenario_is_exhausted_without_timers() {
         tick_budget: 0,
     };
     let report = check(&spec, Mutation::None, &config);
-    assert!(report.counterexample.is_none(), "violation on main: {report:?}");
+    assert!(
+        report.counterexample.is_none(),
+        "violation on main: {report:?}"
+    );
     assert!(report.complete, "two-flow space should close without ticks");
     assert_eq!(report.depth_reached, 12);
     assert_eq!(report.explored, 61_858);
@@ -174,8 +207,16 @@ fn clone_from_into_a_pooled_world_equals_clone() {
         for step in 0.. {
             pooled.clone_from(&world);
             let fresh = world.clone();
-            assert_eq!(pooled.state_hash(), fresh.state_hash(), "{name} step {step}");
-            assert_eq!(pooled.state_hash(), world.state_hash(), "{name} step {step}");
+            assert_eq!(
+                pooled.state_hash(),
+                fresh.state_hash(),
+                "{name} step {step}"
+            );
+            assert_eq!(
+                pooled.state_hash(),
+                world.state_hash(),
+                "{name} step {step}"
+            );
             let choices = world.choices();
             assert_eq!(pooled.choices(), choices, "{name} step {step}");
             assert_eq!(pooled.now, world.now);
@@ -183,7 +224,11 @@ fn clone_from_into_a_pooled_world_equals_clone() {
                 let (mut a, mut b) = (fresh.clone(), fresh.clone());
                 b.clone_from(&pooled);
                 assert!(a.apply(choice).is_none() && b.apply(choice).is_none());
-                assert_eq!(a.state_hash(), b.state_hash(), "{name} step {step} {choice}");
+                assert_eq!(
+                    a.state_hash(),
+                    b.state_hash(),
+                    "{name} step {step} {choice}"
+                );
             }
             let Some(&last) = choices.last() else { break };
             let _ = pooled.apply(last);
@@ -227,7 +272,9 @@ fn seeded_reinflate_bug_is_caught_under_cubic() {
     let spec = scenario_with_cc("basic", CcAlgorithm::from_name("cubic").unwrap()).unwrap();
     let config = cfg(10, 0);
     let report = check(&spec, Mutation::SkipReinflate, &config);
-    let ce = report.counterexample.expect("SkipReinflate not caught under cubic");
+    let ce = report
+        .counterexample
+        .expect("SkipReinflate not caught under cubic");
     assert_eq!(ce.violation.invariant, Invariant::Reinflation);
     let replayed = replay(&spec, Mutation::SkipReinflate, &config, &ce.trace)
         .expect("replaying the counterexample must reproduce the violation");
@@ -236,7 +283,11 @@ fn seeded_reinflate_bug_is_caught_under_cubic() {
 
 #[test]
 fn seeded_cond_correction_bug_is_caught() {
-    catches("deferred", Mutation::DropCondCorrection, Invariant::CondCorrection);
+    catches(
+        "deferred",
+        Mutation::DropCondCorrection,
+        Invariant::CondCorrection,
+    );
 }
 
 #[test]
@@ -268,15 +319,29 @@ fn replay_reproduces_only_a_trace_that_ends_at_its_violation() {
         let ce = check(&spec, mutation, &config).counterexample.unwrap();
         assert!(replay(&spec, mutation, &config, &ce.trace).is_some());
 
-        let mut world = World::new(spec.clone(), mutation, config.drop_budget, config.tick_budget);
+        let mut world = World::new(
+            spec.clone(),
+            mutation,
+            config.drop_budget,
+            config.tick_budget,
+        );
         let (&last, path) = ce.trace.split_last().unwrap();
         for &choice in path {
             assert!(world.apply(choice).is_none());
         }
         assert!(world.apply(last).is_some());
-        let after = *world.choices().first().expect("a choice is enabled past the violation");
+        let after = *world
+            .choices()
+            .first()
+            .expect("a choice is enabled past the violation");
         let longer = [ce.trace.as_slice(), &[after]].concat();
-        assert!(replay(&spec, mutation, &config, &longer).is_none(), "{name} {mutation:?} + {after}");
-        assert!(replay(&spec, mutation, &config, path).is_none(), "{name} {mutation:?} minus its last");
+        assert!(
+            replay(&spec, mutation, &config, &longer).is_none(),
+            "{name} {mutation:?} + {after}"
+        );
+        assert!(
+            replay(&spec, mutation, &config, path).is_none(),
+            "{name} {mutation:?} minus its last"
+        );
     }
 }

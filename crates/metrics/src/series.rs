@@ -1,6 +1,5 @@
 //! Time-series recording, used to regenerate the paper's figures.
 
-
 /// A `(time_ns, value)` series with summary helpers.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {

@@ -27,7 +27,8 @@ impl Table {
             "row arity mismatch in table '{}'",
             self.title
         );
-        self.rows.push(cells.iter().map(|c| c.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|c| c.to_string()).collect());
         self
     }
 

@@ -95,9 +95,7 @@ mod tests {
         Event {
             at,
             seq,
-            kind: EventKind::Start {
-                agent: AgentId(0),
-            },
+            kind: EventKind::Start { agent: AgentId(0) },
         }
     }
 

@@ -70,7 +70,9 @@ pub mod topology;
 pub use agent::{Agent, Ctx, TimerId};
 pub use endpoint::{BulkSender, Conn, ReceiverDriver, RttEstimator, SendConn, SenderDriver, Wire};
 pub use link::{LinkSpec, LinkStats, QueueDiscipline};
-pub use packet::{payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats};
+pub use packet::{
+    payload, pool_stats, Addr, AgentId, FlowId, LinkId, NodeId, Packet, Payload, PoolStats,
+};
 pub use routing::RoutingTable;
 pub use sched::{EventQueue, SchedStats};
 pub use shard::{SchedTotals, ShardAgentId, ShardStats, ShardView, ShardedSim};
@@ -78,4 +80,3 @@ pub use sim::{SimCounters, Simulator};
 pub use slab::{PacketKey, TimerKey};
 pub use time::{Time, TimeDelta};
 pub use topology::{build_dumbbell, build_dumbbell_leg, Dumbbell, DumbbellSpec};
-

@@ -77,7 +77,10 @@ impl RoutingTable {
                 }
             }
         }
-        Self { num_nodes, next_hop }
+        Self {
+            num_nodes,
+            next_hop,
+        }
     }
 
     /// First-hop link from `from` toward `dst`. `None` when unreachable or
@@ -138,10 +141,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "link L1 references unknown node n5")]
     fn out_of_range_endpoint_names_the_link_and_node() {
-        RoutingTable::compute(
-            2,
-            &[(NodeId(0), NodeId(1)), (NodeId(1), NodeId(5))],
-        );
+        RoutingTable::compute(2, &[(NodeId(0), NodeId(1)), (NodeId(1), NodeId(5))]);
     }
 
     #[test]

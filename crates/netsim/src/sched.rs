@@ -210,20 +210,31 @@ impl EventQueue {
     /// heap, and `near` plus `near_over` (gauges, sampled at collection
     /// time).
     pub fn occupancy(&self) -> (usize, usize, usize) {
-        (self.in_ring, self.far.len(), self.near.len() + self.near_over.len())
+        (
+            self.in_ring,
+            self.far.len(),
+            self.near.len() + self.near_over.len(),
+        )
     }
 
     /// Events every buffer of the queue has room for, full or not.
     #[cfg(test)]
     fn capacity(&self) -> usize {
-        let ring: usize = self.buckets.iter().chain(&self.spare).map(Vec::capacity).sum();
+        let ring: usize = self
+            .buckets
+            .iter()
+            .chain(&self.spare)
+            .map(Vec::capacity)
+            .sum();
         self.near.capacity() + self.near_over.capacity() + ring + self.far.capacity()
     }
 
     /// Whether every ring slot without events also holds no buffer.
     #[cfg(test)]
     fn empty_slots_hold_no_buffer(&self) -> bool {
-        self.buckets.iter().all(|b| !b.is_empty() || b.capacity() == 0)
+        self.buckets
+            .iter()
+            .all(|b| !b.is_empty() || b.capacity() == 0)
     }
 
     /// Number of pending events.
@@ -432,7 +443,8 @@ mod tests {
         for (at, seq) in [(30, 0), (10, 1), (20, 2), (10, 3), (10, 0)] {
             q.push(ev(at, seq));
         }
-        let order: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop().map(|e| (e.at, e.seq))).collect();
+        let order: Vec<(Time, u64)> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.at, e.seq))).collect();
         assert_eq!(order, [(10, 0), (10, 1), (10, 3), (20, 2), (30, 0)]);
         assert!(q.is_empty());
     }
@@ -474,7 +486,8 @@ mod tests {
         q.push(ev(300 * MS - 1, 5));
         assert_eq!(q.occupancy(), (3, 2, 0));
         assert_eq!(q.stats().far_spills, 2);
-        let order: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop().map(|e| (e.at, e.seq))).collect();
+        let order: Vec<(Time, u64)> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.at, e.seq))).collect();
         assert_eq!(
             order,
             [
@@ -625,7 +638,10 @@ mod tests {
             pop(&mut q, &mut model);
         }
         assert!(q.is_empty());
-        assert!(q.empty_slots_hold_no_buffer(), "a drained slot kept its buffer");
+        assert!(
+            q.empty_slots_hold_no_buffer(),
+            "a drained slot kept its buffer"
+        );
     }
 
     /// `pop_before` drains no bucket that starts after its deadline: the
@@ -645,7 +661,10 @@ mod tests {
         assert_eq!(after.near_inserts - before.near_inserts, 0);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
         assert_eq!(order, [1, 2, 0], "B, C, A");
-        assert!(q.empty_slots_hold_no_buffer(), "a drained slot kept its buffer");
+        assert!(
+            q.empty_slots_hold_no_buffer(),
+            "a drained slot kept its buffer"
+        );
     }
 
     #[test]

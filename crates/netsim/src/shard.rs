@@ -312,7 +312,11 @@ impl SchedInner {
         if runnable {
             self.ready.push((clock, s));
         }
-        self.claim[s] = if runnable { Claim::Ready } else { Claim::Parked };
+        self.claim[s] = if runnable {
+            Claim::Ready
+        } else {
+            Claim::Parked
+        };
         !crossed && !runnable
     }
 }
@@ -376,14 +380,18 @@ impl Xorshift {
 
 impl Engine<'_> {
     fn lock(&self) -> MutexGuard<'_, SchedInner> {
-        self.sched.lock().expect("a thread panicked inside a scheduler lock section")
+        self.sched
+            .lock()
+            .expect("a thread panicked inside a scheduler lock section")
     }
 
     /// Worker main loop: claim, run, repeat until shutdown.
     fn worker(&self, w: usize) {
         let _guard = PanicGuard(self);
         let pool_before = pool_stats();
-        let mut rng = self.perturb.map(|seed| Xorshift::new(mix_seed(seed, w + 1)));
+        let mut rng = self
+            .perturb
+            .map(|seed| Xorshift::new(mix_seed(seed, w + 1)));
         while let Some((s, target)) = self.next_job(&mut rng) {
             self.run_shard(s, target, w, &mut rng);
         }
@@ -451,7 +459,9 @@ impl Engine<'_> {
             }
             self.window(s, slot, limit);
             // The clock is stored; queue whoever it unblocks.
-            let woken = self.lock().wake(self.successors[s].iter().copied(), |d| self.clock(d));
+            let woken = self
+                .lock()
+                .wake(self.successors[s].iter().copied(), |d| self.clock(d));
             for _ in 0..woken {
                 self.worker_cv.notify_one();
             }
@@ -540,7 +550,9 @@ impl Engine<'_> {
                 // min-clock uncrossed shard's bound exceeds its clock
                 // (positive lookahead, no predecessor behind it), so it
                 // is queued whichever shard this thread ran last.
-                let s = g.claim(false).expect("ready queue empty with shards remaining");
+                let s = g
+                    .claim(false)
+                    .expect("ready queue empty with shards remaining");
                 drop(g);
                 self.run_shard(s, target, 0, &mut None);
                 g = self.lock();
@@ -668,12 +680,20 @@ impl ShardedSim {
     /// `add_shard` returned it.
     fn sim(&self, shard: usize) -> &Simulator {
         let len = self.shards.len();
-        &self.shards.get(shard).unwrap_or_else(|| no_such_shard(shard, len)).sim
+        &self
+            .shards
+            .get(shard)
+            .unwrap_or_else(|| no_such_shard(shard, len))
+            .sim
     }
 
     fn sim_mut(&mut self, shard: usize) -> &mut Simulator {
         let len = self.shards.len();
-        &mut self.shards.get_mut(shard).unwrap_or_else(|| no_such_shard(shard, len)).sim
+        &mut self
+            .shards
+            .get_mut(shard)
+            .unwrap_or_else(|| no_such_shard(shard, len))
+            .sim
     }
 
     /// Sets the requested worker-pool size (default 1). The pool that
@@ -746,7 +766,9 @@ impl ShardedSim {
         let lookahead = spec.delay;
         let mut spec = Some(spec);
         for (i, slot) in self.shards.iter_mut().enumerate() {
-            let lid = slot.sim.mirror_link(if i == src { spec.take() } else { None });
+            let lid = slot
+                .sim
+                .mirror_link(if i == src { spec.take() } else { None });
             debug_assert_eq!(lid, id);
         }
         if src != dst {
@@ -1077,12 +1099,16 @@ mod tests {
         let a = sim.add_node(s0);
         let b = sim.add_node(s1);
         sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
-        let ping = sim.add_agent(a, 1, Box::new(Pinger {
-            dst: Addr::new(b, 2),
-            count: 50,
-            sent: 0,
-            echoes: Vec::new(),
-        }));
+        let ping = sim.add_agent(
+            a,
+            1,
+            Box::new(Pinger {
+                dst: Addr::new(b, 2),
+                count: 50,
+                sent: 0,
+                echoes: Vec::new(),
+            }),
+        );
         sim.add_agent(b, 2, Box::new(Echoer::default()));
         sim.run_until(secs(2.0));
         let log = sim.agent::<Pinger>(ping).unwrap().echoes.clone();
@@ -1144,12 +1170,16 @@ mod tests {
         let b = sim.add_node(s2);
         sim.add_duplex_link(a, r, LinkSpec::new(10e6, millis(2), 64_000));
         sim.add_duplex_link(r, b, LinkSpec::new(10e6, millis(2), 64_000));
-        let ping = sim.add_agent(a, 1, Box::new(Pinger {
-            dst: Addr::new(b, 2),
-            count: 10,
-            sent: 0,
-            echoes: Vec::new(),
-        }));
+        let ping = sim.add_agent(
+            a,
+            1,
+            Box::new(Pinger {
+                dst: Addr::new(b, 2),
+                count: 10,
+                sent: 0,
+                echoes: Vec::new(),
+            }),
+        );
         let echo = sim.add_agent(b, 2, Box::new(Echoer::default()));
         sim.run_until(secs(1.0));
         assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 10);
@@ -1205,7 +1235,10 @@ mod tests {
         let ping = sim.add_agent(a, 3, Box::new(pinger(Addr::new(c, 2))));
         let echo = sim.add_agent(c, 2, Box::new(Echoer::default()));
         sim.run_until(millis(200));
-        assert!(!Arc::ptr_eq(&before, sim.shard(0).routes()), "stale table kept");
+        assert!(
+            !Arc::ptr_eq(&before, sim.shard(0).routes()),
+            "stale table kept"
+        );
         assert!(Arc::ptr_eq(sim.shard(0).routes(), sim.shard(1).routes()));
         assert_eq!(sim.agent::<Echoer>(echo).unwrap().got, 5);
         assert_eq!(sim.agent::<Pinger>(ping).unwrap().echoes.len(), 5);
@@ -1269,8 +1302,15 @@ mod tests {
         sim.run_until(millis(1000));
         assert_eq!(owned(&sim), [vec![ar], vec![ra, rb, cb], vec![br, bc]]);
         for i in 0..3 {
-            assert!(Arc::ptr_eq(sim.shard(0).endpoints(), sim.shard(i).endpoints()));
-            assert_eq!(sim.shard(i).endpoints().len(), 6, "shard {i} runs on a stale table");
+            assert!(Arc::ptr_eq(
+                sim.shard(0).endpoints(),
+                sim.shard(i).endpoints()
+            ));
+            assert_eq!(
+                sim.shard(i).endpoints().len(),
+                6,
+                "shard {i} runs on a stale table"
+            );
         }
         assert_eq!(sim.agent::<Pinger>(ping_c).unwrap().echoes.len(), 10);
         assert_eq!(sim.link_stats(bc).transmitted_packets, 10);
@@ -1444,20 +1484,28 @@ mod tests {
         let b = sim.add_node(s1);
         // Infinitely fast, so the whole burst serializes at time zero.
         let (ab, _) = sim.add_duplex_link(a, b, LinkSpec::new(0.0, millis(10), 1 << 24));
-        sim.add_agent(a, 1, Box::new(Burster {
-            dst: Addr::new(b, 2),
-            burst: 5_000,
-            trickle: 10,
-            rounds: 10,
-            sent: 0,
-        }));
+        sim.add_agent(
+            a,
+            1,
+            Box::new(Burster {
+                dst: Addr::new(b, 2),
+                burst: 5_000,
+                trickle: 10,
+                rounds: 10,
+                sent: 0,
+            }),
+        );
         let rx = sim.add_agent(b, 2, Box::new(Sequence::default()));
 
         // Epochs half a lookahead long: one window per shard each.
         sim.run_until(millis(5));
         let drained = sim.shards[s1].sim.shard_stats().ingress_msgs as usize;
         let waiting = sim.channels[0].lock().unwrap().len();
-        assert_eq!(drained + waiting, 5_000, "the burst left in the first window");
+        assert_eq!(
+            drained + waiting,
+            5_000,
+            "the burst left in the first window"
+        );
         for epoch in 2..=50 {
             sim.run_until(millis(5) * epoch);
         }
@@ -1525,12 +1573,16 @@ mod tests {
         let a = sim.add_node(s0);
         let b = sim.add_node(s1);
         sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
-        let ping = sim.add_agent(a, 1, Box::new(Pinger {
-            dst: Addr::new(b, 2),
-            count: 5,
-            sent: 0,
-            echoes: Vec::new(),
-        }));
+        let ping = sim.add_agent(
+            a,
+            1,
+            Box::new(Pinger {
+                dst: Addr::new(b, 2),
+                count: 5,
+                sent: 0,
+                echoes: Vec::new(),
+            }),
+        );
         sim.add_agent(b, 2, Box::new(Echoer::default()));
         let end = sim.run_slices(secs(60.0), millis(100), |view| {
             view.with_agent::<Pinger, _>(ping, |p| p.echoes.len() >= 5)
@@ -1553,12 +1605,16 @@ mod tests {
             let a = sim.add_node(s0);
             let b = sim.add_node(s1);
             sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
-            let ping = sim.add_agent(a, 1, Box::new(Pinger {
-                dst: Addr::new(b, 2),
-                count: 30,
-                sent: 0,
-                echoes: Vec::new(),
-            }));
+            let ping = sim.add_agent(
+                a,
+                1,
+                Box::new(Pinger {
+                    dst: Addr::new(b, 2),
+                    count: 30,
+                    sent: 0,
+                    echoes: Vec::new(),
+                }),
+            );
             sim.add_agent(b, 2, Box::new(Echoer::default()));
             for slice in 1..=8 {
                 sim.run_until(millis(250) * slice);
@@ -1572,12 +1628,16 @@ mod tests {
             let a = sim.add_node(s0);
             let b = sim.add_node(s1);
             sim.add_duplex_link(a, b, LinkSpec::new(10e6, millis(5), 64_000));
-            let ping = sim.add_agent(a, 1, Box::new(Pinger {
-                dst: Addr::new(b, 2),
-                count: 30,
-                sent: 0,
-                echoes: Vec::new(),
-            }));
+            let ping = sim.add_agent(
+                a,
+                1,
+                Box::new(Pinger {
+                    dst: Addr::new(b, 2),
+                    count: 30,
+                    sent: 0,
+                    echoes: Vec::new(),
+                }),
+            );
             sim.add_agent(b, 2, Box::new(Echoer::default()));
             sim.run_until(millis(2000));
             sim.agent::<Pinger>(ping).unwrap().echoes.clone()
@@ -1632,7 +1692,12 @@ mod tests {
                     let seen = bound(&x, s);
                     let limit = target.min(seen);
                     let stalled = limit <= x.clocks[s];
-                    (if stalled { Pc::Release } else { Pc::Store }, s, limit, seen)
+                    (
+                        if stalled { Pc::Release } else { Pc::Store },
+                        s,
+                        limit,
+                        seen,
+                    )
                 }
                 Pc::Store => {
                     x.clocks[s] = limit;
@@ -1658,8 +1723,16 @@ mod tests {
             for (s, &claim) in x.sched.claim.iter().enumerate() {
                 let holders = x.workers.iter().filter(|w| w.0 != Pc::Claim && w.1 == s);
                 let queued = x.sched.ready.iter().filter(|r| r.1 == s);
-                assert_eq!(holders.count(), usize::from(claim == Claim::Running), "shard {s}");
-                assert_eq!(queued.count(), usize::from(claim == Claim::Ready), "shard {s}");
+                assert_eq!(
+                    holders.count(),
+                    usize::from(claim == Claim::Running),
+                    "shard {s}"
+                );
+                assert_eq!(
+                    queued.count(),
+                    usize::from(claim == Claim::Ready),
+                    "shard {s}"
+                );
             }
             // A crossing is counted when the shard is released.
             let claims = x.sched.claim.iter().zip(&x.clocks);
@@ -1696,9 +1769,15 @@ mod tests {
 
         #[test]
         fn no_interleaving_loses_a_wakeup_or_claims_a_shard_twice() {
-            for (preds, workers) in GRAPHS.into_iter().flat_map(|g| (1..=3).map(move |w| (g, w))) {
+            for (preds, workers) in GRAPHS
+                .into_iter()
+                .flat_map(|g| (1..=3).map(move |w| (g, w)))
+            {
                 let (states, stuck) = explore(preds, workers, false);
-                assert!(!stuck, "{preds:?}, {workers} workers: stuck within {states} states");
+                assert!(
+                    !stuck,
+                    "{preds:?}, {workers} workers: stuck within {states} states"
+                );
             }
         }
 

@@ -214,7 +214,11 @@ impl SimCore {
             // Send-time resolution, with a lookup fallback so an agent
             // registered while the packet was in flight still receives it
             // (matching the old resolve-at-arrival semantics).
-            match self.packets.dst_agent(key).or_else(|| self.resolve_port(dst)) {
+            match self
+                .packets
+                .dst_agent(key)
+                .or_else(|| self.resolve_port(dst))
+            {
                 Some(agent) => {
                     self.emit_packet(id, flow, size, PacketKind::Delivered, None);
                     self.schedule(self.now, EventKind::Deliver { agent, packet: key })
@@ -416,7 +420,8 @@ impl Simulator {
         }
         self.agents.push(Some(agent));
         self.agent_addrs.push(addr);
-        self.core.schedule(self.core.now, EventKind::Start { agent: id });
+        self.core
+            .schedule(self.core.now, EventKind::Start { agent: id });
         id
     }
 
@@ -592,9 +597,10 @@ impl Simulator {
     /// Same lookup contract as [`Self::agent`].
     pub fn agent_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
         let len = self.agents.len();
-        let slot = self.agents.get_mut(id.0 as usize).unwrap_or_else(|| {
-            panic!("no such agent A{} (only {len} agents registered)", id.0)
-        });
+        let slot = self
+            .agents
+            .get_mut(id.0 as usize)
+            .unwrap_or_else(|| panic!("no such agent A{} (only {len} agents registered)", id.0));
         let boxed = slot.as_mut()?;
         (boxed.as_mut() as &mut dyn std::any::Any).downcast_mut::<T>()
     }
@@ -771,8 +777,15 @@ impl Simulator {
     #[cfg(test)]
     pub(crate) fn owned_links(&self) -> Vec<LinkId> {
         let ids = (0u32..).zip(&self.core.link_slot);
-        let owned: Vec<LinkId> = ids.filter(|&(_, &slot)| slot != NOT_OWNED).map(|(id, _)| LinkId(id)).collect();
-        assert_eq!(owned.len(), self.core.links.len(), "a slot without a state or the reverse");
+        let owned: Vec<LinkId> = ids
+            .filter(|&(_, &slot)| slot != NOT_OWNED)
+            .map(|(id, _)| LinkId(id))
+            .collect();
+        assert_eq!(
+            owned.len(),
+            self.core.links.len(),
+            "a slot without a state or the reverse"
+        );
         owned
     }
 
@@ -934,7 +947,11 @@ mod tests {
         let mut sim = Simulator::new(42);
         let a = sim.add_node();
         let b = sim.add_node();
-        sim.add_duplex_link(a, b, LinkSpec::new(100e6, millis(1), 1_000_000).with_random_loss(0.3));
+        sim.add_duplex_link(
+            a,
+            b,
+            LinkSpec::new(100e6, millis(1), 1_000_000).with_random_loss(0.3),
+        );
         let _tx = sim.add_agent(
             a,
             1,
@@ -1203,7 +1220,13 @@ mod tests {
         let b = sim.add_node();
         let spec = LinkSpec::new(1e-9, millis(5), 100_000).with_jitter(MILLISECOND);
         sim.add_duplex_link(a, b, spec);
-        sim.add_agent(a, 1, Box::new(LateSender { dst: Addr::new(b, 2) }));
+        sim.add_agent(
+            a,
+            1,
+            Box::new(LateSender {
+                dst: Addr::new(b, 2),
+            }),
+        );
         let rx = sim.add_agent(b, 2, Box::new(Recorder::default()));
         let deadline = crate::time::secs(1.0);
         assert_eq!(sim.run_until(deadline), deadline);
@@ -1219,7 +1242,8 @@ mod tests {
         }
         impl Agent for Timers {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                for (token, delay) in (0..).zip([millis(10), millis(30) - 1, millis(30), Time::MAX]) {
+                for (token, delay) in (0..).zip([millis(10), millis(30) - 1, millis(30), Time::MAX])
+                {
                     ctx.set_timer(delay, token);
                 }
             }
@@ -1234,7 +1258,11 @@ mod tests {
         let fired = |sim: &Simulator| sim.agent::<Timers>(a).unwrap().fired.clone();
 
         sim.run_window(0);
-        assert_eq!(sim.counters().events_processed, 0, "not even the Start at 0");
+        assert_eq!(
+            sim.counters().events_processed,
+            0,
+            "not even the Start at 0"
+        );
         sim.run_window(millis(30));
         assert_eq!(fired(&sim), [(millis(10), 0), (millis(30) - 1, 1)]);
         // The event exactly at the limit stayed pending; a later window
@@ -1358,7 +1386,10 @@ mod tests {
     fn a_serial_simulator_owns_every_link_and_a_mirror_only_its_own() {
         let (mut sim, _tx, _rx) = two_node_sim(LinkSpec::new(8e6, millis(5), 100_000));
         assert_eq!(sim.owned_links(), [LinkId(0), LinkId(1)]);
-        assert_eq!(**sim.endpoints(), [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]);
+        assert_eq!(
+            **sim.endpoints(),
+            [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]
+        );
         sim.run_until(millis(100));
         assert_eq!(sim.link_stats(LinkId(0)).transmitted_packets, 10);
 
@@ -1366,7 +1397,10 @@ mod tests {
         // given a spec take state; the others answer with zeroes.
         let mut shard = Simulator::new(1);
         assert_eq!(shard.mirror_link(None), LinkId(0));
-        assert_eq!(shard.mirror_link(Some(LinkSpec::new(8e6, millis(5), 1000))), LinkId(1));
+        assert_eq!(
+            shard.mirror_link(Some(LinkSpec::new(8e6, millis(5), 1000))),
+            LinkId(1)
+        );
         assert_eq!(shard.mirror_link(None), LinkId(2));
         assert_eq!(shard.owned_links(), [LinkId(1)]);
         for id in 0..3 {

@@ -82,7 +82,12 @@ impl DumbbellSpec {
 /// non-finite bottleneck rate (the bottleneck would silently become
 /// infinitely fast, which is never what an experiment means).
 pub fn build_dumbbell(sim: &mut Simulator, spec: &DumbbellSpec) -> Dumbbell {
-    dumbbell(sim, spec, |sim, _| sim.add_node(), Simulator::add_duplex_link)
+    dumbbell(
+        sim,
+        spec,
+        |sim, _| sim.add_node(),
+        Simulator::add_duplex_link,
+    )
 }
 
 /// Builds the dumbbell as one leg of a sharded world: the sending hosts

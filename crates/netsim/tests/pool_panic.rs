@@ -42,7 +42,13 @@ fn a_worker_panic_surfaces_from_run_until() {
     let b = sim.add_node(s2);
     sim.add_duplex_link(a, r, LinkSpec::new(10e6, millis(2), 64_000));
     sim.add_duplex_link(r, b, LinkSpec::new(10e6, millis(2), 64_000));
-    sim.add_agent(a, 1, Box::new(Sender { dst: Addr::new(b, 2) }));
+    sim.add_agent(
+        a,
+        1,
+        Box::new(Sender {
+            dst: Addr::new(b, 2),
+        }),
+    );
     sim.add_agent(b, 2, Box::new(Bomb));
     sim.run_until(secs(1.0));
 }

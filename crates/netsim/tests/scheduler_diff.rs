@@ -202,7 +202,13 @@ fn event_queue_conforms_to_the_source_contract() {
     source_contract_cases();
     // The streams are seeded, so this is a fact about them, not luck.
     let crossed = SHRINKS_CROSSED.load(Ordering::Relaxed);
-    assert!(crossed >= 32, "only {crossed} bursts were drained and shrunk behind");
+    assert!(
+        crossed >= 32,
+        "only {crossed} bursts were drained and shrunk behind"
+    );
     let held = CURSORS_HELD.load(Ordering::Relaxed);
-    assert!(held >= 32, "only {held} short-deadline pops left the cursor before the head");
+    assert!(
+        held >= 32,
+        "only {held} short-deadline pops left the cursor before the head"
+    );
 }

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 
 use iq_netsim::agent::{Agent, Ctx};
 use iq_netsim::{
-    payload, Addr, FlowId, LinkSpec, NodeId, Packet, ShardAgentId, ShardedSim,
-    SimCounters, Simulator, Time,
+    payload, Addr, FlowId, LinkSpec, NodeId, Packet, ShardAgentId, ShardedSim, SimCounters,
+    Simulator, Time,
 };
 use iq_telemetry::{parse_jsonl, to_jsonl, TelemetryBus, TelemetryReport, TelemetrySink};
 use proptest::{proptest, ProptestConfig};
@@ -163,7 +163,13 @@ fn build(net: &mut impl Net, p: &Params, legs: &[(usize, usize)]) -> Vec<ShardAg
                     echoes: Vec::new(),
                 }),
             );
-            net.agent(dst, port, Box::new(Echoer { flow: FlowId(flow + 1) }));
+            net.agent(
+                dst,
+                port,
+                Box::new(Echoer {
+                    flow: FlowId(flow + 1),
+                }),
+            );
             pingers.push(id);
             flow += 2;
         }
@@ -179,7 +185,10 @@ fn observe(
     pingers: &[ShardAgentId],
     telemetry: &[Arc<Mutex<TelemetryBus>>],
 ) -> Observed {
-    let logs = pingers.iter().map(|&id| net.pinger(id).echoes.clone()).collect();
+    let logs = pingers
+        .iter()
+        .map(|&id| net.pinger(id).echoes.clone())
+        .collect();
     let c = net.counters();
     let scalars = vec![
         c.packets_sent,
@@ -194,7 +203,10 @@ fn observe(
         jsonl.push_str(&to_jsonl(&bus.lock().unwrap().records()));
     }
     // Two runs that recorded nothing would compare equal.
-    assert!(jsonl.contains("\"kind\":\"sent\""), "the buses hold no packet sent");
+    assert!(
+        jsonl.contains("\"kind\":\"sent\""),
+        "the buses hold no packet sent"
+    );
     (logs, scalars, jsonl)
 }
 
@@ -265,7 +277,10 @@ fn one_shard_world_is_the_serial_simulator_under_red() {
     assert_eq!(run_one_shard(&p, false), serial);
     let records = parse_jsonl(&serial.2).expect("the merged stream parses");
     let dropped = TelemetryReport::from_records(&records).dropped_packets;
-    assert!(dropped > 0, "RED never dropped, so the RNG stream went untested");
+    assert!(
+        dropped > 0,
+        "RED never dropped, so the RNG stream went untested"
+    );
     assert!(serial.0.iter().all(|log| !log.is_empty()));
 }
 

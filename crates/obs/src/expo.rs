@@ -46,13 +46,7 @@ pub fn render_prom(reg: &Registry, plane: Option<Plane>) -> String {
                     ("0.999", h.p999),
                     ("1", h.max),
                 ] {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        m.name,
-                        label_str(m, &[("quantile", q)]),
-                        v
-                    );
+                    let _ = writeln!(out, "{}{} {}", m.name, label_str(m, &[("quantile", q)]), v);
                 }
                 let _ = writeln!(out, "{}_sum{} {}", m.name, label_str(m, &[]), h.sum);
                 let _ = writeln!(out, "{}_count{} {}", m.name, label_str(m, &[]), h.count);
@@ -78,7 +72,12 @@ fn label_str(m: &Metric, extra: &[(&str, &str)]) -> String {
             s.push(',');
         }
         first = false;
-        let _ = write!(s, "{}=\"{}\"", k, v.replace('\\', "\\\\").replace('"', "\\\""));
+        let _ = write!(
+            s,
+            "{}=\"{}\"",
+            k,
+            v.replace('\\', "\\\\").replace('"', "\\\"")
+        );
     }
     s.push('}');
     s
@@ -106,8 +105,18 @@ mod tests {
     fn sample_registry() -> Registry {
         let mut r = Registry::new();
         r.counter(Plane::Sim, "iq_sim_events_total", &[("shard", "0")], 42);
-        r.counter(Plane::Sim, "iq_sim_events_total", &[("shard", r#"a"b\c"#)], 7);
-        r.gauge(Plane::Engine, "iq_sched_wheel_events", &[("level", "1")], 3.5);
+        r.counter(
+            Plane::Sim,
+            "iq_sim_events_total",
+            &[("shard", r#"a"b\c"#)],
+            7,
+        );
+        r.gauge(
+            Plane::Engine,
+            "iq_sched_wheel_events",
+            &[("level", "1")],
+            3.5,
+        );
         let mut h = Hist::new();
         for v in [1u64, 10, 100, 1000] {
             h.record(v);

@@ -38,8 +38,8 @@ pub use meter::{NetCond, PeriodMeter};
 pub use receiver::ReceiverConn;
 pub use ring::SeqRing;
 pub use segment::{
-    wire_size, AckSeg, DataSeg, SackRanges, Segment, ACK_BYTES, HEADER_BYTES, MAX_SACK_RANGES,
-    MSS, SACK_RANGE_BYTES,
+    wire_size, AckSeg, DataSeg, SackRanges, Segment, ACK_BYTES, HEADER_BYTES, MAX_SACK_RANGES, MSS,
+    SACK_RANGE_BYTES,
 };
 pub use sender::{SenderConn, SenderState};
 pub use types::{ConnEvent, DeliveredMsg, ReceiverStats, RudpConfig, SendOutcome, SenderStats};

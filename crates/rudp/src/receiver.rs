@@ -488,14 +488,13 @@ impl ReceiverConn {
         if asm.next_frag == asm.frag_count {
             let asm = self.assembly.take().expect("just borrowed");
             self.stats.msgs_delivered += 1;
-            self.telemetry.emit_with(now, self.telemetry_flow, || {
-                TelemetryEvent::MsgDelivered {
+            self.telemetry
+                .emit_with(now, self.telemetry_flow, || TelemetryEvent::MsgDelivered {
                     msg_id: asm.msg_id,
                     size: asm.bytes,
                     marked: asm.marked,
                     latency_ns: now.saturating_sub(asm.msg_sent_at),
-                }
-            });
+                });
             self.delivered.push_back(DeliveredMsg {
                 msg_id: asm.msg_id,
                 size: asm.bytes,
@@ -612,15 +611,12 @@ mod tests {
         let mut r = recv(0.4);
         r.on_segment(0, &Segment::Syn { init_seq: 0 });
         match r.poll_transmit(0) {
-            Some(Segment::SynAck {
-                loss_tolerance, ..
-            }) => assert!((loss_tolerance - 0.4).abs() < 1e-12),
+            Some(Segment::SynAck { loss_tolerance, .. }) => {
+                assert!((loss_tolerance - 0.4).abs() < 1e-12)
+            }
             other => panic!("expected SynAck, got {other:?}"),
         }
-        assert!(matches!(
-            r.take_events().as_slice(),
-            [ConnEvent::Connected]
-        ));
+        assert!(matches!(r.take_events().as_slice(), [ConnEvent::Connected]));
     }
 
     #[test]

@@ -289,7 +289,8 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
 
     /// Borrows the entry at `seq`.
     pub fn get(&self, seq: u64) -> Option<&T> {
-        self.slot_index(seq).and_then(|p| self.slab.slot(p).as_ref())
+        self.slot_index(seq)
+            .and_then(|p| self.slab.slot(p).as_ref())
     }
 
     /// Mutably borrows the entry at `seq`.
@@ -458,7 +459,11 @@ impl<T, const FIRST: usize> SeqRing<T, FIRST> {
             return None;
         }
         let seq = self.head_seq;
-        let v = self.slab.slot_mut(self.head).take().expect("head slot occupied");
+        let v = self
+            .slab
+            .slot_mut(self.head)
+            .take()
+            .expect("head slot occupied");
         self.len -= 1;
         if self.len == 0 {
             self.span = 0;
@@ -587,13 +592,20 @@ mod tests {
         assert_eq!(r.len(), 200);
         let got = occupied(&r);
         assert_eq!(got.len(), 200);
-        assert!(got.iter().enumerate().all(|(i, &(s, v))| s == i as u64 && v == i as u32));
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(i, &(s, v))| s == i as u64 && v == i as u32));
     }
 
     #[test]
     fn first_slab_is_small_and_doubles_to_hold_a_window() {
         let mut r = Ring::new();
-        assert_eq!(r.capacity(), FIRST_SLOTS, "a new ring is on its inline slab");
+        assert_eq!(
+            r.capacity(),
+            FIRST_SLOTS,
+            "a new ring is on its inline slab"
+        );
         // The spill boundary: `FIRST_SLOTS` entries fit inline, one
         // more moves the window to a heap slab of twice the size.
         for seq in 100..100 + FIRST_SLOTS as u64 {
@@ -612,7 +624,9 @@ mod tests {
         }
         assert_eq!(caps, [8, 16, 32, 64], "grows by doubling, on demand");
         assert_eq!(r.len(), 64);
-        assert!(occupied(&r).into_iter().eq((100..164u64).map(|s| (s, s as u32))));
+        assert!(occupied(&r)
+            .into_iter()
+            .eq((100..164u64).map(|s| (s, s as u32))));
         // A window that slides without widening never leaves the
         // inline slab, and a drained heap ring does not move back.
         let mut small = Ring::new();
@@ -699,10 +713,7 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.first_seq(), Some(top - 3));
         assert_eq!(r.end_seq(), top); // saturated, not wrapped
-        assert_eq!(
-            occupied(&r),
-            vec![(top - 3, 3), (top - 1, 1), (top, 0)]
-        );
+        assert_eq!(occupied(&r), vec![(top - 3, 3), (top - 1, 1), (top, 0)]);
         assert_eq!(r.get(top - 2), None);
         // Re-anchor backwards while the window touches the top.
         r.insert(top - 6, 6);
@@ -745,7 +756,15 @@ mod tests {
         assert!(r.capacity() > 8);
         assert_eq!(
             occupied(&r),
-            vec![(6, 6), (7, 7), (8, 8), (10, 10), (11, 11), (12, 12), (14, 14)]
+            vec![
+                (6, 6),
+                (7, 7),
+                (8, 8),
+                (10, 10),
+                (11, 11),
+                (12, 12),
+                (14, 14)
+            ]
         );
         assert_eq!(r.get(9), None);
         assert_eq!(r.get(13), None);
@@ -923,7 +942,10 @@ mod tests {
         assert_eq!(r.pop_first(), Some((10_000, 0)));
         r.insert(10_000 + page - 2_000, 3);
         assert_eq!(r.capacity(), 3 * PAGE_SLOTS);
-        assert_eq!(occupied(&r), vec![(10_000 + page - 2_000, 3), (10_000 + page, 1)]);
+        assert_eq!(
+            occupied(&r),
+            vec![(10_000 + page - 2_000, 3), (10_000 + page, 1)]
+        );
         // And past the spares, one more page.
         r.insert(10_000 + page - 3_000, 4);
         assert_eq!(r.capacity(), 4 * PAGE_SLOTS);
@@ -934,7 +956,11 @@ mod tests {
 
     #[test]
     fn a_paged_window_slides_on_its_pages() {
-        assert_eq!(PAGE_SLOTS as f64, crate::MAX_CWND, "an in-flight window never pages");
+        assert_eq!(
+            PAGE_SLOTS as f64,
+            crate::MAX_CWND,
+            "an in-flight window never pages"
+        );
         let page = PAGE_SLOTS as u64;
         let mut r = Ring::new();
         for seq in 0..=page {
@@ -944,7 +970,10 @@ mod tests {
         let cap = r.capacity();
         assert_eq!(cap, 2 * PAGE_SLOTS);
         for seq in page + 1..11 * page {
-            assert_eq!(r.pop_first(), Some((seq - page - 1, (seq - page - 1) as u32)));
+            assert_eq!(
+                r.pop_first(),
+                Some((seq - page - 1, (seq - page - 1) as u32))
+            );
             r.insert(seq, seq as u32);
         }
         assert_eq!(r.capacity(), cap, "the pages the head left were reused");

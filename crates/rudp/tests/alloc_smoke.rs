@@ -157,10 +157,15 @@ fn cold_flow(algorithm: CcAlgorithm) -> u64 {
     }
     let _lost = s.poll_transmit(MS).expect("seq 0");
     let second = s.poll_transmit(MS).expect("seq 1");
-    assert!(s.poll_transmit(MS).is_none(), "the initial window is two segments");
+    assert!(
+        s.poll_transmit(MS).is_none(),
+        "the initial window is two segments"
+    );
     // Seq 0 never arrives; seq 1 is buffered out of order and SACKed.
     r.on_segment(2 * MS, &second);
-    let sack = r.poll_transmit(2 * MS).expect("an out-of-order arrival is ACKed at once");
+    let sack = r
+        .poll_transmit(2 * MS)
+        .expect("an out-of-order arrival is ACKed at once");
     s.on_segment(3 * MS, &sack);
     // The retransmission timer recovers it.
     let mut now = 1_200 * MS;

@@ -138,11 +138,19 @@ fn random_ops_match<const FIRST: usize>(ops: &[(u32, u64)]) {
         // the head down.
         let below = head.is_some_and(|h| ring.first_seq() < Some(h));
         if inline && ring.capacity() > FIRST {
-            let moved = if below { &MOVED_BACKWARD } else { &MOVED_FORWARD };
+            let moved = if below {
+                &MOVED_BACKWARD
+            } else {
+                &MOVED_FORWARD
+            };
             moved.fetch_add(1, Ordering::Relaxed);
         }
         if unpaged && ring.capacity() > PAGE_SLOTS {
-            let paged = if below { &PAGED_BACKWARD } else { &PAGED_FORWARD };
+            let paged = if below {
+                &PAGED_BACKWARD
+            } else {
+                &PAGED_FORWARD
+            };
             paged.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -54,10 +54,14 @@ fn truncated_sack_does_not_trigger_spurious_retransmits() {
     // Deliver only the odd seqs, in order: 10 holes > MAX_SACK_RANGES.
     let mut acks = Vec::new();
     for seg in &segs {
-        let Segment::Data(d) = seg else { unreachable!() };
+        let Segment::Data(d) = seg else {
+            unreachable!()
+        };
         if d.seq % 2 == 1 {
             r.on_segment(1_000_000, seg);
-            let ack = r.poll_transmit(1_000_000).expect("ooo data acks immediately");
+            let ack = r
+                .poll_transmit(1_000_000)
+                .expect("ooo data acks immediately");
             acks.push(ack);
         }
     }
@@ -66,7 +70,10 @@ fn truncated_sack_does_not_trigger_spurious_retransmits() {
         unreachable!()
     };
     assert_eq!(last.sack.len(), MAX_SACK_RANGES);
-    assert_eq!(last.highest_seen, 20, "highest_seen is one past the top seq");
+    assert_eq!(
+        last.highest_seen, 20,
+        "highest_seen is one past the top seq"
+    );
     assert!(r.has_segment(17) && r.has_segment(19));
 
     for ack in &acks {

@@ -64,7 +64,7 @@ fn one_tick_retires_all_expired_deadlines() {
     let cfg = RudpConfig::default();
     let (mut s, _r) = establish(0, &cfg);
     s.scale_cwnd(4.0); // initial cwnd 2 -> 8: room for the whole burst
-    // Three segments in flight, all transmitted around t = 0.
+                       // Three segments in flight, all transmitted around t = 0.
     for _ in 0..3 {
         let _ = s.send_message(0, 1000, true);
     }

@@ -183,7 +183,12 @@ mod tests {
             .map(|(r, sink)| sim.add_agent(r, 1, Box::new(sink)))
             .collect();
         sim.run_until(time::secs(20.0));
-        let kbps = |id| sim.agent::<TcpSinkAgent>(id).unwrap().metrics.throughput_kbps();
+        let kbps = |id| {
+            sim.agent::<TcpSinkAgent>(id)
+                .unwrap()
+                .metrics
+                .throughput_kbps()
+        };
         let (t0, t1) = (kbps(rx[0]), kbps(rx[1]));
         assert!(t0 > 100.0 && t1 > 100.0, "both must progress: {t0} / {t1}");
         let ratio = t0.max(t1) / t0.min(t1).max(1.0);

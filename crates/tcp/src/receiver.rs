@@ -132,8 +132,7 @@ impl TcpReceiverConn {
             }
             TcpSegment::Data(d) => {
                 self.stats.segments_received += 1;
-                let duplicate =
-                    d.seq < self.next_required || self.buffer.contains_key(&d.seq);
+                let duplicate = d.seq < self.next_required || self.buffer.contains_key(&d.seq);
                 if duplicate {
                     self.stats.duplicates += 1;
                 } else {

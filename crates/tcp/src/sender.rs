@@ -338,7 +338,9 @@ impl TcpSenderConn {
     }
 
     fn can_send_new(&self) -> bool {
-        let w = (self.cwnd.floor() as usize).max(1).min(self.peer_window as usize);
+        let w = (self.cwnd.floor() as usize)
+            .max(1)
+            .min(self.peer_window as usize);
         self.inflight.len() < w
     }
 

@@ -8,7 +8,9 @@
 //! per simulated second.
 
 use iq_metrics::FlowMetrics;
-use iq_netsim::{time, Addr, BulkSender, FlowId, LinkSpec, ReceiverDriver, SenderDriver, Simulator};
+use iq_netsim::{
+    time, Addr, BulkSender, FlowId, LinkSpec, ReceiverDriver, SenderDriver, Simulator,
+};
 use iq_tcp::{TcpConfig, TcpReceiverConn, TcpSenderConn, TcpSinkAgent};
 
 /// A 2000-message transfer over a 1 Mb/s link with 5 % loss keeps its

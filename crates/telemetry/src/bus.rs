@@ -160,7 +160,9 @@ impl TelemetrySink {
     /// Emits one event (no-op when disabled).
     pub fn emit(&self, at: u64, flow: u64, event: TelemetryEvent) {
         if let Some(bus) = &self.bus {
-            bus.lock().unwrap_or_else(|e| e.into_inner()).push(at, flow, event);
+            bus.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(at, flow, event);
         }
     }
 

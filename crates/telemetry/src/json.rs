@@ -74,7 +74,11 @@ impl TelemetryRecord {
                 field_f64(&mut out, "cwnd", *cwnd);
                 field_str(&mut out, "reason", reason.label());
             }
-            TelemetryEvent::RtoFired { seq, rto_ns, backoff } => {
+            TelemetryEvent::RtoFired {
+                seq,
+                rto_ns,
+                backoff,
+            } => {
                 field(&mut out, "rto_seq", &seq.to_string());
                 field(&mut out, "rto_ns", &rto_ns.to_string());
                 field(&mut out, "backoff", &backoff.to_string());
@@ -89,29 +93,52 @@ impl TelemetryRecord {
             TelemetryEvent::AdaptWhen { frames_ahead } => {
                 field(&mut out, "frames_ahead", &frames_ahead.to_string());
             }
-            TelemetryEvent::AdaptCond { eratio_then, eratio_now } => {
+            TelemetryEvent::AdaptCond {
+                eratio_then,
+                eratio_now,
+            } => {
                 field_f64(&mut out, "eratio_then", *eratio_then);
                 field_f64(&mut out, "eratio_now", *eratio_now);
             }
-            TelemetryEvent::WindowReinflate { rate_chg, factor, cwnd, srtt_ms } => {
+            TelemetryEvent::WindowReinflate {
+                rate_chg,
+                factor,
+                cwnd,
+                srtt_ms,
+            } => {
                 field_f64(&mut out, "rate_chg", *rate_chg);
                 field_f64(&mut out, "factor", *factor);
                 field_f64(&mut out, "cwnd", *cwnd);
                 field_f64(&mut out, "srtt_ms", *srtt_ms);
             }
-            TelemetryEvent::QueueDepth { link, queued_bytes, queue_len, dropped } => {
+            TelemetryEvent::QueueDepth {
+                link,
+                queued_bytes,
+                queue_len,
+                dropped,
+            } => {
                 field(&mut out, "link", &link.to_string());
                 field(&mut out, "queued_bytes", &queued_bytes.to_string());
                 field(&mut out, "queue_len", &queue_len.to_string());
                 field(&mut out, "dropped", if *dropped { "true" } else { "false" });
             }
-            TelemetryEvent::Packet { packet_id, size, kind, link } => {
+            TelemetryEvent::Packet {
+                packet_id,
+                size,
+                kind,
+                link,
+            } => {
                 field(&mut out, "packet_id", &packet_id.to_string());
                 field(&mut out, "size", &size.to_string());
                 field_str(&mut out, "kind", kind.label());
                 field(&mut out, "link", &link.to_string());
             }
-            TelemetryEvent::MsgDelivered { msg_id, size, marked, latency_ns } => {
+            TelemetryEvent::MsgDelivered {
+                msg_id,
+                size,
+                marked,
+                latency_ns,
+            } => {
                 field(&mut out, "msg_id", &msg_id.to_string());
                 field(&mut out, "size", &size.to_string());
                 field(&mut out, "marked", if *marked { "true" } else { "false" });
@@ -233,7 +260,12 @@ impl TelemetryRecord {
             },
             other => return Err(ParseError::UnknownKind(other.to_string())),
         };
-        Ok(TelemetryRecord { at, seq, flow, event })
+        Ok(TelemetryRecord {
+            at,
+            seq,
+            flow,
+            event,
+        })
     }
 }
 

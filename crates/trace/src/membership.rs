@@ -72,7 +72,11 @@ impl MembershipTrace {
         for _ in 0..cfg.len {
             if rng.gen::<f64>() < BURST_PROB {
                 let magnitude = cfg.burst_scale * (0.5 + rng.gen::<f64>());
-                burst += if rng.gen::<bool>() { magnitude } else { -magnitude };
+                burst += if rng.gen::<bool>() {
+                    magnitude
+                } else {
+                    -magnitude
+                };
             }
             burst *= 0.9;
             // Box-Muller-free gaussian-ish step: sum of uniforms (CLT).
@@ -122,12 +126,18 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let cfg = MembershipConfig::default();
-        assert_eq!(MembershipTrace::generate(&cfg), MembershipTrace::generate(&cfg));
+        assert_eq!(
+            MembershipTrace::generate(&cfg),
+            MembershipTrace::generate(&cfg)
+        );
         let other = MembershipConfig {
             seed: 99,
             ..MembershipConfig::default()
         };
-        assert_ne!(MembershipTrace::generate(&cfg), MembershipTrace::generate(&other));
+        assert_ne!(
+            MembershipTrace::generate(&cfg),
+            MembershipTrace::generate(&other)
+        );
     }
 
     #[test]
@@ -148,11 +158,7 @@ mod tests {
         let max = *t.samples.iter().max().unwrap();
         assert!(max - min >= 10, "trace too flat: {min}..{max}");
         // Changes happen frequently: at least a third of steps move.
-        let moves = t
-            .samples
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count();
+        let moves = t.samples.windows(2).filter(|w| w[0] != w[1]).count();
         assert!(moves * 3 >= t.len(), "only {moves} moves in {}", t.len());
     }
 

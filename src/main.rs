@@ -133,7 +133,9 @@ fn positional<'a>(
 
 /// A seed count, or a size before its bound: a positive, finite number.
 fn positive(arg: &str) -> Option<f64> {
-    arg.parse::<f64>().ok().filter(|x| *x > 0.0 && x.is_finite())
+    arg.parse::<f64>()
+        .ok()
+        .filter(|x| *x > 0.0 && x.is_finite())
 }
 
 /// The one SIZE rule, for every subcommand that takes one: a positive
@@ -153,7 +155,10 @@ fn size_and_name<'a>(args: &'a [String], names: &[&str]) -> (Size, Option<&'a st
 /// absent; SEEDS is a whole number no larger than [`MAX_SEEDS`].
 fn diag_args(args: &[String]) -> Option<(Experiment, Size, u64)> {
     let (numbers, name) = positional(args, &TABLES.map(|t| t.name), 2)?;
-    let (size, seeds) = (numbers.first().unwrap_or(&0.3), numbers.get(1).unwrap_or(&1.0));
+    let (size, seeds) = (
+        numbers.first().unwrap_or(&0.3),
+        numbers.get(1).unwrap_or(&1.0),
+    );
     let whole = seeds.fract() == 0.0 && *seeds <= MAX_SEEDS;
     whole.then(|| (table(name.unwrap_or("t5")), Size(*size), *seeds as u64))
 }
@@ -176,8 +181,10 @@ fn run_and_print(exec: &Executor, size: Size, draws: u32, exps: &[Experiment]) {
 
 fn cmd_tables(exec: &Executor, args: &[String]) {
     let (size, only) = size_and_name(args, &TABLES.map(|t| t.name));
-    let selected: Vec<Experiment> =
-        TABLES.into_iter().filter(|t| only.is_none_or(|only| only == t.name)).collect();
+    let selected: Vec<Experiment> = TABLES
+        .into_iter()
+        .filter(|t| only.is_none_or(|only| only == t.name))
+        .collect();
     run_and_print(exec, size, DRAWS, &selected);
 }
 
@@ -331,7 +338,10 @@ fn cmd_bench(exec: &Executor, args: &[String]) {
             for sc in &run.scenarios {
                 outln!(
                     "{:<18} {:>10} events  fingerprint {:#018x}  counters {:#018x}",
-                    sc.name, sc.events, sc.fingerprint, sc.counter_fingerprint
+                    sc.name,
+                    sc.events,
+                    sc.fingerprint,
+                    sc.counter_fingerprint
                 );
             }
         }
@@ -439,7 +449,11 @@ fn cmd_mc(args: &[String]) {
         cfg.drop_budget,
         cfg.tick_budget,
         report.explored,
-        if report.complete { "exhausted" } else { "bounded by depth" },
+        if report.complete {
+            "exhausted"
+        } else {
+            "bounded by depth"
+        },
     );
     match report.counterexample {
         Some(ce) => {
@@ -501,7 +515,9 @@ fn trace_args(args: &[String]) -> Option<(usize, u64)> {
     if args.len() > 2 {
         return None;
     }
-    let len = args.first().map_or(Some(2000), |s| s.parse().ok().filter(|&n| n > 0))?;
+    let len = args
+        .first()
+        .map_or(Some(2000), |s| s.parse().ok().filter(|&n| n > 0))?;
     let seed = args.get(1).map_or(Some(0x4d42_6f6e), |s| s.parse().ok())?;
     Some((len, seed))
 }
@@ -548,7 +564,10 @@ fn cmd_demo() {
     );
     // The ground truth is the fold of flow 1's records, which the
     // default ring capacity holds without eviction.
-    assert_eq!(r.telemetry_evicted, 0, "the demo's telemetry ring evicted records");
+    assert_eq!(
+        r.telemetry_evicted, 0,
+        "the demo's telemetry ring evicted records"
+    );
     let mut records = iq_telemetry::parse_jsonl(&r.telemetry).expect("the run's own JSONL parses");
     records.retain(|rec| rec.flow == 1);
     let fs = iq_telemetry::TelemetryReport::from_records(&records);
@@ -563,8 +582,7 @@ fn main() {
     iq_experiments::tune_allocator();
     // The runner flags may stand anywhere on the line; what is left is
     // the command and its own arguments.
-    let (exec, args) =
-        Executor::from_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
+    let (exec, args) = Executor::from_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
     match args.first().map(|s| s.as_str()) {
         Some("tables") => cmd_tables(&exec, &args[1..]),
         Some("figures") => cmd_figures(&exec, &args[1..]),
@@ -600,8 +618,8 @@ mod tests {
         assert_eq!(parse("0.05 t3"), Some((vec![0.05], t3.clone())));
         assert_eq!(parse("t3 0.05"), Some((vec![0.05], t3)));
         for refused in [
-            "0.05 t10", "t3 t4", "0.05 0.1", "0", "-1", "NaN", "inf", "f4", "--out", "101",
-            "1e12", "1e30",
+            "0.05 t10", "t3 t4", "0.05 0.1", "0", "-1", "NaN", "inf", "f4", "--out", "101", "1e12",
+            "1e30",
         ] {
             assert_eq!(parse(refused), None, "`tables {refused}` must exit 2");
         }
@@ -644,7 +662,10 @@ mod tests {
     fn bench_takes_a_size_by_the_positional_rule_and_a_known_name() {
         let parse = |line: &str| bench_args(&args(line)).map(|o| (o.size.0, o.only));
         assert_eq!(parse(""), Ok((1.0, None)));
-        assert_eq!(parse("0.05 --only mega_flows"), Ok((0.05, Some("mega_flows".into()))));
+        assert_eq!(
+            parse("0.05 --only mega_flows"),
+            Ok((0.05, Some("mega_flows".into())))
+        );
         for refused in [
             "inf", "NaN", "0", "-1", "abc", "--only", "--check", "101", "1e12", "1e30",
         ] {
@@ -655,7 +676,10 @@ mod tests {
         let opts = bench_args(&args("0.05 --only nope")).expect("well-formed");
         let (code, why) = iq_experiments::bench_main(&Executor::new(1), &opts).unwrap_err();
         assert_eq!(code, 2);
-        assert!(why.starts_with("no scenario named `nope` (available: bulk_rudp, "), "{why}");
+        assert!(
+            why.starts_with("no scenario named `nope` (available: bulk_rudp, "),
+            "{why}"
+        );
     }
 
     #[test]

@@ -12,8 +12,14 @@ fn run(sc: &Scenario) -> RunResult {
 
 /// The scenarios of the table named `name`, at smoke size.
 fn scenarios(name: &str) -> Vec<Scenario> {
-    let table = TABLES.into_iter().find(|t| t.name == name).expect("a table");
-    (table.rows)(Size::SMOKE, 0).into_iter().map(|(_, sc)| sc).collect()
+    let table = TABLES
+        .into_iter()
+        .find(|t| t.name == name)
+        .expect("a table");
+    (table.rows)(Size::SMOKE, 0)
+        .into_iter()
+        .map(|(_, sc)| sc)
+        .collect()
 }
 
 /// §3.3 conflict: coordinated discard means fewer messages delivered
@@ -44,11 +50,7 @@ fn conflict_coordination_trades_messages_for_time() {
 /// after reported downsampling; the uncoordinated one never rescales.
 #[test]
 fn overreaction_coordination_rescales_window() {
-    let mut sc = Scenario::new(
-        Scheme::Coordinated,
-        PolicySpec::Resolution,
-        vec![1400; 400],
-    );
+    let mut sc = Scenario::new(Scheme::Coordinated, PolicySpec::Resolution, vec![1400; 400]);
     sc.datagram_mode = true;
     sc.thresholds = (Some(0.05), Some(0.005));
     sc.cross.cbr_bps = Some(18e6);
@@ -101,18 +103,23 @@ fn granularity_cond_correction_orders_schemes() {
 #[test]
 fn reinflation_follows_downsample_within_one_rtt_on_the_bus() {
     use iq_telemetry::{parse_jsonl, TelemetryEvent};
-    let mut sc = Scenario::new(
-        Scheme::Coordinated,
-        PolicySpec::Resolution,
-        vec![1400; 400],
-    );
+    let mut sc = Scenario::new(Scheme::Coordinated, PolicySpec::Resolution, vec![1400; 400]);
     sc.datagram_mode = true;
     sc.thresholds = (Some(0.05), Some(0.005));
     sc.cross.cbr_bps = Some(18e6);
     sc.deadline_s = 180.0;
-    let r = run_scenario_with(&sc, RunConfig { telemetry: true, ..RunConfig::default() });
+    let r = run_scenario_with(
+        &sc,
+        RunConfig {
+            telemetry: true,
+            ..RunConfig::default()
+        },
+    );
     assert!(r.finished);
-    assert!(r.coordination.unwrap().window_rescales > 0, "no coordination happened");
+    assert!(
+        r.coordination.unwrap().window_rescales > 0,
+        "no coordination happened"
+    );
 
     let records = parse_jsonl(&r.telemetry).expect("captured telemetry parses");
     let mut last_downsample: Option<u64> = None;
@@ -120,7 +127,9 @@ fn reinflation_follows_downsample_within_one_rtt_on_the_bus() {
     for rec in records.iter().filter(|rec| rec.flow == 1) {
         match &rec.event {
             TelemetryEvent::AdaptPktSize { .. } => last_downsample = Some(rec.at),
-            TelemetryEvent::WindowReinflate { srtt_ms, factor, .. } => {
+            TelemetryEvent::WindowReinflate {
+                srtt_ms, factor, ..
+            } => {
                 let t = last_downsample
                     .expect("window re-inflation without a preceding down-sample report");
                 let rtt_ns = (srtt_ms * 1e6) as u64;
@@ -177,8 +186,5 @@ fn scheme_labels() {
     assert_eq!(Scheme::Tcp.label(), "TCP");
     assert_eq!(Scheme::Uncoordinated.label(), "RUDP");
     assert_eq!(Scheme::Coordinated.label(), "IQ-RUDP");
-    assert_eq!(
-        Scheme::CoordinatedWithCond.label(),
-        "IQ-RUDP w/ ADAPT_COND"
-    );
+    assert_eq!(Scheme::CoordinatedWithCond.label(), "IQ-RUDP w/ ADAPT_COND");
 }

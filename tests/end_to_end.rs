@@ -20,7 +20,10 @@ fn rudp_pair(
     size: u32,
 ) -> (BulkSender<SenderConn>, ReceiverDriver<ReceiverConn>) {
     let b = cfg.builder(1, FlowId(1));
-    (BulkSender::new(b.build_sender(Addr::new(peer, 1)), msgs, size), b.build_receiver())
+    (
+        BulkSender::new(b.build_sender(Addr::new(peer, 1)), msgs, size),
+        b.build_receiver(),
+    )
 }
 
 /// A sink on `rx` recording every message's arrival shape.
@@ -107,7 +110,9 @@ fn both_transports_deliver_identical_payloads() {
                 };
                 let rx = sim.add_agent(b, 1, Box::new(recorder));
                 sim.run_until(time::secs(120.0));
-                let rec = sim.agent::<Recorder<TcpReceiverConn, TcpDeliveredMsg>>(rx).unwrap();
+                let rec = sim
+                    .agent::<Recorder<TcpReceiverConn, TcpDeliveredMsg>>(rx)
+                    .unwrap();
                 assert!(rec.driver.conn.is_finished(), "tcp did not finish");
                 assert_eq!(rec.messages.len(), 200);
                 // In-order, no duplicates, no gaps.
@@ -129,7 +134,9 @@ fn both_transports_deliver_identical_payloads() {
                 };
                 let rx = sim.add_agent(b, 1, Box::new(recorder));
                 sim.run_until(time::secs(120.0));
-                let rec = sim.agent::<Recorder<ReceiverConn, DeliveredMsg>>(rx).unwrap();
+                let rec = sim
+                    .agent::<Recorder<ReceiverConn, DeliveredMsg>>(rx)
+                    .unwrap();
                 assert!(rec.driver.conn.is_finished(), "rudp did not finish");
                 assert_eq!(rec.messages.len(), 200);
                 for (i, m) in rec.messages.iter().enumerate() {

@@ -9,7 +9,10 @@ use proptest::prelude::*;
 
 /// The table named `name`.
 fn table(name: &str) -> Experiment {
-    TABLES.into_iter().find(|t| t.name == name).expect("a table")
+    TABLES
+        .into_iter()
+        .find(|t| t.name == name)
+        .expect("a table")
 }
 
 /// The scenarios of table `name` at `size`, under their default names.
@@ -29,7 +32,10 @@ fn small_specs() -> Vec<ScenarioSpec> {
 fn rendered_table_is_byte_identical_across_worker_counts() {
     let serial = Executor::new(1).run(&small_specs());
     let parallel = Executor::new(4).run(&small_specs());
-    let row = |r: ScenarioReport| Row { label: r.result.label, runs: vec![r.result] };
+    let row = |r: ScenarioReport| Row {
+        label: r.result.label,
+        runs: vec![r.result],
+    };
     let rows_serial: Vec<_> = serial.into_iter().map(row).collect();
     let rows_parallel: Vec<_> = parallel.into_iter().map(row).collect();
     let rendered_serial = render(&table("t1"), &rows_serial);
