@@ -119,11 +119,6 @@ impl ResolutionAdapter {
         self.adaptations += 1;
         AttrList::new().with(names::ADAPT_PKTSIZE, effective)
     }
-
-    /// Applies the current scale to a nominal frame size.
-    pub fn apply(&self, nominal: u32, floor: u32) -> u32 {
-        ((nominal as f64 * self.scale) as u32).max(floor)
-    }
 }
 
 /// A frequency adaptation: send the same frames, less often.
@@ -275,15 +270,6 @@ mod tests {
         }
         assert!((r.scale - 1.0).abs() < 1e-12);
         assert!(r.on_lower(&cond(0.0)).is_empty());
-    }
-
-    #[test]
-    fn resolution_apply_respects_floor() {
-        let mut r = ResolutionAdapter::default();
-        r.on_upper(&cond(0.5));
-        assert_eq!(r.apply(1000, 64), 500);
-        r.scale = 0.01;
-        assert_eq!(r.apply(1000, 64), 64);
     }
 
     #[test]

@@ -15,5 +15,5 @@ pub mod table;
 pub use flow::{jitter_series, FlowMetrics};
 pub use plot::{bar_chart, line_plot};
 pub use series::TimeSeries;
-pub use stats::{Ewma, Welford};
+pub use stats::Welford;
 pub use table::{fmt, Table};

@@ -93,22 +93,14 @@ impl LinkSpec {
 pub struct LinkStats {
     /// Packets accepted into the queue.
     pub enqueued_packets: u64,
-    /// Bytes accepted into the queue.
-    pub enqueued_bytes: u64,
     /// Packets lost to drop-tail (queue-full) drops.
     pub dropped_packets: u64,
-    /// Bytes lost to drop-tail.
-    pub dropped_bytes: u64,
     /// Packets lost to the random-loss failure model.
     pub random_losses: u64,
     /// Packets dropped early by RED (before the queue was full).
     pub red_drops: u64,
     /// Packets fully serialized onto the wire.
     pub transmitted_packets: u64,
-    /// Bytes fully serialized onto the wire.
-    pub transmitted_bytes: u64,
-    /// Maximum queue occupancy observed, in bytes.
-    pub peak_queue_bytes: u32,
 }
 
 /// A queue entry: just the slab key and the wire size. The packet itself
@@ -213,19 +205,15 @@ impl LinkState {
             if drop_p > 0.0 && rng.gen::<f64>() < drop_p {
                 self.stats.red_drops += 1;
                 self.stats.dropped_packets += 1;
-                self.stats.dropped_bytes += u64::from(sz);
                 return Enqueue::Dropped;
             }
         }
         if self.queued_bytes.saturating_add(sz) > self.spec.queue_bytes {
             self.stats.dropped_packets += 1;
-            self.stats.dropped_bytes += u64::from(sz);
             return Enqueue::Dropped;
         }
         self.queued_bytes += sz;
         self.stats.enqueued_packets += 1;
-        self.stats.enqueued_bytes += u64::from(sz);
-        self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.queued_bytes);
         self.queue.push_back(QueuedPacket { key, size: sz });
         if self.busy {
             Enqueue::Queued
@@ -244,7 +232,6 @@ impl LinkState {
             Some(q) => {
                 self.queued_bytes -= q.size;
                 self.stats.transmitted_packets += 1;
-                self.stats.transmitted_bytes += u64::from(q.size);
                 Some(q)
             }
             None => {
@@ -271,15 +258,6 @@ impl LinkState {
     /// `tx_done`, before jitter.
     pub fn arrival_time(&self, tx_done: Time) -> Time {
         tx_done.saturating_add(self.spec.delay)
-    }
-
-    /// Average utilization given total bytes pushed over `elapsed`.
-    pub fn utilization(&self, elapsed: TimeDelta) -> f64 {
-        if elapsed == 0 || self.spec.rate_bps <= 0.0 {
-            return 0.0;
-        }
-        let secs = elapsed as f64 / crate::time::SECOND as f64;
-        (self.stats.transmitted_bytes as f64 * 8.0) / (self.spec.rate_bps * secs)
     }
 }
 
@@ -312,7 +290,6 @@ mod tests {
         assert_eq!(l.enqueue(PacketKey(1), 1000, &mut rng()), Enqueue::Queued);
         assert_eq!(l.enqueue(PacketKey(2), 1000, &mut rng()), Enqueue::Dropped);
         assert_eq!(l.stats.dropped_packets, 1);
-        assert_eq!(l.stats.dropped_bytes, 1000);
         // A smaller packet that fits is still accepted after a drop.
         assert_eq!(l.enqueue(PacketKey(3), 500, &mut rng()), Enqueue::Queued);
     }
@@ -334,17 +311,6 @@ mod tests {
         let l = link(10_000);
         // 1000 bytes at 8 Mb/s = 1 ms.
         assert_eq!(l.tx_time(1000), crate::time::millis(1));
-    }
-
-    #[test]
-    fn peak_queue_tracked() {
-        let mut l = link(10_000);
-        l.enqueue(PacketKey(0), 4000, &mut rng());
-        l.enqueue(PacketKey(1), 4000, &mut rng());
-        assert_eq!(l.stats.peak_queue_bytes, 8000);
-        l.begin_tx();
-        l.begin_tx();
-        assert_eq!(l.stats.peak_queue_bytes, 8000);
     }
 
     #[test]
