@@ -6,8 +6,8 @@
 //!
 //! * the application attaches `ADAPT_*` attributes to sends (or callback
 //!   returns) to describe its adaptations to IQ-RUDP, and
-//! * IQ-RUDP exports `NET_*` metrics the application can query at any
-//!   time during a connection's lifetime.
+//! * IQ-RUDP exports network metrics (`NET_ERROR_RATIO`) the
+//!   application can query at any time during a connection's lifetime.
 
 #![warn(missing_docs)]
 

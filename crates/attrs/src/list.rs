@@ -184,19 +184,19 @@ mod tests {
     #[test]
     fn merge_matches_interned_and_unknown_names() {
         let mut a = AttrList::new()
-            .with(names::NET_RTT_MS, 10.0)
+            .with(names::ADAPT_PKTSIZE, 0.1)
             .with("custom", 1i64);
         let mut b = AttrList::new();
         // Heap-allocated copies of the names: must still match by symbol
         // (well-known) and by string (unknown).
-        b.set(names::NET_RTT_MS.to_string(), 25.0);
+        b.set(names::ADAPT_PKTSIZE.to_string(), 0.25);
         b.set("custom".to_string(), 2i64);
-        b.set(names::NET_CWND, 4i64);
+        b.set(names::ADAPT_WHEN, 4i64);
         a.merge(&b);
         assert_eq!(a.len(), 3);
-        assert_eq!(a.get_float(names::NET_RTT_MS), Some(25.0));
+        assert_eq!(a.get_float(names::ADAPT_PKTSIZE), Some(0.25));
         assert_eq!(a.get_int("custom"), Some(2));
-        assert_eq!(a.get_int(names::NET_CWND), Some(4));
+        assert_eq!(a.get_int(names::ADAPT_WHEN), Some(4));
     }
 
     #[test]

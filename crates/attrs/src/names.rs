@@ -1,5 +1,6 @@
 //! Well-known attribute names from the paper (§2.3.2) plus the network
-//! metrics IQ-RUDP exports to applications (§2.1).
+//! metric IQ-RUDP exports to applications (§2.1). A name is here only
+//! while some code reads it.
 
 /// Degree of a frequency adaptation: the factor by which the application
 /// reduced its message frequency (`f64` in `(0, 1)`, fraction removed).
@@ -23,47 +24,19 @@ pub const ADAPT_WHEN: &str = "ADAPT_WHEN";
 /// adaptation (§3.5 scheme 3, Eq. 1).
 pub const ADAPT_COND_ERATIO: &str = "ADAPT_COND_ERATIO";
 
-/// Average data rate (KB/s) the application assumed when adapting.
-pub const ADAPT_COND_RATE: &str = "ADAPT_COND_RATE";
-
 /// Exported metric: smoothed loss (error) ratio over the last measuring
 /// period (`f64` in `[0, 1]`).
 pub const NET_ERROR_RATIO: &str = "NET_ERROR_RATIO";
 
-/// Exported metric: smoothed round-trip time in milliseconds.
-pub const NET_RTT_MS: &str = "NET_RTT_MS";
-
-/// Exported metric: current congestion window, in segments.
-pub const NET_CWND: &str = "NET_CWND";
-
-/// Exported metric: sender goodput estimate, KB/s.
-pub const NET_RATE_KBPS: &str = "NET_RATE_KBPS";
-
-/// Receiver loss tolerance for adaptive reliability (`f64` in `[0, 1]`).
-pub const RELIABILITY_TOLERANCE: &str = "RELIABILITY_TOLERANCE";
-
-/// Callback registration: upper error-ratio threshold (`f64`).
-pub const CB_ERATIO_UPPER: &str = "CB_ERATIO_UPPER";
-
-/// Callback registration: lower error-ratio threshold (`f64`).
-pub const CB_ERATIO_LOWER: &str = "CB_ERATIO_LOWER";
-
 /// Every well-known name, in symbol order: `ALL[sym as usize]` recovers
 /// the string for an interned symbol.
-pub const ALL: [&str; 13] = [
+pub const ALL: [&str; 6] = [
     ADAPT_FREQ,
     ADAPT_MARK,
     ADAPT_PKTSIZE,
     ADAPT_WHEN,
     ADAPT_COND_ERATIO,
-    ADAPT_COND_RATE,
     NET_ERROR_RATIO,
-    NET_RTT_MS,
-    NET_CWND,
-    NET_RATE_KBPS,
-    RELIABILITY_TOLERANCE,
-    CB_ERATIO_UPPER,
-    CB_ERATIO_LOWER,
 ];
 
 /// Symbol id meaning "not a well-known name" (fall back to string

@@ -59,6 +59,19 @@ pub struct CoordinationLog {
     pub cumulative_factor: f64,
 }
 
+/// Folds another flow's log in: the counts add, the window factors
+/// multiply.
+impl std::ops::AddAssign for CoordinationLog {
+    fn add_assign(&mut self, log: Self) {
+        self.window_rescales += log.window_rescales;
+        self.cond_corrections += log.cond_corrections;
+        self.reliability_reports += log.reliability_reports;
+        self.deferred_announcements += log.deferred_announcements;
+        self.frequency_reports += log.frequency_reports;
+        self.cumulative_factor *= log.cumulative_factor;
+    }
+}
+
 /// A deferred adaptation the application announced but has not yet
 /// executed.
 #[derive(Debug, Clone, Copy)]

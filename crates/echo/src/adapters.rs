@@ -166,9 +166,8 @@ impl FrequencyAdapter {
 /// Maps the `ADAPT_*` attributes an adapter returned into telemetry
 /// events, one per attribute present.
 ///
-/// Pure translation, shared by every emit point that reports application
-/// adaptations (the adaptive source, channels, the FTP agent): the
-/// attribute list is already the paper's description of "what the
+/// Pure translation for the one emit point that reports application
+/// adaptations, the adaptive source: the attribute list is already the paper's description of "what the
 /// application did", so telemetry reuses it instead of inventing a
 /// second vocabulary.
 pub fn adaptation_events(attrs: &AttrList) -> Vec<iq_telemetry::TelemetryEvent> {

@@ -436,10 +436,11 @@ mod tests {
         cfg.fps = Some(100.0); // 10 ms apart
         let (_, rx) = flow(&mut sim, &RudpConfig::default(), 4, cfg, Policy::None);
         sim.run_until(time::secs(10.0));
-        let sink = sim.agent::<RudpSinkAgent>(rx).unwrap();
+        let sink = sim.agent_mut::<RudpSinkAgent>(rx).unwrap();
         assert_eq!(sink.metrics.messages(), 50);
         // Paced at 10 ms: mean inter-arrival close to that.
-        let ia = sink.metrics.inter_arrival_s();
+        let (_, gaps) = iq_metrics::jitter_series(sink.metrics.take_arrivals().iter());
+        let ia = gaps.mean();
         assert!((ia - 0.010).abs() < 0.002, "inter-arrival = {ia}");
     }
 

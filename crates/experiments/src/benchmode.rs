@@ -125,8 +125,10 @@ pub fn bench_specs(size: Size) -> Vec<ScenarioSpec> {
     sc.deadline_s = 600.0;
     specs.push(ScenarioSpec::new("tcp_fairness", sc));
 
-    // 5. Lossy-link recovery: random loss drives retransmission and
-    //    dup-ack machinery far harder than clean congestion does.
+    // 5. Early-drop recovery: a RED bottleneck under 14 Mb/s of CBR
+    //    cross traffic drops segments before its queue fills, which
+    //    drives the retransmission and dup-ack machinery (the `lossy`
+    //    of its name is these drops: no link loses packets at random).
     let mut sc = Scenario::new(
         Scheme::RudpPlain,
         PolicySpec::None,

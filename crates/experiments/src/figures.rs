@@ -98,7 +98,7 @@ mod tests {
     /// The bus carries what the receiver-side accumulator records: the
     /// times of a captured run's `msg_delivered` records for flow 1, fed
     /// through `iq_metrics::jitter_series`, give the run's
-    /// `jitter_series` bit for bit. The reference only — no product path
+    /// `jitter_series`, delay and jitter bit for bit. The reference only — no product path
     /// derives a figure from the JSONL.
     #[test]
     fn bus_derived_jitter_series_matches_receiver_accumulator() {
@@ -118,7 +118,9 @@ mod tests {
             .filter(|r| matches!(r.event, iq_telemetry::TelemetryEvent::MsgDelivered { .. }))
             .map(|r| r.at)
             .collect();
-        let rebuilt = iq_metrics::jitter_series(delivered.iter().copied());
+        let (rebuilt, gaps) = iq_metrics::jitter_series(delivered.iter().copied());
+        assert_eq!(gaps.mean().to_bits(), r.inter_arrival_s.to_bits());
+        assert_eq!(gaps.stddev().to_bits(), r.jitter_s.to_bits());
         assert!(
             !rebuilt.is_empty(),
             "the run delivered no message on the bus"

@@ -12,7 +12,7 @@ use iq_echo::{
     AdaptiveSourceAgent, DeferredResolution, MarkingAdapter, Policy, ResolutionAdapter,
     SourceConfig,
 };
-use iq_metrics::{FlowMetrics, TimeSeries};
+use iq_metrics::{flow::ArrivalLog, FlowMetrics, TimeSeries};
 use iq_netsim::{
     build_dumbbell_leg, time, Addr, Agent, AgentId, BulkSender, DumbbellSpec, FlowId,
     ReceiverDriver, SenderDriver, ShardAgentId, ShardedSim,
@@ -706,13 +706,14 @@ impl World {
         }
     }
 
-    /// Folds every flow into one [`RunResult`]: sums for volume metrics,
-    /// the max for duration, flow 0's series for jitter shape; a single
-    /// flow is a fleet of one. Everything is read from the world before
-    /// it is dropped but the series, which is derived from flow 0's
-    /// arrival log after: the world and the series are never live at
-    /// once, and the log (≈ 3 B an arrival) goes as soon as the series is
-    /// derived.
+    /// Folds every flow into one [`RunResult`]: sums for volume metrics
+    /// and counters (each counter type sums itself), the max for
+    /// duration, flow 0's arrivals for delay, jitter and its series; a
+    /// single flow is a fleet of one. Everything is read from the world
+    /// before it is dropped but what flow 0's arrival log gives, which
+    /// one replay derives after: the world and the series are never live
+    /// at once, and the log (≈ 3 B an arrival) goes as soon as the
+    /// replay ends.
     fn harvest(
         self,
         sc: &Scenario,
@@ -745,8 +746,12 @@ impl World {
         let mut throughput = 0.0f64;
         let mut duration = 0.0f64;
         let mut finished = true;
+        // Flow 0's tagged columns (seconds) and arrival times.
+        let mut tagged = (0.0, 0.0);
+        let mut arrivals = ArrivalLog::default();
         for (g, flow) in flows.iter().enumerate() {
-            match &classes[g % classes.len()] {
+            let class = &classes[g % classes.len()];
+            match class {
                 FlowClass::Adaptive(_) => {
                     let a = sim
                         .agent::<AdaptiveSourceAgent>(flow.tx.id())
@@ -754,18 +759,11 @@ impl World {
                     offered += a.offered_msgs;
                     callbacks.0 += a.callbacks.0;
                     callbacks.1 += a.callbacks.1;
-                    sum_sender_stats(sender_stats.get_or_insert_default(), &a.conn().stats());
+                    *sender_stats.get_or_insert_default() += a.conn().stats();
                     let log = a.coordination_log();
                     match &mut coordination {
                         None => coordination = Some(log),
-                        Some(agg) => {
-                            agg.window_rescales += log.window_rescales;
-                            agg.cond_corrections += log.cond_corrections;
-                            agg.reliability_reports += log.reliability_reports;
-                            agg.deferred_announcements += log.deferred_announcements;
-                            agg.frequency_reports += log.frequency_reports;
-                            agg.cumulative_factor *= log.cumulative_factor;
-                        }
+                        Some(agg) => *agg += log,
                     }
                 }
                 FlowClass::Bulk { .. } => {
@@ -773,15 +771,27 @@ impl World {
                         .agent::<BulkSender<SenderConn>>(flow.tx.id())
                         .expect("bulk sender");
                     offered += a.offered_msgs();
-                    sum_sender_stats(sender_stats.get_or_insert_default(), &a.conn().stats());
+                    *sender_stats.get_or_insert_default() += a.conn().stats();
                 }
                 FlowClass::TcpBulk => offered += tcp_schedule(sc).0,
             }
-            let (m, done) = sink_state(&sim, flow.rx.id(), &mut receiver_stats);
+            let rx = flow.rx.id();
+            let (done, m) = if let FlowClass::TcpBulk = class {
+                let s = sim.agent_mut::<TcpSinkAgent>(rx).expect("TCP sink");
+                (s.is_finished(), &mut s.metrics)
+            } else {
+                let s = sim.agent_mut::<RudpSinkAgent>(rx).expect("RUDP sink");
+                *receiver_stats.get_or_insert_default() += s.conn().stats();
+                (s.is_finished(), &mut s.metrics)
+            };
             delivered += m.messages();
             throughput += m.throughput_kbps();
             duration = duration.max(m.duration_s());
             finished &= done;
+            if g == 0 {
+                tagged = (m.tagged_inter_arrival_s(), m.tagged_jitter_s());
+                arrivals = m.take_arrivals();
+            }
         }
         let mut obs = Registry::new();
         sim.collect_obs(&mut obs);
@@ -796,9 +806,6 @@ impl World {
                 .plus(sim.worker_pool_stats()),
             telemetry_evicted,
         );
-        // Flow 0's shape: its columns, then its arrival times, moved out
-        // of the sink.
-        let first = sink_metrics_mut(&mut sim, flows[0].rx.id());
         // The TCP sink tags every message; the tagged columns are RUDP's.
         let tagged_ms = |s: f64| {
             if receiver_stats.is_some() {
@@ -807,16 +814,13 @@ impl World {
                 0.0
             }
         };
-        let (inter_arrival_s, jitter_s) = (first.inter_arrival_s(), first.jitter_s());
-        let tagged_delay_ms = tagged_ms(first.tagged_inter_arrival_s());
-        let tagged_jitter_ms = tagged_ms(first.tagged_jitter_s());
-        let arrivals = first.take_arrivals();
+        let (tagged_delay_ms, tagged_jitter_ms) = (tagged_ms(tagged.0), tagged_ms(tagged.1));
         let events_processed = sim.counters().events_processed;
         let shards_used = or_one_per_core(cfg.threads).min(sim.num_shards()) as u32;
         let phase_profile = sim.phase_snapshots();
         let sched = sim.sched_totals();
         drop(sim);
-        let jitter_series = iq_metrics::jitter_series(arrivals.iter());
+        let (jitter_series, gaps) = iq_metrics::jitter_series(arrivals.iter());
         drop(arrivals);
         RunResult {
             label: if sc.mega_legs > 0 {
@@ -828,8 +832,8 @@ impl World {
             },
             duration_s: duration,
             throughput_kbps: throughput,
-            inter_arrival_s,
-            jitter_s,
+            inter_arrival_s: gaps.mean(),
+            jitter_s: gaps.stddev(),
             tagged_delay_ms,
             tagged_jitter_ms,
             msgs_offered: offered,
@@ -852,35 +856,6 @@ impl World {
             obs,
             telemetry_evicted,
         }
-    }
-}
-
-/// A sink's application metrics and whether its transfer finished,
-/// whichever transport it terminates; an RUDP sink's counters are added
-/// into `stats`.
-fn sink_state<'a>(
-    sim: &'a ShardedSim,
-    rx: ShardAgentId,
-    stats: &mut Option<iq_rudp::ReceiverStats>,
-) -> (&'a FlowMetrics, bool) {
-    if let Some(s) = sim.agent::<RudpSinkAgent>(rx) {
-        sum_receiver_stats(stats.get_or_insert_default(), &s.conn().stats());
-        (&s.metrics, s.is_finished())
-    } else {
-        let s = sim.agent::<TcpSinkAgent>(rx).expect("sink");
-        (&s.metrics, s.is_finished())
-    }
-}
-
-/// A sink's application metrics, whichever transport it terminates.
-fn sink_metrics_mut(sim: &mut ShardedSim, rx: ShardAgentId) -> &mut FlowMetrics {
-    if sim.agent::<RudpSinkAgent>(rx).is_some() {
-        &mut sim
-            .agent_mut::<RudpSinkAgent>(rx)
-            .expect("checked above")
-            .metrics
-    } else {
-        &mut sim.agent_mut::<TcpSinkAgent>(rx).expect("sink").metrics
     }
 }
 
@@ -942,15 +917,6 @@ pub fn run_scenario(sc: &Scenario) -> RunResult {
     run_scenario_with(sc, cfg)
 }
 
-fn sum_receiver_stats(acc: &mut iq_rudp::ReceiverStats, s: &iq_rudp::ReceiverStats) {
-    acc.segments_received += s.segments_received;
-    acc.duplicates += s.duplicates;
-    acc.segments_skipped += s.segments_skipped;
-    acc.msgs_delivered += s.msgs_delivered;
-    acc.msgs_dropped_partial += s.msgs_dropped_partial;
-    acc.sack_truncations += s.sack_truncations;
-}
-
 /// Reports run-level metrics into `reg`: aggregated RUDP endpoint
 /// counters and telemetry evictions on the sim plane (deterministic,
 /// fingerprinted), payload-pool deltas on the engine plane (the pool is
@@ -964,73 +930,10 @@ fn collect_run_obs(
     pool: iq_netsim::PoolStats,
     telemetry_evicted: u64,
 ) {
-    if let Some(s) = tx {
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_msgs_submitted_total",
-            &[],
-            s.msgs_submitted,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_msgs_discarded_total",
-            &[],
-            s.msgs_discarded,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_segments_sent_total",
-            &[],
-            s.segments_sent,
-        );
-        reg.counter(Plane::Sim, "iq_rudp_retransmits_total", &[], s.retransmits);
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_segments_abandoned_total",
-            &[],
-            s.segments_abandoned,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_segments_acked_total",
-            &[],
-            s.segments_acked,
-        );
-        reg.counter(Plane::Sim, "iq_rudp_rto_total", &[], s.timeouts);
-        reg.counter(Plane::Sim, "iq_rudp_bytes_acked_total", &[], s.bytes_acked);
-    }
-    if let Some(s) = rx {
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_segments_received_total",
-            &[],
-            s.segments_received,
-        );
-        reg.counter(Plane::Sim, "iq_rudp_duplicates_total", &[], s.duplicates);
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_segments_skipped_total",
-            &[],
-            s.segments_skipped,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_msgs_delivered_total",
-            &[],
-            s.msgs_delivered,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_msgs_dropped_partial_total",
-            &[],
-            s.msgs_dropped_partial,
-        );
-        reg.counter(
-            Plane::Sim,
-            "iq_rudp_sack_truncations_total",
-            &[],
-            s.sack_truncations,
-        );
+    let tx = tx.into_iter().flat_map(iq_rudp::SenderStats::counters);
+    let rx = rx.into_iter().flat_map(iq_rudp::ReceiverStats::counters);
+    for (name, value) in tx.chain(rx) {
+        reg.counter(Plane::Sim, name, &[], value);
     }
     reg.counter(
         Plane::Sim,
@@ -1043,17 +946,6 @@ fn collect_run_obs(
     reg.counter(Plane::Engine, "iq_pool_returns_total", &[], pool.returns);
     reg.counter(Plane::Engine, "iq_pool_drops_total", &[], pool.drops);
     reg.sort();
-}
-
-fn sum_sender_stats(acc: &mut iq_rudp::SenderStats, s: &iq_rudp::SenderStats) {
-    acc.msgs_submitted += s.msgs_submitted;
-    acc.msgs_discarded += s.msgs_discarded;
-    acc.segments_sent += s.segments_sent;
-    acc.retransmits += s.retransmits;
-    acc.segments_abandoned += s.segments_abandoned;
-    acc.segments_acked += s.segments_acked;
-    acc.timeouts += s.timeouts;
-    acc.bytes_acked += s.bytes_acked;
 }
 
 /// The paper's default application trace: MBone group dynamics at

@@ -4,15 +4,16 @@
 //! (must-deliver) messages only.
 //!
 //! A recorder has two parts. The *volume* (first and last arrival,
-//! bytes, messages, summed latency) is what a harvest sums over every
-//! flow of a world, and every recorder keeps it. The arrival *shape*
-//! (inter-arrival statistics, their tagged twins, the arrival times) is
-//! what a run reports for the one flow it looks at; it lives out of
-//! line, and a recorder built with [`FlowMetrics::volume_only`] has none.
+//! bytes, messages) is what a harvest sums over every flow of a world,
+//! and every recorder keeps it. The arrival *shape* (the tagged
+//! inter-arrival statistics and the arrival times) is what a run reports
+//! for the one flow it looks at; it lives out of line, and a recorder
+//! built with [`FlowMetrics::volume_only`] has none.
 //!
-//! The shape keeps every arrival time and no per-message jitter: the
-//! series of Figures 2/3 is a pure function of the times,
-//! [`jitter_series`], the one place it is computed. The times go into an
+//! The shape keeps every arrival time and no per-message statistic of
+//! them: the series of Figures 2/3 and the delay and jitter columns are
+//! pure functions of the times, [`jitter_series`], the one place they
+//! are computed. The times go into an
 //! [`ArrivalLog`]: each one as the LEB128 varint of its wrapping
 //! difference from the one before (from 0 for the first), so a message a
 //! millisecond after the last costs 3 bytes and any `u64` sequence, steps
@@ -20,9 +21,10 @@
 //! are allocated once and never copied: a doubling `Vec<u8>` would keep up
 //! to half its capacity as slack and, while it reallocates, the old
 //! buffer and the new one. The log leaves by move
-//! ([`FlowMetrics::take_arrivals`]), so a run derives the series after its
-//! world is dropped, allocated at exactly its length; the statistics
-//! behind the table columns stay online.
+//! ([`FlowMetrics::take_arrivals`]), so a run derives the series and the
+//! columns after its world is dropped, the series allocated at exactly
+//! its length. Only the tagged columns are kept online: the log does not
+//! record which arrivals were tagged.
 
 use crate::series::TimeSeries;
 use crate::stats::Welford;
@@ -35,26 +37,23 @@ pub struct FlowMetrics {
     last_arrival_ns: u64,
     bytes: u64,
     messages: u64,
-    /// Summed one-way latency (send → deliver) in nanoseconds. An
-    /// integer add keeps this off the floating-point hot path; the mean
-    /// is derived on read.
-    latency_sum_ns: u64,
     /// `None` in a volume-only recorder.
     shape: Option<Box<ArrivalShape>>,
 }
 
 /// How a flow's arrivals were spaced: what the delay / jitter columns
-/// and Figures 2/3 are computed from.
+/// (the tagged ones here, the rest through [`jitter_series`]) and
+/// Figures 2/3 are computed from.
 #[derive(Debug, Clone, Default)]
 struct ArrivalShape {
     /// Arrival of the latest tagged message; meaningful once
     /// `tagged_messages > 0`.
     prev_tagged_ns: u64,
     tagged_messages: u64,
-    inter_arrival: Welford,
     tagged_inter_arrival: Welford,
     /// Every arrival time in order, the first included: what
-    /// [`jitter_series`] derives Figures 2/3 from.
+    /// [`jitter_series`] derives Figures 2/3 and the untagged columns
+    /// from.
     arrivals: ArrivalLog,
 }
 
@@ -182,10 +181,11 @@ impl Iterator for ArrivalIter<'_> {
 
 impl ExactSizeIterator for ArrivalIter<'_> {}
 
-/// The gap between two arrivals in seconds, as both the recorder and
-/// [`jitter_series`] compute it: saturating, so a clock that stepped
-/// back reads as no time passed, and `* 1e-9` (not `/ 1e9`) so that the
-/// two agree to the bit.
+/// The gap between two arrivals in seconds, as both the tagged recorder
+/// and [`jitter_series`] compute it: saturating, so a clock that stepped
+/// back reads as no time passed, and `* 1e-9` (not `/ 1e9`), the
+/// arithmetic of the tests' reference recorder, so the columns match it
+/// to the bit.
 fn gap_s(prev_ns: u64, now_ns: u64) -> f64 {
     now_ns.saturating_sub(prev_ns) as f64 * 1e-9
 }
@@ -203,9 +203,8 @@ impl ArrivalShape {
 
 /// Why a volume-only recorder has no shape to read.
 const NO_SHAPE: &str = "this FlowMetrics was built with FlowMetrics::volume_only() and records \
-                        no arrival shape (inter-arrival, jitter, tagged statistics, arrival \
-                        times); build the recorder of a flow whose shape is read with \
-                        FlowMetrics::new()";
+                        no arrival shape (tagged statistics, arrival times); build the \
+                        recorder of a flow whose shape is read with FlowMetrics::new()";
 
 impl Default for FlowMetrics {
     fn default() -> Self {
@@ -223,17 +222,16 @@ impl FlowMetrics {
     }
 
     /// An empty accumulator recording volume only: messages, bytes,
-    /// duration, throughput and latency. It makes no allocator call, now
-    /// or per message, and its shape getters (inter-arrival, jitter,
-    /// the tagged statistics, the arrival times) panic — for the sinks of
-    /// a world whose shape nobody reads.
+    /// duration and throughput. It makes no allocator call, now or per
+    /// message, and its shape getters (the tagged statistics, the
+    /// arrival times) panic — for the sinks of a world whose shape
+    /// nobody reads.
     pub fn volume_only() -> Self {
         Self {
             first_arrival_ns: 0,
             last_arrival_ns: 0,
             bytes: 0,
             messages: 0,
-            latency_sum_ns: 0,
             shape: None,
         }
     }
@@ -261,15 +259,13 @@ impl FlowMetrics {
 
     /// Records a delivered message.
     ///
-    /// `sent_at_ns` is when the sender emitted it (for one-way latency);
     /// `tagged` marks must-deliver messages (§3.3 "tagged packets").
-    pub fn on_message(&mut self, now_ns: u64, sent_at_ns: u64, bytes: u64, tagged: bool) {
+    /// `_sent_at_ns`, when the sender emitted it, is not read: the
+    /// telemetry bus's `msg_delivered.latency_ns` is the one record of
+    /// latency. The parameter stays while the repo benchmark's observe
+    /// drive calls this method with four arguments.
+    pub fn on_message(&mut self, now_ns: u64, _sent_at_ns: u64, bytes: u64, tagged: bool) {
         if let Some(shape) = &mut self.shape {
-            if self.messages > 0 {
-                shape
-                    .inter_arrival
-                    .push(gap_s(self.last_arrival_ns, now_ns));
-            }
             shape.arrivals.push(now_ns);
             if tagged {
                 shape.record_tagged(now_ns);
@@ -281,7 +277,6 @@ impl FlowMetrics {
         self.last_arrival_ns = now_ns;
         self.bytes += bytes;
         self.messages += 1;
-        self.latency_sum_ns += now_ns.saturating_sub(sent_at_ns);
     }
 
     /// Seconds from first to last arrival.
@@ -318,18 +313,6 @@ impl FlowMetrics {
         self.bytes
     }
 
-    /// Mean message inter-arrival in seconds (the tables' "Inter-arrival"
-    /// / "Delay" column).
-    pub fn inter_arrival_s(&self) -> f64 {
-        self.shape().inter_arrival.mean()
-    }
-
-    /// Standard deviation of inter-arrival in seconds (the "Jitter"
-    /// column).
-    pub fn jitter_s(&self) -> f64 {
-        self.shape().inter_arrival.stddev()
-    }
-
     /// Mean inter-arrival of tagged messages, seconds.
     pub fn tagged_inter_arrival_s(&self) -> f64 {
         self.shape().tagged_inter_arrival.mean()
@@ -340,37 +323,30 @@ impl FlowMetrics {
         self.shape().tagged_inter_arrival.stddev()
     }
 
-    /// Mean one-way message latency, seconds.
-    pub fn latency_s(&self) -> f64 {
-        if self.messages == 0 {
-            return 0.0;
-        }
-        self.latency_sum_ns as f64 / self.messages as f64 * 1e-9
-    }
-
     /// Moves the arrival times, one per delivered message in arrival
     /// order, out of the recorder and leaves it an empty log:
-    /// [`jitter_series`] derives Figures 2/3 from them. The inter-arrival
-    /// statistics are kept, so the delay and jitter columns read the same
-    /// before and after.
+    /// [`jitter_series`] derives Figures 2/3 and the delay and jitter
+    /// columns from them. The tagged statistics are kept, so the tagged
+    /// columns read the same before and after.
     pub fn take_arrivals(&mut self) -> ArrivalLog {
         std::mem::take(&mut self.shape_mut().arrivals)
     }
 }
 
 /// The per-message jitter series of Figures 2/3 from arrival times in
-/// arrival order: one point per gap, at the later arrival, valued at the
-/// gap's absolute deviation from the mean gap so far (this gap
-/// included), in milliseconds. It replays what the recorder's
-/// inter-arrival statistics saw, gap for gap, so a point is the same to
-/// the bit whether the times came from [`FlowMetrics::take_arrivals`]
-/// or from a telemetry bus's `msg_delivered` records; the series is
-/// allocated at exactly its length, and not at all for fewer than two
-/// times.
-pub fn jitter_series(mut arrivals: impl ExactSizeIterator<Item = u64>) -> TimeSeries {
+/// arrival order, with the statistics of the gaps it replayed: one point
+/// per gap, at the later arrival, valued at the gap's absolute deviation
+/// from the mean gap so far (this gap included), in milliseconds. The
+/// returned [`Welford`] holds every gap in seconds: its mean is the
+/// tables' "Inter-arrival" / "Delay" column and its standard deviation
+/// the "Jitter" column. A point is the same to the bit whether the
+/// times came from [`FlowMetrics::take_arrivals`] or from a telemetry
+/// bus's `msg_delivered` records; the series is allocated at exactly its
+/// length, and not at all for fewer than two times.
+pub fn jitter_series(mut arrivals: impl ExactSizeIterator<Item = u64>) -> (TimeSeries, Welford) {
     let mut points = Vec::with_capacity(arrivals.len().saturating_sub(1));
+    let mut gaps = Welford::new();
     if let Some(mut prev) = arrivals.next() {
-        let mut gaps = Welford::new();
         points.extend(arrivals.map(|now| {
             let gap = gap_s(prev, now);
             prev = now;
@@ -378,7 +354,7 @@ pub fn jitter_series(mut arrivals: impl ExactSizeIterator<Item = u64>) -> TimeSe
             (now, (gap - gaps.mean()).abs() * 1e3)
         }));
     }
-    TimeSeries { points }
+    (TimeSeries { points }, gaps)
 }
 
 #[cfg(test)]
@@ -388,6 +364,12 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    /// The untagged gap statistics replayed from a recorder's arrival
+    /// log, which the recorder gives up.
+    fn replayed_gaps(m: &mut FlowMetrics) -> Welford {
+        jitter_series(m.take_arrivals().iter()).1
+    }
+
     #[test]
     fn uniform_arrivals_have_zero_jitter() {
         let mut m = FlowMetrics::new();
@@ -395,9 +377,10 @@ mod tests {
             m.on_message(i * 10 * MS, i * 10 * MS, 1000, false);
         }
         assert_eq!(m.messages(), 10);
-        assert!((m.inter_arrival_s() - 0.010).abs() < 1e-9);
-        assert!(m.jitter_s() < 1e-9);
         assert!((m.duration_s() - 0.090).abs() < 1e-9);
+        let gaps = replayed_gaps(&mut m);
+        assert!((gaps.mean() - 0.010).abs() < 1e-9);
+        assert!(gaps.stddev() < 1e-9);
     }
 
     #[test]
@@ -418,7 +401,7 @@ mod tests {
         }
         assert_eq!(m.tagged_messages(), 10);
         assert!((m.tagged_inter_arrival_s() - 0.020).abs() < 1e-9);
-        assert!((m.inter_arrival_s() - 0.010).abs() < 1e-9);
+        assert!((replayed_gaps(&mut m).mean() - 0.010).abs() < 1e-9);
     }
 
     #[test]
@@ -428,7 +411,7 @@ mod tests {
         for &t in &times {
             m.on_message(t * MS, 0, 100, false);
         }
-        let series = jitter_series(m.take_arrivals().iter());
+        let (series, _) = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), times.len() - 1);
         let peak = series.values().fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 10.0, "the 40 ms gap should spike jitter, got {peak}");
@@ -437,17 +420,18 @@ mod tests {
     #[test]
     fn same_nanosecond_arrivals_keep_series_in_step() {
         // A second message in the same nanosecond is a zero gap, not a
-        // skipped sample: the inter-arrival accumulator and the jitter
-        // series must both record it, keeping their counts equal.
+        // skipped sample: the gap statistics and the jitter series must
+        // both record it, keeping their counts equal.
         let mut m = FlowMetrics::new();
         m.on_message(10 * MS, 0, 100, false);
         m.on_message(10 * MS, 0, 100, false); // same instant
         m.on_message(20 * MS, 0, 100, false);
         assert_eq!(m.messages(), 3);
-        let series = jitter_series(m.take_arrivals().iter());
+        let (series, gaps) = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), 2);
+        assert_eq!(gaps.count(), 2);
         // Gaps are 0 ms and 10 ms → mean 5 ms.
-        assert!((m.inter_arrival_s() - 0.005).abs() < 1e-12);
+        assert!((gaps.mean() - 0.005).abs() < 1e-12);
         // The second jitter sample deviates from the updated mean:
         // |10 ms − 5 ms| = 5 ms.
         let last = series.points.last().unwrap();
@@ -463,24 +447,20 @@ mod tests {
         for t in [0u64, 10, 30, 35, 70] {
             m.on_message(t * MS, 0, 100, t % 2 == 0);
         }
-        let columns = |m: &FlowMetrics| {
-            [
-                m.inter_arrival_s(),
-                m.jitter_s(),
-                m.tagged_inter_arrival_s(),
-                m.tagged_jitter_s(),
-            ]
-            .map(f64::to_bits)
-        };
-        let before = columns(&m);
-        let series = jitter_series(m.take_arrivals().iter());
+        let tagged =
+            |m: &FlowMetrics| [m.tagged_inter_arrival_s(), m.tagged_jitter_s()].map(f64::to_bits);
+        let before = tagged(&m);
+        let (series, gaps) = jitter_series(m.take_arrivals().iter());
         assert_eq!(series.len(), 4);
         assert_eq!(series.points.capacity(), series.len(), "no doubling slack");
         assert_eq!(
-            columns(&m),
+            tagged(&m),
             before,
-            "the columns do not come from the series"
+            "the tagged columns stay on the recorder"
         );
+        // The untagged columns come from the replay: gaps 10, 20, 5, 35 ms.
+        assert_eq!(gaps.count(), 4);
+        assert!((gaps.mean() - 0.0175).abs() < 1e-12);
         assert!(
             m.take_arrivals().is_empty(),
             "the recorder keeps no second copy"
@@ -491,15 +471,17 @@ mod tests {
     fn derived_series_mirrors_welford_deviation() {
         // Gaps: 1 s, 3 s. Welford means after each push: 1.0, 2.0.
         // Deviations: |1-1| = 0 ms, |3-2| = 1000 ms.
-        let series = jitter_series([0, 1_000_000_000, 4_000_000_000].iter().copied());
+        let (series, gaps) = jitter_series([0, 1_000_000_000, 4_000_000_000].iter().copied());
         assert_eq!(series.len(), 2);
+        assert_eq!((gaps.count(), gaps.mean()), (2, 2.0));
         assert_eq!(series.points[0], (1_000_000_000, 0.0));
         assert_eq!(series.points[1].0, 4_000_000_000);
         assert!((series.points[1].1 - 1000.0).abs() < 1e-9);
         // No gap, no point, no allocation.
         for times in [&[][..], &[7]] {
-            let empty = jitter_series(times.iter().copied());
+            let (empty, gaps) = jitter_series(times.iter().copied());
             assert!(empty.is_empty() && empty.points.capacity() == 0);
+            assert_eq!(gaps.count(), 0);
         }
     }
 
@@ -509,18 +491,9 @@ mod tests {
         // deviation 0), then a 2 ns gap against a mean of 1 ns deviates
         // by 1 ns = 1e-6 ms.
         assert_eq!(
-            jitter_series([10, 5, 7].iter().copied()).points,
+            jitter_series([10, 5, 7].iter().copied()).0.points,
             vec![(5, 0.0), (7, 1e-9 * 1e3)]
         );
-    }
-
-    #[test]
-    fn latency_uses_sent_timestamps() {
-        let mut m = FlowMetrics::new();
-        m.on_message(30 * MS, 0, 1, false);
-        m.on_message(60 * MS, 20 * MS, 1, false);
-        // Latencies 30 ms and 40 ms → mean 35 ms.
-        assert!((m.latency_s() - 0.035).abs() < 1e-9);
     }
 
     #[test]
@@ -530,11 +503,11 @@ mod tests {
         m.on_message(20 * MS, 0, 1, true);
         m.on_message(10 * MS, 0, 1, true);
         assert_eq!(m.tagged_inter_arrival_s(), 0.0);
-        assert_eq!(m.inter_arrival_s(), 0.0);
         // Nor the span between first and last arrival, which used to
         // panic in debug and read ≈ 1.8e10 s in release.
         assert_eq!(m.duration_s(), 0.0);
         assert_eq!(m.throughput_kbps(), 0.0);
+        assert_eq!(replayed_gaps(&mut m).mean(), 0.0);
     }
 
     #[test]
@@ -543,7 +516,7 @@ mod tests {
         // shape of one flow: what every flow carries inline is the volume
         // and a pointer. A new field should show up here.
         assert!(
-            std::mem::size_of::<FlowMetrics>() <= 48,
+            std::mem::size_of::<FlowMetrics>() <= 40,
             "FlowMetrics grew to {} bytes",
             std::mem::size_of::<FlowMetrics>()
         );
@@ -593,8 +566,9 @@ mod tests {
     proptest! {
         /// Over arrival streams with a tagged mix, equal timestamps and
         /// steps back: a volume-only recorder and a full one agree on the
-        /// volume, and the full one's shape is the unsplit recorder's,
-        /// bit for bit.
+        /// volume, and the full one's shape, with the untagged columns
+        /// and the series replayed from its log, is the unsplit
+        /// recorder's, bit for bit.
         #[test]
         fn split_recorders_agree_with_each_other_and_the_unsplit_one(
             arrivals in prop::collection::vec(
@@ -620,20 +594,17 @@ mod tests {
             prop_assert!(full.records_shape() && !volume.records_shape());
             prop_assert_eq!(volume.messages(), full.messages());
             prop_assert_eq!(volume.bytes(), full.bytes());
-            for read in [
-                FlowMetrics::duration_s,
-                FlowMetrics::throughput_kbps,
-                FlowMetrics::latency_s,
-            ] {
+            for read in [FlowMetrics::duration_s, FlowMetrics::throughput_kbps] {
                 prop_assert_eq!(read(&volume).to_bits(), read(&full).to_bits());
             }
 
             prop_assert_eq!(full.messages(), unsplit.messages);
             prop_assert_eq!(full.bytes(), unsplit.bytes);
             prop_assert_eq!(full.tagged_messages(), unsplit.tagged_messages);
+            let (series, gaps) = jitter_series(full.take_arrivals().iter());
             for (split, reference) in [
-                (full.inter_arrival_s(), unsplit.inter_arrival.mean()),
-                (full.jitter_s(), unsplit.inter_arrival.stddev()),
+                (gaps.mean(), unsplit.inter_arrival.mean()),
+                (gaps.stddev(), unsplit.inter_arrival.stddev()),
                 (full.tagged_inter_arrival_s(), unsplit.tagged_inter_arrival.mean()),
                 (full.tagged_jitter_s(), unsplit.tagged_inter_arrival.stddev()),
             ] {
@@ -642,7 +613,6 @@ mod tests {
             let bits = |points: &[(u64, f64)]| -> Vec<(u64, u64)> {
                 points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
             };
-            let series = jitter_series(full.take_arrivals().iter());
             prop_assert_eq!(series.points.capacity(), series.len());
             prop_assert_eq!(bits(&series.points), bits(&unsplit.jitter));
         }
@@ -711,18 +681,23 @@ mod tests {
                 .sum();
             prop_assert_eq!(log.pages.len(), bytes.div_ceil(PAGE_BYTES));
 
-            let bits = |series: TimeSeries| -> Vec<(u64, u64)> {
-                series.points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+            let bits = |(series, gaps): (TimeSeries, Welford)| -> (Vec<(u64, u64)>, [u64; 2]) {
+                let points = series.points.iter().map(|&(t, v)| (t, v.to_bits())).collect();
+                (points, [gaps.mean(), gaps.stddev()].map(f64::to_bits))
             };
-            let series = jitter_series(log.iter());
+            let (series, gaps) = jitter_series(log.iter());
             prop_assert_eq!(series.points.capacity(), series.len());
             prop_assert_eq!(series.len(), times.len().saturating_sub(1));
-            prop_assert_eq!(bits(series), bits(jitter_series(times.iter().copied())));
+            prop_assert_eq!(gaps.count() as usize, series.len());
+            prop_assert_eq!(
+                bits((series, gaps)),
+                bits(jitter_series(times.iter().copied()))
+            );
 
             // Zero or one arrival: no gap, no point, no allocation.
             let mut short = ArrivalLog::default();
             for &t in times.iter().take(2) {
-                let empty = jitter_series(short.iter());
+                let (empty, _) = jitter_series(short.iter());
                 prop_assert!(empty.is_empty() && empty.points.capacity() == 0);
                 short.push(t);
             }
@@ -736,6 +711,6 @@ mod tests {
         m.on_message(0, 0, 100, true);
         m.on_message(10 * MS, 0, 100, true);
         assert_eq!(m.messages(), 2);
-        let _ = m.jitter_s();
+        let _ = m.tagged_jitter_s();
     }
 }

@@ -226,9 +226,8 @@ fn debug_assert_fits<T>(slot_bytes: usize) {
 ///   [`Wire`](crate::endpoint::Wire)) lives in a fixed-size buffer
 ///   drawn from a per-thread free list and returned to it on drop, so
 ///   steady-state segment traffic never touches the allocator;
-/// * **shared** — everything else goes behind an `Arc`, so a packet can
-///   be duplicated (e.g. by a lossy-duplication link model) without
-///   copying the content.
+/// * **shared** — everything else goes behind an `Arc`, so cloning a
+///   packet does not copy the content.
 pub struct Payload(Repr);
 
 enum Repr {

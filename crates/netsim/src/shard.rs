@@ -847,13 +847,7 @@ impl ShardedSim {
     pub fn counters(&self) -> SimCounters {
         let mut total = SimCounters::default();
         for s in &self.shards {
-            let c = s.sim.counters();
-            total.packets_sent += c.packets_sent;
-            total.packets_delivered += c.packets_delivered;
-            total.packets_unroutable += c.packets_unroutable;
-            total.events_processed += c.events_processed;
-            total.timers_fired += c.timers_fired;
-            total.timers_cancelled += c.timers_cancelled;
+            total += s.sim.counters();
         }
         total
     }

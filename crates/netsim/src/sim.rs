@@ -54,6 +54,17 @@ pub struct SimCounters {
     pub timers_cancelled: u64,
 }
 
+impl std::ops::AddAssign for SimCounters {
+    fn add_assign(&mut self, c: Self) {
+        self.packets_sent += c.packets_sent;
+        self.packets_delivered += c.packets_delivered;
+        self.packets_unroutable += c.packets_unroutable;
+        self.events_processed += c.events_processed;
+        self.timers_fired += c.timers_fired;
+        self.timers_cancelled += c.timers_cancelled;
+    }
+}
+
 /// Everything the simulator owns except the agent table. Split out so a
 /// [`Ctx`] can borrow the world mutably while one agent is being invoked.
 pub struct SimCore {

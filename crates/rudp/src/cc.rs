@@ -97,6 +97,16 @@ pub enum CcAlgorithm {
 }
 
 impl CcAlgorithm {
+    /// Every algorithm, as [`Self::from_name`] gives it: `fixed` pins 64
+    /// segments (the model checker's `--cc fixed`).
+    pub const ALL: [Self; 5] = [
+        CcAlgorithm::Lda,
+        CcAlgorithm::Cubic,
+        CcAlgorithm::BbrLike,
+        CcAlgorithm::Rrr,
+        CcAlgorithm::Fixed { cwnd: 64.0 },
+    ];
+
     /// Stable lower-case name, used in CLI flags, scenario labels, and
     /// telemetry.
     pub fn name(&self) -> &'static str {
@@ -109,18 +119,10 @@ impl CcAlgorithm {
         }
     }
 
-    /// Parses a [`Self::name`] back into an algorithm; `fixed` pins 64
-    /// segments (the model checker's `--cc fixed`). Returns `None` for
-    /// unknown names.
+    /// Parses a [`Self::name`] back into its entry of [`Self::ALL`].
+    /// Returns `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "lda" => Some(CcAlgorithm::Lda),
-            "cubic" => Some(CcAlgorithm::Cubic),
-            "bbr" => Some(CcAlgorithm::BbrLike),
-            "rrr" => Some(CcAlgorithm::Rrr),
-            "fixed" => Some(CcAlgorithm::Fixed { cwnd: 64.0 }),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|a| a.name() == name)
     }
 
     /// All adaptive algorithms, in stable order. The experiment matrix
@@ -589,9 +591,8 @@ mod tests {
 
     #[test]
     fn algorithm_names_round_trip() {
-        for alg in CcAlgorithm::all_adaptive() {
-            let name = alg.name();
-            assert_eq!(CcAlgorithm::from_name(name), Some(alg));
+        for alg in CcAlgorithm::ALL {
+            assert_eq!(CcAlgorithm::from_name(alg.name()), Some(alg));
         }
         assert_eq!(
             CcAlgorithm::from_name("fixed"),

@@ -215,8 +215,8 @@ mod tests {
         // recorder's volume and a pointer to the arrival shape only the
         // reported flow has. A new inline field should show up here.
         let size = std::mem::size_of::<RudpSinkAgent>();
-        println!("RudpSinkAgent: {size} bytes (ceiling 528)");
-        assert!(size <= 528, "RudpSinkAgent grew to {size} bytes");
+        println!("RudpSinkAgent: {size} bytes (ceiling 520)");
+        assert!(size <= 520, "RudpSinkAgent grew to {size} bytes");
         // The drivers carry their connection plus addressing and the
         // armed timer, no more.
         let sender = std::mem::size_of::<SenderDriver<SenderConn>>();

@@ -4,7 +4,7 @@
 //! during a connection's lifetime" (§2.1). The sender counts segments
 //! sent, acknowledged, and lost within fixed measuring periods; at each
 //! period boundary it produces a [`NetCond`] snapshot used for (a) the
-//! LDA window adjustment, (b) the exported `NET_*` attributes, and (c)
+//! LDA window adjustment, (b) the error ratio the application reads, and (c)
 //! the application's error-ratio threshold callbacks.
 
 use iq_netsim::{Time, TimeDelta};

@@ -1,5 +1,7 @@
 //! Shared configuration, events, and statistics types.
 
+use std::ops::AddAssign;
+
 use iq_netsim::{time, Time, TimeDelta};
 
 use crate::cc::CcConfig;
@@ -143,4 +145,63 @@ pub struct ReceiverStats {
     /// — beyond any window the receiver advertised — dropped unbuffered
     /// and unacknowledged.
     pub out_of_window: u64,
+}
+
+impl SenderStats {
+    /// Every counter under the name a run's metrics report it by.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("iq_rudp_msgs_submitted_total", self.msgs_submitted),
+            ("iq_rudp_msgs_discarded_total", self.msgs_discarded),
+            ("iq_rudp_segments_sent_total", self.segments_sent),
+            ("iq_rudp_retransmits_total", self.retransmits),
+            ("iq_rudp_segments_abandoned_total", self.segments_abandoned),
+            ("iq_rudp_segments_acked_total", self.segments_acked),
+            ("iq_rudp_rto_total", self.timeouts),
+            ("iq_rudp_bytes_acked_total", self.bytes_acked),
+        ]
+    }
+}
+
+impl AddAssign for SenderStats {
+    fn add_assign(&mut self, s: Self) {
+        self.msgs_submitted += s.msgs_submitted;
+        self.msgs_discarded += s.msgs_discarded;
+        self.segments_sent += s.segments_sent;
+        self.retransmits += s.retransmits;
+        self.segments_abandoned += s.segments_abandoned;
+        self.segments_acked += s.segments_acked;
+        self.timeouts += s.timeouts;
+        self.bytes_acked += s.bytes_acked;
+    }
+}
+
+impl ReceiverStats {
+    /// Every counter a run's metrics report, under its name;
+    /// `out_of_window` is not reported.
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("iq_rudp_segments_received_total", self.segments_received),
+            ("iq_rudp_duplicates_total", self.duplicates),
+            ("iq_rudp_segments_skipped_total", self.segments_skipped),
+            ("iq_rudp_msgs_delivered_total", self.msgs_delivered),
+            (
+                "iq_rudp_msgs_dropped_partial_total",
+                self.msgs_dropped_partial,
+            ),
+            ("iq_rudp_sack_truncations_total", self.sack_truncations),
+        ]
+    }
+}
+
+impl AddAssign for ReceiverStats {
+    fn add_assign(&mut self, s: Self) {
+        self.segments_received += s.segments_received;
+        self.duplicates += s.duplicates;
+        self.segments_skipped += s.segments_skipped;
+        self.msgs_delivered += s.msgs_delivered;
+        self.msgs_dropped_partial += s.msgs_dropped_partial;
+        self.sack_truncations += s.sack_truncations;
+        self.out_of_window += s.out_of_window;
+    }
 }

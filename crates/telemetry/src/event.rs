@@ -19,6 +19,15 @@ pub enum CwndReason {
 }
 
 impl CwndReason {
+    /// Every reason, in declaration order.
+    pub const ALL: [Self; 5] = [
+        CwndReason::Period,
+        CwndReason::Timeout,
+        CwndReason::Rescale,
+        CwndReason::Ack,
+        CwndReason::Loss,
+    ];
+
     /// Stable wire label.
     pub fn label(self) -> &'static str {
         match self {
@@ -32,14 +41,7 @@ impl CwndReason {
 
     /// Parses a wire label back.
     pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "period" => CwndReason::Period,
-            "timeout" => CwndReason::Timeout,
-            "rescale" => CwndReason::Rescale,
-            "ack" => CwndReason::Ack,
-            "loss" => CwndReason::Loss,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|r| r.label() == s)
     }
 }
 
@@ -57,6 +59,14 @@ pub enum PacketKind {
 }
 
 impl PacketKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [Self; 4] = [
+        PacketKind::Sent,
+        PacketKind::Delivered,
+        PacketKind::DroppedQueue,
+        PacketKind::LostRandom,
+    ];
+
     /// Stable wire label.
     pub fn label(self) -> &'static str {
         match self {
@@ -69,13 +79,7 @@ impl PacketKind {
 
     /// Parses a wire label back.
     pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "sent" => PacketKind::Sent,
-            "delivered" => PacketKind::Delivered,
-            "dropped_queue" => PacketKind::DroppedQueue,
-            "lost_random" => PacketKind::LostRandom,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -257,4 +261,25 @@ pub struct TelemetryRecord {
     pub flow: u64,
     /// The event itself.
     pub event: TelemetryEvent,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_cwnd_reason_round_trips_through_its_label() {
+        for r in CwndReason::ALL {
+            assert_eq!(CwndReason::from_label(r.label()), Some(r));
+        }
+        assert_eq!(CwndReason::from_label("reno"), None);
+    }
+
+    #[test]
+    fn every_packet_kind_round_trips_through_its_label() {
+        for k in PacketKind::ALL {
+            assert_eq!(PacketKind::from_label(k.label()), Some(k));
+        }
+        assert_eq!(PacketKind::from_label("lost"), None);
+    }
 }

@@ -390,7 +390,10 @@ fn cmd_mc(args: &[String]) {
             },
             "--cc" => match it.next().map(|s| CcAlgorithm::from_name(s)) {
                 Some(Some(alg)) => cc = alg,
-                _ => die("--cc requires one of: lda, cubic, bbr, rrr, fixed"),
+                _ => {
+                    let names = CcAlgorithm::ALL.map(|a| a.name()).join(", ");
+                    die(&format!("--cc requires one of: {names}"))
+                }
             },
             // 62: `check` keeps a state's remaining depth in six bits; at
             // 0 it would run no iteration and pass vacuously.
