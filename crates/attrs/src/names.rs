@@ -28,8 +28,8 @@ pub const ADAPT_COND_ERATIO: &str = "ADAPT_COND_ERATIO";
 /// period (`f64` in `[0, 1]`).
 pub const NET_ERROR_RATIO: &str = "NET_ERROR_RATIO";
 
-/// Every well-known name, in symbol order: `ALL[sym as usize]` recovers
-/// the string for an interned symbol.
+/// Every attribute name, in slot order: an [`crate::AttrList`] holds
+/// `ALL[i]`'s value in its slot `i`.
 pub const ALL: [&str; 6] = [
     ADAPT_FREQ,
     ADAPT_MARK,
@@ -39,29 +39,23 @@ pub const ALL: [&str; 6] = [
     NET_ERROR_RATIO,
 ];
 
-/// Symbol id meaning "not a well-known name" (fall back to string
-/// comparison).
-pub const SYM_NONE: u16 = u16::MAX;
-
-/// Interns `name` to a small symbol id, or [`SYM_NONE`] for names not in
-/// [`ALL`].
+/// The slot of `name`: its position in [`ALL`].
 ///
 /// Callers that pass the `names::*` constants hit the pointer-equality
 /// fast path: the `&'static str`s in `ALL` are the same statics the
-/// constants reference, so no bytes are compared on the hot path
-/// (attribute export runs once per measuring period per connection).
-pub fn intern(name: &str) -> u16 {
-    for (i, known) in ALL.iter().enumerate() {
-        if std::ptr::eq(name as *const str, *known as *const str) {
-            return i as u16;
-        }
-    }
-    for (i, known) in ALL.iter().enumerate() {
-        if name == *known {
-            return i as u16;
-        }
-    }
-    SYM_NONE
+/// constants reference, so no bytes are compared on the hot path.
+///
+/// # Panics
+///
+/// On any other name, naming it and the six of `ALL`: every attribute
+/// name is a constant in code, and one that no mechanism reads is a bug.
+pub(crate) fn slot(name: &str) -> usize {
+    ALL.iter()
+        .position(|known| std::ptr::eq(name, *known))
+        .or_else(|| ALL.iter().position(|known| name == *known))
+        .unwrap_or_else(|| {
+            panic!("unknown attribute name {name:?}: an attribute is one of {ALL:?}")
+        })
 }
 
 #[cfg(test)]
@@ -69,18 +63,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn intern_roundtrips_every_known_name() {
+    fn slot_roundtrips_every_name() {
         for (i, name) in ALL.iter().enumerate() {
-            assert_eq!(intern(name), i as u16);
-            // A heap copy (different pointer) must intern identically.
+            assert_eq!(slot(name), i);
+            // A heap copy (different pointer) must find the same slot.
             let heap = String::from(*name);
-            assert_eq!(intern(&heap), i as u16);
+            assert_eq!(slot(&heap), i);
         }
     }
 
     #[test]
-    fn intern_rejects_unknown_names() {
-        assert_eq!(intern("NOT_A_REAL_ATTR"), SYM_NONE);
-        assert_eq!(intern(""), SYM_NONE);
+    #[should_panic(
+        expected = "unknown attribute name \"\": an attribute is one of [\"ADAPT_FREQ\""
+    )]
+    fn slot_rejects_an_unknown_name() {
+        slot("");
     }
 }

@@ -4,16 +4,16 @@
 //! and query of ECho attributes). Applications learn of changes through
 //! the sender's threshold callbacks, not through the registry.
 
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use crate::list::AttrName;
+use crate::list::AttrList;
 use crate::value::AttrValue;
 
-/// Shared attribute registry. Cheap to clone; clones view the same state.
+/// Shared attribute registry: one [`AttrList`] behind a lock. Cheap to
+/// clone; clones view the same state.
 #[derive(Clone, Default)]
 pub struct AttrService {
-    entries: Arc<RwLock<HashMap<AttrName, AttrValue>>>,
+    list: Arc<RwLock<AttrList>>,
 }
 
 impl AttrService {
@@ -23,17 +23,17 @@ impl AttrService {
     }
 
     /// Registers or updates `name`.
-    pub fn update(&self, name: impl Into<AttrName>, value: impl Into<AttrValue>) {
+    pub fn update(&self, name: &str, value: impl Into<AttrValue>) {
         // A panic while the lock was held cannot leave a half-written
-        // map entry behind, so a poisoned lock is recovered.
-        let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
-        entries.insert(name.into(), value.into());
+        // slot behind, so a poisoned lock is recovered.
+        let mut list = self.list.write().unwrap_or_else(|e| e.into_inner());
+        list.set(name, value);
     }
 
     /// Float view of the current value of `name`.
     pub fn query_float(&self, name: &str) -> Option<f64> {
-        let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
-        entries.get(name).and_then(AttrValue::as_float)
+        let list = self.list.read().unwrap_or_else(|e| e.into_inner());
+        list.get_float(name)
     }
 }
 
@@ -56,27 +56,27 @@ mod tests {
     fn clones_share_state() {
         let a = AttrService::new();
         let b = a.clone();
-        a.update("k", 5i64);
-        assert_eq!(b.query_float("k"), Some(5.0));
-        b.update("k", 6i64);
-        assert_eq!(a.query_float("k"), Some(6.0));
+        a.update(names::NET_ERROR_RATIO, 5i64);
+        assert_eq!(b.query_float(names::NET_ERROR_RATIO), Some(5.0));
+        b.update(names::NET_ERROR_RATIO, 6i64);
+        assert_eq!(a.query_float(names::NET_ERROR_RATIO), Some(6.0));
     }
 
     #[test]
     fn concurrent_updates_do_not_lose_writes() {
         let s = AttrService::new();
         std::thread::scope(|scope| {
-            for t in 0..4 {
+            for name in &names::ALL[..4] {
                 let s = s.clone();
                 scope.spawn(move || {
                     for i in 0..100 {
-                        s.update(format!("k{t}"), i as i64);
+                        s.update(name, i as i64);
                     }
                 });
             }
         });
-        for t in 0..4 {
-            assert_eq!(s.query_float(&format!("k{t}")), Some(99.0));
+        for name in &names::ALL[..4] {
+            assert_eq!(s.query_float(name), Some(99.0));
         }
     }
 }

@@ -22,7 +22,7 @@
 
 use iq_attrs::AttrList;
 use iq_netsim::Time;
-use iq_rudp::{ConnEvent, SendOutcome, SenderConn};
+use iq_rudp::{SendOutcome, SenderConn};
 use iq_telemetry::{CwndReason, TelemetryEvent};
 
 use crate::report::{cond_window_factor, resolution_window_factor, AdaptReport};
@@ -276,20 +276,6 @@ impl Coordinator {
                 );
             }
         }
-    }
-
-    /// Removes and returns the oldest pending transport event. The
-    /// embedding agent forwards threshold events to the application's
-    /// registered callbacks; looping on this drains the connection in
-    /// place, with no buffer on either side.
-    pub fn next_event(&mut self, conn: &mut SenderConn) -> Option<ConnEvent> {
-        conn.pop_event()
-    }
-
-    /// Drains every pending transport event ([`Self::next_event`] until
-    /// it runs dry) into a fresh `Vec`.
-    pub fn take_events(&mut self, conn: &mut SenderConn) -> Vec<ConnEvent> {
-        std::iter::from_fn(|| self.next_event(conn)).collect()
     }
 }
 

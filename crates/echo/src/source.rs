@@ -25,6 +25,11 @@ const MIN_FRAME_BYTES: u32 = 64;
 /// Segments a greedy source keeps queued in the transport.
 const BACKLOG_TARGET: usize = 128;
 
+/// Minimum time between successive upper-threshold adaptations —
+/// applications "do not want to be frequently interrupted for
+/// adaptation" (§2.3.1) and settle before reacting again.
+const MIN_ADAPT_GAP: iq_netsim::TimeDelta = time::millis(1_000);
+
 /// Which application adaptation policy the source runs.
 pub enum Policy {
     /// No application adaptation (transport-only rows).
@@ -70,10 +75,6 @@ pub struct SourceConfig {
     /// Split frames into MSS-sized datagrams that are individually
     /// markable (required by the §3.3 marking experiments).
     pub datagram_mode: bool,
-    /// Minimum time between successive upper-threshold adaptations —
-    /// applications "do not want to be frequently interrupted for
-    /// adaptation" (§2.3.1) and settle before reacting again.
-    pub min_adapt_gap: iq_netsim::TimeDelta,
     /// Minimum time between successive lower-threshold (recovery)
     /// adaptations. The paper's recovery happens once per measuring
     /// period; our periods are much shorter, so the recovery cadence is
@@ -91,7 +92,6 @@ impl SourceConfig {
             frame_sizes,
             fps: None,
             datagram_mode: false,
-            min_adapt_gap: time::secs(1.0),
             min_lower_gap: time::millis(400),
             seed: 1,
         }
@@ -115,7 +115,6 @@ pub struct AdaptiveSourceAgent {
     pub offered_msgs: u64,
     /// Threshold callbacks seen (upper, lower).
     pub callbacks: (u64, u64),
-    min_adapt_gap: iq_netsim::TimeDelta,
     min_lower_gap: iq_netsim::TimeDelta,
     last_upper_adapt: Option<Time>,
     last_lower_adapt: Option<Time>,
@@ -145,7 +144,6 @@ impl AdaptiveSourceAgent {
             rng: SmallRng::seed_from_u64(cfg.seed),
             offered_msgs: 0,
             callbacks: (0, 0),
-            min_adapt_gap: cfg.min_adapt_gap,
             min_lower_gap: cfg.min_lower_gap,
             last_upper_adapt: None,
             last_lower_adapt: None,
@@ -185,7 +183,7 @@ impl AdaptiveSourceAgent {
             // after the previous adaptation (often echoes of our own
             // adaptation transient).
             if let Some(last) = self.last_upper_adapt {
-                if now.saturating_sub(last) < self.min_adapt_gap {
+                if now.saturating_sub(last) < MIN_ADAPT_GAP {
                     return;
                 }
             }
@@ -231,7 +229,7 @@ impl AdaptiveSourceAgent {
     }
 
     fn process_events(&mut self, now: Time) {
-        while let Some(ev) = self.coordinator.next_event(&mut self.driver.conn) {
+        while let Some(ev) = self.driver.conn.pop_event() {
             match ev {
                 ConnEvent::UpperThreshold(c) => self.on_threshold(now, true, c),
                 ConnEvent::LowerThreshold(c) => self.on_threshold(now, false, c),

@@ -401,6 +401,15 @@ enum FlowClass {
     TcpBulk,
 }
 
+impl FlowClass {
+    /// Whether a flow of the class ends at a [`TcpSinkAgent`] (else at a
+    /// [`RudpSinkAgent`]): the one rule both the stop test and harvest
+    /// probe a sink by.
+    fn tcp_sink(&self) -> bool {
+        matches!(self, FlowClass::TcpBulk)
+    }
+}
+
 /// The sender-class table; flow `g` of a world is of class `g % len`.
 ///
 /// A single-flow scenario has one class: the TCP bulk sender for
@@ -776,7 +785,7 @@ impl World {
                 FlowClass::TcpBulk => offered += tcp_schedule(sc).0,
             }
             let rx = flow.rx.id();
-            let (done, m) = if let FlowClass::TcpBulk = class {
+            let (done, m) = if class.tcp_sink() {
                 let s = sim.agent_mut::<TcpSinkAgent>(rx).expect("TCP sink");
                 (s.is_finished(), &mut s.metrics)
             } else {
@@ -872,13 +881,16 @@ pub fn run_scenario_with(sc: &Scenario, cfg: RunConfig) -> RunResult {
     let mut world = World::build(sc, cfg);
     let deadline = time::secs(sc.deadline_s);
     if deadline > world.sim.now() {
-        let flows = &world.flows;
+        let (flows, classes) = (&world.flows, &world.classes);
         world.sim.run_slices(deadline, time::secs(1.0), |view| {
-            flows.iter().all(|f| {
+            flows.iter().enumerate().all(|(g, f)| {
                 let rx = f.rx.id();
-                view.with_agent::<RudpSinkAgent, _>(rx, |s| s.is_finished())
-                    .or_else(|| view.with_agent::<TcpSinkAgent, _>(rx, |s| s.is_finished()))
-                    .unwrap_or(false)
+                if classes[g % classes.len()].tcp_sink() {
+                    view.with_agent::<TcpSinkAgent, _>(rx, |s| s.is_finished())
+                } else {
+                    view.with_agent::<RudpSinkAgent, _>(rx, |s| s.is_finished())
+                }
+                .expect("a flow's sink is of its class's type")
             })
         });
     }

@@ -15,7 +15,6 @@
 //! so behaviorally equivalent states reached at different absolute
 //! times collide in the visited table.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use iq_attrs::{names, AttrList};
@@ -196,17 +195,13 @@ impl Mutation {
         }
     }
 
-    /// The attribute list the coordinator actually receives: the
-    /// script's own list, copied only when an attribute is stripped.
-    fn mutate(self, attrs: &AttrList) -> Cow<'_, AttrList> {
-        match self.stripped_attr() {
-            None => Cow::Borrowed(attrs),
-            Some(name) => {
-                let mut out = attrs.clone();
-                out.remove(name);
-                Cow::Owned(out)
-            }
+    /// The attribute list the coordinator actually receives: a copy of
+    /// the script's own list, less the stripped attribute.
+    fn mutate(self, mut attrs: AttrList) -> AttrList {
+        if let Some(name) = self.stripped_attr() {
+            attrs.remove(name);
         }
+        attrs
     }
 }
 
@@ -537,7 +532,7 @@ impl World {
         let spec = Arc::clone(&self.spec);
         let step = &spec.flows[flow][self.flows[flow].script_pos];
         let report = AdaptReport::from_attrs(&step.attrs);
-        let fed = self.mutation.mutate(&step.attrs);
+        let fed = self.mutation.mutate(step.attrs);
         let now = self.now;
         let f = &mut self.flows[flow];
         f.script_pos += 1;

@@ -27,12 +27,6 @@ pub enum Phase {
     Flush = 3,
 }
 
-impl Phase {
-    pub fn as_str(self) -> &'static str {
-        PHASE_NAMES[self as usize]
-    }
-}
-
 pub const PHASE_NAMES: [&str; PHASES] = ["idle", "ingress", "execute", "flush"];
 
 #[derive(Debug)]
@@ -81,12 +75,6 @@ impl PhaseProfiler {
     pub fn snapshot(&self) -> PhaseSnapshot {
         PhaseSnapshot { nanos: self.nanos }
     }
-
-    pub fn reset(&mut self) {
-        self.nanos = [0; PHASES];
-        self.since = None;
-        self.current = Phase::Idle;
-    }
 }
 
 /// Accumulated per-phase wall time for one shard.
@@ -98,10 +86,6 @@ pub struct PhaseSnapshot {
 impl PhaseSnapshot {
     pub fn total_nanos(&self) -> u64 {
         self.nanos.iter().sum()
-    }
-
-    pub fn seconds(&self, phase: Phase) -> f64 {
-        self.nanos[phase as usize] as f64 / 1e9
     }
 
     /// Percentage of total time in `phase` (0 when nothing recorded).
@@ -123,12 +107,6 @@ impl PhaseSnapshot {
             self.percent(Phase::Ingress),
             self.percent(Phase::Idle),
         )
-    }
-
-    pub fn merge(&mut self, other: &PhaseSnapshot) {
-        for (a, b) in self.nanos.iter_mut().zip(other.nanos.iter()) {
-            *a += *b;
-        }
     }
 }
 

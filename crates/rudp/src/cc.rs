@@ -124,17 +124,6 @@ impl CcAlgorithm {
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|a| a.name() == name)
     }
-
-    /// All adaptive algorithms, in stable order. The experiment matrix
-    /// and the alloc smoke iterate this.
-    pub fn all_adaptive() -> [Self; 4] {
-        [
-            CcAlgorithm::Lda,
-            CcAlgorithm::Cubic,
-            CcAlgorithm::BbrLike,
-            CcAlgorithm::Rrr,
-        ]
-    }
 }
 
 /// `w` held to the `[MIN_CWND, MAX_CWND]` bounds every controller shares.
@@ -564,7 +553,10 @@ mod tests {
 
     #[test]
     fn scale_ignores_degenerate_factors() {
-        for alg in CcAlgorithm::all_adaptive() {
+        let adaptive = CcAlgorithm::ALL
+            .into_iter()
+            .filter(|a| !matches!(a, CcAlgorithm::Fixed { .. }));
+        for alg in adaptive {
             let mut w = win(alg);
             let before = w.cwnd();
             w.scale(0.0);

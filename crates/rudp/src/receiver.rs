@@ -368,7 +368,6 @@ impl ReceiverConn {
             .next_required
             .saturating_add(u64::from(self.cfg.recv_buffer_segments));
         if d.seq >= window_end {
-            self.stats.out_of_window += 1;
             return;
         }
         self.highest_seen = self.highest_seen.max(d.seq + 1);
@@ -867,18 +866,18 @@ mod tests {
         let a = last_ack(&mut r);
         assert_eq!(a.highest_seen, 8);
         assert_eq!(a.sack, vec![(1, 2), (7, 8)]);
-        assert_eq!(r.stats().out_of_window, 0);
         // … the one after it is not: no ACK, nothing moved.
         r.on_segment(3, &data(8, 8, 0, 1, true));
         assert!(r.poll_transmit(3).is_none());
         assert!(!r.has_segment(8));
         assert_eq!(r.highest_seen, 8);
-        assert_eq!(r.stats().out_of_window, 1);
         assert_eq!(r.stats().segments_received, 3);
         // Neither is one that would have grown the ring to 2⁴⁰ slots.
         r.on_segment(4, &data(1 << 40, 9, 0, 1, true));
         assert!(r.poll_transmit(4).is_none());
-        assert_eq!(r.stats().out_of_window, 2);
+        assert!(!r.has_segment(1 << 40));
+        assert_eq!(r.highest_seen, 8);
+        assert_eq!(r.stats().segments_received, 4);
         // The window moves with `next_required`: once the hole fills,
         // seq 8 is inside it.
         r.on_segment(5, &data(0, 0, 0, 1, true));
@@ -904,7 +903,7 @@ mod tests {
         // Paid by every flow of a fleet when the world is built
         // (DESIGN.md §12); a new field should show up here.
         for (name, size, ceiling) in [
-            ("ReceiverConn", std::mem::size_of::<ReceiverConn>(), 464),
+            ("ReceiverConn", std::mem::size_of::<ReceiverConn>(), 456),
             ("Segment", std::mem::size_of::<Segment>(), 96),
             ("RecvEvent", std::mem::size_of::<RecvEvent>(), 1),
         ] {

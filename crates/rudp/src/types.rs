@@ -141,10 +141,6 @@ pub struct ReceiverStats {
     /// sweep stops at the last reported range, so chronic truncation
     /// delays hole repair.
     pub sack_truncations: u64,
-    /// Data segments at or past `next_required + recv_buffer_segments`
-    /// — beyond any window the receiver advertised — dropped unbuffered
-    /// and unacknowledged.
-    pub out_of_window: u64,
 }
 
 impl SenderStats {
@@ -177,8 +173,7 @@ impl AddAssign for SenderStats {
 }
 
 impl ReceiverStats {
-    /// Every counter a run's metrics report, under its name;
-    /// `out_of_window` is not reported.
+    /// Every counter a run's metrics report, under its name.
     pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("iq_rudp_segments_received_total", self.segments_received),
@@ -202,6 +197,5 @@ impl AddAssign for ReceiverStats {
         self.msgs_delivered += s.msgs_delivered;
         self.msgs_dropped_partial += s.msgs_dropped_partial;
         self.sack_truncations += s.sack_truncations;
-        self.out_of_window += s.out_of_window;
     }
 }
